@@ -44,7 +44,7 @@ use crate::node::Node;
 use crate::pool::{PacketBuf, PacketPool};
 use catenet_sim::{Duration, Instant, Link, LinkOutcome, Rng, Scheduler};
 use catenet_wire::Ipv4Address;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::network::{FrameTap, LinkId, NodeId};
 
@@ -57,11 +57,41 @@ pub(crate) type GuardCounters = (u64, u64, u64, u64, u64);
 /// unattributed).
 pub(crate) type AcctCounters = (u64, u64, u64, u64);
 
+/// What the last harvest of a node saw: the floors `harvest_node`
+/// detects movement against.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct HarvestMarks {
+    /// DV table version.
+    pub dv_version: u64,
+    /// Cumulative RTO firings over the node's sockets.
+    pub rto_total: u64,
+    /// (arp gave-up drops, reassembled, reassembly timeouts, reassembly
+    /// evictions).
+    pub counts: (u64, u64, u64, u64),
+    /// Flow-table counters.
+    pub acct: AcctCounters,
+    /// Route-guard verdict totals per neighbor.
+    pub guard: BTreeMap<Ipv4Address, GuardCounters>,
+}
+
 /// One endpoint of a duplex link.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LinkEnd {
     pub node: NodeId,
     pub iface: usize,
+}
+
+/// Where a frame offered on one (node, interface) goes, resolved when
+/// the link is connected and again when the lanes split, so `transmit`
+/// pays one dense lookup per frame.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Endpoint {
+    /// Index of the outgoing directed link among the sender's lane's.
+    pub link_idx: u32,
+    /// The lane the receiver lives in.
+    pub dest_lane: u32,
+    /// The receiver.
+    pub dest: LinkEnd,
 }
 
 /// Coordinator-side description of a duplex link: who is on each end.
@@ -242,15 +272,10 @@ pub(crate) struct LaneView<'a> {
     pub event_seq: &'a mut [u64],
     pub service_count: &'a mut [u64],
     pub byz: &'a mut [Option<ByzantineState>],
-    pub last_dv_version: &'a mut [u64],
-    pub last_rto_total: &'a mut [u64],
-    pub last_harvest: &'a mut [(u64, u64, u64, u64)],
-    pub last_acct: &'a mut [AcctCounters],
-    pub last_guard: &'a mut [BTreeMap<Ipv4Address, GuardCounters>],
-    pub endpoint_index: &'a HashMap<(NodeId, usize), (LinkId, bool)>,
-    pub links_meta: &'a [LinkMeta],
-    pub link_home: &'a [[(u32, u32); 2]],
-    pub lane_of: &'a [u32],
+    pub harvested: &'a mut [HarvestMarks],
+    /// Per node (every node, not just this lane's), per interface: the
+    /// link behind it. `None` (or a short row) = nothing connected.
+    pub endpoints: &'a [Vec<Option<Endpoint>>],
     /// The frame tap, present only when a single lane runs (it is a
     /// coordinator-owned `FnMut`; multi-lane runs that install one are
     /// demoted to serial execution and still see every frame, but the
@@ -298,6 +323,11 @@ impl LaneView<'_> {
                         if self.next_wake[node - self.lo] == Some(at) {
                             self.next_wake[node - self.lo] = None;
                         }
+                        // A wake is the clock touching the node: whatever
+                        // it was armed for is due, and a wake earlier than
+                        // the node's current want has to re-arm the later
+                        // one, which only a full pass does.
+                        self.node(node).set_idle_gate(None);
                         (node, keyed.key)
                     }
                 };
@@ -316,18 +346,37 @@ impl LaneView<'_> {
     /// One service pass: applications, protocol machinery, harvest
     /// detection, outbox drain, timer re-arm. `token` orders the
     /// resulting harvest entry among same-instant entries.
+    ///
+    /// A pass costs what is due. When the last full pass left the node
+    /// with nothing but timers, none of them is due yet, the wake they
+    /// asked for is still pending and only forwards have touched the
+    /// node since (its idle gate is still armed), everything but the
+    /// outbox drain is a no-op and is skipped — exactly, not
+    /// approximately: see DESIGN.md, "What a service pass costs".
     pub fn service_node(&mut self, id: NodeId, now: Instant, token: u64) {
         let li = id - self.lo;
         self.service_count[li] += 1;
-        // Applications first: they may write into sockets.
-        let mut apps = core::mem::take(&mut self.apps[li]);
-        for app in &mut apps {
-            app.poll(&mut self.nodes[li], now);
+        let pending = self.next_wake[li];
+        let skip = self.nodes[li].idle_gate().is_some_and(|gate| {
+            now < gate.until
+                && gate
+                    .wake
+                    .is_none_or(|want| pending.is_some_and(|at| at <= want))
+        });
+        if skip {
+            #[cfg(debug_assertions)]
+            self.assert_skippable(id, now, token);
+        } else {
+            // Applications first: they may write into sockets.
+            let mut apps = core::mem::take(&mut self.apps[li]);
+            for app in &mut apps {
+                app.poll(&mut self.nodes[li], now);
+            }
+            self.apps[li] = apps;
+            // Protocol machinery: timers, routing, socket dispatch.
+            self.nodes[li].service(now);
+            self.harvest_node(id, now, token);
         }
-        self.apps[li] = apps;
-        // Protocol machinery: timers, routing, socket dispatch.
-        self.nodes[li].service(now);
-        self.harvest_node(id, now, token);
         // Push produced frames onto links. Swap semantics keep the
         // steady state allocation-free.
         let mut outbox = core::mem::take(&mut self.lane.outbox);
@@ -336,8 +385,17 @@ impl LaneView<'_> {
             self.transmit(id, iface, frame, now);
         }
         self.lane.outbox = outbox;
-        // Timer wake scheduling.
-        let mut want = self.nodes[li].poll_at(now);
+        // Still armed after the drain (a queue-overflow quench can miss
+        // in ARP and start a retry timer): the wake the node wants is the
+        // one already pending.
+        if skip && self.nodes[li].idle_gate().is_some() {
+            return;
+        }
+        // Timer wake scheduling, and the gate for the passes to come.
+        let timers = self.nodes[li].timers(now);
+        let gate = timers.gate.filter(|_| self.apps[li].is_empty());
+        self.nodes[li].set_idle_gate(gate);
+        let mut want = timers.wake;
         for app in &self.apps[li] {
             if let Some(at) = app.next_wake() {
                 let at = at.max(now);
@@ -369,11 +427,31 @@ impl LaneView<'_> {
         }
     }
 
+    /// Debug builds check every skipped pass: the node is idle when
+    /// recomputed from scratch, and a harvest finds nothing — no entry,
+    /// no floor moved.
+    #[cfg(debug_assertions)]
+    fn assert_skippable(&mut self, id: NodeId, now: Instant, token: u64) {
+        let li = id - self.lo;
+        assert!(
+            self.apps[li].is_empty(),
+            "skipped a pass on a node with applications"
+        );
+        self.nodes[li].assert_idle(now);
+        let marks = self.harvested[li].clone();
+        let entries = self.lane.harvests.len();
+        self.harvest_node(id, now, token);
+        assert!(
+            self.harvested[li] == marks && self.lane.harvests.len() == entries,
+            "skipped a pass on node {id} at {now} with something to harvest"
+        );
+    }
+
     /// Offer a frame to the link behind (`from`, `iface`). Same-lane
     /// deliveries go straight into the lane scheduler; cross-lane
     /// deliveries are buffered for the barrier.
     pub fn transmit(&mut self, from: NodeId, iface: usize, mut frame: PacketBuf, now: Instant) {
-        let Some(&(link_id, is_a)) = self.endpoint_index.get(&(from, iface)) else {
+        let Some(&Some(end)) = self.endpoints[from].get(iface) else {
             self.lane.unconnected_drops += 1;
             return;
         };
@@ -390,14 +468,12 @@ impl LaneView<'_> {
             tap(now, &frame);
         }
         self.lane.frames_offered += 1;
-        let (_, link_idx) = self.link_home[link_id][usize::from(!is_a)];
-        let meta = &self.links_meta[link_id];
-        let dest = if is_a { meta.b } else { meta.a };
-        let lane_link = &mut self.lane.links[link_idx as usize];
+        let dest = end.dest;
+        let lane_link = &mut self.lane.links[end.link_idx as usize];
         match lane_link.link.transmit(now, &mut frame, &mut lane_link.rng) {
             LinkOutcome::Delivered { at, .. } => {
                 let key = self.next_key(from);
-                if self.lane_of[dest.node] as usize == self.lane_index {
+                if end.dest_lane as usize == self.lane_index {
                     self.lane.sched.schedule_at(
                         at,
                         Keyed {
@@ -452,15 +528,15 @@ impl LaneView<'_> {
         let node = &self.nodes[li];
         if let Some(dv) = &node.dv {
             let version = dv.version();
-            if version != self.last_dv_version[li] {
-                self.last_dv_version[li] = version;
+            if version != self.harvested[li].dv_version {
+                self.harvested[li].dv_version = version;
                 ops.push(HarvestOp::RouteChanged { version });
             }
         }
         let rto: u64 = node.tcp_sockets.iter().map(|s| s.stats.timeouts).sum();
-        let last_rto = self.last_rto_total[li];
+        let last_rto = self.harvested[li].rto_total;
         if rto != last_rto {
-            self.last_rto_total[li] = rto;
+            self.harvested[li].rto_total = rto;
             // A drop means the sockets died with the node
             // (fate-sharing); only a rise is a firing.
             if rto > last_rto {
@@ -476,9 +552,9 @@ impl LaneView<'_> {
             node.reassembler().timed_out,
             node.reassembler().evicted,
         );
-        let last = self.last_harvest[li];
+        let last = self.harvested[li].counts;
         if cur != last {
-            self.last_harvest[li] = cur;
+            self.harvested[li].counts = cur;
             for (name, value, floor) in [
                 ("arp_gave_up_drops", cur.0, last.0),
                 ("reassembled_datagrams", cur.1, last.1),
@@ -506,9 +582,9 @@ impl LaneView<'_> {
             ),
             None => (0, 0, 0, 0),
         };
-        let last = self.last_acct[li];
+        let last = self.harvested[li].acct;
         if cur != last {
-            self.last_acct[li] = cur;
+            self.harvested[li].acct = cur;
             for (name, value, floor) in [
                 ("flow_evictions", cur.0, last.0),
                 ("flow_idle_expired", cur.1, last.1),
@@ -549,14 +625,15 @@ impl LaneView<'_> {
             incidents = dv.guard_mut().drain_incidents();
         }
         for (addr, cur) in verdict_rows {
-            let last = self.last_guard[li]
+            let last = self.harvested[li]
+                .guard
                 .get(&addr)
                 .copied()
                 .unwrap_or((0, 0, 0, 0, 0));
             if cur == last {
                 continue;
             }
-            self.last_guard[li].insert(addr, cur);
+            self.harvested[li].guard.insert(addr, cur);
             // `guard_attest_rejected` only accrues when attestation is
             // verified, so attestation-off runs emit no new counter.
             for (name, value, floor) in [

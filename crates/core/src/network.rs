@@ -22,7 +22,7 @@ use crate::byzantine::ByzantineState;
 use crate::flow::FlowTable;
 use crate::iface::{Framing, Iface};
 use crate::lane::{
-    AcctCounters, CrossFrame, Event, GuardCounters, HarvestEntry, HarvestOp, Keyed, Lane, LaneLink,
+    CrossFrame, Endpoint, Event, HarvestEntry, HarvestMarks, HarvestOp, Keyed, Lane, LaneLink,
     LaneView, LinkEnd, LinkMeta,
 };
 use crate::node::{Node, NodeRole};
@@ -36,7 +36,6 @@ use catenet_sim::{
 };
 use catenet_telemetry::{EventKind, Scope, Telemetry};
 use catenet_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
-use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 /// Index of a node within the network.
@@ -65,7 +64,9 @@ pub struct Network {
     /// Where each directed link lives: `link_home[id][0]` is the
     /// `(lane, index)` of the a→b direction, `[1]` of b→a.
     link_home: Vec<[(u32, u32); 2]>,
-    endpoint_index: HashMap<(NodeId, usize), (LinkId, bool)>,
+    /// Per node, per interface: the link behind it, resolved down to
+    /// what a lane's `transmit` needs (see [`Endpoint`]).
+    endpoints: Vec<Vec<Option<Endpoint>>>,
     /// The execution lanes. Exactly one (covering every node) until a
     /// `Sharded`/`Parallel` network splits at its first `run_until`.
     lanes: Vec<Lane>,
@@ -102,16 +103,12 @@ pub struct Network {
     /// The observability subsystem: metrics registry, time-series
     /// sampler, flight recorder, convergence tracer.
     telemetry: Telemetry,
-    /// Last observed DV table version per node (route-change detection).
-    last_dv_version: Vec<u64>,
-    /// Last observed cumulative RTO count per node.
-    last_rto_total: Vec<u64>,
+    /// What each node's last harvest saw (DV version, RTO count,
+    /// drop/reassembly/accounting/guard counters), for detecting route
+    /// changes and delta-counting into the registry.
+    harvested: Vec<HarvestMarks>,
     /// Cumulative acked bytes per node at the previous sample (goodput).
     last_sampled_acked: Vec<u64>,
-    /// Last harvested (arp gave-up, reassembled, reassembly timeouts,
-    /// reassembly evictions) per node, for delta-counting into the
-    /// registry.
-    last_harvest: Vec<(u64, u64, u64, u64)>,
     /// Service passes executed per node (each pass may handle a whole
     /// batch of same-instant events; see [`Network::run_until`]).
     service_count: Vec<u64>,
@@ -120,9 +117,6 @@ pub struct Network {
     /// rewritten in the lane's `transmit`, after the node honestly
     /// computed them. Dense so the per-node slice splits across lanes.
     byz: Vec<Option<ByzantineState>>,
-    /// Last harvested route-guard verdict totals per node and neighbor,
-    /// for delta-counting into the registry.
-    last_guard: Vec<BTreeMap<Ipv4Address, GuardCounters>>,
     /// Route-origin attestation trust anchor (see
     /// [`Network::enable_attestation`]); `None` means attestation has
     /// never been enabled and nothing is signed or registered.
@@ -144,9 +138,6 @@ pub struct Network {
     /// armed it. `None` means no ledgers flush and no accounting
     /// telemetry interns, so unenabled dumps stay byte-identical.
     accounting: Option<AccountingCtl>,
-    /// Last harvested accounting counters per node, for delta-counting
-    /// into the registry.
-    last_acct: Vec<AcctCounters>,
     /// The per-lane-pair lookahead closure, flattened K×K row-major in
     /// microseconds (`reach[j*k + i]` = lane j → lane i), built once at
     /// the split. Entry (j, i), j ≠ i, is the cheapest multi-hop relay
@@ -212,7 +203,7 @@ impl Network {
             apps: Vec::new(),
             links_meta: Vec::new(),
             link_home: Vec::new(),
-            endpoint_index: HashMap::new(),
+            endpoints: Vec::new(),
             lanes: vec![Lane::new(0, 0, Scheduler::with_kind(kind), pool.clone())],
             lane_of: Vec::new(),
             seed,
@@ -229,19 +220,15 @@ impl Network {
             faults_applied: 0,
             unconnected_drops: 0,
             telemetry: Telemetry::new(),
-            last_dv_version: Vec::new(),
-            last_rto_total: Vec::new(),
+            harvested: Vec::new(),
             last_sampled_acked: Vec::new(),
-            last_harvest: Vec::new(),
             service_count: Vec::new(),
             byz: Vec::new(),
-            last_guard: Vec::new(),
             attest_master: None,
             pool,
             pool_metrics: false,
             last_pool: PoolStats::default(),
             accounting: None,
-            last_acct: Vec::new(),
             lane_reach: Vec::new(),
             partitioner: false,
             global_lookahead: false,
@@ -367,14 +354,11 @@ impl Network {
         self.apps.push(Vec::new());
         self.next_wake.push(None);
         self.event_seq.push(0);
-        self.last_dv_version.push(0);
-        self.last_rto_total.push(0);
+        self.harvested.push(HarvestMarks::default());
         self.last_sampled_acked.push(0);
-        self.last_harvest.push((0, 0, 0, 0));
         self.service_count.push(0);
         self.byz.push(None);
-        self.last_guard.push(BTreeMap::new());
-        self.last_acct.push((0, 0, 0, 0));
+        self.endpoints.push(Vec::new());
         self.lane_of.push(0);
         self.lanes[0].hi = self.nodes.len();
         self.nodes.len() - 1
@@ -386,6 +370,7 @@ impl Network {
     /// built — nodes added later keep the default (guard off).
     pub fn set_guard_policy(&mut self, policy: GuardPolicy) {
         for node in &mut self.nodes {
+            node.set_idle_gate(None);
             if let Some(dv) = &mut node.dv {
                 dv.set_guard_policy(policy);
             }
@@ -438,6 +423,7 @@ impl Network {
         }
         let registry = Rc::new(registry);
         for (id, node) in self.nodes.iter_mut().enumerate() {
+            node.set_idle_gate(None);
             if let Some(dv) = &mut node.dv {
                 // Derive directly rather than looking up in the
                 // registry: a node enabled before its first link has no
@@ -479,8 +465,10 @@ impl Network {
         &self.nodes[id]
     }
 
-    /// Borrow a node mutably.
+    /// Borrow a node mutably. Whatever the caller does with it, the
+    /// node's next service pass is a full one.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.nodes[id].set_idle_gate(None);
         &mut self.nodes[id]
     }
 
@@ -591,8 +579,7 @@ impl Network {
             rng: LaneLink::seeded(self.seed, link_id, false),
         });
         self.link_home.push([(0, idx), (0, idx + 1)]);
-        self.endpoint_index.insert((a, iface_a), (link_id, true));
-        self.endpoint_index.insert((b, iface_b), (link_id, false));
+        self.resolve_endpoints(link_id);
         // Register the new subnet before the kicks below make routing
         // announce it — the triggered update must go out signed.
         self.redistribute_attestation();
@@ -600,6 +587,23 @@ impl Network {
         self.kick(a);
         self.kick(b);
         link_id
+    }
+
+    /// (Re)build both [`Endpoint`]s of a link from where its directions
+    /// and its nodes live now.
+    fn resolve_endpoints(&mut self, link: LinkId) {
+        let (a, b) = (self.links_meta[link].a, self.links_meta[link].b);
+        for (slot, from, dest) in [(0, a, b), (1, b, a)] {
+            let row = &mut self.endpoints[from.node];
+            if row.len() <= from.iface {
+                row.resize(from.iface + 1, None);
+            }
+            row[from.iface] = Some(Endpoint {
+                link_idx: self.link_home[link][slot].1,
+                dest_lane: self.lane_of[dest.node],
+                dest,
+            });
+        }
     }
 
     /// The subnet of a link.
@@ -675,6 +679,7 @@ impl Network {
     pub fn enable_accounting(&mut self, period: Duration) {
         for node in &mut self.nodes {
             if node.role == NodeRole::Gateway {
+                node.set_idle_gate(None);
                 if node.flows.is_none() {
                     node.flows = Some(FlowTable::new());
                 }
@@ -776,7 +781,7 @@ impl Network {
                 }
             }
         }
-        self.nodes[id].crash();
+        self.node_mut(id).crash();
     }
 
     /// Reboot a crashed node.
@@ -958,7 +963,7 @@ impl Network {
                     | ByzantineAttack::HijackAttested { addr, prefix_len }
                     | ByzantineAttack::SpoofOrigin { addr, prefix_len } = attack
                     {
-                        self.nodes[*node].blackhole_prefixes.push(
+                        self.node_mut(*node).blackhole_prefixes.push(
                             Ipv4Cidr::new(Ipv4Address::from_bytes(addr), *prefix_len).network(),
                         );
                     }
@@ -967,7 +972,7 @@ impl Network {
             }
             FaultAction::Rehabilitate { node } => {
                 if *node < self.byz.len() && self.byz[*node].take().is_some() {
-                    self.nodes[*node].blackhole_prefixes.clear();
+                    self.node_mut(*node).blackhole_prefixes.clear();
                     self.telemetry.convergence.heal(now);
                 }
             }
@@ -1067,6 +1072,9 @@ impl Network {
             self.lanes[home].links.push(lane_link);
             self.link_home[link_id][usize::from(!ab)] = (home as u32, idx);
         }
+        for link_id in 0..self.links_meta.len() {
+            self.resolve_endpoints(link_id);
+        }
         // Pending boot events follow their destination node.
         for (at, mut keyed) in boot.sched.into_drain() {
             let dest = match &mut keyed.event {
@@ -1165,11 +1173,11 @@ impl Network {
         lookahead
     }
 
-    /// Run one lane's window serially (tap included, if installed).
-    fn run_lane_window(&mut self, lane_index: usize, limit: Instant) {
+    /// A serial view of one lane (tap included, if installed).
+    fn lane_view(&mut self, lane_index: usize) -> LaneView<'_> {
         let lane = &mut self.lanes[lane_index];
         let (lo, hi) = (lane.lo, lane.hi);
-        let mut view = LaneView {
+        LaneView {
             lane,
             lane_index,
             lo,
@@ -1179,18 +1187,10 @@ impl Network {
             event_seq: &mut self.event_seq[lo..hi],
             service_count: &mut self.service_count[lo..hi],
             byz: &mut self.byz[lo..hi],
-            last_dv_version: &mut self.last_dv_version[lo..hi],
-            last_rto_total: &mut self.last_rto_total[lo..hi],
-            last_harvest: &mut self.last_harvest[lo..hi],
-            last_acct: &mut self.last_acct[lo..hi],
-            last_guard: &mut self.last_guard[lo..hi],
-            endpoint_index: &self.endpoint_index,
-            links_meta: &self.links_meta,
-            link_home: &self.link_home,
-            lane_of: &self.lane_of,
+            harvested: &mut self.harvested[lo..hi],
+            endpoints: &self.endpoints,
             tap: self.tap.as_mut(),
-        };
-        view.run_window(limit);
+        }
     }
 
     /// Run the dispatched lanes' windows on scoped threads, each to its
@@ -1220,11 +1220,7 @@ impl Network {
         let mut event_seq = chunks(&mut self.event_seq, &bounds);
         let mut service_count = chunks(&mut self.service_count, &bounds);
         let mut byz = chunks(&mut self.byz, &bounds);
-        let mut last_dv_version = chunks(&mut self.last_dv_version, &bounds);
-        let mut last_rto_total = chunks(&mut self.last_rto_total, &bounds);
-        let mut last_harvest = chunks(&mut self.last_harvest, &bounds);
-        let mut last_acct = chunks(&mut self.last_acct, &bounds);
-        let mut last_guard = chunks(&mut self.last_guard, &bounds);
+        let mut harvested = chunks(&mut self.harvested, &bounds);
         let mut views: Vec<(SendView<'_>, Instant)> = Vec::with_capacity(self.lanes.len());
         for (lane_index, lane) in self.lanes.iter_mut().enumerate() {
             let view = LaneView {
@@ -1237,15 +1233,8 @@ impl Network {
                 event_seq: event_seq.next().expect("one chunk per lane"),
                 service_count: service_count.next().expect("one chunk per lane"),
                 byz: byz.next().expect("one chunk per lane"),
-                last_dv_version: last_dv_version.next().expect("one chunk per lane"),
-                last_rto_total: last_rto_total.next().expect("one chunk per lane"),
-                last_harvest: last_harvest.next().expect("one chunk per lane"),
-                last_acct: last_acct.next().expect("one chunk per lane"),
-                last_guard: last_guard.next().expect("one chunk per lane"),
-                endpoint_index: &self.endpoint_index,
-                links_meta: &self.links_meta,
-                link_home: &self.link_home,
-                lane_of: &self.lane_of,
+                harvested: harvested.next().expect("one chunk per lane"),
+                endpoints: &self.endpoints,
                 tap: None,
             };
             if dispatch[lane_index] {
@@ -1544,7 +1533,7 @@ impl Network {
                         || self.lanes[i].sched.peek_time().is_some_and(|ti| ti <= limits[i]);
                     dispatch[i] = due;
                     if due {
-                        self.run_lane_window(i, limits[i]);
+                        self.lane_view(i).run_window(limits[i]);
                     }
                 }
             }
@@ -1589,35 +1578,14 @@ impl Network {
     /// so frames it emits toward other lanes are scheduled before the
     /// caller regains control.
     pub fn kick(&mut self, id: NodeId) {
-        // Don't advance time: just service at the current instant.
+        // Don't advance time: just service at the current instant. The
+        // caller may have changed anything (sockets, applications,
+        // interfaces), so the pass is a full one.
         let now = self.now;
-        let lane_index = self.lane_of[id] as usize;
-        let lane = &mut self.lanes[lane_index];
-        let (lo, hi) = (lane.lo, lane.hi);
-        let mut view = LaneView {
-            lane,
-            lane_index,
-            lo,
-            nodes: &mut self.nodes[lo..hi],
-            apps: &mut self.apps[lo..hi],
-            next_wake: &mut self.next_wake[lo..hi],
-            event_seq: &mut self.event_seq[lo..hi],
-            service_count: &mut self.service_count[lo..hi],
-            byz: &mut self.byz[lo..hi],
-            last_dv_version: &mut self.last_dv_version[lo..hi],
-            last_rto_total: &mut self.last_rto_total[lo..hi],
-            last_harvest: &mut self.last_harvest[lo..hi],
-            last_acct: &mut self.last_acct[lo..hi],
-            last_guard: &mut self.last_guard[lo..hi],
-            endpoint_index: &self.endpoint_index,
-            links_meta: &self.links_meta,
-            link_home: &self.link_home,
-            lane_of: &self.lane_of,
-            tap: self.tap.as_mut(),
-        };
+        self.nodes[id].set_idle_gate(None);
         // Token 0: a kick is absorbed by itself, never merge-sorted
         // against window entries.
-        view.service_node(id, now, 0);
+        self.lane_view(self.lane_of[id] as usize).service_node(id, now, 0);
         self.absorb(now);
     }
 
@@ -2682,5 +2650,90 @@ mod tests {
              origin attestation proves ownership, not path honesty"
         );
         assert!(eaten > 0, "the residual attack still eats traffic");
+    }
+
+    /// RIP frames `gateway` offered to its links, by instant (one entry
+    /// per instant however many interfaces it advertised on).
+    fn rip_instants(
+        net: &mut Network,
+        gateway: NodeId,
+    ) -> Rc<std::cell::RefCell<Vec<Instant>>> {
+        use catenet_wire::{IpProtocol, Ipv4Packet, UdpPacket};
+        let own: Vec<Ipv4Address> = net.node(gateway).ifaces.iter().map(|i| i.addr).collect();
+        let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = Rc::clone(&seen);
+        net.set_tap(Box::new(move |at, frame| {
+            let Ok(ip) = Ipv4Packet::new_checked(frame) else {
+                return;
+            };
+            if ip.protocol() != IpProtocol::Udp || !own.contains(&ip.src_addr()) {
+                return;
+            }
+            let Ok(udp) = UdpPacket::new_checked(ip.payload()) else {
+                return;
+            };
+            let mut log = log.borrow_mut();
+            if udp.dst_port() == catenet_routing::RIP_PORT && log.last() != Some(&at) {
+                log.push(at);
+            }
+        }));
+        seen
+    }
+
+    #[test]
+    fn pending_wake_earlier_than_the_want_rearms_the_periodic() {
+        // h1 — g1 — g2 — h2 on raw-IP trunks, a datagram crossing g1
+        // every 7 ms, so nearly all of g1's service passes are forwards
+        // its idle gate may skip. At t = 0 g1 advertises and arms a wake
+        // for its next periodic at 3 s. At 1 s a new network appears
+        // behind g2; its triggered update reaches g1, g1 relays it at
+        // T and moves its periodic to T + 3 s — *later* than the wake
+        // still pending at 3 s. That wake must cost a full pass (it has
+        // nothing to send, but it alone re-arms T + 3 s); were it
+        // skipped, the periodic would ride on whichever transit frame
+        // came next and drift off the schedule.
+        let mut net = Network::new(1988);
+        let h1 = net.add_host("h1");
+        let g1 = net.add_gateway("g1");
+        let g2 = net.add_gateway("g2");
+        let h2 = net.add_host("h2");
+        let h3 = net.add_host("h3");
+        net.connect(h1, g1, LinkClass::T1Terrestrial);
+        net.connect(g1, g2, LinkClass::T1Terrestrial);
+        net.connect(g2, h2, LinkClass::T1Terrestrial);
+        let seen = rip_instants(&mut net, g1);
+        let sink = crate::Endpoint::new(net.node(h2).primary_addr(), 9000);
+        net.attach_app(h2, Box::new(crate::app::CbrSink::new(9000)));
+        net.attach_app(
+            h1,
+            Box::new(crate::app::CbrSource::new(
+                sink,
+                Duration::from_micros(7_001),
+                160,
+                Instant::from_millis(500),
+                Instant::from_secs(20),
+            )),
+        );
+        net.run_until(Instant::from_secs(1));
+        assert!(net.node(g1).idle_gate().is_some(), "a transit gateway idles between timers");
+        assert!(net.node(h1).idle_gate().is_none(), "a host with an application never does");
+        let before = seen.borrow().len();
+        net.connect(g2, h3, LinkClass::T1Terrestrial);
+        net.run_until(Instant::from_secs(20));
+
+        let seen = seen.borrow();
+        let relayed = seen[before];
+        assert!(
+            relayed > Instant::from_secs(1) && relayed < Instant::from_millis(1_200),
+            "g1 relays the triggered update one trunk delay after 1 s: {relayed}"
+        );
+        let interval = Duration::from_secs(3);
+        let expected: Vec<Instant> = (1..=6u32).map(|k| relayed + interval * k).collect();
+        assert_eq!(&seen[before + 1..], &expected[..], "periodics at T + 3k s exactly");
+        assert!(
+            net.service_passes(g1) > 2_000,
+            "the schedule held under transit load: {} passes",
+            net.service_passes(g1)
+        );
     }
 }

@@ -30,7 +30,11 @@ use catenet_wire::{
     Ipv4Cidr, Ipv4Packet, Ipv4Repr, TcpControl, TcpPacket, TcpRepr, TcpSeqNumber, TimeExceeded,
     Tos, UdpPacket, UdpRepr,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+
+/// ICMP events a node keeps for an application that has not collected
+/// them yet; beyond this the oldest is dropped (and counted).
+pub const ICMP_INBOX_LIMIT: usize = 64;
 
 /// Host or gateway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +96,9 @@ pub struct NodeStats {
     /// Drops: this (compromised) gateway silently ate a datagram for a
     /// victim prefix it had attracted with a black-hole advertisement.
     pub dropped_byzantine: u64,
+    /// ICMP events dropped, oldest first, because no application took
+    /// them before [`ICMP_INBOX_LIMIT`] more arrived.
+    pub icmp_inbox_dropped: u64,
 }
 
 /// An ICMP message delivered to this node (for ping apps and error
@@ -106,6 +113,29 @@ pub struct IcmpEvent {
     pub message: Icmpv4Message,
     /// The ICMP payload (echo data, or the quoted original datagram).
     pub payload: Vec<u8>,
+}
+
+/// What a node's timers say at the end of a service pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Timers {
+    /// When the node next needs a wake ([`Node::poll_at`]).
+    pub wake: Option<Instant>,
+    /// The idle gate this pass may arm. `None`: the node has work the
+    /// clock does not announce (a socket, a flow table, a reassembly, a
+    /// pending triggered update) or is dead.
+    pub gate: Option<IdleGate>,
+}
+
+/// The idle gate a full service pass leaves behind on a node with
+/// nothing but timers, kept until anything disturbs them. See
+/// DESIGN.md, "What a service pass costs".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IdleGate {
+    /// Before this instant [`Node::service`] has nothing to do unless
+    /// something other than the clock touches the node first.
+    pub until: Instant,
+    /// The wake the arming pass asked for.
+    pub wake: Option<Instant>,
 }
 
 /// A host or gateway with its interfaces, sockets and protocol state.
@@ -137,8 +167,14 @@ pub struct Node {
     pub ledger: Option<Ledger>,
     /// Virtual-circuit mode (baseline): per-connection forwarding state.
     pub vc_table: Option<HashMap<FlowId, usize>>,
-    /// ICMP messages awaiting the application.
-    icmp_inbox: Vec<IcmpEvent>,
+    /// ICMP messages awaiting the application, newest last; bounded by
+    /// [`ICMP_INBOX_LIMIT`].
+    icmp_inbox: VecDeque<IcmpEvent>,
+    /// Armed by the lane loop after a full service pass, cleared by
+    /// everything that could give the next pass work: here, any receive
+    /// path but the pure forward; in the network, every `&mut Node` it
+    /// hands out.
+    idle: Option<IdleGate>,
     /// Frames ready for the network to push onto links.
     outbox: Vec<(usize, PacketBuf)>,
     /// The buffer pool all tx/rx packet memory comes from. Standalone
@@ -186,7 +222,8 @@ impl Node {
             flows: None,
             ledger: None,
             vc_table: None,
-            icmp_inbox: Vec::new(),
+            icmp_inbox: VecDeque::new(),
+            idle: None,
             outbox: Vec::new(),
             pool: PacketPool::new(),
             ip_ident: 1,
@@ -407,7 +444,17 @@ impl Node {
 
     /// Drain the ICMP inbox.
     pub fn take_icmp_events(&mut self) -> Vec<IcmpEvent> {
-        core::mem::take(&mut self.icmp_inbox)
+        core::mem::take(&mut self.icmp_inbox).into()
+    }
+
+    /// Queue an ICMP event for the application, dropping the oldest
+    /// when nobody has collected [`ICMP_INBOX_LIMIT`] of them.
+    fn push_icmp_event(&mut self, event: IcmpEvent) {
+        if self.icmp_inbox.len() >= ICMP_INBOX_LIMIT {
+            self.icmp_inbox.pop_front();
+            self.stats.icmp_inbox_dropped += 1;
+        }
+        self.icmp_inbox.push_back(event);
     }
 
     // --------------------------------------------------------- routing
@@ -543,6 +590,8 @@ impl Node {
                     self.outbox.push((iface, datagram));
                     return;
                 }
+                // A miss starts (or feeds) a resolution with a retry timer.
+                self.idle = None;
                 match self.arp[iface].resolve(next_hop, datagram, now) {
                     // `get()` above missed at the same instant, so
                     // `resolve` cannot hit; if it somehow does, the
@@ -650,6 +699,7 @@ impl Node {
     }
 
     fn handle_arp(&mut self, now: Instant, iface: usize, payload: &[u8]) {
+        self.idle = None;
         let Ok(packet) = ArpPacket::new_checked(payload) else {
             self.stats.dropped_malformed += 1;
             return;
@@ -714,6 +764,9 @@ impl Node {
                 .any(|iface| iface.up && iface.is_broadcast(dst));
 
         if local {
+            // Anything delivered here can reach routing, reassembly or a
+            // socket; only the forward below leaves `service` no work.
+            self.idle = None;
             if is_fragment {
                 match self.reassembler.push(&datagram, now) {
                     // The reassembler's own `completed` counter is the
@@ -970,7 +1023,7 @@ impl Node {
                         }
                     }
                 }
-                self.icmp_inbox.push(IcmpEvent {
+                self.push_icmp_event(IcmpEvent {
                     at: now,
                     from: src,
                     message: Icmpv4Message::SourceQuench,
@@ -978,7 +1031,7 @@ impl Node {
                 });
             }
             message => {
-                self.icmp_inbox.push(IcmpEvent {
+                self.push_icmp_event(IcmpEvent {
                     at: now,
                     from: src,
                     message,
@@ -1292,16 +1345,31 @@ impl Node {
 
     /// When this node next needs a timer wake.
     pub fn poll_at(&self, now: Instant) -> Option<Instant> {
+        self.timers(now).wake
+    }
+
+    /// One walk over everything with a clock: the wake [`Node::poll_at`]
+    /// reports and, beside it, how long [`Node::service`] stays a no-op
+    /// if only time passes.
+    pub(crate) fn timers(&self, now: Instant) -> Timers {
         if !self.alive {
-            return None;
+            return Timers {
+                wake: None,
+                gate: None,
+            };
         }
-        let mut earliest: Option<Instant> = None;
+        let mut wake: Option<Instant> = None;
         let mut consider = |at: Instant| {
-            earliest = Some(match earliest {
+            wake = Some(match wake {
                 Some(current) => current.min(at),
                 None => at,
             });
         };
+        let mut idle = self.tcp_sockets.is_empty()
+            && self.udp_sockets.is_empty()
+            && self.flows.is_none()
+            && self.reassembler.in_progress() == 0;
+        let mut until = Instant::FAR_FUTURE;
         for socket in &self.tcp_sockets {
             if let Some(at) = socket.poll_at() {
                 // `Instant::ZERO` means "immediately".
@@ -1310,6 +1378,8 @@ impl Node {
         }
         if let Some(dv) = &self.dv {
             consider(dv.poll_at().max(now));
+            idle &= !dv.triggered_due();
+            until = until.min(dv.poll_at()).min(dv.next_expiry());
         }
         if self.reassembler.in_progress() > 0 {
             consider(now + Duration::from_secs(1));
@@ -1317,9 +1387,57 @@ impl Node {
         for cache in &self.arp {
             if let Some(at) = cache.next_event() {
                 consider(at.max(now));
+                until = until.min(at);
             }
         }
-        earliest
+        Timers {
+            wake,
+            gate: idle.then_some(IdleGate { until, wake }),
+        }
+    }
+
+    /// The idle gate, if the last full service pass armed one and
+    /// nothing has disturbed the node since.
+    pub(crate) fn idle_gate(&self) -> Option<IdleGate> {
+        self.idle
+    }
+
+    /// Arm (or, with `None`, clear) the idle gate. The lane loop arms it
+    /// at the end of a full pass; everything that could give the next
+    /// pass work clears it.
+    pub(crate) fn set_idle_gate(&mut self, gate: Option<IdleGate>) {
+        self.idle = gate;
+    }
+
+    /// Check, from scratch and without the cached bounds, that
+    /// [`Node::service`] at `now` would do nothing and that the node
+    /// still wants the wake its gate recorded. Run on every pass the
+    /// lane loop skips in a debug build.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_idle(&self, now: Instant) {
+        let gate = self.idle.expect("a skipped pass has an armed gate");
+        let name = &self.name;
+        assert!(self.alive, "{name}: skipped a pass on a dead node");
+        assert!(
+            self.tcp_sockets.is_empty() && self.udp_sockets.is_empty(),
+            "{name}: skipped a pass on a node with sockets"
+        );
+        assert!(self.flows.is_none(), "{name}: skipped a pass over a flow table");
+        assert_eq!(self.reassembler.in_progress(), 0, "{name}: reassembly in progress");
+        if let Some(dv) = &self.dv {
+            assert!(!dv.triggered_due(), "{name}: triggered update pending");
+            assert!(!dv.periodic_due(now), "{name}: periodic update due");
+            for (prefix, route) in dv.routes() {
+                assert!(route.expires_at > now, "{name}: route {prefix} due at {now}");
+            }
+        }
+        for cache in &self.arp {
+            assert!(
+                cache.next_event().is_none_or(|at| at > now),
+                "{name}: ARP retry due at {now}"
+            );
+        }
+        assert_eq!(self.timers(now).wake, gate.wake, "{name}: wanted wake moved");
     }
 }
 
@@ -1408,6 +1526,53 @@ mod tests {
             Icmpv4Message::EchoReply { ident: 7, seq_no: 1 }
         );
         assert_eq!(reply_icmp.payload(), b"ping");
+    }
+
+    #[test]
+    fn uncollected_icmp_events_are_bounded_and_the_newest_survive() {
+        // Nobody calls `take_icmp_events` on a host without a ping
+        // application, and every source quench a congested gateway
+        // sends lands here.
+        let mut node = host_with_iface();
+        let extra = 10;
+        for seq_no in 0..(ICMP_INBOX_LIMIT + extra) as u16 {
+            let icmp_repr = Icmpv4Repr {
+                message: Icmpv4Message::EchoReply { ident: 7, seq_no },
+                payload_len: 4,
+            };
+            let mut icmp_buf = vec![0u8; icmp_repr.buffer_len()];
+            let mut icmp = Icmpv4Packet::new_unchecked(&mut icmp_buf[..]);
+            icmp_repr.emit(&mut icmp);
+            icmp.fill_checksum();
+            let datagram = catenet_ip::build_ipv4(
+                &Ipv4Repr {
+                    src_addr: Ipv4Address::new(10, 0, 0, 2),
+                    dst_addr: Ipv4Address::new(10, 0, 0, 1),
+                    protocol: IpProtocol::Icmp,
+                    payload_len: icmp_buf.len(),
+                    hop_limit: 64,
+                    tos: Tos::default(),
+                },
+                seq_no,
+                false,
+                &icmp_buf,
+            );
+            node.handle_frame(Instant::from_millis(u64::from(seq_no)), 0, datagram);
+        }
+        assert_eq!(node.stats.icmp_inbox_dropped, extra as u64);
+        let events = node.take_icmp_events();
+        assert_eq!(events.len(), ICMP_INBOX_LIMIT);
+        let seq_of = |event: &IcmpEvent| match event.message {
+            Icmpv4Message::EchoReply { seq_no, .. } => seq_no,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(seq_of(&events[0]), extra as u16, "the oldest went first");
+        assert_eq!(
+            seq_of(events.last().unwrap()),
+            (ICMP_INBOX_LIMIT + extra - 1) as u16,
+            "the newest is still there"
+        );
+        assert!(node.take_icmp_events().is_empty());
     }
 
     #[test]

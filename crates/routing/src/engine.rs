@@ -139,6 +139,11 @@ pub struct DvEngine {
     config: DvConfig,
     table: RoutingTable<DvRoute>,
     next_periodic: Instant,
+    /// A lower bound on the earliest `expires_at` in the table: every
+    /// write of a deadline lowers it, and [`DvEngine::tick`] — the only
+    /// reader of deadlines — leaves it exact. Before this instant
+    /// `tick` has nothing to do and returns without scanning.
+    next_expiry: Instant,
     /// Set when any route changed; cleared when advertisements are taken.
     trigger_pending: bool,
     /// Messages processed (for the overhead accounting in E4).
@@ -166,6 +171,7 @@ impl DvEngine {
             config,
             table: RoutingTable::new(),
             next_periodic: Instant::ZERO,
+            next_expiry: Instant::FAR_FUTURE,
             trigger_pending: false,
             updates_received: 0,
             changes_applied: 0,
@@ -239,6 +245,7 @@ impl DvEngine {
                 route.changed = true;
                 // Hold at infinity for one GC period so neighbors hear it.
                 route.expires_at = Instant::ZERO;
+                self.next_expiry = Instant::ZERO;
                 self.trigger_pending = true;
                 self.version += 1;
             }
@@ -261,6 +268,7 @@ impl DvEngine {
             }
         }
         if changed {
+            self.next_expiry = self.next_expiry.min(now + gc);
             self.trigger_pending = true;
             self.version += 1;
         }
@@ -347,6 +355,7 @@ impl DvEngine {
                                 route.expires_at = now + self.config.gc_timeout;
                             }
                         }
+                        self.next_expiry = self.next_expiry.min(route.expires_at);
                     } else if advertised < route.metric {
                         *route = DvRoute {
                             next_hop: NextHop::Via { gateway, iface },
@@ -355,21 +364,24 @@ impl DvEngine {
                             changed: true,
                             attestation: entry.attestation,
                         };
+                        self.next_expiry = self.next_expiry.min(route.expires_at);
                         changed_any = true;
                     }
                 }
                 None => {
                     if advertised < INFINITY_METRIC {
+                        let expires_at = now + self.config.route_timeout;
                         self.table.insert(
                             prefix,
                             DvRoute {
                                 next_hop: NextHop::Via { gateway, iface },
                                 metric: advertised,
-                                expires_at: now + self.config.route_timeout,
+                                expires_at,
                                 changed: true,
                                 attestation: entry.attestation,
                             },
                         );
+                        self.next_expiry = self.next_expiry.min(expires_at);
                         changed_any = true;
                     }
                 }
@@ -386,26 +398,30 @@ impl DvEngine {
     /// Expire silent routes and collect garbage. Call at least once per
     /// update interval.
     pub fn tick(&mut self, now: Instant) {
+        if now < self.next_expiry {
+            return;
+        }
         let gc = self.config.gc_timeout;
         let mut newly_dead = false;
-        let before = self.table.iter().count();
+        let mut dropped = false;
+        let mut next_expiry = Instant::FAR_FUTURE;
         self.table.retain(|_, route| {
-            if route.expires_at > now {
-                return true;
-            }
-            if route.metric < INFINITY_METRIC {
+            if route.expires_at <= now {
+                if route.metric >= INFINITY_METRIC {
+                    // Already at infinity and GC expired: drop.
+                    dropped = true;
+                    return false;
+                }
                 // Newly dead: hold at infinity through a GC period.
                 route.metric = INFINITY_METRIC;
                 route.changed = true;
                 route.expires_at = now + gc;
                 newly_dead = true;
-                true
-            } else {
-                // Already at infinity and GC expired: drop.
-                false
             }
+            next_expiry = next_expiry.min(route.expires_at);
+            true
         });
-        let dropped = before != self.table.iter().count();
+        self.next_expiry = next_expiry;
         if newly_dead {
             self.trigger_pending = true;
         }
@@ -427,6 +443,13 @@ impl DvEngine {
     /// When the engine next needs service.
     pub fn poll_at(&self) -> Instant {
         self.next_periodic
+    }
+
+    /// No route's deadline falls before this instant (a lower bound,
+    /// exact after every [`DvEngine::tick`]): until then `tick` is a
+    /// no-op whenever it is called.
+    pub fn next_expiry(&self) -> Instant {
+        self.next_expiry
     }
 
     /// Build the advertisement for the neighbor reached via `iface`,
@@ -505,6 +528,7 @@ impl DvEngine {
         self.table.clear();
         self.trigger_pending = false;
         self.next_periodic = Instant::ZERO;
+        self.next_expiry = Instant::FAR_FUTURE;
         // Guard history is volatile too — fate-sharing — but the
         // policy itself is configuration and survives the reboot.
         self.guard.reset();

@@ -2,7 +2,7 @@
 //! advertisement streams checking the invariants the protocol promises
 //! regardless of what neighbors say.
 //!
-//! Three properties, each over many seeds:
+//! Four properties, each over many seeds:
 //!
 //! 1. **Metric bounds** — every stored metric stays in
 //!    `1..=INFINITY_METRIC` and the table version never goes backwards,
@@ -13,6 +13,12 @@
 //!    all advertisements garbage-collects every learned route within
 //!    `route_timeout + gc_timeout` (plus one tick of slack); only
 //!    connected routes survive.
+//! 4. **The expiry bound never hides an expiry** — `tick` returns
+//!    without scanning while `now < next_expiry()`, so after *every*
+//!    mutation `next_expiry()` must be at or below the brute-force
+//!    minimum `expires_at`, and after every `tick(now)` no deadline at
+//!    or before `now` may remain. The idle gate in `catenet-core`'s lane
+//!    loop rests on the same bound.
 //!
 //! Each property runs twice per seed: guard off (the trusting 1988
 //! behavior) and guard on (the hardened path) — the invariants are the
@@ -188,6 +194,66 @@ fn silence_gcs_every_learned_route_within_deadline() {
                         "seed {seed}: connected prefix on live iface {iface} must survive"
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn next_expiry_never_exceeds_the_earliest_deadline() {
+    fn check(dv: &DvEngine, seed: u64, guard: bool, op: &str, now: Instant) {
+        let earliest = dv
+            .routes()
+            .map(|(_, route)| route.expires_at)
+            .min()
+            .unwrap_or(Instant::FAR_FUTURE);
+        assert!(
+            dv.next_expiry() <= earliest,
+            "seed {seed} guard {guard}: after {op} at {now} the bound {} is past \
+             the earliest deadline {earliest}",
+            dv.next_expiry()
+        );
+    }
+    for guard in [false, true] {
+        for seed in SEEDS {
+            let mut rng = Rng::from_seed(seed ^ 0x1D1E);
+            let mut dv = fresh_engine(guard);
+            let mut now = Instant::ZERO;
+            check(&dv, seed, guard, "add_connected", now);
+            for _ in 0..4 * STEPS {
+                now += Duration::from_micros(rng.range(1_000, MAX_STEP.total_micros()));
+                let iface = rng.below(IFACES as u64) as usize;
+                let roll = rng.unit();
+                // Ticks are deliberately sparse: a tick makes the bound
+                // exact, and the property is about the writes between.
+                let op = if roll < 0.50 {
+                    dv.handle_update(neighbor_on(iface), iface, &random_entries(&mut rng), now);
+                    "handle_update"
+                } else if roll < 0.60 {
+                    dv.fail_iface(iface, now);
+                    "fail_iface"
+                } else if roll < 0.68 {
+                    dv.remove_connected(&connected_prefix(iface));
+                    "remove_connected"
+                } else if roll < 0.78 {
+                    dv.add_connected(connected_prefix(iface), iface);
+                    "add_connected"
+                } else if roll < 0.80 {
+                    dv.clear();
+                    "clear"
+                } else {
+                    dv.tick(now);
+                    for (prefix, route) in dv.routes() {
+                        assert!(
+                            route.expires_at > now,
+                            "seed {seed} guard {guard}: tick at {now} left {prefix} \
+                             due at {} in the table",
+                            route.expires_at
+                        );
+                    }
+                    "tick"
+                };
+                check(&dv, seed, guard, op, now);
             }
         }
     }

@@ -126,6 +126,13 @@ pub(crate) struct TimerWheel<E> {
     l2_bits: [u64; L2_WORDS],
     /// Beyond the horizon: window index → bucket.
     far: BTreeMap<u64, Bucket<E>>,
+    /// Drained ring and far buffers, empty but with their capacity, for
+    /// the next bucket's first push to take. Handing a buffer back to
+    /// the bucket it came from instead would park one high-water buffer
+    /// in each of the ring's buckets per lap — memory proportional to
+    /// virtual time. Through this list the wheel holds at most as many
+    /// buffers as windows were ever occupied at once.
+    spare: Vec<Vec<WheelEntry<E>>>,
     len: usize,
     stats: WheelStats,
 }
@@ -153,6 +160,7 @@ impl<E> TimerWheel<E> {
                 .collect(),
             l2_bits: [0; L2_WORDS],
             far: BTreeMap::new(),
+            spare: Vec::new(),
             len: 0,
             stats: WheelStats::default(),
         }
@@ -196,13 +204,17 @@ impl<E> TimerWheel<E> {
         if window - self.cur_window < L2_WINDOWS as u64 {
             let idx = (window & L2_MASK) as usize;
             let bucket = &mut self.l2[idx];
+            if bucket.entries.capacity() == 0 {
+                bucket.entries = self.spare.pop().unwrap_or_default();
+            }
             bucket.min_at = bucket.min_at.min(at);
             bucket.entries.push(WheelEntry { at, seq, event });
             self.l2_bits[idx / 64] |= 1u64 << (idx % 64);
         } else {
-            let bucket = self.far.entry(window).or_insert(Bucket {
+            let spare = &mut self.spare;
+            let bucket = self.far.entry(window).or_insert_with(|| Bucket {
                 min_at: u64::MAX,
-                entries: Vec::new(),
+                entries: spare.pop().unwrap_or_default(),
             });
             bucket.min_at = bucket.min_at.min(at);
             bucket.entries.push(WheelEntry { at, seq, event });
@@ -299,25 +311,22 @@ impl<E> TimerWheel<E> {
             // inserted before every ring entry of it (see module docs),
             // so distributing far-then-ring keeps per-slot seq order.
             if far_next == Some(window) {
-                let mut bucket = self.far.remove(&window).expect("key just seen");
-                self.distribute(window, &mut bucket.entries);
+                let bucket = self.far.remove(&window).expect("key just seen");
+                self.distribute(window, bucket.entries);
             }
             if l2_next == Some(window) {
                 let idx = (window & L2_MASK) as usize;
-                let mut entries = core::mem::take(&mut self.l2[idx].entries);
+                let entries = core::mem::take(&mut self.l2[idx].entries);
                 self.l2[idx].min_at = u64::MAX;
                 self.l2_bits[idx / 64] &= !(1u64 << (idx % 64));
-                self.distribute(window, &mut entries);
-                // Hand the drained buffer back so the bucket keeps its
-                // capacity across ring laps (no realloc churn).
-                self.l2[idx].entries = entries;
+                self.distribute(window, entries);
             }
         }
     }
 
-    /// Scatter one window's bucket into the exact slots, leaving the
-    /// (empty) buffer behind for the caller to recycle.
-    fn distribute(&mut self, window: u64, entries: &mut Vec<WheelEntry<E>>) {
+    /// Scatter one window's bucket into the exact slots and keep the
+    /// emptied buffer as a spare (no realloc churn, see `spare`).
+    fn distribute(&mut self, window: u64, mut entries: Vec<WheelEntry<E>>) {
         self.stats.distributed += entries.len() as u64;
         for entry in entries.drain(..) {
             debug_assert_eq!(entry.at >> WINDOW_BITS, window);
@@ -331,6 +340,7 @@ impl<E> TimerWheel<E> {
             }
             self.set_bit(slot);
         }
+        self.spare.push(entries);
     }
 
     /// Drop every pending entry. Window position is retained, so the
@@ -353,7 +363,9 @@ impl<E> TimerWheel<E> {
             let mut bits = self.l2_bits[word];
             while bits != 0 {
                 let idx = word * 64 + bits.trailing_zeros() as usize;
-                self.l2[idx].entries.clear();
+                let mut entries = core::mem::take(&mut self.l2[idx].entries);
+                entries.clear();
+                self.spare.push(entries);
                 self.l2[idx].min_at = u64::MAX;
                 bits &= bits - 1;
             }
@@ -537,6 +549,62 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| wheel.pop()).map(|e| e.event).collect();
         assert_eq!(order, vec!["single-a", "run-a", "run-b", "single-b"]);
         assert_eq!(wheel.len(), 0);
+    }
+
+    /// Buffers the wheel holds on to: one per ring or far bucket with
+    /// capacity, plus the spares.
+    fn retained_buffers<E>(wheel: &TimerWheel<E>) -> usize {
+        let ring = wheel.l2.iter().filter(|b| b.entries.capacity() > 0).count();
+        ring + wheel.far.len() + wheel.spare.len()
+    }
+
+    #[test]
+    fn retained_buffers_are_bounded_by_peak_occupancy_not_by_laps() {
+        // A steady workload: from every window, timers three and seven
+        // windows ahead (ring) and, now and then, one beyond the horizon
+        // (far map). A dozen or so windows are occupied at any time, yet
+        // after three laps every one of the ring's 8,192 buckets has
+        // been occupied three times.
+        let mut wheel = TimerWheel::new();
+        let mut seq = 0u64;
+        let mut peak_occupied = 0usize;
+        let occupied = |wheel: &TimerWheel<u64>| {
+            wheel.l2_bits.iter().map(|w| w.count_ones() as usize).sum::<usize>() + wheel.far.len()
+        };
+        wheel.insert(0, seq, seq);
+        let laps = 3 * L2_WINDOWS as u64;
+        while let Some(entry) = wheel.pop() {
+            let window = entry.at >> WINDOW_BITS;
+            if window < laps && entry.at & SLOT_MASK == 0 {
+                // One chain entry per window re-arms the workload.
+                for ahead in [1u64, 3, 7] {
+                    for k in 0..4 {
+                        seq += 1;
+                        wheel.insert(((window + ahead) << WINDOW_BITS) + k + 1, seq, seq);
+                    }
+                }
+                if window.is_multiple_of(1000) {
+                    seq += 1;
+                    let far = window + L2_WINDOWS as u64 + 17;
+                    wheel.insert((far << WINDOW_BITS) + 5, seq, seq);
+                }
+                seq += 1;
+                wheel.insert((window + 1) << WINDOW_BITS, seq, seq);
+            }
+            peak_occupied = peak_occupied.max(occupied(&wheel));
+            // (Counting buffers scans the ring; once per eight windows
+            // is often enough to catch growth and keeps the test quick.)
+            if entry.at & SLOT_MASK == 0 && window.is_multiple_of(8) {
+                assert!(
+                    retained_buffers(&wheel) <= peak_occupied,
+                    "window {window}: {} buffers retained, peak occupancy {peak_occupied}",
+                    retained_buffers(&wheel)
+                );
+            }
+        }
+        assert!(wheel.stats().windows_paged >= laps, "three laps were walked");
+        assert!(peak_occupied <= 20, "the workload occupies few windows: {peak_occupied}");
+        assert!(retained_buffers(&wheel) <= peak_occupied);
     }
 
     #[test]
