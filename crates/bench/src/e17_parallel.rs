@@ -397,7 +397,7 @@ pub fn table(battery: &Battery) -> Table {
         format!(
             "E17 — Sharded parallel execution: ring-{} ({} concurrent CBR/UDP \
              flows), {VIRTUAL} of virtual time per run; per-pair-lookahead \
-             lanes on scoped threads vs the single-lane reference, with the \
+             lanes on persistent worker threads vs the single-lane reference, with the \
              global-lookahead baseline and partitioner arms at K=4 \
              (host reported {} core{})",
             battery.gateways,
@@ -443,9 +443,9 @@ pub fn table(battery: &Battery) -> Table {
          beats the global baseline at equal K (wider windows where traffic is \
          asymmetric, idle lanes skipped instead of dispatched); speedup at \
          K=4 clears 1.5x on a 4-core host and is bounded by the host core \
-         count (a 1-core container runs every lane serially and reports \
-         ~1.0x, but the per-pair arm still wins on fewer rounds and fewer \
-         thread spawns). Wall-clock columns vary run to run; event counts, \
+         count (a 1-core container spawns no worker, runs every lane on the \
+         calling thread and reports ~1.0x, but the per-pair arm still wins \
+         on fewer rounds). Wall-clock columns vary run to run; event counts, \
          forward counts, digests and window counters are seed-deterministic.",
     );
     table

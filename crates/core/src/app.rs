@@ -33,9 +33,9 @@ pub fn shared<T>(value: T) -> Shared<T> {
 
 /// An application attached to a node.
 ///
-/// `Send` is a supertrait: applications are carried inside their node's
-/// lane, and lanes may run on scoped worker threads (`Parallel`) or be
-/// driven by a real-I/O event loop. State shared with the harness goes
+/// `Send` is a supertrait: applications are owned by their node's lane,
+/// and a lane may run on a worker thread (`Parallel`) or be driven by a
+/// real-I/O event loop. State shared with the harness goes
 /// through [`Shared`] handles.
 pub trait Application: Send {
     /// Called whenever the node is serviced. The application may use any

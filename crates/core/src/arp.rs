@@ -217,18 +217,6 @@ impl ArpCache {
         self.pending.clear();
         self.requests.clear();
     }
-
-    /// Sever every queued datagram from its packet pool (see
-    /// [`PacketBuf::detach`]). Called when a node moves to a different
-    /// shard lane's pool: queued buffers must not keep a handle to the
-    /// old lane's freelist.
-    pub(crate) fn detach_pending(&mut self) {
-        for queue in self.pending.values_mut() {
-            for buf in queue.iter_mut() {
-                buf.detach();
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -3,13 +3,16 @@
 //!
 //! The network partitions its nodes into K contiguous *lanes* (one lane
 //! covering everything in the `ShardKind::Single` reference arm). Each
-//! lane owns its own scheduler, the outgoing direction of every link
-//! whose sender lives in it, and a per-direction RNG — everything a
-//! window of virtual time needs, with no access to telemetry or any
-//! other lane. The coordinator (`Network::run_until`) decides window
-//! bounds, runs each lane over the window (serially, or on scoped
-//! threads in `ShardKind::Parallel`), and absorbs two kinds of output
-//! at the barrier:
+//! [`Lane`] owns its nodes (one [`NodeSlot`] each), its own scheduler,
+//! the outgoing direction of every link whose sender lives in it with
+//! a per-direction RNG, and its packet pool — everything a window of
+//! virtual time needs, and nothing else: no telemetry, no other lane.
+//! That is also everything `Send` needs, so who runs a window is a
+//! scheduling decision, not a safety argument. The coordinator
+//! (`Network::run_until`) decides window bounds, runs each lane over
+//! the window (itself, or under `ShardKind::Parallel` by handing the
+//! boxed lane to a [`Workers`] thread and having it back at the
+//! barrier), and absorbs two kinds of output there:
 //!
 //! - **cross-lane frames** ([`CrossFrame`]): buffered during the
 //!   window, scheduled into the destination lane at the barrier. The
@@ -44,7 +47,11 @@ use crate::node::Node;
 use crate::pool::{PacketBuf, PacketPool};
 use catenet_sim::{Duration, Instant, Link, LinkOutcome, Rng, Scheduler};
 use catenet_wire::Ipv4Address;
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::thread::{self, JoinHandle};
 
 use crate::network::{FrameTap, LinkId, NodeId};
 
@@ -97,6 +104,7 @@ pub(crate) struct Endpoint {
 /// Coordinator-side description of a duplex link: who is on each end.
 /// The two directed [`Link`]s themselves live in the lanes that own
 /// their senders (see [`LaneLink`] and `Network::link_home`).
+#[derive(Clone, Copy)]
 pub(crate) struct LinkMeta {
     pub a: LinkEnd,
     pub b: LinkEnd,
@@ -161,10 +169,9 @@ impl LaneLink {
 /// barrier exchange.
 pub(crate) struct CrossFrame {
     pub at: Instant,
-    pub key: u64,
-    pub to: NodeId,
-    pub iface: usize,
-    pub frame: PacketBuf,
+    /// The destination lane.
+    pub lane: u32,
+    pub keyed: Keyed,
 }
 
 /// One telemetry-relevant change detected during a lane window,
@@ -199,13 +206,56 @@ pub(crate) struct HarvestEntry {
     pub ops: Vec<HarvestOp>,
 }
 
+/// One node and everything the loop keeps about it, side by side: a
+/// service pass walks one slot, a split moves a node whole.
+pub(crate) struct NodeSlot {
+    pub node: Node,
+    pub apps: Vec<Box<dyn Application>>,
+    /// The earliest wake pending in the lane's scheduler, if any.
+    pub next_wake: Option<Instant>,
+    /// Origin sequence for delivery keys (see [`Keyed`]).
+    pub event_seq: u64,
+    /// Service passes executed (each pass may handle a whole batch of
+    /// same-instant events; see `Network::run_until`).
+    pub service_count: u64,
+    /// Byzantine corruption state (see `FaultAction::Compromise`): the
+    /// liar's outgoing RIP frames are rewritten in [`Lane::transmit`],
+    /// after the node honestly computed them.
+    pub byz: Option<ByzantineState>,
+    /// What the last harvest saw.
+    pub harvested: HarvestMarks,
+    /// Cumulative acked bytes at the previous sample (goodput rows).
+    pub sampled_acked: u64,
+    /// Per interface: the link behind it. `None` (or a short row) =
+    /// nothing connected.
+    pub endpoints: Vec<Option<Endpoint>>,
+}
+
+impl NodeSlot {
+    pub fn new(node: Node) -> NodeSlot {
+        NodeSlot {
+            node,
+            apps: Vec::new(),
+            next_wake: None,
+            event_seq: 0,
+            service_count: 0,
+            byz: None,
+            harvested: HarvestMarks::default(),
+            sampled_acked: 0,
+            endpoints: Vec::new(),
+        }
+    }
+}
+
 /// One shard lane: a contiguous node range plus everything its windows
 /// own outright.
 pub(crate) struct Lane {
-    /// First node id covered (inclusive).
+    /// Which lane this is (what [`Endpoint::dest_lane`] names).
+    pub index: usize,
+    /// First node id covered.
     pub lo: NodeId,
-    /// One past the last node id covered.
-    pub hi: NodeId,
+    /// The nodes `lo..lo + slots.len()`.
+    pub slots: Vec<NodeSlot>,
     /// The lane's scheduler. Lane 0 doubles as the boot scheduler
     /// before a K>1 network splits.
     pub sched: Scheduler<Keyed>,
@@ -219,13 +269,9 @@ pub(crate) struct Lane {
     pub frames_offered: u64,
     /// Unconnected-interface drops since the last barrier absorb.
     pub unconnected_drops: u64,
-    /// The pool this lane's nodes allocate from (the network-shared
-    /// pool, or a lane-private one in `ShardKind::Parallel`).
+    /// The pool this lane's nodes allocate from: the network's own
+    /// before a split, one of its lane pools after.
     pub pool: PacketPool,
-    /// Whether cross-lane frames must be severed from this lane's pool
-    /// (true only in `ShardKind::Parallel`, where pools are per-lane
-    /// and not thread-safe).
-    pub detach_cross: bool,
     /// Scratch: the same-instant batch being delivered.
     batch: Vec<Keyed>,
     /// Scratch: nodes touched at the current instant, with the first
@@ -236,11 +282,18 @@ pub(crate) struct Lane {
     outbox: Vec<(usize, PacketBuf)>,
 }
 
+// Ownership is the whole thread-safety argument.
+const _: fn() = || {
+    fn is_send<T: Send>() {}
+    is_send::<Lane>();
+};
+
 impl Lane {
-    pub fn new(lo: NodeId, hi: NodeId, sched: Scheduler<Keyed>, pool: PacketPool) -> Lane {
+    pub fn new(index: usize, lo: NodeId, sched: Scheduler<Keyed>, pool: PacketPool) -> Lane {
         Lane {
+            index,
             lo,
-            hi,
+            slots: Vec::new(),
             sched,
             links: Vec::new(),
             cross: Vec::new(),
@@ -248,50 +301,24 @@ impl Lane {
             frames_offered: 0,
             unconnected_drops: 0,
             pool,
-            detach_cross: false,
             batch: Vec::new(),
             touched: Vec::new(),
             outbox: Vec::new(),
         }
     }
-}
 
-/// A lane plus mutable views of the network state its windows may
-/// touch: the lane's node range (as disjoint slices) and shared
-/// read-only topology. This is everything `run_window` needs — and,
-/// deliberately, nothing else: no telemetry, no accounting collector,
-/// no other lane. In `ShardKind::Parallel` one of these per lane is
-/// handed to a scoped thread.
-pub(crate) struct LaneView<'a> {
-    pub lane: &'a mut Lane,
-    pub lane_index: usize,
-    pub lo: NodeId,
-    pub nodes: &'a mut [Node],
-    pub apps: &'a mut [Vec<Box<dyn Application>>],
-    pub next_wake: &'a mut [Option<Instant>],
-    pub event_seq: &'a mut [u64],
-    pub service_count: &'a mut [u64],
-    pub byz: &'a mut [Option<ByzantineState>],
-    pub harvested: &'a mut [HarvestMarks],
-    /// Per node (every node, not just this lane's), per interface: the
-    /// link behind it. `None` (or a short row) = nothing connected.
-    pub endpoints: &'a [Vec<Option<Endpoint>>],
-    /// The frame tap, present only when a single lane runs (it is a
-    /// coordinator-owned `FnMut`; multi-lane runs that install one are
-    /// demoted to serial execution and still see every frame, but the
-    /// per-lane window order of tap callbacks is not part of the
-    /// determinism contract — dumps are).
-    pub tap: Option<&'a mut FrameTap>,
-}
+    /// One past the last node id covered.
+    pub fn hi(&self) -> NodeId {
+        self.lo + self.slots.len()
+    }
 
-impl LaneView<'_> {
-    fn node(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id - self.lo]
+    fn slot(&mut self, id: NodeId) -> &mut NodeSlot {
+        &mut self.slots[id - self.lo]
     }
 
     /// Mint the next delivery key originating at `id`.
     fn next_key(&mut self, id: NodeId) -> u64 {
-        let seq = &mut self.event_seq[id - self.lo];
+        let seq = &mut self.slot(id).event_seq;
         let key = ((id as u64) << 32) | *seq;
         *seq += 1;
         key
@@ -299,35 +326,37 @@ impl LaneView<'_> {
 
     /// Run this lane up to and including `limit`: drain each event
     /// instant as one key-sorted batch, then service every touched
-    /// node once, in first-touch (= ascending-key) order.
-    pub fn run_window(&mut self, limit: Instant) {
-        while let Some(at) = self.lane.sched.peek_time() {
+    /// node once, in first-touch (= ascending-key) order. `tap` is the
+    /// caller's frame tap, not `Send`: only the coordinator passes one.
+    pub fn run_window(&mut self, limit: Instant, tap: &mut Option<FrameTap>) {
+        while let Some(at) = self.sched.peek_time() {
             if at > limit {
                 break;
             }
-            let mut batch = core::mem::take(&mut self.lane.batch);
-            batch.push(self.lane.sched.pop().expect("peeked").1);
-            while let Some(keyed) = self.lane.sched.pop_due(at) {
+            let mut batch = core::mem::take(&mut self.batch);
+            batch.push(self.sched.pop().expect("peeked").1);
+            while let Some(keyed) = self.sched.pop_due(at) {
                 batch.push(keyed);
             }
             batch.sort_unstable_by_key(|keyed| keyed.key);
-            let mut touched = core::mem::take(&mut self.lane.touched);
+            let mut touched = core::mem::take(&mut self.touched);
             touched.clear();
             for keyed in batch.drain(..) {
                 let (node, key) = match keyed.event {
                     Event::Frame { to, iface, frame } => {
-                        self.node(to).handle_frame(at, iface, frame);
+                        self.slot(to).node.handle_frame(at, iface, frame);
                         (to, keyed.key)
                     }
                     Event::Wake { node } => {
-                        if self.next_wake[node - self.lo] == Some(at) {
-                            self.next_wake[node - self.lo] = None;
+                        let slot = self.slot(node);
+                        if slot.next_wake == Some(at) {
+                            slot.next_wake = None;
                         }
                         // A wake is the clock touching the node: whatever
                         // it was armed for is due, and a wake earlier than
                         // the node's current want has to re-arm the later
                         // one, which only a full pass does.
-                        self.node(node).set_idle_gate(None);
+                        slot.node.set_idle_gate(None);
                         (node, keyed.key)
                     }
                 };
@@ -335,11 +364,11 @@ impl LaneView<'_> {
                     touched.push((node, key));
                 }
             }
-            self.lane.batch = batch;
+            self.batch = batch;
             for &(node, token) in &touched {
-                self.service_node(node, at, token);
+                self.service_node(node, at, token, tap);
             }
-            self.lane.touched = touched;
+            self.touched = touched;
         }
     }
 
@@ -353,11 +382,17 @@ impl LaneView<'_> {
     /// node since (its idle gate is still armed), everything but the
     /// outbox drain is a no-op and is skipped — exactly, not
     /// approximately: see DESIGN.md, "What a service pass costs".
-    pub fn service_node(&mut self, id: NodeId, now: Instant, token: u64) {
-        let li = id - self.lo;
-        self.service_count[li] += 1;
-        let pending = self.next_wake[li];
-        let skip = self.nodes[li].idle_gate().is_some_and(|gate| {
+    pub fn service_node(
+        &mut self,
+        id: NodeId,
+        now: Instant,
+        token: u64,
+        tap: &mut Option<FrameTap>,
+    ) {
+        let slot = self.slot(id);
+        slot.service_count += 1;
+        let pending = slot.next_wake;
+        let skip = slot.node.idle_gate().is_some_and(|gate| {
             now < gate.until
                 && gate
                     .wake
@@ -368,35 +403,34 @@ impl LaneView<'_> {
             self.assert_skippable(id, now, token);
         } else {
             // Applications first: they may write into sockets.
-            let mut apps = core::mem::take(&mut self.apps[li]);
-            for app in &mut apps {
-                app.poll(&mut self.nodes[li], now);
+            for app in &mut slot.apps {
+                app.poll(&mut slot.node, now);
             }
-            self.apps[li] = apps;
             // Protocol machinery: timers, routing, socket dispatch.
-            self.nodes[li].service(now);
+            slot.node.service(now);
             self.harvest_node(id, now, token);
         }
         // Push produced frames onto links. Swap semantics keep the
         // steady state allocation-free.
-        let mut outbox = core::mem::take(&mut self.lane.outbox);
-        self.nodes[li].swap_outbox(&mut outbox);
+        let mut outbox = core::mem::take(&mut self.outbox);
+        self.slot(id).node.swap_outbox(&mut outbox);
         for (iface, frame) in outbox.drain(..) {
-            self.transmit(id, iface, frame, now);
+            self.transmit(id, iface, frame, now, tap);
         }
-        self.lane.outbox = outbox;
+        self.outbox = outbox;
+        let slot = &mut self.slots[id - self.lo];
         // Still armed after the drain (a queue-overflow quench can miss
         // in ARP and start a retry timer): the wake the node wants is the
         // one already pending.
-        if skip && self.nodes[li].idle_gate().is_some() {
+        if skip && slot.node.idle_gate().is_some() {
             return;
         }
         // Timer wake scheduling, and the gate for the passes to come.
-        let timers = self.nodes[li].timers(now);
-        let gate = timers.gate.filter(|_| self.apps[li].is_empty());
-        self.nodes[li].set_idle_gate(gate);
+        let timers = slot.node.timers(now);
+        let gate = timers.gate.filter(|_| slot.apps.is_empty());
+        slot.node.set_idle_gate(gate);
         let mut want = timers.wake;
-        for app in &self.apps[li] {
+        for app in &slot.apps {
             if let Some(at) = app.next_wake() {
                 let at = at.max(now);
                 want = Some(match want {
@@ -413,10 +447,10 @@ impl LaneView<'_> {
             } else {
                 at
             };
-            if self.next_wake[li].is_none_or(|pending| at < pending) {
-                self.next_wake[li] = Some(at);
+            if slot.next_wake.is_none_or(|pending| at < pending) {
+                slot.next_wake = Some(at);
                 let key = self.next_key(id);
-                self.lane.sched.schedule_at(
+                self.sched.schedule_at(
                     at,
                     Keyed {
                         key,
@@ -432,17 +466,17 @@ impl LaneView<'_> {
     /// no floor moved.
     #[cfg(debug_assertions)]
     fn assert_skippable(&mut self, id: NodeId, now: Instant, token: u64) {
-        let li = id - self.lo;
+        let slot = self.slot(id);
         assert!(
-            self.apps[li].is_empty(),
+            slot.apps.is_empty(),
             "skipped a pass on a node with applications"
         );
-        self.nodes[li].assert_idle(now);
-        let marks = self.harvested[li].clone();
-        let entries = self.lane.harvests.len();
+        slot.node.assert_idle(now);
+        let marks = slot.harvested.clone();
+        let entries = self.harvests.len();
         self.harvest_node(id, now, token);
         assert!(
-            self.harvested[li] == marks && self.lane.harvests.len() == entries,
+            self.slot(id).harvested == marks && self.harvests.len() == entries,
             "skipped a pass on node {id} at {now} with something to harvest"
         );
     }
@@ -450,52 +484,49 @@ impl LaneView<'_> {
     /// Offer a frame to the link behind (`from`, `iface`). Same-lane
     /// deliveries go straight into the lane scheduler; cross-lane
     /// deliveries are buffered for the barrier.
-    pub fn transmit(&mut self, from: NodeId, iface: usize, mut frame: PacketBuf, now: Instant) {
-        let Some(&Some(end)) = self.endpoints[from].get(iface) else {
-            self.lane.unconnected_drops += 1;
+    pub fn transmit(
+        &mut self,
+        from: NodeId,
+        iface: usize,
+        mut frame: PacketBuf,
+        now: Instant,
+        tap: &mut Option<FrameTap>,
+    ) {
+        let slot = &mut self.slots[from - self.lo];
+        let Some(&Some(end)) = slot.endpoints.get(iface) else {
+            self.unconnected_drops += 1;
             return;
         };
         // A compromised node lies on the wire, not in its own state:
         // the rewrite happens here so the tap (and the receiver) see
         // exactly what a byzantine gateway would have emitted.
-        if let Some(state) = self.byz[from - self.lo].as_mut() {
-            let framing = self.nodes[from - self.lo].ifaces[iface].framing;
+        if let Some(state) = slot.byz.as_mut() {
+            let framing = slot.node.ifaces[iface].framing;
             if let Some(corrupted) = state.corrupt_frame(iface, framing, &frame) {
-                frame = self.lane.pool.adopt(PacketBuf::from_vec(corrupted));
+                frame = self.pool.adopt(PacketBuf::from_vec(corrupted));
             }
         }
-        if let Some(tap) = self.tap.as_mut() {
+        if let Some(tap) = tap {
             tap(now, &frame);
         }
-        self.lane.frames_offered += 1;
+        self.frames_offered += 1;
         let dest = end.dest;
-        let lane_link = &mut self.lane.links[end.link_idx as usize];
+        let lane_link = &mut self.links[end.link_idx as usize];
         match lane_link.link.transmit(now, &mut frame, &mut lane_link.rng) {
             LinkOutcome::Delivered { at, .. } => {
-                let key = self.next_key(from);
-                if end.dest_lane as usize == self.lane_index {
-                    self.lane.sched.schedule_at(
-                        at,
-                        Keyed {
-                            key,
-                            event: Event::Frame {
-                                to: dest.node,
-                                iface: dest.iface,
-                                frame,
-                            },
-                        },
-                    );
-                } else {
-                    if self.lane.detach_cross {
-                        frame.detach();
-                    }
-                    self.lane.cross.push(CrossFrame {
-                        at,
-                        key,
+                let keyed = Keyed {
+                    key: self.next_key(from),
+                    event: Event::Frame {
                         to: dest.node,
                         iface: dest.iface,
                         frame,
-                    });
+                    },
+                };
+                if end.dest_lane as usize == self.index {
+                    self.sched.schedule_at(at, keyed);
+                } else {
+                    let lane = end.dest_lane;
+                    self.cross.push(CrossFrame { at, lane, keyed });
                 }
             }
             LinkOutcome::Dropped(reason) => {
@@ -503,13 +534,12 @@ impl LaneView<'_> {
                 // the offering node knows its own queue overflowed —
                 // 1988 gateways answered that with ICMP source quench.
                 if reason == catenet_sim::DropReason::QueueFull {
-                    self.node(from).on_queue_drop(now, iface, &frame);
-                    let outbox = self.node(from).take_outbox();
-                    for (out_iface, out_frame) in outbox {
+                    slot.node.on_queue_drop(now, iface, &frame);
+                    for (out_iface, out_frame) in slot.node.take_outbox() {
                         // One level of recursion at most: quenches are
                         // ICMP errors, and errors about errors are
                         // suppressed by `icmp_error_for`.
-                        self.transmit(from, out_iface, out_frame, now);
+                        self.transmit(from, out_iface, out_frame, now, tap);
                     }
                 }
             }
@@ -523,20 +553,21 @@ impl LaneView<'_> {
     /// same order, what the pre-shard loop wrote directly into
     /// telemetry — the coordinator replays the ops verbatim.
     fn harvest_node(&mut self, id: NodeId, now: Instant, token: u64) {
-        let li = id - self.lo;
+        let NodeSlot {
+            node, harvested, ..
+        } = &mut self.slots[id - self.lo];
         let mut ops: Vec<HarvestOp> = Vec::new();
-        let node = &self.nodes[li];
         if let Some(dv) = &node.dv {
             let version = dv.version();
-            if version != self.harvested[li].dv_version {
-                self.harvested[li].dv_version = version;
+            if version != harvested.dv_version {
+                harvested.dv_version = version;
                 ops.push(HarvestOp::RouteChanged { version });
             }
         }
         let rto: u64 = node.tcp_sockets.iter().map(|s| s.stats.timeouts).sum();
-        let last_rto = self.harvested[li].rto_total;
+        let last_rto = harvested.rto_total;
         if rto != last_rto {
-            self.harvested[li].rto_total = rto;
+            harvested.rto_total = rto;
             // A drop means the sockets died with the node
             // (fate-sharing); only a rise is a firing.
             if rto > last_rto {
@@ -552,9 +583,9 @@ impl LaneView<'_> {
             node.reassembler().timed_out,
             node.reassembler().evicted,
         );
-        let last = self.harvested[li].counts;
+        let last = harvested.counts;
         if cur != last {
-            self.harvested[li].counts = cur;
+            harvested.counts = cur;
             for (name, value, floor) in [
                 ("arp_gave_up_drops", cur.0, last.0),
                 ("reassembled_datagrams", cur.1, last.1),
@@ -582,9 +613,9 @@ impl LaneView<'_> {
             ),
             None => (0, 0, 0, 0),
         };
-        let last = self.harvested[li].acct;
+        let last = harvested.acct;
         if cur != last {
-            self.harvested[li].acct = cur;
+            harvested.acct = cur;
             for (name, value, floor) in [
                 ("flow_evictions", cur.0, last.0),
                 ("flow_idle_expired", cur.1, last.1),
@@ -603,7 +634,7 @@ impl LaneView<'_> {
         // for the flight recorder. With the guard off neither accrues.
         let mut verdict_rows: Vec<(Ipv4Address, GuardCounters)> = Vec::new();
         let mut incidents = Vec::new();
-        if let Some(dv) = &mut self.nodes[li].dv {
+        if let Some(dv) = &mut node.dv {
             if dv.guard().enabled() {
                 verdict_rows = dv
                     .guard()
@@ -625,15 +656,11 @@ impl LaneView<'_> {
             incidents = dv.guard_mut().drain_incidents();
         }
         for (addr, cur) in verdict_rows {
-            let last = self.harvested[li]
-                .guard
-                .get(&addr)
-                .copied()
-                .unwrap_or((0, 0, 0, 0, 0));
+            let last = harvested.guard.get(&addr).copied().unwrap_or_default();
             if cur == last {
                 continue;
             }
-            self.harvested[li].guard.insert(addr, cur);
+            harvested.guard.insert(addr, cur);
             // `guard_attest_rejected` only accrues when attestation is
             // verified, so attestation-off runs emit no new counter.
             for (name, value, floor) in [
@@ -658,12 +685,200 @@ impl LaneView<'_> {
             });
         }
         if !ops.is_empty() {
-            self.lane.harvests.push(HarvestEntry {
+            self.harvests.push(HarvestEntry {
                 at: now,
                 token,
                 node: id,
                 ops,
             });
+        }
+    }
+}
+
+/// One lane's part in a round of windows, as the coordinator plans it.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct LaneWindow {
+    /// The lane's next pending event when the round began.
+    pub next: Option<Instant>,
+    /// How far the lane may run (inclusive).
+    pub limit: Instant,
+    /// Whether anything is due within the limit: the lane runs.
+    pub due: bool,
+}
+
+/// The network's lanes, in `NodeId` order. Between windows every lane
+/// is home and the coordinator reaches nodes through here as plain
+/// `&mut` code; inside [`Workers::run_windows`] they are out running.
+/// Boxed: a lane is ~2 KB, and changing threads should move a pointer.
+#[derive(Default)]
+#[allow(clippy::vec_box)]
+pub(crate) struct Lanes(Vec<Box<Lane>>);
+
+impl core::ops::Deref for Lanes {
+    type Target = Vec<Box<Lane>>;
+    fn deref(&self) -> &Vec<Box<Lane>> {
+        &self.0
+    }
+}
+
+impl core::ops::DerefMut for Lanes {
+    fn deref_mut(&mut self) -> &mut Vec<Box<Lane>> {
+        &mut self.0
+    }
+}
+
+impl Lanes {
+    /// Which lane node `id` lives in.
+    pub fn of(&self, id: NodeId) -> usize {
+        self.partition_point(|lane| lane.hi() <= id)
+    }
+
+    pub fn slot(&self, id: NodeId) -> &NodeSlot {
+        let lane = &self[self.of(id)];
+        &lane.slots[id - lane.lo]
+    }
+
+    pub fn slot_mut(&mut self, id: NodeId) -> &mut NodeSlot {
+        let lane = self.of(id);
+        let lane = &mut self[lane];
+        &mut lane.slots[id - lane.lo]
+    }
+
+    /// Every node's slot, in `NodeId` order.
+    pub fn slots(&self) -> impl Iterator<Item = &NodeSlot> {
+        self.iter().flat_map(|lane| &lane.slots)
+    }
+
+    /// Every node's slot, in `NodeId` order.
+    pub fn slots_mut(&mut self) -> impl Iterator<Item = &mut NodeSlot> {
+        self.iter_mut().flat_map(|lane| &mut lane.slots)
+    }
+}
+
+// ------------------------------------------------------------ workers
+
+/// Polls of a channel either side of a hand-off makes before it blocks
+/// on it. A futex wake through a hypervisor costs as much as a whole
+/// window of a busy ring (DESIGN.md, "The lane protocol"), so a worker
+/// only helps if it is still awake when the next window arrives: the
+/// bound outlasts the coordinator's barrier work between two windows
+/// and caps what a pause burns at well under a millisecond.
+const HANDOFF_SPINS: u32 = 4_000;
+
+type Panic = Box<dyn Any + Send>;
+
+/// One lane's window, travelling by value: the lane, how far to run.
+type Job = (Box<Lane>, Instant);
+
+/// Receive from `rx`, polling before blocking; `None` once the other
+/// end is gone. Every so often a poll yields instead: should the two
+/// threads be sharing a core, the one being waited for gets it at once.
+fn receive<T>(rx: &Receiver<T>) -> Option<T> {
+    for spin in 0..HANDOFF_SPINS {
+        match rx.try_recv() {
+            Ok(value) => return Some(value),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if spin % 32 == 31 => thread::yield_now(),
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    rx.recv().ok()
+}
+
+/// Run each job's window; a panic comes back as a value, so the lanes
+/// always travel home and the coordinator decides where to re-raise it.
+fn run_jobs(jobs: &mut [Job]) -> Option<Panic> {
+    catch_unwind(AssertUnwindSafe(|| {
+        for (lane, limit) in jobs {
+            lane.run_window(*limit, &mut None);
+        }
+    }))
+    .err()
+}
+
+struct Worker {
+    /// Lanes out, then back with whatever panicked on the way. The
+    /// same `Vec` makes every round trip, so a window allocates nothing.
+    jobs: SyncSender<Vec<Job>>,
+    done: Receiver<(Vec<Job>, Option<Panic>)>,
+    thread: JoinHandle<()>,
+}
+
+/// The threads of a `ShardKind::Parallel` network, spawned once and
+/// joined when the network drops. Each window the coordinator deals
+/// the due lanes round-robin over itself and the workers, runs its own
+/// share, and has every lane home again before it returns.
+pub(crate) struct Workers {
+    workers: Vec<Worker>,
+    /// Scratch: each runner's share of a window, the coordinator's
+    /// first, then one for the lanes that sit the window out.
+    shares: Vec<Vec<Job>>,
+}
+
+impl Workers {
+    pub fn spawn(count: usize) -> Workers {
+        let workers = (0..count)
+            .map(|_| {
+                let (jobs, posted) = sync_channel::<Vec<Job>>(1);
+                let (back, done) = sync_channel(1);
+                let thread = thread::spawn(move || {
+                    while let Some(mut share) = receive(&posted) {
+                        let panic = run_jobs(&mut share);
+                        if back.send((share, panic)).is_err() {
+                            break;
+                        }
+                    }
+                });
+                Worker { jobs, done, thread }
+            })
+            .collect();
+        Workers {
+            workers,
+            shares: (0..count + 2).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Run every lane of `round` that is due up to its limit. A panic
+    /// inside any window is re-raised here, after every lane is home.
+    pub fn run_windows(&mut self, lanes: &mut Lanes, round: &[LaneWindow]) {
+        let runners = self.shares.len() - 1;
+        let mut dealt = 0;
+        for (lane, window) in lanes.drain(..).zip(round) {
+            // The last share is the lanes with nothing due.
+            let share = if window.due { dealt % runners } else { runners };
+            dealt += usize::from(window.due);
+            self.shares[share].push((lane, window.limit));
+        }
+        let (own, rest) = self.shares.split_first_mut().expect("runners >= 1");
+        // A lone lane is the coordinator's: no hand-off at all.
+        let posted = dealt.min(runners).saturating_sub(1);
+        for (share, worker) in rest.iter_mut().zip(&self.workers).take(posted) {
+            let share = core::mem::take(share);
+            worker.jobs.send(share).expect("worker alive");
+        }
+        let mut panic = run_jobs(own);
+        for (share, worker) in rest.iter_mut().zip(&self.workers).take(posted) {
+            let (returned, theirs) = receive(&worker.done).expect("worker alive");
+            *share = returned;
+            panic = panic.or(theirs);
+        }
+        for share in &mut self.shares {
+            lanes.extend(share.drain(..).map(|(lane, _)| lane));
+        }
+        lanes.sort_unstable_by_key(|lane| lane.index);
+        if let Some(panic) = panic {
+            resume_unwind(panic);
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for Worker { jobs, thread, .. } in self.workers.drain(..) {
+            // Hanging up is the worker's signal to leave. It catches
+            // its windows' panics, so the join has nothing to report.
+            drop(jobs);
+            let _ = thread.join();
         }
     }
 }

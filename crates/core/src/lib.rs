@@ -43,10 +43,7 @@
 //!   progress watchdog, reconvergence bounds) that the chaos experiments
 //!   run against [`catenet_sim::FaultPlan`] schedules.
 
-// `deny`, not `forbid`: the one unsafe impl in the workspace is the
-// scoped-thread `Send` assertion in `par` (see its safety comment),
-// which opts in with a scoped `#[allow]`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod accounting;
@@ -60,7 +57,6 @@ pub mod invariant;
 mod lane;
 pub mod network;
 pub mod node;
-mod par;
 pub mod partition;
 pub mod pool;
 pub mod realization;

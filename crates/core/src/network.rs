@@ -1,12 +1,12 @@
 //! The internetwork: nodes wired together over simulated links, driven
 //! by one deterministic event loop.
 //!
-//! The network owns the lanes (shard partitions, each with its own
-//! scheduler and link directions — see [`crate::lane`]), and the failure
-//! switches (node crash/reboot, link up/down) that the survivability
-//! experiments script. It never looks inside a datagram: everything
-//! above the link is the nodes' business — the same layering discipline
-//! the architecture itself prescribes.
+//! The network owns the lanes (shard partitions, each owning its nodes,
+//! its scheduler and its link directions — see [`crate::lane`]), and the
+//! failure switches (node crash/reboot, link up/down) that the
+//! survivability experiments script. It never looks inside a datagram:
+//! everything above the link is the nodes' business — the same layering
+//! discipline the architecture itself prescribes.
 //!
 //! Under [`ShardKind::Single`] (the default) one lane covers every node
 //! and execution is the classic serial event loop. Under
@@ -22,11 +22,10 @@ use crate::byzantine::ByzantineState;
 use crate::flow::FlowTable;
 use crate::iface::{Framing, Iface};
 use crate::lane::{
-    CrossFrame, Endpoint, Event, HarvestEntry, HarvestMarks, HarvestOp, Keyed, Lane, LaneLink,
-    LaneView, LinkEnd, LinkMeta,
+    CrossFrame, Endpoint, Event, HarvestEntry, HarvestOp, Lane, LaneLink, LaneWindow, Lanes,
+    LinkEnd, LinkMeta, NodeSlot, Workers,
 };
 use crate::node::{Node, NodeRole};
-use crate::par::{self, SendView};
 use crate::partition::{self, CutLink};
 use crate::pool::{PacketPool, PoolStats};
 use catenet_routing::{Attestor, GuardPolicy, MacKey, OriginId, OriginRegistry};
@@ -36,7 +35,7 @@ use catenet_sim::{
 };
 use catenet_telemetry::{EventKind, Scope, Telemetry};
 use catenet_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Index of a node within the network.
 pub type NodeId = usize;
@@ -56,22 +55,18 @@ struct AccountingCtl {
 
 /// The simulated internetwork.
 pub struct Network {
-    nodes: Vec<Node>,
-    apps: Vec<Vec<Box<dyn Application>>>,
     /// Who is on each end of each duplex link. The directed `Link`s
     /// themselves live in the lanes that own their senders.
     links_meta: Vec<LinkMeta>,
     /// Where each directed link lives: `link_home[id][0]` is the
     /// `(lane, index)` of the a→b direction, `[1]` of b→a.
     link_home: Vec<[(u32, u32); 2]>,
-    /// Per node, per interface: the link behind it, resolved down to
-    /// what a lane's `transmit` needs (see [`Endpoint`]).
-    endpoints: Vec<Vec<Option<Endpoint>>>,
-    /// The execution lanes. Exactly one (covering every node) until a
-    /// `Sharded`/`Parallel` network splits at its first `run_until`.
-    lanes: Vec<Lane>,
-    /// Which lane each node lives in (all zeros before the split).
-    lane_of: Vec<u32>,
+    /// The execution lanes, which own the nodes. Exactly one (covering
+    /// every node) until a `Sharded`/`Parallel` network splits at its
+    /// first `run_until`.
+    lanes: Lanes,
+    /// `Parallel`'s threads, spawned at its first threaded window.
+    workers: Option<Workers>,
     /// The seed every per-link RNG stream derives from.
     seed: u64,
     /// How the event loop partitions and executes the node set.
@@ -81,9 +76,6 @@ pub struct Network {
     /// would both be invalidated by growth).
     frozen: bool,
     now: Instant,
-    next_wake: Vec<Option<Instant>>,
-    /// Per-node origin sequence for delivery keys (see [`Keyed`]).
-    event_seq: Vec<u64>,
     subnet_counter: u16,
     /// Optional frame tap (e.g. a pcap writer) observing every frame
     /// offered to any link.
@@ -103,30 +95,15 @@ pub struct Network {
     /// The observability subsystem: metrics registry, time-series
     /// sampler, flight recorder, convergence tracer.
     telemetry: Telemetry,
-    /// What each node's last harvest saw (DV version, RTO count,
-    /// drop/reassembly/accounting/guard counters), for detecting route
-    /// changes and delta-counting into the registry.
-    harvested: Vec<HarvestMarks>,
-    /// Cumulative acked bytes per node at the previous sample (goodput).
-    last_sampled_acked: Vec<u64>,
-    /// Service passes executed per node (each pass may handle a whole
-    /// batch of same-instant events; see [`Network::run_until`]).
-    service_count: Vec<u64>,
-    /// Byzantine corruption state per node (see
-    /// [`FaultAction::Compromise`]): the liar's outgoing RIP frames are
-    /// rewritten in the lane's `transmit`, after the node honestly
-    /// computed them. Dense so the per-node slice splits across lanes.
-    byz: Vec<Option<ByzantineState>>,
     /// Route-origin attestation trust anchor (see
     /// [`Network::enable_attestation`]); `None` means attestation has
     /// never been enabled and nothing is signed or registered.
     attest_master: Option<MacKey>,
-    /// The shared packet-buffer pool every node allocates from. Frames
-    /// recycle through it instead of hitting the allocator per hop.
-    /// Under `ShardKind::Parallel` the split re-homes every node onto a
-    /// lane-private pool and this one only serves coordinator-side
-    /// allocation (fault-time frame corruption never needs it: lanes
-    /// corrupt with their own pools).
+    /// The packet-buffer pool every node allocates from. Frames recycle
+    /// through it instead of hitting the allocator per hop. A split
+    /// gives each lane a pool of its own off this one (see
+    /// [`PacketPool::lane_pool`]); its counters and mode switches keep
+    /// covering them all.
     pool: PacketPool,
     /// Whether pool telemetry is harvested into the sampler. Off by
     /// default so dumps stay byte-identical to pool-unaware runs
@@ -173,6 +150,10 @@ pub struct Network {
     /// everything later stays banked, flushed before any coordinator op
     /// and at run end. Kept `(at, token)`-sorted.
     pending_harvests: Vec<HarvestEntry>,
+    /// Scratch: the frames crossing lanes at one barrier.
+    crosses: Vec<CrossFrame>,
+    /// Scratch: each lane's part in the current round.
+    round: Vec<LaneWindow>,
 }
 
 impl Network {
@@ -198,20 +179,18 @@ impl Network {
     /// mode chosen explicitly.
     pub fn with_config(seed: u64, kind: SchedulerKind, shard: ShardKind) -> Network {
         let pool = PacketPool::new();
+        let boot = Lane::new(0, 0, Scheduler::with_kind(kind), pool.clone());
+        let mut lanes = Lanes::default();
+        lanes.push(Box::new(boot));
         Network {
-            nodes: Vec::new(),
-            apps: Vec::new(),
             links_meta: Vec::new(),
             link_home: Vec::new(),
-            endpoints: Vec::new(),
-            lanes: vec![Lane::new(0, 0, Scheduler::with_kind(kind), pool.clone())],
-            lane_of: Vec::new(),
+            lanes,
+            workers: None,
             seed,
             shard,
             frozen: false,
             now: Instant::ZERO,
-            next_wake: Vec::new(),
-            event_seq: Vec::new(),
             subnet_counter: 0,
             tap: None,
             frames_offered: 0,
@@ -220,10 +199,6 @@ impl Network {
             faults_applied: 0,
             unconnected_drops: 0,
             telemetry: Telemetry::new(),
-            harvested: Vec::new(),
-            last_sampled_acked: Vec::new(),
-            service_count: Vec::new(),
-            byz: Vec::new(),
             attest_master: None,
             pool,
             pool_metrics: false,
@@ -234,6 +209,8 @@ impl Network {
             global_lookahead: false,
             stats: ShardStats::default(),
             pending_harvests: Vec::new(),
+            crosses: Vec::new(),
+            round: Vec::new(),
         }
     }
 
@@ -269,7 +246,7 @@ impl Network {
     /// The `(lo, hi)` node ranges of the execution lanes (one `(0, n)`
     /// range before a K>1 split).
     pub fn lane_bounds(&self) -> Vec<(usize, usize)> {
-        self.lanes.iter().map(|l| (l.lo, l.hi)).collect()
+        self.lanes.iter().map(|l| (l.lo, l.hi())).collect()
     }
 
     /// The shard mode this network executes under.
@@ -299,7 +276,7 @@ impl Network {
     /// a K>1 split redistributed it; `processed` never double-counts.
     pub fn sched_stats(&self) -> SchedStats {
         let mut total = self.lanes[0].sched.stats();
-        for lane in &self.lanes[1..] {
+        for lane in self.lanes.iter().skip(1) {
             let stats = lane.sched.stats();
             total.scheduled += stats.scheduled;
             total.processed += stats.processed;
@@ -329,7 +306,7 @@ impl Network {
     /// How many service passes a node has executed (a same-instant
     /// batch of events costs one pass, not one per event).
     pub fn service_passes(&self, id: NodeId) -> u64 {
-        self.service_count[id]
+        self.lanes.slot(id).service_count
     }
 
     /// Add a host.
@@ -350,18 +327,9 @@ impl Network {
             "topology is frozen once a sharded network has run"
         );
         node.set_pool(self.pool.clone());
-        self.nodes.push(node);
-        self.apps.push(Vec::new());
-        self.next_wake.push(None);
-        self.event_seq.push(0);
-        self.harvested.push(HarvestMarks::default());
-        self.last_sampled_acked.push(0);
-        self.service_count.push(0);
-        self.byz.push(None);
-        self.endpoints.push(Vec::new());
-        self.lane_of.push(0);
-        self.lanes[0].hi = self.nodes.len();
-        self.nodes.len() - 1
+        let boot = &mut self.lanes[0];
+        boot.slots.push(NodeSlot::new(node));
+        boot.slots.len() - 1
     }
 
     /// Install a route-guard policy on every node that runs routing.
@@ -369,7 +337,7 @@ impl Network {
     /// with a node; configuration does not). Call after the topology is
     /// built — nodes added later keep the default (guard off).
     pub fn set_guard_policy(&mut self, policy: GuardPolicy) {
-        for node in &mut self.nodes {
+        for NodeSlot { node, .. } in self.lanes.slots_mut() {
             node.set_idle_gate(None);
             if let Some(dv) = &mut node.dv {
                 dv.set_guard_policy(policy);
@@ -414,15 +382,15 @@ impl Network {
             return;
         };
         let mut registry = OriginRegistry::new(master);
-        for (id, node) in self.nodes.iter().enumerate() {
+        for (id, NodeSlot { node, .. }) in self.lanes.slots().enumerate() {
             if node.dv.is_some() {
                 for iface in &node.ifaces {
                     registry.register(iface.cidr.network(), OriginId(id as u16));
                 }
             }
         }
-        let registry = Rc::new(registry);
-        for (id, node) in self.nodes.iter_mut().enumerate() {
+        let registry = Arc::new(registry);
+        for (id, NodeSlot { node, .. }) in self.lanes.slots_mut().enumerate() {
             node.set_idle_gate(None);
             if let Some(dv) = &mut node.dv {
                 // Derive directly rather than looking up in the
@@ -434,12 +402,12 @@ impl Network {
                 let mut attestor = Attestor::new(origin, key);
                 attestor.advance(seq);
                 dv.set_attestor(Some(attestor));
-                dv.guard_mut().set_registry(Some(Rc::clone(&registry)));
+                dv.guard_mut().set_registry(Some(Arc::clone(&registry)));
             }
         }
     }
 
-    /// Borrow the shared packet pool (counters, occupancy).
+    /// Borrow the packet pool (counters and occupancy, over every lane).
     pub fn pool(&self) -> &PacketPool {
         &self.pool
     }
@@ -447,7 +415,7 @@ impl Network {
     /// Switch the whole network between the pooled zero-copy fast path
     /// and the allocate-and-copy baseline (E15's comparison arm).
     /// Packet *contents* are identical either way; only allocation and
-    /// copy behavior differs. Flip before traffic starts.
+    /// copy behavior differs; every lane's pool follows.
     pub fn set_copy_mode(&mut self, copy: bool) {
         self.pool.set_zero_copy(!copy);
     }
@@ -462,24 +430,25 @@ impl Network {
 
     /// Borrow a node.
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id]
+        &self.lanes.slot(id).node
     }
 
     /// Borrow a node mutably. Whatever the caller does with it, the
     /// node's next service pass is a full one.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.nodes[id].set_idle_gate(None);
-        &mut self.nodes[id]
+        let node = &mut self.lanes.slot_mut(id).node;
+        node.set_idle_gate(None);
+        node
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.lanes.last().map_or(0, |lane| lane.hi())
     }
 
     /// Attach an application to a node.
     pub fn attach_app(&mut self, node: NodeId, app: Box<dyn Application>) {
-        self.apps[node].push(app);
+        self.lanes.slot_mut(node).apps.push(app);
         // Give it a chance to schedule its first wake.
         self.kick(node);
     }
@@ -522,8 +491,9 @@ impl Network {
         let cidr = Ipv4Cidr::new(net, 30);
         let ip_mtu = params.mtu - framing.overhead();
 
-        let hw_a = hw_addr(a, self.nodes[a].ifaces.len());
-        let iface_a = self.nodes[a].attach_iface(Iface {
+        let node_a = &mut self.lanes.slot_mut(a).node;
+        let hw_a = hw_addr(a, node_a.ifaces.len());
+        let iface_a = node_a.attach_iface(Iface {
             addr: addr_a,
             cidr,
             hardware: hw_a,
@@ -532,8 +502,9 @@ impl Network {
             framing,
             up: true,
         });
-        let hw_b = hw_addr(b, self.nodes[b].ifaces.len());
-        let iface_b = self.nodes[b].attach_iface(Iface {
+        let node_b = &mut self.lanes.slot_mut(b).node;
+        let hw_b = hw_addr(b, node_b.ifaces.len());
+        let iface_b = node_b.attach_iface(Iface {
             addr: addr_b,
             cidr,
             hardware: hw_b,
@@ -545,12 +516,11 @@ impl Network {
 
         // Hosts: default route via the first gateway they attach to.
         for (node, iface, peer) in [(a, iface_a, addr_b), (b, iface_b, addr_a)] {
-            if self.nodes[node].role == NodeRole::Host {
+            let node = &mut self.lanes.slot_mut(node).node;
+            if node.role == NodeRole::Host {
                 let default = Ipv4Cidr::new(Ipv4Address::UNSPECIFIED, 0);
-                if self.nodes[node].static_routes.get(&default).is_none() {
-                    self.nodes[node]
-                        .static_routes
-                        .insert(default, (iface, Some(peer)));
+                if node.static_routes.get(&default).is_none() {
+                    node.static_routes.insert(default, (iface, Some(peer)));
                 }
             }
         }
@@ -592,15 +562,16 @@ impl Network {
     /// (Re)build both [`Endpoint`]s of a link from where its directions
     /// and its nodes live now.
     fn resolve_endpoints(&mut self, link: LinkId) {
-        let (a, b) = (self.links_meta[link].a, self.links_meta[link].b);
-        for (slot, from, dest) in [(0, a, b), (1, b, a)] {
-            let row = &mut self.endpoints[from.node];
+        let LinkMeta { a, b } = self.links_meta[link];
+        for (dir, from, dest) in [(0, a, b), (1, b, a)] {
+            let dest_lane = self.lanes.of(dest.node) as u32;
+            let row = &mut self.lanes.slot_mut(from.node).endpoints;
             if row.len() <= from.iface {
                 row.resize(from.iface + 1, None);
             }
             row[from.iface] = Some(Endpoint {
-                link_idx: self.link_home[link][slot].1,
-                dest_lane: self.lane_of[dest.node],
+                link_idx: self.link_home[link][dir].1,
+                dest_lane,
                 dest,
             });
         }
@@ -609,7 +580,7 @@ impl Network {
     /// The subnet of a link.
     pub fn link_subnet(&self, link: LinkId) -> Ipv4Cidr {
         let end = self.links_meta[link].a;
-        self.nodes[end.node].ifaces[end.iface].cidr
+        self.node(end.node).ifaces[end.iface].cidr
     }
 
     /// Address of `node` on `link`.
@@ -621,7 +592,7 @@ impl Network {
             assert_eq!(meta.b.node, node, "node not on link");
             meta.b
         };
-        self.nodes[end.node].ifaces[end.iface].addr
+        self.node(end.node).ifaces[end.iface].addr
     }
 
     /// Borrow one direction of a link (`ab` selects a→b) wherever its
@@ -643,16 +614,15 @@ impl Network {
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
         self.link_dir_mut(link, true).set_up(up);
         self.link_dir_mut(link, false).set_up(up);
-        let (a, b) = {
-            let meta = &self.links_meta[link];
-            (meta.a, meta.b)
-        };
-        self.nodes[a.node].ifaces[a.iface].up = up;
-        self.nodes[b.node].ifaces[b.iface].up = up;
+        let LinkMeta { a, b } = self.links_meta[link];
+        for end in [a, b] {
+            self.lanes.slot_mut(end.node).node.ifaces[end.iface].up = up;
+        }
         let now = self.now;
         for end in [a, b] {
-            let cidr = self.nodes[end.node].ifaces[end.iface].cidr.network();
-            if let Some(dv) = &mut self.nodes[end.node].dv {
+            let node = &mut self.lanes.slot_mut(end.node).node;
+            let cidr = node.ifaces[end.iface].cidr.network();
+            if let Some(dv) = &mut node.dv {
                 if up {
                     dv.add_connected(cidr, end.iface);
                 } else {
@@ -677,7 +647,7 @@ impl Network {
     /// battery-backed counters). Off by default: unenabled runs intern
     /// no accounting telemetry and their dumps stay byte-identical.
     pub fn enable_accounting(&mut self, period: Duration) {
-        for node in &mut self.nodes {
+        for NodeSlot { node, .. } in self.lanes.slots_mut() {
             if node.role == NodeRole::Gateway {
                 node.set_idle_gate(None);
                 if node.flows.is_none() {
@@ -705,7 +675,7 @@ impl Network {
     /// merged into one view. `None` until [`Network::enable_accounting`].
     pub fn reconcile(&self) -> Option<Reconciliation> {
         let ctl = self.accounting.as_ref()?;
-        let tails = self.nodes.iter().filter_map(|node| {
+        let tails = self.lanes.slots().filter_map(|NodeSlot { node, .. }| {
             node.ledger
                 .as_ref()
                 .and_then(|ledger| ledger.peek_tail(&node.name))
@@ -720,8 +690,7 @@ impl Network {
             return;
         };
         ctl.next_flush += ctl.period;
-        for id in 0..self.nodes.len() {
-            let node = &mut self.nodes[id];
+        for (id, NodeSlot { node, .. }) in self.lanes.slots_mut().enumerate() {
             if !node.alive {
                 continue;
             }
@@ -730,19 +699,12 @@ impl Network {
             };
             let name = node.name.clone();
             if let Some(report) = ledger.flush(&name) {
-                let unattributed = report.unattributed;
+                let stray = report.unattributed;
                 ctl.collector.absorb(report);
-                let c = self
-                    .telemetry
-                    .registry
-                    .counter("acct_reports_flushed", Scope::Node(id));
-                self.telemetry.registry.add(c, 1);
-                if unattributed > 0 {
-                    let c = self
-                        .telemetry
-                        .registry
-                        .counter("acct_unattributed", Scope::Node(id));
-                    self.telemetry.registry.add(c, unattributed);
+                let scope = Scope::Node(id);
+                count(&mut self.telemetry, "acct_reports_flushed", scope, 1);
+                if stray > 0 {
+                    count(&mut self.telemetry, "acct_unattributed", scope, stray);
                 }
             }
         }
@@ -757,26 +719,19 @@ impl Network {
         // conservation identity (flushed + forfeited + live tails =
         // everything recorded) survives arbitrary crash storms.
         if let Some(ctl) = &mut self.accounting {
-            let node = &self.nodes[id];
+            let node = &self.lanes.slot(id).node;
             if node.alive {
                 if let Some(tail) = node
                     .ledger
                     .as_ref()
                     .and_then(|ledger| ledger.peek_tail(&node.name))
                 {
-                    let unattributed = tail.unattributed;
+                    let stray = tail.unattributed;
                     ctl.collector.forfeit(tail);
-                    let c = self
-                        .telemetry
-                        .registry
-                        .counter("acct_tails_forfeited", Scope::Node(id));
-                    self.telemetry.registry.add(c, 1);
-                    if unattributed > 0 {
-                        let c = self
-                            .telemetry
-                            .registry
-                            .counter("acct_unattributed", Scope::Node(id));
-                        self.telemetry.registry.add(c, unattributed);
+                    let scope = Scope::Node(id);
+                    count(&mut self.telemetry, "acct_tails_forfeited", scope, 1);
+                    if stray > 0 {
+                        count(&mut self.telemetry, "acct_unattributed", scope, stray);
                     }
                 }
             }
@@ -786,7 +741,7 @@ impl Network {
 
     /// Reboot a crashed node.
     pub fn restart_node(&mut self, id: NodeId) {
-        self.nodes[id].restart();
+        self.lanes.slot_mut(id).node.restart();
         self.kick(id);
     }
 
@@ -867,11 +822,7 @@ impl Network {
                 description: describe_fault(action),
             },
         );
-        let id = self
-            .telemetry
-            .registry
-            .counter("faults_applied", Scope::Global);
-        self.telemetry.registry.add(id, 1);
+        count(&mut self.telemetry, "faults_applied", Scope::Global, 1);
         match action {
             FaultAction::LinkSet { link, up } => {
                 if *link < self.links_meta.len() && self.link_is_up(*link) != *up {
@@ -887,13 +838,13 @@ impl Network {
                 }
             }
             FaultAction::NodeCrash { node } => {
-                if *node < self.nodes.len() && self.nodes[*node].alive {
+                if *node < self.node_count() && self.node(*node).alive {
                     self.crash_node(*node);
                     self.telemetry.convergence.disruption(now);
                 }
             }
             FaultAction::NodeRestart { node } => {
-                if *node < self.nodes.len() && !self.nodes[*node].alive {
+                if *node < self.node_count() && !self.node(*node).alive {
                     self.restart_node(*node);
                     self.telemetry.convergence.heal(now);
                 }
@@ -953,8 +904,8 @@ impl Network {
                 }
             }
             FaultAction::Compromise { node, attack } => {
-                if *node < self.nodes.len() && self.byz[*node].is_none() {
-                    self.byz[*node] = Some(ByzantineState::new(*attack));
+                if *node < self.node_count() && self.lanes.slot(*node).byz.is_none() {
+                    self.lanes.slot_mut(*node).byz = Some(ByzantineState::new(*attack));
                     // The lie needs teeth: for every traffic-attraction
                     // attack the liar's forwarding path silently eats
                     // what it captures.
@@ -971,7 +922,7 @@ impl Network {
                 }
             }
             FaultAction::Rehabilitate { node } => {
-                if *node < self.byz.len() && self.byz[*node].take().is_some() {
+                if *node < self.node_count() && self.lanes.slot_mut(*node).byz.take().is_some() {
                     self.node_mut(*node).blackhole_prefixes.clear();
                     self.telemetry.convergence.heal(now);
                 }
@@ -1001,14 +952,13 @@ impl Network {
         if self.frozen {
             return;
         }
-        let n = self.nodes.len();
+        let n = self.node_count();
         let k = self.shard.shards().min(n.max(1));
         if k <= 1 {
             return;
         }
         self.frozen = true;
-        let parallel = matches!(self.shard, ShardKind::Parallel { .. });
-        let kind = self.lanes[0].sched.kind();
+        let kind = self.scheduler_kind();
         // Lane boundaries: equal `NodeId` chunks by default; with the
         // partitioner on, boundaries slide (within a 25 % balance
         // slack) to maximize the cheapest cut link, so LANs and other
@@ -1036,67 +986,45 @@ impl Network {
             (0..k).map(|i| (i * n / k, (i + 1) * n / k)).collect()
         };
         debug_assert_eq!(bounds.len(), k, "partitioner preserves the lane count");
-        let boot = self.lanes.pop().expect("boot lane");
+        let boot = *self.lanes.pop().expect("boot lane");
         debug_assert_eq!(
             boot.sched.stats().processed,
             0,
             "split must happen before the first event pops"
         );
+        // Every lane gets the nodes of its range and a pool of its own:
+        // recycling stays lane-local whoever runs the lane, so `Sharded`
+        // and `Parallel` count the same buffers. Buffers older than the
+        // split (in flight, ARP-pending) drop back into the boot pool.
+        let mut slots = boot.slots.into_iter();
         for (i, &(lo, hi)) in bounds.iter().enumerate() {
-            let pool = if parallel {
-                // Lane-private pool: `Rc`-based recycling cannot cross
-                // threads. Carries the zero-copy mode of the shared one.
-                let pool = PacketPool::new();
-                pool.set_zero_copy(self.pool.zero_copy());
-                pool
-            } else {
-                self.pool.clone()
-            };
-            let mut lane = Lane::new(lo, hi, Scheduler::with_kind(kind), pool);
-            lane.detach_cross = parallel;
-            self.lanes.push(lane);
-            for id in lo..hi {
-                self.lane_of[id] = i as u32;
+            let mut lane = Lane::new(i, lo, Scheduler::with_kind(kind), self.pool.lane_pool());
+            lane.slots.extend(slots.by_ref().take(hi - lo));
+            for slot in &mut lane.slots {
+                slot.node.set_pool(lane.pool.clone());
             }
+            self.lanes.push(Box::new(lane));
         }
         // Each directed link moves to the lane owning its sender, RNG
         // state intact (connect-time kicks already drew from it).
-        let mut boot_links = boot.links;
-        for (slot, lane_link) in boot_links.drain(..).enumerate() {
-            let link_id = slot / 2;
-            let ab = slot % 2 == 0;
+        for (dir, lane_link) in boot.links.into_iter().enumerate() {
+            let link_id = dir / 2;
+            let ab = dir % 2 == 0;
             let meta = &self.links_meta[link_id];
             let sender = if ab { meta.a.node } else { meta.b.node };
-            let home = self.lane_of[sender] as usize;
-            let idx = self.lanes[home].links.len() as u32;
-            self.lanes[home].links.push(lane_link);
-            self.link_home[link_id][usize::from(!ab)] = (home as u32, idx);
+            let home = self.lanes.of(sender);
+            let links = &mut self.lanes[home].links;
+            self.link_home[link_id][usize::from(!ab)] = (home as u32, links.len() as u32);
+            links.push(lane_link);
         }
         for link_id in 0..self.links_meta.len() {
             self.resolve_endpoints(link_id);
         }
         // Pending boot events follow their destination node.
-        for (at, mut keyed) in boot.sched.into_drain() {
-            let dest = match &mut keyed.event {
-                Event::Frame { to, frame, .. } => {
-                    if parallel {
-                        // Sever from the pre-split shared pool; see
-                        // `rehome_pool` for the same step on node state.
-                        frame.detach();
-                    }
-                    *to
-                }
-                Event::Wake { node } => *node,
-            };
-            self.lanes[self.lane_of[dest] as usize]
-                .sched
-                .schedule_at(at, keyed);
-        }
-        if parallel {
-            for id in 0..n {
-                let pool = self.lanes[self.lane_of[id] as usize].pool.clone();
-                self.nodes[id].rehome_pool(pool);
-            }
+        for (at, keyed) in boot.sched.into_drain() {
+            let (Event::Frame { to: dest, .. } | Event::Wake { node: dest }) = keyed.event;
+            let lane = self.lanes.of(dest);
+            self.lanes[lane].sched.schedule_at(at, keyed);
         }
         self.build_lane_reach();
     }
@@ -1121,7 +1049,7 @@ impl Network {
                 } else {
                     (meta.b.node, meta.a.node)
                 };
-                let (lj, li) = (self.lane_of[s] as usize, self.lane_of[d] as usize);
+                let (lj, li) = (self.lanes.of(s), self.lanes.of(d));
                 if lj != li {
                     let hop = self
                         .link_dir(id, ab)
@@ -1165,83 +1093,12 @@ impl Network {
     fn cross_lookahead(&self) -> Option<u64> {
         let mut lookahead: Option<u64> = None;
         for (id, meta) in self.links_meta.iter().enumerate() {
-            if self.lane_of[meta.a.node] != self.lane_of[meta.b.node] {
+            if self.lanes.of(meta.a.node) != self.lanes.of(meta.b.node) {
                 let micros = self.link_dir(id, true).base_propagation().total_micros();
                 lookahead = Some(lookahead.map_or(micros, |cur| cur.min(micros)));
             }
         }
         lookahead
-    }
-
-    /// A serial view of one lane (tap included, if installed).
-    fn lane_view(&mut self, lane_index: usize) -> LaneView<'_> {
-        let lane = &mut self.lanes[lane_index];
-        let (lo, hi) = (lane.lo, lane.hi);
-        LaneView {
-            lane,
-            lane_index,
-            lo,
-            nodes: &mut self.nodes[lo..hi],
-            apps: &mut self.apps[lo..hi],
-            next_wake: &mut self.next_wake[lo..hi],
-            event_seq: &mut self.event_seq[lo..hi],
-            service_count: &mut self.service_count[lo..hi],
-            byz: &mut self.byz[lo..hi],
-            harvested: &mut self.harvested[lo..hi],
-            endpoints: &self.endpoints,
-            tap: self.tap.as_mut(),
-        }
-    }
-
-    /// Run the dispatched lanes' windows on scoped threads, each to its
-    /// own per-pair limit. Only called when no coordinator-shared state
-    /// (tap, attestation registry) can leak into a lane. Skipped lanes
-    /// cost no thread spawn — their chunks are carved and dropped.
-    fn run_windows_threaded(&mut self, limits: &[Instant], dispatch: &[bool]) {
-        fn chunks<'a, T>(
-            mut slice: &'a mut [T],
-            bounds: &[(usize, usize)],
-        ) -> std::vec::IntoIter<&'a mut [T]> {
-            let mut out = Vec::with_capacity(bounds.len());
-            let mut offset = 0;
-            for &(lo, hi) in bounds {
-                debug_assert_eq!(lo, offset, "lanes tile the node range");
-                let (chunk, rest) = slice.split_at_mut(hi - offset);
-                out.push(chunk);
-                slice = rest;
-                offset = hi;
-            }
-            out.into_iter()
-        }
-        let bounds: Vec<(usize, usize)> = self.lanes.iter().map(|l| (l.lo, l.hi)).collect();
-        let mut nodes = chunks(&mut self.nodes, &bounds);
-        let mut apps = chunks(&mut self.apps, &bounds);
-        let mut next_wake = chunks(&mut self.next_wake, &bounds);
-        let mut event_seq = chunks(&mut self.event_seq, &bounds);
-        let mut service_count = chunks(&mut self.service_count, &bounds);
-        let mut byz = chunks(&mut self.byz, &bounds);
-        let mut harvested = chunks(&mut self.harvested, &bounds);
-        let mut views: Vec<(SendView<'_>, Instant)> = Vec::with_capacity(self.lanes.len());
-        for (lane_index, lane) in self.lanes.iter_mut().enumerate() {
-            let view = LaneView {
-                lo: lane.lo,
-                lane,
-                lane_index,
-                nodes: nodes.next().expect("one chunk per lane"),
-                apps: apps.next().expect("one chunk per lane"),
-                next_wake: next_wake.next().expect("one chunk per lane"),
-                event_seq: event_seq.next().expect("one chunk per lane"),
-                service_count: service_count.next().expect("one chunk per lane"),
-                byz: byz.next().expect("one chunk per lane"),
-                harvested: harvested.next().expect("one chunk per lane"),
-                endpoints: &self.endpoints,
-                tap: None,
-            };
-            if dispatch[lane_index] {
-                views.push((SendView(view), limits[lane_index]));
-            }
-        }
-        par::run_each_threaded(views);
     }
 
     /// Barrier absorb: fold lane counters into the network totals,
@@ -1251,32 +1108,26 @@ impl Network {
     /// `(instant, token)` order — exactly the order the single-lane arm
     /// would have written it inline.
     fn absorb(&mut self, horizon: Instant) {
-        let mut offered = 0;
-        let mut unconnected = 0;
-        let mut crosses: Vec<CrossFrame> = Vec::new();
-        for lane in &mut self.lanes {
-            offered += core::mem::take(&mut lane.frames_offered);
-            unconnected += core::mem::take(&mut lane.unconnected_drops);
-            crosses.append(&mut lane.cross);
+        for lane in self.lanes.iter_mut() {
+            self.frames_offered += core::mem::take(&mut lane.frames_offered);
+            self.unconnected_drops += core::mem::take(&mut lane.unconnected_drops);
+            self.crosses.append(&mut lane.cross);
             self.pending_harvests.append(&mut lane.harvests);
         }
-        self.frames_offered += offered;
-        self.unconnected_drops += unconnected;
         // Canonical insertion order, so per-lane scheduler state is a
         // pure function of the event multiset, not of lane iteration.
-        crosses.sort_unstable_by_key(|c| (c.at, c.key));
-        for cross in crosses {
-            self.lanes[self.lane_of[cross.to] as usize].sched.schedule_at(
-                cross.at,
-                Keyed {
-                    key: cross.key,
-                    event: Event::Frame {
-                        to: cross.to,
-                        iface: cross.iface,
-                        frame: cross.frame,
-                    },
-                },
-            );
+        // A crossing buffer changes pools with its lane: it recycles
+        // where it is dropped.
+        self.crosses.sort_unstable_by_key(|c| (c.at, c.keyed.key));
+        for mut cross in self.crosses.drain(..) {
+            let lane = &mut self.lanes[cross.lane as usize];
+            if let Event::Frame { frame, .. } = &mut cross.keyed.event {
+                frame.rehome(&lane.pool);
+            }
+            lane.sched.schedule_at(cross.at, cross.keyed);
+        }
+        if self.pending_harvests.is_empty() {
+            return;
         }
         // Each lane's list is already (at, token)-sorted; the merge
         // recovers the global service order. Tokens are delivery keys,
@@ -1288,8 +1139,8 @@ impl Network {
         let done = self
             .pending_harvests
             .partition_point(|h| h.at <= horizon);
-        for entry in self.pending_harvests.drain(..done).collect::<Vec<_>>() {
-            self.apply_harvest(entry);
+        for entry in self.pending_harvests.drain(..done) {
+            apply_harvest(&mut self.telemetry, entry);
         }
     }
 
@@ -1299,62 +1150,8 @@ impl Network {
     /// strictly earlier, because traffic windows are capped one
     /// microsecond short of the next op instant) and at run end.
     fn flush_harvests(&mut self) {
-        if self.pending_harvests.is_empty() {
-            return;
-        }
-        for entry in core::mem::take(&mut self.pending_harvests) {
-            self.apply_harvest(entry);
-        }
-    }
-
-    /// Replay one lane-harvested telemetry entry into the recorder,
-    /// registry and convergence tracer. Op order within an entry (and
-    /// entry order at the caller) mirrors the inline writes the
-    /// pre-shard loop performed, keeping dumps byte-identical.
-    fn apply_harvest(&mut self, entry: HarvestEntry) {
-        let HarvestEntry { at, node: id, ops, .. } = entry;
-        for op in ops {
-            match op {
-                HarvestOp::RouteChanged { version } => {
-                    self.telemetry
-                        .recorder
-                        .record(at, EventKind::RouteChanged { node: id, version });
-                    self.telemetry.convergence.route_changed(at);
-                    let c = self
-                        .telemetry
-                        .registry
-                        .counter("route_changes", Scope::Node(id));
-                    self.telemetry.registry.add(c, 1);
-                }
-                HarvestOp::RtoFired { total, delta } => {
-                    self.telemetry.recorder.record(
-                        at,
-                        EventKind::RtoFired {
-                            node: id,
-                            total_timeouts: total,
-                        },
-                    );
-                    let c = self
-                        .telemetry
-                        .registry
-                        .counter("tcp_rto_fired", Scope::Node(id));
-                    self.telemetry.registry.add(c, delta);
-                }
-                HarvestOp::Count { name, delta } => {
-                    let c = self.telemetry.registry.counter(name, Scope::Node(id));
-                    self.telemetry.registry.add(c, delta);
-                }
-                HarvestOp::NeighborCount { name, addr, delta } => {
-                    let scope = Scope::Neighbor { node: id, addr: addr.0 };
-                    let c = self.telemetry.registry.counter(name, scope);
-                    self.telemetry.registry.add(c, delta);
-                }
-                HarvestOp::Incident { detail } => {
-                    self.telemetry
-                        .recorder
-                        .record(at, EventKind::GuardAction { node: id, detail });
-                }
-            }
+        for entry in self.pending_harvests.drain(..) {
+            apply_harvest(&mut self.telemetry, entry);
         }
     }
 
@@ -1375,11 +1172,12 @@ impl Network {
     /// `reach` the relay-closed lane-pair latency matrix (see
     /// [`Network::lane_reach`]); the diagonal term bounds a lane
     /// against its own round-tripped output. Lanes with nothing due
-    /// inside their window are skipped (no view built, no thread
-    /// spawned), then the barrier absorbs cross-lane frames and
-    /// harvested telemetry. With one lane there is no bound and this
-    /// collapses to the classic serial loop (one window per op-free
-    /// span).
+    /// inside their window are skipped (nothing handed to a worker);
+    /// the rest run — on the coordinator, or under `Parallel` dealt
+    /// over the worker threads — and are all home again before the
+    /// barrier absorbs cross-lane frames and harvested telemetry. With
+    /// one lane there is no bound and this collapses to the classic
+    /// serial loop (one window per op-free span).
     ///
     /// Safety of the per-pair bound (why dumps stay byte-identical):
     /// every future cross-lane arrival into lane i happens at or after
@@ -1394,10 +1192,14 @@ impl Network {
     pub fn run_until(&mut self, t: Instant) {
         self.ensure_split();
         let k = self.lanes.len();
-        let threaded = matches!(self.shard, ShardKind::Parallel { .. })
-            && k > 1
-            && self.tap.is_none()
-            && self.attest_master.is_none();
+        // A tap is the caller's `FnMut` and need not be `Send`: with
+        // one installed the coordinator runs every window itself.
+        let threaded =
+            matches!(self.shard, ShardKind::Parallel { .. }) && k > 1 && self.tap.is_none();
+        if threaded && self.workers.is_none() {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            self.workers = Some(Workers::spawn(k.min(cores) - 1));
+        }
         // The PR 8 baseline arm prices the old protocol: one global
         // bound anchored at `at`, every lane dispatched every round.
         let global_w = if self.global_lookahead {
@@ -1405,10 +1207,12 @@ impl Network {
         } else {
             None
         };
-        let mut limits: Vec<Instant> = vec![Instant::ZERO; k];
-        let mut dispatch: Vec<bool> = vec![true; k];
+        self.round.resize(k, LaneWindow::default());
         loop {
-            let lane_at = self.next_event_at();
+            for (window, lane) in self.round.iter_mut().zip(self.lanes.iter()) {
+                window.next = lane.sched.peek_time();
+            }
+            let lane_at = self.round.iter().filter_map(|w| w.next).min();
             let fault_at = self.fault_plan.as_ref().and_then(|p| p.next_at());
             let sample_at = self.telemetry.sampler.next_sample_at().filter(|&s| s <= t);
             let flush_at = self
@@ -1428,42 +1232,31 @@ impl Network {
                 break;
             }
             self.now = at;
-            if fault_at == Some(at) {
+            // Coordinator ops, one kind per turn of the loop: faults, then
+            // the sample, then the ledger flush (a crash at T forfeits the
+            // tail a flush at T would have reported — power cuts don't
+            // wait for bookkeeping).
+            if [fault_at, sample_at, flush_at].contains(&Some(at)) {
                 self.flush_harvests();
-                // Batched dispatch: a dense plan often schedules many
-                // actions at one instant; draining them all here costs
-                // one barrier interruption instead of one per action.
-                let mut applied = 0u64;
-                while let Some(event) = self.fault_plan.as_mut().and_then(|p| p.pop_due(at)) {
-                    self.apply_fault(&event.action);
-                    applied += 1;
+                let mut applied = 1;
+                if fault_at == Some(at) {
+                    // Batched dispatch: a dense plan often schedules many
+                    // actions at one instant; draining them all here costs
+                    // one barrier interruption instead of one per action.
+                    applied = 0;
+                    while let Some(event) = self.fault_plan.as_mut().and_then(|p| p.pop_due(at)) {
+                        self.apply_fault(&event.action);
+                        applied += 1;
+                    }
+                    debug_assert!(applied > 0, "fault peeked as due");
+                } else if sample_at == Some(at) {
+                    self.take_sample(at);
+                } else {
+                    self.flush_ledgers();
                 }
-                debug_assert!(applied > 0, "fault peeked as due");
                 if k > 1 {
                     self.stats.op_batches += 1;
                     self.stats.ops_applied += applied;
-                }
-                continue;
-            }
-            if sample_at == Some(at) {
-                self.flush_harvests();
-                self.take_sample(at);
-                if k > 1 {
-                    self.stats.op_batches += 1;
-                    self.stats.ops_applied += 1;
-                }
-                continue;
-            }
-            // Ledger flushes ride the same timeline, after faults (a
-            // crash at T forfeits the tail a flush at T would have
-            // reported — power cuts don't wait for bookkeeping) and
-            // after samples.
-            if flush_at == Some(at) {
-                self.flush_harvests();
-                self.flush_ledgers();
-                if k > 1 {
-                    self.stats.op_batches += 1;
-                    self.stats.ops_applied += 1;
                 }
                 continue;
             }
@@ -1481,7 +1274,7 @@ impl Network {
             let at_us = at.total_micros();
             let mut stalled = false;
             if k == 1 {
-                limits[0] = Instant::from_micros(cap);
+                self.round[0].limit = Instant::from_micros(cap);
             } else if self.global_lookahead {
                 let la = global_w.map_or(u64::MAX, |w| at_us.saturating_add(w));
                 if op_us.is_some_and(|op| op < cap_t && la > op) {
@@ -1491,12 +1284,12 @@ impl Network {
                     self.stats.collapsed += k as u64;
                 }
                 let end = Instant::from_micros(la.min(cap));
-                limits.iter_mut().for_each(|l| *l = end);
+                self.round.iter_mut().for_each(|w| w.limit = end);
             } else {
-                for (i, slot) in limits.iter_mut().enumerate() {
+                for i in 0..k {
                     let mut bound = u64::MAX;
-                    for (j, lane) in self.lanes.iter().enumerate() {
-                        if let Some(tj) = lane.sched.peek_time() {
+                    for (j, peer) in self.round.iter().enumerate() {
+                        if let Some(tj) = peer.next {
                             let r = self.lane_reach[j * k + i];
                             if r != u64::MAX {
                                 bound = bound.min(tj.total_micros().saturating_add(r));
@@ -1515,25 +1308,21 @@ impl Network {
                     if la < cap && lim == at_us {
                         self.stats.collapsed += 1;
                     }
-                    *slot = Instant::from_micros(lim);
+                    self.round[i].limit = Instant::from_micros(lim);
                 }
             }
-            if threaded {
-                for (i, lane) in self.lanes.iter().enumerate() {
-                    dispatch[i] = self.global_lookahead
-                        || lane.sched.peek_time().is_some_and(|ti| ti <= limits[i]);
-                }
-                self.run_windows_threaded(&limits, &dispatch);
-            } else {
-                // Serial: a lane's window never schedules into another
-                // lane's queue (cross frames buffer until the absorb),
-                // so the due-check stays valid as earlier lanes run.
-                for i in 0..k {
-                    let due = self.global_lookahead
-                        || self.lanes[i].sched.peek_time().is_some_and(|ti| ti <= limits[i]);
-                    dispatch[i] = due;
-                    if due {
-                        self.lane_view(i).run_window(limits[i]);
+            // A lane's window never schedules into another lane's queue
+            // (cross frames buffer until the absorb), so what is due is
+            // settled before any lane runs, whoever runs it.
+            for window in &mut self.round {
+                window.due =
+                    self.global_lookahead || window.next.is_some_and(|ti| ti <= window.limit);
+            }
+            match self.workers.as_mut().filter(|_| threaded) {
+                Some(workers) => workers.run_windows(&mut self.lanes, &self.round),
+                None => {
+                    for (i, window) in self.round.iter().enumerate().filter(|(_, w)| w.due) {
+                        self.lanes[i].run_window(window.limit, &mut self.tap);
                     }
                 }
             }
@@ -1542,16 +1331,16 @@ impl Network {
                 if stalled {
                     self.stats.barrier_stalls += 1;
                 }
-                for (i, &lim) in limits.iter().enumerate() {
-                    self.stats.span_us += lim.total_micros() - at_us;
-                    if dispatch[i] {
+                for window in &self.round {
+                    self.stats.span_us += window.limit.total_micros() - at_us;
+                    if window.due {
                         self.stats.lanes_dispatched += 1;
                     } else {
                         self.stats.lanes_skipped += 1;
                     }
                 }
             }
-            let horizon = limits.iter().copied().min().unwrap_or(at);
+            let horizon = self.round.iter().map(|w| w.limit).min().unwrap_or(at);
             self.absorb(horizon);
             self.now = horizon;
         }
@@ -1574,7 +1363,7 @@ impl Network {
 
     /// Force a service pass on a node right now (used after the caller
     /// mutated its sockets or apps from outside the loop). The pass runs
-    /// through the node's lane view and the barrier absorbs immediately,
+    /// in the node's lane and the barrier absorbs immediately,
     /// so frames it emits toward other lanes are scheduled before the
     /// caller regains control.
     pub fn kick(&mut self, id: NodeId) {
@@ -1582,10 +1371,12 @@ impl Network {
         // caller may have changed anything (sockets, applications,
         // interfaces), so the pass is a full one.
         let now = self.now;
-        self.nodes[id].set_idle_gate(None);
+        let lane = self.lanes.of(id);
+        let lane = &mut self.lanes[lane];
+        lane.slots[id - lane.lo].node.set_idle_gate(None);
         // Token 0: a kick is absorbed by itself, never merge-sorted
         // against window entries.
-        self.lane_view(self.lane_of[id] as usize).service_node(id, now, 0);
+        lane.service_node(id, now, 0, &mut self.tap);
         self.absorb(now);
     }
 
@@ -1643,8 +1434,8 @@ impl Network {
     fn take_sample(&mut self, at: Instant) {
         self.telemetry.sampler.begin_sample(at);
         let cadence = self.telemetry.sampler.cadence();
-        for id in 0..self.nodes.len() {
-            let node = &self.nodes[id];
+        for (id, slot) in self.lanes.slots_mut().enumerate() {
+            let node = &slot.node;
             if let Some(dv) = &node.dv {
                 let version = dv.version();
                 self.telemetry
@@ -1653,8 +1444,8 @@ impl Network {
             }
             // Goodput: acked-byte delta over the cadence window, bits/s.
             let acked: u64 = node.tcp_sockets.iter().map(|s| s.stats.bytes_acked).sum();
-            let delta = acked.saturating_sub(self.last_sampled_acked[id]);
-            self.last_sampled_acked[id] = acked;
+            let delta = acked.saturating_sub(slot.sampled_acked);
+            slot.sampled_acked = acked;
             if delta > 0 && !cadence.is_zero() {
                 let bps = delta.saturating_mul(8_000_000) / cadence.total_micros();
                 self.telemetry
@@ -1711,7 +1502,7 @@ impl Network {
             at,
             "service_passes",
             Scope::Global,
-            self.service_count.iter().sum(),
+            self.lanes.slots().map(|slot| slot.service_count).sum(),
         );
         // Pool telemetry, opt-in (see `set_pool_metrics`): occupancy as
         // a sampler gauge, counter deltas into the registry, mirroring
@@ -1735,8 +1526,7 @@ impl Network {
                 ("pool_bytes_copied", stats.bytes_copied, last.bytes_copied),
             ] {
                 if value > floor {
-                    let c = self.telemetry.registry.counter(name, Scope::Global);
-                    self.telemetry.registry.add(c, value - floor);
+                    count(&mut self.telemetry, name, Scope::Global, value - floor);
                 }
             }
         }
@@ -1749,7 +1539,7 @@ impl Network {
         let mut delivered = 0;
         let mut lost = 0;
         let mut overflowed = 0;
-        for lane in &self.lanes {
+        for lane in self.lanes.iter() {
             for lane_link in &lane.links {
                 let stats = lane_link.link.stats();
                 offered += stats.tx_frames;
@@ -1785,7 +1575,7 @@ impl Network {
     fn routing_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for node in &self.nodes {
+        for NodeSlot { node, .. } in self.lanes.slots() {
             if let Some(dv) = &node.dv {
                 for (prefix, route) in dv.routes() {
                     prefix.address().to_u32().hash(&mut hasher);
@@ -1796,6 +1586,56 @@ impl Network {
             }
         }
         hasher.finish()
+    }
+}
+
+/// Advance the counter `name` at `scope`, interning it on first use.
+fn count(telemetry: &mut Telemetry, name: &'static str, scope: Scope, delta: u64) {
+    let id = telemetry.registry.counter(name, scope);
+    telemetry.registry.add(id, delta);
+}
+
+/// Replay one lane-harvested telemetry entry into the recorder,
+/// registry and convergence tracer. Op order within an entry (and
+/// entry order at the caller) mirrors the inline writes the
+/// pre-shard loop performed, keeping dumps byte-identical.
+fn apply_harvest(telemetry: &mut Telemetry, entry: HarvestEntry) {
+    let HarvestEntry {
+        at, node: id, ops, ..
+    } = entry;
+    for op in ops {
+        match op {
+            HarvestOp::RouteChanged { version } => {
+                telemetry
+                    .recorder
+                    .record(at, EventKind::RouteChanged { node: id, version });
+                telemetry.convergence.route_changed(at);
+                count(telemetry, "route_changes", Scope::Node(id), 1);
+            }
+            HarvestOp::RtoFired { total, delta } => {
+                telemetry.recorder.record(
+                    at,
+                    EventKind::RtoFired {
+                        node: id,
+                        total_timeouts: total,
+                    },
+                );
+                count(telemetry, "tcp_rto_fired", Scope::Node(id), delta);
+            }
+            HarvestOp::Count { name, delta } => count(telemetry, name, Scope::Node(id), delta),
+            HarvestOp::NeighborCount { name, addr, delta } => {
+                let scope = Scope::Neighbor {
+                    node: id,
+                    addr: addr.0,
+                };
+                count(telemetry, name, scope, delta);
+            }
+            HarvestOp::Incident { detail } => {
+                telemetry
+                    .recorder
+                    .record(at, EventKind::GuardAction { node: id, detail });
+            }
+        }
     }
 }
 
@@ -1849,7 +1689,7 @@ impl core::fmt::Debug for Network {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Network")
             .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.node_count())
             .field("links", &self.links_meta.len())
             .field("lanes", &self.lanes.len())
             .field(
@@ -1863,7 +1703,9 @@ impl core::fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::Keyed;
     use catenet_wire::Icmpv4Message;
+    use std::rc::Rc;
 
     /// h1 — g — h2 over T1 trunks.
     fn small_net() -> (Network, NodeId, NodeId, NodeId) {
@@ -2650,6 +2492,225 @@ mod tests {
              origin attestation proves ownership, not path honesty"
         );
         assert!(eaten > 0, "the residual attack still eats traffic");
+    }
+
+    /// h0 — g1 — g2 — h3 over T1 trunks with CBR both ways: at K = 2
+    /// the boundary falls between g1 and g2 and datagrams cross it in
+    /// both directions.
+    fn two_lane_net(shard: ShardKind) -> Network {
+        let mut net = Network::with_shards(15, shard);
+        let h0 = net.add_host("h0");
+        let g1 = net.add_gateway("g1");
+        let g2 = net.add_gateway("g2");
+        let h3 = net.add_host("h3");
+        net.connect(h0, g1, LinkClass::EthernetLan);
+        net.connect(g1, g2, LinkClass::T1Terrestrial);
+        net.connect(g2, h3, LinkClass::EthernetLan);
+        for (from, to, port) in [(h0, h3, 5000), (h3, h0, 5001)] {
+            let dst = crate::Endpoint::new(net.node(to).primary_addr(), port);
+            net.attach_app(to, Box::new(crate::app::CbrSink::new(port)));
+            net.attach_app(
+                from,
+                Box::new(crate::app::CbrSource::new(
+                    dst,
+                    Duration::from_millis(20),
+                    200,
+                    Instant::from_secs(1),
+                    Instant::from_secs(9),
+                )),
+            );
+        }
+        net
+    }
+
+    #[test]
+    fn lane_pools_are_counted_and_switched_the_same_under_both_arms() {
+        let run = |shard: ShardKind| {
+            let mut net = two_lane_net(shard);
+            net.set_pool_metrics(true);
+            net.run_until(Instant::from_secs(5));
+            assert_eq!(net.lane_count(), 2);
+            let fast = net.pool().stats();
+            // Copy mode reaches the lanes' pools after the split too.
+            net.set_copy_mode(true);
+            net.run_until(Instant::from_secs(10));
+            let copied = net.pool().stats();
+            let dumps = (net.metrics_dump(), net.series_dump(), net.flight_dump());
+            (fast, copied, net.pool().free_buffers(), dumps)
+        };
+        let sharded = run(ShardKind::Sharded { shards: 2 });
+        let parallel = run(ShardKind::Parallel { shards: 2 });
+        assert_eq!(
+            sharded, parallel,
+            "pool counters and dumps are arm-independent"
+        );
+        let (fast, copied, _, (metrics, series, _)) = sharded;
+        assert!(
+            fast.recycled > 0 && fast.released > 0,
+            "the lanes recycle: {fast:?}"
+        );
+        assert!(
+            metrics.contains("pool_recycled") && series.contains("pool_free_buffers"),
+            "the lanes' pools are sampled:\n{metrics}"
+        );
+        assert_eq!(copied.recycled, fast.recycled, "copy mode never recycles");
+        assert!(
+            copied.fresh_allocs > fast.fresh_allocs + 400,
+            "every datagram allocates in copy mode: {fast:?} then {copied:?}"
+        );
+    }
+
+    #[test]
+    fn a_panic_in_a_worker_lane_reaches_run_until_with_its_payload() {
+        use std::sync::mpsc;
+        use std::thread::{self, ThreadId};
+
+        /// Panics at `at`, after noting which thread ran it.
+        struct Bomb {
+            at: Instant,
+            ran_on: mpsc::Sender<ThreadId>,
+        }
+        impl Application for Bomb {
+            fn poll(&mut self, _node: &mut Node, now: Instant) {
+                if now >= self.at {
+                    self.ran_on.send(thread::current().id()).unwrap();
+                    panic!("lane application failed");
+                }
+            }
+            fn next_wake(&self) -> Option<Instant> {
+                Some(self.at)
+            }
+        }
+        /// Keeps its own lane's window open until the bomb has run, so
+        /// the coordinator cannot have taken the bomb's lane back.
+        struct Hold {
+            at: Option<Instant>,
+            bomb: mpsc::Receiver<ThreadId>,
+            ran_on: crate::Shared<Option<ThreadId>>,
+        }
+        impl Application for Hold {
+            fn poll(&mut self, _node: &mut Node, now: Instant) {
+                if self.at.is_some_and(|at| now >= at) {
+                    self.at = None;
+                    if thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+                        let id = self.bomb.recv_timeout(std::time::Duration::from_secs(30));
+                        *self.ran_on.lock().unwrap() = id.ok();
+                    }
+                }
+            }
+            fn next_wake(&self) -> Option<Instant> {
+                self.at
+            }
+        }
+
+        // Two hosts, one per lane, nothing scheduled but a wake at 1 s
+        // on each: both lanes are due in the same window, the first is
+        // the coordinator's and the bomb's goes to the worker.
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            let mut net = Network::with_shards(2, ShardKind::Parallel { shards: 2 });
+            let h0 = net.add_host("h0");
+            let h1 = net.add_host("h1");
+            net.connect(h0, h1, LinkClass::T1Terrestrial);
+            let at = Instant::from_secs(1);
+            let (ran_on, bomb) = mpsc::channel();
+            let bomb_thread = crate::shared(None);
+            let hold = Hold {
+                at: Some(at),
+                bomb,
+                ran_on: bomb_thread.clone(),
+            };
+            net.attach_app(h0, Box::new(hold));
+            net.attach_app(h1, Box::new(Bomb { at, ran_on }));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.run_until(Instant::from_secs(2))
+            }));
+            let payload = caught
+                .err()
+                .and_then(|panic| panic.downcast_ref::<&str>().map(|s| s.to_string()));
+            let bomb_thread = *bomb_thread.lock().unwrap();
+            // Joins the worker: a hang here is a hang of the test.
+            drop(net);
+            tx.send((payload, bomb_thread, thread::current().id()))
+                .unwrap();
+        });
+        let (payload, bomb_thread, coordinator) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_until re-raises and the network drops in bounded time");
+        runner.join().unwrap();
+        assert_eq!(payload.as_deref(), Some("lane application failed"));
+        if thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+            let bomb_thread = bomb_thread.expect("the bomb ran while the coordinator was held");
+            assert_ne!(bomb_thread, coordinator, "the panic started on a worker");
+        }
+    }
+
+    #[test]
+    fn eight_lanes_run_on_no_more_threads_than_cores_and_match_sharded() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+
+        /// Notes every thread its node is serviced on.
+        struct Probe(crate::Shared<HashSet<ThreadId>>);
+        impl Application for Probe {
+            fn poll(&mut self, _node: &mut Node, _now: Instant) {
+                self.0.lock().unwrap().insert(thread::current().id());
+            }
+        }
+
+        let run = |shard: ShardKind| {
+            let mut net = Network::with_shards(8, shard);
+            let threads = crate::shared(HashSet::new());
+            let mut hosts = Vec::new();
+            let mut gateways: Vec<NodeId> = Vec::new();
+            for i in 0..8 {
+                let g = net.add_gateway(format!("g{i}"));
+                if let Some(&prev) = gateways.last() {
+                    net.connect(prev, g, LinkClass::T1Terrestrial);
+                }
+                gateways.push(g);
+                let h = net.add_host(format!("h{i}"));
+                net.connect(h, g, LinkClass::EthernetLan);
+                hosts.push(h);
+            }
+            net.connect(gateways[7], gateways[0], LinkClass::T1Terrestrial);
+            for i in 0..8 {
+                let to = hosts[(i + 3) % 8];
+                let dst = crate::Endpoint::new(net.node(to).primary_addr(), 6000);
+                net.attach_app(hosts[i], Box::new(crate::app::CbrSink::new(6000)));
+                net.attach_app(
+                    hosts[i],
+                    Box::new(crate::app::CbrSource::new(
+                        dst,
+                        Duration::from_millis(50),
+                        160,
+                        Instant::from_secs(4),
+                        Instant::from_secs(8),
+                    )),
+                );
+                net.attach_app(hosts[i], Box::new(Probe(threads.clone())));
+            }
+            net.run_until(Instant::from_secs(9));
+            assert_eq!(net.lane_count(), 8);
+            let threads = threads.lock().unwrap().len();
+            (
+                threads,
+                (net.metrics_dump(), net.series_dump(), net.flight_dump()),
+            )
+        };
+        let (_, sharded) = run(ShardKind::Sharded { shards: 8 });
+        let (threads, parallel) = run(ShardKind::Parallel { shards: 8 });
+        assert_eq!(sharded, parallel, "byte-identical whoever runs the lanes");
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(
+            threads <= cores.min(8),
+            "{threads} threads ran lanes on {cores} cores"
+        );
+        assert_eq!(
+            threads > 1,
+            cores > 1,
+            "every core the host has is put to work"
+        );
     }
 
     /// RIP frames `gateway` offered to its links, by instant (one entry

@@ -238,24 +238,10 @@ impl Node {
     }
 
     /// Replace this node's packet pool (the network shares one pool
-    /// across all its nodes so buffers recycle internetwork-wide).
+    /// across the nodes of a lane so buffers recycle between them).
+    /// Buffers the node already holds recycle where they came from.
     pub fn set_pool(&mut self, pool: PacketPool) {
         self.pool = pool;
-    }
-
-    /// Move the node onto `pool` and sever every buffer it currently
-    /// holds (outbox, ARP pending queues) from whichever pool allocated
-    /// it. Used when the network splits into parallel shard lanes: each
-    /// lane gets a private pool, and no retained buffer may keep a
-    /// handle into another lane's freelist.
-    pub(crate) fn rehome_pool(&mut self, pool: PacketPool) {
-        self.pool = pool;
-        for (_, frame) in self.outbox.iter_mut() {
-            frame.detach();
-        }
-        for arp in self.arp.iter_mut() {
-            arp.detach_pending();
-        }
     }
 
     /// Attach an interface; returns its index.

@@ -30,10 +30,9 @@
 //! by default in debug builds) so a path that reads bytes it never wrote
 //! sees garbage loudly rather than a previous packet quietly.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::rc::Rc;
+use std::ops::{AddAssign, Deref, DerefMut};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use catenet_wire::{ethernet, ipv4};
 
@@ -75,21 +74,37 @@ pub struct PoolStats {
     pub bytes_copied: u64,
 }
 
+impl AddAssign for PoolStats {
+    fn add_assign(&mut self, other: PoolStats) {
+        self.fresh_allocs += other.fresh_allocs;
+        self.recycled += other.recycled;
+        self.released += other.released;
+        self.discarded += other.discarded;
+        self.shift_copies += other.shift_copies;
+        self.bytes_copied += other.bytes_copied;
+    }
+}
+
 struct PoolInner {
     free: Vec<Vec<u8>>,
     stats: PoolStats,
     zero_copy: bool,
     poison: bool,
+    /// Pools split off with [`PacketPool::lane_pool`].
+    lanes: Vec<PacketPool>,
 }
 
 /// A shared, recycling allocator for packet buffers.
 ///
 /// Cloning is cheap (reference-counted); a [`Network`](crate::network)
 /// hands one clone to every node so buffers released anywhere serve
-/// allocations everywhere.
+/// allocations everywhere. The handle is `Send`: a shard lane carries
+/// its pool to whichever thread runs its window. Only that thread
+/// touches the pool until the lane is back at the barrier, so the lock
+/// is never contended.
 #[derive(Clone)]
 pub struct PacketPool {
-    inner: Rc<RefCell<PoolInner>>,
+    inner: Arc<Mutex<PoolInner>>,
 }
 
 impl Default for PacketPool {
@@ -100,7 +115,7 @@ impl Default for PacketPool {
 
 impl fmt::Debug for PacketPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         f.debug_struct("PacketPool")
             .field("free", &inner.free.len())
             .field("zero_copy", &inner.zero_copy)
@@ -113,13 +128,43 @@ impl PacketPool {
     /// A fresh pool: zero-copy mode on, poison-on-release in debug builds.
     pub fn new() -> PacketPool {
         PacketPool {
-            inner: Rc::new(RefCell::new(PoolInner {
+            inner: Arc::new(Mutex::new(PoolInner {
                 free: Vec::new(),
                 stats: PoolStats::default(),
                 zero_copy: true,
                 poison: cfg!(debug_assertions),
+                lanes: Vec::new(),
             })),
         }
+    }
+
+    /// Every update under the lock leaves the counters and the freelist
+    /// valid at each step, so a guard poisoned by a panic elsewhere is
+    /// still sound to use — and [`PacketBuf`]'s `Drop` must not panic.
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Visit this pool, then every lane pool split off it.
+    fn for_each(&self, f: &mut dyn FnMut(&mut PoolInner)) {
+        let mut inner = self.lock();
+        f(&mut inner);
+        for lane in &inner.lanes {
+            lane.for_each(f);
+        }
+    }
+
+    /// A pool with its own freelist and counters that this pool still
+    /// answers for: [`stats`](Self::stats) and
+    /// [`free_buffers`](Self::free_buffers) include it, the copy-mode
+    /// switch reaches it. A sharded network gives one to each lane, so
+    /// recycling stays lane-local and deterministic.
+    pub fn lane_pool(&self) -> PacketPool {
+        let pool = PacketPool::new();
+        let mut inner = self.lock();
+        pool.set_zero_copy(inner.zero_copy);
+        inner.lanes.push(pool.clone());
+        pool
     }
 
     /// Switch between the fast path (`true`, default: recycled buffers
@@ -127,27 +172,31 @@ impl PacketPool {
     /// exact-size, every layer boundary a copy — the pre-pool behavior,
     /// E15's baseline arm). Packet *contents* are identical either way.
     pub fn set_zero_copy(&self, on: bool) {
-        self.inner.borrow_mut().zero_copy = on;
+        self.for_each(&mut |inner| inner.zero_copy = on);
     }
 
     /// Whether the fast path is active.
     pub fn zero_copy(&self) -> bool {
-        self.inner.borrow().zero_copy
+        self.lock().zero_copy
     }
 
     /// Enable or disable poison-filling released buffers.
     pub fn set_poison(&self, on: bool) {
-        self.inner.borrow_mut().poison = on;
+        self.lock().poison = on;
     }
 
     /// Snapshot the cumulative counters.
     pub fn stats(&self) -> PoolStats {
-        self.inner.borrow().stats
+        let mut total = PoolStats::default();
+        self.for_each(&mut |inner| total += inner.stats);
+        total
     }
 
     /// Current freelist occupancy, in buffers.
     pub fn free_buffers(&self) -> usize {
-        self.inner.borrow().free.len()
+        let mut free = 0;
+        self.for_each(&mut |inner| free += inner.free.len());
+        free
     }
 
     /// Allocate a buffer with `len` zeroed payload bytes and (in
@@ -155,7 +204,7 @@ impl PacketPool {
     /// prepended into. Copy mode ignores `headroom` — exact-size, fresh,
     /// like the `Vec` builders this pool replaced.
     pub fn alloc(&self, headroom: usize, len: usize) -> PacketBuf {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.lock();
         if !inner.zero_copy {
             inner.stats.fresh_allocs += 1;
             return PacketBuf {
@@ -209,12 +258,12 @@ impl PacketPool {
         }
         let mut copy = self.alloc(0, buf.len());
         copy.copy_from_slice(&buf);
-        self.inner.borrow_mut().stats.bytes_copied += buf.len() as u64;
+        self.lock().stats.bytes_copied += buf.len() as u64;
         copy
     }
 
     fn release(&self, mut data: Vec<u8>) {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.lock();
         if inner.zero_copy && data.capacity() == BUF_CAPACITY && inner.free.len() < MAX_FREE {
             inner.stats.released += 1;
             if inner.poison {
@@ -291,7 +340,7 @@ impl PacketBuf {
             Some(pool) => {
                 let headroom = if pool.zero_copy() { HEADROOM } else { 0 };
                 let buf = pool.alloc(headroom, n + len);
-                let mut inner = pool.inner.borrow_mut();
+                let mut inner = pool.lock();
                 inner.stats.shift_copies += 1;
                 inner.stats.bytes_copied += len as u64;
                 drop(inner);
@@ -309,13 +358,13 @@ impl PacketBuf {
         self.data.truncate(self.start + len);
     }
 
-    /// Sever the buffer from its pool: on drop it goes back to the
-    /// allocator instead of a freelist. Parallel shard lanes call this
-    /// on frames crossing a lane boundary — a buffer must never hold a
-    /// handle to a pool owned by another lane's thread. Contents and
-    /// headroom are untouched, so dumps cannot tell.
-    pub fn detach(&mut self) {
-        self.pool = None;
+    /// Hand the buffer over to `pool`: on drop it recycles there.
+    /// The barrier does this to every frame that crossed a lane
+    /// boundary, so a lane's pool is only ever touched by the thread
+    /// running that lane. Contents and headroom are untouched, so dumps
+    /// cannot tell.
+    pub(crate) fn rehome(&mut self, pool: &PacketPool) {
+        self.pool = Some(pool.clone());
     }
 }
 
@@ -456,7 +505,7 @@ mod tests {
         let mut buf = pool.alloc(0, 32);
         buf.iter_mut().for_each(|b| *b = 0x77);
         drop(buf);
-        let inner = pool.inner.borrow();
+        let inner = pool.lock();
         let freed = inner.free.last().unwrap();
         // Released buffers are length-0 (content cleared); the poison
         // lives in the spare capacity and is re-zeroed per alloc. Verify

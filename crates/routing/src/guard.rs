@@ -73,7 +73,7 @@ use catenet_sim::{Duration, Instant};
 use catenet_wire::{Ipv4Address, Ipv4Cidr};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The guard's knobs. `Default` is the policy-off trusting behavior;
 /// [`GuardPolicy::standard`] enables the full defense with values tuned
@@ -419,7 +419,7 @@ impl NeighborState {
 #[derive(Debug, Clone)]
 pub struct RouteGuard {
     policy: GuardPolicy,
-    registry: Option<Rc<OriginRegistry>>,
+    registry: Option<Arc<OriginRegistry>>,
     boot_started: Option<Instant>,
     origin_seq: BTreeMap<(OriginId, Ipv4Cidr), ReplayWindow>,
     neighbors: BTreeMap<Ipv4Address, NeighborState>,
@@ -459,12 +459,12 @@ impl RouteGuard {
     /// Install (or remove) the prefix-ownership registry attestation
     /// checks verify against. Configuration, like the policy: it
     /// survives [`RouteGuard::reset`].
-    pub fn set_registry(&mut self, registry: Option<Rc<OriginRegistry>>) {
+    pub fn set_registry(&mut self, registry: Option<Arc<OriginRegistry>>) {
         self.registry = registry;
     }
 
     /// The installed ownership registry, if any.
-    pub fn registry(&self) -> Option<&Rc<OriginRegistry>> {
+    pub fn registry(&self) -> Option<&Arc<OriginRegistry>> {
         self.registry.as_ref()
     }
 
@@ -1054,12 +1054,12 @@ mod tests {
 
     /// Registry with origin 1 owning 10.9/16 and 10.8/16, origin 2
     /// owning 10.7/16.
-    fn registry() -> Rc<OriginRegistry> {
+    fn registry() -> Arc<OriginRegistry> {
         let mut reg = OriginRegistry::new(MASTER);
         reg.register(cidr("10.9.0.0/16"), OriginId(1));
         reg.register(cidr("10.8.0.0/16"), OriginId(1));
         reg.register(cidr("10.7.0.0/16"), OriginId(2));
-        Rc::new(reg)
+        Arc::new(reg)
     }
 
     fn signed(prefix: &str, metric: u8, origin: u16, seq: u32) -> RipEntry {

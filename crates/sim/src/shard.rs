@@ -13,8 +13,9 @@
 //! stays the default everywhere; `Sharded` runs the K-lane barrier
 //! protocol serially (the equivalence arm: same code path as parallel,
 //! zero threads, byte-identical dumps by construction *checked* against
-//! `Single` by `tests/shard_equivalence.rs`); `Parallel` runs the same
-//! lanes on scoped threads (the performance arm, priced by E17).
+//! `Single` by `tests/shard_equivalence.rs`); `Parallel` hands the same
+//! lanes to persistent worker threads (the performance arm, priced by
+//! E17 and by `perf/`'s `lanes-metro` workload).
 /// How the event loop partitions and executes the node set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardKind {
@@ -32,10 +33,11 @@ pub enum ShardKind {
         /// Number of lanes (clamped to the node count at first run).
         shards: usize,
     },
-    /// The same K-lane barrier protocol with each window executed on
-    /// its own scoped thread. Falls back to serial window execution
-    /// when a frame tap or attestation master is installed (those hold
-    /// coordinator-side shared state).
+    /// The same K-lane barrier protocol with each window's lanes dealt
+    /// over the calling thread and `min(K, cores) − 1` worker threads,
+    /// spawned once and joined when the network drops. The calling
+    /// thread runs every window itself while a frame tap is installed
+    /// (the tap is the caller's closure and need not be `Send`).
     Parallel {
         /// Number of lanes (clamped to the node count at first run).
         shards: usize,
