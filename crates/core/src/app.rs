@@ -87,6 +87,22 @@ impl BulkResult {
     }
 }
 
+/// Byte `i` of a bulk stream is `i % BULK_PERIOD`.
+const BULK_PERIOD: usize = 251;
+/// The most [`BulkSender`] offers its socket in one `send_slice`.
+const BULK_CHUNK: usize = 8_192;
+/// One period plus one chunk of the stream, so the chunk at any stream
+/// position is a contiguous window of this table and is lent, not built.
+static BULK_PATTERN: [u8; BULK_PERIOD + BULK_CHUNK] = {
+    let mut table = [0u8; BULK_PERIOD + BULK_CHUNK];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = (i % BULK_PERIOD) as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Sends `total` bytes over one TCP connection, then closes.
 pub struct BulkSender {
     remote: Endpoint,
@@ -165,16 +181,14 @@ impl Application for BulkSender {
         // stream position, so any corruption downstream is content-
         // detectable as well as checksum-detectable. The chunk is sized
         // to the buffer's actual room: a full buffer costs an empty
-        // probe (which still surfaces reset/timeout errors), not an
-        // 8 kB pattern build that `send_slice` would refuse anyway.
+        // probe (which still surfaces reset/timeout errors).
         while self.written < self.total {
             let chunk = (self.total - self.written)
-                .min(8_192)
+                .min(BULK_CHUNK)
                 .min(socket.send_room());
-            let pattern: Vec<u8> = (self.written..self.written + chunk)
-                .map(|i| (i % 251) as u8)
-                .collect();
-            match socket.send_slice(&pattern) {
+            let phase = self.written % BULK_PERIOD;
+            let pattern = &BULK_PATTERN[phase..phase + chunk];
+            match socket.send_slice(pattern) {
                 Ok(0) => break,
                 Ok(n) => {
                     if let Some(integrity) = &self.integrity {
@@ -182,7 +196,6 @@ impl Application for BulkSender {
                     }
                     self.written += n;
                 }
-                Err(TcpError::InvalidState) if socket.state() == TcpState::SynSent => break,
                 Err(_) => {
                     self.result.lock().unwrap().aborted = true;
                     self.done = true;

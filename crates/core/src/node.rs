@@ -20,7 +20,7 @@ use crate::flow::{FlowId, FlowTable};
 use crate::iface::{Framing, Iface};
 use crate::pool::{PacketBuf, PacketPool, HEADROOM};
 use crate::socket::UdpSocket;
-use catenet_ip::{fragment, icmp, FragError, Reassembler, RoutingTable};
+use catenet_ip::{fragment_with, icmp, FragError, Reassembler, RoutingTable};
 use catenet_routing::{DvEngine, ExportPolicy, RipMessage, RIP_PORT};
 use catenet_sim::{Duration, Instant};
 use catenet_tcp::{Endpoint, Socket as TcpSocket, SocketConfig as TcpConfig, State as TcpState};
@@ -538,17 +538,16 @@ impl Node {
             self.frame_and_push(now, iface, next_hop, datagram);
             return;
         }
-        match fragment(&datagram, mtu) {
-            Ok(pieces) => {
-                self.stats.frags_created += pieces.len() as u64;
-                for piece in pieces {
-                    // Fragment buffers are fresh exact-size allocations
-                    // (a residual copy site — see ROADMAP); adopt them so
-                    // the link-header prepend is at least counted.
-                    let piece = self.pool.adopt(PacketBuf::from_vec(piece));
-                    self.frame_and_push(now, iface, next_hop, piece);
-                }
-            }
+        // Each fragment is born in a pooled buffer with headroom, so the
+        // link header downstream prepends in place like any datagram's.
+        let split = fragment_with(&datagram, mtu, |piece| {
+            let mut buf = self.pool.alloc(HEADROOM, piece.len());
+            piece.emit(&mut buf);
+            self.stats.frags_created += 1;
+            self.frame_and_push(now, iface, next_hop, buf);
+        });
+        match split {
+            Ok(()) => {}
             Err(FragError::DontFragment) => {
                 self.stats.dropped_df += 1;
                 self.send_icmp_error(
@@ -1166,26 +1165,30 @@ impl Node {
                 payload_len: 0,
             },
         };
-        let mut buf = self.build_tcp_segment(&rst, &[], dst, src);
+        let mut buf = Self::build_tcp_segment(&self.pool, &rst, (&[], &[]), dst, src);
         self.prepend_ip(&mut buf, dst, src, IpProtocol::Tcp, Tos::default());
         self.route_and_send(now, buf);
     }
 
     /// A pooled buffer holding the emitted TCP segment, headroom in
-    /// front for the IP header. The one copy here — socket payload into
-    /// the wire buffer — is the transfer of ownership from socket land
-    /// to packet land; everything downstream prepends in place.
+    /// front for the IP header. `payload` is the socket's transmit ring
+    /// as it lends it (two slices when the range wraps). The one copy
+    /// here — ring into wire buffer — is the transfer of ownership from
+    /// socket land to packet land; everything downstream prepends in
+    /// place.
     fn build_tcp_segment(
-        &mut self,
+        pool: &PacketPool,
         repr: &TcpRepr,
-        payload: &[u8],
+        payload: (&[u8], &[u8]),
         src: Ipv4Address,
         dst: Ipv4Address,
     ) -> PacketBuf {
-        let mut buf = self.payload_buf(repr.buffer_len());
+        let mut buf = pool.alloc(HEADROOM, repr.buffer_len());
         let mut packet = TcpPacket::new_unchecked(&mut buf[..]);
         repr.emit(&mut packet);
-        packet.payload_mut().copy_from_slice(payload);
+        let (head, tail) = packet.payload_mut().split_at_mut(payload.0.len());
+        head.copy_from_slice(payload.0);
+        tail.copy_from_slice(payload.1);
         packet.fill_checksum(src, dst);
         buf
     }
@@ -1301,11 +1304,12 @@ impl Node {
 
     fn service_tcp(&mut self, now: Instant) {
         for index in 0..self.tcp_sockets.len() {
-            while let Some((repr, payload)) = self.tcp_sockets[index].dispatch(now) {
-                let local = self.tcp_sockets[index].local();
-                let remote = self.tcp_sockets[index].remote();
-                let mut buf = self.build_tcp_segment(&repr, &payload, local.addr, remote.addr);
-                self.prepend_ip(&mut buf, local.addr, remote.addr, IpProtocol::Tcp, Tos::default());
+            let socket = &self.tcp_sockets[index];
+            let (src, dst) = (socket.local().addr, socket.remote().addr);
+            while let Some(mut buf) = self.tcp_sockets[index].dispatch_with(now, |repr, head, tail| {
+                Self::build_tcp_segment(&self.pool, repr, (head, tail), src, dst)
+            }) {
+                self.prepend_ip(&mut buf, src, dst, IpProtocol::Tcp, Tos::default());
                 self.route_and_send(now, buf);
             }
         }
@@ -1623,9 +1627,10 @@ mod tests {
             payload_crc: None,
             payload_len: 0,
         };
-        let segment = node.build_tcp_segment(
+        let segment = Node::build_tcp_segment(
+            &node.pool,
             &syn,
-            &[],
+            (&[], &[]),
             Ipv4Address::new(10, 0, 0, 2),
             Ipv4Address::new(10, 0, 0, 1),
         );

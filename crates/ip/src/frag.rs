@@ -13,7 +13,7 @@
 
 use catenet_sim::{Duration, Instant};
 use catenet_wire::{Ipv4Flags, Ipv4FragKey, Ipv4Packet, IPV4_HEADER_LEN};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Errors from fragmentation or reassembly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +59,60 @@ pub fn fragment(datagram: &[u8], mtu: usize) -> Result<Vec<Vec<u8>>, FragError> 
     if datagram.len() <= mtu {
         return Ok(vec![datagram.to_vec()]);
     }
+    let mut fragments = Vec::new();
+    fragment_with(datagram, mtu, |piece| {
+        let mut buffer = vec![0u8; piece.len()];
+        piece.emit(&mut buffer);
+        fragments.push(buffer);
+    })?;
+    Ok(fragments)
+}
+
+/// One fragment of a datagram being split: what [`fragment_with`] hands
+/// its caller, who supplies the memory it is emitted into.
+#[derive(Debug, Clone, Copy)]
+pub struct Piece<'a> {
+    header: &'a [u8],
+    chunk: &'a [u8],
+    offset: u16,
+    more_frags: bool,
+}
+
+impl Piece<'_> {
+    /// Length of the fragment: header plus its slice of the payload.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        IPV4_HEADER_LEN + self.chunk.len()
+    }
+
+    /// Write the fragment — header, fragmentation fields, checksum,
+    /// payload — into `buffer`, which must be exactly [`len`](Piece::len)
+    /// bytes.
+    pub fn emit(&self, buffer: &mut [u8]) {
+        buffer[..IPV4_HEADER_LEN].copy_from_slice(self.header);
+        let mut frag = Ipv4Packet::new_unchecked(buffer);
+        frag.set_version_and_header_len(); // normalize: we copied 20 bytes only
+        frag.set_total_len(self.len() as u16);
+        frag.set_flags_and_frag_offset(
+            Ipv4Flags {
+                dont_frag: false,
+                more_frags: self.more_frags,
+            },
+            self.offset,
+        );
+        frag.rest_mut().copy_from_slice(self.chunk);
+        frag.fill_checksum();
+    }
+}
+
+/// The split itself: call `each` with every [`Piece`] of a `datagram`
+/// that does not fit `mtu`, in offset order. [`fragment`] emits them into
+/// vectors; a node emits them into pooled buffers with headroom.
+pub fn fragment_with(
+    datagram: &[u8],
+    mtu: usize,
+    mut each: impl FnMut(Piece<'_>),
+) -> Result<(), FragError> {
     let packet = Ipv4Packet::new_checked(datagram).map_err(|_| FragError::Malformed)?;
     if packet.flags().dont_frag {
         return Err(FragError::DontFragment);
@@ -72,39 +126,32 @@ pub fn fragment(datagram: &[u8], mtu: usize) -> Result<Vec<Vec<u8>>, FragError> 
     let payload = packet.payload();
     let base_offset = packet.frag_offset(); // refragmenting a fragment is legal
     let original_more = packet.flags().more_frags;
-    let mut fragments = Vec::new();
     let mut offset = 0usize;
     while offset < payload.len() {
         let end = (offset + slice).min(payload.len());
-        let chunk = &payload[offset..end];
-        let is_last_piece = end == payload.len();
-        let mut buffer = vec![0u8; IPV4_HEADER_LEN + chunk.len()];
-        buffer[..IPV4_HEADER_LEN].copy_from_slice(&datagram[..IPV4_HEADER_LEN]);
-        let mut frag = Ipv4Packet::new_unchecked(&mut buffer[..]);
-        frag.set_version_and_header_len(); // normalize: we copied 20 bytes only
-        frag.set_total_len((IPV4_HEADER_LEN + chunk.len()) as u16);
-        frag.set_flags_and_frag_offset(
-            Ipv4Flags {
-                dont_frag: false,
-                more_frags: !is_last_piece || original_more,
-            },
-            base_offset + offset as u16,
-        );
-        frag.rest_mut().copy_from_slice(chunk);
-        frag.fill_checksum();
-        fragments.push(buffer);
+        each(Piece {
+            header: &datagram[..IPV4_HEADER_LEN],
+            chunk: &payload[offset..end],
+            offset: base_offset + offset as u16,
+            more_frags: end < payload.len() || original_more,
+        });
         offset = end;
     }
-    Ok(fragments)
+    Ok(())
 }
 
 #[derive(Debug)]
 struct Partial {
-    /// Header copied from the offset-zero fragment (once seen).
-    header: Option<[u8; IPV4_HEADER_LEN]>,
-    /// Reassembly buffer for the upper-layer payload.
+    /// Whether the offset-zero fragment's header is in `data[..20]`.
+    has_header: bool,
+    /// The datagram being rebuilt: room for the header, then the
+    /// upper-layer payload as far as it has been seen.
     data: Vec<u8>,
-    /// Received byte ranges of the payload, kept sorted and coalesced.
+    /// Payload bytes held contiguously from offset zero: all there is to
+    /// track while fragments arrive in order.
+    prefix: usize,
+    /// Byte ranges held beyond the prefix: sorted, coalesced, none
+    /// touching it.
     ranges: Vec<(usize, usize)>,
     /// Total payload length, known once the MF=0 fragment arrives.
     total_len: Option<usize>,
@@ -113,48 +160,76 @@ struct Partial {
 }
 
 impl Partial {
-    fn new(deadline: Instant) -> Partial {
+    /// A reassembly with room reserved for `reserve` payload bytes
+    /// behind the header.
+    fn new(deadline: Instant, reserve: usize) -> Partial {
+        let mut data = Vec::with_capacity(IPV4_HEADER_LEN + reserve);
+        data.resize(IPV4_HEADER_LEN, 0);
         Partial {
-            header: None,
-            data: Vec::new(),
+            has_header: false,
+            data,
+            prefix: 0,
             ranges: Vec::new(),
             total_len: None,
             deadline,
         }
     }
 
-    fn insert(&mut self, start: usize, bytes: &[u8]) -> Result<(), FragError> {
+    /// Take in one fragment (checked by the caller); `Ok(true)` once the
+    /// datagram is whole.
+    fn accept(&mut self, fragment: &[u8]) -> Result<bool, FragError> {
+        let packet = Ipv4Packet::new_unchecked(fragment);
+        let start = usize::from(packet.frag_offset());
+        let bytes = packet.payload();
         let end = start + bytes.len();
-        if self.data.len() < end {
-            self.data.resize(end, 0);
+        if start == 0 {
+            self.data[..IPV4_HEADER_LEN].copy_from_slice(&fragment[..IPV4_HEADER_LEN]);
+            self.has_header = true;
         }
-        // Verify consistency with already-received overlapping ranges.
-        for &(r0, r1) in &self.ranges {
-            let lo = start.max(r0);
-            let hi = end.min(r1);
-            if lo < hi && self.data[lo..hi] != bytes[lo - start..hi - start] {
-                return Err(FragError::InconsistentOverlap);
-            }
+        if !packet.flags().more_frags {
+            self.total_len = Some(end);
         }
-        self.data[start..end].copy_from_slice(bytes);
-        self.ranges.push((start, end));
-        self.ranges.sort_unstable();
-        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(self.ranges.len());
-        for &(s, e) in &self.ranges {
-            match merged.last_mut() {
-                Some((_, last_end)) if s <= *last_end => *last_end = (*last_end).max(e),
-                _ => merged.push((s, e)),
-            }
+        if self.data.len() < IPV4_HEADER_LEN + end {
+            self.data.resize(IPV4_HEADER_LEN + end, 0);
         }
-        self.ranges = merged;
-        Ok(())
+        // What is already held of the newcomer's bytes must agree with
+        // it; the ranges it touches or overlaps merge with it in place.
+        let payload = &self.data[IPV4_HEADER_LEN..];
+        let agrees = |&(r0, r1): &(usize, usize)| {
+            let (a, b) = (start.max(r0), end.min(r1));
+            a >= b || payload[a..b] == bytes[a - start..b - start]
+        };
+        let lo = self.ranges.partition_point(|&(_, r1)| r1 < start);
+        let hi = self.ranges.partition_point(|&(r0, _)| r0 <= end);
+        let touched = &self.ranges[lo..hi];
+        if !agrees(&(0, self.prefix)) || !touched.iter().all(agrees) {
+            return Err(FragError::InconsistentOverlap);
+        }
+        let merged = touched
+            .iter()
+            .fold((start, end), |(m0, m1), &(r0, r1)| (m0.min(r0), m1.max(r1)));
+        self.data[IPV4_HEADER_LEN + start..IPV4_HEADER_LEN + end].copy_from_slice(bytes);
+        if start <= self.prefix {
+            self.prefix = self.prefix.max(merged.1);
+            self.ranges.drain(lo..hi);
+        } else {
+            self.ranges.splice(lo..hi, [merged]);
+        }
+        Ok(self.has_header
+            && self.ranges.is_empty()
+            && self.total_len.is_some_and(|total| self.prefix >= total))
     }
 
-    fn is_complete(&self) -> bool {
-        match (self.total_len, self.header.as_ref(), self.ranges.first()) {
-            (Some(total), Some(_), Some(&(0, end))) => end >= total && self.ranges.len() == 1,
-            _ => false,
-        }
+    /// The whole datagram: the header written into the room kept for it,
+    /// fragmentation fields cleared — the reassembly buffer itself.
+    fn finish(mut self) -> Vec<u8> {
+        let total = self.total_len.expect("complete implies total");
+        self.data.truncate(IPV4_HEADER_LEN + total);
+        let mut whole = Ipv4Packet::new_unchecked(&mut self.data[..]);
+        whole.set_total_len((IPV4_HEADER_LEN + total) as u16);
+        whole.set_flags_and_frag_offset(Ipv4Flags::default(), 0);
+        whole.fill_checksum();
+        self.data
     }
 }
 
@@ -165,6 +240,8 @@ pub struct Reassembler {
     timeout: Duration,
     max_datagram: usize,
     max_concurrent: usize,
+    /// Payload length of the datagram completed last.
+    last_total: usize,
     /// Datagrams successfully reassembled.
     pub completed: u64,
     /// Reassemblies abandoned on timeout.
@@ -192,6 +269,7 @@ impl Reassembler {
             timeout,
             max_datagram,
             max_concurrent,
+            last_total: 0,
             completed: 0,
             timed_out: 0,
             evicted: 0,
@@ -211,9 +289,7 @@ impl Reassembler {
         debug_assert!(packet.is_fragment(), "non-fragment fed to reassembler");
 
         let key = packet.key();
-        let offset = usize::from(packet.frag_offset());
-        let payload = packet.payload();
-        let end = offset + payload.len();
+        let end = usize::from(packet.frag_offset()) + packet.payload().len();
         if end > self.max_datagram {
             self.partials.remove(&key);
             return Err(FragError::TooLarge);
@@ -224,7 +300,7 @@ impl Reassembler {
         // flood the newest traffic — most likely to still complete —
         // keeps working, and the stale half-datagrams that were probably
         // never finishing are the ones that pay.
-        if !self.partials.contains_key(&key) && self.partials.len() >= self.max_concurrent {
+        if self.partials.len() >= self.max_concurrent && !self.partials.contains_key(&key) {
             if let Some(victim) = self
                 .partials
                 .iter()
@@ -236,41 +312,33 @@ impl Reassembler {
             }
         }
 
-        let deadline = now + self.timeout;
-        let partial = self
-            .partials
-            .entry(key)
-            .or_insert_with(|| Partial::new(deadline));
-
-        if offset == 0 {
-            let mut header = [0u8; IPV4_HEADER_LEN];
-            header.copy_from_slice(&fragment[..IPV4_HEADER_LEN]);
-            partial.header = Some(header);
-        }
-        if !packet.flags().more_frags {
-            partial.total_len = Some(end);
-        }
-        if let Err(e) = partial.insert(offset, payload) {
-            self.partials.remove(&key);
-            return Err(e);
-        }
-
-        if !self.partials[&key].is_complete() {
-            return Ok(None);
-        }
-
-        let partial = self.partials.remove(&key).expect("present");
-        let total = partial.total_len.expect("complete implies total");
-        let header = partial.header.expect("complete implies header");
-        let mut buffer = vec![0u8; IPV4_HEADER_LEN + total];
-        buffer[..IPV4_HEADER_LEN].copy_from_slice(&header);
-        buffer[IPV4_HEADER_LEN..].copy_from_slice(&partial.data[..total]);
-        let mut whole = Ipv4Packet::new_unchecked(&mut buffer[..]);
-        whole.set_total_len((IPV4_HEADER_LEN + total) as u16);
-        whole.set_flags_and_frag_offset(Ipv4Flags::default(), 0);
-        whole.fill_checksum();
+        // One lookup: the entry is fed in place, and leaves through the
+        // same handle when the fragment completes or condemns it.
+        let whole = match self.partials.entry(key) {
+            Entry::Occupied(mut slot) => match slot.get_mut().accept(fragment) {
+                Ok(false) => return Ok(None),
+                Ok(true) => slot.remove().finish(),
+                Err(e) => {
+                    slot.remove();
+                    return Err(e);
+                }
+            },
+            Entry::Vacant(slot) => {
+                // A flow's datagrams are mostly one size: reserving what
+                // the last one took, once, spares the buffer from growing
+                // as the later fragments arrive.
+                let reserve = self.last_total.max(end).min(self.max_datagram);
+                let mut partial = Partial::new(now + self.timeout, reserve);
+                if !partial.accept(fragment)? {
+                    slot.insert(partial);
+                    return Ok(None);
+                }
+                partial.finish()
+            }
+        };
         self.completed += 1;
-        Ok(Some(buffer))
+        self.last_total = whole.len() - IPV4_HEADER_LEN;
+        Ok(Some(whole))
     }
 
     /// Abandon reassemblies whose deadline has passed. Returns the keys of
@@ -280,7 +348,7 @@ impl Reassembler {
         let mut expired = Vec::new();
         self.partials.retain(|key, partial| {
             if partial.deadline <= now {
-                expired.push((*key, partial.header.is_some()));
+                expired.push((*key, partial.has_header));
                 false
             } else {
                 true
@@ -629,5 +697,262 @@ mod tests {
         let dgram = datagram(4000, 2, false);
         let frags = fragment(&dgram, 576).unwrap();
         assert_eq!(frags.len(), 4000usize.div_ceil(552));
+    }
+
+    #[test]
+    fn reassembly_matches_the_reference() {
+        use catenet_sim::Rng;
+        let mut pushes = 0;
+        let mut verdicts = [0u32; 4]; // whole, hole, InconsistentOverlap, TooLarge
+        let mut counted = [0u64; 2]; // evicted, timed out
+        for case in 0..400u64 {
+            let mut rng = Rng::from_seed(0xf4a6 ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            // A few datagrams in flight at once, each split twice over at
+            // different MTUs so pieces of the two splits overlap; some
+            // pieces re-split, duplicated, or altered after the fact.
+            let mut wire: Vec<Vec<u8>> = Vec::new();
+            for ident in 0..rng.range(1, 6) as u16 {
+                let dgram = datagram(rng.range(30, 3_000) as usize, ident, false);
+                for _ in 0..rng.range(1, 3) {
+                    let mtu = [68, 296, 576, 1006, 1500][rng.below(5) as usize];
+                    for piece in fragment(&dgram, mtu).unwrap() {
+                        match rng.below(10) {
+                            0 => {} // lost
+                            1 => wire.extend(fragment(&piece, 68).unwrap()),
+                            2 => {
+                                let mut evil = piece.clone();
+                                let at = rng.range(IPV4_HEADER_LEN as u64, evil.len() as u64);
+                                evil[at as usize] ^= 0x40;
+                                Ipv4Packet::new_unchecked(&mut evil[..]).fill_checksum();
+                                wire.push(piece);
+                                wire.push(evil);
+                            }
+                            3 => wire.extend([piece.clone(), piece]),
+                            _ => wire.push(piece),
+                        }
+                    }
+                }
+            }
+            // (A datagram that fit its MTU came through whole.)
+            wire.retain(|piece| Ipv4Packet::new_unchecked(&piece[..]).is_fragment());
+            for i in (1..wire.len()).rev() {
+                wire.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+
+            let timeout = Duration::from_secs(15);
+            let max_datagram = [65_535, 2_048, 700][rng.below(3) as usize];
+            let max_concurrent = rng.range(1, 5) as usize;
+            let mut ours = Reassembler::with_limits(timeout, max_datagram, max_concurrent);
+            let mut theirs = reference::Reassembler::with_limits(timeout, max_datagram, max_concurrent);
+            let mut now = Instant::ZERO;
+            for frag in &wire {
+                now += Duration::from_millis(rng.below(4_000));
+                if rng.chance(0.2) {
+                    assert_eq!(ours.expire(now), theirs.expire(now), "case {case}");
+                }
+                let got = ours.push(frag, now);
+                assert_eq!(got, theirs.push(frag, now), "case {case}");
+                pushes += 1;
+                verdicts[match got {
+                    Ok(Some(_)) => 0,
+                    Ok(None) => 1,
+                    Err(FragError::InconsistentOverlap) => 2,
+                    Err(FragError::TooLarge) => 3,
+                    Err(other) => panic!("case {case}: unexpected {other:?}"),
+                }] += 1;
+                assert_eq!(
+                    (ours.completed, ours.evicted, ours.timed_out, ours.in_progress()),
+                    (theirs.completed, theirs.evicted, theirs.timed_out, theirs.in_progress()),
+                    "case {case}"
+                );
+            }
+            let end = now + Duration::from_secs(60);
+            assert_eq!(ours.expire(end), theirs.expire(end), "case {case}");
+            assert_eq!(ours.timed_out, theirs.timed_out, "case {case}");
+            counted[0] += ours.evicted;
+            counted[1] += ours.timed_out;
+        }
+        // The cases reach every verdict and count the two must agree on.
+        assert!(verdicts.iter().all(|&n| n > 20), "{verdicts:?} of {pushes}");
+        assert!(counted.iter().all(|&n| n > 20), "{counted:?}");
+    }
+
+    /// The reassembler as it stood before it learned to rebuild the
+    /// datagram in place — separate header and payload buffers, ranges
+    /// re-sorted per fragment, a fresh vector at completion — kept as
+    /// the oracle for `reassembly_matches_the_reference`.
+    mod reference {
+        use super::super::*;
+
+        #[derive(Debug)]
+        struct Partial {
+            /// Header copied from the offset-zero fragment (once seen).
+            header: Option<[u8; IPV4_HEADER_LEN]>,
+            /// Reassembly buffer for the upper-layer payload.
+            data: Vec<u8>,
+            /// Received byte ranges of the payload, kept sorted and coalesced.
+            ranges: Vec<(usize, usize)>,
+            /// Total payload length, known once the MF=0 fragment arrives.
+            total_len: Option<usize>,
+            /// When this reassembly gives up.
+            deadline: Instant,
+        }
+
+        impl Partial {
+            fn new(deadline: Instant) -> Partial {
+                Partial {
+                    header: None,
+                    data: Vec::new(),
+                    ranges: Vec::new(),
+                    total_len: None,
+                    deadline,
+                }
+            }
+
+            fn insert(&mut self, start: usize, bytes: &[u8]) -> Result<(), FragError> {
+                let end = start + bytes.len();
+                if self.data.len() < end {
+                    self.data.resize(end, 0);
+                }
+                // Verify consistency with already-received overlapping ranges.
+                for &(r0, r1) in &self.ranges {
+                    let lo = start.max(r0);
+                    let hi = end.min(r1);
+                    if lo < hi && self.data[lo..hi] != bytes[lo - start..hi - start] {
+                        return Err(FragError::InconsistentOverlap);
+                    }
+                }
+                self.data[start..end].copy_from_slice(bytes);
+                self.ranges.push((start, end));
+                self.ranges.sort_unstable();
+                let mut merged: Vec<(usize, usize)> = Vec::with_capacity(self.ranges.len());
+                for &(s, e) in &self.ranges {
+                    match merged.last_mut() {
+                        Some((_, last_end)) if s <= *last_end => *last_end = (*last_end).max(e),
+                        _ => merged.push((s, e)),
+                    }
+                }
+                self.ranges = merged;
+                Ok(())
+            }
+
+            fn is_complete(&self) -> bool {
+                match (self.total_len, self.header.as_ref(), self.ranges.first()) {
+                    (Some(total), Some(_), Some(&(0, end))) => end >= total && self.ranges.len() == 1,
+                    _ => false,
+                }
+            }
+        }
+
+        #[derive(Debug)]
+        pub struct Reassembler {
+            partials: HashMap<Ipv4FragKey, Partial>,
+            timeout: Duration,
+            max_datagram: usize,
+            max_concurrent: usize,
+            pub completed: u64,
+            pub timed_out: u64,
+            pub evicted: u64,
+        }
+
+        impl Reassembler {
+            pub fn with_limits(timeout: Duration, max_datagram: usize, max_concurrent: usize) -> Reassembler {
+                Reassembler {
+                    partials: HashMap::new(),
+                    timeout,
+                    max_datagram,
+                    max_concurrent,
+                    completed: 0,
+                    timed_out: 0,
+                    evicted: 0,
+                }
+            }
+
+            pub fn in_progress(&self) -> usize {
+                self.partials.len()
+            }
+
+            pub fn push(&mut self, fragment: &[u8], now: Instant) -> Result<Option<Vec<u8>>, FragError> {
+                let packet = Ipv4Packet::new_checked(fragment).map_err(|_| FragError::Malformed)?;
+                debug_assert!(packet.is_fragment(), "non-fragment fed to reassembler");
+
+                let key = packet.key();
+                let offset = usize::from(packet.frag_offset());
+                let payload = packet.payload();
+                let end = offset + payload.len();
+                if end > self.max_datagram {
+                    self.partials.remove(&key);
+                    return Err(FragError::TooLarge);
+                }
+                // Bounded buffer: a new reassembly arriving at capacity evicts
+                // the *oldest* partial (earliest deadline; deterministic key
+                // order breaks ties). Graceful degradation: under a fragment
+                // flood the newest traffic — most likely to still complete —
+                // keeps working, and the stale half-datagrams that were probably
+                // never finishing are the ones that pay.
+                if !self.partials.contains_key(&key) && self.partials.len() >= self.max_concurrent {
+                    if let Some(victim) = self
+                        .partials
+                        .iter()
+                        .min_by_key(|(k, p)| (p.deadline, k.src_addr, k.dst_addr, k.ident))
+                        .map(|(k, _)| *k)
+                    {
+                        self.partials.remove(&victim);
+                        self.evicted += 1;
+                    }
+                }
+
+                let deadline = now + self.timeout;
+                let partial = self
+                    .partials
+                    .entry(key)
+                    .or_insert_with(|| Partial::new(deadline));
+
+                if offset == 0 {
+                    let mut header = [0u8; IPV4_HEADER_LEN];
+                    header.copy_from_slice(&fragment[..IPV4_HEADER_LEN]);
+                    partial.header = Some(header);
+                }
+                if !packet.flags().more_frags {
+                    partial.total_len = Some(end);
+                }
+                if let Err(e) = partial.insert(offset, payload) {
+                    self.partials.remove(&key);
+                    return Err(e);
+                }
+
+                if !self.partials[&key].is_complete() {
+                    return Ok(None);
+                }
+
+                let partial = self.partials.remove(&key).expect("present");
+                let total = partial.total_len.expect("complete implies total");
+                let header = partial.header.expect("complete implies header");
+                let mut buffer = vec![0u8; IPV4_HEADER_LEN + total];
+                buffer[..IPV4_HEADER_LEN].copy_from_slice(&header);
+                buffer[IPV4_HEADER_LEN..].copy_from_slice(&partial.data[..total]);
+                let mut whole = Ipv4Packet::new_unchecked(&mut buffer[..]);
+                whole.set_total_len((IPV4_HEADER_LEN + total) as u16);
+                whole.set_flags_and_frag_offset(Ipv4Flags::default(), 0);
+                whole.fill_checksum();
+                self.completed += 1;
+                Ok(Some(buffer))
+            }
+
+            pub fn expire(&mut self, now: Instant) -> Vec<(Ipv4FragKey, bool)> {
+                let mut expired = Vec::new();
+                self.partials.retain(|key, partial| {
+                    if partial.deadline <= now {
+                        expired.push((*key, partial.header.is_some()));
+                        false
+                    } else {
+                        true
+                    }
+                });
+                self.timed_out += expired.len() as u64;
+                expired.sort_by_key(|(key, _)| (key.src_addr, key.dst_addr, key.ident));
+                expired
+            }
+        }
     }
 }

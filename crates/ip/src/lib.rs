@@ -23,5 +23,5 @@ pub mod icmp;
 pub mod table;
 
 pub use builder::build_ipv4;
-pub use frag::{fragment, FragError, Reassembler};
+pub use frag::{fragment, fragment_with, FragError, Piece, Reassembler};
 pub use table::RoutingTable;

@@ -2,17 +2,21 @@
 //!
 //! The internet layer may reorder datagrams freely (another "minimal
 //! assumptions" consequence), so TCP receivers hold early segments until
-//! the gap before them fills. This buffer stores byte ranges keyed by
-//! their offset from the current `rcv_nxt` and releases the contiguous
-//! prefix as it forms.
+//! the gap before them fills. Callers name byte ranges by their offset
+//! from the current `rcv_nxt`; the buffer keys them by absolute stream
+//! position against a moving base, so the in-order point advancing is a
+//! counter bump and never a re-keying of what is held.
 
 use std::collections::BTreeMap;
 
 /// A bounded buffer of out-of-order byte ranges.
 #[derive(Debug, Clone)]
 pub struct OutOfOrderBuffer {
-    /// Segments keyed by offset from the current in-order point.
-    segments: BTreeMap<usize, Vec<u8>>,
+    /// Disjoint segments keyed by absolute stream position, all of them
+    /// ending past `base`.
+    segments: BTreeMap<u64, Vec<u8>>,
+    /// Stream position of the in-order point (offset zero to callers).
+    base: u64,
     /// Total bytes buffered (bounded by the receive window, enforced by
     /// the caller; this cap is a hard backstop).
     buffered: usize,
@@ -24,6 +28,7 @@ impl OutOfOrderBuffer {
     pub fn new(capacity: usize) -> OutOfOrderBuffer {
         OutOfOrderBuffer {
             segments: BTreeMap::new(),
+            base: 0,
             buffered: 0,
             capacity,
         }
@@ -49,91 +54,78 @@ impl OutOfOrderBuffer {
             return;
         }
         // Trim against an existing segment that covers our start.
-        let mut start = offset;
+        let mut start = self.base + offset as u64;
         let mut slice = data;
-        if let Some((&seg_off, seg)) = self.segments.range(..=offset).next_back() {
-            let seg_end = seg_off + seg.len();
-            if seg_end >= offset + data.len() {
+        if let Some((&seg_start, seg)) = self.segments.range(..=start).next_back() {
+            let seg_end = seg_start + seg.len() as u64;
+            if seg_end >= start + data.len() as u64 {
                 return; // fully covered
             }
-            if seg_end > offset {
-                let skip = seg_end - offset;
+            if seg_end > start {
+                slice = &data[(seg_end - start) as usize..];
                 start = seg_end;
-                slice = &data[skip..];
             }
         }
-        // Trim against segments that start inside our range.
-        let mut remaining: Vec<(usize, Vec<u8>)> = Vec::new();
-        let end = start + slice.len();
+        // Keep the pieces that fall between segments starting inside our
+        // range.
+        let end = start + slice.len() as u64;
+        let mut pieces: Vec<(u64, u64)> = Vec::new();
         let mut cursor = start;
-        let covered: Vec<(usize, usize)> = self
-            .segments
-            .range(start..end)
-            .map(|(&o, s)| (o, o + s.len()))
-            .collect();
-        for (seg_start, seg_end) in covered {
+        for (&seg_start, seg) in self.segments.range(start..end) {
             if seg_start > cursor {
-                remaining.push((cursor, slice[cursor - start..seg_start - start].to_vec()));
+                pieces.push((cursor, seg_start));
             }
-            cursor = cursor.max(seg_end);
+            cursor = cursor.max(seg_start + seg.len() as u64);
         }
         if cursor < end {
-            remaining.push((cursor, slice[cursor - start..].to_vec()));
+            pieces.push((cursor, end));
         }
-        for (piece_start, piece) in remaining {
+        for (piece_start, piece_end) in pieces {
+            let piece = &slice[(piece_start - start) as usize..(piece_end - start) as usize];
             if self.buffered + piece.len() > self.capacity {
                 break; // backstop: drop; the sender retransmits
             }
             self.buffered += piece.len();
-            self.segments.insert(piece_start, piece);
+            self.segments.insert(piece_start, piece.to_vec());
         }
     }
 
     /// Remove and return the contiguous run starting at offset zero, if
-    /// any. The caller advances `rcv_nxt` by the returned length and then
-    /// calls [`OutOfOrderBuffer::advance`]... no — this method performs
-    /// the advance itself: all remaining offsets are shifted down.
+    /// any, and move the in-order point past it: the caller advances
+    /// `rcv_nxt` by the returned length and need not call
+    /// [`OutOfOrderBuffer::advance`] for it.
     pub fn take_contiguous(&mut self) -> Vec<u8> {
         let mut out = Vec::new();
         while let Some(entry) = self.segments.first_entry() {
-            if *entry.key() == out.len() {
-                let data = entry.remove();
-                self.buffered -= data.len();
-                out.extend_from_slice(&data);
-            } else {
+            if *entry.key() != self.base {
                 break;
             }
-        }
-        if !out.is_empty() && !self.segments.is_empty() {
-            let shift = out.len();
-            let old = core::mem::take(&mut self.segments);
-            for (offset, data) in old {
-                debug_assert!(offset >= shift);
-                self.segments.insert(offset - shift, data);
-            }
+            let data = entry.remove();
+            self.buffered -= data.len();
+            self.base += data.len() as u64;
+            out.extend_from_slice(&data);
         }
         out
     }
 
-    /// Shift all offsets down by `n` (used when in-order data arrived
-    /// directly, moving the in-order point past buffered ranges' origin).
-    /// Buffered bytes that fall before the new origin are discarded.
+    /// Move the in-order point `n` bytes on (in-order data arrived
+    /// directly). Buffered bytes that fall before the new origin are
+    /// discarded.
     pub fn advance(&mut self, n: usize) {
-        if n == 0 || self.segments.is_empty() {
-            return;
-        }
-        let old = core::mem::take(&mut self.segments);
-        self.buffered = 0;
-        for (offset, data) in old {
-            if offset >= n {
-                self.buffered += data.len();
-                self.segments.insert(offset - n, data);
-            } else if offset + data.len() > n {
-                let keep = data[n - offset..].to_vec();
-                self.buffered += keep.len();
-                self.segments.insert(0, keep);
+        self.base += n as u64;
+        while let Some(entry) = self.segments.first_entry() {
+            let stale = self.base.saturating_sub(*entry.key()) as usize;
+            if stale == 0 {
+                break;
             }
-            // else: entirely before the new origin; drop.
+            let data = entry.remove();
+            let kept = data.len().saturating_sub(stale);
+            self.buffered -= data.len() - kept;
+            if kept > 0 {
+                // Disjoint segments: nothing else can start at `base`.
+                self.segments.insert(self.base, data[stale..].to_vec());
+                break;
+            }
         }
     }
 

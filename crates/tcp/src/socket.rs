@@ -2,8 +2,8 @@
 //!
 //! Sans-IO design in the smoltcp idiom: the socket never touches the
 //! network. [`Socket::process`] consumes a parsed [`TcpRepr`] + payload,
-//! [`Socket::dispatch`] produces the next segment to transmit (call it
-//! until it returns `None`), and [`Socket::poll_at`] says when the next
+//! [`Socket::dispatch_with`] produces the next segment to transmit (call
+//! it until it returns `None`), and [`Socket::poll_at`] says when the next
 //! timer needs service. All conversation state — windows, buffers,
 //! timers, estimators — lives in this struct and nowhere else in the
 //! network: that is fate-sharing, the paper's answer to survivability.
@@ -501,9 +501,10 @@ impl Socket {
             return Ok(0);
         }
         let n = buf.len().min(self.rx_buffer.len());
-        for slot in buf[..n].iter_mut() {
-            *slot = self.rx_buffer.pop_front().expect("n bounded by len");
-        }
+        let (head, tail) = ring_slices(&self.rx_buffer, 0, n);
+        buf[..head.len()].copy_from_slice(head);
+        buf[head.len()..n].copy_from_slice(tail);
+        self.rx_buffer.drain(..n);
         Ok(n)
     }
 
@@ -629,10 +630,30 @@ impl Socket {
 
     // -------------------------------------------------------- dispatch
 
-    /// Produce the next segment to transmit, if any. Call repeatedly
-    /// until `None`. The returned payload length always equals
-    /// `repr.payload_len`.
+    /// Produce the next segment to transmit, if any, and hand it to
+    /// `emit` with its payload *lent*: the (at most two) slices of the
+    /// transmit ring that hold it, `repr.payload_len` bytes together.
+    /// Call repeatedly until `None`. The bytes change owner where `emit`
+    /// writes them — for a node, straight into the wire buffer.
+    pub fn dispatch_with<R>(
+        &mut self,
+        now: Instant,
+        emit: impl FnOnce(&TcpRepr, &[u8], &[u8]) -> R,
+    ) -> Option<R> {
+        let (repr, offset) = self.next_segment(now)?;
+        let (head, tail) = ring_slices(&self.tx_buffer, offset, repr.payload_len);
+        Some(emit(&repr, head, tail))
+    }
+
+    /// [`dispatch_with`](Socket::dispatch_with) for callers that want the
+    /// payload owned: the two slices concatenated into a fresh vector.
     pub fn dispatch(&mut self, now: Instant) -> Option<(TcpRepr, Vec<u8>)> {
+        self.dispatch_with(now, |repr, head, tail| (*repr, [head, tail].concat()))
+    }
+
+    /// The next segment as its header and where in `tx_buffer` its
+    /// `payload_len` bytes start.
+    fn next_segment(&mut self, now: Instant) -> Option<(TcpRepr, usize)> {
         self.service_timers(now);
 
         if self.rst_pending {
@@ -649,7 +670,7 @@ impl Socket {
                 payload_len: 0,
             };
             self.stats.segs_sent += 1;
-            return Some((repr, Vec::new()));
+            return Some((repr, 0));
         }
 
         match self.state {
@@ -680,7 +701,7 @@ impl Socket {
         }
     }
 
-    fn make_syn(&mut self, now: Instant, is_syn_ack: bool) -> (TcpRepr, Vec<u8>) {
+    fn make_syn(&mut self, now: Instant, is_syn_ack: bool) -> (TcpRepr, usize) {
         let repr = TcpRepr {
             src_port: self.local.port,
             dst_port: self.remote.port,
@@ -702,10 +723,10 @@ impl Socket {
         self.retransmit_at = Some(now + self.rtt.rto());
         self.ack_pending = false;
         self.stats.segs_sent += 1;
-        (repr, Vec::new())
+        (repr, 0)
     }
 
-    fn make_ack(&mut self) -> (TcpRepr, Vec<u8>) {
+    fn make_ack(&mut self) -> (TcpRepr, usize) {
         self.ack_pending = false;
         self.delayed_ack_at = None;
         self.segs_since_ack = 0;
@@ -721,10 +742,10 @@ impl Socket {
             payload_len: 0,
         };
         self.stats.segs_sent += 1;
-        (repr, Vec::new())
+        (repr, 0)
     }
 
-    fn dispatch_synchronized(&mut self, now: Instant) -> Option<(TcpRepr, Vec<u8>)> {
+    fn dispatch_synchronized(&mut self, now: Instant) -> Option<(TcpRepr, usize)> {
         // 1. Data (or FIN) within the window.
         if let Some(seg) = self.make_data_segment(now) {
             return Some(seg);
@@ -745,7 +766,7 @@ impl Socket {
         None
     }
 
-    fn make_data_segment(&mut self, now: Instant) -> Option<(TcpRepr, Vec<u8>)> {
+    fn make_data_segment(&mut self, now: Instant) -> Option<(TcpRepr, usize)> {
         if self.snd_nxt < self.tx_base_seq {
             // Our SYN occupies the cursor position: handled by state
             // machine (SynSent/SynReceived), not here. For synchronized
@@ -775,32 +796,27 @@ impl Socket {
             return None;
         }
 
+        // `unsent` is what lies past `offset`, so the payload is exactly
+        // `tx_buffer[offset..offset + len]`.
         let len = unsent.min(window).min(self.effective_mss);
         let offset = (self.snd_nxt - self.tx_base_seq).max(0) as usize;
-        let payload: Vec<u8> = self
-            .tx_buffer
-            .iter()
-            .skip(offset)
-            .take(len)
-            .copied()
-            .collect();
 
         let fin_now = send_fin_here && offset + len == self.tx_buffer.len();
         // FIN needs window room only conceptually; RFC allows FIN even
         // with zero window. We allow it.
         let control = if fin_now {
             TcpControl::Fin
-        } else if payload.is_empty() {
+        } else if len == 0 {
             return None;
         } else {
             TcpControl::Psh
         };
 
         let seq = self.snd_nxt;
-        let seg_len = payload.len() + control.len();
+        let seg_len = len + control.len();
         let is_retransmit = seq < self.snd_max;
         if fin_now {
-            self.fin_seq = Some(seq + payload.len());
+            self.fin_seq = Some(seq + len);
         }
         self.snd_nxt = seq + seg_len;
         if self.snd_max < self.snd_nxt {
@@ -820,26 +836,30 @@ impl Socket {
             ack_number: Some(self.rcv_nxt),
             window_len: self.rcv_wnd() as u16,
             max_seg_size: None,
-            payload_crc: (self.config.payload_crc && !payload.is_empty())
-                .then(|| catenet_wire::crc32c(&payload)),
-            payload_len: payload.len(),
+            payload_crc: self.payload_crc(offset, len),
+            payload_len: len,
         };
         self.ack_pending = false;
         self.delayed_ack_at = None;
         self.segs_since_ack = 0;
         self.stats.segs_sent += 1;
-        self.stats.bytes_sent += payload.len() as u64;
-        Some((repr, payload))
+        self.stats.bytes_sent += len as u64;
+        Some((repr, offset))
     }
 
-    fn make_probe(&mut self, now: Instant) -> (TcpRepr, Vec<u8>) {
+    /// The CRC32C option for `tx_buffer[offset..offset + len]`, when the
+    /// socket carries one and the segment carries data.
+    fn payload_crc(&self, offset: usize, len: usize) -> Option<u32> {
+        (self.config.payload_crc && len > 0).then(|| {
+            let (head, tail) = ring_slices(&self.tx_buffer, offset, len);
+            catenet_wire::crc32c_parts(&[head, tail])
+        })
+    }
+
+    fn make_probe(&mut self, now: Instant) -> (TcpRepr, usize) {
         // Send one byte beyond the window to force a window update.
         let offset = (self.snd_nxt - self.tx_base_seq).max(0) as usize;
-        let payload: Vec<u8> = if offset < self.tx_buffer.len() {
-            vec![self.tx_buffer[offset]]
-        } else {
-            Vec::new()
-        };
+        let len = usize::from(offset < self.tx_buffer.len());
         let repr = TcpRepr {
             src_port: self.local.port,
             dst_port: self.remote.port,
@@ -848,23 +868,22 @@ impl Socket {
             ack_number: Some(self.rcv_nxt),
             window_len: self.rcv_wnd() as u16,
             max_seg_size: None,
-            payload_crc: (self.config.payload_crc && !payload.is_empty())
-                .then(|| catenet_wire::crc32c(&payload)),
-            payload_len: payload.len(),
+            payload_crc: self.payload_crc(offset, len),
+            payload_len: len,
         };
         // The probe byte occupies sequence space: if the receiver has
         // room after all, its ACK covers it and must be creditable.
-        self.snd_nxt = self.snd_nxt + payload.len();
+        self.snd_nxt = self.snd_nxt + len;
         if self.snd_max < self.snd_nxt {
             self.snd_max = self.snd_nxt;
         }
-        self.stats.bytes_sent += payload.len() as u64;
+        self.stats.bytes_sent += len as u64;
         // Back the probe timer off.
         self.rtt.on_retransmit();
         self.probe_at = Some(now + self.rtt.rto());
         self.stats.probes_sent += 1;
         self.stats.segs_sent += 1;
-        (repr, payload)
+        (repr, offset.min(self.tx_buffer.len()))
     }
 
     // --------------------------------------------------------- process
@@ -1133,9 +1152,7 @@ impl Socket {
                 let past_base = (ack - self.tx_base_seq).max(0) as usize;
                 past_base.min(self.tx_buffer.len())
             };
-            for _ in 0..buf_acked {
-                self.tx_buffer.pop_front();
-            }
+            self.tx_buffer.drain(..buf_acked);
             self.tx_base_seq = self.tx_base_seq + buf_acked;
             self.snd_una = ack;
             if self.snd_nxt < ack {
@@ -1244,6 +1261,18 @@ impl Socket {
                 Some(_now + self.config.delayed_ack.unwrap_or(Duration::ZERO));
         }
     }
+}
+
+/// `ring[offset..offset + len]` as the deque stores it: the part that
+/// lies in its front half, then the part in its back half. Either may
+/// be empty; both are not unless the range wraps.
+fn ring_slices(ring: &VecDeque<u8>, offset: usize, len: usize) -> (&[u8], &[u8]) {
+    let (front, back) = ring.as_slices();
+    let (split, end) = (front.len(), offset + len);
+    (
+        &front[offset.min(split)..end.min(split)],
+        &back[offset.saturating_sub(split)..end.saturating_sub(split)],
+    )
 }
 
 #[cfg(test)]

@@ -39,8 +39,14 @@ const TABLE: [u32; 256] = {
 /// Compute the CRC32C of `data` (initial value all-ones, final XOR
 /// all-ones, reflected — the standard iSCSI/SCTP convention).
 pub fn crc32c(data: &[u8]) -> u32 {
+    crc32c_parts(&[data])
+}
+
+/// The CRC32C of the concatenation of `parts`, without concatenating
+/// them (a payload lent as the two halves of a ring buffer).
+pub fn crc32c_parts(parts: &[&[u8]]) -> u32 {
     let mut crc = !0u32;
-    for &byte in data {
+    for &byte in parts.iter().copied().flatten() {
         crc = (crc >> 8) ^ TABLE[usize::from((crc as u8) ^ byte)];
     }
     !crc
@@ -61,6 +67,8 @@ mod tests {
         assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
         // Empty input: init XOR final = 0.
         assert_eq!(crc32c(b""), 0);
+        // Split anywhere, the parts hash as the whole.
+        assert_eq!(crc32c_parts(&[b"1234", b"", b"56789"]), 0xE306_9283);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod types;
 pub mod udp;
 
 pub use arp::{Operation as ArpOperation, Packet as ArpPacket, Repr as ArpRepr};
-pub use crc32c::crc32c;
+pub use crc32c::{crc32c, crc32c_parts};
 pub use ethernet::{EtherType, Frame as EthernetFrame, Repr as EthernetRepr};
 pub use icmpv4::{
     DstUnreachable, Message as Icmpv4Message, Packet as Icmpv4Packet, Repr as Icmpv4Repr,
