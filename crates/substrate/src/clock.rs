@@ -3,13 +3,18 @@
 //! The simulator *is* its own clock — virtual time advances exactly to
 //! the next scheduled event. A real substrate has no such luxury: time
 //! passes whether the process is ready or not, and "sleep until the
-//! next TCP retransmit timer" must become an actual OS sleep. [`Clock`]
-//! is that seam. [`WallClock`] is the production driver (monotonic OS
-//! time mapped to the architecture's microsecond [`Instant`]s);
-//! [`TestClock`] advances instantly so unit tests of the real backend's
-//! event loop never actually wait.
+//! next TCP retransmit timer" must become an actual OS wait — one that
+//! a frame arriving from the OS can cut short. [`Clock`] is that seam.
+//! [`WallClock`] is the production driver: monotonic OS time mapped to
+//! the architecture's microsecond [`Instant`]s, and a sleep that is
+//! `thread::park_timeout`, so whoever holds the sleeping thread's
+//! handle ends the sleep with `unpark` (the tunnels' reader threads
+//! do, see [`crate::real::Doorbell`]). There is no polling slice: an
+//! idle node sleeps to its next timer, however far away.
+//! [`TestClock`] advances instantly so unit tests of the real
+//! backend's event loop never actually wait.
 
-use catenet_sim::{Duration, Instant};
+use catenet_sim::Instant;
 
 /// A source of time plus the ability to wait for it to pass.
 ///
@@ -21,20 +26,24 @@ pub trait Clock: Send {
     /// Microseconds elapsed since this clock's epoch.
     fn now(&self) -> Instant;
 
-    /// Block until roughly `deadline`, or return early if woken. A
-    /// clock may sleep in shorter slices; callers must re-check
-    /// [`Clock::now`] and loop.
+    /// Block until roughly `deadline`, or return early if woken (a
+    /// waiting clock's sleep ends when the sleeping thread is
+    /// unparked). Callers must re-check [`Clock::now`] and loop.
     fn sleep_until(&mut self, deadline: Instant);
+
+    /// Whether [`Clock::sleep_until`] lets real time pass. Another
+    /// thread can hand work to a sleeper only then: a clock that jumps
+    /// to its deadline is seconds ahead while a datagram is still
+    /// between the kernel and that thread, so a substrate under such a
+    /// clock must do its own I/O, inline.
+    fn waits(&self) -> bool {
+        true
+    }
 }
 
 /// Monotonic wall-clock time, the real-I/O driver.
 pub struct WallClock {
     epoch: std::time::Instant,
-    /// Longest single sleep slice. Frames can arrive from the OS at
-    /// any moment, so the driver caps sleeps and re-polls its sockets;
-    /// 1 ms keeps REPL echo and tunnel ingress snappy while costing
-    /// ~no CPU (the process is asleep between slices).
-    pub max_slice: Duration,
 }
 
 impl WallClock {
@@ -42,7 +51,6 @@ impl WallClock {
     pub fn new() -> WallClock {
         WallClock {
             epoch: std::time::Instant::now(),
-            max_slice: Duration::from_millis(1),
         }
     }
 }
@@ -63,8 +71,11 @@ impl Clock for WallClock {
         if deadline <= now {
             return;
         }
-        let remaining = deadline.duration_since(now).min(self.max_slice);
-        std::thread::sleep(std::time::Duration::from_micros(remaining.total_micros()));
+        // An `unpark` that came before this call left a token, and the
+        // park returns at once: a waker never has to know whether the
+        // sleeper got here yet.
+        let remaining = deadline.duration_since(now).total_micros();
+        std::thread::park_timeout(std::time::Duration::from_micros(remaining));
     }
 }
 
@@ -99,29 +110,47 @@ impl Clock for TestClock {
             self.now = deadline;
         }
     }
+
+    fn waits(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catenet_sim::Duration;
 
     #[test]
     fn wall_clock_is_monotonic_and_advances() {
         let mut clock = WallClock::new();
         let a = clock.now();
-        clock.sleep_until(a + Duration::from_millis(2));
-        let b = clock.now();
-        assert!(b >= a + Duration::from_millis(1), "slept {a:?} -> {b:?}");
+        let deadline = a + Duration::from_millis(2);
+        // A park may return early (a stale token, a spurious wake):
+        // loop, as every caller must.
+        while clock.now() < deadline {
+            clock.sleep_until(deadline);
+        }
+        assert!(clock.now() >= deadline);
+        assert!(clock.waits());
     }
 
     #[test]
-    fn wall_clock_sleep_is_sliced() {
+    fn wall_clock_sleep_ends_at_an_unpark() {
+        let sleeper = std::thread::current();
+        let (asleep_tx, asleep_rx) = std::sync::mpsc::channel();
+        let waker = std::thread::spawn(move || {
+            asleep_rx.recv().expect("the sleeper announces itself");
+            sleeper.unpark();
+        });
         let mut clock = WallClock::new();
         let start = clock.now();
-        // A deadline far in the future must return after one slice,
-        // not block for an hour.
+        asleep_tx.send(()).expect("the waker is listening");
+        // Whether the unpark lands before or during the park, an hour's
+        // sleep is over in well under a second.
         clock.sleep_until(start + Duration::from_secs(3600));
         assert!(clock.now() < start + Duration::from_secs(1));
+        waker.join().expect("waker thread");
     }
 
     #[test]
@@ -131,5 +160,6 @@ mod tests {
         assert_eq!(clock.now(), Instant::from_secs(100));
         clock.sleep_until(Instant::from_secs(50)); // never goes back
         assert_eq!(clock.now(), Instant::from_secs(100));
+        assert!(!clock.waits());
     }
 }

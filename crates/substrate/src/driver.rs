@@ -3,8 +3,11 @@
 //!
 //! One thread reads stdin lines into a channel; the main thread owns
 //! the substrate and alternates short [`Substrate::run_for`] slices
-//! (which sleep-and-poll the tunnels) with draining the command
-//! channel. Stdout is line-oriented and machine-parseable — the
+//! (which sleep until a timer is due or a tunnel delivers a frame)
+//! with draining the command channel and printing what the file
+//! transfers have to report — the 5 ms slice is the operator's echo
+//! latency, not the network's: transfers move their bytes from inside
+//! the event loop. Stdout is line-oriented and machine-parseable — the
 //! loopback interop test drives two of these processes through pipes.
 
 use crate::config;
@@ -77,7 +80,7 @@ pub fn run(expect_role: NodeRole, args: &[String]) -> ExitCode {
     let mut repl = Repl::new();
     loop {
         sub.run_for(Duration::from_millis(5));
-        for line in repl.tick(&mut sub) {
+        for line in repl.tick() {
             println!("{line}");
         }
         loop {

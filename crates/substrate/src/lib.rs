@@ -20,9 +20,11 @@
 //! - The **real-I/O** backend ([`real::RealSubstrate`]) realizes links
 //!   as UDP tunnels between OS sockets — one socket pair per link,
 //!   frames carried verbatim in UDP payloads — and replaces virtual
-//!   time with a wall-clock timer driver. No root privileges or TUN
-//!   device are needed, so it runs in CI; determinism is explicitly
-//!   *not* promised on this arm (the OS schedules delivery).
+//!   time with a wall-clock timer driver whose sleep a frame arriving
+//!   from the OS cuts short (one reader thread per tunnel, no polling
+//!   slice). No root privileges or TUN device are needed, so it runs
+//!   in CI; determinism is explicitly *not* promised on this arm (the
+//!   OS schedules delivery).
 //!
 //! On top of the real backend, the `vhost` and `vrouter` binaries give
 //! each OS process one node and an operator REPL, so two processes can
@@ -33,15 +35,15 @@
 //!
 //! A third realization — a TUN device carrying our IP datagrams into
 //! the kernel stack — plugs in at the same place the UDP tunnel does:
-//! a [`real::LinkEndpoint`] turns `(iface, frame)` pairs into bytes on
-//! a descriptor and back. A TUN endpoint would open `/dev/net/tun`,
+//! a [`real::LinkEndpoint`] turns frames (pooled buffers with headroom
+//! for its header) into bytes on a descriptor and back. A TUN endpoint would open `/dev/net/tun`,
 //! set `IFF_TUN | IFF_NO_PI`, and exchange raw IPv4 packets (framing
 //! [`catenet_core::iface::Framing::RawIp`]) instead of UDP payloads;
 //! everything above the endpoint — node, routing, TCP, REPL — is
 //! unchanged. It requires `CAP_NET_ADMIN`, so it is left as a
 //! documented seam rather than a CI arm.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod clock;

@@ -3,22 +3,31 @@
 //!
 //! Where the simulator realizes a link as a pair of delay/loss queues
 //! inside one process, [`RealSubstrate`] realizes it as a pair of OS
-//! UDP sockets: each frame the node emits is wrapped in the
-//! [`crate::tunnel`] header and sent to the peer's socket; each
-//! datagram the OS delivers is defensively decoded and handed to
-//! [`Node::handle_frame`] exactly as a simulated frame would be. The
-//! node — ARP, IP forwarding, DV routing, TCP, sockets, applications —
-//! cannot tell the difference; that is the paper's architecture/
-//! realization split made executable.
+//! UDP sockets: each frame the node emits gets the [`crate::tunnel`]
+//! header prepended into its own headroom and is sent to the peer's
+//! socket; each datagram the OS delivers is defensively decoded into a
+//! pooled buffer and handed to [`Node::handle_frame`] exactly as a
+//! simulated frame would be. The node — ARP, IP forwarding, DV routing,
+//! TCP, sockets, applications — cannot tell the difference; that is
+//! the paper's architecture/realization split made executable.
 //!
 //! Time is the other half of the realization. Virtual time jumps from
 //! event to event; here a [`Clock`] maps monotonic wall time onto the
 //! same microsecond [`Instant`]s, and [`RealSubstrate::run_until`]
-//! alternates short sleeps with socket polls, so RIP periodics and TCP
-//! retransmission timers fire within a millisecond-ish of schedule.
-//! Determinism is *not* promised on this arm — the OS schedules
-//! delivery — which is exactly why the simulator remains the CI arm
-//! for every byte-pinned experiment.
+//! sleeps in that clock until the next timer is due *or a frame
+//! arrives*, whichever is first. Arrival is readiness-driven: under a
+//! clock that really waits, each [`UdpTunnel`] gives its socket to one
+//! reader thread that blocks in `recv`, fills a buffer from a small
+//! ring the pump lends it, and rings the substrate's [`Doorbell`],
+//! which unparks the thread sleeping inside [`Clock::sleep_until`]. A
+//! full ring blocks the reader, so a backlog waits in the kernel's
+//! receive buffer and nothing new can be dropped or grow without
+//! bound. A clock that does not wait ([`crate::clock::TestClock`])
+//! cannot wait for a thread either, so under it the pump polls the
+//! nonblocking sockets itself; both routes end in one decode-and-count
+//! function. Determinism is *not* promised on this arm — the OS
+//! schedules delivery — which is exactly why the simulator remains the
+//! CI arm for every byte-pinned experiment.
 //!
 //! The [`LinkEndpoint`] trait is the seam a future TUN backend plugs
 //! into (see the crate docs): `RealSubstrate` only ever asks an
@@ -30,50 +39,214 @@ use crate::tunnel::{self, TunnelStats, MAX_FRAME, TUNNEL_HEADER};
 use crate::Substrate;
 use catenet_core::app::Application;
 use catenet_core::iface::{Framing, Iface};
-use catenet_core::{Node, NodeRole};
+use catenet_core::{Node, NodeRole, PacketBuf, PacketPool, PoolStats};
 use catenet_sim::{Duration, Instant};
 use catenet_wire::EthernetAddress;
 use std::io;
 use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{self, JoinHandle, Thread};
+
+/// Buffers a reader thread may hold (empty or filled) before it blocks
+/// and leaves the rest of a burst in the kernel's receive buffer.
+pub const RING: usize = 32;
+
+/// How long a pump that just ingested frames keeps looking at its
+/// rings before it parks. A sender mid-burst delivers the next frame
+/// within tens of microseconds; parking for it costs a futex round
+/// trip each way and, on a busy host, a place at the back of the run
+/// queue. Only an ingesting pass earns the budget, so an idle node
+/// never polls. One constant, measured (DESIGN.md "What a wake
+/// costs"), not an option.
+const LINGER: std::time::Duration = std::time::Duration::from_micros(100);
+
+/// How long a reader waits in `recv` before it looks at its stop flag:
+/// the bound on how long dropping a tunnel takes.
+const READER_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(25);
 
 /// One end of a realized link: ships frames out, polls frames in.
 ///
-/// Implementations must never block: the substrate's event loop owns
-/// the only thread. `send_frame` is best-effort — real networks drop —
-/// and `recv_frame` returns `None` when nothing is pending.
+/// Neither call may block: the pump is the substrate's only thread
+/// that touches the node. `send_frame` is best-effort — real networks
+/// drop — and `recv_frame` returns `None` when nothing is pending.
 pub trait LinkEndpoint: Send {
-    /// Ship a frame to the peer (best-effort).
-    fn send_frame(&mut self, frame: &[u8]);
+    /// Ship a frame to the peer (best-effort). Returns whether the
+    /// frame had to be relocated to take the link's header, i.e. its
+    /// headroom was too short to prepend in place.
+    fn send_frame(&mut self, frame: PacketBuf) -> bool;
 
     /// Poll one pending frame, without blocking.
-    fn recv_frame(&mut self) -> Option<Vec<u8>>;
+    fn recv_frame(&mut self) -> Option<PacketBuf>;
 
     /// Ingress accounting (accepted / dropped-by-reason).
     fn stats(&self) -> TunnelStats;
+
+    /// Start shutting down, without waiting for it: dropping the
+    /// endpoint finishes the job. A substrate hangs up all its links
+    /// before it drops any, so they wind down side by side.
+    fn hang_up(&mut self) {}
 }
+
+/// How reader threads wake the pump: they count what they queued and
+/// unpark whichever thread last entered [`RealSubstrate::run_until`].
+///
+/// `unpark` leaves a token when the pump is not parked yet, so a frame
+/// queued between the pump's last look at its rings and its
+/// `park_timeout` makes that park return at once: drain-then-park
+/// cannot lose a wake. A fresh one ([`Default`]) has no listener yet;
+/// frames queue all the same.
+#[derive(Default)]
+pub struct Doorbell {
+    pump: Mutex<Option<Thread>>,
+    waiting: AtomicUsize,
+    high_water: AtomicUsize,
+}
+
+impl Doorbell {
+    /// The calling thread is the pump from now on.
+    fn listen(&self) {
+        *self.pump.lock().unwrap_or_else(PoisonError::into_inner) = Some(thread::current());
+    }
+
+    /// A reader queued one frame.
+    fn ring(&self) {
+        // SeqCst pairs with `waiting()`: the channel push before this
+        // add is visible to a pump that reads the new count.
+        let waiting = self.waiting.fetch_add(1, Ordering::SeqCst) + 1;
+        self.high_water.fetch_max(waiting, Ordering::Relaxed);
+        if let Some(pump) = &*self.pump.lock().unwrap_or_else(PoisonError::into_inner) {
+            pump.unpark();
+        }
+    }
+
+    /// The pump took one frame.
+    fn took(&self) {
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Frames queued by readers and not yet taken by the pump.
+    fn waiting(&self) -> usize {
+        self.waiting.load(Ordering::SeqCst)
+    }
+
+    /// Watch the rings for up to `budget`; whether a frame showed up.
+    fn linger(&self, budget: std::time::Duration) -> bool {
+        let started = std::time::Instant::now();
+        while self.waiting() == 0 {
+            if started.elapsed() >= budget {
+                return false;
+            }
+            // Yield, never spin: with more runnable threads than cores
+            // the reader this waits for may need this very core, and a
+            // kernel that does not preempt leaves a spinner on it.
+            thread::yield_now();
+        }
+        true
+    }
+}
+
+/// Where a tunnel's frames come from.
+enum Ingress {
+    /// The pump polls the nonblocking socket itself, into this.
+    Poll(Box<Datagram>),
+    /// A reader thread is the socket's only receiver.
+    Reader(Reader),
+}
+
+/// The reader thread's side of a tunnel, as the pump holds it.
+struct Reader {
+    /// Empty buffers, pump to reader. `None` once the tunnel is
+    /// dropping: a reader blocked on an empty ring sees the hang-up.
+    empties: Option<SyncSender<PacketBuf>>,
+    /// Filled buffers, reader to pump.
+    filled: Receiver<PacketBuf>,
+    doorbell: Arc<Doorbell>,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+/// Room for the largest legal datagram and then some, so an oversized
+/// one is seen as oversized instead of silently truncated to fit.
+const DATAGRAM_ROOM: usize = TUNNEL_HEADER + MAX_FRAME + 64;
+type Datagram = [u8; DATAGRAM_ROOM];
 
 /// A UDP-tunnel link endpoint: frames ride [`crate::tunnel`] datagrams
 /// between two bound sockets.
 pub struct UdpTunnel {
+    /// With a reader thread, this handle only sends.
     socket: UdpSocket,
     link_id: u16,
-    stats: TunnelStats,
-    recv_buf: [u8; TUNNEL_HEADER + MAX_FRAME + 64],
+    stats: Arc<Mutex<TunnelStats>>,
+    pool: PacketPool,
+    ingress: Ingress,
 }
 
 impl UdpTunnel {
     /// Bind `local` and aim at `remote`. The socket is connected, so
-    /// datagrams from other sources are filtered by the OS, and set
-    /// non-blocking, so the event loop can poll it.
-    pub fn new(local: &str, remote: &str, link_id: u16) -> io::Result<UdpTunnel> {
+    /// datagrams from other sources are filtered by the OS.
+    ///
+    /// Received frames land in buffers from `pool`. With a `doorbell`
+    /// the tunnel starts a reader thread that blocks on the socket and
+    /// rings it per frame; without one the socket is nonblocking and
+    /// [`LinkEndpoint::recv_frame`] polls it.
+    pub fn new(
+        local: &str,
+        remote: &str,
+        link_id: u16,
+        pool: PacketPool,
+        doorbell: Option<Arc<Doorbell>>,
+    ) -> io::Result<UdpTunnel> {
         let socket = UdpSocket::bind(local)?;
         socket.connect(remote)?;
-        socket.set_nonblocking(true)?;
+        let stats = Arc::new(Mutex::new(TunnelStats::default()));
+        let ingress = match doorbell {
+            None => {
+                socket.set_nonblocking(true)?;
+                Ingress::Poll(Box::new([0; DATAGRAM_ROOM]))
+            }
+            Some(doorbell) => {
+                // `try_clone` shares one open file description, and with
+                // it O_NONBLOCK and SO_RCVTIMEO: the socket blocks, the
+                // timeout is the reader's, and this handle never reads.
+                socket.set_read_timeout(Some(READER_TIMEOUT))?;
+                let (empties, reader_empties) = sync_channel(RING);
+                let (reader_filled, filled) = sync_channel(RING);
+                for _ in 0..RING {
+                    empties
+                        .try_send(spare(&pool))
+                        .expect("the ring holds RING buffers");
+                }
+                let stop = Arc::new(AtomicBool::new(false));
+                let reader = ReaderLoop {
+                    socket: socket.try_clone()?,
+                    link_id,
+                    stats: Arc::clone(&stats),
+                    empties: reader_empties,
+                    filled: reader_filled,
+                    doorbell: Arc::clone(&doorbell),
+                    stop: Arc::clone(&stop),
+                };
+                let thread = thread::Builder::new()
+                    .name(format!("tunnel-rx-{link_id}"))
+                    .stack_size(64 * 1024)
+                    .spawn(move || reader.run())?;
+                Ingress::Reader(Reader {
+                    empties: Some(empties),
+                    filled,
+                    doorbell,
+                    stop,
+                    thread: Some(thread),
+                })
+            }
+        };
         Ok(UdpTunnel {
             socket,
             link_id,
-            stats: TunnelStats::default(),
-            recv_buf: [0; TUNNEL_HEADER + MAX_FRAME + 64],
+            stats,
+            pool,
+            ingress,
         })
     }
 
@@ -83,35 +256,159 @@ impl UdpTunnel {
     }
 }
 
+/// An empty receive buffer: room for the largest frame a recycled pool
+/// buffer holds behind a tunnel header's worth of headroom, so a
+/// gateway forwards it out of another tunnel without moving it.
+fn spare(pool: &PacketPool) -> PacketBuf {
+    pool.alloc(TUNNEL_HEADER, MAX_FRAME - TUNNEL_HEADER)
+}
+
+/// The one way a datagram becomes a frame, whoever received it: decode
+/// against `link_id`, count the verdict in `stats`, copy an accepted
+/// frame into `spare`. A rejected datagram hands `spare` back.
+fn accept(
+    link_id: u16,
+    stats: &mut TunnelStats,
+    datagram: &[u8],
+    mut spare: PacketBuf,
+) -> Result<PacketBuf, PacketBuf> {
+    match tunnel::decode(link_id, datagram) {
+        Ok(frame) => {
+            stats.accepted += 1;
+            if frame.len() > spare.len() {
+                // Legal on the wire (≤ MAX_FRAME) but longer than a
+                // recycled buffer has room for behind the headroom.
+                return Ok(PacketBuf::from_vec(frame.to_vec()));
+            }
+            spare[..frame.len()].copy_from_slice(frame);
+            spare.truncate(frame.len());
+            Ok(spare)
+        }
+        Err(reason) => {
+            stats.record(reason);
+            Err(spare)
+        }
+    }
+}
+
+fn lock_stats(stats: &Mutex<TunnelStats>) -> std::sync::MutexGuard<'_, TunnelStats> {
+    // Counters only: valid at every step, whoever panicked.
+    stats.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the reader thread owns.
+struct ReaderLoop {
+    socket: UdpSocket,
+    link_id: u16,
+    stats: Arc<Mutex<TunnelStats>>,
+    empties: Receiver<PacketBuf>,
+    filled: SyncSender<PacketBuf>,
+    doorbell: Arc<Doorbell>,
+    stop: Arc<AtomicBool>,
+}
+
+impl ReaderLoop {
+    fn run(self) {
+        let mut datagram: Datagram = [0; DATAGRAM_ROOM];
+        // Take a buffer before a datagram: with the ring empty this
+        // blocks, and what arrives meanwhile waits in the kernel.
+        while let Ok(mut spare) = self.empties.recv() {
+            let frame = loop {
+                if self.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                // A timeout is the cue to look at `stop`; any other
+                // error is a connected socket reporting an ICMP error
+                // (peer not up yet): loss, as on a wire.
+                let Ok(n) = self.socket.recv(&mut datagram) else {
+                    continue;
+                };
+                let verdict = accept(
+                    self.link_id,
+                    &mut lock_stats(&self.stats),
+                    &datagram[..n],
+                    spare,
+                );
+                match verdict {
+                    Ok(frame) => break frame,
+                    Err(unused) => spare = unused,
+                }
+            };
+            if self.filled.try_send(frame).is_err() {
+                return; // the tunnel is gone
+            }
+            self.doorbell.ring();
+        }
+    }
+}
+
 impl LinkEndpoint for UdpTunnel {
-    fn send_frame(&mut self, frame: &[u8]) {
+    fn send_frame(&mut self, mut frame: PacketBuf) -> bool {
+        let len = frame.len();
+        let relocated = frame.headroom() < TUNNEL_HEADER;
+        frame.prepend(TUNNEL_HEADER);
+        tunnel::write_header(self.link_id, len, &mut frame[..TUNNEL_HEADER]);
         // Best-effort, like the wire: a full socket buffer or an
         // unreachable peer is a dropped frame, and TCP/RIP recover
         // exactly as they do from simulated loss.
-        let _ = self.socket.send(&tunnel::encode(self.link_id, frame));
+        let _ = self.socket.send(&frame);
+        relocated
     }
 
-    fn recv_frame(&mut self) -> Option<Vec<u8>> {
-        loop {
-            let n = match self.socket.recv(&mut self.recv_buf) {
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return None,
-                // Connected UDP surfaces ICMP errors (peer not yet
-                // up) as recv failures; treat like loss and move on.
-                Err(_) => return None,
-            };
-            match tunnel::decode(self.link_id, &self.recv_buf[..n]) {
-                Ok(frame) => {
-                    self.stats.accepted += 1;
-                    return Some(frame.to_vec());
+    fn recv_frame(&mut self) -> Option<PacketBuf> {
+        let datagram = match &mut self.ingress {
+            Ingress::Reader(reader) => {
+                let frame = reader.filled.try_recv().ok()?;
+                reader.doorbell.took();
+                if let Some(empties) = &reader.empties {
+                    // Never full: the frame just taken left a slot.
+                    let _ = empties.try_send(spare(&self.pool));
                 }
-                Err(reason) => self.stats.record(reason),
+                return Some(frame);
+            }
+            Ingress::Poll(datagram) => datagram,
+        };
+        loop {
+            // WouldBlock: nothing pending. Anything else is a connected
+            // socket surfacing an ICMP error (peer not yet up); treat
+            // like loss and move on.
+            let n = self.socket.recv(&mut datagram[..]).ok()?;
+            let verdict = accept(
+                self.link_id,
+                &mut lock_stats(&self.stats),
+                &datagram[..n],
+                spare(&self.pool),
+            );
+            if let Ok(frame) = verdict {
+                return Some(frame);
             }
         }
     }
 
     fn stats(&self) -> TunnelStats {
-        self.stats
+        *lock_stats(&self.stats)
+    }
+
+    fn hang_up(&mut self) {
+        if let Ingress::Reader(reader) = &mut self.ingress {
+            reader.stop.store(true, Ordering::SeqCst);
+            // A reader blocked on an empty ring leaves now, one blocked
+            // in `recv` at its next timeout.
+            reader.empties = None;
+        }
+    }
+}
+
+impl Drop for UdpTunnel {
+    fn drop(&mut self) {
+        self.hang_up();
+        if let Ingress::Reader(reader) = &mut self.ingress {
+            if let Some(thread) = reader.thread.take() {
+                // A reader that panicked has nothing left to clean up,
+                // and `Drop` must not panic in turn.
+                let _ = thread.join();
+            }
+        }
     }
 }
 
@@ -121,9 +418,11 @@ impl LinkEndpoint for UdpTunnel {
 pub struct StubLink;
 
 impl LinkEndpoint for StubLink {
-    fn send_frame(&mut self, _frame: &[u8]) {}
+    fn send_frame(&mut self, _frame: PacketBuf) -> bool {
+        false
+    }
 
-    fn recv_frame(&mut self) -> Option<Vec<u8>> {
+    fn recv_frame(&mut self) -> Option<PacketBuf> {
         None
     }
 
@@ -132,13 +431,50 @@ impl LinkEndpoint for StubLink {
     }
 }
 
+/// What the pump has done since the substrate was built — the
+/// operator's view of the event loop, next to the tunnels' ingress
+/// counters ([`RealSubstrate::link_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PumpStats {
+    /// Passes of the loop: ingest, service, applications, flush.
+    pub passes: u64,
+    /// Sleeps that ended with a frame waiting in a ring.
+    pub wakes_by_frame: u64,
+    /// Sleeps that ended with nothing waiting: a timer, the deadline.
+    pub wakes_by_timer: u64,
+    /// Frames handed to the node.
+    pub frames: u64,
+    /// Most frames ever found waiting in the rings at once.
+    pub ring_high_water: u64,
+    /// Egress frames whose link header went into their own headroom
+    /// (or whose link, a stub, has none).
+    pub prepends_in_place: u64,
+    /// Egress frames that had to be relocated to take their header.
+    pub prepends_relocated: u64,
+}
+
 /// A node realized over real I/O: one [`Node`], one [`LinkEndpoint`]
 /// per interface, a [`Clock`] driving timers.
 pub struct RealSubstrate {
     node: Node,
     links: Vec<Box<dyn LinkEndpoint>>,
+    /// The configured tunnel link id of each interface.
+    link_ids: Vec<u16>,
     apps: Vec<Box<dyn Application>>,
     clock: Box<dyn Clock>,
+    /// The node's pool, which ingress buffers also come from.
+    pool: PacketPool,
+    /// `Some` when the clock waits, so reader threads feed the pump.
+    doorbell: Option<Arc<Doorbell>>,
+    /// The last pass stopped ingesting a link at [`RING`] frames, so
+    /// more may be pending and the next pass must not wait. The bound
+    /// is what keeps a burst from starving timers and the peer of
+    /// acknowledgements: a TCP receiver here advertises its window
+    /// when the node is serviced, *before* the application reads, so a
+    /// whole 64 KB window ingested in one pass is answered with a
+    /// window smaller than a segment — and a 200 ms delayed-ACK stall.
+    backlog: bool,
+    stats: PumpStats,
 }
 
 impl RealSubstrate {
@@ -152,12 +488,21 @@ impl RealSubstrate {
     /// milliseconds).
     pub fn with_clock(config: &NodeConfig, clock: Box<dyn Clock>) -> io::Result<RealSubstrate> {
         let mut node = Node::new(config.name.clone(), config.role);
+        let pool = PacketPool::new();
+        node.set_pool(pool.clone());
+        // The one place the kind of clock matters: a thread can only
+        // wake a pump that is really asleep.
+        let doorbell = clock.waits().then(Arc::<Doorbell>::default);
         let mut links: Vec<Box<dyn LinkEndpoint>> = Vec::new();
         for (index, iface) in config.ifaces.iter().enumerate() {
             let endpoint: Box<dyn LinkEndpoint> = match (&iface.bind, &iface.remote) {
-                (Some(bind), Some(remote)) => {
-                    Box::new(UdpTunnel::new(bind, remote, iface.link_id)?)
-                }
+                (Some(bind), Some(remote)) => Box::new(UdpTunnel::new(
+                    bind,
+                    remote,
+                    iface.link_id,
+                    pool.clone(),
+                    doorbell.clone(),
+                )?),
                 _ => Box::new(StubLink),
             };
             // Tunnels are point-to-point: raw IP framing, no ARP. The
@@ -186,26 +531,44 @@ impl RealSubstrate {
         Ok(RealSubstrate {
             node,
             links,
+            link_ids: config.ifaces.iter().map(|i| i.link_id).collect(),
             apps: Vec::new(),
             clock,
+            pool,
+            doorbell,
+            backlog: false,
+            stats: PumpStats::default(),
         })
     }
 
-    /// One non-blocking pass of the event loop: ingest every pending
-    /// tunnel datagram, service the node (timers, RIP, TCP), poll
-    /// applications, flush the outbox to the tunnels. Returns the
-    /// number of frames ingested.
+    /// Hand an accepted frame to the node. A frame for a downed
+    /// interface is dropped at the door, exactly as the simulator's
+    /// link would not have delivered it.
+    fn deliver(&mut self, now: Instant, iface: usize, frame: PacketBuf) -> bool {
+        let up = self.node.ifaces.get(iface).map(|i| i.up) == Some(true);
+        if up {
+            self.node.handle_frame(now, iface, frame);
+        }
+        up
+    }
+
+    /// One non-blocking pass of the event loop: ingest pending tunnel
+    /// frames (at most [`RING`] per link; `run_until` goes round again
+    /// at once if a link had more), service the node (timers, RIP,
+    /// TCP), poll applications, flush the outbox to the tunnels — in
+    /// that order. Returns the number of frames ingested.
     pub fn pump(&mut self) -> usize {
         let now = self.clock.now();
         let mut ingested = 0;
+        self.backlog = false;
         for iface in 0..self.links.len() {
+            let mut taken = 0;
             while let Some(frame) = self.links[iface].recv_frame() {
-                // A frame for a downed interface is dropped at the
-                // door, exactly as the simulator's link would not have
-                // delivered it.
-                if self.node.ifaces.get(iface).map(|i| i.up) == Some(true) {
-                    self.node.handle_frame(now, iface, frame);
-                    ingested += 1;
+                ingested += usize::from(self.deliver(now, iface, frame));
+                taken += 1;
+                if taken == RING {
+                    self.backlog = true;
+                    break;
                 }
             }
         }
@@ -215,9 +578,15 @@ impl RealSubstrate {
         }
         for (iface, frame) in self.node.take_outbox() {
             if let Some(link) = self.links.get_mut(iface) {
-                link.send_frame(&frame);
+                if link.send_frame(frame) {
+                    self.stats.prepends_relocated += 1;
+                } else {
+                    self.stats.prepends_in_place += 1;
+                }
             }
         }
+        self.stats.passes += 1;
+        self.stats.frames += ingested as u64;
         ingested
     }
 
@@ -265,19 +634,35 @@ impl RealSubstrate {
             .unwrap_or_default()
     }
 
-    /// Feed a raw tunnel payload through interface `iface`'s decode
-    /// path as if it had arrived from the socket — the fuzz harness's
+    /// What the event loop has done so far.
+    pub fn pump_stats(&self) -> PumpStats {
+        PumpStats {
+            ring_high_water: self
+                .doorbell
+                .as_ref()
+                .map_or(0, |bell| bell.high_water.load(Ordering::Relaxed) as u64),
+            ..self.stats
+        }
+    }
+
+    /// Counters of the pool the node and the tunnels' rings share.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats()
+    }
+
+    /// Feed a raw tunnel datagram through interface `iface`'s ingress
+    /// as if it had arrived from the socket — the fuzz harness's
     /// direct line to the ingress hardening without needing a peer
-    /// process.
+    /// process. Same decode (against the interface's configured link
+    /// id), same counting, same buffers, same door as a socket's
+    /// datagram; only the counters are the caller's.
     pub fn ingest_payload(&mut self, iface: usize, payload: &[u8], stats: &mut TunnelStats) {
-        let link_id = iface as u16;
-        let now = self.clock.now();
-        match tunnel::decode(link_id, payload) {
-            Ok(frame) => {
-                stats.accepted += 1;
-                self.node.handle_frame(now, iface, frame.to_vec());
-            }
-            Err(reason) => stats.record(reason),
+        let Some(&link_id) = self.link_ids.get(iface) else {
+            return;
+        };
+        if let Ok(frame) = accept(link_id, stats, payload, spare(&self.pool)) {
+            let now = self.clock.now();
+            self.deliver(now, iface, frame);
         }
     }
 
@@ -293,28 +678,52 @@ impl RealSubstrate {
     }
 }
 
+impl Drop for RealSubstrate {
+    fn drop(&mut self) {
+        // Every reader sees its cue before any is waited for.
+        for link in &mut self.links {
+            link.hang_up();
+        }
+    }
+}
+
 impl Substrate for RealSubstrate {
     fn now(&self) -> Instant {
         self.clock.now()
     }
 
     fn run_until(&mut self, deadline: Instant) {
+        if let Some(bell) = &self.doorbell {
+            bell.listen();
+        }
         loop {
-            self.pump();
+            let ingested = self.pump();
             let now = self.clock.now();
             if now >= deadline {
                 return;
             }
+            // Poll, then block: frames travel in bursts, and the next
+            // one of a burst is cheaper to meet awake.
+            if self.backlog
+                || ingested > 0 && self.doorbell.as_ref().is_some_and(|b| b.linger(LINGER))
+            {
+                continue;
+            }
             // Sleep toward the earliest of: the deadline, the next
             // timer. Never sleep less than a sliver (a stale timer
-            // must not spin the loop hot) — the clock's own slice cap
-            // keeps socket polling responsive regardless.
+            // must not spin the loop hot); a frame ends the sleep
+            // early whatever the target.
             let mut target = deadline;
             if let Some(wake) = self.next_wake(now) {
                 target = target.min(wake);
             }
             let floor = now + Duration::from_micros(200);
             self.clock.sleep_until(target.max(floor).min(deadline).max(now));
+            if self.doorbell.as_ref().is_some_and(|b| b.waiting() > 0) {
+                self.stats.wakes_by_frame += 1;
+            } else {
+                self.stats.wakes_by_timer += 1;
+            }
         }
     }
 

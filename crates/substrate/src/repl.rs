@@ -18,9 +18,14 @@
 //! recv <sock> <n>           read up to n bytes from a socket
 //! sendfile <path> <ip> <port>   stream a file over a fresh connection
 //! recvfile <path> <port>        accept one connection, write to file
-//! stats                     tunnel ingress counters per interface
+//! stats                     tunnel ingress counters per interface, then
+//!                           the event loop's own (`pump: …`)
 //! quit | q                  exit
 //! ```
+//!
+//! File transfers run as an application inside the substrate's event
+//! loop (`Mover`, below); the REPL starts them and prints what they
+//! report.
 //!
 //! Output goes to stdout one line at a time with stable prefixes
 //! (`sendfile done:`, `recvfile done:`, `route …`), so the loopback
@@ -30,11 +35,14 @@
 
 use crate::real::RealSubstrate;
 use crate::Substrate;
-use catenet_core::NodeRole;
+use catenet_core::app::{shared, Application, Shared};
+use catenet_core::{Node, NodeRole};
+use catenet_sim::Instant;
 use catenet_tcp::{Endpoint, SocketConfig as TcpConfig, TcpError};
 use catenet_wire::Ipv4Address;
 use std::fs;
 use std::io::Write;
+use std::sync::Arc;
 
 /// FNV-1a 64-bit — the repo's standard content digest, so the hashes
 /// the REPL prints line up with what the experiment harnesses compute.
@@ -63,10 +71,40 @@ struct RecvTransfer {
     hash: u64,
 }
 
-/// REPL state: pending file transfers riding the substrate's sockets.
-pub struct Repl {
+/// File transfers in flight and the lines they have to report: shared
+/// by the REPL, which starts transfers and prints their lines, and the
+/// [`Mover`], which moves their bytes.
+#[derive(Default)]
+struct Transfers {
     sends: Vec<SendTransfer>,
     recvs: Vec<RecvTransfer>,
+    lines: Vec<String>,
+}
+
+/// The application behind `sendfile`/`recvfile`. It runs inside every
+/// pass of the event loop, like any other application, rather than
+/// from the REPL's 5 ms command poll: a receiver that reads only
+/// between polls lets a whole window pile up unread, advertises a
+/// closed window, and — this TCP sends no window update when a read
+/// reopens it — sits out the sender's 200 ms probe timer once per
+/// 64 KB.
+struct Mover(Shared<Transfers>);
+
+impl Application for Mover {
+    fn poll(&mut self, node: &mut Node, _now: Instant) {
+        lock(&self.0).advance(node);
+    }
+}
+
+fn lock(transfers: &Shared<Transfers>) -> std::sync::MutexGuard<'_, Transfers> {
+    transfers.lock().expect("a transfer panicked mid-step")
+}
+
+/// REPL state: pending file transfers riding the substrate's sockets.
+pub struct Repl {
+    transfers: Shared<Transfers>,
+    /// Whether the substrate already runs this REPL's [`Mover`].
+    moving: bool,
 }
 
 /// What one command asked of the driver loop.
@@ -87,9 +125,18 @@ impl Repl {
     /// A fresh REPL with no transfers in flight.
     pub fn new() -> Repl {
         Repl {
-            sends: Vec::new(),
-            recvs: Vec::new(),
+            transfers: shared(Transfers::default()),
+            moving: false,
         }
+    }
+
+    /// Queue a transfer, attaching the [`Mover`] to `sub` on first use.
+    fn start(&mut self, sub: &mut RealSubstrate, add: impl FnOnce(&mut Transfers)) {
+        if !self.moving {
+            sub.attach_app(0, Box::new(Mover(Arc::clone(&self.transfers))));
+            self.moving = true;
+        }
+        add(&mut lock(&self.transfers));
     }
 
     /// Execute one command line.
@@ -184,12 +231,15 @@ impl Repl {
                                     "sendfile {path}: {} bytes to {remote} on socket {handle}",
                                     data.len()
                                 ));
-                                self.sends.push(SendTransfer {
-                                    handle,
-                                    label: path.to_string(),
-                                    data,
-                                    written: 0,
-                                    closed: false,
+                                let label = path.to_string();
+                                self.start(sub, |t| {
+                                    t.sends.push(SendTransfer {
+                                        handle,
+                                        label,
+                                        data,
+                                        written: 0,
+                                        closed: false,
+                                    })
                                 });
                             }
                             Err(e) => out.push(format!("error: sendfile connect: {e:?}")),
@@ -208,12 +258,15 @@ impl Repl {
                             out.push(format!(
                                 "recvfile {path}: listening on {port}, socket {handle}"
                             ));
-                            self.recvs.push(RecvTransfer {
-                                handle,
-                                path: path.to_string(),
-                                file,
-                                bytes: 0,
-                                hash: 0xcbf2_9ce4_8422_2325,
+                            let path = path.to_string();
+                            self.start(sub, |t| {
+                                t.recvs.push(RecvTransfer {
+                                    handle,
+                                    path,
+                                    file,
+                                    bytes: 0,
+                                    hash: 0xcbf2_9ce4_8422_2325,
+                                })
                             });
                         }
                         Err(e) => out.push(format!("error: recvfile create {path}: {e}")),
@@ -237,19 +290,41 @@ impl Repl {
                         s.wrong_link,
                     ));
                 }
+                let p = sub.pump_stats();
+                out.push(format!(
+                    "pump: passes {} wakes_by_frame {} wakes_by_timer {} frames {} \
+                     ring_high_water {} prepends_in_place {} prepends_relocated {}",
+                    p.passes,
+                    p.wakes_by_frame,
+                    p.wakes_by_timer,
+                    p.frames,
+                    p.ring_high_water,
+                    p.prepends_in_place,
+                    p.prepends_relocated,
+                ));
             }
             Some(other) => out.push(format!("error: unknown command {other:?} (try help)")),
         }
         ReplAction { output: out, quit }
     }
 
-    /// Advance in-flight file transfers; returns progress lines
+    /// Progress lines of in-flight file transfers since the last call
     /// (`sendfile done:` / `recvfile done:` / `… error:`).
-    pub fn tick(&mut self, sub: &mut RealSubstrate) -> Vec<String> {
-        let mut out = Vec::new();
-        let node = sub.node_mut(0);
+    pub fn tick(&mut self) -> Vec<String> {
+        std::mem::take(&mut lock(&self.transfers).lines)
+    }
+}
 
-        self.sends.retain_mut(|t| {
+impl Transfers {
+    /// Move what each transfer's socket will take or has to give.
+    fn advance(&mut self, node: &mut Node) {
+        let Transfers {
+            sends,
+            recvs,
+            lines: out,
+        } = self;
+
+        sends.retain_mut(|t| {
             let Some(socket) = node.tcp_sockets.get_mut(t.handle) else {
                 out.push(format!("sendfile {} error: socket gone", t.label));
                 return false;
@@ -307,7 +382,7 @@ impl Repl {
             true
         });
 
-        self.recvs.retain_mut(|t| {
+        recvs.retain_mut(|t| {
             let Some(socket) = node.tcp_sockets.get_mut(t.handle) else {
                 out.push(format!("recvfile {} error: socket gone", t.path));
                 return false;
@@ -345,10 +420,10 @@ impl Repl {
             }
             true
         });
-
-        out
     }
+}
 
+impl Repl {
     fn list_ifaces(&self, sub: &RealSubstrate, out: &mut Vec<String>) {
         for (index, iface) in sub.node(0).ifaces.iter().enumerate() {
             out.push(format!(
@@ -428,7 +503,7 @@ commands:
   recv <sock> <n>              read up to n bytes from a socket
   sendfile <path> <ip> <port>  stream a file over a fresh connection
   recvfile <path> <port>       accept one connection, write to file
-  stats                        tunnel ingress counters per interface
+  stats                        tunnel ingress counters per interface + pump counters
   quit | q                     exit
 ";
 
@@ -437,5 +512,123 @@ pub fn role_name(role: NodeRole) -> &'static str {
     match role {
         NodeRole::Host => "host",
         NodeRole::Gateway => "router",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::TestClock;
+    use crate::config;
+    use catenet_sim::Duration;
+
+    /// Two routers, a tunnel between them and a stub LAN behind each,
+    /// on clocks that never wait.
+    fn router_pair() -> (RealSubstrate, RealSubstrate) {
+        let bind = || std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let (a, b) = (bind(), bind());
+        let port = |s: &std::net::UdpSocket| s.local_addr().expect("addr").port();
+        let (pa, pb) = (port(&a), port(&b));
+        drop((a, b));
+        let router = |name: &str, me: u8, peer: u8, bind: u16, remote: u16| {
+            let cfg = config::parse(&format!(
+                "node router {name}\n\
+                 iface 0 10.1.0.{me}/30 peer 10.1.0.{peer} link 7 bind 127.0.0.1:{bind} remote 127.0.0.1:{remote}\n\
+                 iface 1 10.9.{me}.1/30 local\n"
+            ))
+            .expect("config");
+            RealSubstrate::with_clock(&cfg, Box::new(TestClock::new())).expect("tunnels")
+        };
+        (router("r1", 1, 2, pa, pb), router("r2", 2, 1, pb, pa))
+    }
+
+    /// Advance both routers in 5 ms lockstep until `done` or `limit`.
+    fn lockstep(
+        r1: &mut RealSubstrate,
+        r2: &mut RealSubstrate,
+        limit: Duration,
+        mut done: impl FnMut(&mut RealSubstrate, &mut RealSubstrate) -> bool,
+    ) -> bool {
+        let end = Substrate::now(r1) + limit;
+        while Substrate::now(r1) < end {
+            let t = Substrate::now(r1) + Duration::from_millis(5);
+            r1.run_until(t);
+            r2.run_until(t);
+            if done(r1, r2) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// `stats` shows the operator both halves of ingress: what each
+    /// tunnel accepted or dropped, and what the event loop made of it.
+    #[test]
+    fn stats_prints_tunnel_and_pump_counters() {
+        let (mut r1, mut r2) = router_pair();
+        // A few lockstep slices: each router's first RIP broadcast
+        // reaches the other.
+        lockstep(&mut r1, &mut r2, Duration::from_millis(20), |_, _| false);
+
+        let out = Repl::new().exec("stats", &mut r1).output;
+        assert_eq!(out.len(), 3, "{out:?}");
+        assert!(out[0].starts_with("iface 0: accepted "), "{out:?}");
+        assert!(out[1].starts_with("iface 1: accepted 0 "), "{out:?}");
+        let accepted = r1.link_stats(0).accepted;
+        let pump = r1.pump_stats();
+        assert!(accepted > 0, "r2's RIP never arrived");
+        assert_eq!(pump.frames, accepted);
+        assert_eq!(
+            out[2],
+            format!(
+                "pump: passes {} wakes_by_frame 0 wakes_by_timer {} frames {accepted} \
+                 ring_high_water 0 prepends_in_place {} prepends_relocated 0",
+                pump.passes, pump.wakes_by_timer, pump.prepends_in_place
+            )
+        );
+        assert!(pump.passes >= 4 && pump.prepends_in_place > 0, "{pump:?}");
+    }
+
+    /// `sendfile`/`recvfile` move their bytes from inside the event
+    /// loop: nobody calls into the REPL while the substrates run, and
+    /// `tick` only collects what the transfers have to say.
+    #[test]
+    fn file_transfers_run_inside_the_event_loop() {
+        let (mut r1, mut r2) = router_pair();
+        let converged = lockstep(&mut r1, &mut r2, Duration::from_secs(30), |r1, _| {
+            let stub = "10.9.2.1".parse().expect("addr");
+            let dv = r1.node(0).dv.as_ref();
+            dv.and_then(|dv| dv.lookup(stub)).is_some()
+        });
+        assert!(converged, "no convergence");
+
+        let dir = std::env::temp_dir();
+        let tag = std::process::id();
+        let (src, dst) = (
+            dir.join(format!("catenet-repl-{tag}-src.bin")),
+            dir.join(format!("catenet-repl-{tag}-dst.bin")),
+        );
+        let payload: Vec<u8> = (0..300_000u32).map(|i| (i * 7 % 253) as u8).collect();
+        fs::write(&src, &payload).expect("write source");
+        let (mut repl1, mut repl2) = (Repl::new(), Repl::new());
+        let recvfile = format!("recvfile {} 5555", dst.display());
+        let said = repl2.exec(&recvfile, &mut r2).output;
+        assert!(said[0].contains("listening on 5555"), "{said:?}");
+        let sendfile = format!("sendfile {} 10.9.2.1 5555", src.display());
+        let said = repl1.exec(&sendfile, &mut r1).output;
+        assert!(said[0].contains("300000 bytes to"), "{said:?}");
+
+        let (mut said1, mut said2) = (Vec::new(), Vec::new());
+        let finished = lockstep(&mut r1, &mut r2, Duration::from_secs(60), |_, _| {
+            said1.extend(repl1.tick());
+            said2.extend(repl2.tick());
+            !said1.is_empty() && !said2.is_empty()
+        });
+        assert!(finished, "r1 said {said1:?}, r2 said {said2:?}");
+        let digest = format!("300000 bytes fnv64={:#018x}", fnv64(&payload));
+        assert_eq!(said1, [format!("sendfile done: {digest}")]);
+        assert_eq!(said2, [format!("recvfile done: {digest}")]);
+        assert_eq!(fs::read(&dst).expect("read back"), payload);
+        let _ = (fs::remove_file(&src), fs::remove_file(&dst));
     }
 }

@@ -103,19 +103,30 @@ impl TunnelStats {
     }
 }
 
+/// Write the tunnel header for a `frame_len`-byte frame on `link_id`
+/// into `header` (exactly [`TUNNEL_HEADER`] bytes) — what a sender
+/// that prepends in place calls instead of [`encode`].
+///
+/// Panics if `frame_len` exceeds [`MAX_FRAME`] — an *outgoing*
+/// oversized frame is a local bug (the node's MTU machinery bounds
+/// what reaches the outbox), unlike incoming garbage which is merely
+/// counted.
+pub fn write_header(link_id: u16, frame_len: usize, header: &mut [u8]) {
+    assert!(frame_len <= MAX_FRAME, "outgoing frame exceeds MAX_FRAME");
+    header[0..2].copy_from_slice(&TUNNEL_MAGIC.to_be_bytes());
+    header[2] = TUNNEL_VERSION;
+    header[3] = 0; // reserved
+    header[4..6].copy_from_slice(&link_id.to_be_bytes());
+    header[6..8].copy_from_slice(&(frame_len as u16).to_be_bytes());
+}
+
 /// Encode `frame` for `link_id` into a fresh tunnel datagram.
 ///
-/// Panics if `frame` exceeds [`MAX_FRAME`] — an *outgoing* oversized
-/// frame is a local bug (the node's MTU machinery bounds what reaches
-/// the outbox), unlike incoming garbage which is merely counted.
+/// Panics if `frame` exceeds [`MAX_FRAME`], as [`write_header`] does.
 pub fn encode(link_id: u16, frame: &[u8]) -> Vec<u8> {
-    assert!(frame.len() <= MAX_FRAME, "outgoing frame exceeds MAX_FRAME");
     let mut out = Vec::with_capacity(TUNNEL_HEADER + frame.len());
-    out.extend_from_slice(&TUNNEL_MAGIC.to_be_bytes());
-    out.push(TUNNEL_VERSION);
-    out.push(0); // reserved
-    out.extend_from_slice(&link_id.to_be_bytes());
-    out.extend_from_slice(&(frame.len() as u16).to_be_bytes());
+    out.resize(TUNNEL_HEADER, 0);
+    write_header(link_id, frame.len(), &mut out);
     out.extend_from_slice(frame);
     out
 }

@@ -187,9 +187,9 @@ fn iface_down_fails_routes_and_drops_ingress() {
 }
 
 /// The ingress path's sibling of `random_wire_input_never_panics`: raw
-/// garbage fed straight through the tunnel-decode-to-`handle_frame`
-/// path is counted, dropped, and never panics — and the node still
-/// works afterward.
+/// garbage fed through the same decode-count-fill-deliver path a
+/// socket's datagram takes is counted, dropped, and never panics — and
+/// the node still works afterward.
 #[test]
 fn garbage_tunnel_payloads_never_panic_the_substrate() {
     let (mut r1, mut r2) = router_pair();
@@ -202,11 +202,13 @@ fn garbage_tunnel_payloads_never_panic_the_substrate() {
             *byte = rng.next_u32() as u8;
         }
         if case % 2 == 0 && len >= 8 {
-            // Plausible header so some frames reach handle_frame.
+            // Plausible header — the link id `router_pair` configures,
+            // which is what ingress decodes against — so some frames
+            // reach handle_frame.
             payload[0..2].copy_from_slice(&0xC47Eu16.to_be_bytes());
             payload[2] = 1;
             payload[3] = 0;
-            payload[4..6].copy_from_slice(&0u16.to_be_bytes());
+            payload[4..6].copy_from_slice(&7u16.to_be_bytes());
             let body = (len - 8) as u16;
             payload[6..8].copy_from_slice(&body.to_be_bytes());
         }
