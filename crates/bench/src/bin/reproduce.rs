@@ -33,10 +33,6 @@ fn main() {
         .windows(2)
         .find(|w| w[0] == "--shards")
         .and_then(|w| w[1].parse().ok());
-    // `--partitioner` switches every e17 K>1 run to the
-    // latency-aware-partitioner arm; CI diffs the check JSON against a
-    // partitioner-off run (partition choice must be byte-neutral).
-    let partitioner = args.iter().any(|a| a == "--partitioner");
     // `--full` selects the e17 scale tier (5,120 gateways, ~10⁵
     // flows); CI uploads its timing JSON as an artifact.
     let full = args.iter().any(|a| a == "--full");
@@ -130,6 +126,10 @@ fn main() {
         let json = e15_fastpath::to_json(&results, !check);
         std::fs::write("BENCH_e15.json", &json).expect("write BENCH_e15.json");
         eprintln!("  wrote BENCH_e15.json");
+        assert!(
+            results.iter().all(|r| r.gate()),
+            "e15: the steady-state fast path allocated or relocated a packet"
+        );
     }
     if want("e16") {
         eprintln!("running e16 (accountability: reconciliation, churn, integrity)...");
@@ -158,21 +158,20 @@ fn main() {
             None => e17_parallel::SHARD_COUNTS.to_vec(),
         };
         eprintln!(
-            "running e17 (sharded parallel execution) at K={counts:?} \
-             tier={tier:?} partitioner={partitioner}..."
+            "running e17 (sharded parallel execution) at K={counts:?} tier={tier:?}..."
         );
         let start = std::time::Instant::now();
-        let results = e17_parallel::run_battery_arms(tier, SEEDS[0], &counts, partitioner);
+        let results = e17_parallel::run_battery(tier, SEEDS[0], &counts);
         eprintln!("  e17 done in {:.1}s", start.elapsed().as_secs_f64());
         println!("{}", e17_parallel::table(&results));
         assert!(
             results.all_equal,
-            "e17: dumps diverged across shard counts/arms — a real ordering bug"
+            "e17: dumps diverged across shard counts — a real ordering bug"
         );
-        // The misaligned partitioner demo rides the standard full
-        // battery only (the scale and check tiers have their own jobs).
+        // The misaligned ring rides the standard full battery only (the
+        // scale and check tiers have their own jobs).
         let misaligned = (tier == e17_parallel::Tier::Full).then(|| {
-            eprintln!("running e17b (misaligned-ring partitioner demo)...");
+            eprintln!("running e17b (misaligned ring)...");
             let demo = e17_parallel::run_misaligned(SEEDS[0]);
             println!("{}", e17_parallel::misaligned_table(&demo));
             assert!(demo.all_equal, "e17b: partition choice changed bytes");

@@ -28,8 +28,8 @@ use catenet_core::app::{BulkSender, SinkServer};
 use catenet_core::{shared, Endpoint, Network, ProgressWatchdog, StreamIntegrity, TcpConfig};
 use catenet_routing::{DvConfig, GuardPolicy};
 use catenet_sim::{
-    ByzantineAttack, Duration, FaultAction, FaultPlan, Instant, LinkClass, Rng, SchedulerKind,
-    ShardKind,
+    ByzantineAttack, Duration, FaultAction, FaultPlan, Instant, LinkClass, Rng, ShardKind,
+    TraceOp,
 };
 use std::sync::Arc;
 
@@ -385,10 +385,10 @@ fn build_plan(
 }
 
 /// Everything observable about one gauntlet run: the scored outcome
-/// plus the full telemetry dumps. The differential harness asserts two
-/// `RunArtifacts` from different scheduler backends are `==` — i.e. the
-/// backends are indistinguishable down to every metric line, sampler
-/// row, and flight-recorder entry.
+/// plus the full telemetry dumps. The shard-equivalence harness asserts
+/// two `RunArtifacts` from different shard modes are `==` — i.e. the
+/// modes are indistinguishable down to every metric line, sampler row,
+/// and flight-recorder entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunArtifacts {
     /// The scored outcome (includes the delivered-stream digest).
@@ -412,20 +412,15 @@ pub fn run(scenario: Scenario, seed: u64) -> Outcome {
 /// stall violation on demand — which is how the flight-recorder capture
 /// path is exercised deterministically.
 pub fn run_inner(scenario: Scenario, seed: u64, stall_limit: Duration) -> Outcome {
-    run_full(
-        scenario,
-        seed,
-        stall_limit,
-        SchedulerKind::default(),
-        ShardKind::Single,
-    )
-    .outcome
+    run_full(scenario, seed, stall_limit, ShardKind::Single).0.outcome
 }
 
-/// Run one scenario on an explicit scheduler backend and keep every
-/// observable artifact.
-pub fn run_with(scenario: Scenario, seed: u64, kind: SchedulerKind) -> RunArtifacts {
-    run_full(scenario, seed, Duration::from_secs(60), kind, ShardKind::Single)
+/// Run one scenario single-lane and keep every observable artifact,
+/// plus the scheduler's op trace from event zero — what the scheduler
+/// differential harness replays through the heap reference and the
+/// wheel side by side.
+pub fn run_with(scenario: Scenario, seed: u64) -> (RunArtifacts, Vec<TraceOp>) {
+    run_full(scenario, seed, Duration::from_secs(60), ShardKind::Single)
 }
 
 /// Run one scenario on an explicit shard mode and keep every observable
@@ -439,23 +434,20 @@ pub fn run_with(scenario: Scenario, seed: u64, kind: SchedulerKind) -> RunArtifa
 /// threads before cross-lane frames deliver, so outcomes are
 /// schedule-independent.
 pub fn run_with_shards(scenario: Scenario, seed: u64, shard: ShardKind) -> RunArtifacts {
-    run_full(
-        scenario,
-        seed,
-        Duration::from_secs(60),
-        SchedulerKind::default(),
-        shard,
-    )
+    run_full(scenario, seed, Duration::from_secs(60), shard).0
 }
 
+/// The trace is armed before the first topology call (it has to start
+/// at event zero) and comes back empty from a network that split: a
+/// lane split retires the boot scheduler that was recording.
 fn run_full(
     scenario: Scenario,
     seed: u64,
     stall_limit: Duration,
-    kind: SchedulerKind,
     shard: ShardKind,
-) -> RunArtifacts {
-    let mut net = Network::with_config(seed, kind, shard);
+) -> (RunArtifacts, Vec<TraceOp>) {
+    let mut net = Network::with_shards(seed, shard);
+    net.set_sched_trace(true);
     let h1 = net.add_host("h1");
     let ga = net.add_gateway("gA");
     let gd = net.add_gateway("gD");
@@ -581,12 +573,13 @@ fn run_full(
         bytes_acked: result.bytes_acked,
         flight_dump,
     };
-    RunArtifacts {
+    let artifacts = RunArtifacts {
         outcome,
         metrics: net.metrics_dump(),
         series: net.series_dump(),
         flight: net.flight_dump(),
-    }
+    };
+    (artifacts, net.take_sched_trace())
 }
 
 /// Run the full battery over the seed set and render the table.
@@ -775,11 +768,7 @@ mod tests {
         // earns a prefix quarantine, and the stream still completes
         // intact — the only degradation is time.
         for seed in crate::SEEDS {
-            let art = run_with(
-                by_name("prefix-hijack (attested)"),
-                seed,
-                SchedulerKind::default(),
-            );
+            let (art, _) = run_with(by_name("prefix-hijack (attested)"), seed);
             let o = &art.outcome;
             assert!(o.completed, "seed {seed}: {o:?}");
             assert!(o.integrity_ok, "seed {seed}");

@@ -26,7 +26,7 @@
 
 use crate::table::Table;
 use catenet_core::{Network, ReconvergenceBound};
-use catenet_sim::{Duration, FaultAction, FaultPlan, LinkClass, SchedulerKind, ShardKind};
+use catenet_sim::{Duration, FaultAction, FaultPlan, LinkClass, ShardKind, TraceOp};
 use catenet_telemetry::Reconvergence;
 
 /// The reconvergence bound every heal is checked against.
@@ -66,41 +66,46 @@ pub const RING_SIZES: [usize; 3] = [3, 5, 7];
 /// Run one disruption-then-heal cycle on a `gateways`-node ring and
 /// return the tracer's per-heal measurements.
 pub fn run(gateways: usize, fault: FaultKind, seed: u64) -> Vec<Reconvergence> {
-    run_with(gateways, fault, seed, SchedulerKind::default()).0
+    run_with(gateways, fault, seed).0
 }
 
-/// [`run`] on an explicit scheduler backend, additionally returning the
-/// full telemetry dumps (metrics, series, flight) so the differential
-/// harness can compare heap against wheel byte for byte.
+/// [`run`], additionally returning the scheduler's op trace from event
+/// zero — what the scheduler differential harness replays through the
+/// heap reference and the wheel side by side.
 pub fn run_with(
     gateways: usize,
     fault: FaultKind,
     seed: u64,
-    kind: SchedulerKind,
-) -> (Vec<Reconvergence>, [String; 3]) {
-    run_config(gateways, fault, seed, kind, ShardKind::Single)
+) -> (Vec<Reconvergence>, Vec<TraceOp>) {
+    let (recs, _, trace) = run_config(gateways, fault, seed, ShardKind::Single);
+    (recs, trace)
 }
 
-/// [`run`] on an explicit shard mode — the shard-equivalence harness
-/// compares the measurements and dumps across K ∈ {1, 2, 4, 8}.
+/// [`run`] on an explicit shard mode, additionally returning the full
+/// telemetry dumps (metrics, series, flight) — the shard-equivalence
+/// harness compares the measurements and dumps across K ∈ {1, 2, 4, 8}.
 pub fn run_with_shards(
     gateways: usize,
     fault: FaultKind,
     seed: u64,
     shard: ShardKind,
 ) -> (Vec<Reconvergence>, [String; 3]) {
-    run_config(gateways, fault, seed, SchedulerKind::default(), shard)
+    let (recs, dumps, _) = run_config(gateways, fault, seed, shard);
+    (recs, dumps)
 }
 
+/// The trace is armed before the first topology call (it has to start
+/// at event zero) and comes back empty from a network that split: a
+/// lane split retires the boot scheduler that was recording.
 fn run_config(
     gateways: usize,
     fault: FaultKind,
     seed: u64,
-    kind: SchedulerKind,
     shard: ShardKind,
-) -> (Vec<Reconvergence>, [String; 3]) {
+) -> (Vec<Reconvergence>, [String; 3], Vec<TraceOp>) {
     assert!(gateways >= 3, "a ring needs a backup path");
-    let mut net = Network::with_config(seed, kind, shard);
+    let mut net = Network::with_shards(seed, shard);
+    net.set_sched_trace(true);
     let h1 = net.add_host("h1");
     let gs: Vec<usize> = (0..gateways)
         .map(|i| net.add_gateway(format!("g{i}")))
@@ -138,7 +143,7 @@ fn run_config(
     net.run_for(Duration::from_secs(5) + heal_after + BOUND + Duration::from_secs(15));
     let recs = net.telemetry().convergence.reconvergences(net.now());
     let dumps = [net.metrics_dump(), net.series_dump(), net.flight_dump()];
-    (recs, dumps)
+    (recs, dumps, net.take_sched_trace())
 }
 
 /// Check one run's measurements against the bound. Every heal must be

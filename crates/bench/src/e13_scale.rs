@@ -8,29 +8,29 @@
 //! replaced.
 //!
 //! **Experiment.** Gateway rings of 50–400 nodes (plus a grid-mesh
-//! arm) run their cold-start distance-vector convergence storm — the
-//! densest event mix the stack produces — once under each scheduler
-//! backend. Three things are measured per topology:
+//! arm, [`crate::topo`]) run their cold-start distance-vector
+//! convergence storm — the densest event mix the stack produces — with
+//! the scheduler recording its op trace (every post-clamp schedule and
+//! pop). Three things are measured per topology:
 //!
-//! 1. **Equivalence at scale**: the metrics, time-series, and
-//!    flight-recorder dumps of the heap run and the wheel run must be
-//!    byte-identical (the differential harness's system-level check,
-//!    here at 400 gateways).
-//! 2. **End-to-end wall clock** per backend for the full simulation.
-//! 3. **Substrate throughput**: the wheel run records its scheduler op
-//!    trace (every post-clamp schedule and pop), and the trace is
-//!    replayed against both backends in isolation. Replay isolates the
-//!    event-queue cost from protocol work, so the heap/wheel speedup
-//!    is measured on the *real* event mix, not a synthetic one.
+//! 1. **Equivalence at scale**: the trace is replayed through the
+//!    `BinaryHeap` reference and the timer wheel side by side
+//!    ([`diffsched::replay_lockstep`]); every popped `(time, event)`
+//!    pair must be equal, FIFO ties included — here at 400 gateways.
+//! 2. **End-to-end wall clock** of the full simulation.
+//! 3. **Substrate throughput**: the trace is replayed against each
+//!    backend in isolation. Replay isolates the event-queue cost from
+//!    protocol work, so the heap/wheel speedup is measured on the
+//!    *real* event mix, not a synthetic one.
 //!
 //! Results are rendered as a table and emitted as `BENCH_e13.json`. In
 //! `--check` mode the JSON omits wall-clock fields, leaving only
 //! seed-deterministic numbers — CI runs it twice and diffs.
 
 use crate::table::Table;
-use catenet_core::app::{BulkSender, SinkServer};
-use catenet_core::{Endpoint, Network, TcpConfig};
-use catenet_sim::{diffsched, Duration, LinkClass, SchedulerKind, TraceOp};
+use crate::topo;
+use catenet_core::{Network, NodeId};
+use catenet_sim::{diffsched, Duration, SchedulerKind};
 
 /// Ring sizes (gateway counts) in the full battery.
 pub const RING_SIZES: [usize; 4] = [50, 100, 200, 400];
@@ -45,40 +45,6 @@ pub const VIRTUAL: Duration = Duration::from_secs(30);
 /// Replay repetitions per backend; the minimum wall time is reported
 /// (the run least perturbed by the host machine).
 const REPLAY_REPS: usize = 7;
-/// A host pair with a bulk transfer every this many gateways.
-const FLOW_SPACING: usize = 2;
-/// Bytes per bulk transfer.
-const FLOW_BYTES: usize = 500_000;
-
-/// Attach host pairs around the topology: at every [`FLOW_SPACING`]-th
-/// gateway, a sender host two gateways away from a sink host, with a
-/// [`FLOW_BYTES`] transfer starting once nearby routes have had time to
-/// propagate. Local flows (short paths) keep the workload meaningful
-/// during the convergence storm, and dozens of concurrent sockets give
-/// the scheduler a deep pending queue — the regime where O(log n) heap
-/// operations actually cost something.
-fn add_flows(net: &mut Network, gateways: &[usize]) {
-    for i in (0..gateways.len()).step_by(FLOW_SPACING) {
-        let near = gateways[i];
-        let far = gateways[(i + 2) % gateways.len()];
-        let sender = net.add_host(format!("src{i}"));
-        let sink = net.add_host(format!("dst{i}"));
-        net.connect(sender, near, LinkClass::EthernetLan);
-        net.connect(sink, far, LinkClass::EthernetLan);
-        let dst = net.node(sink).primary_addr();
-        let config = TcpConfig::default();
-        net.attach_app(sink, Box::new(SinkServer::new(80, config.clone())));
-        net.attach_app(
-            sender,
-            Box::new(BulkSender::new(
-                Endpoint::new(dst, 80),
-                FLOW_BYTES,
-                config,
-                catenet_sim::Instant::from_secs(8),
-            )),
-        );
-    }
-}
 
 /// One topology's measurements.
 #[derive(Debug, Clone)]
@@ -87,14 +53,18 @@ pub struct TopoResult {
     pub name: String,
     /// Gateway count.
     pub gateways: usize,
-    /// Events the simulation processed (identical across backends).
+    /// Events the simulation processed — and pops the lockstep replay
+    /// compared heap against wheel on, every one equal.
     pub events: u64,
+    /// Of those pops, how many came at the same instant as the one
+    /// before: the pops FIFO tie order decided.
+    pub lockstep_ties: u64,
     /// Entries that crossed the wheel's overflow map.
     pub overflow_inserts: u64,
-    /// Heap and wheel telemetry dumps were byte-identical.
-    pub dumps_equal: bool,
-    /// Full-simulation wall clock, `[heap, wheel]`, milliseconds.
-    pub sim_ms: [f64; 2],
+    /// FNV-1a digests of the metrics, series and flight dumps.
+    pub digests: [u64; 3],
+    /// Full-simulation wall clock, milliseconds.
+    pub sim_ms: f64,
     /// Trace-replay wall clock, `[heap, wheel]`, milliseconds (min of
     /// [`REPLAY_REPS`] reps).
     pub replay_ms: [f64; 2],
@@ -104,88 +74,21 @@ pub struct TopoResult {
     pub speedup: f64,
 }
 
-/// Build a `gateways`-node ring with a host hanging off either side —
-/// the E12 topology scaled up. `trace` must be armed before the first
-/// `connect` (topology kicks schedule events; a replayable trace has to
-/// start at event zero).
-fn build_ring(gateways: usize, seed: u64, kind: SchedulerKind, trace: bool) -> Network {
-    let mut net = Network::with_scheduler(seed, kind);
-    net.set_sched_trace(trace);
-    let h1 = net.add_host("h1");
-    let gs: Vec<usize> = (0..gateways)
-        .map(|i| net.add_gateway(format!("g{i}")))
-        .collect();
-    net.connect(h1, gs[0], LinkClass::EthernetLan);
-    for i in 0..gateways {
-        net.connect(gs[i], gs[(i + 1) % gateways], LinkClass::T1Terrestrial);
-    }
-    let h2 = net.add_host("h2");
-    net.connect(gs[gateways / 2], h2, LinkClass::EthernetLan);
-    add_flows(&mut net, &gs);
-    net
-}
-
-/// Build a `side`×`side` grid mesh of gateways (each connected to its
-/// right and down neighbors) with hosts at opposite corners. Meshes
-/// have far more redundant paths than rings, so the convergence storm
-/// is denser per node.
-fn build_mesh(side: usize, seed: u64, kind: SchedulerKind, trace: bool) -> Network {
-    let mut net = Network::with_scheduler(seed, kind);
-    net.set_sched_trace(trace);
-    let gs: Vec<usize> = (0..side * side)
-        .map(|i| net.add_gateway(format!("g{i}")))
-        .collect();
-    for row in 0..side {
-        for col in 0..side {
-            let here = gs[row * side + col];
-            if col + 1 < side {
-                net.connect(here, gs[row * side + col + 1], LinkClass::T1Terrestrial);
-            }
-            if row + 1 < side {
-                net.connect(here, gs[(row + 1) * side + col], LinkClass::T1Terrestrial);
-            }
-        }
-    }
-    let h1 = net.add_host("h1");
-    let h2 = net.add_host("h2");
-    net.connect(h1, gs[0], LinkClass::EthernetLan);
-    net.connect(h2, gs[side * side - 1], LinkClass::EthernetLan);
-    add_flows(&mut net, &gs);
-    net
-}
-
-fn dumps(net: &Network) -> [String; 3] {
-    [net.metrics_dump(), net.series_dump(), net.flight_dump()]
-}
-
-/// Measure one topology under both backends. `build` must construct the
-/// identical network modulo the scheduler kind, arming the op trace
-/// when the second argument is true.
-fn measure(
-    name: &str,
-    gateways: usize,
-    build: &dyn Fn(SchedulerKind, bool) -> Network,
-) -> TopoResult {
-    // Wheel run carries the op-trace recorder (recording is push-only
-    // and kind-independent, but one trace suffices).
-    let mut wheel_net = build(SchedulerKind::Wheel, true);
+/// Measure one topology. `build` populates the network; the op trace is
+/// armed before it runs (topology kicks schedule events, and a
+/// replayable trace has to start at event zero).
+fn measure(name: &str, seed: u64, build: impl FnOnce(&mut Network) -> Vec<NodeId>) -> TopoResult {
+    let mut net = Network::new(seed);
+    net.set_sched_trace(true);
+    let gateways = build(&mut net).len();
     let t0 = std::time::Instant::now();
-    wheel_net.run_for(VIRTUAL);
-    let wheel_sim_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let trace: Vec<TraceOp> = wheel_net.take_sched_trace();
-    let wheel_dumps = dumps(&wheel_net);
-    let stats = wheel_net.sched_stats();
+    net.run_for(VIRTUAL);
+    let sim_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let trace = net.take_sched_trace();
+    let stats = net.sched_stats();
 
-    let mut heap_net = build(SchedulerKind::Heap, false);
-    let t0 = std::time::Instant::now();
-    heap_net.run_for(VIRTUAL);
-    let heap_sim_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let heap_dumps = dumps(&heap_net);
-    assert_eq!(
-        heap_net.sched_stats().processed,
-        stats.processed,
-        "{name}: backends processed different event counts"
-    );
+    let (pops, lockstep_ties) = diffsched::replay_lockstep(&trace);
+    assert_eq!(pops, stats.processed, "{name}: the trace misses pops");
 
     let replay_ms = |kind: SchedulerKind| -> f64 {
         let mut best = f64::INFINITY;
@@ -205,9 +108,10 @@ fn measure(
         name: name.to_string(),
         gateways,
         events: stats.processed,
+        lockstep_ties,
         overflow_inserts: stats.wheel.overflow_inserts,
-        dumps_equal: wheel_dumps == heap_dumps,
-        sim_ms: [heap_sim_ms, wheel_sim_ms],
+        digests: topo::dumps(&net),
+        sim_ms,
         replay_ms: [heap_replay, wheel_replay],
         replay_eps: [eps(heap_replay), eps(wheel_replay)],
         speedup: heap_replay / wheel_replay,
@@ -217,18 +121,14 @@ fn measure(
 /// Run the battery. `fast` selects the CI-sized topologies.
 pub fn run_battery(fast: bool, seed: u64) -> Vec<TopoResult> {
     let sizes: &[usize] = if fast { &RING_SIZES_FAST } else { &RING_SIZES };
-    let mut results = Vec::new();
-    for &gateways in sizes {
-        results.push(measure(&format!("ring-{gateways}"), gateways, &|kind, trace| {
-            build_ring(gateways, seed, kind, trace)
-        }));
-    }
+    let mut results: Vec<TopoResult> = sizes
+        .iter()
+        .map(|&n| measure(&format!("ring-{n}"), seed, |net| topo::build_ring(net, n)))
+        .collect();
     let side = if fast { 5 } else { 10 };
-    results.push(measure(
-        &format!("mesh-{side}x{side}"),
-        side * side,
-        &|kind, trace| build_mesh(side, seed, kind, trace),
-    ));
+    results.push(measure(&format!("mesh-{side}x{side}"), seed, |net| {
+        topo::build_mesh(net, side)
+    }));
     results
 }
 
@@ -238,16 +138,17 @@ pub fn table(results: &[TopoResult]) -> Table {
         format!(
             "E13 — Scheduler scale benchmark: cold-start DV convergence storm \
              plus concurrent bulk TCP flows, {VIRTUAL} of virtual time per \
-             topology; heap vs wheel backend (replay = scheduler op trace \
-             re-run through the backend alone)"
+             topology on the timer wheel; its scheduler op trace replayed \
+             through the heap reference and the wheel (lockstep = side by \
+             side, every pop compared; replay = one backend alone, timed)"
         ),
         &[
             "topology",
             "gateways",
             "events",
-            "dumps equal",
-            "sim heap (ms)",
-            "sim wheel (ms)",
+            "lockstep equal",
+            "same-instant ties",
+            "sim (ms)",
             "replay heap (ms)",
             "replay wheel (ms)",
             "substrate speedup",
@@ -258,19 +159,21 @@ pub fn table(results: &[TopoResult]) -> Table {
             r.name.clone(),
             format!("{}", r.gateways),
             format!("{}", r.events),
-            if r.dumps_equal { "yes" } else { "NO" }.into(),
-            format!("{:.1}", r.sim_ms[0]),
-            format!("{:.1}", r.sim_ms[1]),
+            // `measure` panics on the first unequal pop.
+            "yes".into(),
+            format!("{}", r.lockstep_ties),
+            format!("{:.1}", r.sim_ms),
             format!("{:.2}", r.replay_ms[0]),
             format!("{:.2}", r.replay_ms[1]),
             format!("{:.2}x", r.speedup),
         ]);
     }
     table.note(
-        "Expected shape: dumps equal everywhere (the backends are observably \
-         identical); substrate speedup grows with topology size and clears 2x at \
-         the 400-gateway ring. Wall-clock columns vary run to run; event counts \
-         and dump equality are seed-deterministic.",
+        "Expected shape: lockstep equal everywhere (the wheel pops exactly \
+         what the heap reference pops, FIFO ties included); substrate speedup \
+         grows with topology size and clears 2x at the 400-gateway ring. \
+         Wall-clock columns vary run to run; event and tie counts are \
+         seed-deterministic.",
     );
     table
 }
@@ -294,15 +197,22 @@ pub fn to_json(results: &[TopoResult], timings: bool) -> String {
             "      \"overflow_inserts\": {},\n",
             r.overflow_inserts
         ));
-        out.push_str(&format!("      \"dumps_equal\": {}", r.dumps_equal));
+        out.push_str(&format!(
+            "      \"lockstep_equal\": true,\n      \"lockstep_ties\": {},\n",
+            r.lockstep_ties
+        ));
+        out.push_str(&format!(
+            "      \"digest_metrics\": {},\n      \"digest_series\": {},\n      \"digest_flight\": {}",
+            r.digests[0], r.digests[1], r.digests[2]
+        ));
         if timings {
             out.push_str(&format!(
-                ",\n      \"heap\": {{\"sim_ms\": {:.3}, \"replay_ms\": {:.3}, \"replay_events_per_sec\": {:.0}}},\n",
-                r.sim_ms[0], r.replay_ms[0], r.replay_eps[0]
+                ",\n      \"heap\": {{\"replay_ms\": {:.3}, \"replay_events_per_sec\": {:.0}}},\n",
+                r.replay_ms[0], r.replay_eps[0]
             ));
             out.push_str(&format!(
                 "      \"wheel\": {{\"sim_ms\": {:.3}, \"replay_ms\": {:.3}, \"replay_events_per_sec\": {:.0}}},\n",
-                r.sim_ms[1], r.replay_ms[1], r.replay_eps[1]
+                r.sim_ms, r.replay_ms[1], r.replay_eps[1]
             ));
             out.push_str(&format!("      \"replay_speedup\": {:.3}\n", r.speedup));
         } else {
@@ -323,35 +233,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_ring_backends_agree_and_wheel_overflows() {
-        // One small topology end to end: byte-equal dumps, a sane event
-        // count, and far timers actually crossing the overflow map (so
-        // the benchmark exercises the wheel's paging path, not just the
-        // in-window fast path).
-        let r = measure("ring-4", 4, &|kind, trace| build_ring(4, 11, kind, trace));
-        assert!(r.dumps_equal, "heap and wheel dumps must be identical");
+    fn small_ring_replays_equal_and_wheel_overflows() {
+        // One small topology end to end: a trace the heap and the wheel
+        // pop identically, a sane event count with real same-instant
+        // ties in it, and far timers actually crossing the overflow map
+        // (so the benchmark exercises the wheel's paging path, not just
+        // the in-window fast path).
+        let r = measure("ring-4", 11, |net| topo::build_ring(net, 4));
+        assert_eq!(r.gateways, 4);
         assert!(r.events > 1_000, "convergence storm happened: {}", r.events);
+        assert!(r.lockstep_ties > 0, "some pops share an instant");
         assert!(r.overflow_inserts > 0, "3 s DV timers cross windows");
         assert!(r.speedup.is_finite() && r.speedup > 0.0);
     }
 
     #[test]
     fn json_check_mode_is_deterministic_and_timing_free() {
-        let a = measure("ring-3", 3, &|kind, trace| build_ring(3, 11, kind, trace));
-        let b = measure("ring-3", 3, &|kind, trace| build_ring(3, 11, kind, trace));
+        let a = measure("ring-3", 11, |net| topo::build_ring(net, 3));
+        let b = measure("ring-3", 11, |net| topo::build_ring(net, 3));
         let ja = to_json(&[a], false);
         let jb = to_json(&[b], false);
         assert_eq!(ja, jb, "check-mode JSON replays bit-for-bit");
         assert!(!ja.contains("_ms"), "no wall-clock fields in check mode");
         assert!(ja.contains("\"mode\": \"check\""));
-        assert!(ja.contains("\"dumps_equal\": true"));
+        assert!(ja.contains("\"lockstep_equal\": true"));
     }
 
     #[test]
-    fn mesh_builds_and_agrees() {
-        let r = measure("mesh-3x3", 9, &|kind, trace| build_mesh(3, 23, kind, trace));
-        assert!(r.dumps_equal);
+    fn mesh_builds_and_replays_equal() {
+        let r = measure("mesh-3x3", 23, |net| topo::build_mesh(net, 3));
+        assert_eq!(r.gateways, 9);
         assert!(r.events > 1_000);
     }
 }
-

@@ -34,8 +34,9 @@
 //! wall-clock fields are omitted and CI diffs two runs.
 
 use crate::table::Table;
+use catenet_accounting::flow::FlowId;
+use catenet_accounting::table::FlowTable;
 use catenet_core::app::{BulkSender, SinkServer};
-use catenet_core::flow::{FlowId, FlowTable};
 use catenet_core::iface::Framing;
 use catenet_core::{Endpoint, Network, NodeId, TcpConfig};
 use catenet_sim::{Duration, FaultAction, FaultPlan, Instant, LinkClass, LinkParams, Rng, ShardKind};
@@ -323,26 +324,7 @@ fn build_ring(gateways: usize, seed: u64, accounting: bool) -> (Network, Vec<Nod
     for i in 0..gateways {
         net.connect(gs[i], gs[(i + 1) % gateways], LinkClass::T1Terrestrial);
     }
-    for i in (0..gateways).step_by(2) {
-        let near = gs[i];
-        let far = gs[(i + 2) % gateways];
-        let sender = net.add_host(format!("src{i}"));
-        let sink = net.add_host(format!("dst{i}"));
-        net.connect(sender, near, LinkClass::EthernetLan);
-        net.connect(sink, far, LinkClass::EthernetLan);
-        let dst = net.node(sink).primary_addr();
-        let config = TcpConfig::default();
-        net.attach_app(sink, Box::new(SinkServer::new(80, config.clone())));
-        net.attach_app(
-            sender,
-            Box::new(BulkSender::new(
-                Endpoint::new(dst, 80),
-                250_000,
-                config,
-                Instant::from_secs(8),
-            )),
-        );
-    }
+    crate::topo::add_flows(&mut net, &gs, 250_000);
     if accounting {
         net.enable_accounting(FLUSH_PERIOD);
     }

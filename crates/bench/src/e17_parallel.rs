@@ -20,39 +20,29 @@
 //! The digests must agree across every K — cross-K equivalence — and
 //! the wall-clock ratio against K=1 is the headline speedup.
 //!
-//! **Arms.** Three lookahead/partition arms price the window protocol
-//! itself, on identical topologies with identical bytes:
+//! **The window protocol** is the CMB-style per-lane-pair lookahead
+//! matrix: lane i advances to `min over j of (T_j + reach(j→i)) − 1 µs`
+//! and lanes with nothing due are skipped; window counters
+//! ([`ShardStats`]) price it per run.
 //!
-//! - `global` — the original protocol: one window bound (minimum
-//!   cross-lane base propagation) anchored at the round's earliest
-//!   instant, every lane dispatched every round. Kept as the baseline.
-//! - `per-pair` — the CMB-style per-lane-pair lookahead matrix: lane i
-//!   advances to `min over j of (T_j + reach(j→i)) − 1 µs`, lanes with
-//!   nothing due are skipped. The default.
-//! - `partitioner` — per-pair plus latency-aware lane boundaries
-//!   (`catenet_core::partition`): boundary positions slide (within 25 %
-//!   balance slack) to maximize the cheapest cut link.
-//!
-//! **Topology discipline.** Lanes are contiguous-by-NodeId, so the
-//! builder interleaves creation — `g₀, src₀, g₁, dst₀, g₂, …` — making
-//! the node sequence periodic in cells of four. On the main ring the
-//! gateway count is a multiple of 16, so every equal-chunk boundary
-//! for K ≤ 8 lands *between* cells: hosts share a lane with their
-//! gateway, every cross-lane link is a T1 trunk, and windows get the
-//! full 30 ms trunk propagation. The **misaligned demo** drops that
-//! builder convention on purpose — a 66-gateway ring at K=8 puts four
-//! equal-chunk boundaries *inside* cells, cutting 100 µs LANs — and
-//! shows the partitioner restoring trunk-only cuts automatically
-//! (window-span counters tell the story; dumps stay byte-identical
-//! throughout, because partition choice is performance-only).
+//! **Topology.** Lanes are contiguous-by-NodeId, so the builder
+//! interleaves creation — `g₀, src₀, g₁, dst₀, g₂, …` — making the node
+//! sequence periodic in cells of four. On the main ring the gateway
+//! count is a multiple of 16, so for K ≤ 8 the balanced boundaries
+//! already land *between* cells: hosts share a lane with their gateway,
+//! every cross-lane link is a T1 trunk, and windows get the full 30 ms
+//! trunk propagation. The **misaligned ring** (E17b) drops that
+//! convention on purpose — 66 gateways at K=8 put four of the balanced
+//! boundaries *inside* cells, on 100 µs LANs — and shows
+//! `catenet_core::partition` sliding them onto trunks on its own: the
+//! window counters stay at trunk width, dumps byte-identical.
 //!
 //! Results render as tables and `BENCH_e17.json`. In `--check` mode
 //! the JSON carries only K-invariant, seed-deterministic fields
 //! (counts and dump digests — no shard count, no wall clock, no host
-//! cores, no window counters), so CI can run it at K=1 and K=4 and
-//! with the partitioner on and off, twice each, and diff all the
-//! files: run-twice determinism, cross-K equivalence, and partition
-//! neutrality in one byte comparison. The `--full` tier scales the
+//! cores, no window counters), so CI can run it at K=1 and K=4, twice
+//! each, and diff all the files: run-twice determinism and cross-K
+//! equivalence in one byte comparison. The `--full` tier scales the
 //! ring to 5,120 gateways / ~10⁵ flows for the CI timing artifact.
 
 use crate::table::Table;
@@ -73,8 +63,8 @@ pub const RING_HUGE: usize = 5120;
 /// Flows per cell in the `--full` scale tier.
 pub const FLOWS_PER_CELL_HUGE: usize = 40;
 /// Ring size of the misaligned demo: 66 gateways → 132 nodes, so the
-/// K=8 equal chunks land at positions 16, 33, 49, 66, 82, 99, 115 —
-/// four of them odd, i.e. inside a cell, cutting a host LAN.
+/// K=8 balanced boundaries are 16, 33, 49, 66, 82, 99, 115 — four of
+/// them odd, i.e. inside a cell, on a host LAN.
 pub const RING_MISALIGNED: usize = 66;
 /// CBR flows per host-pair cell in the full battery (one cell per two
 /// gateways: 1024 gateways → 512 cells → 10 240 concurrent flows).
@@ -94,28 +84,6 @@ const CBR_SIZE: usize = 160;
 /// Each cell's flows target the dst host two cells ahead: five ring
 /// hops plus two LAN hops, comfortably inside the metric-16 horizon.
 const CELL_SKIP: usize = 2;
-
-/// Which lookahead/partition arm a run uses (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arm {
-    /// The original single-bound protocol, all lanes every round.
-    Global,
-    /// Per-lane-pair lookahead matrix with lane skipping (default).
-    PerPair,
-    /// Per-pair lookahead on latency-aware lane boundaries.
-    Partitioner,
-}
-
-impl Arm {
-    /// Stable name for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Arm::Global => "global",
-            Arm::PerPair => "per-pair",
-            Arm::Partitioner => "partitioner",
-        }
-    }
-}
 
 /// Workload tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,13 +111,11 @@ impl Tier {
 pub struct ShardRun {
     /// Requested shard count K.
     pub shards: usize,
-    /// Lookahead/partition arm.
-    pub arm: Arm,
     /// Lanes actually created (K clamped to the node count).
     pub lanes: usize,
-    /// Events processed (identical across K and arms).
+    /// Events processed (identical across K).
     pub events: u64,
-    /// Datagrams forwarded by gateways (identical across K and arms).
+    /// Datagrams forwarded by gateways (identical across K).
     pub forwarded: u64,
     /// FNV-1a digests of the metrics, series, and flight dumps.
     pub digests: [u64; 3],
@@ -161,7 +127,7 @@ pub struct ShardRun {
 
 impl ShardRun {
     /// Mean lane-window span in microseconds — how far a lane runs per
-    /// round, the direct observable the per-pair matrix widens.
+    /// round.
     pub fn avg_span_us(&self) -> f64 {
         let lane_windows = self.stats.lanes_dispatched + self.stats.lanes_skipped;
         if lane_windows == 0 {
@@ -181,10 +147,10 @@ pub struct Battery {
     pub cells: usize,
     /// Concurrent CBR flows (cells × flows-per-cell).
     pub flows: usize,
-    /// One run per requested shard count / arm.
+    /// One run per requested shard count.
     pub runs: Vec<ShardRun>,
     /// Every run produced identical dump digests, event counts, and
-    /// forward counts — the cross-K, cross-arm equivalence bit.
+    /// forward counts — the cross-K equivalence bit.
     pub all_equal: bool,
     /// Cores the host reported (`std::thread::available_parallelism`);
     /// speedup is bounded by this, so CI numbers from a 4-core runner
@@ -203,12 +169,13 @@ pub fn fnv1a(text: &str) -> u64 {
     hash
 }
 
-/// Build the interleaved ring and attach every flow. See the module
-/// docs for why creation order is load-bearing.
-fn build(gateways: usize, flows_per_cell: usize, seed: u64, shard: ShardKind) -> (Network, Vec<NodeId>) {
+/// Build the interleaved ring and attach every flow, returning the
+/// network and its gateway ids. See the module docs for why creation
+/// order is load-bearing.
+pub fn build(gateways: usize, flows_per_cell: usize, seed: u64, shard: ShardKind) -> (Network, Vec<NodeId>) {
     // Even gateway counts keep cells whole; *alignment* of lane
     // boundaries to cell edges is the main ring's convention (multiple
-    // of 16) and deliberately not enforced here — the misaligned demo
+    // of 16) and deliberately not enforced here — the misaligned ring
     // exists to break it and let the partitioner repair it.
     assert!(gateways.is_multiple_of(2), "cells need gateway pairs");
     let cells = gateways / 2;
@@ -254,16 +221,15 @@ fn build(gateways: usize, flows_per_cell: usize, seed: u64, shard: ShardKind) ->
     (net, gs)
 }
 
-/// Run one (shard count, arm) over the given workload. K=1 is always
-/// the `Single` reference; `threaded` selects `Parallel` vs `Sharded`
-/// lanes for K>1 (the misaligned demo runs serial lanes — its windows
-/// are protocol-priced by counters, not thread wall-clock).
-pub fn run_one_arm(
+/// Run one shard count over the given workload. K=1 is always the
+/// `Single` reference; `threaded` selects `Parallel` vs `Sharded` lanes
+/// for K>1 (the misaligned ring runs serial lanes — its windows are
+/// protocol-priced by counters, not thread wall-clock).
+pub fn run_one(
     gateways: usize,
     flows_per_cell: usize,
     seed: u64,
     shards: usize,
-    arm: Arm,
     threaded: bool,
 ) -> ShardRun {
     let shard = if shards == 1 {
@@ -274,34 +240,19 @@ pub fn run_one_arm(
         ShardKind::Sharded { shards }
     };
     let (mut net, gs) = build(gateways, flows_per_cell, seed, shard);
-    match arm {
-        Arm::Global => net.set_global_lookahead(true),
-        Arm::PerPair => {}
-        Arm::Partitioner => net.set_partitioner(true),
-    }
     let t0 = std::time::Instant::now();
     net.run_for(VIRTUAL);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let forwarded = gs.iter().map(|&g| net.node(g).stats.ip_forwarded).sum();
     ShardRun {
         shards,
-        arm,
         lanes: net.lane_count(),
         events: net.sched_stats().processed,
         forwarded,
-        digests: [
-            fnv1a(&net.metrics_dump()),
-            fnv1a(&net.series_dump()),
-            fnv1a(&net.flight_dump()),
-        ],
+        digests: crate::topo::dumps(&net),
         wall_ms,
         stats: net.shard_stats(),
     }
-}
-
-/// Run one shard count on the default (per-pair, threaded) arm.
-pub fn run_one(gateways: usize, flows_per_cell: usize, seed: u64, shards: usize) -> ShardRun {
-    run_one_arm(gateways, flows_per_cell, seed, shards, Arm::PerPair, true)
 }
 
 fn check_equal(runs: &[ShardRun]) -> bool {
@@ -312,198 +263,130 @@ fn check_equal(runs: &[ShardRun]) -> bool {
     })
 }
 
-/// Run the sweep. `tier` sizes the workload; `shard_counts` lets CI
-/// pin a single K (the `--shards N` flag); `partitioner` switches
-/// every K>1 run to the partitioner arm (the CI cross-diff flag). The
-/// `Full` tier additionally appends the K=4 global-baseline and
-/// partitioner arms, so EXPERIMENTS.md carries the protocol A/B on
-/// one topology.
-pub fn run_battery_arms(
-    tier: Tier,
-    seed: u64,
-    shard_counts: &[usize],
-    partitioner: bool,
-) -> Battery {
+/// Run the sweep on worker threads. `tier` sizes the workload;
+/// `shard_counts` lets CI pin a single K (the `--shards N` flag).
+pub fn run_battery(tier: Tier, seed: u64, shard_counts: &[usize]) -> Battery {
     let (gateways, flows_per_cell) = tier.shape();
-    let arm_for = |k: usize| {
-        if partitioner && k > 1 {
-            Arm::Partitioner
-        } else {
-            Arm::PerPair
-        }
-    };
-    let mut runs: Vec<ShardRun> = shard_counts
+    let runs = shard_counts
         .iter()
-        .map(|&k| run_one_arm(gateways, flows_per_cell, seed, k, arm_for(k), true))
+        .map(|&k| run_one(gateways, flows_per_cell, seed, k, true))
         .collect();
-    if tier == Tier::Full && !partitioner && shard_counts.contains(&4) {
-        runs.push(run_one_arm(gateways, flows_per_cell, seed, 4, Arm::Global, true));
-        runs.push(run_one_arm(
-            gateways,
-            flows_per_cell,
-            seed,
-            4,
-            Arm::Partitioner,
-            true,
-        ));
-    }
-    let all_equal = check_equal(&runs);
+    battery(gateways, flows_per_cell, runs)
+}
+
+/// The misaligned ring: 66 gateways at K=8, where four balanced lane
+/// boundaries would sit on host LANs (100 µs windows) and the
+/// partitioner slides them onto trunks (30 ms windows). Serial lanes —
+/// the observable is the window counters, not thread scaling — with
+/// the K=1 reference pinning byte identity.
+pub fn run_misaligned(seed: u64) -> Battery {
+    let runs = [1, 8]
+        .map(|k| run_one(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, k, false))
+        .to_vec();
+    battery(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, runs)
+}
+
+fn battery(gateways: usize, flows_per_cell: usize, runs: Vec<ShardRun>) -> Battery {
     Battery {
         gateways,
         cells: gateways / 2,
         flows: (gateways / 2) * flows_per_cell,
+        all_equal: check_equal(&runs),
         runs,
-        all_equal,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
-/// Back-compatible entry: `fast` maps to the check tier.
-pub fn run_battery(fast: bool, seed: u64, shard_counts: &[usize]) -> Battery {
-    run_battery_arms(
-        if fast { Tier::Check } else { Tier::Full },
-        seed,
-        shard_counts,
-        false,
-    )
-}
-
-/// The misaligned demo: a 66-gateway ring at K=8, where equal-chunk
-/// lane boundaries cut four host LANs (100 µs windows) and the
-/// partitioner slides them back onto trunks (30 ms windows). Serial
-/// lanes — the observable is the window counters, not thread scaling —
-/// with the K=1 reference pinning byte identity for all three arms.
-pub fn run_misaligned(seed: u64) -> Battery {
-    let runs = vec![
-        run_one_arm(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 1, Arm::PerPair, false),
-        run_one_arm(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 8, Arm::Global, false),
-        run_one_arm(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 8, Arm::PerPair, false),
-        run_one_arm(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 8, Arm::Partitioner, false),
-    ];
-    let all_equal = check_equal(&runs);
-    Battery {
-        gateways: RING_MISALIGNED,
-        cells: RING_MISALIGNED / 2,
-        flows: (RING_MISALIGNED / 2) * FLOWS_PER_CELL_CHECK,
-        runs,
-        all_equal,
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
 /// Render the sweep as an experiment table.
 pub fn table(battery: &Battery) -> Table {
+    let title = format!(
+        "E17 — Sharded parallel execution: ring-{} ({} concurrent CBR/UDP \
+         flows), {VIRTUAL} of virtual time per run; per-pair-lookahead \
+         lanes on persistent worker threads vs the single-lane reference \
+         (host reported {} core{})",
+        battery.gateways,
+        battery.flows,
+        battery.host_cores,
+        if battery.host_cores == 1 { "" } else { "s" },
+    );
+    let mut table = rows(title, battery);
+    table.note(
+        "Expected shape: dumps equal on every row — the lane count is \
+         observably indistinguishable from the reference, which is the whole \
+         contract. Windows run at trunk width (~30 ms), none collapsed, with \
+         idle lanes skipped instead of dispatched; speedup at K=4 clears 1.5x \
+         on a 4-core host and is bounded by the host core count (a 1-core \
+         container spawns no worker, runs every lane on the calling thread \
+         and reports ~1.0x). Wall-clock columns vary run to run; event \
+         counts, forward counts, digests and window counters are \
+         seed-deterministic.",
+    );
+    table
+}
+
+/// Render the misaligned ring as its own table.
+pub fn misaligned_table(battery: &Battery) -> Table {
+    let title = format!(
+        "E17b — Latency-aware partitioning, misaligned ring-{} ({} flows, \
+         serial lanes): four balanced K=8 boundaries would sit on host \
+         LANs; the partitioner slides them onto T1 trunks",
+        battery.gateways, battery.flows,
+    );
+    let mut table = rows(title, battery);
+    table.note(
+        "Expected shape: both rows byte-identical (partition choice is \
+         performance-only) and the K=8 run at trunk-width windows — \
+         hundreds of rounds, none collapsed — where a boundary left on a \
+         LAN would mean ~100 µs windows and tens of thousands of rounds. \
+         (Serial lanes: the counters, not the milliseconds, are the point.)",
+    );
+    table
+}
+
+/// One row per run, the first being the reference for "dumps equal"
+/// and "speedup".
+fn rows(title: String, battery: &Battery) -> Table {
     let mut table = Table::new(
-        format!(
-            "E17 — Sharded parallel execution: ring-{} ({} concurrent CBR/UDP \
-             flows), {VIRTUAL} of virtual time per run; per-pair-lookahead \
-             lanes on persistent worker threads vs the single-lane reference, with the \
-             global-lookahead baseline and partitioner arms at K=4 \
-             (host reported {} core{})",
-            battery.gateways,
-            battery.flows,
-            battery.host_cores,
-            if battery.host_cores == 1 { "" } else { "s" },
-        ),
+        title,
         &[
             "shards",
-            "arm",
             "lanes",
             "events",
             "forwarded",
             "dumps equal",
             "windows",
             "avg win (µs)",
+            "collapsed",
             "skipped",
             "wall (ms)",
             "speedup",
         ],
     );
-    let reference = battery.runs.first().map(|r| r.wall_ms).unwrap_or(0.0);
+    let reference = &battery.runs[0];
     for r in &battery.runs {
-        let equal = r.digests == battery.runs[0].digests;
         table.row(vec![
             format!("{}", r.shards),
-            r.arm.name().into(),
             format!("{}", r.lanes),
             format!("{}", r.events),
             format!("{}", r.forwarded),
-            if equal { "yes" } else { "NO" }.into(),
-            format!("{}", r.stats.windows),
-            format!("{:.0}", r.avg_span_us()),
-            format!("{}", r.stats.lanes_skipped),
-            format!("{:.1}", r.wall_ms),
-            format!("{:.2}x", reference / r.wall_ms),
-        ]);
-    }
-    table.note(
-        "Expected shape: dumps equal on every row — lane count, lookahead \
-         protocol and partition choice are all observably indistinguishable \
-         from the reference, which is the whole contract. The per-pair arm \
-         beats the global baseline at equal K (wider windows where traffic is \
-         asymmetric, idle lanes skipped instead of dispatched); speedup at \
-         K=4 clears 1.5x on a 4-core host and is bounded by the host core \
-         count (a 1-core container spawns no worker, runs every lane on the \
-         calling thread and reports ~1.0x, but the per-pair arm still wins \
-         on fewer rounds). Wall-clock columns vary run to run; event counts, \
-         forward counts, digests and window counters are seed-deterministic.",
-    );
-    table
-}
-
-/// Render the misaligned demo as its own table.
-pub fn misaligned_table(battery: &Battery) -> Table {
-    let mut table = Table::new(
-        format!(
-            "E17b — Latency-aware partitioning, misaligned ring-{} ({} flows, \
-             K=8 serial lanes): equal-chunk boundaries cut four host LANs; \
-             the partitioner slides them back onto T1 trunks",
-            battery.gateways, battery.flows,
-        ),
-        &[
-            "arm",
-            "lanes",
-            "dumps equal",
-            "windows",
-            "avg win (µs)",
-            "collapsed",
-            "skipped",
-            "wall (ms)",
-        ],
-    );
-    for r in &battery.runs {
-        let equal = r.digests == battery.runs[0].digests;
-        table.row(vec![
-            if r.shards == 1 {
-                "reference".into()
-            } else {
-                r.arm.name().into()
-            },
-            format!("{}", r.lanes),
-            if equal { "yes" } else { "NO" }.into(),
+            if r.digests == reference.digests { "yes" } else { "NO" }.into(),
             format!("{}", r.stats.windows),
             format!("{:.0}", r.avg_span_us()),
             format!("{}", r.stats.collapsed),
             format!("{}", r.stats.lanes_skipped),
             format!("{:.1}", r.wall_ms),
+            format!("{:.2}x", reference.wall_ms / r.wall_ms),
         ]);
     }
-    table.note(
-        "Expected shape: all four rows byte-identical (partition choice is \
-         performance-only), with the global and per-pair arms stuck at \
-         ~100 µs windows — the LAN a misplaced boundary cuts — and the \
-         partitioner arm back at trunk-width windows, orders of magnitude \
-         fewer rounds, and correspondingly less barrier overhead.",
-    );
     table
 }
 
 /// Serialize as `BENCH_e17.json`. With `timings: false` (CI `--check`)
 /// only K-invariant fields survive: no shard counts, no lane counts,
 /// no wall clock, no host cores, no window counters — check files
-/// produced at *different* K, or with the partitioner on vs off, must
-/// be byte-identical, which is exactly what CI diffs. With timings on,
-/// `misaligned` (when given) rides along as the partitioner demo.
+/// produced at *different* K must be byte-identical, which is exactly
+/// what CI diffs. With timings on, `misaligned` (when given) rides
+/// along as the partitioner demo.
 pub fn to_json(battery: &Battery, timings: bool, misaligned: Option<&Battery>) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e17\",\n");
     out.push_str(&format!(
@@ -550,13 +433,12 @@ fn runs_json(runs: &[ShardRun], reference_wall_ms: f64, indent: &str) -> String 
     let mut out = String::new();
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
-            "{indent}{{\"shards\": {}, \"arm\": \"{}\", \"lanes\": {}, \
+            "{indent}{{\"shards\": {}, \"lanes\": {}, \
              \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"speedup\": {:.3}, \
              \"windows\": {}, \"avg_span_us\": {:.0}, \"collapsed\": {}, \
              \"barrier_stalls\": {}, \"lanes_dispatched\": {}, \
              \"lanes_skipped\": {}}}{}\n",
             r.shards,
-            r.arm.name(),
             r.lanes,
             r.wall_ms,
             r.events as f64 / (r.wall_ms / 1e3),
@@ -582,7 +464,7 @@ mod tests {
         // A 16-gateway ring (the smallest cell-aligned size) at K = 1,
         // 2, 4: identical digests, event counts, and forward counts —
         // the E17 contract end to end, threads included.
-        let runs: Vec<ShardRun> = [1, 2, 4].iter().map(|&k| run_one(16, 2, 11, k)).collect();
+        let runs: Vec<ShardRun> = [1, 2, 4].map(|k| run_one(16, 2, 11, k, true)).to_vec();
         for r in &runs[1..] {
             assert_eq!(r.digests, runs[0].digests, "K={} dumps diverged", r.shards);
             assert_eq!(r.events, runs[0].events, "K={} event count", r.shards);
@@ -604,7 +486,7 @@ mod tests {
             gateways: 16,
             cells: 8,
             flows: 16,
-            runs: vec![run_one(16, 2, 11, k)],
+            runs: vec![run_one(16, 2, 11, k, true)],
             all_equal: true,
             host_cores: cores,
         };
@@ -617,60 +499,6 @@ mod tests {
         assert!(!ja.contains("windows"), "no window counters in check mode");
         assert!(ja.contains("\"mode\": \"check\""));
         assert!(ja.contains("\"all_equal\": true"));
-    }
-
-    #[test]
-    fn partitioner_is_byte_neutral() {
-        // The CI cross-diff in miniature: the same workload with the
-        // partitioner off and on must agree on every K-invariant field
-        // — partition choice is performance-only.
-        let off = run_one_arm(16, 2, 11, 2, Arm::PerPair, true);
-        let on = run_one_arm(16, 2, 11, 2, Arm::Partitioner, true);
-        assert_eq!(off.digests, on.digests, "partitioner changed bytes");
-        assert_eq!(off.events, on.events);
-        assert_eq!(off.forwarded, on.forwarded);
-    }
-
-    #[test]
-    fn global_baseline_arm_matches_bytes_and_dispatches_every_lane() {
-        let per_pair = run_one_arm(16, 2, 11, 4, Arm::PerPair, true);
-        let global = run_one_arm(16, 2, 11, 4, Arm::Global, true);
-        assert_eq!(per_pair.digests, global.digests, "arms must agree on bytes");
-        assert_eq!(
-            global.stats.lanes_skipped, 0,
-            "the baseline dispatches every lane every round"
-        );
-        assert!(
-            per_pair.stats.lanes_skipped > 0,
-            "per-pair skips idle lanes: {:?}",
-            per_pair.stats
-        );
-    }
-
-    #[test]
-    fn misaligned_ring_partitioner_widens_windows_and_keeps_bytes() {
-        // An 18-gateway ring (36 nodes) at K=4: equal chunks cut at
-        // 9/18/27, two of them inside cells (host LANs); the
-        // partitioner must slide every boundary onto a trunk, widening
-        // the mean window from LAN scale toward trunk scale, with all
-        // dumps byte-identical.
-        let reference = run_one_arm(18, 2, 11, 1, Arm::PerPair, false);
-        let off = run_one_arm(18, 2, 11, 4, Arm::PerPair, false);
-        let on = run_one_arm(18, 2, 11, 4, Arm::Partitioner, false);
-        assert_eq!(off.digests, reference.digests, "equal-chunk arm diverged");
-        assert_eq!(on.digests, reference.digests, "partitioner arm diverged");
-        assert!(
-            on.avg_span_us() > 4.0 * off.avg_span_us(),
-            "trunk-only cuts must widen windows: off {:.0} µs vs on {:.0} µs",
-            off.avg_span_us(),
-            on.avg_span_us()
-        );
-        assert!(
-            on.stats.windows < off.stats.windows,
-            "wider windows mean fewer rounds: {} vs {}",
-            on.stats.windows,
-            off.stats.windows
-        );
     }
 
     #[test]

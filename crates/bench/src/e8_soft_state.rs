@@ -10,15 +10,16 @@
 //! is derivable from the traffic.
 //!
 //! **Experiment.** Several CBR flows cross a gateway that maintains a
-//! soft-state [`catenet_core::flow::FlowTable`] with rate estimates. We
-//! crash and reboot the gateway and measure how long (and how many
-//! packets) the table takes to (a) re-discover every flow and (b) bring
-//! each rate estimate back within 10% of truth. The hard-state contrast
-//! is E1's virtual-circuit table, which never recovers.
+//! soft-state [`catenet_accounting::table::FlowTable`] with rate
+//! estimates. We crash and reboot the gateway and measure how long (and
+//! how many packets) the table takes to (a) re-discover every flow and
+//! (b) bring each rate estimate back within 10% of truth. The
+//! hard-state contrast is E1's virtual-circuit table, which never
+//! recovers.
 
 use crate::table::Table;
+use catenet_accounting::table::FlowTable;
 use catenet_core::app::{CbrSink, CbrSource};
-use catenet_core::flow::FlowTable;
 use catenet_core::{Endpoint, Network};
 use catenet_sim::{Duration, Instant, LinkClass};
 

@@ -19,9 +19,9 @@
 //! | [`e10_realizations`] | one architecture across LAN / terrestrial / satellite realizations |
 //! | [`e11_gauntlet`] | end-to-end invariants under scripted chaos (the survivability gauntlet) |
 //! | [`e12_reconvergence`] | per-heal routing reconvergence, measured and bounded |
-//! | [`e13_scale`] | event-loop scale: heap vs timer-wheel scheduler at 50–400 gateways |
+//! | [`e13_scale`] | event-loop scale: the timer wheel against its heap reference at 50–400 gateways |
 //! | [`e14_routeguard`] | byzantine blast radius with and without the route-guard defense |
-//! | [`e15_fastpath`] | per-packet buffer cost: pooled zero-copy path vs allocate-and-copy |
+//! | [`e15_fastpath`] | per-packet buffer cost: steady-state forwarding allocates and relocates nothing |
 //! | [`e16_accountability`] | crash-reconcilable usage reports, 10⁵-flow churn, CRC32C vs checksum escapes |
 //! | [`e17_parallel`] | sharded parallel execution: speedup vs shard count, dumps byte-identical at every K |
 //!
@@ -56,6 +56,7 @@ pub mod e7_accounting;
 pub mod e8_soft_state;
 pub mod e9_byte_sequencing;
 pub mod table;
+pub mod topo;
 
 pub use table::Table;
 

@@ -32,10 +32,13 @@
 //!
 //! ## The extensions (what the paper proposes for the future)
 //!
-//! - [`flow::FlowTable`] — per-flow *soft state* in gateways,
-//!   reconstructible from live traffic after a crash (§10's "flows").
-//! - [`accounting::Ledger`] — per-flow packet/byte accounting (goal 7),
-//!   used to measure how well datagram accounting approximates truth.
+//! - [`catenet_accounting::table::FlowTable`] — per-flow *soft state*
+//!   in gateways, reconstructible from live traffic after a crash
+//!   (§10's "flows").
+//! - [`catenet_accounting::ledger::Ledger`] — per-flow packet/byte
+//!   accounting (goal 7), used to measure how well datagram accounting
+//!   approximates truth; [`catenet_accounting::report`] carries it
+//!   across administrative boundaries.
 //!
 //! ## The gauntlet (how the claims are checked)
 //!
@@ -46,12 +49,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod accounting;
 pub mod app;
 pub mod arp;
 pub mod baseline;
 mod byzantine;
-pub mod flow;
 pub mod iface;
 pub mod invariant;
 mod lane;

@@ -11,15 +11,19 @@
 //! Under [`ShardKind::Single`] (the default) one lane covers every node
 //! and execution is the classic serial event loop. Under
 //! `Sharded`/`Parallel` the node set splits into K contiguous lanes at
-//! the first `run_until`, and the loop becomes a barrier protocol:
-//! conservative-lookahead windows per lane, cross-lane frames and
-//! telemetry harvests exchanged at barrier instants. Every dump is
+//! the first `run_until` (boundaries chosen by [`crate::partition`], so
+//! cuts fall on the slowest links), and the loop becomes a barrier
+//! protocol: conservative-lookahead windows per lane, cross-lane frames
+//! and telemetry harvests exchanged at barrier instants. Every dump is
 //! byte-identical across K — `tests/shard_equivalence.rs` is the proof.
+//!
+//! [`Network::new`] and [`Network::with_shards`] are the whole
+//! configuration surface: one scheduler (the timer wheel), one window
+//! protocol (per-lane-pair lookahead), one boundary chooser, one buffer
+//! path (pooled, headers prepended in place).
 
-use crate::accounting::{Ledger, Reconciliation, ReportCollector};
 use crate::app::Application;
 use crate::byzantine::ByzantineState;
-use crate::flow::FlowTable;
 use crate::iface::{Framing, Iface};
 use crate::lane::{
     CrossFrame, Endpoint, Event, HarvestEntry, HarvestOp, Lane, LaneLink, LaneWindow, Lanes,
@@ -28,10 +32,13 @@ use crate::lane::{
 use crate::node::{Node, NodeRole};
 use crate::partition::{self, CutLink};
 use crate::pool::{PacketPool, PoolStats};
+use catenet_accounting::ledger::Ledger;
+use catenet_accounting::report::{Reconciliation, ReportCollector};
+use catenet_accounting::table::FlowTable;
 use catenet_routing::{Attestor, GuardPolicy, MacKey, OriginId, OriginRegistry};
 use catenet_sim::{
     ByzantineAttack, Duration, FaultAction, FaultPlan, Instant, Link, LinkClass, LinkParams,
-    SchedStats, Scheduler, SchedulerKind, ShardKind, ShardStats, TraceOp,
+    SchedStats, Scheduler, ShardKind, ShardStats, TraceOp,
 };
 use catenet_telemetry::{EventKind, Scope, Telemetry};
 use catenet_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
@@ -102,7 +109,7 @@ pub struct Network {
     /// The packet-buffer pool every node allocates from. Frames recycle
     /// through it instead of hitting the allocator per hop. A split
     /// gives each lane a pool of its own off this one (see
-    /// [`PacketPool::lane_pool`]); its counters and mode switches keep
+    /// [`PacketPool::lane_pool`]); its counters and poison switch keep
     /// covering them all.
     pool: PacketPool,
     /// Whether pool telemetry is harvested into the sampler. Off by
@@ -127,18 +134,6 @@ pub struct Network {
     /// and its return bounds how far i may run ahead of itself.
     /// `u64::MAX` = unreachable. Empty until a K>1 split.
     lane_reach: Vec<u64>,
-    /// When set before the first run, `ensure_split` chooses lane
-    /// boundaries with the latency-aware partitioner instead of equal
-    /// chunks (see [`crate::partition`]). Performance-only: the reach
-    /// matrix is computed from whatever lanes exist, so dumps are
-    /// byte-identical either way.
-    partitioner: bool,
-    /// The PR 8 baseline arm for A/B pricing: one global window bound
-    /// (minimum cross-lane base propagation) anchored at the round's
-    /// earliest instant, every lane dispatched every round. Off by
-    /// default; E17 and the lane-window regressions flip it to compare
-    /// protocols on identical topologies.
-    global_lookahead: bool,
     /// Window-protocol counters (all zero for single-lane execution).
     stats: ShardStats,
     /// Harvested telemetry the barrier may not apply yet. Under
@@ -157,29 +152,16 @@ pub struct Network {
 }
 
 impl Network {
-    /// A fresh network on the default scheduler backend. All randomness
-    /// derives from `seed`.
+    /// A fresh single-lane network. All randomness derives from `seed`.
     pub fn new(seed: u64) -> Network {
-        Network::with_scheduler(seed, SchedulerKind::default())
-    }
-
-    /// A fresh network on an explicit scheduler backend (the
-    /// differential harness and E13 run both and compare).
-    pub fn with_scheduler(seed: u64, kind: SchedulerKind) -> Network {
-        Network::with_config(seed, kind, ShardKind::Single)
+        Network::with_shards(seed, ShardKind::Single)
     }
 
     /// A fresh network on an explicit shard mode (the shard-equivalence
     /// harness and E17 run several and compare dumps byte-for-byte).
     pub fn with_shards(seed: u64, shard: ShardKind) -> Network {
-        Network::with_config(seed, SchedulerKind::default(), shard)
-    }
-
-    /// A fresh network with both the scheduler backend and the shard
-    /// mode chosen explicitly.
-    pub fn with_config(seed: u64, kind: SchedulerKind, shard: ShardKind) -> Network {
         let pool = PacketPool::new();
-        let boot = Lane::new(0, 0, Scheduler::with_kind(kind), pool.clone());
+        let boot = Lane::new(0, 0, Scheduler::new(), pool.clone());
         let mut lanes = Lanes::default();
         lanes.push(Box::new(boot));
         Network {
@@ -205,8 +187,6 @@ impl Network {
             last_pool: PoolStats::default(),
             accounting: None,
             lane_reach: Vec::new(),
-            partitioner: false,
-            global_lookahead: false,
             stats: ShardStats::default(),
             pending_harvests: Vec::new(),
             crosses: Vec::new(),
@@ -214,31 +194,9 @@ impl Network {
         }
     }
 
-    /// Choose lane boundaries with the latency-aware partitioner (see
-    /// [`crate::partition`]) instead of equal `NodeId` chunks. Must be
-    /// set before the first `run_until` freezes the topology. Changes
-    /// which links become cross-lane — never what the simulation
-    /// computes: dumps stay byte-identical across on/off (E17 asserts
-    /// it).
-    pub fn set_partitioner(&mut self, on: bool) {
-        assert!(!self.frozen, "partitioner must be chosen before the split");
-        self.partitioner = on;
-    }
-
-    /// Run the PR 8 baseline window protocol: a single global lookahead
-    /// (the minimum cross-lane base propagation) anchored at each
-    /// round's earliest pending instant, with every lane dispatched
-    /// every round. Exists so E17 can price the per-pair matrix against
-    /// its predecessor on the same topology; byte-identical dumps
-    /// either way.
-    pub fn set_global_lookahead(&mut self, on: bool) {
-        assert!(!self.frozen, "lookahead mode must be chosen before the split");
-        self.global_lookahead = on;
-    }
-
     /// Window-protocol execution counters (zero under single-lane
     /// execution). Performance observables only — they vary across K
-    /// and lookahead modes while dumps stay byte-identical.
+    /// while dumps stay byte-identical.
     pub fn shard_stats(&self) -> ShardStats {
         self.stats
     }
@@ -266,14 +224,10 @@ impl Network {
         self.now
     }
 
-    /// Which scheduler backend this network runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.lanes[0].sched.kind()
-    }
-
-    /// Scheduler counters (events scheduled/processed, backend stats),
-    /// summed over lanes. Note `scheduled` counts a boot event twice if
-    /// a K>1 split redistributed it; `processed` never double-counts.
+    /// Scheduler counters (events scheduled/processed, wheel stats),
+    /// summed over lanes. Each event is counted once: the boot lane is
+    /// popped at a K>1 split, so an event it handed to a lane shows in
+    /// that lane's `scheduled` only.
     pub fn sched_stats(&self) -> SchedStats {
         let mut total = self.lanes[0].sched.stats();
         for lane in self.lanes.iter().skip(1) {
@@ -410,14 +364,6 @@ impl Network {
     /// Borrow the packet pool (counters and occupancy, over every lane).
     pub fn pool(&self) -> &PacketPool {
         &self.pool
-    }
-
-    /// Switch the whole network between the pooled zero-copy fast path
-    /// and the allocate-and-copy baseline (E15's comparison arm).
-    /// Packet *contents* are identical either way; only allocation and
-    /// copy behavior differs; every lane's pool follows.
-    pub fn set_copy_mode(&mut self, copy: bool) {
-        self.pool.set_zero_copy(!copy);
     }
 
     /// Harvest pool telemetry (occupancy, recycle rate, fresh allocs,
@@ -958,33 +904,27 @@ impl Network {
             return;
         }
         self.frozen = true;
-        let kind = self.scheduler_kind();
-        // Lane boundaries: equal `NodeId` chunks by default; with the
-        // partitioner on, boundaries slide (within a 25 % balance
-        // slack) to maximize the cheapest cut link, so LANs and other
-        // zero/low-latency links stay lane-internal without the
-        // builder arranging node order for it. Read latencies before
-        // the boot lane (which still homes every link) is popped.
-        let bounds: Vec<(usize, usize)> = if self.partitioner {
-            let links: Vec<CutLink> = self
-                .links_meta
-                .iter()
-                .enumerate()
-                .map(|(id, meta)| CutLink {
-                    a: meta.a.node,
-                    b: meta.b.node,
-                    micros: self
-                        .link_dir(id, true)
-                        .base_propagation()
-                        .total_micros()
-                        .min(self.link_dir(id, false).base_propagation().total_micros())
-                        .saturating_add(1),
-                })
-                .collect();
-            partition::partition(n, k, &links).bounds
-        } else {
-            (0..k).map(|i| (i * n / k, (i + 1) * n / k)).collect()
-        };
+        // Lane boundaries slide off the equal `NodeId` chunks (within a
+        // 25 % balance slack) to maximize the cheapest cut link, so LANs
+        // and other zero/low-latency links stay lane-internal without
+        // the builder arranging node order for it. Read latencies
+        // before the boot lane (which still homes every link) is popped.
+        let links: Vec<CutLink> = self
+            .links_meta
+            .iter()
+            .enumerate()
+            .map(|(id, meta)| CutLink {
+                a: meta.a.node,
+                b: meta.b.node,
+                micros: self
+                    .link_dir(id, true)
+                    .base_propagation()
+                    .total_micros()
+                    .min(self.link_dir(id, false).base_propagation().total_micros())
+                    .saturating_add(1),
+            })
+            .collect();
+        let bounds = partition::partition(n, k, &links).bounds;
         debug_assert_eq!(bounds.len(), k, "partitioner preserves the lane count");
         let boot = *self.lanes.pop().expect("boot lane");
         debug_assert_eq!(
@@ -998,7 +938,7 @@ impl Network {
         // split (in flight, ARP-pending) drop back into the boot pool.
         let mut slots = boot.slots.into_iter();
         for (i, &(lo, hi)) in bounds.iter().enumerate() {
-            let mut lane = Lane::new(i, lo, Scheduler::with_kind(kind), self.pool.lane_pool());
+            let mut lane = Lane::new(i, lo, Scheduler::new(), self.pool.lane_pool());
             lane.slots.extend(slots.by_ref().take(hi - lo));
             for slot in &mut lane.slots {
                 slot.node.set_pool(lane.pool.clone());
@@ -1081,24 +1021,6 @@ impl Network {
             }
         }
         self.lane_reach = reach;
-    }
-
-    /// The PR 8 global lookahead: the minimum base propagation delay of
-    /// any cross-lane link, in microseconds. `None` means no cross-lane
-    /// link exists (single lane) and windows are unbounded. Delay spikes
-    /// only *add* delay on top of the base, so the bound stays sound
-    /// under every fault the plan can inject. Kept as the baseline arm
-    /// (see [`Network::set_global_lookahead`]); the default protocol
-    /// uses [`Network::lane_reach`] instead.
-    fn cross_lookahead(&self) -> Option<u64> {
-        let mut lookahead: Option<u64> = None;
-        for (id, meta) in self.links_meta.iter().enumerate() {
-            if self.lanes.of(meta.a.node) != self.lanes.of(meta.b.node) {
-                let micros = self.link_dir(id, true).base_propagation().total_micros();
-                lookahead = Some(lookahead.map_or(micros, |cur| cur.min(micros)));
-            }
-        }
-        lookahead
     }
 
     /// Barrier absorb: fold lane counters into the network totals,
@@ -1200,13 +1122,6 @@ impl Network {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             self.workers = Some(Workers::spawn(k.min(cores) - 1));
         }
-        // The PR 8 baseline arm prices the old protocol: one global
-        // bound anchored at `at`, every lane dispatched every round.
-        let global_w = if self.global_lookahead {
-            self.cross_lookahead()
-        } else {
-            None
-        };
         self.round.resize(k, LaneWindow::default());
         loop {
             for (window, lane) in self.round.iter_mut().zip(self.lanes.iter()) {
@@ -1275,16 +1190,6 @@ impl Network {
             let mut stalled = false;
             if k == 1 {
                 self.round[0].limit = Instant::from_micros(cap);
-            } else if self.global_lookahead {
-                let la = global_w.map_or(u64::MAX, |w| at_us.saturating_add(w));
-                if op_us.is_some_and(|op| op < cap_t && la > op) {
-                    stalled = true;
-                }
-                if la < cap && la == at_us {
-                    self.stats.collapsed += k as u64;
-                }
-                let end = Instant::from_micros(la.min(cap));
-                self.round.iter_mut().for_each(|w| w.limit = end);
             } else {
                 for i in 0..k {
                     let mut bound = u64::MAX;
@@ -1315,8 +1220,7 @@ impl Network {
             // (cross frames buffer until the absorb), so what is due is
             // settled before any lane runs, whoever runs it.
             for window in &mut self.round {
-                window.due =
-                    self.global_lookahead || window.next.is_some_and(|ti| ti <= window.limit);
+                window.due = window.next.is_some_and(|ti| ti <= window.limit);
             }
             match self.workers.as_mut().filter(|_| threaded) {
                 Some(workers) => workers.run_windows(&mut self.lanes, &self.round),
@@ -2524,19 +2428,14 @@ mod tests {
     }
 
     #[test]
-    fn lane_pools_are_counted_and_switched_the_same_under_both_arms() {
+    fn lane_pools_are_counted_the_same_under_both_arms() {
         let run = |shard: ShardKind| {
             let mut net = two_lane_net(shard);
             net.set_pool_metrics(true);
-            net.run_until(Instant::from_secs(5));
-            assert_eq!(net.lane_count(), 2);
-            let fast = net.pool().stats();
-            // Copy mode reaches the lanes' pools after the split too.
-            net.set_copy_mode(true);
             net.run_until(Instant::from_secs(10));
-            let copied = net.pool().stats();
+            assert_eq!(net.lane_count(), 2);
             let dumps = (net.metrics_dump(), net.series_dump(), net.flight_dump());
-            (fast, copied, net.pool().free_buffers(), dumps)
+            (net.pool().stats(), net.pool().free_buffers(), dumps)
         };
         let sharded = run(ShardKind::Sharded { shards: 2 });
         let parallel = run(ShardKind::Parallel { shards: 2 });
@@ -2544,19 +2443,14 @@ mod tests {
             sharded, parallel,
             "pool counters and dumps are arm-independent"
         );
-        let (fast, copied, _, (metrics, series, _)) = sharded;
+        let (stats, _, (metrics, series, _)) = sharded;
         assert!(
-            fast.recycled > 0 && fast.released > 0,
-            "the lanes recycle: {fast:?}"
+            stats.recycled > 0 && stats.released > 0,
+            "the lanes recycle: {stats:?}"
         );
         assert!(
             metrics.contains("pool_recycled") && series.contains("pool_free_buffers"),
             "the lanes' pools are sampled:\n{metrics}"
-        );
-        assert_eq!(copied.recycled, fast.recycled, "copy mode never recycles");
-        assert!(
-            copied.fresh_allocs > fast.fresh_allocs + 400,
-            "every datagram allocates in copy mode: {fast:?} then {copied:?}"
         );
     }
 

@@ -14,12 +14,13 @@
 //!   die *with* it — which is precisely fate-sharing's promise: state is
 //!   lost only when the entity that cared about it is gone too.
 
-use crate::accounting::Ledger;
 use crate::arp::{ArpCache, Resolution};
-use crate::flow::{FlowId, FlowTable};
 use crate::iface::{Framing, Iface};
 use crate::pool::{PacketBuf, PacketPool, HEADROOM};
 use crate::socket::UdpSocket;
+use catenet_accounting::flow::FlowId;
+use catenet_accounting::ledger::Ledger;
+use catenet_accounting::table::FlowTable;
 use catenet_ip::{fragment_with, icmp, FragError, Reassembler, RoutingTable};
 use catenet_routing::{DvEngine, ExportPolicy, RipMessage, RIP_PORT};
 use catenet_sim::{Duration, Instant};
@@ -671,10 +672,9 @@ impl Node {
                     EtherType::Ipv4 => {
                         // Strip the link header in place: the bytes stay
                         // put and become headroom for the next hop's
-                        // framing. (Copy mode pays the receive copy the
-                        // old `payload().to_vec()` made here.)
+                        // framing.
                         frame.advance(ethernet::HEADER_LEN);
-                        let datagram = self.pool.ingest(frame);
+                        let datagram = self.pool.adopt(frame);
                         self.handle_datagram(now, datagram);
                     }
                     EtherType::Unknown(_) => {}

@@ -2,15 +2,16 @@
 //! boundaries that maximize the minimum latency of any cut link.
 //!
 //! The lane machinery requires lanes to be contiguous `NodeId` ranges
-//! (every per-node vector is carved with `split_at_mut`), so the
-//! partitioner does not renumber or permute nodes — it chooses the
-//! K−1 *boundary positions*. That is exactly the degree of freedom the
+//! (a lane owns one run of node slots), so the partitioner does not
+//! renumber or permute nodes — it chooses the K−1 *boundary
+//! positions*. That is exactly the degree of freedom the
 //! conservative window protocol cares about: the per-pair lookahead is
 //! bounded below by the cheapest cut link, so a boundary through an
 //! Ethernet LAN (100 µs) collapses windows three hundredfold against a
 //! boundary through a T1 trunk (30 ms). Builders used to carry this
 //! burden by convention ("keep ring sizes a multiple of 16 so cells
-//! never straddle a boundary"); the partitioner lifts it.
+//! never straddle a boundary"); the partitioner lifts it, and it is the
+//! only boundary chooser `Network` has.
 //!
 //! **Objective.** Maximize the minimum `micros` over links cut by any
 //! boundary, subject to a load-balance cap: no lane may exceed
@@ -22,14 +23,16 @@
 //! internal forbids that interval of positions). Among feasible
 //! placements the reconstruction picks each boundary nearest its
 //! balanced ideal `s·n/k`, so the cut optimum never costs more balance
-//! than the slack allows.
+//! than the slack allows — and a topology that constrains nothing (no
+//! links, or balanced boundaries that already cut only the slowest
+//! links) gets exactly the equal chunks `(i·n/k, (i+1)·n/k)`.
 //!
 //! The choice is advisory for *performance* only: safety never depends
 //! on it. The per-pair lookahead matrix is computed **after** the split
 //! from the lanes actually chosen, so a poor partition gives narrow
-//! windows, never wrong bytes — and `Network::set_partitioner` is
-//! therefore digest-neutral by construction (asserted by E17 across
-//! partitioner on/off).
+//! windows, never wrong bytes: boundary choice is digest-neutral by
+//! construction (`tests/shard_equivalence.rs` compares every K against
+//! the single lane, `tests/lane_windows.rs` pins the window width).
 
 /// One undirected link, described by the conservative latency a cut
 /// through it would impose on the window protocol (base propagation
@@ -306,6 +309,30 @@ mod tests {
         );
         let max = max_lane(n, 4);
         assert!(sizes(&p).iter().all(|&s| s >= 1 && s <= max), "{:?}", p.bounds);
+    }
+
+    #[test]
+    fn cell_ordered_rings_get_exactly_the_equal_chunks() {
+        // The rings E17 and `perf/` build — nodes in cells (g, src, g,
+        // dst), a LAN from each host to the gateway before it, trunks
+        // between consecutive gateways, gateway counts a multiple of 16
+        // — already have every balanced boundary on a trunk, so the
+        // partitioner must not move one: `lanes-metro` and E17 run the
+        // lanes they always ran.
+        for (gateways, trunk) in [(256, 1_001), (192, 30_001), (1024, 30_001), (5120, 30_001)] {
+            let n = 2 * gateways;
+            let mut links = Vec::with_capacity(n);
+            for g in 0..gateways {
+                links.push(CutLink { a: 2 * g, b: 2 * g + 1, micros: 101 });
+                links.push(CutLink { a: 2 * g, b: (2 * g + 2) % n, micros: trunk });
+            }
+            for k in [2, 4, 8] {
+                let equal: Vec<_> = (0..k).map(|i| (i * n / k, (i + 1) * n / k)).collect();
+                let p = partition(n, k, &links);
+                assert_eq!(p.bounds, equal, "ring-{gateways} at K={k}");
+                assert_eq!(p.cut_floor_micros, Some(trunk));
+            }
+        }
     }
 
     #[test]

@@ -19,12 +19,9 @@
 //!
 //! The pool also *prices* what it does ([`PoolStats`]): fresh
 //! allocations vs. freelist hits, and every byte that still gets copied
-//! (headroom misses, ingest copies in copy mode). E15 reads these to
-//! report allocations and bytes-copied per forwarded packet, and runs
-//! the whole network in **copy mode** ([`PacketPool::set_zero_copy`]) as
-//! its baseline arm: one exact-size allocation per layer per hop, the
-//! behavior this pool replaced — with bit-identical packet contents, so
-//! telemetry dumps stay byte-equal between the arms.
+//! (a prepend that missed its headroom). E15 reads these as a standing
+//! gate: on a converged network, allocations and relocations per
+//! forwarded packet are exactly zero.
 //!
 //! Buffers recycle poison-filled (`0xA5`, [`PacketPool::set_poison`], on
 //! by default in debug builds) so a path that reads bytes it never wrote
@@ -56,21 +53,20 @@ pub const POISON: u8 = 0xa5;
 /// read via [`PacketPool::free_buffers`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Buffers allocated from the global allocator (freelist miss, an
-    /// oversize request, or copy mode — where every request is fresh).
+    /// Buffers allocated from the global allocator (freelist miss or an
+    /// oversize request).
     pub fresh_allocs: u64,
     /// Allocations served from the freelist without touching the
     /// allocator.
     pub recycled: u64,
     /// Buffers returned to the freelist at drop.
     pub released: u64,
-    /// Buffers dropped at release instead of recycled (freelist full,
-    /// nonstandard capacity, or copy mode).
+    /// Buffers dropped at release instead of recycled (freelist full or
+    /// nonstandard capacity).
     pub discarded: u64,
     /// Prepends that missed headroom and had to relocate the packet.
     pub shift_copies: u64,
-    /// Total bytes moved by headroom-miss relocations and by ingest
-    /// copies (copy mode's per-hop receive copy).
+    /// Total bytes moved by headroom-miss relocations.
     pub bytes_copied: u64,
 }
 
@@ -88,7 +84,6 @@ impl AddAssign for PoolStats {
 struct PoolInner {
     free: Vec<Vec<u8>>,
     stats: PoolStats,
-    zero_copy: bool,
     poison: bool,
     /// Pools split off with [`PacketPool::lane_pool`].
     lanes: Vec<PacketPool>,
@@ -118,20 +113,18 @@ impl fmt::Debug for PacketPool {
         let inner = self.lock();
         f.debug_struct("PacketPool")
             .field("free", &inner.free.len())
-            .field("zero_copy", &inner.zero_copy)
             .field("stats", &inner.stats)
             .finish()
     }
 }
 
 impl PacketPool {
-    /// A fresh pool: zero-copy mode on, poison-on-release in debug builds.
+    /// A fresh pool: poison-on-release in debug builds.
     pub fn new() -> PacketPool {
         PacketPool {
             inner: Arc::new(Mutex::new(PoolInner {
                 free: Vec::new(),
                 stats: PoolStats::default(),
-                zero_copy: true,
                 poison: cfg!(debug_assertions),
                 lanes: Vec::new(),
             })),
@@ -156,33 +149,22 @@ impl PacketPool {
 
     /// A pool with its own freelist and counters that this pool still
     /// answers for: [`stats`](Self::stats) and
-    /// [`free_buffers`](Self::free_buffers) include it, the copy-mode
-    /// switch reaches it. A sharded network gives one to each lane, so
-    /// recycling stays lane-local and deterministic.
+    /// [`free_buffers`](Self::free_buffers) include it, and it follows
+    /// [`set_poison`](Self::set_poison), now and later. A sharded
+    /// network gives one to each lane, so recycling stays lane-local and
+    /// deterministic.
     pub fn lane_pool(&self) -> PacketPool {
         let pool = PacketPool::new();
         let mut inner = self.lock();
-        pool.set_zero_copy(inner.zero_copy);
+        pool.set_poison(inner.poison);
         inner.lanes.push(pool.clone());
         pool
     }
 
-    /// Switch between the fast path (`true`, default: recycled buffers
-    /// with headroom) and copy mode (`false`: every allocation fresh and
-    /// exact-size, every layer boundary a copy — the pre-pool behavior,
-    /// E15's baseline arm). Packet *contents* are identical either way.
-    pub fn set_zero_copy(&self, on: bool) {
-        self.for_each(&mut |inner| inner.zero_copy = on);
-    }
-
-    /// Whether the fast path is active.
-    pub fn zero_copy(&self) -> bool {
-        self.lock().zero_copy
-    }
-
-    /// Enable or disable poison-filling released buffers.
+    /// Enable or disable poison-filling released buffers, here and in
+    /// every lane pool split off this one.
     pub fn set_poison(&self, on: bool) {
-        self.lock().poison = on;
+        self.for_each(&mut |inner| inner.poison = on);
     }
 
     /// Snapshot the cumulative counters.
@@ -199,20 +181,10 @@ impl PacketPool {
         free
     }
 
-    /// Allocate a buffer with `len` zeroed payload bytes and (in
-    /// zero-copy mode) `headroom` spare bytes in front for headers to be
-    /// prepended into. Copy mode ignores `headroom` — exact-size, fresh,
-    /// like the `Vec` builders this pool replaced.
+    /// Allocate a buffer with `len` zeroed payload bytes and `headroom`
+    /// spare bytes in front for headers to be prepended into.
     pub fn alloc(&self, headroom: usize, len: usize) -> PacketBuf {
         let mut inner = self.lock();
-        if !inner.zero_copy {
-            inner.stats.fresh_allocs += 1;
-            return PacketBuf {
-                data: vec![0; len],
-                start: 0,
-                pool: Some(self.clone()),
-            };
-        }
         let total = headroom + len;
         let data = if total <= BUF_CAPACITY {
             match inner.free.pop() {
@@ -242,29 +214,19 @@ impl PacketPool {
         }
     }
 
-    /// Attach this pool to a buffer born outside it (a fragment, an ICMP
-    /// error build) without copying, so its relocations are counted and
-    /// its memory recycled if compatible.
-    pub fn adopt(&self, buf: PacketBuf) -> PacketBuf {
-        buf.adopt(self)
-    }
-
-    /// Take ownership of an incoming buffer on the receive path. The
-    /// fast path passes it through untouched; copy mode pays the
-    /// per-hop receive copy the old `payload().to_vec()` used to.
-    pub fn ingest(&self, buf: PacketBuf) -> PacketBuf {
-        if self.zero_copy() {
-            return buf.adopt(self);
+    /// Attach this pool to a buffer born outside it (a frame off the
+    /// wire, a fragment, an ICMP error build) without copying, so its
+    /// relocations are counted and its memory recycled if compatible.
+    pub fn adopt(&self, mut buf: PacketBuf) -> PacketBuf {
+        if buf.pool.is_none() {
+            buf.pool = Some(self.clone());
         }
-        let mut copy = self.alloc(0, buf.len());
-        copy.copy_from_slice(&buf);
-        self.lock().stats.bytes_copied += buf.len() as u64;
-        copy
+        buf
     }
 
     fn release(&self, mut data: Vec<u8>) {
         let mut inner = self.lock();
-        if inner.zero_copy && data.capacity() == BUF_CAPACITY && inner.free.len() < MAX_FREE {
+        if data.capacity() == BUF_CAPACITY && inner.free.len() < MAX_FREE {
             inner.stats.released += 1;
             if inner.poison {
                 data.fill(POISON);
@@ -290,22 +252,13 @@ pub struct PacketBuf {
 impl PacketBuf {
     /// Wrap a plain vector (no pool, no headroom). Prepends onto such a
     /// buffer relocate it; it is freed, not recycled, unless a pool
-    /// [`ingest`](PacketPool::ingest)s it first.
+    /// [`adopt`](PacketPool::adopt)s it first.
     pub fn from_vec(data: Vec<u8>) -> PacketBuf {
         PacketBuf {
             data,
             start: 0,
             pool: None,
         }
-    }
-
-    /// Attach `pool` if the buffer doesn't already belong to one, so its
-    /// eventual drop recycles and its copies are counted.
-    fn adopt(mut self, pool: &PacketPool) -> PacketBuf {
-        if self.pool.is_none() {
-            self.pool = Some(pool.clone());
-        }
-        self
     }
 
     /// Number of live bytes.
@@ -338,8 +291,7 @@ impl PacketBuf {
         let len = self.len();
         let mut relocated = match &self.pool {
             Some(pool) => {
-                let headroom = if pool.zero_copy() { HEADROOM } else { 0 };
-                let buf = pool.alloc(headroom, n + len);
+                let buf = pool.alloc(HEADROOM, n + len);
                 let mut inner = pool.lock();
                 inner.stats.shift_copies += 1;
                 inner.stats.bytes_copied += len as u64;
@@ -517,35 +469,29 @@ mod tests {
     }
 
     #[test]
-    fn copy_mode_allocates_fresh_and_exact_every_time() {
+    fn adopt_attaches_without_copying() {
         let pool = PacketPool::new();
-        pool.set_zero_copy(false);
-        let a = pool.alloc(HEADROOM, 10);
-        assert_eq!(a.headroom(), 0, "copy mode grants no headroom");
-        drop(a);
-        assert_eq!(pool.free_buffers(), 0, "copy mode never recycles");
-        let mut b = pool.alloc(HEADROOM, 10);
-        b.prepend(14);
+        let buf = pool.adopt(PacketBuf::from_vec(b"abc".to_vec()));
+        assert_eq!(&buf[..], b"abc");
+        drop(buf);
         let stats = pool.stats();
-        assert_eq!(stats.fresh_allocs, 3, "every layer is an allocation");
-        assert_eq!(stats.recycled, 0);
-        assert_eq!(stats.shift_copies, 1);
-        assert_eq!(stats.bytes_copied, 10);
+        assert_eq!((stats.bytes_copied, stats.fresh_allocs), (0, 0));
+        assert_eq!(stats.discarded, 1, "nonstandard capacity is not recycled");
     }
 
     #[test]
-    fn ingest_is_identity_on_fast_path_and_a_copy_in_copy_mode() {
-        let pool = PacketPool::new();
-        let buf = pool.ingest(PacketBuf::from_vec(b"abc".to_vec()));
-        assert_eq!(&buf[..], b"abc");
-        assert_eq!(pool.stats().bytes_copied, 0);
-
-        pool.set_zero_copy(false);
-        let buf = pool.ingest(PacketBuf::from_vec(b"abcd".to_vec()));
-        assert_eq!(&buf[..], b"abcd");
-        let stats = pool.stats();
-        assert_eq!(stats.bytes_copied, 4);
-        assert_eq!(stats.fresh_allocs, 1);
+    fn lane_pools_follow_the_parents_poison_switch() {
+        // After a K > 1 split every node allocates from a lane pool, so
+        // a switch that stopped at the parent would reach no buffer.
+        let parent = PacketPool::new();
+        let before = parent.lane_pool();
+        for on in [true, false] {
+            parent.set_poison(on);
+            let after = parent.lane_pool();
+            for pool in [&parent, &before, &after] {
+                assert_eq!(pool.lock().poison, on, "poison = {on} must reach every pool");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Differential testing of the two scheduler backends.
+//! Differential testing of the timer wheel against its reference.
 //!
-//! The timer wheel only earns its place as the default if it is
-//! *observably identical* to the `BinaryHeap` it replaced — same pop
-//! order, same timestamps, same FIFO tie-breaking, same clamp
-//! behavior, on any interleaving of schedules and pops. This module is
-//! the machinery for proving that:
+//! Every simulation runs on the timer wheel; the `BinaryHeap` backend
+//! it replaced is kept for one job, as the reference the wheel is
+//! tested against here. The wheel only earns its place if it is
+//! *observably identical* to that heap — same pop order, same
+//! timestamps, same FIFO tie-breaking, same clamp behavior, on any
+//! interleaving of schedules and pops. This module is the machinery
+//! for proving that:
 //!
 //! - [`Op`] / [`random_ops`] — a randomized schedule/pop workload,
 //!   biased toward the pathological cases (bursts at one instant,
@@ -13,14 +15,16 @@
 //!   the same op sequence, asserting every observable matches at every
 //!   step. Returns a fingerprint of the merged pop sequence so callers
 //!   can also pin cross-run determinism.
-//! - [`replay_trace`] — replay a [`TraceOp`] log captured from a live
-//!   simulation against a chosen backend; E13 wall-clocks this to
-//!   compare substrate throughput on a *real* event mix.
+//! - [`replay_lockstep`] — the same side-by-side comparison driven by
+//!   a [`TraceOp`] log captured from a live simulation: the system-level
+//!   half of the proof, on the exact event mix a real run produced,
+//!   without simulating anything twice.
+//! - [`replay_trace`] — replay such a log against one chosen backend;
+//!   E13 wall-clocks this to compare substrate throughput.
 //!
-//! The property test in `tests/scheduler_equivalence.rs` runs
-//! [`run_lockstep`] on thousands of seeded random workloads; the
-//! system-level half of the proof (full E11/E12 batteries, byte-equal
-//! telemetry) lives in the same file, built on `SchedulerKind`.
+//! `tests/scheduler_equivalence.rs` runs [`run_lockstep`] on thousands
+//! of seeded random workloads and [`replay_lockstep`] on the traces of
+//! the full E11/E12 batteries.
 
 use crate::event::{Scheduler, SchedulerKind, TraceOp};
 use crate::rng::Rng;
@@ -146,6 +150,40 @@ pub fn run_lockstep(ops: &[Op]) -> (u64, u64) {
     assert!(heap.is_empty() && wheel.is_empty(), "workload did not drain");
     assert_eq!(heap.processed(), wheel.processed());
     (pops, fingerprint)
+}
+
+/// Replay a captured [`TraceOp`] log through a heap and a wheel side by
+/// side, panicking on the first pop that differs.
+///
+/// Payloads are the index of the op that scheduled them, so the two
+/// backends must agree on *which* event pops, not only on when — a
+/// broken FIFO tie order flips the payload. Returns `(pops, ties)`:
+/// how many pops were compared, and how many of them popped at the
+/// same instant as the pop before (the ones tie order decided), so a
+/// caller can show its traces were not trivially easy.
+pub fn replay_lockstep(trace: &[TraceOp]) -> (u64, u64) {
+    let mut heap: Scheduler<u64> = Scheduler::with_kind(SchedulerKind::Heap);
+    let mut wheel: Scheduler<u64> = Scheduler::with_kind(SchedulerKind::Wheel);
+    let (mut pops, mut ties) = (0u64, 0u64);
+    let mut last = None;
+    for (i, op) in trace.iter().enumerate() {
+        match *op {
+            TraceOp::Schedule(at) => {
+                let at = Instant::from_micros(at);
+                heap.schedule_at(at, i as u64);
+                wheel.schedule_at(at, i as u64);
+            }
+            TraceOp::Pop => {
+                let popped = wheel.pop();
+                assert_eq!(heap.pop(), popped, "pop diverged at trace op {i}");
+                let (at, _) = popped.expect("a trace records only pops that returned an event");
+                pops += 1;
+                ties += u64::from(last == Some(at));
+                last = Some(at);
+            }
+        }
+    }
+    (pops, ties)
 }
 
 /// Size in bytes of the payload [`replay_trace`] schedules. It matches
@@ -533,6 +571,20 @@ mod tests {
         for kind in SchedulerKind::all() {
             assert_eq!(replay_trace(kind, &trace), 20);
         }
+    }
+
+    #[test]
+    fn replay_lockstep_counts_the_pops_it_compared() {
+        // Same-instant bursts around a schedule in the past, which both
+        // backends must clamp to `now` and queue behind what is already
+        // pending there.
+        use TraceOp::{Pop, Schedule};
+        let mut trace = vec![Schedule(7); 3];
+        trace.extend([Schedule(40), Pop, Pop, Schedule(2), Schedule(7), Schedule(1 << 22)]);
+        trace.extend([Pop; 5]);
+        // Pop order: 7 7 | 7 7(clamped) 7 40 2^22 — four pops repeat an instant.
+        assert_eq!(replay_lockstep(&trace), (7, 4));
+        assert_eq!(replay_lockstep(&[]), (0, 0));
     }
 
     /// A tight ring with short cross-shard latencies: every window is

@@ -1,12 +1,11 @@
 //! The discrete-event scheduler.
 //!
 //! A single totally ordered queue of `(time, sequence, event)` entries
-//! with two interchangeable backends behind [`SchedulerKind`]: the
-//! original `BinaryHeap` (O(log n) per operation) and a windowed timer
-//! wheel ([`crate::wheel`], O(1) amortized). Both implement the exact
-//! same ordering contract, proven equivalent by the differential
-//! harness in [`crate::diffsched`]; the wheel is the default because it
-//! scales to the hundreds-of-gateways topologies of experiment E13.
+//! on a windowed timer wheel ([`crate::wheel`], O(1) amortized) — the
+//! backend every simulation runs on. The `BinaryHeap` it replaced
+//! (O(log n) per operation) stays behind [`SchedulerKind`] as the
+//! reference: both implement the exact same ordering contract, and the
+//! differential harness in [`crate::diffsched`] holds the wheel to it.
 //!
 //! ## The ordering contract
 //!
@@ -41,15 +40,7 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Stable lowercase name, used in reports and `BENCH_e13.json`.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
-        }
-    }
-
-    /// Both kinds, in reporting order.
+    /// Both kinds, reference first.
     pub fn all() -> [SchedulerKind; 2] {
         [SchedulerKind::Heap, SchedulerKind::Wheel]
     }

@@ -5,9 +5,10 @@
 //! conservative parallel discrete-event simulation (Chandy/Misra/Bryant)
 //! — partitions the node set into shards that each run a *window* of
 //! virtual time independently and exchange cross-shard frames at
-//! barrier instants. The window length is the conservative lookahead:
-//! the minimum propagation latency of any cross-shard link, because no
-//! frame sent after the window opens can arrive inside it.
+//! barrier instants. A lane's window ends at its conservative
+//! lookahead: the earliest instant any peer's pending work could reach
+//! it over the cross-shard links, because no frame sent after the
+//! window opens can arrive inside it.
 //!
 //! [`ShardKind`] selects the mode. `Single` is the reference arm and
 //! stays the default everywhere; `Sharded` runs the K-lane barrier
@@ -50,8 +51,8 @@ pub enum ShardKind {
 /// These are *performance* observables, not simulation observables:
 /// they describe how the barrier protocol carved virtual time into
 /// windows, never what the simulation computed — so they are allowed
-/// to differ across K and across lookahead modes while every telemetry
-/// dump stays byte-identical. E17 prices the protocol with them, and
+/// to differ across K while every telemetry dump stays
+/// byte-identical. E17 prices the protocol with them, and
 /// the regression tests in `tests/lane_windows.rs` pin the two failure
 /// shapes they exist to expose: a zero-latency boundary link collapsing
 /// windows, and a dense fault plan stalling barriers.

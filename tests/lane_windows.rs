@@ -1,11 +1,11 @@
-//! Regression tests for the per-pair lane-window protocol's two known
+//! Regression tests for the per-pair lane-window protocol's known
 //! failure shapes — pinned as *counters*, never as byte divergence.
 //!
 //! The conservative window protocol (`crates/core/src/network.rs`,
-//! `run_until`) promises that lane count and lookahead mode change
-//! performance only: every telemetry dump stays byte-identical to the
-//! single-lane reference. The two topologies most likely to break that
-//! promise in spirit (correct bytes, useless speedup) are:
+//! `run_until`) promises that the lane count changes performance only:
+//! every telemetry dump stays byte-identical to the single-lane
+//! reference. The shapes most likely to break that promise in spirit
+//! (correct bytes, useless speedup) are:
 //!
 //! 1. **A zero-latency link crossing a lane boundary.** The per-pair
 //!    lookahead collapses the receiving lane's window to a single
@@ -19,29 +19,34 @@
 //!    actions in one interruption, only lanes with due events
 //!    executed) must show up in `barrier_stalls`/`op_batches`/
 //!    `lanes_skipped`, and the dumps must stay byte-identical at every
-//!    K — including under the PR 8 global-lookahead baseline arm,
-//!    which dispatches every lane every round.
+//!    K.
+//! 3. **Lane boundaries left where the node order puts them.** On a
+//!    ring whose balanced boundaries fall on host LANs, windows shrink
+//!    from trunk width (30 ms) to LAN width (100 µs) — E17b measured
+//!    21,408 windows against 640. The partitioner is the only boundary
+//!    chooser, so nothing in a run would notice it degrading to equal
+//!    chunks; the pin here would.
 
 use catenet::sim::{Duration, FaultAction, FaultPlan, Instant, LinkClass};
 use catenet::stack::app::{CbrSink, CbrSource};
 use catenet::stack::iface::Framing;
 use catenet::stack::{Endpoint, Network, ShardKind, ShardStats};
+use catenet_bench::{e17_parallel, SEEDS};
 
-/// h0 — g1 —(zero-propagation trunk)— g2 — h3, CBR both ways. With
-/// K = 2 the boundary falls between g1 and g2, exactly on the
-/// zero-latency link.
+/// h0 — g1 — g2 — h3 with *every* link zero-propagation, CBR both ways:
+/// wherever the K = 2 boundary is put, it is on a zero-latency link.
 fn zero_boundary_net(seed: u64, shard: ShardKind) -> Network {
     let mut net = Network::with_shards(seed, shard);
     let h0 = net.add_host("h0");
     let g1 = net.add_gateway("g1");
     let g2 = net.add_gateway("g2");
     let h3 = net.add_host("h3");
-    net.connect(h0, g1, LinkClass::EthernetLan);
     let mut zero = LinkClass::EthernetLan.params();
     zero.propagation = Duration::ZERO;
     zero.jitter = Duration::ZERO;
-    net.connect_with(g1, g2, zero, Framing::Ethernet);
-    net.connect(g2, h3, LinkClass::EthernetLan);
+    for (a, b) in [(h0, g1), (g1, g2), (g2, h3)] {
+        net.connect_with(a, b, zero.clone(), Framing::Ethernet);
+    }
     let a0 = net.node(h0).primary_addr();
     let a3 = net.node(h3).primary_addr();
     net.attach_app(h3, Box::new(CbrSink::new(5000)));
@@ -180,19 +185,15 @@ fn dense_plan(trunks: &[usize]) -> FaultPlan {
 
 #[test]
 fn dense_fault_plan_is_byte_identical_and_batches_dispatch() {
-    let run = |shard, global: bool| {
+    let run = |shard| {
         let (mut net, trunks) = ring_net(21, shard);
-        if global {
-            net.set_global_lookahead(true);
-        }
         net.attach_fault_plan(dense_plan(&trunks));
         net.run_for(Duration::from_secs(15));
         (dumps(&net), net.shard_stats())
     };
-    let (reference, _) = run(ShardKind::Single, false);
-    let mut per_pair_skipped = 0;
+    let (reference, _) = run(ShardKind::Single);
     for k in [2usize, 4] {
-        let (d, stats) = run(ShardKind::Sharded { shards: k }, false);
+        let (d, stats) = run(ShardKind::Sharded { shards: k });
         assert_eq!(d, reference, "dumps diverged at K={k}");
         // Batching: every plan instant carries two fault actions and
         // both land in one coordinator interruption, so applied ops
@@ -205,8 +206,7 @@ fn dense_fault_plan_is_byte_identical_and_batches_dispatch() {
         // The plan is denser than the lookahead: rounds are truncated
         // by a pending op, and the counter says so.
         assert!(stats.barrier_stalls > 0, "dense plan must stall: {stats:?}");
-        // Only lanes with due events run; idle lanes are skipped, the
-        // batched-dispatch win over running every lane every round.
+        // Only lanes with due events run; idle lanes are skipped.
         assert!(stats.lanes_skipped > 0, "idle lanes must be skipped: {stats:?}");
         assert_eq!(
             stats.lanes_dispatched + stats.lanes_skipped,
@@ -216,23 +216,40 @@ fn dense_fault_plan_is_byte_identical_and_batches_dispatch() {
         // Trunk-only cuts: no window collapses (contrast with the
         // zero-latency boundary test above).
         assert_eq!(stats.collapsed, 0, "T1 cuts never collapse: {stats:?}");
-        if k == 2 {
-            per_pair_skipped = stats.lanes_skipped;
-        }
     }
-    // The PR 8 baseline arm on the same topology: byte-identical too,
-    // but it dispatches every lane every round — the A/B that shows
-    // what batched dispatch saves.
-    let (d, stats) = run(ShardKind::Sharded { shards: 2 }, true);
-    assert_eq!(d, reference, "global-lookahead arm diverged");
-    assert_eq!(stats.lanes_skipped, 0, "baseline runs every lane: {stats:?}");
-    assert_eq!(stats.lanes_dispatched, stats.windows * 2);
-    assert!(
-        per_pair_skipped > 0,
-        "per-pair arm skipped lanes where the baseline could not"
-    );
     // Threaded arm: same bytes, same skipping, through real threads.
-    let (d, stats) = run(ShardKind::Parallel { shards: 2 }, false);
+    let (d, stats) = run(ShardKind::Parallel { shards: 2 });
     assert_eq!(d, reference, "threaded arm diverged");
     assert!(stats.lanes_skipped > 0);
+}
+
+#[test]
+fn misaligned_ring_runs_on_trunk_width_windows() {
+    // E17b's ring: 66 gateways in cell order (g, src, g, dst, …), 132
+    // nodes, so four of the seven balanced K = 8 boundaries (16, 33,
+    // 49, 66, 82, 99, 115) are odd — inside a cell, on a 100 µs LAN.
+    let run = |shard| {
+        let (mut net, _) = e17_parallel::build(
+            e17_parallel::RING_MISALIGNED,
+            e17_parallel::FLOWS_PER_CELL_CHECK,
+            SEEDS[0],
+            shard,
+        );
+        net.run_for(e17_parallel::VIRTUAL);
+        (dumps(&net), net.shard_stats(), net.lane_bounds())
+    };
+    let (reference, _, _) = run(ShardKind::Single);
+    let (d, stats, bounds) = run(ShardKind::Sharded { shards: 8 });
+    assert_eq!(d, reference, "dumps diverged at K=8");
+    assert_eq!(bounds.len(), 8);
+    assert!(
+        bounds.iter().all(|&(lo, _)| lo % 2 == 0),
+        "a lane boundary sits inside a cell, on a LAN: {bounds:?}"
+    );
+    assert_eq!(stats.collapsed, 0, "{stats:?}");
+    // 640 when this was written; equal chunks ran 21,408.
+    assert!(
+        stats.windows <= 700,
+        "windows are no longer trunk width: {stats:?}"
+    );
 }
