@@ -237,11 +237,6 @@ impl Reconciliation {
             })
             .collect()
     }
-
-    /// Unattributed datagrams summed across all gateways.
-    pub fn total_unattributed(&self) -> u64 {
-        self.gateways.values().map(|g| g.unattributed).sum()
-    }
 }
 
 #[cfg(test)]

@@ -162,11 +162,6 @@ impl StreamIntegrity {
         }
     }
 
-    /// Bytes the sender wrote.
-    pub fn sent_len(&self) -> usize {
-        self.sent.len()
-    }
-
     /// Bytes the receiver was handed.
     pub fn delivered_len(&self) -> usize {
         self.delivered

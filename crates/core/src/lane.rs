@@ -1,9 +1,10 @@
 //! Shard lanes: the per-partition execution engine behind the network's
 //! event loop.
 //!
-//! The network partitions its nodes into K contiguous *lanes* (one lane
-//! covering everything in the `ShardKind::Single` reference arm). Each
-//! [`Lane`] owns its nodes (one [`NodeSlot`] each), its own scheduler,
+//! The network partitions its nodes into K contiguous *lanes* — one
+//! lane covering everything under `ShardKind::Single`, which is K = 1
+//! through the same round, not a path of its own. Each [`Lane`] owns
+//! its nodes (one [`NodeSlot`] each), its own scheduler,
 //! the outgoing direction of every link whose sender lives in it with
 //! a per-direction RNG, and its packet pool — everything a window of
 //! virtual time needs, and nothing else: no telemetry, no other lane.
@@ -20,13 +21,14 @@
 //!   before anything any peer does next could reach it — see
 //!   `Network::run_until` and DESIGN.md "The lane protocol") plus the
 //!   ≥ 1 µs serialization floor guarantee every crossing frame lands
-//!   after the sender's own limit, so absorbing it never rewinds a
-//!   lane.
+//!   strictly after the limit its destination lane ran to, so
+//!   absorbing it never rewinds a lane — `Network::absorb` asserts
+//!   exactly that, per frame, in debug builds.
 //! - **harvest entries** ([`HarvestEntry`]): telemetry-relevant state
 //!   changes *detected* lane-side but *applied* coordinator-side, in
 //!   `(instant, token)` order. The token is the smallest delivery key
 //!   that touched the node at that instant, which is exactly the order
-//!   the single-lane arm services nodes — so recorder rows, counters
+//!   a single lane services nodes — so recorder rows, counters
 //!   and convergence-tracer calls land in the same order for every K,
 //!   and the dumps cannot tell how many lanes produced them. Because
 //!   per-pair limits are heterogeneous, the coordinator banks these
@@ -209,7 +211,10 @@ pub(crate) struct HarvestEntry {
 /// One node and everything the loop keeps about it, side by side: a
 /// service pass walks one slot, a split moves a node whole.
 pub(crate) struct NodeSlot {
-    pub node: Node,
+    /// Private to this module: the coordinator reaches it through
+    /// [`NodeSlot::node`] / [`NodeSlot::node_mut`], so it cannot change
+    /// a node and leave its idle gate armed.
+    node: Node,
     pub apps: Vec<Box<dyn Application>>,
     /// The earliest wake pending in the lane's scheduler, if any.
     pub next_wake: Option<Instant>,
@@ -244,6 +249,17 @@ impl NodeSlot {
             sampled_acked: 0,
             endpoints: Vec::new(),
         }
+    }
+
+    pub fn node(&self) -> &Node {
+        &self.node
+    }
+
+    /// Whatever the caller does with the node, its next service pass is
+    /// a full one.
+    pub fn node_mut(&mut self) -> &mut Node {
+        self.node.set_idle_gate(None);
+        &mut self.node
     }
 }
 

@@ -8,14 +8,16 @@
 //! everything above the link is the nodes' business — the same layering
 //! discipline the architecture itself prescribes.
 //!
-//! Under [`ShardKind::Single`] (the default) one lane covers every node
-//! and execution is the classic serial event loop. Under
+//! The loop is one barrier protocol for every lane count K:
+//! conservative-lookahead windows per lane, cross-lane frames and
+//! telemetry harvests exchanged at barrier instants. Under
+//! [`ShardKind::Single`] (the default) one lane covers every node, no
+//! peer bounds it, and a window is a whole op-free span — the classic
+//! serial event loop, as the K = 1 case of the same round. Under
 //! `Sharded`/`Parallel` the node set splits into K contiguous lanes at
 //! the first `run_until` (boundaries chosen by [`crate::partition`], so
-//! cuts fall on the slowest links), and the loop becomes a barrier
-//! protocol: conservative-lookahead windows per lane, cross-lane frames
-//! and telemetry harvests exchanged at barrier instants. Every dump is
-//! byte-identical across K — `tests/shard_equivalence.rs` is the proof.
+//! cuts fall on the slowest links). Every dump is byte-identical across
+//! K — `tests/shard_equivalence.rs` is the proof.
 //!
 //! [`Network::new`] and [`Network::with_shards`] are the whole
 //! configuration surface: one scheduler (the timer wheel), one window
@@ -31,7 +33,7 @@ use crate::lane::{
 };
 use crate::node::{Node, NodeRole};
 use crate::partition::{self, CutLink};
-use crate::pool::{PacketPool, PoolStats};
+use crate::pool::PacketPool;
 use catenet_accounting::ledger::Ledger;
 use catenet_accounting::report::{Reconciliation, ReportCollector};
 use catenet_accounting::table::FlowTable;
@@ -112,12 +114,6 @@ pub struct Network {
     /// [`PacketPool::lane_pool`]); its counters and poison switch keep
     /// covering them all.
     pool: PacketPool,
-    /// Whether pool telemetry is harvested into the sampler. Off by
-    /// default so dumps stay byte-identical to pool-unaware runs
-    /// (recycling happens in *every* run, unlike guard verdicts).
-    pool_metrics: bool,
-    /// Pool counters at the previous sample, for delta rows.
-    last_pool: PoolStats,
     /// The usage-report pipeline, when [`Network::enable_accounting`]
     /// armed it. `None` means no ledgers flush and no accounting
     /// telemetry interns, so unenabled dumps stay byte-identical.
@@ -132,9 +128,10 @@ pub struct Network {
     /// on a zero-propagation link). The diagonal is the cheapest cycle
     /// *through* the lane — a frame that leaves lane i can come back,
     /// and its return bounds how far i may run ahead of itself.
-    /// `u64::MAX` = unreachable. Empty until a K>1 split.
+    /// `u64::MAX` = unreachable — all there is for one lane, which no
+    /// frame leaves.
     lane_reach: Vec<u64>,
-    /// Window-protocol counters (all zero for single-lane execution).
+    /// Window-protocol counters.
     stats: ShardStats,
     /// Harvested telemetry the barrier may not apply yet. Under
     /// per-lane limits a fast lane can harvest an entry whose instant a
@@ -147,7 +144,8 @@ pub struct Network {
     pending_harvests: Vec<HarvestEntry>,
     /// Scratch: the frames crossing lanes at one barrier.
     crosses: Vec<CrossFrame>,
-    /// Scratch: each lane's part in the current round.
+    /// Each lane's part in the current round; between rounds, `limit`
+    /// is how far the lane has run.
     round: Vec<LaneWindow>,
 }
 
@@ -183,20 +181,17 @@ impl Network {
             telemetry: Telemetry::new(),
             attest_master: None,
             pool,
-            pool_metrics: false,
-            last_pool: PoolStats::default(),
             accounting: None,
-            lane_reach: Vec::new(),
+            lane_reach: vec![u64::MAX],
             stats: ShardStats::default(),
             pending_harvests: Vec::new(),
             crosses: Vec::new(),
-            round: Vec::new(),
+            round: vec![LaneWindow::default()],
         }
     }
 
-    /// Window-protocol execution counters (zero under single-lane
-    /// execution). Performance observables only — they vary across K
-    /// while dumps stay byte-identical.
+    /// Window-protocol execution counters. Performance observables
+    /// only — they vary across K while dumps stay byte-identical.
     pub fn shard_stats(&self) -> ShardStats {
         self.stats
     }
@@ -205,11 +200,6 @@ impl Network {
     /// range before a K>1 split).
     pub fn lane_bounds(&self) -> Vec<(usize, usize)> {
         self.lanes.iter().map(|l| (l.lo, l.hi())).collect()
-    }
-
-    /// The shard mode this network executes under.
-    pub fn shard_kind(&self) -> ShardKind {
-        self.shard
     }
 
     /// How many lanes the node set is actually partitioned into. `1`
@@ -229,12 +219,15 @@ impl Network {
     /// popped at a K>1 split, so an event it handed to a lane shows in
     /// that lane's `scheduled` only.
     pub fn sched_stats(&self) -> SchedStats {
-        let mut total = self.lanes[0].sched.stats();
-        for lane in self.lanes.iter().skip(1) {
+        let mut total = SchedStats::default();
+        for lane in self.lanes.iter() {
             let stats = lane.sched.stats();
             total.scheduled += stats.scheduled;
             total.processed += stats.processed;
             total.pending += stats.pending;
+            total.wheel.windows_paged += stats.wheel.windows_paged;
+            total.wheel.overflow_inserts += stats.wheel.overflow_inserts;
+            total.wheel.distributed += stats.wheel.distributed;
         }
         total
     }
@@ -291,9 +284,8 @@ impl Network {
     /// with a node; configuration does not). Call after the topology is
     /// built — nodes added later keep the default (guard off).
     pub fn set_guard_policy(&mut self, policy: GuardPolicy) {
-        for NodeSlot { node, .. } in self.lanes.slots_mut() {
-            node.set_idle_gate(None);
-            if let Some(dv) = &mut node.dv {
+        for slot in self.lanes.slots_mut() {
+            if let Some(dv) = &mut slot.node_mut().dv {
                 dv.set_guard_policy(policy);
             }
         }
@@ -336,7 +328,7 @@ impl Network {
             return;
         };
         let mut registry = OriginRegistry::new(master);
-        for (id, NodeSlot { node, .. }) in self.lanes.slots().enumerate() {
+        for (id, node) in self.lanes.slots().map(NodeSlot::node).enumerate() {
             if node.dv.is_some() {
                 for iface in &node.ifaces {
                     registry.register(iface.cidr.network(), OriginId(id as u16));
@@ -344,9 +336,8 @@ impl Network {
             }
         }
         let registry = Arc::new(registry);
-        for (id, NodeSlot { node, .. }) in self.lanes.slots_mut().enumerate() {
-            node.set_idle_gate(None);
-            if let Some(dv) = &mut node.dv {
+        for (id, slot) in self.lanes.slots_mut().enumerate() {
+            if let Some(dv) = &mut slot.node_mut().dv {
                 // Derive directly rather than looking up in the
                 // registry: a node enabled before its first link has no
                 // registered prefix yet, but its identity is fixed.
@@ -366,25 +357,15 @@ impl Network {
         &self.pool
     }
 
-    /// Harvest pool telemetry (occupancy, recycle rate, fresh allocs,
-    /// copy volume) into the time series. Off by default: recycling
-    /// happens in every run, so the rows would perturb dumps that
-    /// predate the pool. Experiments that want the rows opt in.
-    pub fn set_pool_metrics(&mut self, on: bool) {
-        self.pool_metrics = on;
-    }
-
     /// Borrow a node.
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.lanes.slot(id).node
+        self.lanes.slot(id).node()
     }
 
     /// Borrow a node mutably. Whatever the caller does with it, the
     /// node's next service pass is a full one.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        let node = &mut self.lanes.slot_mut(id).node;
-        node.set_idle_gate(None);
-        node
+        self.lanes.slot_mut(id).node_mut()
     }
 
     /// Number of nodes.
@@ -437,7 +418,7 @@ impl Network {
         let cidr = Ipv4Cidr::new(net, 30);
         let ip_mtu = params.mtu - framing.overhead();
 
-        let node_a = &mut self.lanes.slot_mut(a).node;
+        let node_a = self.node_mut(a);
         let hw_a = hw_addr(a, node_a.ifaces.len());
         let iface_a = node_a.attach_iface(Iface {
             addr: addr_a,
@@ -448,7 +429,7 @@ impl Network {
             framing,
             up: true,
         });
-        let node_b = &mut self.lanes.slot_mut(b).node;
+        let node_b = self.node_mut(b);
         let hw_b = hw_addr(b, node_b.ifaces.len());
         let iface_b = node_b.attach_iface(Iface {
             addr: addr_b,
@@ -462,7 +443,7 @@ impl Network {
 
         // Hosts: default route via the first gateway they attach to.
         for (node, iface, peer) in [(a, iface_a, addr_b), (b, iface_b, addr_a)] {
-            let node = &mut self.lanes.slot_mut(node).node;
+            let node = self.node_mut(node);
             if node.role == NodeRole::Host {
                 let default = Ipv4Cidr::new(Ipv4Address::UNSPECIFIED, 0);
                 if node.static_routes.get(&default).is_none() {
@@ -529,18 +510,6 @@ impl Network {
         self.node(end.node).ifaces[end.iface].cidr
     }
 
-    /// Address of `node` on `link`.
-    pub fn addr_on_link(&self, node: NodeId, link: LinkId) -> Ipv4Address {
-        let meta = &self.links_meta[link];
-        let end = if meta.a.node == node {
-            meta.a
-        } else {
-            assert_eq!(meta.b.node, node, "node not on link");
-            meta.b
-        };
-        self.node(end.node).ifaces[end.iface].addr
-    }
-
     /// Borrow one direction of a link (`ab` selects a→b) wherever its
     /// owning lane keeps it.
     fn link_dir(&self, link: LinkId, ab: bool) -> &Link {
@@ -561,23 +530,9 @@ impl Network {
         self.link_dir_mut(link, true).set_up(up);
         self.link_dir_mut(link, false).set_up(up);
         let LinkMeta { a, b } = self.links_meta[link];
-        for end in [a, b] {
-            self.lanes.slot_mut(end.node).node.ifaces[end.iface].up = up;
-        }
         let now = self.now;
         for end in [a, b] {
-            let node = &mut self.lanes.slot_mut(end.node).node;
-            let cidr = node.ifaces[end.iface].cidr.network();
-            if let Some(dv) = &mut node.dv {
-                if up {
-                    dv.add_connected(cidr, end.iface);
-                } else {
-                    // Connected prefix and every route learned over the
-                    // interface die together.
-                    dv.remove_connected(&cidr);
-                    dv.fail_iface(end.iface, now);
-                }
-            }
+            self.node_mut(end.node).set_iface_up(end.iface, up, now);
             self.kick(end.node);
         }
     }
@@ -593,9 +548,9 @@ impl Network {
     /// battery-backed counters). Off by default: unenabled runs intern
     /// no accounting telemetry and their dumps stay byte-identical.
     pub fn enable_accounting(&mut self, period: Duration) {
-        for NodeSlot { node, .. } in self.lanes.slots_mut() {
-            if node.role == NodeRole::Gateway {
-                node.set_idle_gate(None);
+        for slot in self.lanes.slots_mut() {
+            if slot.node().role == NodeRole::Gateway {
+                let node = slot.node_mut();
                 if node.flows.is_none() {
                     node.flows = Some(FlowTable::new());
                 }
@@ -621,7 +576,7 @@ impl Network {
     /// merged into one view. `None` until [`Network::enable_accounting`].
     pub fn reconcile(&self) -> Option<Reconciliation> {
         let ctl = self.accounting.as_ref()?;
-        let tails = self.lanes.slots().filter_map(|NodeSlot { node, .. }| {
+        let tails = self.lanes.slots().map(NodeSlot::node).filter_map(|node| {
             node.ledger
                 .as_ref()
                 .and_then(|ledger| ledger.peek_tail(&node.name))
@@ -636,7 +591,8 @@ impl Network {
             return;
         };
         ctl.next_flush += ctl.period;
-        for (id, NodeSlot { node, .. }) in self.lanes.slots_mut().enumerate() {
+        for (id, slot) in self.lanes.slots_mut().enumerate() {
+            let node = slot.node_mut();
             if !node.alive {
                 continue;
             }
@@ -665,7 +621,7 @@ impl Network {
         // conservation identity (flushed + forfeited + live tails =
         // everything recorded) survives arbitrary crash storms.
         if let Some(ctl) = &mut self.accounting {
-            let node = &self.lanes.slot(id).node;
+            let node = self.lanes.slot(id).node();
             if node.alive {
                 if let Some(tail) = node
                     .ledger
@@ -687,7 +643,7 @@ impl Network {
 
     /// Reboot a crashed node.
     pub fn restart_node(&mut self, id: NodeId) {
-        self.lanes.slot_mut(id).node.restart();
+        self.node_mut(id).restart();
         self.kick(id);
     }
 
@@ -941,7 +897,7 @@ impl Network {
             let mut lane = Lane::new(i, lo, Scheduler::new(), self.pool.lane_pool());
             lane.slots.extend(slots.by_ref().take(hi - lo));
             for slot in &mut lane.slots {
-                slot.node.set_pool(lane.pool.clone());
+                slot.node_mut().set_pool(lane.pool.clone());
             }
             self.lanes.push(Box::new(lane));
         }
@@ -1025,10 +981,15 @@ impl Network {
 
     /// Barrier absorb: fold lane counters into the network totals,
     /// schedule buffered cross-lane frames into their destination lanes
-    /// (the lookahead guarantees every one lands strictly after the
-    /// window that produced it), and apply harvested telemetry in
-    /// `(instant, token)` order — exactly the order the single-lane arm
-    /// would have written it inline.
+    /// and apply harvested telemetry in `(instant, token)` order —
+    /// exactly the order a single lane writes it inline.
+    ///
+    /// The protocol's one safety property is checked here, per frame,
+    /// in debug builds: a crossing frame lands strictly after the limit
+    /// its destination lane has run to (and after `horizon`, which on
+    /// the `kick` path is `now`). The scheduler would clamp a past
+    /// instant silently; a lookahead that lets one through is a bug in
+    /// `run_until`'s bound or in `build_lane_reach`, and fails here.
     fn absorb(&mut self, horizon: Instant) {
         for lane in self.lanes.iter_mut() {
             self.frames_offered += core::mem::take(&mut lane.frames_offered);
@@ -1042,7 +1003,14 @@ impl Network {
         // where it is dropped.
         self.crosses.sort_unstable_by_key(|c| (c.at, c.keyed.key));
         for mut cross in self.crosses.drain(..) {
-            let lane = &mut self.lanes[cross.lane as usize];
+            let dest = cross.lane as usize;
+            let ran_to = self.round[dest].limit.max(horizon);
+            debug_assert!(
+                cross.at > ran_to,
+                "a frame crossing into lane {dest} lands at {}, and the lane has run to {ran_to}",
+                cross.at,
+            );
+            let lane = &mut self.lanes[dest];
             if let Event::Frame { frame, .. } = &mut cross.keyed.event {
                 frame.rehome(&lane.pool);
             }
@@ -1097,9 +1065,10 @@ impl Network {
     /// inside their window are skipped (nothing handed to a worker);
     /// the rest run — on the coordinator, or under `Parallel` dealt
     /// over the worker threads — and are all home again before the
-    /// barrier absorbs cross-lane frames and harvested telemetry. With
-    /// one lane there is no bound and this collapses to the classic
-    /// serial loop (one window per op-free span).
+    /// barrier absorbs cross-lane frames and harvested telemetry. One
+    /// lane is the same round with nothing to bound it: `reach` is
+    /// `[u64::MAX]`, the limit is the cap, and a window is a whole
+    /// op-free span — the classic serial loop.
     ///
     /// Safety of the per-pair bound (why dumps stay byte-identical):
     /// every future cross-lane arrival into lane i happens at or after
@@ -1169,10 +1138,8 @@ impl Network {
                 } else {
                     self.flush_ledgers();
                 }
-                if k > 1 {
-                    self.stats.op_batches += 1;
-                    self.stats.ops_applied += applied;
-                }
+                self.stats.op_batches += 1;
+                self.stats.ops_applied += applied;
                 continue;
             }
             // A round of pure traffic: no op is due at `at` (the
@@ -1188,33 +1155,38 @@ impl Network {
             let cap = op_us.map_or(cap_t, |op| op.min(cap_t));
             let at_us = at.total_micros();
             let mut stalled = false;
-            if k == 1 {
-                self.round[0].limit = Instant::from_micros(cap);
-            } else {
-                for i in 0..k {
-                    let mut bound = u64::MAX;
-                    for (j, peer) in self.round.iter().enumerate() {
-                        if let Some(tj) = peer.next {
-                            let r = self.lane_reach[j * k + i];
-                            if r != u64::MAX {
-                                bound = bound.min(tj.total_micros().saturating_add(r));
-                            }
+            for i in 0..k {
+                let mut bound = u64::MAX;
+                for (j, peer) in self.round.iter().enumerate() {
+                    if let Some(tj) = peer.next {
+                        let r = self.lane_reach[j * k + i];
+                        if r != u64::MAX {
+                            bound = bound.min(tj.total_micros().saturating_add(r));
                         }
                     }
-                    // Strictly below the earliest possible arrival: the
-                    // 1 µs floor in `reach` makes `bound − 1` safe and
-                    // still ≥ `at` for the lane owning the round start.
-                    let la = bound.saturating_sub(1);
-                    if op_us.is_some_and(|op| op < cap_t && la > op) {
-                        stalled = true;
-                    }
-                    let lim = la.min(cap);
-                    debug_assert!(lim >= at_us, "every lane window includes the round start");
-                    if la < cap && lim == at_us {
-                        self.stats.collapsed += 1;
-                    }
-                    self.round[i].limit = Instant::from_micros(lim);
                 }
+                // Strictly below the earliest possible arrival: the
+                // 1 µs floor in `reach` makes `bound − 1` safe and
+                // still ≥ `at` for the lane owning the round start.
+                let la = bound.saturating_sub(1);
+                if op_us.is_some_and(|op| op < cap_t && la > op) {
+                    stalled = true;
+                }
+                let lim = la.min(cap);
+                debug_assert!(lim >= at_us, "every lane window includes the round start");
+                // `reach` is closed over relays, so a peer's later work
+                // can only push the bound out: what a lane has run past
+                // stays final, and `absorb` may check a crossing frame
+                // against this round's limit alone.
+                debug_assert!(
+                    lim >= self.round[i].limit.total_micros(),
+                    "lane {i}'s limit moved back from {}",
+                    self.round[i].limit,
+                );
+                if la < cap && lim == at_us {
+                    self.stats.collapsed += 1;
+                }
+                self.round[i].limit = Instant::from_micros(lim);
             }
             // A lane's window never schedules into another lane's queue
             // (cross frames buffer until the absorb), so what is due is
@@ -1230,18 +1202,14 @@ impl Network {
                     }
                 }
             }
-            if k > 1 {
-                self.stats.windows += 1;
-                if stalled {
-                    self.stats.barrier_stalls += 1;
-                }
-                for window in &self.round {
-                    self.stats.span_us += window.limit.total_micros() - at_us;
-                    if window.due {
-                        self.stats.lanes_dispatched += 1;
-                    } else {
-                        self.stats.lanes_skipped += 1;
-                    }
+            self.stats.windows += 1;
+            self.stats.barrier_stalls += u64::from(stalled);
+            for window in &self.round {
+                self.stats.span_us += window.limit.total_micros() - at_us;
+                if window.due {
+                    self.stats.lanes_dispatched += 1;
+                } else {
+                    self.stats.lanes_skipped += 1;
                 }
             }
             let horizon = self.round.iter().map(|w| w.limit).min().unwrap_or(at);
@@ -1257,14 +1225,6 @@ impl Network {
         self.run_until(self.now + d);
     }
 
-    /// Run until no events remain or `limit` is reached.
-    pub fn run_to_quiescence(&mut self, limit: Instant) {
-        while self.next_event_at().is_some_and(|at| at <= limit) {
-            let next = self.next_event_at().expect("checked");
-            self.run_until(next);
-        }
-    }
-
     /// Force a service pass on a node right now (used after the caller
     /// mutated its sockets or apps from outside the loop). The pass runs
     /// in the node's lane and the barrier absorbs immediately,
@@ -1273,11 +1233,12 @@ impl Network {
     pub fn kick(&mut self, id: NodeId) {
         // Don't advance time: just service at the current instant. The
         // caller may have changed anything (sockets, applications,
-        // interfaces), so the pass is a full one.
+        // interfaces), so the pass is a full one — which is what taking
+        // the node mutably means.
         let now = self.now;
         let lane = self.lanes.of(id);
         let lane = &mut self.lanes[lane];
-        lane.slots[id - lane.lo].node.set_idle_gate(None);
+        lane.slots[id - lane.lo].node_mut();
         // Token 0: a kick is absorbed by itself, never merge-sorted
         // against window entries.
         lane.service_node(id, now, 0, &mut self.tap);
@@ -1290,12 +1251,6 @@ impl Network {
     /// convergence tracer).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Mutably borrow the telemetry bundle — to change the sampler
-    /// cadence, annotate the flight recorder, or size the ring.
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 
     /// Log an invariant evaluation in the flight recorder. A failed
@@ -1339,7 +1294,7 @@ impl Network {
         self.telemetry.sampler.begin_sample(at);
         let cadence = self.telemetry.sampler.cadence();
         for (id, slot) in self.lanes.slots_mut().enumerate() {
-            let node = &slot.node;
+            let node = slot.node();
             if let Some(dv) = &node.dv {
                 let version = dv.version();
                 self.telemetry
@@ -1349,7 +1304,6 @@ impl Network {
             // Goodput: acked-byte delta over the cadence window, bits/s.
             let acked: u64 = node.tcp_sockets.iter().map(|s| s.stats.bytes_acked).sum();
             let delta = acked.saturating_sub(slot.sampled_acked);
-            slot.sampled_acked = acked;
             if delta > 0 && !cadence.is_zero() {
                 let bps = delta.saturating_mul(8_000_000) / cadence.total_micros();
                 self.telemetry
@@ -1373,6 +1327,7 @@ impl Network {
                         .record(at, "srtt_us", scope, srtt.total_micros());
                 }
             }
+            slot.sampled_acked = acked;
         }
         for lid in 0..self.links_meta.len() {
             let depth = (self.link_dir(lid, true).queue_depth(at)
@@ -1408,32 +1363,6 @@ impl Network {
             Scope::Global,
             self.lanes.slots().map(|slot| slot.service_count).sum(),
         );
-        // Pool telemetry, opt-in (see `set_pool_metrics`): occupancy as
-        // a sampler gauge, counter deltas into the registry, mirroring
-        // how the reassembly counters are harvested.
-        if self.pool_metrics {
-            self.telemetry.sampler.record(
-                at,
-                "pool_free_buffers",
-                Scope::Global,
-                self.pool.free_buffers() as u64,
-            );
-            let stats = self.pool.stats();
-            let last = self.last_pool;
-            self.last_pool = stats;
-            for (name, value, floor) in [
-                ("pool_fresh_allocs", stats.fresh_allocs, last.fresh_allocs),
-                ("pool_recycled", stats.recycled, last.recycled),
-                ("pool_released", stats.released, last.released),
-                ("pool_discarded", stats.discarded, last.discarded),
-                ("pool_shift_copies", stats.shift_copies, last.shift_copies),
-                ("pool_bytes_copied", stats.bytes_copied, last.bytes_copied),
-            ] {
-                if value > floor {
-                    count(&mut self.telemetry, name, Scope::Global, value - floor);
-                }
-            }
-        }
     }
 
     /// Aggregate link statistics: (frames offered, frames delivered,
@@ -1479,8 +1408,8 @@ impl Network {
     fn routing_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for NodeSlot { node, .. } in self.lanes.slots() {
-            if let Some(dv) = &node.dv {
+        for slot in self.lanes.slots() {
+            if let Some(dv) = &slot.node().dv {
                 for (prefix, route) in dv.routes() {
                     prefix.address().to_u32().hash(&mut hasher);
                     prefix.prefix_len().hash(&mut hasher);
@@ -2431,7 +2360,6 @@ mod tests {
     fn lane_pools_are_counted_the_same_under_both_arms() {
         let run = |shard: ShardKind| {
             let mut net = two_lane_net(shard);
-            net.set_pool_metrics(true);
             net.run_until(Instant::from_secs(10));
             assert_eq!(net.lane_count(), 2);
             let dumps = (net.metrics_dump(), net.series_dump(), net.flight_dump());
@@ -2443,15 +2371,23 @@ mod tests {
             sharded, parallel,
             "pool counters and dumps are arm-independent"
         );
-        let (stats, _, (metrics, series, _)) = sharded;
+        let (stats, ..) = sharded;
         assert!(
             stats.recycled > 0 && stats.released > 0,
             "the lanes recycle: {stats:?}"
         );
-        assert!(
-            metrics.contains("pool_recycled") && series.contains("pool_free_buffers"),
-            "the lanes' pools are sampled:\n{metrics}"
-        );
+    }
+
+    #[test]
+    fn sched_stats_sum_every_lane_wheel_counters_included() {
+        let mut net = two_lane_net(ShardKind::Sharded { shards: 2 });
+        net.run_until(Instant::from_secs(10));
+        let [a, b] = [0, 1].map(|lane| net.lanes[lane].sched.stats().wheel);
+        assert!(b.windows_paged > 0 && b.distributed > 0, "lane 1 pages its wheel: {b:?}");
+        let total = net.sched_stats().wheel;
+        assert_eq!(total.windows_paged, a.windows_paged + b.windows_paged);
+        assert_eq!(total.overflow_inserts, a.overflow_inserts + b.overflow_inserts);
+        assert_eq!(total.distributed, a.distributed + b.distributed);
     }
 
     #[test]

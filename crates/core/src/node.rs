@@ -257,6 +257,22 @@ impl Node {
         index
     }
 
+    /// Raise or drop interface `iface`: the flag flips and routing
+    /// re-learns the connected prefix, or loses it together with every
+    /// route learned over the interface. Only this end is told.
+    pub fn set_iface_up(&mut self, iface: usize, up: bool, now: Instant) {
+        self.ifaces[iface].up = up;
+        let cidr = self.ifaces[iface].cidr.network();
+        if let Some(dv) = &mut self.dv {
+            if up {
+                dv.add_connected(cidr, iface);
+            } else {
+                dv.remove_connected(&cidr);
+                dv.fail_iface(iface, now);
+            }
+        }
+    }
+
     /// Whether `addr` is one of our addresses.
     pub fn owns_addr(&self, addr: Ipv4Address) -> bool {
         self.ifaces.iter().any(|iface| iface.addr == addr)

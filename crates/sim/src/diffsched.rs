@@ -25,6 +25,12 @@
 //! `tests/scheduler_equivalence.rs` runs [`run_lockstep`] on thousands
 //! of seeded random workloads and [`replay_lockstep`] on the traces of
 //! the full E11/E12 batteries.
+//!
+//! Schedulers only. The lane barrier protocol is checked on the engine
+//! that runs it: `catenet-core`'s `Network::absorb` asserts its safety
+//! property on every crossing frame in debug builds, and
+//! `tests/shard_equivalence.rs` compares randomized topologies at
+//! several lane counts against one lane, dump for dump.
 
 use crate::event::{Scheduler, SchedulerKind, TraceOp};
 use crate::rng::Rng;
@@ -222,310 +228,6 @@ pub fn replay_trace(kind: SchedulerKind, trace: &[TraceOp]) -> u64 {
     sched.processed()
 }
 
-// ---------------------------------------------------------------------
-// Shard-pair lockstep: a miniature model of the barrier protocol.
-//
-// The real sharded event loop in `catenet-core` partitions nodes into
-// contiguous lanes and runs each over conservative-lookahead windows,
-// exchanging cross-lane frames at barrier instants. This model strips
-// that down to its essentials — nodes, directed links with integer
-// latencies, deterministic hash-driven forwarding — so the *protocol*
-// (window sizing, barrier exchange, (time, key) delivery order) can be
-// property-tested over thousands of random topologies and partitions
-// without dragging the whole network stack along.
-
-/// A miniature topology for differential testing of the shard barrier
-/// protocol: nodes, directed links with per-link latencies, and a set
-/// of seed messages that start the deterministic forwarding cascade.
-#[derive(Debug, Clone)]
-pub struct ShardTopology {
-    /// Number of nodes (ids `0..nodes`).
-    pub nodes: usize,
-    /// Directed links `(from, to, latency_micros)`; latency ≥ 1.
-    pub links: Vec<(usize, usize, u64)>,
-    /// Initial messages `(at_micros, to)` injected before the run.
-    pub seeds: Vec<(u64, usize)>,
-    /// Hop budget per cascade: each delivery forwards with one fewer
-    /// hop, bounding the run.
-    pub hops: u32,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Msg {
-    at: u64,
-    key: u64,
-    to: usize,
-    hops: u32,
-}
-
-impl PartialOrd for Msg {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Msg {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed (earliest first) for use in a max-BinaryHeap.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.key.cmp(&self.key))
-    }
-}
-
-fn fnv(values: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in values {
-        h ^= v;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// Deterministic forwarding decision: purely a function of the node and
-/// its local delivery count, so it is identical no matter which shard
-/// (or how many shards) delivered the message.
-fn forwards(out: &[(usize, u64)], node: usize, count: u64) -> Vec<(usize, u64)> {
-    if out.is_empty() {
-        return Vec::new();
-    }
-    let h = fnv(&[node as u64, count]);
-    let n = (h % 3) as usize; // 0, 1 or 2 forwards
-    (0..n)
-        .map(|j| out[((h >> (8 + 16 * j)) as usize) % out.len()])
-        .collect()
-}
-
-/// Deliver one message and push its forwards through `emit`. Key
-/// assignment mirrors the real engine: `(origin node) << 32 | seq`,
-/// with a per-origin sequence counter — globally unique, and
-/// independent of the shard count.
-fn deliver(
-    msg: Msg,
-    out: &[Vec<(usize, u64)>],
-    counts: &mut [u64],
-    seqs: &mut [u64],
-    mut emit: impl FnMut(Msg, u64),
-) {
-    let count = counts[msg.to];
-    counts[msg.to] += 1;
-    if msg.hops == 0 {
-        return;
-    }
-    for (dest, latency) in forwards(&out[msg.to], msg.to, count) {
-        let key = ((msg.to as u64) << 32) | seqs[msg.to];
-        seqs[msg.to] += 1;
-        emit(
-            Msg {
-                at: msg.at + latency,
-                key,
-                to: dest,
-                hops: msg.hops - 1,
-            },
-            latency,
-        );
-    }
-}
-
-fn adjacency(topo: &ShardTopology) -> Vec<Vec<(usize, u64)>> {
-    let mut out = vec![Vec::new(); topo.nodes];
-    for &(from, to, latency) in &topo.links {
-        assert!(latency >= 1, "zero-latency link in shard model");
-        out[from].push((to, latency));
-    }
-    out
-}
-
-fn seed_msgs(topo: &ShardTopology, seqs: &mut [u64]) -> Vec<Msg> {
-    topo.seeds
-        .iter()
-        .map(|&(at, to)| {
-            let key = ((to as u64) << 32) | seqs[to];
-            seqs[to] += 1;
-            Msg {
-                at,
-                key,
-                to,
-                hops: topo.hops,
-            }
-        })
-        .collect()
-}
-
-/// The reference arm: one totally ordered queue over all nodes,
-/// popping in `(time, key)` order. Returns the delivery trace.
-fn run_single(topo: &ShardTopology) -> Vec<(u64, u64, usize)> {
-    let out = adjacency(topo);
-    let mut counts = vec![0u64; topo.nodes];
-    let mut seqs = vec![0u64; topo.nodes];
-    let mut queue: std::collections::BinaryHeap<Msg> = std::collections::BinaryHeap::new();
-    for msg in seed_msgs(topo, &mut seqs) {
-        queue.push(msg);
-    }
-    let mut trace = Vec::new();
-    while let Some(msg) = queue.pop() {
-        trace.push((msg.at, msg.key, msg.to));
-        deliver(msg, &out, &mut counts, &mut seqs, |fwd, _| queue.push(fwd));
-    }
-    trace
-}
-
-/// The sharded arm: contiguous-block partition into `shards` lanes,
-/// each with its own queue, run over conservative-lookahead windows
-/// (window length = minimum cross-shard link latency) with cross-shard
-/// messages exchanged at barrier instants. Returns per-shard traces.
-///
-/// Barrier-safety invariants asserted on every crossing message:
-/// - its delivery instant equals send instant + link latency (no
-///   barrier may delay or hurry a frame), and is therefore no earlier
-///   than the window-opening barrier plus the minimum link latency;
-/// - its delivery instant is strictly after the barrier instant at
-///   which it crossed, so absorbing it can never rewind a lane.
-fn run_sharded(topo: &ShardTopology, shards: usize) -> Vec<Vec<(u64, u64, usize)>> {
-    let k = shards.clamp(1, topo.nodes.max(1));
-    let mut lane_of = vec![0usize; topo.nodes];
-    for lane in 0..k {
-        for node in lane_of.iter_mut().take((lane + 1) * topo.nodes / k).skip(lane * topo.nodes / k) {
-            *node = lane;
-        }
-    }
-    let out = adjacency(topo);
-    let lookahead = topo
-        .links
-        .iter()
-        .filter(|&&(from, to, _)| lane_of[from] != lane_of[to])
-        .map(|&(_, _, latency)| latency)
-        .min()
-        .unwrap_or(u64::MAX);
-
-    let mut counts = vec![0u64; topo.nodes];
-    let mut seqs = vec![0u64; topo.nodes];
-    let mut queues: Vec<std::collections::BinaryHeap<Msg>> =
-        (0..k).map(|_| std::collections::BinaryHeap::new()).collect();
-    for msg in seed_msgs(topo, &mut seqs) {
-        queues[lane_of[msg.to]].push(msg);
-    }
-
-    let mut traces = vec![Vec::new(); k];
-    while let Some(opens) = queues.iter().filter_map(|q| q.peek().map(|m| m.at)).min() {
-        // Process [opens, barrier]: anything sent inside the window
-        // over a cross-shard link lands at ≥ opens + lookahead, which
-        // is strictly after the barrier.
-        let barrier = if lookahead == u64::MAX {
-            u64::MAX
-        } else {
-            opens.saturating_add(lookahead - 1)
-        };
-        let mut crossings: Vec<(Msg, u64, u64)> = Vec::new();
-        for lane in 0..k {
-            while queues[lane].peek().is_some_and(|m| m.at <= barrier) {
-                let msg = queues[lane].pop().expect("peeked");
-                traces[lane].push((msg.at, msg.key, msg.to));
-                let sent_at = msg.at;
-                let (queue, cross) = (&mut queues[lane], &mut crossings);
-                deliver(msg, &out, &mut counts, &mut seqs, |fwd, latency| {
-                    if lane_of[fwd.to] == lane {
-                        queue.push(fwd);
-                    } else {
-                        cross.push((fwd, sent_at, latency));
-                    }
-                });
-            }
-        }
-        for (msg, sent_at, latency) in crossings {
-            assert_eq!(
-                msg.at,
-                sent_at + latency,
-                "barrier exchange altered a delivery instant"
-            );
-            assert!(
-                msg.at >= opens + lookahead,
-                "cross-shard frame beat the source shard's barrier + link latency"
-            );
-            assert!(
-                msg.at > barrier,
-                "cross-shard frame delivered inside the window it was sent in"
-            );
-            queues[lane_of[msg.to]].push(msg);
-        }
-    }
-    traces
-}
-
-/// Drive the single-queue reference and the K-shard windowed run over
-/// the same topology, asserting (a) every barrier-safety invariant
-/// inside the sharded run, (b) each shard-local trace matches the
-/// reference trace restricted to that shard's nodes, and (c) the
-/// per-shard traces merged by `(time, key)` reproduce the reference
-/// trace exactly. Returns `(deliveries, fingerprint)` for cross-run
-/// determinism checks.
-pub fn run_shard_lockstep(topo: &ShardTopology, shards: usize) -> (u64, u64) {
-    let reference = run_single(topo);
-    let sharded = run_sharded(topo, shards);
-
-    let k = sharded.len();
-    let lane_of = |node: usize| -> usize {
-        (0..k)
-            .find(|&lane| node >= lane * topo.nodes / k && node < (lane + 1) * topo.nodes / k)
-            .expect("node outside every lane")
-    };
-    for (lane, trace) in sharded.iter().enumerate() {
-        let expected: Vec<_> = reference
-            .iter()
-            .copied()
-            .filter(|&(_, _, to)| lane_of(to) == lane)
-            .collect();
-        assert_eq!(
-            trace, &expected,
-            "shard {lane}/{k} local order diverged from the single-shard trace"
-        );
-    }
-
-    let mut merged: Vec<_> = sharded.into_iter().flatten().collect();
-    merged.sort_unstable_by_key(|&(at, key, _)| (at, key));
-    assert_eq!(
-        merged, reference,
-        "merged {k}-shard trace diverged from the single-shard reference"
-    );
-
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    for &(at, key, to) in &reference {
-        fingerprint = fnv(&[fingerprint, at, key, to as u64]);
-    }
-    (reference.len() as u64, fingerprint)
-}
-
-/// Generate a random topology/partition pair for the barrier-safety
-/// property test: a connected ring (so cascades spread) plus random
-/// chords, random per-link latencies, random seeds and hop budgets.
-pub fn random_shard_topology(rng: &mut Rng) -> (ShardTopology, usize) {
-    let nodes = rng.range(4, 21) as usize;
-    let shards = rng.range(2, 9) as usize;
-    let mut links = Vec::new();
-    for i in 0..nodes {
-        let next = (i + 1) % nodes;
-        links.push((i, next, rng.range(1, 50)));
-        links.push((next, i, rng.range(1, 50)));
-    }
-    for _ in 0..rng.range(0, (nodes as u64) * 2) {
-        let from = rng.below(nodes as u64) as usize;
-        let to = rng.below(nodes as u64) as usize;
-        if from != to {
-            links.push((from, to, rng.range(1, 50)));
-        }
-    }
-    let seeds = (0..rng.range(1, 6))
-        .map(|_| (rng.range(0, 20), rng.below(nodes as u64) as usize))
-        .collect();
-    let topo = ShardTopology {
-        nodes,
-        links,
-        seeds,
-        hops: rng.range(4, 11) as u32,
-    };
-    (topo, shards)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,60 +287,5 @@ mod tests {
         // Pop order: 7 7 | 7 7(clamped) 7 40 2^22 — four pops repeat an instant.
         assert_eq!(replay_lockstep(&trace), (7, 4));
         assert_eq!(replay_lockstep(&[]), (0, 0));
-    }
-
-    /// A tight ring with short cross-shard latencies: every window is
-    /// small, so the barrier-exchange path is exercised hard.
-    #[test]
-    fn shard_model_matches_reference_on_a_handwritten_ring() {
-        let topo = ShardTopology {
-            nodes: 6,
-            links: (0..6)
-                .flat_map(|i| {
-                    let next = (i + 1) % 6;
-                    [(i, next, 3), (next, i, 3)]
-                })
-                .collect(),
-            seeds: vec![(0, 0), (0, 3), (5, 1)],
-            hops: 8,
-        };
-        let baseline = run_shard_lockstep(&topo, 1);
-        assert!(baseline.0 > 3, "cascade should outgrow its seeds");
-        for shards in [2, 3, 6] {
-            assert_eq!(run_shard_lockstep(&topo, shards), baseline);
-        }
-    }
-
-    /// The seeded barrier-safety property: random topologies and
-    /// partitions × random cross-shard traffic. `run_shard_lockstep`
-    /// asserts, per crossing frame, that delivery is never earlier
-    /// than the source shard's barrier + link latency, and that every
-    /// shard-local order matches the single-shard trace.
-    #[test]
-    fn shard_model_barrier_safety_holds_over_random_topologies() {
-        let mut rng = Rng::from_seed(0x5A4D_BA21);
-        let mut total = 0u64;
-        for case in 0..200 {
-            let (topo, shards) = random_shard_topology(&mut rng);
-            let (deliveries, fp) = run_shard_lockstep(&topo, shards);
-            // Cross-run determinism, spot-checked.
-            if case % 40 == 0 {
-                assert_eq!(run_shard_lockstep(&topo, shards), (deliveries, fp));
-            }
-            total += deliveries;
-        }
-        assert!(total > 1_000, "property test barely exercised anything");
-    }
-
-    /// Shard counts beyond the node count clamp instead of panicking.
-    #[test]
-    fn shard_model_clamps_oversized_partitions() {
-        let topo = ShardTopology {
-            nodes: 3,
-            links: vec![(0, 1, 2), (1, 2, 2), (2, 0, 2)],
-            seeds: vec![(0, 0)],
-            hops: 5,
-        };
-        assert_eq!(run_shard_lockstep(&topo, 16), run_shard_lockstep(&topo, 1));
     }
 }

@@ -10,19 +10,21 @@
 //! it over the cross-shard links, because no frame sent after the
 //! window opens can arrive inside it.
 //!
-//! [`ShardKind`] selects the mode. `Single` is the reference arm and
-//! stays the default everywhere; `Sharded` runs the K-lane barrier
-//! protocol serially (the equivalence arm: same code path as parallel,
-//! zero threads, byte-identical dumps by construction *checked* against
-//! `Single` by `tests/shard_equivalence.rs`); `Parallel` hands the same
-//! lanes to persistent worker threads (the performance arm, priced by
-//! E17 and by `perf/`'s `lanes-metro` workload).
+//! [`ShardKind`] selects the mode, and every mode runs the same round.
+//! `Single` is K = 1 — one lane, which nothing bounds, so a window is
+//! a whole op-free span — and stays the default everywhere; `Sharded`
+//! runs K lanes serially (the equivalence arm: same code path as
+//! parallel, zero threads, byte-identical dumps by construction
+//! *checked* against `Single` by `tests/shard_equivalence.rs`);
+//! `Parallel` hands the same lanes to persistent worker threads (the
+//! performance arm, priced by E17 and by `perf/`'s `lanes-metro`
+//! workload).
 /// How the event loop partitions and executes the node set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardKind {
-    /// One lane over the whole node set — the reference arm. Windows
-    /// have no lookahead bound (there are no cross-shard links), so
-    /// execution is the classic serial event loop.
+    /// One lane over the whole node set: the same round at K = 1.
+    /// Windows have no lookahead bound (there are no cross-shard
+    /// links), so execution is the classic serial event loop.
     #[default]
     Single,
     /// K contiguous lanes with conservative-lookahead windows and
@@ -46,7 +48,9 @@ pub enum ShardKind {
 }
 
 /// Window-protocol execution counters, maintained by the coordinator
-/// of a K>1 lane split (all zero under `ShardKind::Single`).
+/// at every lane count. One lane reads `windows == lanes_dispatched`
+/// (a round starts at the lane's own next event) with nothing skipped
+/// or collapsed.
 ///
 /// These are *performance* observables, not simulation observables:
 /// they describe how the barrier protocol carved virtual time into

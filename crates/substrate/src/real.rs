@@ -604,25 +604,14 @@ impl RealSubstrate {
     }
 
     /// Administratively raise or drop interface `iface` — the REPL's
-    /// `up`/`down`. Mirrors what the simulator's `set_link_up` does to
-    /// *one* end: the interface flag flips and the DV engine fails or
-    /// re-learns the connected prefix. The peer is *not* told — on a
-    /// real substrate it only finds out when RIP times the routes out,
-    /// which is the paper's point about distributed failure detection.
+    /// `up`/`down`: the `Node::set_iface_up` the simulator's
+    /// `set_link_up` applies to both ends, applied to *one*. The peer is
+    /// *not* told — on a real substrate it only finds out when RIP
+    /// times the routes out, which is the paper's point about
+    /// distributed failure detection.
     pub fn set_iface_up(&mut self, iface: usize, up: bool) {
-        if iface >= self.node.ifaces.len() {
-            return;
-        }
-        self.node.ifaces[iface].up = up;
-        let now = self.clock.now();
-        let cidr = self.node.ifaces[iface].cidr.network();
-        if let Some(dv) = &mut self.node.dv {
-            if up {
-                dv.add_connected(cidr, iface);
-            } else {
-                dv.remove_connected(&cidr);
-                dv.fail_iface(iface, now);
-            }
+        if iface < self.node.ifaces.len() {
+            self.node.set_iface_up(iface, up, self.clock.now());
         }
     }
 

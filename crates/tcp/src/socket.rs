@@ -337,20 +337,6 @@ impl Socket {
         !matches!(self.state, State::Closed | State::Listen | State::TimeWait)
     }
 
-    /// Whether the application may call `send_slice`.
-    pub fn may_send(&self) -> bool {
-        matches!(self.state, State::Established | State::CloseWait) && !self.fin_queued
-    }
-
-    /// Whether data may yet arrive (or is already buffered).
-    pub fn may_recv(&self) -> bool {
-        !self.rx_buffer.is_empty()
-            || matches!(
-                self.state,
-                State::Established | State::FinWait1 | State::FinWait2 | State::SynReceived
-            )
-    }
-
     /// Bytes waiting in the receive buffer.
     pub fn recv_queue_len(&self) -> usize {
         self.rx_buffer.len()

@@ -30,7 +30,7 @@
 use catenet::sim::{Duration, FaultAction, FaultPlan, Instant, LinkClass};
 use catenet::stack::app::{CbrSink, CbrSource};
 use catenet::stack::iface::Framing;
-use catenet::stack::{Endpoint, Network, ShardKind, ShardStats};
+use catenet::stack::{Endpoint, Network, ShardKind};
 use catenet_bench::{e17_parallel, SEEDS};
 
 /// h0 — g1 — g2 — h3 with *every* link zero-propagation, CBR both ways:
@@ -85,9 +85,13 @@ fn zero_latency_boundary_link_is_byte_identical_and_counted() {
         net.run_for(Duration::from_secs(5));
         (dumps(&net), net.shard_stats())
     };
-    let (reference, single_stats) = run(ShardKind::Single);
-    // The single-lane arm never touches the window counters.
-    assert_eq!(single_stats, ShardStats::default());
+    let (reference, single) = run(ShardKind::Single);
+    // One lane is the same round with no peer to bound it: every
+    // window starts at its next event, so it is always dispatched, and
+    // there is no lookahead to collapse.
+    assert!(single.windows > 0, "K = 1 counts its rounds: {single:?}");
+    assert_eq!(single.windows, single.lanes_dispatched, "{single:?}");
+    assert_eq!((single.lanes_skipped, single.collapsed), (0, 0), "{single:?}");
     for shard in [
         ShardKind::Sharded { shards: 2 },
         ShardKind::Parallel { shards: 2 },
@@ -95,6 +99,8 @@ fn zero_latency_boundary_link_is_byte_identical_and_counted() {
         let (d, stats) = run(shard);
         assert_eq!(d, reference, "dumps diverged under {shard:?}");
         assert!(stats.windows > 0, "rounds ran under {shard:?}");
+        // Coordinator ops (here, telemetry samples) are K-independent.
+        assert_eq!(stats.op_batches, single.op_batches, "{stats:?}");
         // The receiving lane's window collapses to the round-start
         // instant nearly every round: the peer's next event plus the
         // 1 µs floor is all the lookahead a zero-propagation boundary
