@@ -112,7 +112,9 @@ pub fn parse(text: &str) -> Result<NodeConfig, ConfigError> {
     let mut name = None;
     let mut role = None;
     let mut ifaces: Vec<IfaceConfig> = Vec::new();
-    let mut routes = Vec::new();
+    // With its line: a next hop can only be checked once every
+    // interface is known.
+    let mut routes: Vec<(usize, RouteConfig)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -156,7 +158,7 @@ pub fn parse(text: &str) -> Result<NodeConfig, ConfigError> {
                 let via: Ipv4Address = words[3]
                     .parse()
                     .map_err(|_| err(line_no, format!("bad next-hop {:?}", words[3])))?;
-                routes.push(RouteConfig { prefix, via });
+                routes.push((line_no, RouteConfig { prefix, via }));
             }
             other => return Err(err(line_no, format!("unknown directive {other:?}"))),
         }
@@ -167,10 +169,10 @@ pub fn parse(text: &str) -> Result<NodeConfig, ConfigError> {
     if ifaces.is_empty() {
         return Err(err(text.lines().count(), "no interfaces"));
     }
-    for route in &routes {
+    for (line_no, route) in &routes {
         if !ifaces.iter().any(|i| i.peer == Some(route.via)) {
             return Err(err(
-                text.lines().count(),
+                *line_no,
                 format!("route via {} is no interface's peer", route.via),
             ));
         }
@@ -179,7 +181,7 @@ pub fn parse(text: &str) -> Result<NodeConfig, ConfigError> {
         name,
         role,
         ifaces,
-        routes,
+        routes: routes.into_iter().map(|(_, route)| route).collect(),
     })
 }
 
@@ -290,7 +292,9 @@ route 0.0.0.0/0 via 10.1.0.1
 node host h1
 iface 0 10.1.0.2/30 peer 10.1.0.1 link 0 bind 127.0.0.1:0 remote 127.0.0.1:15000
 route 0.0.0.0/0 via 10.2.0.9
+iface 1 10.9.1.1/30 local
 ";
-        assert!(parse(text).is_err());
+        let e = parse(text).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
     }
 }

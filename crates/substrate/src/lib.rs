@@ -19,7 +19,8 @@
 //!   dump bytes are pinned by `tests/sim_golden_digests.rs`).
 //! - The **real-I/O** backend ([`real::RealSubstrate`]) realizes links
 //!   as UDP tunnels between OS sockets — one socket pair per link,
-//!   frames carried verbatim in UDP payloads — and replaces virtual
+//!   frames carried verbatim in UDP payloads, as many to a datagram as
+//!   one pass of the event loop has for the link — and replaces virtual
 //!   time with a wall-clock timer driver whose sleep a frame arriving
 //!   from the OS cuts short (one reader thread per tunnel, no polling
 //!   slice). No root privileges or TUN device are needed, so it runs
@@ -35,8 +36,8 @@
 //!
 //! A third realization — a TUN device carrying our IP datagrams into
 //! the kernel stack — plugs in at the same place the UDP tunnel does:
-//! a [`real::LinkEndpoint`] turns frames (pooled buffers with headroom
-//! for its header) into bytes on a descriptor and back. A TUN endpoint would open `/dev/net/tun`,
+//! a [`real::LinkEndpoint`] turns frames (pooled buffers) into bytes on
+//! a descriptor and back. A TUN endpoint would open `/dev/net/tun`,
 //! set `IFF_TUN | IFF_NO_PI`, and exchange raw IPv4 packets (framing
 //! [`catenet_core::iface::Framing::RawIp`]) instead of UDP payloads;
 //! everything above the endpoint — node, routing, TCP, REPL — is

@@ -3,13 +3,14 @@
 //!
 //! Where the simulator realizes a link as a pair of delay/loss queues
 //! inside one process, [`RealSubstrate`] realizes it as a pair of OS
-//! UDP sockets: each frame the node emits gets the [`crate::tunnel`]
-//! header prepended into its own headroom and is sent to the peer's
-//! socket; each datagram the OS delivers is defensively decoded into a
-//! pooled buffer and handed to [`Node::handle_frame`] exactly as a
-//! simulated frame would be. The node — ARP, IP forwarding, DV routing,
-//! TCP, sockets, applications — cannot tell the difference; that is
-//! the paper's architecture/realization split made executable.
+//! UDP sockets: each frame the node emits becomes a [`crate::tunnel`]
+//! record in its link's outgoing datagram, which leaves for the peer's
+//! socket when the pass that filled it ends; each record of a datagram
+//! the OS delivers is defensively decoded into a pooled buffer and
+//! handed to [`Node::handle_frame`] exactly as a simulated frame would
+//! be. The node — ARP, IP forwarding, DV routing, TCP, sockets,
+//! applications — cannot tell the difference; that is the paper's
+//! architecture/realization split made executable.
 //!
 //! Time is the other half of the realization. Virtual time jumps from
 //! event to event; here a [`Clock`] maps monotonic wall time onto the
@@ -25,17 +26,17 @@
 //! bound. A clock that does not wait ([`crate::clock::TestClock`])
 //! cannot wait for a thread either, so under it the pump polls the
 //! nonblocking sockets itself; both routes end in one decode-and-count
-//! function. Determinism is *not* promised on this arm — the OS
-//! schedules delivery — which is exactly why the simulator remains the
-//! CI arm for every byte-pinned experiment.
+//! function, a record at a time. Determinism is *not* promised on this
+//! arm — the OS schedules delivery — which is exactly why the simulator
+//! remains the CI arm for every byte-pinned experiment.
 //!
 //! The [`LinkEndpoint`] trait is the seam a future TUN backend plugs
 //! into (see the crate docs): `RealSubstrate` only ever asks an
-//! endpoint to ship or poll frames.
+//! endpoint to queue, flush or poll frames.
 
 use crate::clock::{Clock, WallClock};
 use crate::config::NodeConfig;
-use crate::tunnel::{self, TunnelStats, MAX_FRAME, TUNNEL_HEADER};
+use crate::tunnel::{self, TunnelStats, MAX_DATAGRAM, MAX_FRAME, TUNNEL_HEADER};
 use crate::Substrate;
 use catenet_core::app::Application;
 use catenet_core::iface::{Framing, Iface};
@@ -44,13 +45,15 @@ use catenet_sim::{Duration, Instant};
 use catenet_wire::EthernetAddress;
 use std::io;
 use std::net::UdpSocket;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle, Thread};
 
-/// Buffers a reader thread may hold (empty or filled) before it blocks
-/// and leaves the rest of a burst in the kernel's receive buffer.
+/// Buffers a reader thread may hold (empty or filled) before it blocks,
+/// leaving the rest of its datagram in hand and the rest of a burst in
+/// the kernel's receive buffer.
 pub const RING: usize = 32;
 
 /// How long a pump that just ingested frames keeps looking at its
@@ -68,14 +71,19 @@ const READER_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(25)
 
 /// One end of a realized link: ships frames out, polls frames in.
 ///
-/// Neither call may block: the pump is the substrate's only thread
-/// that touches the node. `send_frame` is best-effort — real networks
-/// drop — and `recv_frame` returns `None` when nothing is pending.
+/// No call may block: the pump is the substrate's only thread that
+/// touches the node. Sending is best-effort — real networks drop — and
+/// `recv_frame` returns `None` when nothing is pending.
 pub trait LinkEndpoint: Send {
-    /// Ship a frame to the peer (best-effort). Returns whether the
-    /// frame had to be relocated to take the link's header, i.e. its
-    /// headroom was too short to prepend in place.
-    fn send_frame(&mut self, frame: PacketBuf) -> bool;
+    /// Queue a frame for the peer. Returns the datagrams this had to
+    /// ship first to make room for it (0 or 1).
+    fn send_frame(&mut self, frame: PacketBuf) -> usize;
+
+    /// Ship what is queued, without waiting for more. Returns the
+    /// datagrams shipped (0 or 1).
+    fn flush(&mut self) -> usize {
+        0
+    }
 
     /// Poll one pending frame, without blocking.
     fn recv_frame(&mut self) -> Option<PacketBuf>;
@@ -150,7 +158,7 @@ impl Doorbell {
 /// Where a tunnel's frames come from.
 enum Ingress {
     /// The pump polls the nonblocking socket itself, into this.
-    Poll(Box<Datagram>),
+    Poll(Inbox),
     /// A reader thread is the socket's only receiver.
     Reader(Reader),
 }
@@ -167,13 +175,53 @@ struct Reader {
     thread: Option<JoinHandle<()>>,
 }
 
-/// Room for the largest legal datagram and then some, so an oversized
-/// one is seen as oversized instead of silently truncated to fit.
-const DATAGRAM_ROOM: usize = TUNNEL_HEADER + MAX_FRAME + 64;
-type Datagram = [u8; DATAGRAM_ROOM];
+/// Room for any UDP payload, so no datagram is silently cut to fit.
+const DATAGRAM_ROOM: usize = 1 << 16;
 
-/// A UDP-tunnel link endpoint: frames ride [`crate::tunnel`] datagrams
-/// between two bound sockets.
+/// A received datagram and how far its records have been read.
+struct Inbox {
+    bytes: Box<[u8]>,
+    /// The records not read yet; `None` once the datagram is done.
+    unread: Option<Range<usize>>,
+}
+
+impl Inbox {
+    /// On the heap: a reader thread's whole stack is 64 KB.
+    fn new() -> Inbox {
+        Inbox {
+            bytes: vec![0; DATAGRAM_ROOM].into_boxed_slice(),
+            unread: None,
+        }
+    }
+
+    /// Take the next datagram from `socket`; the last must be done.
+    fn recv(&mut self, socket: &UdpSocket, stats: &Mutex<TunnelStats>) -> io::Result<()> {
+        let n = socket.recv(&mut self.bytes)?;
+        lock_stats(stats).datagrams += 1;
+        self.unread = Some(0..n);
+        Ok(())
+    }
+
+    /// [`accept`] the next record of the datagram in hand (with none in
+    /// hand, `spare` comes straight back).
+    fn accept(
+        &mut self,
+        link_id: u16,
+        stats: &Mutex<TunnelStats>,
+        spare: PacketBuf,
+    ) -> Result<PacketBuf, PacketBuf> {
+        let Some(unread) = self.unread.take() else {
+            return Err(spare);
+        };
+        let records = &self.bytes[unread.clone()];
+        let (verdict, rest) = accept(link_id, &mut lock_stats(stats), records, spare);
+        self.unread = rest.map(|rest| unread.end - rest.len()..unread.end);
+        verdict
+    }
+}
+
+/// A UDP-tunnel link endpoint: frames ride [`crate::tunnel`] records
+/// between two bound sockets, as many to a datagram as one pass has.
 pub struct UdpTunnel {
     /// With a reader thread, this handle only sends.
     socket: UdpSocket,
@@ -181,6 +229,8 @@ pub struct UdpTunnel {
     stats: Arc<Mutex<TunnelStats>>,
     pool: PacketPool,
     ingress: Ingress,
+    /// Records queued for the peer: the next datagram.
+    outgoing: Vec<u8>,
 }
 
 impl UdpTunnel {
@@ -204,7 +254,7 @@ impl UdpTunnel {
         let ingress = match doorbell {
             None => {
                 socket.set_nonblocking(true)?;
-                Ingress::Poll(Box::new([0; DATAGRAM_ROOM]))
+                Ingress::Poll(Inbox::new())
             }
             Some(doorbell) => {
                 // `try_clone` shares one open file description, and with
@@ -247,6 +297,7 @@ impl UdpTunnel {
             stats,
             pool,
             ingress,
+            outgoing: Vec::with_capacity(MAX_DATAGRAM),
         })
     }
 
@@ -256,37 +307,35 @@ impl UdpTunnel {
     }
 }
 
-/// An empty receive buffer: room for the largest frame a recycled pool
-/// buffer holds behind a tunnel header's worth of headroom, so a
-/// gateway forwards it out of another tunnel without moving it.
+/// An empty receive buffer: a whole recycled pool buffer, which
+/// [`MAX_FRAME`] fills exactly. No headroom: egress copies a frame into
+/// its datagram, so nothing is ever prepended in place.
 fn spare(pool: &PacketPool) -> PacketBuf {
-    pool.alloc(TUNNEL_HEADER, MAX_FRAME - TUNNEL_HEADER)
+    pool.alloc(0, MAX_FRAME)
 }
 
-/// The one way a datagram becomes a frame, whoever received it: decode
-/// against `link_id`, count the verdict in `stats`, copy an accepted
-/// frame into `spare`. A rejected datagram hands `spare` back.
-fn accept(
+/// The one way a record becomes a frame, whoever received its
+/// datagram: decode the first of `records` against `link_id`, count the
+/// verdict in `stats`, copy an accepted frame into `spare` (a rejected
+/// record hands it back). Also returns the records left to read:
+/// `None` once the datagram is done, after its last record or at a
+/// malformed one, which takes the rest of the datagram with it.
+fn accept<'a>(
     link_id: u16,
     stats: &mut TunnelStats,
-    datagram: &[u8],
+    records: &'a [u8],
     mut spare: PacketBuf,
-) -> Result<PacketBuf, PacketBuf> {
-    match tunnel::decode(link_id, datagram) {
-        Ok(frame) => {
+) -> (Result<PacketBuf, PacketBuf>, Option<&'a [u8]>) {
+    match tunnel::decode_next(link_id, records) {
+        Ok((frame, rest)) => {
             stats.accepted += 1;
-            if frame.len() > spare.len() {
-                // Legal on the wire (≤ MAX_FRAME) but longer than a
-                // recycled buffer has room for behind the headroom.
-                return Ok(PacketBuf::from_vec(frame.to_vec()));
-            }
             spare[..frame.len()].copy_from_slice(frame);
             spare.truncate(frame.len());
-            Ok(spare)
+            (Ok(spare), (!rest.is_empty()).then_some(rest))
         }
         Err(reason) => {
             stats.record(reason);
-            Err(spare)
+            (Err(spare), None)
         }
     }
 }
@@ -309,27 +358,24 @@ struct ReaderLoop {
 
 impl ReaderLoop {
     fn run(self) {
-        let mut datagram: Datagram = [0; DATAGRAM_ROOM];
-        // Take a buffer before a datagram: with the ring empty this
-        // blocks, and what arrives meanwhile waits in the kernel.
+        let mut inbox = Inbox::new();
+        // Take a buffer before a record: with the ring empty this
+        // blocks, and the rest of the datagram in hand and whatever
+        // arrives meanwhile wait, the latter in the kernel.
         while let Ok(mut spare) = self.empties.recv() {
             let frame = loop {
-                if self.stop.load(Ordering::SeqCst) {
-                    return;
+                if inbox.unread.is_none() {
+                    if self.stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    // A timeout is the cue to look at `stop`; any other
+                    // error is a connected socket reporting an ICMP
+                    // error (peer not up yet): loss, as on a wire.
+                    if inbox.recv(&self.socket, &self.stats).is_err() {
+                        continue;
+                    }
                 }
-                // A timeout is the cue to look at `stop`; any other
-                // error is a connected socket reporting an ICMP error
-                // (peer not up yet): loss, as on a wire.
-                let Ok(n) = self.socket.recv(&mut datagram) else {
-                    continue;
-                };
-                let verdict = accept(
-                    self.link_id,
-                    &mut lock_stats(&self.stats),
-                    &datagram[..n],
-                    spare,
-                );
-                match verdict {
+                match inbox.accept(self.link_id, &self.stats, spare) {
                     Ok(frame) => break frame,
                     Err(unused) => spare = unused,
                 }
@@ -343,20 +389,33 @@ impl ReaderLoop {
 }
 
 impl LinkEndpoint for UdpTunnel {
-    fn send_frame(&mut self, mut frame: PacketBuf) -> bool {
-        let len = frame.len();
-        let relocated = frame.headroom() < TUNNEL_HEADER;
-        frame.prepend(TUNNEL_HEADER);
-        tunnel::write_header(self.link_id, len, &mut frame[..TUNNEL_HEADER]);
+    fn send_frame(&mut self, frame: PacketBuf) -> usize {
+        let shipped = if self.outgoing.len() + TUNNEL_HEADER + frame.len() > MAX_DATAGRAM {
+            self.flush()
+        } else {
+            0
+        };
+        let at = self.outgoing.len();
+        self.outgoing.resize(at + TUNNEL_HEADER, 0);
+        tunnel::write_header(self.link_id, frame.len(), &mut self.outgoing[at..]);
+        self.outgoing.extend_from_slice(&frame);
+        shipped
+    }
+
+    fn flush(&mut self) -> usize {
+        if self.outgoing.is_empty() {
+            return 0;
+        }
         // Best-effort, like the wire: a full socket buffer or an
-        // unreachable peer is a dropped frame, and TCP/RIP recover
+        // unreachable peer is a dropped datagram, and TCP/RIP recover
         // exactly as they do from simulated loss.
-        let _ = self.socket.send(&frame);
-        relocated
+        let _ = self.socket.send(&self.outgoing);
+        self.outgoing.clear();
+        1
     }
 
     fn recv_frame(&mut self) -> Option<PacketBuf> {
-        let datagram = match &mut self.ingress {
+        let inbox = match &mut self.ingress {
             Ingress::Reader(reader) => {
                 let frame = reader.filled.try_recv().ok()?;
                 reader.doorbell.took();
@@ -366,20 +425,16 @@ impl LinkEndpoint for UdpTunnel {
                 }
                 return Some(frame);
             }
-            Ingress::Poll(datagram) => datagram,
+            Ingress::Poll(inbox) => inbox,
         };
         loop {
-            // WouldBlock: nothing pending. Anything else is a connected
-            // socket surfacing an ICMP error (peer not yet up); treat
-            // like loss and move on.
-            let n = self.socket.recv(&mut datagram[..]).ok()?;
-            let verdict = accept(
-                self.link_id,
-                &mut lock_stats(&self.stats),
-                &datagram[..n],
-                spare(&self.pool),
-            );
-            if let Ok(frame) = verdict {
+            if inbox.unread.is_none() {
+                // WouldBlock: nothing pending. Anything else is a
+                // connected socket surfacing an ICMP error (peer not
+                // yet up); treat like loss and move on.
+                inbox.recv(&self.socket, &self.stats).ok()?;
+            }
+            if let Ok(frame) = inbox.accept(self.link_id, &self.stats, spare(&self.pool)) {
                 return Some(frame);
             }
         }
@@ -418,8 +473,8 @@ impl Drop for UdpTunnel {
 pub struct StubLink;
 
 impl LinkEndpoint for StubLink {
-    fn send_frame(&mut self, _frame: PacketBuf) -> bool {
-        false
+    fn send_frame(&mut self, _frame: PacketBuf) -> usize {
+        0
     }
 
     fn recv_frame(&mut self) -> Option<PacketBuf> {
@@ -444,13 +499,14 @@ pub struct PumpStats {
     pub wakes_by_timer: u64,
     /// Frames handed to the node.
     pub frames: u64,
+    /// Frames taken from a link whose interface is down, and dropped
+    /// there. With `frames`, every frame the tunnels accepted.
+    pub dropped_iface_down: u64,
     /// Most frames ever found waiting in the rings at once.
     pub ring_high_water: u64,
-    /// Egress frames whose link header went into their own headroom
-    /// (or whose link, a stub, has none).
-    pub prepends_in_place: u64,
-    /// Egress frames that had to be relocated to take their header.
-    pub prepends_relocated: u64,
+    /// Datagrams shipped to peers, each carrying every frame one pass
+    /// had for its link (up to [`MAX_DATAGRAM`] bytes).
+    pub datagrams_sent: u64,
 }
 
 /// A node realized over real I/O: one [`Node`], one [`LinkEndpoint`]
@@ -555,8 +611,9 @@ impl RealSubstrate {
     /// One non-blocking pass of the event loop: ingest pending tunnel
     /// frames (at most [`RING`] per link; `run_until` goes round again
     /// at once if a link had more), service the node (timers, RIP,
-    /// TCP), poll applications, flush the outbox to the tunnels — in
-    /// that order. Returns the number of frames ingested.
+    /// TCP), poll applications, flush the outbox to the tunnels, one
+    /// datagram per link — in that order. Returns the number of frames
+    /// ingested.
     pub fn pump(&mut self) -> usize {
         let now = self.clock.now();
         let mut ingested = 0;
@@ -564,7 +621,11 @@ impl RealSubstrate {
         for iface in 0..self.links.len() {
             let mut taken = 0;
             while let Some(frame) = self.links[iface].recv_frame() {
-                ingested += usize::from(self.deliver(now, iface, frame));
+                if self.deliver(now, iface, frame) {
+                    ingested += 1;
+                } else {
+                    self.stats.dropped_iface_down += 1;
+                }
                 taken += 1;
                 if taken == RING {
                     self.backlog = true;
@@ -576,15 +637,18 @@ impl RealSubstrate {
         for app in &mut self.apps {
             app.poll(&mut self.node, now);
         }
+        let mut shipped = 0;
         for (iface, frame) in self.node.take_outbox() {
             if let Some(link) = self.links.get_mut(iface) {
-                if link.send_frame(frame) {
-                    self.stats.prepends_relocated += 1;
-                } else {
-                    self.stats.prepends_in_place += 1;
-                }
+                shipped += link.send_frame(frame);
             }
         }
+        // One datagram per link per pass, and it leaves now: nothing
+        // waits for more traffic, so a lone frame is not delayed.
+        for link in &mut self.links {
+            shipped += link.flush();
+        }
+        self.stats.datagrams_sent += shipped as u64;
         self.stats.passes += 1;
         self.stats.frames += ingested as u64;
         ingested
@@ -644,14 +708,20 @@ impl RealSubstrate {
     /// direct line to the ingress hardening without needing a peer
     /// process. Same decode (against the interface's configured link
     /// id), same counting, same buffers, same door as a socket's
-    /// datagram; only the counters are the caller's.
+    /// datagram, record by record; only the counters are the caller's.
     pub fn ingest_payload(&mut self, iface: usize, payload: &[u8], stats: &mut TunnelStats) {
         let Some(&link_id) = self.link_ids.get(iface) else {
             return;
         };
-        if let Ok(frame) = accept(link_id, stats, payload, spare(&self.pool)) {
-            let now = self.clock.now();
-            self.deliver(now, iface, frame);
+        stats.datagrams += 1;
+        let mut records = Some(payload);
+        while let Some(unread) = records {
+            let (verdict, rest) = accept(link_id, stats, unread, spare(&self.pool));
+            records = rest;
+            if let Ok(frame) = verdict {
+                let now = self.clock.now();
+                self.deliver(now, iface, frame);
+            }
         }
     }
 

@@ -18,8 +18,9 @@
 //! recv <sock> <n>           read up to n bytes from a socket
 //! sendfile <path> <ip> <port>   stream a file over a fresh connection
 //! recvfile <path> <port>        accept one connection, write to file
-//! stats                     tunnel ingress counters per interface, then
-//!                           the event loop's own (`pump: …`)
+//! stats                     tunnel ingress counters per interface
+//!                           (frames, datagrams, drops), then the event
+//!                           loop's own (`pump: …`)
 //! quit | q                  exit
 //! ```
 //!
@@ -278,9 +279,10 @@ impl Repl {
                 for iface in 0..sub.node(0).ifaces.len() {
                     let s = sub.link_stats(iface);
                     out.push(format!(
-                        "iface {iface}: accepted {} dropped {} (truncated {} bad_magic {} \
-                         bad_version {} length_mismatch {} oversized {} wrong_link {})",
+                        "iface {iface}: accepted {} datagrams {} dropped {} (truncated {} \
+                         bad_magic {} bad_version {} length_mismatch {} oversized {} wrong_link {})",
                         s.accepted,
+                        s.datagrams,
                         s.dropped(),
                         s.truncated,
                         s.bad_magic,
@@ -293,14 +295,14 @@ impl Repl {
                 let p = sub.pump_stats();
                 out.push(format!(
                     "pump: passes {} wakes_by_frame {} wakes_by_timer {} frames {} \
-                     ring_high_water {} prepends_in_place {} prepends_relocated {}",
+                     dropped_iface_down {} ring_high_water {} datagrams_sent {}",
                     p.passes,
                     p.wakes_by_frame,
                     p.wakes_by_timer,
                     p.frames,
+                    p.dropped_iface_down,
                     p.ring_high_water,
-                    p.prepends_in_place,
-                    p.prepends_relocated,
+                    p.datagrams_sent,
                 ));
             }
             Some(other) => out.push(format!("error: unknown command {other:?} (try help)")),
@@ -572,21 +574,23 @@ mod tests {
 
         let out = Repl::new().exec("stats", &mut r1).output;
         assert_eq!(out.len(), 3, "{out:?}");
-        assert!(out[0].starts_with("iface 0: accepted "), "{out:?}");
-        assert!(out[1].starts_with("iface 1: accepted 0 "), "{out:?}");
-        let accepted = r1.link_stats(0).accepted;
+        assert!(out[1].starts_with("iface 1: accepted 0 datagrams 0 "));
+        let (accepted, datagrams) = (r1.link_stats(0).accepted, r1.link_stats(0).datagrams);
         let pump = r1.pump_stats();
         assert!(accepted > 0, "r2's RIP never arrived");
+        assert!(datagrams > 0 && datagrams <= accepted);
         assert_eq!(pump.frames, accepted);
+        let tunnel = format!("iface 0: accepted {accepted} datagrams {datagrams} ");
+        assert!(out[0].starts_with(&tunnel), "{out:?}");
         assert_eq!(
             out[2],
             format!(
                 "pump: passes {} wakes_by_frame 0 wakes_by_timer {} frames {accepted} \
-                 ring_high_water 0 prepends_in_place {} prepends_relocated 0",
-                pump.passes, pump.wakes_by_timer, pump.prepends_in_place
+                 dropped_iface_down 0 ring_high_water 0 datagrams_sent {}",
+                pump.passes, pump.wakes_by_timer, pump.datagrams_sent
             )
         );
-        assert!(pump.passes >= 4 && pump.prepends_in_place > 0, "{pump:?}");
+        assert!(pump.passes >= 4 && pump.datagrams_sent > 0, "{pump:?}");
     }
 
     /// `sendfile`/`recvfile` move their bytes from inside the event

@@ -1,8 +1,9 @@
 //! The readiness-driven half of the real-I/O backend: what only shows
 //! under a clock that really waits. Reader threads wake the pump
-//! through the clock, the ring back-pressures into the kernel instead
-//! of dropping or growing, frames either side of a pooled buffer's
-//! capacity survive the trip, and an idle node does not spin.
+//! through the clock, the ring back-pressures into the kernel (or, mid-
+//! datagram, into the reader) instead of dropping or growing, frames
+//! either side of a pooled buffer's capacity survive the trip, and an
+//! idle node does not spin.
 //!
 //! (`thread_hygiene.rs` is a file of its own because it counts the
 //! process's threads, which tests running beside it would change.)
@@ -14,7 +15,7 @@ use catenet_sim::{Duration, Instant};
 use catenet_substrate::clock::{Clock, WallClock};
 use catenet_substrate::config::{self, NodeConfig};
 use catenet_substrate::real::{Doorbell, LinkEndpoint, RealSubstrate, UdpTunnel, RING};
-use catenet_substrate::tunnel::{self, MAX_FRAME, TUNNEL_HEADER};
+use catenet_substrate::tunnel::{self, MAX_DATAGRAM, MAX_FRAME};
 use catenet_substrate::Substrate;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -142,6 +143,50 @@ fn a_full_ring_blocks_the_reader_instead_of_allocating_or_dropping() {
     );
 }
 
+/// One datagram carrying twice what the ring holds reaches a substrate
+/// nobody pumps: the reader fills the ring from it and then blocks with
+/// the rest of the datagram in hand. Pumping lets it finish the
+/// datagram through recycled buffers: every frame delivered, none
+/// dropped, and the pool no bigger than for one-frame datagrams.
+#[test]
+fn a_batch_larger_than_the_ring_waits_in_the_reader() {
+    const FRAMES: usize = 2 * RING;
+    let (pa, pb) = free_ports();
+    let mut b = RealSubstrate::from_config(&host("b", 2, 1, pb, pa)).expect("b tunnels");
+    let blaster = std::net::UdpSocket::bind(("127.0.0.1", pa)).expect("bind the peer's port");
+    blaster.connect(("127.0.0.1", pb)).expect("aim at b");
+    // One-record datagrams concatenate into one datagram of records.
+    // Not IP: the node counts and drops each frame and answers nothing.
+    let datagram = tunnel::encode(7, &[0xEE; 600]).repeat(FRAMES);
+    assert!(datagram.len() <= MAX_DATAGRAM);
+    blaster.send(&datagram).expect("loopback send");
+
+    let filled = std::time::Instant::now();
+    while b.link_stats(0).accepted < RING as u64 && filled.elapsed().as_secs() < 5 {
+        std::thread::yield_now();
+    }
+    // Give a reader that would read on past a full ring time to do so.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let link = b.link_stats(0);
+    assert_eq!(
+        (link.accepted, link.datagrams),
+        (RING as u64, 1),
+        "the reader stops mid-datagram at a full ring"
+    );
+    assert_eq!(b.pump_stats().ring_high_water, RING as u64);
+
+    b.run_for(Duration::from_millis(300));
+    let (link, pump, pool) = (b.link_stats(0), b.pump_stats(), b.pool_stats());
+    assert_eq!((link.accepted, link.datagrams), (FRAMES as u64, 1));
+    assert_eq!(link.dropped(), 0);
+    assert_eq!(pump.frames, FRAMES as u64, "every frame reached the node");
+    assert_eq!(pump.ring_high_water, RING as u64);
+    assert!(
+        pool.fresh_allocs <= FRAMES as u64,
+        "the rest of the datagram recycles the ring's buffers: {pool:?}"
+    );
+}
+
 /// Poll `rx` until a frame arrives.
 fn await_frame(rx: &mut UdpTunnel) -> PacketBuf {
     let started = std::time::Instant::now();
@@ -154,13 +199,18 @@ fn await_frame(rx: &mut UdpTunnel) -> PacketBuf {
     }
 }
 
-/// `MAX_FRAME` equals a pooled buffer's capacity, so the largest legal
-/// frames do not fit one next to the tunnel header. Both directions
-/// fall back to an exact allocation for them; nothing panics and no
-/// byte changes.
+/// `MAX_FRAME` equals a pooled buffer's capacity: behind its headroom a
+/// node's buffer cannot hold the largest legal frames (the pool
+/// allocates those exactly), and a ring buffer holds every one. Frames
+/// either side of that line cross the tunnel and share one datagram
+/// when one flush ships them; nothing panics and no byte changes.
 #[test]
 fn frames_either_side_of_a_pooled_buffer_round_trip() {
-    let fits = MAX_FRAME - TUNNEL_HEADER;
+    let fits = MAX_FRAME - HEADROOM;
+    let frames: Vec<Vec<u8>> = [0, 1, fits, fits + 1, MAX_FRAME]
+        .iter()
+        .map(|&len| (0..len).map(|i| (i % 251) as u8).collect())
+        .collect();
     for threaded in [false, true] {
         let (pa, pb) = free_ports();
         let (addr_a, addr_b) = (format!("127.0.0.1:{pa}"), format!("127.0.0.1:{pb}"));
@@ -168,23 +218,19 @@ fn frames_either_side_of_a_pooled_buffer_round_trip() {
         let mut tx = UdpTunnel::new(&addr_a, &addr_b, 7, pool.clone(), None).expect("tx");
         let doorbell = threaded.then(Arc::<Doorbell>::default);
         let mut rx = UdpTunnel::new(&addr_b, &addr_a, 7, pool.clone(), doorbell).expect("rx");
-        for len in [0, 1, fits, fits + 1, MAX_FRAME] {
-            let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            // Once as the node emits it (pooled, headroom in front),
-            // once as a foreign buffer with no headroom at all.
-            let mut pooled = pool.alloc(HEADROOM, len);
-            pooled.copy_from_slice(&bytes);
-            assert!(!tx.send_frame(pooled), "{len} bytes had headroom");
-            assert_eq!(&await_frame(&mut rx)[..], &bytes[..], "pooled, {len} bytes");
-            assert!(tx.send_frame(PacketBuf::from_vec(bytes.clone())));
-            assert_eq!(
-                &await_frame(&mut rx)[..],
-                &bytes[..],
-                "foreign, {len} bytes"
-            );
+        for bytes in &frames {
+            let mut buf = pool.alloc(HEADROOM, bytes.len());
+            buf.copy_from_slice(bytes);
+            assert_eq!(tx.send_frame(buf), 0, "a few frames fit one datagram");
         }
-        assert_eq!(rx.stats().accepted, 10);
-        assert_eq!(rx.stats().dropped(), 0);
+        assert_eq!(tx.flush(), 1);
+        assert_eq!(tx.flush(), 0, "nothing left to ship");
+        for bytes in &frames {
+            assert_eq!(&await_frame(&mut rx)[..], &bytes[..]);
+        }
+        let stats = rx.stats();
+        assert_eq!((stats.accepted, stats.datagrams), (5, 1), "{stats:?}");
+        assert_eq!(stats.dropped(), 0);
     }
 }
 

@@ -12,7 +12,7 @@ use catenet_sim::{Duration, Instant, Rng};
 use catenet_substrate::clock::TestClock;
 use catenet_substrate::config;
 use catenet_substrate::real::RealSubstrate;
-use catenet_substrate::tunnel::TunnelStats;
+use catenet_substrate::tunnel::{TunnelStats, MAX_DATAGRAM, TUNNEL_HEADER, TUNNEL_VERSION};
 use catenet_substrate::Substrate;
 use std::sync::Arc;
 
@@ -176,6 +176,11 @@ fn iface_down_fails_routes_and_drops_ingress() {
             .is_none()
     });
     assert!(peer_timed_out, "peer never timed the silent routes out");
+    // Every frame the tunnel accepted is accounted for: handed to the
+    // node, or dropped at the downed interface.
+    let (link, pump) = (r1.link_stats(0), r1.pump_stats());
+    assert!(pump.dropped_iface_down > 0, "{pump:?}");
+    assert_eq!(link.accepted, pump.frames + pump.dropped_iface_down);
     // Raise it again: the connected prefix comes back and RIP re-learns.
     r1.set_iface_up(0, true);
     assert!(
@@ -206,7 +211,7 @@ fn garbage_tunnel_payloads_never_panic_the_substrate() {
             // which is what ingress decodes against — so some frames
             // reach handle_frame.
             payload[0..2].copy_from_slice(&0xC47Eu16.to_be_bytes());
-            payload[2] = 1;
+            payload[2] = TUNNEL_VERSION;
             payload[3] = 0;
             payload[4..6].copy_from_slice(&7u16.to_be_bytes());
             let body = (len - 8) as u16;
@@ -223,6 +228,70 @@ fn garbage_tunnel_payloads_never_panic_the_substrate() {
         }),
         "no convergence after garbage storm"
     );
+}
+
+/// Two hosts over one tunnel: no routing protocol, so nothing but
+/// what a test sends ever crosses it.
+fn host_pair() -> (RealSubstrate, RealSubstrate) {
+    let (pa, pb) = free_ports();
+    let host = |name: &str, me: u8, peer: u8, bind: u16, remote: u16| {
+        let cfg = config::parse(&format!(
+            "node host {name}\n\
+             iface 0 10.1.0.{me}/30 peer 10.1.0.{peer} link 7 bind 127.0.0.1:{bind} remote 127.0.0.1:{remote}\n\
+             route 0.0.0.0/0 via 10.1.0.{peer}\n"
+        ))
+        .expect("host config");
+        RealSubstrate::with_clock(&cfg, Box::new(TestClock::new())).expect("tunnels")
+    };
+    (host("a", 1, 2, pa, pb), host("b", 2, 1, pb, pa))
+}
+
+/// What one pass ships: `pings` echo requests of `frame` bytes each,
+/// queued together, as (datagrams sent, datagrams and frames the peer
+/// read).
+fn one_pass(a: &mut RealSubstrate, b: &mut RealSubstrate, pings: u16, frame: usize) -> [u64; 3] {
+    let (sent, read, accepted) = (
+        a.pump_stats().datagrams_sent,
+        b.link_stats(0).datagrams,
+        b.link_stats(0).accepted,
+    );
+    let (dst, now) = ("10.1.0.2".parse().expect("addr"), Substrate::now(a));
+    for seq in 0..pings {
+        // 20 bytes of IP header and 8 of ICMP ahead of the payload.
+        a.node_mut(0).send_ping(dst, 1, seq, frame - 28, now);
+    }
+    a.pump();
+    let (all, sent_at) = (accepted + u64::from(pings), std::time::Instant::now());
+    while b.link_stats(0).accepted < all && sent_at.elapsed().as_secs() < 5 {
+        b.pump();
+    }
+    [
+        a.pump_stats().datagrams_sent - sent,
+        b.link_stats(0).datagrams - read,
+        b.link_stats(0).accepted - accepted,
+    ]
+}
+
+/// A pass's frames for one peer leave together, in as few datagrams as
+/// `MAX_DATAGRAM` allows, and a lone frame still leaves at once.
+#[test]
+fn a_pass_ships_its_frames_in_as_few_datagrams_as_fit() {
+    let (mut a, mut b) = host_pair();
+    // A lone echo request: one datagram of one frame, shipped by the
+    // pass that queued it.
+    assert_eq!(one_pass(&mut a, &mut b, 1, 84), [1, 1, 1]);
+    // 100 frames of 1,000 bytes: 64 records fill a datagram, so two
+    // datagrams, which is ⌈bytes / MAX_DATAGRAM⌉.
+    const FRAMES: u16 = 100;
+    const FRAME: usize = 1_000;
+    let bytes = usize::from(FRAMES) * (TUNNEL_HEADER + FRAME);
+    let datagrams = bytes.div_ceil(MAX_DATAGRAM) as u64;
+    assert_eq!(datagrams, 2);
+    assert_eq!(
+        one_pass(&mut a, &mut b, FRAMES, FRAME),
+        [datagrams, datagrams, u64::from(FRAMES)]
+    );
+    assert_eq!(b.link_stats(0).dropped(), 0);
 }
 
 #[test]
