@@ -26,7 +26,7 @@
 //!   approximation, measured instead of silent.
 
 use crate::flow::{Classified, FlowId, FlowState, FragKey};
-use catenet_sim::{Duration, Instant};
+use catenet_sim::{fnv1a, Duration, Instant, FNV_OFFSET};
 use std::collections::HashMap;
 
 /// Sentinel for "no slot" in the intrusive lists.
@@ -217,25 +217,11 @@ impl FragPortCache {
 /// across runs, platforms and process restarts — shard selection is part
 /// of the reproducible experiment surface.
 fn shard_hash(id: &FlowId) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for b in id.src_addr.0 {
-        eat(b);
-    }
-    for b in id.dst_addr.0 {
-        eat(b);
-    }
-    eat(id.protocol);
-    for b in id.src_port.to_be_bytes() {
-        eat(b);
-    }
-    for b in id.dst_port.to_be_bytes() {
-        eat(b);
-    }
-    hash
+    let hash = fnv1a(FNV_OFFSET, &id.src_addr.0);
+    let hash = fnv1a(hash, &id.dst_addr.0);
+    let hash = fnv1a(hash, &[id.protocol]);
+    let hash = fnv1a(hash, &id.src_port.to_be_bytes());
+    fnv1a(hash, &id.dst_port.to_be_bytes())
 }
 
 /// The gateway's soft-state flow table (sharded, bounded, LRU).

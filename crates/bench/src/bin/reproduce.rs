@@ -105,7 +105,7 @@ fn main() {
         e12_reconvergence::default_table(s)
     });
     if want("e13") {
-        eprintln!("running e13 (scheduler scale benchmark)...");
+        eprintln!("running e13 (scale: scheduler and forwarding fast path)...");
         let start = std::time::Instant::now();
         let results = e13_scale::run_battery(fast || check, SEEDS[0]);
         eprintln!("  e13 done in {:.1}s", start.elapsed().as_secs_f64());
@@ -113,24 +113,14 @@ fn main() {
         let json = e13_scale::to_json(&results, !check);
         std::fs::write("BENCH_e13.json", &json).expect("write BENCH_e13.json");
         eprintln!("  wrote BENCH_e13.json");
+        assert!(
+            results.iter().all(|r| r.gate()),
+            "e13: the steady-state fast path allocated or relocated a packet"
+        );
     }
     run("e14", "route-guard pricing", &|s| {
         e14_routeguard::default_table(s)
     });
-    if want("e15") {
-        eprintln!("running e15 (forwarding fast-path benchmark)...");
-        let start = std::time::Instant::now();
-        let results = e15_fastpath::run_battery(fast || check, SEEDS[0]);
-        eprintln!("  e15 done in {:.1}s", start.elapsed().as_secs_f64());
-        println!("{}", e15_fastpath::table(&results));
-        let json = e15_fastpath::to_json(&results, !check);
-        std::fs::write("BENCH_e15.json", &json).expect("write BENCH_e15.json");
-        eprintln!("  wrote BENCH_e15.json");
-        assert!(
-            results.iter().all(|r| r.gate()),
-            "e15: the steady-state fast path allocated or relocated a packet"
-        );
-    }
     if want("e16") {
         eprintln!("running e16 (accountability: reconciliation, churn, integrity)...");
         let start = std::time::Instant::now();

@@ -1,17 +1,23 @@
-//! E13 — Scheduler scale benchmark (ROADMAP "performance re-anchor").
+//! E13 — Scale: the scheduler and the forwarding fast path at 50–400
+//! gateways (ROADMAP "performance re-anchor", "per-packet cost").
 //!
 //! **Claim.** Clark's gateways are cheap, stateless store-and-forward
 //! elements; stressing the architecture's claims at realistic size
-//! means simulating *hundreds* of them. The event loop must not be the
-//! blocker — and a perf rewrite of the measurement substrate is only
-//! trustworthy if it is proven observably identical to what it
-//! replaced.
+//! means simulating *hundreds* of them. Two things must then hold. The
+//! event loop must not be the blocker — and a perf rewrite of the
+//! measurement substrate is only trustworthy if it is proven observably
+//! identical to what it replaced. And per-packet *processing*, which
+//! §goal-5/6 blames for the datagram's cost, must not be buffer
+//! management: pooled [`PacketBuf`](catenet_core::PacketBuf)s ride from
+//! socket to wire and hop to hop with headers prepended into reserved
+//! headroom (the mbuf/skbuff discipline), so a converged network
+//! forwards a packet with **no allocation and no relocation at all**.
 //!
 //! **Experiment.** Gateway rings of 50–400 nodes (plus a grid-mesh
 //! arm, [`crate::topo`]) run their cold-start distance-vector
-//! convergence storm — the densest event mix the stack produces — with
-//! the scheduler recording its op trace (every post-clamp schedule and
-//! pop). Three things are measured per topology:
+//! convergence storm — the densest event mix the stack produces — and
+//! bulk TCP flows, with the scheduler recording its op trace (every
+//! post-clamp schedule and pop). One run per topology gives:
 //!
 //! 1. **Equivalence at scale**: the trace is replayed through the
 //!    `BinaryHeap` reference and the timer wheel side by side
@@ -22,6 +28,11 @@
 //!    backend in isolation. Replay isolates the event-queue cost from
 //!    protocol work, so the heap/wheel speedup is measured on the
 //!    *real* event mix, not a synthetic one.
+//! 4. **The fast-path gate**: pool counters over a steady-state window
+//!    ([`WARMUP`]..[`VIRTUAL`]) divided by datagrams forwarded in it.
+//!    [`TopoResult::gate`] holds iff that window saw zero fresh
+//!    allocations and zero relocations; `reproduce -- e13` exits
+//!    non-zero unless it holds on every topology.
 //!
 //! Results are rendered as a table and emitted as `BENCH_e13.json`. In
 //! `--check` mode the JSON omits wall-clock fields, leaving only
@@ -42,6 +53,11 @@ pub const RING_SIZES_FAST: [usize; 3] = [50, 100, 400];
 /// Virtual time each topology runs: long enough for the cold-start
 /// storm, several periodic update rounds, and the bulk transfers.
 pub const VIRTUAL: Duration = Duration::from_secs(30);
+/// Steady-state window start: the convergence storm is over and every
+/// bulk flow (staggered from 8 s) is under way by here, so the pool
+/// counters between `WARMUP` and [`VIRTUAL`] price the *converged*
+/// forwarding path, not topology construction.
+pub const WARMUP: Duration = Duration::from_secs(12);
 /// Replay repetitions per backend; the minimum wall time is reported
 /// (the run least perturbed by the host machine).
 const REPLAY_REPS: usize = 7;
@@ -63,6 +79,20 @@ pub struct TopoResult {
     pub overflow_inserts: u64,
     /// FNV-1a digests of the metrics, series and flight dumps.
     pub digests: [u64; 3],
+    /// Datagrams forwarded by gateways over the full run.
+    pub forwarded: u64,
+    /// Datagrams forwarded inside the steady-state window.
+    pub steady_forwarded: u64,
+    /// Fresh allocations in the window.
+    pub steady_allocs: u64,
+    /// Prepends that missed their headroom in the window.
+    pub steady_shift_copies: u64,
+    /// Bytes those relocations copied in the window.
+    pub steady_bytes_copied: u64,
+    /// Freelist hits in the window.
+    pub steady_recycled: u64,
+    /// Freelist occupancy at the end of the run.
+    pub pool_free: u64,
     /// Full-simulation wall clock, milliseconds.
     pub sim_ms: f64,
     /// Trace-replay wall clock, `[heap, wheel]`, milliseconds (min of
@@ -74,18 +104,41 @@ pub struct TopoResult {
     pub speedup: f64,
 }
 
-/// Measure one topology. `build` populates the network; the op trace is
-/// armed before it runs (topology kicks schedule events, and a
-/// replayable trace has to start at event zero).
+impl TopoResult {
+    /// The fast path's standing claim on this topology: steady state
+    /// neither allocates nor relocates.
+    pub fn gate(&self) -> bool {
+        self.steady_allocs == 0 && self.steady_shift_copies == 0
+    }
+
+    /// `n` per datagram forwarded in the steady-state window.
+    fn per_forward(&self, n: u64) -> f64 {
+        n as f64 / self.steady_forwarded.max(1) as f64
+    }
+}
+
+/// Measure one topology. `build` populates the network and hands back
+/// its gateways; the op trace is armed before it runs (topology kicks
+/// schedule events, and a replayable trace has to start at event zero).
+/// Pool and forwarding counters are snapshot at [`WARMUP`] so the gate
+/// prices steady state only.
 fn measure(name: &str, seed: u64, build: impl FnOnce(&mut Network) -> Vec<NodeId>) -> TopoResult {
     let mut net = Network::new(seed);
     net.set_sched_trace(true);
-    let gateways = build(&mut net).len();
+    let gateways = build(&mut net);
+    let forwarded_by = |net: &Network| -> u64 {
+        gateways.iter().map(|&g| net.node(g).stats.ip_forwarded).sum()
+    };
     let t0 = std::time::Instant::now();
-    net.run_for(VIRTUAL);
+    net.run_for(WARMUP);
+    let at_warmup = net.pool().stats();
+    let fwd_warmup = forwarded_by(&net);
+    net.run_for(VIRTUAL - WARMUP);
     let sim_ms = t0.elapsed().as_secs_f64() * 1e3;
     let trace = net.take_sched_trace();
     let stats = net.sched_stats();
+    let pool = net.pool().stats();
+    let forwarded = forwarded_by(&net);
 
     let (pops, lockstep_ties) = diffsched::replay_lockstep(&trace);
     assert_eq!(pops, stats.processed, "{name}: the trace misses pops");
@@ -106,11 +159,18 @@ fn measure(name: &str, seed: u64, build: impl FnOnce(&mut Network) -> Vec<NodeId
 
     TopoResult {
         name: name.to_string(),
-        gateways,
+        gateways: gateways.len(),
         events: stats.processed,
         lockstep_ties,
         overflow_inserts: stats.wheel.overflow_inserts,
         digests: topo::dumps(&net),
+        forwarded,
+        steady_forwarded: forwarded - fwd_warmup,
+        steady_allocs: pool.fresh_allocs - at_warmup.fresh_allocs,
+        steady_shift_copies: pool.shift_copies - at_warmup.shift_copies,
+        steady_bytes_copied: pool.bytes_copied - at_warmup.bytes_copied,
+        steady_recycled: pool.recycled - at_warmup.recycled,
+        pool_free: net.pool().free_buffers() as u64,
         sim_ms,
         replay_ms: [heap_replay, wheel_replay],
         replay_eps: [eps(heap_replay), eps(wheel_replay)],
@@ -136,11 +196,14 @@ pub fn run_battery(fast: bool, seed: u64) -> Vec<TopoResult> {
 pub fn table(results: &[TopoResult]) -> Table {
     let mut table = Table::new(
         format!(
-            "E13 — Scheduler scale benchmark: cold-start DV convergence storm \
-             plus concurrent bulk TCP flows, {VIRTUAL} of virtual time per \
-             topology on the timer wheel; its scheduler op trace replayed \
-             through the heap reference and the wheel (lockstep = side by \
-             side, every pop compared; replay = one backend alone, timed)"
+            "E13 — Scale: cold-start DV convergence storm plus concurrent \
+             bulk TCP flows, {VIRTUAL} of virtual time per topology on the \
+             timer wheel; its scheduler op trace replayed through the heap \
+             reference and the wheel (lockstep = side by side, every pop \
+             compared; replay = one backend alone, timed); pool counters \
+             over the steady-state window ({WARMUP}..{VIRTUAL}) per \
+             forwarded datagram, gate = no allocation and no relocation in \
+             that window"
         ),
         &[
             "topology",
@@ -152,6 +215,13 @@ pub fn table(results: &[TopoResult]) -> Table {
             "replay heap (ms)",
             "replay wheel (ms)",
             "substrate speedup",
+            "forwarded",
+            "steady forwarded",
+            "allocs/fwd",
+            "relocations",
+            "bytes copied/fwd",
+            "recycled",
+            "gate",
         ],
     );
     for r in results {
@@ -166,14 +236,23 @@ pub fn table(results: &[TopoResult]) -> Table {
             format!("{:.2}", r.replay_ms[0]),
             format!("{:.2}", r.replay_ms[1]),
             format!("{:.2}x", r.speedup),
+            format!("{}", r.forwarded),
+            format!("{}", r.steady_forwarded),
+            format!("{:.4}", r.per_forward(r.steady_allocs)),
+            format!("{}", r.steady_shift_copies),
+            format!("{:.2}", r.per_forward(r.steady_bytes_copied)),
+            format!("{}", r.steady_recycled),
+            if r.gate() { "pass" } else { "FAIL" }.into(),
         ]);
     }
     table.note(
         "Expected shape: lockstep equal everywhere (the wheel pops exactly \
          what the heap reference pops, FIFO ties included); substrate speedup \
-         grows with topology size and clears 2x at the 400-gateway ring. \
-         Wall-clock columns vary run to run; event and tie counts are \
-         seed-deterministic.",
+         grows with topology size and clears 2x at the 400-gateway ring; \
+         every row passes the gate — the freelist serves the whole converged \
+         network (recycled > 0, allocs/fwd exactly 0) and every header lands \
+         in reserved headroom (0 relocations, 0 bytes copied). Wall-clock \
+         columns vary run to run; counts are seed-deterministic.",
     );
     table
 }
@@ -184,9 +263,10 @@ pub fn table(results: &[TopoResult]) -> Table {
 pub fn to_json(results: &[TopoResult], timings: bool) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e13\",\n");
     out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"virtual_secs\": {},\n  \"topologies\": [\n",
+        "  \"mode\": \"{}\",\n  \"virtual_secs\": {},\n  \"warmup_secs\": {},\n  \"topologies\": [\n",
         if timings { "full" } else { "check" },
-        VIRTUAL.total_micros() / 1_000_000
+        VIRTUAL.total_micros() / 1_000_000,
+        WARMUP.total_micros() / 1_000_000,
     ));
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
@@ -202,9 +282,26 @@ pub fn to_json(results: &[TopoResult], timings: bool) -> String {
             r.lockstep_ties
         ));
         out.push_str(&format!(
-            "      \"digest_metrics\": {},\n      \"digest_series\": {},\n      \"digest_flight\": {}",
+            "      \"digest_metrics\": {},\n      \"digest_series\": {},\n      \"digest_flight\": {},\n",
             r.digests[0], r.digests[1], r.digests[2]
         ));
+        out.push_str(&format!(
+            "      \"forwarded\": {},\n      \"steady_forwarded\": {},\n      \
+             \"pool_free_buffers\": {},\n",
+            r.forwarded, r.steady_forwarded, r.pool_free
+        ));
+        out.push_str(&format!(
+            "      \"steady_allocs\": {},\n      \"steady_shift_copies\": {},\n      \
+             \"steady_bytes_copied\": {},\n      \"steady_recycled\": {},\n      \
+             \"allocs_per_forward\": {:.4},\n      \"bytes_per_forward\": {:.2},\n",
+            r.steady_allocs,
+            r.steady_shift_copies,
+            r.steady_bytes_copied,
+            r.steady_recycled,
+            r.per_forward(r.steady_allocs),
+            r.per_forward(r.steady_bytes_copied),
+        ));
+        out.push_str(&format!("      \"gate\": {}", r.gate()));
         if timings {
             out.push_str(&format!(
                 ",\n      \"heap\": {{\"replay_ms\": {:.3}, \"replay_events_per_sec\": {:.0}}},\n",
@@ -238,13 +335,17 @@ mod tests {
         // pop identically, a sane event count with real same-instant
         // ties in it, and far timers actually crossing the overflow map
         // (so the benchmark exercises the wheel's paging path, not just
-        // the in-window fast path).
+        // the in-window fast path) — and a busy steady-state window the
+        // freelist serves without allocating or relocating.
         let r = measure("ring-4", 11, |net| topo::build_ring(net, 4));
         assert_eq!(r.gateways, 4);
         assert!(r.events > 1_000, "convergence storm happened: {}", r.events);
         assert!(r.lockstep_ties > 0, "some pops share an instant");
         assert!(r.overflow_inserts > 0, "3 s DV timers cross windows");
         assert!(r.speedup.is_finite() && r.speedup > 0.0);
+        assert!(r.steady_forwarded > 1_000, "flows forwarded: {r:?}");
+        assert!(r.steady_recycled > 0, "freelist never hit");
+        assert!(r.gate(), "steady state allocated or relocated: {r:?}");
     }
 
     #[test]
@@ -257,12 +358,17 @@ mod tests {
         assert!(!ja.contains("_ms"), "no wall-clock fields in check mode");
         assert!(ja.contains("\"mode\": \"check\""));
         assert!(ja.contains("\"lockstep_equal\": true"));
+        assert!(ja.contains("\"gate\": true"));
     }
 
     #[test]
     fn mesh_builds_and_replays_equal() {
+        // The mesh passes the gate, and one relocation fails it.
         let r = measure("mesh-3x3", 23, |net| topo::build_mesh(net, 3));
         assert_eq!(r.gateways, 9);
         assert!(r.events > 1_000);
+        assert!(r.gate() && r.forwarded > 1_000, "{r:?}");
+        let relocated = TopoResult { steady_shift_copies: 1, ..r };
+        assert!(!relocated.gate());
     }
 }

@@ -22,7 +22,7 @@
 //!    flows plus follow-on traffic, reporting shard occupancy spread,
 //!    LRU evictions under a deliberately undersized geometry (bounded
 //!    memory is enforced, not hoped for), and per-packet observe cost.
-//!    An accounting-on vs accounting-off arm of an E15-style ring then
+//!    An accounting-on vs accounting-off arm of an E13-style ring then
 //!    prices the fast-path overhead end to end.
 //! 3. **Corruption sweep.** The three corruption classes the Internet
 //!    checksum provably accepts (`wire/tests/checksum_escape.rs`) are
@@ -295,7 +295,7 @@ pub fn run_churn(flows: usize, bounded: bool) -> ChurnResult {
     }
 }
 
-/// Accounting-on vs accounting-off overhead on an E15-style ring.
+/// Accounting-on vs accounting-off overhead on an E13-style ring.
 #[derive(Debug, Clone, Copy)]
 pub struct OverheadResult {
     /// Ring size (gateways).

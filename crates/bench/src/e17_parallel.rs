@@ -157,17 +157,6 @@ pub struct Battery {
     pub host_cores: usize,
 }
 
-/// FNV-1a 64 over a dump — a stable fingerprint two JSON files can be
-/// diffed on without embedding megabytes of telemetry.
-pub fn fnv1a(text: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Build the interleaved ring and attach every flow, returning the
 /// network and its gateway ids. See the module docs for why creation
 /// order is load-bearing.
@@ -500,14 +489,5 @@ mod tests {
         assert!(!ja.contains("windows"), "no window counters in check mode");
         assert!(ja.contains("\"mode\": \"check\""));
         assert!(ja.contains("\"all_equal\": true"));
-    }
-
-    #[test]
-    fn fnv1a_is_the_standard_vector() {
-        // Classic FNV-1a test vectors pin the digest so a refactor
-        // can't silently change every recorded fingerprint.
-        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a("foobar"), 0x85944171f73967e8);
     }
 }

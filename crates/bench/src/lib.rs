@@ -19,9 +19,8 @@
 //! | [`e10_realizations`] | one architecture across LAN / terrestrial / satellite realizations |
 //! | [`e11_gauntlet`] | end-to-end invariants under scripted chaos (the survivability gauntlet) |
 //! | [`e12_reconvergence`] | per-heal routing reconvergence, measured and bounded |
-//! | [`e13_scale`] | event-loop scale: the timer wheel against its heap reference at 50–400 gateways |
+//! | [`e13_scale`] | scale at 50–400 gateways: the timer wheel against its heap reference, and steady-state forwarding that allocates and relocates nothing |
 //! | [`e14_routeguard`] | byzantine blast radius with and without the route-guard defense |
-//! | [`e15_fastpath`] | per-packet buffer cost: steady-state forwarding allocates and relocates nothing |
 //! | [`e16_accountability`] | crash-reconcilable usage reports, 10⁵-flow churn, CRC32C vs checksum escapes |
 //! | [`e17_parallel`] | sharded parallel execution: speedup vs shard count, dumps byte-identical at every K |
 //!
@@ -44,7 +43,6 @@ pub mod e11_gauntlet;
 pub mod e12_reconvergence;
 pub mod e13_scale;
 pub mod e14_routeguard;
-pub mod e15_fastpath;
 pub mod e16_accountability;
 pub mod e17_parallel;
 pub mod e2_type_of_service;

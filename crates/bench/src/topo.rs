@@ -1,22 +1,20 @@
-//! The scale topologies E13 and E15 share: gateway rings and grid
-//! meshes with a bulk TCP transfer around every second gateway.
+//! E13's scale topologies: gateway rings and grid meshes with a bulk
+//! TCP transfer around every second gateway.
 //!
-//! Both experiments run the *same* networks — E13 prices the scheduler
-//! under them, E15 the buffer path — so the builders live here once and
-//! the two tables describe one workload. Each builder populates a
+//! One run of each network gives both of E13's verdicts — the scheduler
+//! under it and the buffer path through it. Each builder populates a
 //! network the caller made (E13 arms the scheduler trace first: a
 //! replayable trace has to start at event zero) and hands back the
 //! gateway ids so forwarding counters can be summed. E16's overhead
 //! ring lays the same flows around a ring of its own.
 
-use crate::e17_parallel::fnv1a;
 use catenet_core::app::{BulkSender, SinkServer};
 use catenet_core::{Endpoint, Network, NodeId, TcpConfig};
-use catenet_sim::{Instant, LinkClass};
+use catenet_sim::{fnv1a, Instant, LinkClass, FNV_OFFSET};
 
 /// A host pair with a bulk transfer every this many gateways.
 const FLOW_SPACING: usize = 2;
-/// Bytes per bulk transfer on the E13/E15 topologies.
+/// Bytes per bulk transfer on the E13 topologies.
 const FLOW_BYTES: usize = 500_000;
 
 /// Attach host pairs around the topology: at every [`FLOW_SPACING`]-th
@@ -98,8 +96,8 @@ pub fn build_mesh(net: &mut Network, side: usize) -> Vec<NodeId> {
 /// simulation can observe.
 pub fn dumps(net: &Network) -> [u64; 3] {
     [
-        fnv1a(&net.metrics_dump()),
-        fnv1a(&net.series_dump()),
-        fnv1a(&net.flight_dump()),
+        fnv1a(FNV_OFFSET, net.metrics_dump().as_bytes()),
+        fnv1a(FNV_OFFSET, net.series_dump().as_bytes()),
+        fnv1a(FNV_OFFSET, net.flight_dump().as_bytes()),
     ]
 }

@@ -22,7 +22,7 @@
 //! so a gauntlet run reports every broken invariant instead of dying at
 //! the first.
 
-use catenet_sim::{Duration, Instant};
+use catenet_sim::{fnv1a, Duration, Instant, FNV_OFFSET};
 
 /// One detected invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,15 +81,6 @@ impl core::fmt::Display for Violation {
             }
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// Per-connection stream-integrity checker.

@@ -111,8 +111,7 @@ pub struct Network {
     /// The packet-buffer pool every node allocates from. Frames recycle
     /// through it instead of hitting the allocator per hop. A split
     /// gives each lane a pool of its own off this one (see
-    /// [`PacketPool::lane_pool`]); its counters and poison switch keep
-    /// covering them all.
+    /// [`PacketPool::lane_pool`]); its counters keep covering them all.
     pool: PacketPool,
     /// The usage-report pipeline, when [`Network::enable_accounting`]
     /// armed it. `None` means no ledgers flush and no accounting

@@ -329,14 +329,26 @@ impl Node {
         }
     }
 
-    /// Reboot: interfaces come back, connected routes are re-declared
-    /// (configuration, not conversation), and everything else re-learns.
+    /// Reboot: connected routes of the interfaces that are up are
+    /// re-declared (configuration, not conversation), and everything
+    /// else re-learns.
     pub fn restart(&mut self) {
         self.alive = true;
         if let Some(dv) = &mut self.dv {
             dv.clear();
+        }
+        self.declare_connected();
+    }
+
+    /// Declare every interface that is up as a connected network. A
+    /// downed interface stays withdrawn: a reboot or an engine swap is
+    /// not a link coming back.
+    fn declare_connected(&mut self) {
+        if let Some(dv) = &mut self.dv {
             for (index, iface) in self.ifaces.iter().enumerate() {
-                dv.add_connected(iface.cidr.network(), index);
+                if iface.up {
+                    dv.add_connected(iface.cidr.network(), index);
+                }
             }
         }
     }
@@ -344,7 +356,8 @@ impl Node {
     // --------------------------------------------------------- sockets
 
     /// Replace the distance-vector configuration (gateways only),
-    /// re-declaring connected networks into the fresh engine.
+    /// re-declaring the connected networks that are up into the fresh
+    /// engine.
     pub fn set_dv_config(&mut self, config: catenet_routing::DvConfig) {
         let Some(old) = &self.dv else {
             return;
@@ -359,10 +372,8 @@ impl Node {
         dv.set_guard_policy(guard_policy);
         dv.guard_mut().set_registry(registry);
         dv.set_attestor(attestor);
-        for (index, iface) in self.ifaces.iter().enumerate() {
-            dv.add_connected(iface.cidr.network(), index);
-        }
         self.dv = Some(dv);
+        self.declare_connected();
     }
 
     /// Bind a UDP socket; returns its handle.

@@ -19,13 +19,13 @@
 //!
 //! The pool also *prices* what it does ([`PoolStats`]): fresh
 //! allocations vs. freelist hits, and every byte that still gets copied
-//! (a prepend that missed its headroom). E15 reads these as a standing
+//! (a prepend that missed its headroom). E13 reads these as a standing
 //! gate: on a converged network, allocations and relocations per
 //! forwarded packet are exactly zero.
 //!
-//! Buffers recycle poison-filled (`0xA5`, [`PacketPool::set_poison`], on
-//! by default in debug builds) so a path that reads bytes it never wrote
-//! sees garbage loudly rather than a previous packet quietly.
+//! In debug builds buffers recycle poison-filled (`0xA5`, [`POISON`]) so
+//! a path that reads bytes it never wrote sees garbage loudly rather than
+//! a previous packet quietly. Release builds skip the fill.
 
 use std::fmt;
 use std::ops::{AddAssign, Deref, DerefMut};
@@ -46,7 +46,7 @@ const BUF_CAPACITY: usize = 1600;
 /// released buffers are dropped (counted in [`PoolStats::discarded`]).
 const MAX_FREE: usize = 8192;
 
-/// The byte recycled buffers are filled with when poisoning is on.
+/// The byte recycled buffers are filled with in debug builds.
 pub const POISON: u8 = 0xa5;
 
 /// Cumulative pool accounting. All counters are monotonic; occupancy is
@@ -84,7 +84,6 @@ impl AddAssign for PoolStats {
 struct PoolInner {
     free: Vec<Vec<u8>>,
     stats: PoolStats,
-    poison: bool,
     /// Pools split off with [`PacketPool::lane_pool`].
     lanes: Vec<PacketPool>,
 }
@@ -125,7 +124,6 @@ impl PacketPool {
             inner: Arc::new(Mutex::new(PoolInner {
                 free: Vec::new(),
                 stats: PoolStats::default(),
-                poison: cfg!(debug_assertions),
                 lanes: Vec::new(),
             })),
         }
@@ -149,22 +147,13 @@ impl PacketPool {
 
     /// A pool with its own freelist and counters that this pool still
     /// answers for: [`stats`](Self::stats) and
-    /// [`free_buffers`](Self::free_buffers) include it, and it follows
-    /// [`set_poison`](Self::set_poison), now and later. A sharded
+    /// [`free_buffers`](Self::free_buffers) include it. A sharded
     /// network gives one to each lane, so recycling stays lane-local and
     /// deterministic.
     pub fn lane_pool(&self) -> PacketPool {
         let pool = PacketPool::new();
-        let mut inner = self.lock();
-        pool.set_poison(inner.poison);
-        inner.lanes.push(pool.clone());
+        self.lock().lanes.push(pool.clone());
         pool
-    }
-
-    /// Enable or disable poison-filling released buffers, here and in
-    /// every lane pool split off this one.
-    pub fn set_poison(&self, on: bool) {
-        self.for_each(&mut |inner| inner.poison = on);
     }
 
     /// Snapshot the cumulative counters.
@@ -228,7 +217,7 @@ impl PacketPool {
         let mut inner = self.lock();
         if data.capacity() == BUF_CAPACITY && inner.free.len() < MAX_FREE {
             inner.stats.released += 1;
-            if inner.poison {
+            if cfg!(debug_assertions) {
                 data.fill(POISON);
             }
             data.clear();
@@ -431,7 +420,6 @@ mod tests {
         // must be unobservable in packet B, including in the headroom a
         // later prepend exposes and in the tail beyond B's length.
         let pool = PacketPool::new();
-        pool.set_poison(true);
         let mut secret = pool.alloc(HEADROOM, 1200);
         secret.iter_mut().for_each(|b| *b = 0x42);
         drop(secret);
@@ -453,7 +441,6 @@ mod tests {
     #[test]
     fn poisoned_release_fills_buffer() {
         let pool = PacketPool::new();
-        pool.set_poison(true);
         let mut buf = pool.alloc(0, 32);
         buf.iter_mut().for_each(|b| *b = 0x77);
         drop(buf);
@@ -477,21 +464,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.bytes_copied, stats.fresh_allocs), (0, 0));
         assert_eq!(stats.discarded, 1, "nonstandard capacity is not recycled");
-    }
-
-    #[test]
-    fn lane_pools_follow_the_parents_poison_switch() {
-        // After a K > 1 split every node allocates from a lane pool, so
-        // a switch that stopped at the parent would reach no buffer.
-        let parent = PacketPool::new();
-        let before = parent.lane_pool();
-        for on in [true, false] {
-            parent.set_poison(on);
-            let after = parent.lane_pool();
-            for pool in [&parent, &before, &after] {
-                assert_eq!(pool.lock().poison, on, "poison = {on} must reach every pool");
-            }
-        }
     }
 
     #[test]

@@ -243,7 +243,12 @@ impl DvEngine {
             if matches!(route.next_hop, NextHop::Connected { .. }) {
                 route.metric = INFINITY_METRIC;
                 route.changed = true;
-                // Hold at infinity for one GC period so neighbors hear it.
+                // Already expired: the next `tick` drops the route, and
+                // `Node::service_dv` ticks before it advertises, so the
+                // triggered update never carries this withdrawal and
+                // neighbours wait out their route timeout. A known
+                // defect, kept because fixing it moves E11/E12 results
+                // (ROADMAP.md item 6, "withdrawn connected prefix").
                 route.expires_at = Instant::ZERO;
                 self.next_expiry = Instant::ZERO;
                 self.trigger_pending = true;

@@ -33,6 +33,7 @@
 //! several lane counts against one lane, dump for dump.
 
 use crate::event::{Scheduler, SchedulerKind, TraceOp};
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::Rng;
 use crate::time::{Duration, Instant};
 
@@ -106,7 +107,7 @@ pub fn random_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
 /// for each pop the `(time, payload)` pair. Payloads are the op index
 /// that scheduled them, so a FIFO violation (not just a time-order
 /// violation) flips the payload and is caught. Returns
-/// `(pops, fingerprint)` — a count and an order-sensitive FNV-style
+/// `(pops, fingerprint)` — a count and an order-sensitive FNV-1a
 /// hash of the pop sequence, for cross-run determinism checks.
 pub fn run_lockstep(ops: &[Op]) -> (u64, u64) {
     let mut heap: Scheduler<u64> = Scheduler::with_kind(SchedulerKind::Heap);
@@ -115,11 +116,8 @@ pub fn run_lockstep(ops: &[Op]) -> (u64, u64) {
     assert_eq!(wheel.kind(), SchedulerKind::Wheel);
 
     let mut pops = 0u64;
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |value: u64| {
-        fingerprint ^= value;
-        fingerprint = fingerprint.wrapping_mul(0x1000_0000_01b3);
-    };
+    let mut fingerprint = FNV_OFFSET;
+    let mut fold = |value: u64| fingerprint = fnv1a(fingerprint, &value.to_le_bytes());
 
     for (i, op) in ops.iter().enumerate() {
         let payload = i as u64;

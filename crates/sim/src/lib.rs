@@ -20,6 +20,7 @@
 //! - [`time::Instant`] and [`time::Duration`] — virtual time.
 //! - [`event::Scheduler`] — the event queue, generic over the event type.
 //! - [`rng::Rng`] — seeded, forkable randomness.
+//! - [`hash::fnv1a`] — the workspace's one content digest (FNV-1a 64).
 //! - [`link::Link`] — a unidirectional channel with bandwidth, delay,
 //!   loss, corruption, jitter and a drop-tail queue; [`link::LinkClass`]
 //!   presets model the 1988 network classes.
@@ -38,6 +39,7 @@
 pub mod diffsched;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod link;
 pub mod pcap;
 pub mod rng;
@@ -48,6 +50,7 @@ pub mod wheel;
 
 pub use event::{SchedStats, Scheduler, SchedulerKind, TraceOp};
 pub use fault::{ByzantineAttack, FaultAction, FaultEvent, FaultPlan};
+pub use hash::{fnv1a, FNV_OFFSET};
 pub use link::{DropReason, Link, LinkClass, LinkOutcome, LinkParams};
 pub use rng::Rng;
 pub use shard::{ShardKind, ShardStats};

@@ -37,6 +37,13 @@ impl Rng {
         Rng { state }
     }
 
+    /// The generator for case `case` of the seeded property `name`: a
+    /// failing case reproduces from its name and number alone.
+    pub fn for_case(name: &str, case: u64) -> Rng {
+        let tag = crate::fnv1a(crate::FNV_OFFSET, name.as_bytes());
+        Rng::from_seed(tag ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    }
+
     fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
         let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);

@@ -5,17 +5,10 @@
 
 use catenet_sim::{Duration, Instant, Link, LinkOutcome, LinkParams, Rng, Scheduler, Summary};
 
-fn case_rng(name: &str, case: u64) -> Rng {
-    let tag: u64 = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    });
-    Rng::from_seed(tag ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
 #[test]
 fn scheduler_pops_in_nondecreasing_time_order() {
     for case in 0..128 {
-        let mut rng = case_rng("sched_order", case);
+        let mut rng = Rng::for_case("sched_order", case);
         let count = rng.range(1, 128) as usize;
         let times: Vec<u64> = (0..count).map(|_| rng.below(1_000_000)).collect();
         let mut sched = Scheduler::new();
@@ -37,7 +30,7 @@ fn scheduler_pops_in_nondecreasing_time_order() {
 #[test]
 fn scheduler_equal_times_preserve_insertion_order() {
     for case in 0..64 {
-        let mut rng = case_rng("sched_fifo", case);
+        let mut rng = Rng::for_case("sched_fifo", case);
         let count = rng.range(1, 64) as usize;
         let t = rng.below(1000);
         let mut sched = Scheduler::new();
@@ -52,7 +45,7 @@ fn scheduler_equal_times_preserve_insertion_order() {
 #[test]
 fn link_conserves_frames() {
     for case in 0..128 {
-        let mut meta = case_rng("link_conserve", case);
+        let mut meta = Rng::for_case("link_conserve", case);
         let loss = meta.unit() * 0.5;
         let frames = meta.range(1, 200);
         let seed = u64::from(meta.next_u32()) << 32 | u64::from(meta.next_u32());
@@ -97,7 +90,7 @@ fn link_conserves_frames() {
 #[test]
 fn summary_percentiles_are_monotone() {
     for case in 0..128 {
-        let mut rng = case_rng("summary_monotone", case);
+        let mut rng = Rng::for_case("summary_monotone", case);
         let count = rng.range(1, 200) as usize;
         let values: Vec<f64> = (0..count).map(|_| (rng.unit() - 0.5) * 2e6).collect();
         let summary = Summary::from_iter(values.iter().copied());
@@ -116,7 +109,7 @@ fn summary_percentiles_are_monotone() {
 #[test]
 fn rng_chance_is_deterministic_per_seed() {
     for case in 0..64 {
-        let mut meta = case_rng("rng_chance_det", case);
+        let mut meta = Rng::for_case("rng_chance_det", case);
         let seed = u64::from(meta.next_u32()) << 32 | u64::from(meta.next_u32());
         let p = meta.unit();
         let mut a = Rng::from_seed(seed);

@@ -38,23 +38,12 @@ use crate::real::RealSubstrate;
 use crate::Substrate;
 use catenet_core::app::{shared, Application, Shared};
 use catenet_core::{Node, NodeRole};
-use catenet_sim::Instant;
+use catenet_sim::{fnv1a, Instant, FNV_OFFSET};
 use catenet_tcp::{Endpoint, SocketConfig as TcpConfig, TcpError};
 use catenet_wire::Ipv4Address;
 use std::fs;
 use std::io::Write;
 use std::sync::Arc;
-
-/// FNV-1a 64-bit — the repo's standard content digest, so the hashes
-/// the REPL prints line up with what the experiment harnesses compute.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 struct SendTransfer {
     handle: usize,
@@ -266,7 +255,7 @@ impl Repl {
                                     path,
                                     file,
                                     bytes: 0,
-                                    hash: 0xcbf2_9ce4_8422_2325,
+                                    hash: FNV_OFFSET,
                                 })
                             });
                         }
@@ -377,7 +366,7 @@ impl Transfers {
                 out.push(format!(
                     "sendfile done: {} bytes fnv64={:#018x}",
                     t.data.len(),
-                    fnv64(&t.data)
+                    fnv1a(FNV_OFFSET, &t.data)
                 ));
                 return false;
             }
@@ -394,10 +383,7 @@ impl Transfers {
                 match socket.recv_slice(&mut buf) {
                     Ok(0) => break,
                     Ok(n) => {
-                        for &b in &buf[..n] {
-                            t.hash ^= u64::from(b);
-                            t.hash = t.hash.wrapping_mul(0x100_0000_01b3);
-                        }
+                        t.hash = fnv1a(t.hash, &buf[..n]);
                         t.bytes += n as u64;
                         if let Err(e) = t.file.write_all(&buf[..n]) {
                             out.push(format!("recvfile {} error: {e}", t.path));
@@ -629,7 +615,7 @@ mod tests {
             !said1.is_empty() && !said2.is_empty()
         });
         assert!(finished, "r1 said {said1:?}, r2 said {said2:?}");
-        let digest = format!("300000 bytes fnv64={:#018x}", fnv64(&payload));
+        let digest = format!("300000 bytes fnv64={:#018x}", fnv1a(FNV_OFFSET, &payload));
         assert_eq!(said1, [format!("sendfile done: {digest}")]);
         assert_eq!(said2, [format!("recvfile done: {digest}")]);
         assert_eq!(fs::read(&dst).expect("read back"), payload);

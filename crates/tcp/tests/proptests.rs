@@ -11,17 +11,10 @@ use catenet_tcp::{Endpoint, OutOfOrderBuffer, RttEstimator, Socket, SocketConfig
 use catenet_wire::{crc32c, Ipv4Address, TcpControl, TcpRepr, TcpSeqNumber};
 use std::collections::VecDeque;
 
-fn case_rng(name: &str, case: u64) -> Rng {
-    let tag: u64 = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    });
-    Rng::from_seed(tag ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
 #[test]
 fn out_of_order_buffer_reconstructs_stream() {
     for case in 0..256 {
-        let mut rng = case_rng("ooo_reconstruct", case);
+        let mut rng = Rng::for_case("ooo_reconstruct", case);
         let stream: Vec<u8> = (0..rng.range(1, 512)).map(|_| rng.below(256) as u8).collect();
         let cut_count = rng.below(12) as usize;
         let cuts: Vec<usize> = (0..cut_count).map(|_| rng.range(1, 64) as usize).collect();
@@ -67,7 +60,7 @@ fn out_of_order_buffer_reconstructs_stream() {
 #[test]
 fn rtt_estimator_bounds_hold_for_any_samples() {
     for case in 0..256 {
-        let mut rng = case_rng("rtt_bounds", case);
+        let mut rng = Rng::for_case("rtt_bounds", case);
         let count = rng.range(1, 64) as usize;
         let mut est = RttEstimator::new();
         for _ in 0..count {
@@ -95,7 +88,7 @@ fn rtt_estimator_bounds_hold_for_any_samples() {
 #[test]
 fn backoff_is_monotone_nondecreasing_in_rto() {
     for case in 0..128 {
-        let mut rng = case_rng("rtt_backoff", case);
+        let mut rng = Rng::for_case("rtt_backoff", case);
         let base_ms = rng.range(1, 1000);
         let backoffs = rng.range(1, 12);
         let mut est = RttEstimator::new();
@@ -303,7 +296,7 @@ impl RingHarness {
 #[test]
 fn socket_rings_match_a_per_byte_model() {
     for case in 0..192 {
-        let mut rng = case_rng("socket_rings", case);
+        let mut rng = Rng::for_case("socket_rings", case);
         let mut h = RingHarness::new(&mut rng);
         for step in 0..600 {
             match rng.below(12) {

@@ -7,13 +7,6 @@
 use catenet_sim::Rng;
 use catenet_wire::*;
 
-fn case_rng(name: &str, case: u64) -> Rng {
-    let tag: u64 = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    });
-    Rng::from_seed(tag ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
 fn bytes(rng: &mut Rng, lo: usize, hi: usize) -> Vec<u8> {
     let len = rng.range(lo as u64, hi as u64) as usize;
     (0..len).map(|_| rng.below(256) as u8).collect()
@@ -52,7 +45,7 @@ fn tcp_control(rng: &mut Rng) -> TcpControl {
 #[test]
 fn ethernet_round_trip() {
     for case in 0..256 {
-        let mut rng = case_rng("ethernet_rt", case);
+        let mut rng = Rng::for_case("ethernet_rt", case);
         let repr = EthernetRepr {
             src_addr: hw_addr(&mut rng),
             dst_addr: hw_addr(&mut rng),
@@ -72,7 +65,7 @@ fn ethernet_round_trip() {
 #[test]
 fn arp_round_trip() {
     for case in 0..256 {
-        let mut rng = case_rng("arp_rt", case);
+        let mut rng = Rng::for_case("arp_rt", case);
         let repr = ArpRepr {
             operation: ArpOperation::from(rng.below(65536) as u16),
             source_hardware_addr: hw_addr(&mut rng),
@@ -91,7 +84,7 @@ fn arp_round_trip() {
 #[test]
 fn tcp_round_trip() {
     for case in 0..256 {
-        let mut rng = case_rng("tcp_rt", case);
+        let mut rng = Rng::for_case("tcp_rt", case);
         let control = tcp_control(&mut rng);
         let mss = if rng.chance(0.5) {
             Some(rng.range(64, 65536) as u16)
@@ -142,7 +135,7 @@ fn tcp_single_bit_header_corruption_detected() {
     // Exhaustive over all 160 single-bit flips in the fixed header,
     // across several payloads.
     for case in 0..8 {
-        let mut rng = case_rng("tcp_corruption", case);
+        let mut rng = Rng::for_case("tcp_corruption", case);
         let payload = bytes(&mut rng, 1, 64);
         let src = Ipv4Address::new(10, 0, 0, 1);
         let dst = Ipv4Address::new(10, 0, 0, 2);
@@ -179,7 +172,7 @@ fn tcp_single_bit_header_corruption_detected() {
 #[test]
 fn icmp_echo_round_trip() {
     for case in 0..256 {
-        let mut rng = case_rng("icmp_rt", case);
+        let mut rng = Rng::for_case("icmp_rt", case);
         let ident = rng.below(65536) as u16;
         let seq_no = rng.below(65536) as u16;
         let message = if rng.chance(0.5) {
@@ -207,7 +200,7 @@ fn icmp_echo_round_trip() {
 #[test]
 fn seq_number_add_sub_inverse() {
     for case in 0..1024 {
-        let mut rng = case_rng("seq_inverse", case);
+        let mut rng = Rng::for_case("seq_inverse", case);
         let x = TcpSeqNumber(rng.next_u32());
         let delta = rng.below(0x7fff_ffff) as usize;
         assert_eq!((x + delta) - delta, x);
@@ -218,7 +211,7 @@ fn seq_number_add_sub_inverse() {
 #[test]
 fn cidr_network_is_idempotent_and_contains_itself() {
     for case in 0..512 {
-        let mut rng = case_rng("cidr_idempotent", case);
+        let mut rng = Rng::for_case("cidr_idempotent", case);
         let a = addr(&mut rng);
         let len = rng.below(33) as u8;
         let cidr = Ipv4Cidr::new(a, len);

@@ -22,13 +22,6 @@ use catenet::stack::ShardKind;
 use catenet::wire::{IpProtocol, Ipv4Address, Ipv4Repr, Tos};
 use catenet_bench::e16_accountability::{run_reconcile, run_reconcile_barrier_crash};
 
-fn case_rng(name: &str, case: u64) -> Rng {
-    let tag: u64 = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    });
-    Rng::from_seed(tag ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
 /// A well-formed datagram of a raw (non-TCP, non-UDP) protocol, so the
 /// ledger's payload accounting is exactly the IP payload length.
 fn raw_datagram(rng: &mut Rng) -> (Vec<u8>, u64) {
@@ -53,7 +46,7 @@ fn raw_datagram(rng: &mut Rng) -> (Vec<u8>, u64) {
 #[test]
 fn randomized_schedules_conserve_every_recorded_byte() {
     for case in 0..64u64 {
-        let mut rng = case_rng("conserve", case);
+        let mut rng = Rng::for_case("conserve", case);
         let mut ledger = Ledger::new();
         let mut collector = ReportCollector::new();
         let (mut packets, mut payload, mut garbage) = (0u64, 0u64, 0u64);

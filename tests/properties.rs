@@ -15,13 +15,6 @@ use catenet::wire::{
     UdpPacket, UdpRepr,
 };
 
-fn case_rng(name: &str, case: u64) -> Rng {
-    let tag: u64 = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    });
-    Rng::from_seed(tag ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
 fn bytes(rng: &mut Rng, lo: usize, hi: usize) -> Vec<u8> {
     let len = rng.range(lo as u64, hi as u64) as usize;
     (0..len).map(|_| rng.below(256) as u8).collect()
@@ -66,7 +59,7 @@ fn checksum_verifies_after_fill() {
     check(&[]);
     check(&[0xff; 64]);
     for case in 0..256 {
-        let mut rng = case_rng("checksum_fill", case);
+        let mut rng = Rng::for_case("checksum_fill", case);
         check(&bytes(&mut rng, 0, 256));
     }
 }
@@ -77,7 +70,7 @@ fn checksum_incremental_combine() {
     // (one's-complement sums are position-independent only at 16-bit
     // granularity).
     for case in 0..256 {
-        let mut rng = case_rng("checksum_combine", case);
+        let mut rng = Rng::for_case("checksum_combine", case);
         let mut a = bytes(&mut rng, 0, 128);
         if !a.len().is_multiple_of(2) {
             a.pop();
@@ -94,7 +87,7 @@ fn checksum_incremental_combine() {
 #[test]
 fn ipv4_round_trip() {
     for case in 0..256 {
-        let mut rng = case_rng("ipv4_round_trip", case);
+        let mut rng = Rng::for_case("ipv4_round_trip", case);
         let payload = bytes(&mut rng, 0, 512);
         let repr = Ipv4Repr {
             src_addr: addr(&mut rng),
@@ -120,7 +113,7 @@ fn ipv4_single_bit_corruption_never_parses_cleanly() {
     // structural validation. Exhaustive over all 160 header bit
     // positions, across several payloads.
     for case in 0..8 {
-        let mut rng = case_rng("ipv4_corruption", case);
+        let mut rng = Rng::for_case("ipv4_corruption", case);
         let payload = bytes(&mut rng, 8, 128);
         let repr = Ipv4Repr {
             src_addr: Ipv4Address::new(10, 0, 0, 1),
@@ -148,7 +141,7 @@ fn ipv4_single_bit_corruption_never_parses_cleanly() {
 #[test]
 fn udp_round_trip_with_pseudo_header() {
     for case in 0..256 {
-        let mut rng = case_rng("udp_round_trip", case);
+        let mut rng = Rng::for_case("udp_round_trip", case);
         let src = addr(&mut rng);
         let dst = addr(&mut rng);
         let payload = bytes(&mut rng, 0, 256);
@@ -215,7 +208,7 @@ fn fragmentation_reassembles_in_any_order() {
     // the minimum MTU.
     check_fragmentation_case(1, 68, 0);
     for case in 0..256 {
-        let mut rng = case_rng("fragmentation", case);
+        let mut rng = Rng::for_case("fragmentation", case);
         let payload_len = rng.range(1, 4000) as usize;
         let mtu = rng.range(68, 1500) as usize;
         let shuffle_seed = rng.next_u32() as u64 | (u64::from(rng.next_u32()) << 32);
@@ -226,7 +219,7 @@ fn fragmentation_reassembles_in_any_order() {
 #[test]
 fn seq_number_ordering_antisymmetric() {
     for case in 0..1024 {
-        let mut rng = case_rng("seq_ordering", case);
+        let mut rng = Rng::for_case("seq_ordering", case);
         let a = rng.next_u32();
         let delta = rng.range(1, 0x7fff_ffff) as u32;
         let x = TcpSeqNumber(a);
@@ -240,7 +233,7 @@ fn seq_number_ordering_antisymmetric() {
 #[test]
 fn routing_table_matches_naive_model() {
     for case in 0..128 {
-        let mut rng = case_rng("routing_model", case);
+        let mut rng = Rng::for_case("routing_model", case);
         let mut table = RoutingTable::new();
         let mut model: Vec<(Ipv4Cidr, u16)> = Vec::new();
         let routes = rng.range(1, 24);
@@ -335,7 +328,7 @@ fn tcp_stream_integrity(writes: &[Vec<u8>], loss_mask: u64) -> bool {
 #[test]
 fn tcp_delivers_exactly_the_written_stream() {
     for case in 0..48 {
-        let mut rng = case_rng("tcp_stream", case);
+        let mut rng = Rng::for_case("tcp_stream", case);
         let count = rng.range(1, 12) as usize;
         let writes: Vec<Vec<u8>> = (0..count).map(|_| bytes(&mut rng, 1, 300)).collect();
         // An all-ones mask would drop everything forever; keep at least

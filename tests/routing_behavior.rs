@@ -2,9 +2,9 @@
 //! TTL exhaustion, and routing-protocol hygiene — the "distributed
 //! management" goal exercised through the full stack.
 
-use catenet::routing::ExportPolicy;
+use catenet::routing::{DvConfig, ExportPolicy, INFINITY_METRIC};
 use catenet::sim::{Duration, LinkClass};
-use catenet::stack::Network;
+use catenet::stack::{Network, NodeId};
 use catenet::wire::{Icmpv4Message, TimeExceeded};
 
 #[test]
@@ -186,5 +186,58 @@ fn new_link_is_discovered_without_restart() {
             .count(),
         1,
         "the grown internetwork carries traffic"
+    );
+}
+
+#[test]
+fn a_reboot_does_not_readvertise_a_downed_interface() {
+    // a — b — c on T1 links. With b—c down, b's connected /30 toward c
+    // is withdrawn; neither a crash-and-restart of b nor a swap of its
+    // DV engine may declare it again, or b would attract traffic for a
+    // network it cannot reach.
+    let build = || {
+        let mut net = Network::new(66);
+        let a = net.add_gateway("a");
+        let b = net.add_gateway("b");
+        let c = net.add_gateway("c");
+        net.connect(a, b, LinkClass::T1Terrestrial);
+        let bc = net.connect(b, c, LinkClass::T1Terrestrial); // b's iface 1
+        net.converge_routing(Duration::from_secs(60));
+        let downed = net.node(b).ifaces[1].cidr.network();
+        let live_metric = move |net: &Network, node: NodeId| {
+            net.node(node)
+                .dv
+                .as_ref()
+                .unwrap()
+                .routes()
+                .find(|(prefix, route)| **prefix == downed && route.metric < INFINITY_METRIC)
+                .map(|(_, route)| route.metric)
+        };
+        assert_eq!(live_metric(&net, b), Some(1));
+        assert_eq!(live_metric(&net, a), Some(2));
+        net.set_link_up(bc, false);
+        net.run_for(Duration::from_secs(5));
+        assert_eq!(live_metric(&net, b), None, "the withdrawal took");
+        (net, b, live_metric)
+    };
+
+    let (mut net, b, live_metric) = build();
+    net.crash_node(b);
+    net.restart_node(b);
+    net.run_for(Duration::from_secs(10));
+    assert_eq!(
+        live_metric(&net, b),
+        None,
+        "a reboot revived the downed /30"
+    );
+
+    let (mut net, b, live_metric) = build();
+    net.node_mut(b).set_dv_config(DvConfig::default());
+    net.kick(b);
+    net.run_for(Duration::from_secs(10));
+    assert_eq!(
+        live_metric(&net, b),
+        None,
+        "an engine swap revived the downed /30"
     );
 }
