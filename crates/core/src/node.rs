@@ -26,10 +26,10 @@ use catenet_routing::{DvEngine, ExportPolicy, RipMessage, RIP_PORT};
 use catenet_sim::{Duration, Instant};
 use catenet_tcp::{Endpoint, Socket as TcpSocket, SocketConfig as TcpConfig, State as TcpState};
 use catenet_wire::{
-    ethernet, ipv4, ArpOperation, ArpPacket, ArpRepr, DstUnreachable, EtherType, EthernetAddress,
-    EthernetFrame, EthernetRepr, Icmpv4Message, Icmpv4Packet, Icmpv4Repr, IpProtocol, Ipv4Address,
-    Ipv4Cidr, Ipv4Packet, Ipv4Repr, TcpControl, TcpPacket, TcpRepr, TcpSeqNumber, TimeExceeded,
-    Tos, UdpPacket, UdpRepr,
+    ethernet, icmpv4, ipv4, ArpOperation, ArpPacket, ArpRepr, DstUnreachable, EtherType,
+    EthernetAddress, EthernetFrame, EthernetRepr, Icmpv4Message, Icmpv4Packet, Icmpv4Repr,
+    IpProtocol, Ipv4Address, Ipv4Cidr, Ipv4Packet, Ipv4Repr, TcpControl, TcpPacket, TcpRepr,
+    TcpSeqNumber, TimeExceeded, Tos, UdpPacket, UdpRepr, UDP_HEADER_LEN,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -441,12 +441,10 @@ impl Node {
             message: Icmpv4Message::EchoRequest { ident, seq_no },
             payload_len,
         };
-        let mut buf = self.payload_buf(repr.buffer_len());
+        let mut buf = self.payload_buf(icmpv4::HEADER_LEN, payload_len);
+        buf.extend((0..payload_len).map(|i| (i % 251) as u8));
         let mut packet = Icmpv4Packet::new_unchecked(&mut buf[..]);
         repr.emit(&mut packet);
-        for (i, byte) in packet.payload_mut().iter_mut().enumerate() {
-            *byte = (i % 251) as u8;
-        }
         packet.fill_checksum();
         let src = self
             .route(dst)
@@ -497,10 +495,11 @@ impl Node {
         None
     }
 
-    /// A pooled buffer holding `len` zeroed payload bytes, with headroom
-    /// for the IP and link headers to be prepended in front of them.
-    fn payload_buf(&mut self, len: usize) -> PacketBuf {
-        self.pool.alloc(HEADROOM, len)
+    /// A pooled buffer holding a zeroed `header` for a transport to emit
+    /// into, with room for the `payload` bytes appended behind it and
+    /// headroom for the IP and link headers prepended in front.
+    fn payload_buf(&self, header: usize, payload: usize) -> PacketBuf {
+        self.pool.alloc_header(HEADROOM, header, payload)
     }
 
     /// Emit an IPv4 header *in front of* the transport payload already
@@ -569,8 +568,11 @@ impl Node {
         // Each fragment is born in a pooled buffer with headroom, so the
         // link header downstream prepends in place like any datagram's.
         let split = fragment_with(&datagram, mtu, |piece| {
-            let mut buf = self.pool.alloc(HEADROOM, piece.len());
-            piece.emit(&mut buf);
+            let mut buf = self
+                .pool
+                .alloc_header(HEADROOM, ipv4::HEADER_LEN, piece.payload().len());
+            buf.append(piece.payload());
+            piece.emit_header(&mut buf);
             self.stats.frags_created += 1;
             self.frame_and_push(now, iface, next_hop, buf);
         });
@@ -1008,10 +1010,10 @@ impl Node {
                     message: Icmpv4Message::EchoReply { ident, seq_no },
                     payload_len: repr.payload_len,
                 };
-                let mut buf = self.payload_buf(reply.buffer_len());
+                let mut buf = self.payload_buf(icmpv4::HEADER_LEN, repr.payload_len);
+                buf.append(packet.payload());
                 let mut out = Icmpv4Packet::new_unchecked(&mut buf[..]);
                 reply.emit(&mut out);
-                out.payload_mut().copy_from_slice(packet.payload());
                 out.fill_checksum();
                 self.stats.icmp_sent += 1;
                 self.prepend_ip(&mut buf, dst, src, IpProtocol::Icmp, Tos::default());
@@ -1200,9 +1202,9 @@ impl Node {
     /// A pooled buffer holding the emitted TCP segment, headroom in
     /// front for the IP header. `payload` is the socket's transmit ring
     /// as it lends it (two slices when the range wraps). The one copy
-    /// here — ring into wire buffer — is the transfer of ownership from
-    /// socket land to packet land; everything downstream prepends in
-    /// place.
+    /// here — ring into wire buffer, appended behind the zeroed header —
+    /// is the transfer of ownership from socket land to packet land;
+    /// everything downstream prepends in place.
     fn build_tcp_segment(
         pool: &PacketPool,
         repr: &TcpRepr,
@@ -1210,12 +1212,12 @@ impl Node {
         src: Ipv4Address,
         dst: Ipv4Address,
     ) -> PacketBuf {
-        let mut buf = pool.alloc(HEADROOM, repr.buffer_len());
+        debug_assert_eq!(payload.0.len() + payload.1.len(), repr.payload_len);
+        let mut buf = pool.alloc_header(HEADROOM, repr.header_len(), repr.payload_len);
+        buf.append(payload.0);
+        buf.append(payload.1);
         let mut packet = TcpPacket::new_unchecked(&mut buf[..]);
         repr.emit(&mut packet);
-        let (head, tail) = packet.payload_mut().split_at_mut(payload.0.len());
-        head.copy_from_slice(payload.0);
-        tail.copy_from_slice(payload.1);
         packet.fill_checksum(src, dst);
         buf
     }
@@ -1318,11 +1320,11 @@ impl Node {
             dst_port: to.port,
             payload_len: payload.len(),
         };
-        let mut buf = self.payload_buf(udp_repr.buffer_len());
+        let mut buf = self.payload_buf(UDP_HEADER_LEN, payload.len());
+        buf.append(payload);
         {
             let mut udp = UdpPacket::new_unchecked(&mut buf[..]);
             udp_repr.emit(&mut udp);
-            udp.payload_mut().copy_from_slice(payload);
             udp.fill_checksum(src, to.addr);
         }
         self.prepend_ip(&mut buf, src, to.addr, IpProtocol::Udp, tos);

@@ -23,9 +23,15 @@
 //! gate: on a converged network, allocations and relocations per
 //! forwarded packet are exactly zero.
 //!
-//! In debug builds buffers recycle poison-filled (`0xA5`, [`POISON`]) so
-//! a path that reads bytes it never wrote sees garbage loudly rather than
-//! a previous packet quietly. Release builds skip the fill.
+//! A buffer's live range only grows by writing: [`PacketPool::alloc`]
+//! zeroes it, and [`PacketPool::alloc_header`] zeroes only the headroom
+//! and the header a caller emits into, the payload being
+//! [`append`](PacketBuf::append)ed behind it — so no byte of a recycled
+//! buffer's last packet can show, and none is zeroed just to be
+//! overwritten. In debug builds buffers recycle poison-filled (`0xA5`,
+//! [`POISON`]) so a path that reads bytes it never wrote sees garbage
+//! loudly rather than a previous packet quietly. Release builds skip the
+//! fill.
 
 use std::fmt;
 use std::ops::{AddAssign, Deref, DerefMut};
@@ -173,29 +179,39 @@ impl PacketPool {
     /// Allocate a buffer with `len` zeroed payload bytes and `headroom`
     /// spare bytes in front for headers to be prepended into.
     pub fn alloc(&self, headroom: usize, len: usize) -> PacketBuf {
-        let mut inner = self.lock();
-        let total = headroom + len;
-        let data = if total <= BUF_CAPACITY {
-            match inner.free.pop() {
-                Some(mut buf) => {
-                    inner.stats.recycled += 1;
-                    // Released buffers come back cleared, so this zeroes
-                    // the whole live range within retained capacity.
-                    buf.resize(total, 0);
-                    buf
+        self.alloc_header(headroom, len, 0)
+    }
+
+    /// Allocate a buffer for a packet whose first `header` bytes are
+    /// emitted in place and whose `payload` bytes follow by
+    /// [`append`](PacketBuf::append): only the headroom and the header
+    /// are zeroed, and the live range starts as the header alone. Pooled
+    /// or exact, and counted, by the packet's final size, exactly as
+    /// `alloc(headroom, header + payload)` would be.
+    pub fn alloc_header(&self, headroom: usize, header: usize, payload: usize) -> PacketBuf {
+        let total = headroom + header + payload;
+        let mut data = {
+            let mut inner = self.lock();
+            if total <= BUF_CAPACITY {
+                match inner.free.pop() {
+                    Some(buf) => {
+                        inner.stats.recycled += 1;
+                        buf
+                    }
+                    None => {
+                        inner.stats.fresh_allocs += 1;
+                        Vec::with_capacity(BUF_CAPACITY)
+                    }
                 }
-                None => {
-                    inner.stats.fresh_allocs += 1;
-                    let mut buf = Vec::with_capacity(BUF_CAPACITY);
-                    buf.resize(total, 0);
-                    buf
-                }
+            } else {
+                // Oversize: exact allocation, never recycled.
+                inner.stats.fresh_allocs += 1;
+                Vec::with_capacity(total)
             }
-        } else {
-            // Oversize: exact allocation, never recycled.
-            inner.stats.fresh_allocs += 1;
-            vec![0; total]
         };
+        // Released buffers come back cleared, so this writes every byte
+        // of the live range and the headroom.
+        data.resize(headroom + header, 0);
         PacketBuf {
             data,
             start: headroom,
@@ -280,23 +296,30 @@ impl PacketBuf {
         let len = self.len();
         let mut relocated = match &self.pool {
             Some(pool) => {
-                let buf = pool.alloc(HEADROOM, n + len);
+                let buf = pool.alloc_header(HEADROOM, n, len);
                 let mut inner = pool.lock();
                 inner.stats.shift_copies += 1;
                 inner.stats.bytes_copied += len as u64;
                 drop(inner);
                 buf
             }
-            None => PacketBuf::from_vec(vec![0; n + len]),
+            None => {
+                let mut data = Vec::with_capacity(n + len);
+                data.resize(n, 0);
+                PacketBuf::from_vec(data)
+            }
         };
-        relocated[n..].copy_from_slice(&self.data[self.start..]);
+        relocated.append(&self[..]);
         *self = relocated;
     }
 
-    /// Shrink the live range to its first `len` bytes.
-    pub fn truncate(&mut self, len: usize) {
-        assert!(len <= self.len(), "truncate beyond end of packet");
-        self.data.truncate(self.start + len);
+    /// Write `bytes` behind the live range, which grows to hold them:
+    /// how a payload lands behind the header
+    /// [`alloc_header`](PacketPool::alloc_header) zeroed. The range only
+    /// ever grows by writing, so no byte of the buffer's last packet can
+    /// show.
+    pub fn append(&mut self, bytes: &[u8]) {
+        self.data.extend_from_slice(bytes);
     }
 
     /// Hand the buffer over to `pool`: on drop it recycles there.
@@ -306,6 +329,13 @@ impl PacketBuf {
     /// cannot tell.
     pub(crate) fn rehome(&mut self, pool: &PacketPool) {
         self.pool = Some(pool.clone());
+    }
+}
+
+/// [`append`](PacketBuf::append) for bytes that are computed, not copied.
+impl Extend<u8> for PacketBuf {
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, bytes: I) {
+        self.data.extend(bytes);
     }
 }
 
@@ -439,6 +469,36 @@ mod tests {
     }
 
     #[test]
+    fn appended_buffers_never_leak_stale_bytes() {
+        // The same regression on the path that zeroes only the header:
+        // the bytes behind it were the last packet's, and must stay
+        // unreachable until written.
+        let pool = PacketPool::new();
+        let mut secret = pool.alloc(HEADROOM, 1200);
+        secret.iter_mut().for_each(|b| *b = 0x42);
+        drop(secret);
+
+        let payload: Vec<u8> = (1..=100).collect();
+        let mut reused = pool.alloc_header(HEADROOM, 8, payload.len());
+        assert_eq!(pool.stats().recycled, 1, "test must exercise reuse");
+        assert_eq!(reused.len(), 8, "the live range starts as the header");
+        assert!(reused.iter().all(|&b| b == 0), "header shows stale bytes");
+        reused.append(&payload);
+        assert_eq!(reused.len(), 8 + payload.len());
+        assert!(reused[..8].iter().all(|&b| b == 0));
+        assert_eq!(&reused[8..], &payload[..], "exactly the appended bytes");
+        reused.prepend(HEADROOM);
+        assert!(
+            reused[..HEADROOM + 8].iter().all(|&b| b == 0),
+            "headroom leaked bytes from the previous packet"
+        );
+        assert_eq!(&reused[HEADROOM + 8..], &payload[..]);
+        // Counted by its final size, as `alloc` would have been.
+        let stats = pool.stats();
+        assert_eq!((stats.fresh_allocs, stats.recycled), (1, 1));
+    }
+
+    #[test]
     fn poisoned_release_fills_buffer() {
         let pool = PacketPool::new();
         let mut buf = pool.alloc(0, 32);
@@ -483,7 +543,7 @@ mod tests {
         buf[..2].copy_from_slice(b"ip");
         assert_eq!(&buf[..], b"ippayload");
         buf.advance(2);
-        buf.truncate(4);
-        assert_eq!(&buf[..], b"payl");
+        buf.append(b"!");
+        assert_eq!(&buf[..], b"payload!");
     }
 }

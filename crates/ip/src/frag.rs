@@ -85,12 +85,19 @@ impl Piece<'_> {
         IPV4_HEADER_LEN + self.chunk.len()
     }
 
-    /// Write the fragment — header, fragmentation fields, checksum,
-    /// payload — into `buffer`, which must be exactly [`len`](Piece::len)
-    /// bytes.
-    pub fn emit(&self, buffer: &mut [u8]) {
-        buffer[..IPV4_HEADER_LEN].copy_from_slice(self.header);
-        let mut frag = Ipv4Packet::new_unchecked(buffer);
+    /// The fragment's slice of the original payload.
+    pub fn payload(&self) -> &[u8] {
+        self.chunk
+    }
+
+    /// Write the fragment's header — the original's, with this
+    /// fragment's length, fragmentation fields and checksum — into the
+    /// first [`IPV4_HEADER_LEN`] bytes of `buffer`; the rest is the
+    /// caller's, for [`payload`](Piece::payload).
+    pub fn emit_header(&self, buffer: &mut [u8]) {
+        let header = &mut buffer[..IPV4_HEADER_LEN];
+        header.copy_from_slice(self.header);
+        let mut frag = Ipv4Packet::new_unchecked(header);
         frag.set_version_and_header_len(); // normalize: we copied 20 bytes only
         frag.set_total_len(self.len() as u16);
         frag.set_flags_and_frag_offset(
@@ -100,8 +107,14 @@ impl Piece<'_> {
             },
             self.offset,
         );
-        frag.rest_mut().copy_from_slice(self.chunk);
         frag.fill_checksum();
+    }
+
+    /// Write the whole fragment — header, then payload — into `buffer`,
+    /// which must be exactly [`len`](Piece::len) bytes.
+    pub fn emit(&self, buffer: &mut [u8]) {
+        self.emit_header(buffer);
+        buffer[IPV4_HEADER_LEN..].copy_from_slice(self.chunk);
     }
 }
 
@@ -189,11 +202,10 @@ impl Partial {
         if !packet.flags().more_frags {
             self.total_len = Some(end);
         }
-        if self.data.len() < IPV4_HEADER_LEN + end {
-            self.data.resize(IPV4_HEADER_LEN + end, 0);
-        }
         // What is already held of the newcomer's bytes must agree with
         // it; the ranges it touches or overlaps merge with it in place.
+        // (Every held byte lies inside `data`, so nothing is compared
+        // past its end.)
         let payload = &self.data[IPV4_HEADER_LEN..];
         let agrees = |&(r0, r1): &(usize, usize)| {
             let (a, b) = (start.max(r0), end.min(r1));
@@ -208,7 +220,17 @@ impl Partial {
         let merged = touched
             .iter()
             .fold((start, end), |(m0, m1), &(r0, r1)| (m0.min(r0), m1.max(r1)));
-        self.data[IPV4_HEADER_LEN + start..IPV4_HEADER_LEN + end].copy_from_slice(bytes);
+        // In order, the newcomer starts where `data` ends and is simply
+        // appended. Out of order, it fills bytes `data` already spans (a
+        // hole, zero until now, or a duplicate) and appends the rest; one
+        // that starts past the end leaves a zeroed hole in front of it.
+        let at = IPV4_HEADER_LEN + start;
+        if self.data.len() < at {
+            self.data.resize(at, 0);
+        }
+        let inside = (self.data.len() - at).min(bytes.len());
+        self.data[at..at + inside].copy_from_slice(&bytes[..inside]);
+        self.data.extend_from_slice(&bytes[inside..]);
         if start <= self.prefix {
             self.prefix = self.prefix.max(merged.1);
             self.ranges.drain(lo..hi);
@@ -295,8 +317,9 @@ impl Reassembler {
             return Err(FragError::TooLarge);
         }
         // Bounded buffer: a new reassembly arriving at capacity evicts
-        // the *oldest* partial (earliest deadline; deterministic key
-        // order breaks ties). Graceful degradation: under a fragment
+        // the *oldest* partial (earliest deadline; the whole key, protocol
+        // included, breaks ties — left to the map, they would fall in its
+        // random iteration order). Graceful degradation: under a fragment
         // flood the newest traffic — most likely to still complete —
         // keeps working, and the stale half-datagrams that were probably
         // never finishing are the ones that pay.
@@ -304,7 +327,7 @@ impl Reassembler {
             if let Some(victim) = self
                 .partials
                 .iter()
-                .min_by_key(|(k, p)| (p.deadline, k.src_addr, k.dst_addr, k.ident))
+                .min_by_key(|(k, p)| (p.deadline, k.src_addr, k.dst_addr, k.protocol, k.ident))
                 .map(|(k, _)| *k)
             {
                 self.partials.remove(&victim);
@@ -355,8 +378,9 @@ impl Reassembler {
             }
         });
         self.timed_out += expired.len() as u64;
-        // Deterministic order for the simulator's sake.
-        expired.sort_by_key(|(key, _)| (key.src_addr, key.dst_addr, key.ident));
+        // Deterministic order for the simulator's sake: by the whole key,
+        // so no two entries tie.
+        expired.sort_by_key(|(key, _)| (key.src_addr, key.dst_addr, key.protocol, key.ident));
         expired
     }
 }
@@ -374,12 +398,16 @@ mod tests {
     use catenet_wire::{IpProtocol, Ipv4Address, Ipv4Repr, Tos};
 
     fn datagram(len: usize, ident: u16, dont_frag: bool) -> Vec<u8> {
+        datagram_of(IpProtocol::Udp, len, ident, dont_frag)
+    }
+
+    fn datagram_of(protocol: IpProtocol, len: usize, ident: u16, dont_frag: bool) -> Vec<u8> {
         let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         build_ipv4(
             &Ipv4Repr {
                 src_addr: Ipv4Address::new(10, 0, 0, 1),
                 dst_addr: Ipv4Address::new(10, 0, 0, 2),
-                protocol: IpProtocol::Udp,
+                protocol,
                 payload_len: len,
                 hop_limit: 32,
                 tos: Tos::default(),
@@ -615,6 +643,31 @@ mod tests {
     }
 
     #[test]
+    fn partials_differing_only_in_protocol_evict_and_expire_deterministically() {
+        // Same source, destination, ident and deadline: only the
+        // protocol tells the UDP and TCP partials apart, so it must break
+        // the tie — the map's iteration order is random per instance.
+        let first = |protocol| fragment(&datagram_of(protocol, 1000, 7, false), 576).unwrap();
+        let mut outcomes = Vec::new();
+        for _ in 0..64 {
+            let mut reasm = Reassembler::with_limits(Duration::from_secs(15), 65_535, 2);
+            for protocol in [IpProtocol::Udp, IpProtocol::Tcp, IpProtocol::Icmp] {
+                let pushed = reasm.push(&first(protocol)[0], Instant::ZERO);
+                assert_eq!(pushed, Ok(None));
+            }
+            assert_eq!(reasm.evicted, 1);
+            let expired = reasm.expire(Instant::from_secs(60));
+            let survivors: Vec<IpProtocol> = expired.iter().map(|(key, _)| key.protocol).collect();
+            outcomes.push(survivors);
+        }
+        assert_eq!(outcomes[0].len(), 2);
+        assert!(
+            outcomes.iter().all(|survivors| *survivors == outcomes[0]),
+            "survivors or their expiry order differ between instances: {outcomes:?}"
+        );
+    }
+
+    #[test]
     fn duplicate_fragment_of_existing_partial_never_evicts() {
         let mut reasm = Reassembler::with_limits(Duration::from_secs(15), 65_535, 2);
         let a = datagram(1000, 1, false);
@@ -704,6 +757,7 @@ mod tests {
         use catenet_sim::Rng;
         let mut pushes = 0;
         let mut verdicts = [0u32; 4]; // whole, hole, InconsistentOverlap, TooLarge
+        let mut writes = [0u32; 3]; // appended at the end, past a hole, filled inside
         let mut counted = [0u64; 2]; // evicted, timed out
         for case in 0..400u64 {
             let mut rng = Rng::from_seed(0xf4a6 ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -750,8 +804,24 @@ mod tests {
                 if rng.chance(0.2) {
                     assert_eq!(ours.expire(now), theirs.expire(now), "case {case}");
                 }
+                let write = {
+                    let packet = Ipv4Packet::new_unchecked(&frag[..]);
+                    let at = IPV4_HEADER_LEN + usize::from(packet.frag_offset());
+                    let held = ours
+                        .partials
+                        .get(&packet.key())
+                        .map_or(IPV4_HEADER_LEN, |partial| partial.data.len());
+                    match at.cmp(&held) {
+                        std::cmp::Ordering::Equal => 0,
+                        std::cmp::Ordering::Greater => 1,
+                        std::cmp::Ordering::Less => 2,
+                    }
+                };
                 let got = ours.push(frag, now);
                 assert_eq!(got, theirs.push(frag, now), "case {case}");
+                if got.is_ok() {
+                    writes[write] += 1;
+                }
                 pushes += 1;
                 verdicts[match got {
                     Ok(Some(_)) => 0,
@@ -772,8 +842,10 @@ mod tests {
             counted[0] += ours.evicted;
             counted[1] += ours.timed_out;
         }
-        // The cases reach every verdict and count the two must agree on.
+        // The cases reach every verdict and count the two must agree on,
+        // and every way a fragment is written into the datagram.
         assert!(verdicts.iter().all(|&n| n > 20), "{verdicts:?} of {pushes}");
+        assert!(writes.iter().all(|&n| n > 20), "{writes:?} of {pushes}");
         assert!(counted.iter().all(|&n| n > 20), "{counted:?}");
     }
 
@@ -894,7 +966,9 @@ mod tests {
                     if let Some(victim) = self
                         .partials
                         .iter()
-                        .min_by_key(|(k, p)| (p.deadline, k.src_addr, k.dst_addr, k.ident))
+                        .min_by_key(|(k, p)| {
+                            (p.deadline, k.src_addr, k.dst_addr, k.protocol, k.ident)
+                        })
                         .map(|(k, _)| *k)
                     {
                         self.partials.remove(&victim);
@@ -950,7 +1024,8 @@ mod tests {
                     }
                 });
                 self.timed_out += expired.len() as u64;
-                expired.sort_by_key(|(key, _)| (key.src_addr, key.dst_addr, key.ident));
+                expired
+                    .sort_by_key(|(key, _)| (key.src_addr, key.dst_addr, key.protocol, key.ident));
                 expired
             }
         }

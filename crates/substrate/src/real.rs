@@ -308,16 +308,18 @@ impl UdpTunnel {
 }
 
 /// An empty receive buffer: a whole recycled pool buffer, which
-/// [`MAX_FRAME`] fills exactly. No headroom: egress copies a frame into
-/// its datagram, so nothing is ever prepended in place.
+/// [`MAX_FRAME`] fills exactly, with nothing in it yet — a record is
+/// appended, so no byte is zeroed first and none of a previous frame's
+/// can show. No headroom: egress copies a frame into its datagram, so
+/// nothing is ever prepended in place.
 fn spare(pool: &PacketPool) -> PacketBuf {
-    pool.alloc(0, MAX_FRAME)
+    pool.alloc_header(0, 0, MAX_FRAME)
 }
 
 /// The one way a record becomes a frame, whoever received its
 /// datagram: decode the first of `records` against `link_id`, count the
-/// verdict in `stats`, copy an accepted frame into `spare` (a rejected
-/// record hands it back). Also returns the records left to read:
+/// verdict in `stats`, append an accepted frame to the empty `spare` (a
+/// rejected record hands it back, still empty). Also returns the records left to read:
 /// `None` once the datagram is done, after its last record or at a
 /// malformed one, which takes the rest of the datagram with it.
 fn accept<'a>(
@@ -329,8 +331,7 @@ fn accept<'a>(
     match tunnel::decode_next(link_id, records) {
         Ok((frame, rest)) => {
             stats.accepted += 1;
-            spare[..frame.len()].copy_from_slice(frame);
-            spare.truncate(frame.len());
+            spare.append(frame);
             (Ok(spare), (!rest.is_empty()).then_some(rest))
         }
         Err(reason) => {
@@ -807,5 +808,33 @@ impl Substrate for RealSubstrate {
 
     fn kick(&mut self, _index: usize) {
         self.pump();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A spare is appended to, never overwritten in place: a short
+    /// record in a buffer that last held a full-size frame is exactly
+    /// the record, with nothing of the old frame behind it.
+    #[test]
+    fn a_short_record_in_a_recycled_spare_is_exactly_the_record() {
+        let pool = PacketPool::new();
+        let mut stats = TunnelStats::default();
+        let long = vec![0x42u8; MAX_FRAME];
+        let (verdict, _) = accept(7, &mut stats, &tunnel::encode(7, &long), spare(&pool));
+        assert_eq!(&verdict.expect("well-formed")[..], &long[..]);
+
+        let short = tunnel::encode(7, b"ack");
+        let (verdict, rest) = accept(7, &mut stats, &short, spare(&pool));
+        assert_eq!(pool.stats().recycled, 1, "test must exercise reuse");
+        assert_eq!(&verdict.expect("well-formed")[..], b"ack");
+        assert!(rest.is_none());
+
+        // A rejected record hands the spare back as it came: empty.
+        let (verdict, _) = accept(7, &mut stats, &tunnel::encode(8, b"x"), spare(&pool));
+        assert_eq!(verdict.expect_err("wrong link").len(), 0);
+        assert_eq!((stats.accepted, stats.wrong_link), (2, 1));
     }
 }

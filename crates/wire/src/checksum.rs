@@ -12,41 +12,55 @@ use crate::types::{IpProtocol, Ipv4Address};
 ///
 /// Odd trailing bytes are padded with zero, per RFC 1071.
 ///
-/// This is the wide kernel: it consumes four 16-bit words per iteration
-/// through a `u64` accumulator with end-around carry. Because
-/// `2^64 ≡ 1 (mod 2^16 − 1)`, a u64 end-around-carry sum is congruent to
-/// the scalar word-by-word sum, so `fold(sum(d)) == fold(sum_scalar(d))`
-/// for every input — the folded value, not the raw accumulator, is the
-/// contract (see `tests/checksum_lanes.rs`). The partial fold at the end
-/// keeps the returned accumulator small enough that [`combine`] and
-/// [`pseudo_header_sum`] can add several of them without overflow.
+/// The kernel reads little-endian `u32` words into four independent `u64`
+/// lanes, so no add waits for another add's carry: the adds overlap, and
+/// an optimised build packs lanes into vector registers. A `u32` word is two 16-bit words and `2^16 ≡ 1
+/// (mod 2^16 − 1)`, so a plain sum of them is congruent to the sum of
+/// their halves; and byte order does not matter to a one's-complement sum
+/// (RFC 1071 §2(B)): the sum of byte-swapped words is the byte-swapped
+/// sum. So the lanes are folded once, at the end, and the result swapped
+/// back. A lane gains less than 2^32 per 16 bytes read, so it cannot wrap
+/// below 64 GiB of input; a datagram is at most 65,535 bytes.
+///
+/// The contract is `fold(sum(d)) == fold(sum_scalar(d))`, and `sum(d)` is
+/// zero exactly when `sum_scalar(d)` is (every fold step and the swap map
+/// nonzero to nonzero); the raw values may differ (see
+/// `tests/checksum_lanes.rs`). The result is at most `0xffff`, so
+/// [`combine`] and [`pseudo_header_sum`] can add many of them without
+/// overflow.
 pub fn sum(data: &[u8]) -> u32 {
-    let mut wide: u64 = 0;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_be_bytes([
-            chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5], chunk[6], chunk[7],
-        ]);
-        let (added, carry) = wide.overflowing_add(word);
-        // End-around carry: 2^64 ≡ 1, so a wrapped bit re-enters at the
-        // bottom. `added` can never be u64::MAX when `carry` is set, so
-        // this addition itself cannot overflow.
-        wide = added + u64::from(carry);
+    let word = |w: &[u8]| u64::from(u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+    let mut lanes = [0u64; 4];
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            *lane += word(w);
+        }
     }
-    // Partially fold the four 16-bit lanes down; both steps preserve the
-    // value mod 0xffff (2^32 ≡ 1 and 2^16 ≡ 1) and never map a nonzero
-    // accumulator to zero.
-    let halves = (wide >> 32) + (wide & 0xffff_ffff);
-    let mut accum = ((halves >> 16) + (halves & 0xffff)) as u32;
-    // Scalar tail for the 0–7 leftover bytes, odd byte zero-padded.
-    let mut tail = chunks.remainder().chunks_exact(2);
-    for chunk in &mut tail {
-        accum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+    // The 0–15 bytes left: whole words, then the last 0–3 bytes
+    // zero-padded — which pads an odd byte, as RFC 1071 asks, because
+    // every word starts at an even offset.
+    let mut words = blocks.remainder().chunks_exact(4);
+    for w in &mut words {
+        lanes[0] += word(w);
     }
-    if let [last] = tail.remainder() {
-        accum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    accum
+    lanes[1] += word(&match *words.remainder() {
+        [a] => [a, 0, 0, 0],
+        [a, b] => [a, b, 0, 0],
+        [a, b, c] => [a, b, c, 0],
+        _ => [0; 4],
+    });
+    // Each step preserves the value mod 0xffff (2^32 ≡ 2^16 ≡ 1): under
+    // 2^35 after the lanes meet, under 2^20, at most 0x1000e, at most
+    // 0xffff.
+    let total: u64 = lanes
+        .iter()
+        .map(|&lane| (lane >> 32) + (lane & 0xffff_ffff))
+        .sum();
+    let total = (total >> 16) + (total & 0xffff);
+    let total = (total >> 16) + (total & 0xffff);
+    let total = (total >> 16) + (total & 0xffff);
+    u32::from((total as u16).swap_bytes())
 }
 
 /// The scalar reference sum: one 16-bit word per iteration.
@@ -105,8 +119,13 @@ pub fn pseudo_header_sum(
     protocol: IpProtocol,
     length: u32,
 ) -> u32 {
-    sum(src_addr.as_bytes())
-        + sum(dst_addr.as_bytes())
+    // An address is two 16-bit words; no kernel needed for those.
+    let words = |addr: Ipv4Address| {
+        let value = u32::from_be_bytes(addr.0);
+        (value >> 16) + (value & 0xffff)
+    };
+    words(src_addr)
+        + words(dst_addr)
         + u32::from(u8::from(protocol))
         + (length >> 16)
         + (length & 0xffff)
@@ -201,6 +220,27 @@ mod tests {
     #[test]
     fn incremental_update_noop_word_is_identity() {
         assert_eq!(update(0x1234, 0xabcd, 0xabcd), 0x1234);
+    }
+
+    #[test]
+    fn sums_leave_room_to_combine() {
+        // `combine` adds with `wrapping_add`, and UDP/TCP add a
+        // pseudo-header sum to a payload sum with `+`: neither may wrap.
+        let largest = [0u8, 0x5a, 0xff]
+            .iter()
+            .flat_map(|&fill| [1, 20, 1_480, 65_535].map(|len| sum(&vec![fill; len])))
+            .max()
+            .unwrap();
+        assert_eq!(largest, 0xffff, "all-ones input is the maximum");
+        let many = vec![largest; 1 << 16];
+        let exact: u64 = many.iter().map(|&s| u64::from(s)).sum();
+        assert!(exact < 1 << 32, "65,536 maximal sums fit a u32");
+        let wide_fold = (exact >> 32) + (exact & 0xffff_ffff);
+        assert_eq!(combine(&many), !fold(wide_fold as u32));
+        let all_ones = Ipv4Address::new(255, 255, 255, 255);
+        let pseudo = pseudo_header_sum(all_ones, all_ones, IpProtocol::Unknown(255), u32::MAX);
+        assert_eq!(pseudo, 6 * 0xffff + 255);
+        assert!(pseudo.checked_add(largest).is_some());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! describes.
 
 use crate::checksum;
-use crate::field::{Field, Rest};
+use crate::field::Field;
 use crate::types::{IpProtocol, Ipv4Address, Tos};
 use crate::{Error, Result};
 
@@ -23,7 +23,7 @@ pub const HEADER_LEN: usize = 20;
 pub const MIN_MTU: usize = 68;
 
 mod fields {
-    use super::{Field, Rest};
+    use super::Field;
     pub const VER_IHL: usize = 0;
     pub const TOS: usize = 1;
     pub const LENGTH: Field = 2..4;
@@ -34,7 +34,6 @@ mod fields {
     pub const CHECKSUM: Field = 10..12;
     pub const SRC_ADDR: Field = 12..16;
     pub const DST_ADDR: Field = 16..20;
-    pub const PAYLOAD: Rest = 20..;
 }
 
 /// The IPv4 header flags.
@@ -298,12 +297,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         let header_len = usize::from(self.header_len());
         let total_len = usize::from(self.total_len());
         &mut self.buffer.as_mut()[header_len..total_len]
-    }
-
-    /// Mutable access to everything after the header, ignoring `total_len`
-    /// (used while constructing a packet before the length is set).
-    pub fn rest_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[fields::PAYLOAD]
     }
 }
 

@@ -1,63 +1,76 @@
-//! The wide checksum kernel against its scalar specification.
+//! The four-lane checksum kernel against its scalar specification.
 //!
-//! `checksum::sum` consumes four 16-bit words per load through a u64
-//! end-around-carry accumulator; `checksum::sum_scalar` is the original
-//! one-word-per-iteration loop, kept as the executable spec. The two do
-//! *not* promise the same raw accumulator — only the same value modulo
-//! `0xffff` with matching zero/nonzero-ness, which is what every consumer
-//! (fold, checksum, verify, combine) actually observes. These tests pin
-//! that contract:
+//! `checksum::sum` reads little-endian `u32` words into four independent
+//! `u64` lanes, 16 bytes a round, then sums the 0–15 bytes left as whole
+//! words and one zero-padded word; it folds the lanes once at the end and
+//! swaps the bytes of the result (RFC 1071 §2(B)). `checksum::sum_scalar`
+//! is the one-word-per-iteration loop, kept as the executable spec. The
+//! two do *not* promise the same raw accumulator — only the same value
+//! modulo `0xffff` with matching zero/nonzero-ness, which is what every
+//! consumer (fold, checksum, verify, combine) actually observes. These
+//! tests pin that contract:
 //!
-//! - exhaustively on every length 0–64 (covers all lane/tail alignments,
-//!   including odd trailing bytes);
+//! - on every length 0–256 (sixteen lane rounds, and every tail shape
+//!   after each), on random, `0x00`, `0xFF` and `0xA5` fills, at every
+//!   start offset 0–7 of a larger buffer;
 //! - on seeded random long inputs, at every alignment of a large buffer;
+//! - on a 65,535-byte all-`0xFF` input: the most a datagram carries, and
+//!   the largest value every lane can reach;
 //! - on the `0x0000`/`0xFFFF` fixpoint patterns from `checksum_escape.rs`
-//!   (one's complement has two zeros — the wide kernel must preserve the
-//!   blind spot exactly, not blur it).
+//!   (one's complement has two zeros — the lanes must preserve the blind
+//!   spot exactly, not blur it).
+//!
+//! The loop vectorises only with optimisation, so CI also runs this file
+//! under `--release`.
 
 use catenet_sim::Rng;
 use catenet_wire::checksum;
 
 /// The equivalence every consumer relies on.
 fn assert_equivalent(data: &[u8]) {
-    let wide = checksum::sum(data);
+    let lanes = checksum::sum(data);
     let scalar = checksum::sum_scalar(data);
     assert_eq!(
-        checksum::fold(wide),
+        checksum::fold(lanes),
         checksum::fold(scalar),
         "fold mismatch on len {}: {data:02x?}",
         data.len()
     );
     assert_eq!(
-        wide == 0,
+        lanes == 0,
         scalar == 0,
         "zero-preservation mismatch on len {}",
         data.len()
     );
     assert_eq!(checksum::checksum(data), !checksum::fold(scalar));
     // Sealing with the scalar-derived checksum must verify through the
-    // wide kernel: append the inverted fold as a trailing word.
+    // lanes: append the inverted fold as a trailing word.
     let mut sealed = data.to_vec();
     if sealed.len() % 2 == 1 {
         sealed.push(0);
     }
     let ck = !checksum::fold(checksum::sum_scalar(&sealed));
     sealed.extend_from_slice(&ck.to_be_bytes());
-    assert!(checksum::verify(&sealed), "sealed buffer fails wide verify");
+    assert!(
+        checksum::verify(&sealed),
+        "sealed buffer fails the lanes' verify"
+    );
 }
 
 #[test]
-fn exhaustive_lengths_zero_to_sixty_four() {
+fn every_length_to_256_at_every_offset() {
     let mut rng = Rng::from_seed(0x1071);
-    for len in 0..=64usize {
-        // Several fills per length: random, plus the patterns that stress
-        // carry behavior (all-ones saturates every lane, all-zero is the
-        // additive identity).
-        let random: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
-        assert_equivalent(&random);
-        assert_equivalent(&vec![0x00u8; len]);
-        assert_equivalent(&vec![0xffu8; len]);
-        assert_equivalent(&vec![0xa5u8; len]);
+    let random: Vec<u8> = (0..256 + 8).map(|_| rng.below(256) as u8).collect();
+    for fill in [None, Some(0x00u8), Some(0xff), Some(0xa5)] {
+        let buffer = match fill {
+            None => random.clone(),
+            Some(byte) => vec![byte; random.len()],
+        };
+        for offset in 0..8 {
+            for len in 0..=256usize {
+                assert_equivalent(&buffer[offset..offset + len]);
+            }
+        }
     }
 }
 
@@ -72,18 +85,30 @@ fn seeded_random_long_inputs_all_alignments() {
             assert_equivalent(&big[start..big.len() - trim]);
         }
     }
-    for len in [65, 127, 128, 1000, 1460, 1500, 8192] {
+    for len in [257, 1000, 1460, 1480, 1500, 8192] {
         assert_equivalent(&big[..len]);
     }
+}
+
+#[test]
+fn largest_datagram_of_all_ones() {
+    // Every lane takes the largest word on every round, and the odd
+    // last byte lands in the zero-padded word.
+    let ones = vec![0xffu8; 65_535];
+    assert_equivalent(&ones);
+    assert_equivalent(&ones[..65_534]);
+    assert_eq!(checksum::sum(&ones[..65_534]), 0xffff);
+    assert_eq!(checksum::sum(&ones), 0xff00);
 }
 
 #[test]
 fn zero_fixpoints_match_scalar() {
     // One's complement has two zeros: a word of 0x0000 and a word of
     // 0xFFFF both add nothing mod 0xffff. checksum_escape.rs proves the
-    // scalar sum cannot tell them apart; the wide kernel must agree on
-    // both representatives, wherever the word lands in a lane.
-    let mut base = vec![0x12u8, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x13, 0x57];
+    // scalar sum cannot tell them apart; the lanes must agree on both
+    // representatives, wherever the word lands: in any lane, in the
+    // whole-word tail, or in the padded last word.
+    let base: Vec<u8> = (0..38u8).map(|i| i.wrapping_mul(0x35) ^ 0x5a).collect();
     for offset in (0..base.len()).step_by(2) {
         let mut zeros = base.clone();
         zeros[offset..offset + 2].copy_from_slice(&[0x00, 0x00]);
@@ -102,6 +127,5 @@ fn zero_fixpoints_match_scalar() {
     // only the literal all-zero input has a zero accumulator.
     assert_eq!(checksum::sum(&[0u8; 64]), 0);
     assert_eq!(checksum::fold(checksum::sum(&[0xffu8; 64])), 0xffff);
-    base.truncate(0);
-    assert_eq!(checksum::sum(&base), checksum::sum_scalar(&base));
+    assert_eq!(checksum::sum(&[]), checksum::sum_scalar(&[]));
 }
