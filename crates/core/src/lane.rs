@@ -24,16 +24,16 @@
 //!   strictly after the limit its destination lane ran to, so
 //!   absorbing it never rewinds a lane — `Network::absorb` asserts
 //!   exactly that, per frame, in debug builds.
-//! - **harvest entries** ([`HarvestEntry`]): telemetry-relevant state
-//!   changes *detected* lane-side but *applied* coordinator-side, in
-//!   `(instant, token)` order. The token is the smallest delivery key
-//!   that touched the node at that instant, which is exactly the order
-//!   a single lane services nodes — so recorder rows, counters
-//!   and convergence-tracer calls land in the same order for every K,
-//!   and the dumps cannot tell how many lanes produced them. Because
-//!   per-pair limits are heterogeneous, the coordinator banks these
-//!   and applies only up to the round's global safe horizon
-//!   (`min` of all lane limits).
+//! - **harvest entries** ([`HarvestEntry`]): what a node reported
+//!   after a full pass — *emitted* by the node where each thing
+//!   happened, *applied* coordinator-side, in `(instant, token)` order.
+//!   The token is the smallest delivery key that touched the node at
+//!   that instant, which is exactly the order a single lane services
+//!   nodes — so recorder rows, counters and convergence-tracer calls
+//!   land in the same order for every K, and the dumps cannot tell how
+//!   many lanes produced them. Because per-pair limits are
+//!   heterogeneous, the coordinator banks these and applies only up to
+//!   the round's global safe horizon (`min` of all lane limits).
 //!
 //! Determinism across K rests on the delivery *key*: every scheduled
 //! event carries `(origin node) << 32 | per-origin sequence`, and a
@@ -45,43 +45,16 @@
 
 use crate::app::Application;
 use crate::byzantine::ByzantineState;
+pub(crate) use crate::events::HarvestOp;
 use crate::node::Node;
 use crate::pool::{PacketBuf, PacketPool};
 use catenet_sim::{Duration, Instant, Link, LinkOutcome, Rng, Scheduler};
-use catenet_wire::Ipv4Address;
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::thread::{self, JoinHandle};
 
 use crate::network::{FrameTap, LinkId, NodeId};
-
-/// Cumulative route-guard verdict counters harvested per neighbor:
-/// (accepted, sanitized, damped, quarantined, attest-rejected).
-pub(crate) type GuardCounters = (u64, u64, u64, u64, u64);
-
-/// Cumulative accounting counters harvested per node: (flow evictions,
-/// idle expiries, fragments attributed via port cache, fragments left
-/// unattributed).
-pub(crate) type AcctCounters = (u64, u64, u64, u64);
-
-/// What the last harvest of a node saw: the floors `harvest_node`
-/// detects movement against.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct HarvestMarks {
-    /// DV table version.
-    pub dv_version: u64,
-    /// Cumulative RTO firings over the node's sockets.
-    pub rto_total: u64,
-    /// (arp gave-up drops, reassembled, reassembly timeouts, reassembly
-    /// evictions).
-    pub counts: (u64, u64, u64, u64),
-    /// Flow-table counters.
-    pub acct: AcctCounters,
-    /// Route-guard verdict totals per neighbor.
-    pub guard: BTreeMap<Ipv4Address, GuardCounters>,
-}
 
 /// One endpoint of a duplex link.
 #[derive(Debug, Clone, Copy)]
@@ -176,26 +149,6 @@ pub(crate) struct CrossFrame {
     pub keyed: Keyed,
 }
 
-/// One telemetry-relevant change detected during a lane window,
-/// applied by the coordinator at the barrier.
-pub(crate) enum HarvestOp {
-    /// The node's routing table version moved.
-    RouteChanged { version: u64 },
-    /// TCP retransmission timers fired (`delta` new firings; `total`
-    /// is the cumulative count for the recorder row).
-    RtoFired { total: u64, delta: u64 },
-    /// A per-node counter advanced by `delta`.
-    Count { name: &'static str, delta: u64 },
-    /// A per-(node, neighbor) guard counter advanced by `delta`.
-    NeighborCount {
-        name: &'static str,
-        addr: Ipv4Address,
-        delta: u64,
-    },
-    /// A guard incident for the flight recorder.
-    Incident { detail: String },
-}
-
 /// All harvest ops for one node at one instant. `token` is the
 /// smallest delivery key that touched the node at `at` (0 for a
 /// coordinator kick, which is absorbed immediately and never merges
@@ -227,8 +180,6 @@ pub(crate) struct NodeSlot {
     /// liar's outgoing RIP frames are rewritten in [`Lane::transmit`],
     /// after the node honestly computed them.
     pub byz: Option<ByzantineState>,
-    /// What the last harvest saw.
-    pub harvested: HarvestMarks,
     /// Cumulative acked bytes at the previous sample (goodput rows).
     pub sampled_acked: u64,
     /// Per interface: the link behind it. `None` (or a short row) =
@@ -245,7 +196,6 @@ impl NodeSlot {
             event_seq: 0,
             service_count: 0,
             byz: None,
-            harvested: HarvestMarks::default(),
             sampled_acked: 0,
             endpoints: Vec::new(),
         }
@@ -279,7 +229,7 @@ pub(crate) struct Lane {
     pub links: Vec<LaneLink>,
     /// Frames bound for other lanes, buffered until the barrier.
     pub cross: Vec<CrossFrame>,
-    /// Telemetry changes detected this window, absorbed at the barrier.
+    /// What nodes reported this window, absorbed at the barrier.
     pub harvests: Vec<HarvestEntry>,
     /// Frames offered to links since the last barrier absorb.
     pub frames_offered: u64,
@@ -388,8 +338,8 @@ impl Lane {
         }
     }
 
-    /// One service pass: applications, protocol machinery, harvest
-    /// detection, outbox drain, timer re-arm. `token` orders the
+    /// One service pass: applications, protocol machinery, the node's
+    /// event record, outbox drain, timer re-arm. `token` orders the
     /// resulting harvest entry among same-instant entries.
     ///
     /// A pass costs what is due. When the last full pass left the node
@@ -415,8 +365,11 @@ impl Lane {
                     .is_none_or(|want| pending.is_some_and(|at| at <= want))
         });
         if skip {
+            // Debug builds check every skipped pass: the node is idle
+            // when recomputed from scratch and has nothing to report.
+            debug_assert!(slot.apps.is_empty(), "skipped a pass with apps");
             #[cfg(debug_assertions)]
-            self.assert_skippable(id, now, token);
+            slot.node.assert_idle(now);
         } else {
             // Applications first: they may write into sockets.
             for app in &mut slot.apps {
@@ -424,7 +377,15 @@ impl Lane {
             }
             // Protocol machinery: timers, routing, socket dispatch.
             slot.node.service(now);
-            self.harvest_node(id, now, token);
+            let ops = slot.node.drain_events();
+            if !ops.is_empty() {
+                self.harvests.push(HarvestEntry {
+                    at: now,
+                    token,
+                    node: id,
+                    ops,
+                });
+            }
         }
         // Push produced frames onto links. Swap semantics keep the
         // steady state allocation-free.
@@ -475,26 +436,6 @@ impl Lane {
                 );
             }
         }
-    }
-
-    /// Debug builds check every skipped pass: the node is idle when
-    /// recomputed from scratch, and a harvest finds nothing — no entry,
-    /// no floor moved.
-    #[cfg(debug_assertions)]
-    fn assert_skippable(&mut self, id: NodeId, now: Instant, token: u64) {
-        let slot = self.slot(id);
-        assert!(
-            slot.apps.is_empty(),
-            "skipped a pass on a node with applications"
-        );
-        slot.node.assert_idle(now);
-        let marks = slot.harvested.clone();
-        let entries = self.harvests.len();
-        self.harvest_node(id, now, token);
-        assert!(
-            self.slot(id).harvested == marks && self.harvests.len() == entries,
-            "skipped a pass on node {id} at {now} with something to harvest"
-        );
     }
 
     /// Offer a frame to the link behind (`from`, `iface`). Same-lane
@@ -559,154 +500,6 @@ impl Lane {
                     }
                 }
             }
-        }
-    }
-
-    /// Post-service observation for one node: detect routing-table
-    /// changes, RTO firings, counter movement and guard verdicts, and
-    /// record them as harvest ops for the coordinator to apply at the
-    /// barrier. Detection here mirrors, field for field and in the
-    /// same order, what the pre-shard loop wrote directly into
-    /// telemetry — the coordinator replays the ops verbatim.
-    fn harvest_node(&mut self, id: NodeId, now: Instant, token: u64) {
-        let NodeSlot {
-            node, harvested, ..
-        } = &mut self.slots[id - self.lo];
-        let mut ops: Vec<HarvestOp> = Vec::new();
-        if let Some(dv) = &node.dv {
-            let version = dv.version();
-            if version != harvested.dv_version {
-                harvested.dv_version = version;
-                ops.push(HarvestOp::RouteChanged { version });
-            }
-        }
-        let rto: u64 = node.tcp_sockets.iter().map(|s| s.stats.timeouts).sum();
-        let last_rto = harvested.rto_total;
-        if rto != last_rto {
-            harvested.rto_total = rto;
-            // A drop means the sockets died with the node
-            // (fate-sharing); only a rise is a firing.
-            if rto > last_rto {
-                ops.push(HarvestOp::RtoFired {
-                    total: rto,
-                    delta: rto - last_rto,
-                });
-            }
-        }
-        let cur = (
-            node.stats.dropped_arp_gave_up,
-            node.reassembler().completed,
-            node.reassembler().timed_out,
-            node.reassembler().evicted,
-        );
-        let last = harvested.counts;
-        if cur != last {
-            harvested.counts = cur;
-            for (name, value, floor) in [
-                ("arp_gave_up_drops", cur.0, last.0),
-                ("reassembled_datagrams", cur.1, last.1),
-                ("reassembly_timeouts", cur.2, last.2),
-                ("reassembly_evictions", cur.3, last.3),
-            ] {
-                // `value < floor` only after a crash reset the source;
-                // nothing new happened, the baseline just moved.
-                if value > floor {
-                    ops.push(HarvestOp::Count {
-                        name,
-                        delta: value - floor,
-                    });
-                }
-            }
-        }
-        // Accounting harvest: flow-table counters, delta-counted so
-        // accounting-off runs keep byte-identical dumps.
-        let cur = match &node.flows {
-            Some(flows) => (
-                flows.evicted,
-                flows.expired,
-                flows.frag_attributed,
-                flows.frag_unattributed,
-            ),
-            None => (0, 0, 0, 0),
-        };
-        let last = harvested.acct;
-        if cur != last {
-            harvested.acct = cur;
-            for (name, value, floor) in [
-                ("flow_evictions", cur.0, last.0),
-                ("flow_idle_expired", cur.1, last.1),
-                ("frag_attributed", cur.2, last.2),
-                ("frag_unattributed", cur.3, last.3),
-            ] {
-                if value > floor {
-                    ops.push(HarvestOp::Count {
-                        name,
-                        delta: value - floor,
-                    });
-                }
-            }
-        }
-        // Route-guard harvest: verdict deltas per neighbor, incidents
-        // for the flight recorder. With the guard off neither accrues.
-        let mut verdict_rows: Vec<(Ipv4Address, GuardCounters)> = Vec::new();
-        let mut incidents = Vec::new();
-        if let Some(dv) = &mut node.dv {
-            if dv.guard().enabled() {
-                verdict_rows = dv
-                    .guard()
-                    .verdicts()
-                    .map(|(addr, v)| {
-                        (
-                            addr,
-                            (
-                                v.accepted,
-                                v.sanitized,
-                                v.damped,
-                                v.quarantined,
-                                v.attest_rejected,
-                            ),
-                        )
-                    })
-                    .collect();
-            }
-            incidents = dv.guard_mut().drain_incidents();
-        }
-        for (addr, cur) in verdict_rows {
-            let last = harvested.guard.get(&addr).copied().unwrap_or_default();
-            if cur == last {
-                continue;
-            }
-            harvested.guard.insert(addr, cur);
-            // `guard_attest_rejected` only accrues when attestation is
-            // verified, so attestation-off runs emit no new counter.
-            for (name, value, floor) in [
-                ("guard_accepted", cur.0, last.0),
-                ("guard_sanitized", cur.1, last.1),
-                ("guard_damped", cur.2, last.2),
-                ("guard_quarantined", cur.3, last.3),
-                ("guard_attest_rejected", cur.4, last.4),
-            ] {
-                if value > floor {
-                    ops.push(HarvestOp::NeighborCount {
-                        name,
-                        addr,
-                        delta: value - floor,
-                    });
-                }
-            }
-        }
-        for incident in incidents {
-            ops.push(HarvestOp::Incident {
-                detail: incident.to_string(),
-            });
-        }
-        if !ops.is_empty() {
-            self.harvests.push(HarvestEntry {
-                at: now,
-                token,
-                node: id,
-                ops,
-            });
         }
     }
 }

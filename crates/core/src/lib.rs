@@ -53,6 +53,7 @@ pub mod app;
 pub mod arp;
 pub mod baseline;
 mod byzantine;
+mod events;
 pub mod iface;
 pub mod invariant;
 mod lane;

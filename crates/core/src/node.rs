@@ -15,6 +15,7 @@
 //!   lost only when the entity that cared about it is gone too.
 
 use crate::arp::{ArpCache, Resolution};
+use crate::events::{grew, EventRecord, HarvestOp};
 use crate::iface::{Framing, Iface};
 use crate::pool::{PacketBuf, PacketPool, HEADROOM};
 use crate::socket::UdpSocket;
@@ -178,6 +179,8 @@ pub struct Node {
     idle: Option<IdleGate>,
     /// Frames ready for the network to push onto links.
     outbox: Vec<(usize, PacketBuf)>,
+    /// What the node did since the lane last drained it.
+    events: EventRecord,
     /// The buffer pool all tx/rx packet memory comes from. Standalone
     /// nodes own a private pool; a [`Network`](crate::network) replaces
     /// it with the shared one at attach time so buffers recycle across
@@ -226,6 +229,7 @@ impl Node {
             icmp_inbox: VecDeque::new(),
             idle: None,
             outbox: Vec::new(),
+            events: EventRecord::default(),
             pool: PacketPool::new(),
             ip_ident: 1,
             next_ephemeral: 49_152,
@@ -288,10 +292,8 @@ impl Node {
         self.ifaces.first().map(|i| i.addr).unwrap_or_default()
     }
 
-    /// The IP reassembler — the single source of truth for completed,
-    /// timed-out and evicted reassemblies (its counters reset on crash,
-    /// like everything else volatile: fate-sharing applies to telemetry
-    /// too).
+    /// The IP reassembler. Its counters reset on crash, like everything
+    /// else volatile; what the node reported of them does not.
     pub fn reassembler(&self) -> &Reassembler {
         &self.reassembler
     }
@@ -768,7 +770,9 @@ impl Node {
             ledger.record(&datagram);
         }
         if let Some(flows) = &mut self.flows {
+            let before = flow_counts(flows);
             flows.observe(&datagram, now);
+            grew(&mut self.events.flows, before, flow_counts(flows));
         }
 
         let local = self.owns_addr(dst)
@@ -782,9 +786,10 @@ impl Node {
             // socket; only the forward below leaves `service` no work.
             self.idle = None;
             if is_fragment {
-                match self.reassembler.push(&datagram, now) {
-                    // The reassembler's own `completed` counter is the
-                    // single source of truth for rebuilt datagrams.
+                let before = reassembly_counts(&self.reassembler);
+                let pushed = self.reassembler.push(&datagram, now);
+                grew(&mut self.events.reassembly, before, reassembly_counts(&self.reassembler));
+                match pushed {
                     Ok(Some(whole)) => self.deliver_local(now, whole),
                     Ok(None) => {}
                     Err(_) => self.stats.dropped_malformed += 1,
@@ -1111,7 +1116,9 @@ impl Node {
             return;
         };
         if let Some(dv) = &mut self.dv {
+            let before = dv.guard().neighbor_verdicts(from);
             dv.handle_update(from, iface, &message.entries, now);
+            self.events.judged(from, before, dv.guard_mut());
         }
     }
 
@@ -1147,7 +1154,10 @@ impl Node {
             });
         match target {
             Some(index) => {
-                self.tcp_sockets[index].process(now, dst, src, &repr, data);
+                let socket = &mut self.tcp_sockets[index];
+                let fired = socket.stats.timeouts;
+                socket.process(now, dst, src, &repr, data);
+                self.events.rto_fired += socket.stats.timeouts - fired;
             }
             None => {
                 // RFC 793: a segment to nowhere earns an RST (unless it
@@ -1230,11 +1240,14 @@ impl Node {
         if !self.alive {
             return;
         }
-        // Reassembly timeouts (counted by the reassembler itself).
-        let _ = self.reassembler.expire(now);
+        let before = reassembly_counts(&self.reassembler);
+        self.reassembler.expire(now);
+        grew(&mut self.events.reassembly, before, reassembly_counts(&self.reassembler));
         self.service_arp(now);
         if let Some(flows) = &mut self.flows {
+            let before = flow_counts(flows);
             flows.expire_idle(now);
+            grew(&mut self.events.flows, before, flow_counts(flows));
         }
         // Routing protocol.
         self.service_dv(now);
@@ -1258,6 +1271,7 @@ impl Node {
             }
             for (_, dropped) in tick.gave_up {
                 self.stats.dropped_arp_gave_up += dropped as u64;
+                self.events.arp_gave_up += dropped as u64;
             }
         }
         for (iface, target) in retries {
@@ -1335,12 +1349,14 @@ impl Node {
         for index in 0..self.tcp_sockets.len() {
             let socket = &self.tcp_sockets[index];
             let (src, dst) = (socket.local().addr, socket.remote().addr);
+            let fired = socket.stats.timeouts;
             while let Some(mut buf) = self.tcp_sockets[index].dispatch_with(now, |repr, head, tail| {
                 Self::build_tcp_segment(&self.pool, repr, (head, tail), src, dst)
             }) {
                 self.prepend_ip(&mut buf, src, dst, IpProtocol::Tcp, Tos::default());
                 self.route_and_send(now, buf);
             }
+            self.events.rto_fired += self.tcp_sockets[index].stats.timeouts - fired;
         }
     }
 
@@ -1428,12 +1444,19 @@ impl Node {
         self.idle = gate;
     }
 
+    /// Everything the node reported since the last drain, as harvest
+    /// ops in report order; the lane drains after every full pass.
+    pub(crate) fn drain_events(&mut self) -> Vec<HarvestOp> {
+        let version = self.dv.as_ref().map(DvEngine::version);
+        self.events.drain(version, &self.tcp_sockets)
+    }
+
     /// Check, from scratch and without the cached bounds, that
-    /// [`Node::service`] at `now` would do nothing and that the node
-    /// still wants the wake its gate recorded. Run on every pass the
-    /// lane loop skips in a debug build.
+    /// [`Node::service`] at `now` would do nothing, that the node still
+    /// wants the wake its gate recorded and that it has nothing to
+    /// report. Run on every pass the lane loop skips in a debug build.
     #[cfg(debug_assertions)]
-    pub(crate) fn assert_idle(&self, now: Instant) {
+    pub(crate) fn assert_idle(&mut self, now: Instant) {
         let gate = self.idle.expect("a skipped pass has an armed gate");
         let name = &self.name;
         assert!(self.alive, "{name}: skipped a pass on a dead node");
@@ -1457,7 +1480,20 @@ impl Node {
             );
         }
         assert_eq!(self.timers(now).wake, gate.wake, "{name}: wanted wake moved");
+        let reported = self.drain_events();
+        assert!(reported.is_empty(), "{}: had something to report", self.name);
     }
+}
+
+/// A reassembler's counters: completed, timed out, evicted.
+fn reassembly_counts(r: &Reassembler) -> [u64; 3] {
+    [r.completed, r.timed_out, r.evicted]
+}
+
+/// A flow table's counters: evictions, idle expiries, fragments
+/// attributed and left unattributed.
+fn flow_counts(flows: &FlowTable) -> [u64; 4] {
+    [flows.evicted, flows.expired, flows.frag_attributed, flows.frag_unattributed]
 }
 
 impl core::fmt::Debug for Node {
@@ -1476,6 +1512,7 @@ impl core::fmt::Debug for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catenet_routing::{GuardPolicy, RipEntry, RouteGuard};
     use catenet_wire::Ipv4Cidr;
 
     fn host_with_iface() -> Node {
@@ -1905,6 +1942,96 @@ mod tests {
         assert_eq!(node.stats.dropped_arp_unresolved, 0);
         assert_eq!(node.stats.dropped_arp_gave_up, 0);
         assert!(count_arp_requests(&node.take_outbox()) == 0);
+    }
+
+    #[test]
+    fn an_undrained_event_record_stays_bounded() {
+        // Nothing drains a node on the real substrate, or a standalone
+        // one like this: however many RTO firings and reassemblies it
+        // takes, its record holds a count per kind of event, not an
+        // entry per event — and a late drain still reports every one.
+        // Beside its fixed counters, all a record can grow is these two.
+        let footprint = |node: &Node| {
+            let record = &node.events;
+            (record.verdicts.capacity(), record.incidents.capacity())
+        };
+        let mut node = host_with_iface();
+        let peer = Ipv4Address::new(10, 0, 0, 2);
+        let to = Endpoint::new(peer, 80);
+        node.tcp_connect(to, TcpConfig::default(), Instant::ZERO).unwrap();
+        node.service(Instant::ZERO); // the SYN, which nobody answers
+        let mut now = Instant::ZERO;
+        let rounds = 200;
+        let mut held = Vec::new();
+        for ident in 0..rounds {
+            now = node.poll_at(now).expect("the SYN is retransmitted forever");
+            node.service(now);
+            let datagram = catenet_ip::build_ipv4(
+                &Ipv4Repr {
+                    src_addr: peer,
+                    dst_addr: node.addr(0),
+                    protocol: IpProtocol::Udp,
+                    payload_len: 1000,
+                    hop_limit: 64,
+                    tos: Tos::default(),
+                },
+                ident,
+                false,
+                &[0u8; 1000],
+            );
+            for piece in catenet_ip::fragment(&datagram, 296).unwrap() {
+                node.handle_frame(now, 0, piece);
+            }
+            node.take_outbox();
+            held.push(footprint(&node));
+        }
+        assert!(held.iter().all(|&grown| grown == held[0]), "{held:?}");
+        let fired = node.tcp_sockets[0].stats.timeouts;
+        assert_eq!(fired, u64::from(rounds));
+        assert_eq!(node.events.rto_fired, fired);
+        assert_eq!(node.events.reassembly, [u64::from(rounds), 0, 0]);
+        let ops = node.drain_events();
+        assert!(matches!(
+            ops[..],
+            [
+                HarvestOp::RtoFired { total, delta },
+                HarvestOp::Count { name: "reassembled_datagrams", delta: rebuilt },
+            ] if total == fired && delta == fired && rebuilt == u64::from(rounds)
+        ));
+        assert_eq!(node.events.rto_fired, 0);
+    }
+
+    #[test]
+    fn undrained_guard_incidents_keep_the_newest() {
+        // Message `m` carries `1 + m % 7` metric-0 entries, each dropped
+        // and the message reported in one incident; one a second stays
+        // under the rate limit.
+        let mut node = host_with_iface();
+        let mut guard = RouteGuard::new(GuardPolicy::standard());
+        let neighbor = Ipv4Address::new(10, 0, 0, 2);
+        let bogus = RipEntry {
+            prefix: Ipv4Cidr::new(Ipv4Address::new(10, 9, 0, 0), 16),
+            metric: 0,
+            attestation: None,
+        };
+        let messages = 300;
+        for m in 0..messages {
+            let was = guard.neighbor_verdicts(neighbor);
+            let entries = vec![bogus; 1 + m % 7];
+            guard.admit(neighbor, &entries, Instant::from_secs(m as u64), &[]);
+            node.events.judged(neighbor, was, &mut guard);
+        }
+        let limit = crate::events::INCIDENT_LIMIT;
+        assert_eq!(node.events.incidents.len(), limit);
+        let ops = node.drain_events();
+        assert_eq!(ops.len(), 1 + limit);
+        assert!(matches!(
+            ops[0],
+            HarvestOp::NeighborCount { name: "guard_sanitized", delta: 300, .. }
+        ));
+        let oldest_kept = messages - limit;
+        let expected = format!("sanitized {neighbor}: {} dropped, 0 clamped", 1 + oldest_kept % 7);
+        assert!(matches!(&ops[1], HarvestOp::Incident { detail } if *detail == expected));
     }
 
     #[test]

@@ -485,6 +485,11 @@ impl RouteGuard {
         self.neighbors.iter().map(|(addr, s)| (*addr, s.verdicts))
     }
 
+    /// One neighbor's verdict totals (zero if it was never heard).
+    pub fn neighbor_verdicts(&self, neighbor: Ipv4Address) -> NeighborVerdicts {
+        self.neighbors.get(&neighbor).map_or_else(Default::default, |s| s.verdicts)
+    }
+
     /// Take the pending incident log (oldest first).
     pub fn drain_incidents(&mut self) -> Vec<GuardIncident> {
         std::mem::take(&mut self.incidents)

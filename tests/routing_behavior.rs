@@ -2,10 +2,11 @@
 //! TTL exhaustion, and routing-protocol hygiene — the "distributed
 //! management" goal exercised through the full stack.
 
-use catenet::routing::{DvConfig, ExportPolicy, INFINITY_METRIC};
+use catenet::routing::{DvConfig, ExportPolicy, GuardPolicy, NeighborVerdicts, INFINITY_METRIC};
 use catenet::sim::{Duration, LinkClass};
 use catenet::stack::{Network, NodeId};
-use catenet::wire::{Icmpv4Message, TimeExceeded};
+use catenet::telemetry::Scope;
+use catenet::wire::{Icmpv4Message, Ipv4Address, TimeExceeded};
 
 #[test]
 fn export_policy_can_hide_a_region() {
@@ -240,4 +241,105 @@ fn a_reboot_does_not_readvertise_a_downed_interface() {
         None,
         "an engine swap revived the downed /30"
     );
+}
+
+#[test]
+fn a_rebooted_guarded_gateway_reports_both_lives() {
+    // h — g0 in a ring g0 … g3, route guard and accounting on. h pings
+    // g2 with datagrams that fragment on the way; g2 crashes at 60 s and
+    // reboots at 70 s. A crash wipes the guard's verdict totals and the
+    // reassembler's counters with everything else volatile, so what the
+    // registry holds for g2 must be what both lives counted — not what
+    // the second life counted beyond the first.
+    let mut net = Network::new(67);
+    let h = net.add_host("h");
+    let g: Vec<NodeId> = (0..4).map(|i| net.add_gateway(format!("g{i}"))).collect();
+    net.connect(h, g[0], LinkClass::EthernetLan);
+    for i in 0..4 {
+        net.connect(g[i], g[(i + 1) % 4], LinkClass::T1Terrestrial);
+    }
+    net.set_guard_policy(GuardPolicy::standard());
+    net.enable_accounting(Duration::from_secs(10));
+    let target = g[2];
+    let dst = net.node(target).primary_addr();
+    let mut seq = 0;
+    let mut ping_for = |net: &mut Network, seconds: u64| {
+        for _ in 0..seconds {
+            let now = net.now();
+            net.node_mut(h).send_ping(dst, 7, seq, 3_000, now);
+            seq += 1;
+            net.kick(h);
+            net.run_for(Duration::from_secs(1));
+        }
+    };
+    let verdicts = |net: &Network| -> Vec<(Ipv4Address, NeighborVerdicts)> {
+        net.node(target)
+            .dv
+            .as_ref()
+            .unwrap()
+            .guard()
+            .verdicts()
+            .collect()
+    };
+    let reassembled = |net: &Network| net.node(target).reassembler().completed;
+
+    ping_for(&mut net, 60);
+    let (first, first_reassembled) = (verdicts(&net), reassembled(&net));
+    net.crash_node(target);
+    net.run_for(Duration::from_secs(10));
+    net.restart_node(target);
+    ping_for(&mut net, 20);
+    // A quiet tail: the ping flows go idle and expire.
+    net.run_for(Duration::from_secs(45));
+    let (second, second_reassembled) = (verdicts(&net), reassembled(&net));
+
+    let registry = &net.telemetry().registry;
+    let neighbors: std::collections::BTreeSet<Ipv4Address> =
+        first.iter().chain(&second).map(|(addr, _)| *addr).collect();
+    assert_eq!(neighbors.len(), 2, "g2 hears g1 and g3");
+    for addr in neighbors {
+        let life = |lives: &[(Ipv4Address, NeighborVerdicts)]| {
+            lives
+                .iter()
+                .find(|(a, _)| *a == addr)
+                .map_or_else(Default::default, |(_, v)| *v)
+        };
+        let (a, b) = (life(&first), life(&second));
+        assert!(
+            a.accepted > 0 && b.accepted > 0,
+            "{addr} was heard in both lives"
+        );
+        let scope = Scope::Neighbor {
+            node: target,
+            addr: addr.0,
+        };
+        assert_eq!(
+            registry.get("guard_accepted", scope),
+            a.accepted + b.accepted,
+            "accepted verdicts from {addr}"
+        );
+        assert_eq!(
+            registry.get("guard_sanitized", scope),
+            a.sanitized + b.sanitized,
+            "sanitized verdicts from {addr}"
+        );
+    }
+
+    let node = Scope::Node(target);
+    assert!(first_reassembled > 0 && second_reassembled > 0);
+    assert_eq!(
+        registry.get("reassembled_datagrams", node),
+        first_reassembled + second_reassembled
+    );
+    // The flow table loses its flows in a crash but keeps counting.
+    let flows = net.node(target).flows.as_ref().unwrap();
+    assert!(flows.frag_attributed > 0 && flows.expired > 0);
+    for (name, value) in [
+        ("flow_evictions", flows.evicted),
+        ("flow_idle_expired", flows.expired),
+        ("frag_attributed", flows.frag_attributed),
+        ("frag_unattributed", flows.frag_unattributed),
+    ] {
+        assert_eq!(registry.get(name, node), value, "{name}");
+    }
 }

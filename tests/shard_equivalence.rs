@@ -60,9 +60,9 @@ use catenet::stack::{Endpoint, Network, ShardKind};
 use catenet_bench::e11_gauntlet::{run_with_shards, scenarios};
 use catenet_bench::{e12_reconvergence, e16_accountability, SEEDS};
 
-/// The shard counts every battery is swept across. K=1 is the
-/// single-lane reference arm (`ShardKind::Single`, the default and CI
-/// arm); the rest split the node set into real lanes with barriers.
+/// The shard counts every battery is swept across. K=1 is
+/// `ShardKind::Single`, one lane through the same round (the default and
+/// CI arm); the rest split the node set into real lanes with barriers.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn kind(k: usize) -> ShardKind {

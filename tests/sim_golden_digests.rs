@@ -40,8 +40,10 @@ fn compute() -> Vec<(String, u64)> {
     let battery = scenarios();
     // The calm control arm and a heavily faulted arm: between them they
     // cover the scheduler, TCP, RIP reconvergence, the fault engine,
-    // and all three telemetry surfaces.
-    for name in ["calm (control)", "crash-storm"] {
+    // and all three telemetry surfaces. The attested hijack is the one
+    // run whose dumps carry route-guard verdict counters,
+    // `guard_attest_rejected` and `GuardAction` incidents.
+    for name in ["calm (control)", "crash-storm", "prefix-hijack (attested)"] {
         let scenario = *battery
             .iter()
             .find(|s| s.name == name)
@@ -72,8 +74,10 @@ fn compute() -> Vec<(String, u64)> {
 
 /// The pinned values, generated from a clean checkout of the last
 /// pre-substrate commit (`git worktree add … <that commit>`, same
-/// computation). Order matches [`compute`].
-const GOLDEN: [(&str, u64); 16] = [
+/// computation). Order matches [`compute`]. The four attested-hijack
+/// digests come from the last tree whose lane scraped a node's
+/// counters after every pass, before nodes reported their own events.
+const GOLDEN: [(&str, u64); 20] = [
     ("e11/calm (control)/outcome", 0x06abe3f915f39ee3),
     ("e11/calm (control)/metrics", 0x1b374556a0117f40),
     ("e11/calm (control)/series", 0x61ac9c3352a7009f),
@@ -82,6 +86,10 @@ const GOLDEN: [(&str, u64); 16] = [
     ("e11/crash-storm/metrics", 0xf40a6470e1203eb6),
     ("e11/crash-storm/series", 0x8253450a69255c44),
     ("e11/crash-storm/flight", 0x8a4a3c4cd778d933),
+    ("e11/prefix-hijack (attested)/outcome", 0x7145e9c3a7cea84f),
+    ("e11/prefix-hijack (attested)/metrics", 0x1f416c7c097ffdc1),
+    ("e11/prefix-hijack (attested)/series", 0x1bb572642576375a),
+    ("e11/prefix-hijack (attested)/flight", 0x40fb560794de1971),
     ("e12/ring5-linkcut/heals", 0xdd9ebffd60038cf3),
     ("e12/ring5-linkcut/metrics", 0x6f412f46179b18b7),
     ("e12/ring5-linkcut/series", 0x3e0be6182a360443),
