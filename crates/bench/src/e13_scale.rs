@@ -96,7 +96,7 @@ pub struct TopoResult {
     /// Full-simulation wall clock, milliseconds.
     pub sim_ms: f64,
     /// Trace-replay wall clock, `[heap, wheel]`, milliseconds (min of
-    /// [`REPLAY_REPS`] reps).
+    /// `REPLAY_REPS` reps).
     pub replay_ms: [f64; 2],
     /// Trace-replay throughput, `[heap, wheel]`, events per second.
     pub replay_eps: [f64; 2],

@@ -13,8 +13,56 @@
 //! overhead — all as the internetwork grows.
 
 use crate::table::Table;
-use catenet_core::realization::{multi_as, MultiAs};
+use catenet_core::{LinkId, Network, NodeId};
 use catenet_sim::{Duration, LinkClass};
+
+/// The internetwork E4 runs on: chained administrative regions, each a
+/// line of gateways with one host.
+struct MultiAs {
+    net: Network,
+    /// One host per region.
+    hosts: Vec<NodeId>,
+    /// Gateways per region.
+    regions: Vec<Vec<NodeId>>,
+    /// Inter-region (border) links.
+    borders: Vec<LinkId>,
+}
+
+/// Build `regions` chained regions of `size` gateways each, one host per
+/// region, the last gateway of each region bordering the first of the
+/// next, and converge routing. Every interface exports everything it
+/// knows (the default policy), so a region carries transit.
+fn multi_as(seed: u64, regions: usize, size: usize, trunk: LinkClass) -> MultiAs {
+    assert!(regions >= 2 && size >= 1);
+    let mut net = Network::new(seed);
+    let mut all_regions = Vec::new();
+    let mut hosts = Vec::new();
+    for r in 0..regions {
+        let gs: Vec<NodeId> = (0..size)
+            .map(|i| net.add_gateway(format!("as{}g{}", r + 1, i + 1)))
+            .collect();
+        for pair in gs.windows(2) {
+            net.connect(pair[0], pair[1], trunk);
+        }
+        let host = net.add_host(format!("h{}", r + 1));
+        net.connect(host, gs[0], LinkClass::EthernetLan);
+        hosts.push(host);
+        all_regions.push(gs);
+    }
+    let borders = (0..regions - 1)
+        .map(|r| {
+            let left = *all_regions[r].last().expect("nonempty");
+            net.connect(left, all_regions[r + 1][0], trunk)
+        })
+        .collect();
+    net.converge_routing(Duration::from_secs(60 + 30 * (regions * size) as u64));
+    MultiAs {
+        net,
+        hosts,
+        regions: all_regions,
+        borders,
+    }
+}
 
 /// One topology's measurements.
 #[derive(Debug, Clone, Copy)]

@@ -17,7 +17,7 @@ const FLOW_SPACING: usize = 2;
 /// Bytes per bulk transfer on the E13 topologies.
 const FLOW_BYTES: usize = 500_000;
 
-/// Attach host pairs around the topology: at every [`FLOW_SPACING`]-th
+/// Attach host pairs around the topology: at every `FLOW_SPACING`-th
 /// gateway, a sender host two gateways away from a sink host, with a
 /// `bytes` transfer starting once nearby routes have had time to
 /// propagate. Local flows (short paths) keep the workload meaningful

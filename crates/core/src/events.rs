@@ -1,35 +1,20 @@
 //! What a node reports about itself: its own code bumps an
-//! [`EventRecord`] where each reported thing happens, and the lane
-//! drains it after every full service pass (`Node::drain_events`).
-//! Nothing is diffed against an earlier reading, so a crash, which
-//! resets the counters a node's parts keep, leaves no floor to fall
-//! below. Undrained, as on the real substrate, the record stays bounded:
-//! fixed counters, a verdict row per neighbour heard and at most
+//! [`EventRecord`] where each reported thing happens, the lane takes
+//! the record after every full service pass that left something in it
+//! (`Node::take_events`) and banks it, and at the barrier
+//! [`EventRecord::apply`] writes it into telemetry — the one place that
+//! says what a node's report is called and where it lands. Nothing is
+//! diffed against an earlier reading, so a crash, which resets the
+//! counters a node's parts keep, leaves no floor to fall below.
+//! Untaken, as on the real substrate, the record stays bounded: fixed
+//! counters, a verdict row per neighbour heard and at most
 //! [`INCIDENT_LIMIT`] incidents.
 
+use crate::network::NodeId;
 use catenet_routing::{GuardIncident, NeighborVerdicts, RouteGuard};
-use catenet_tcp::Socket;
+use catenet_sim::Instant;
+use catenet_telemetry::{EventKind, Scope, Telemetry};
 use catenet_wire::Ipv4Address;
-
-/// One telemetry-relevant thing a node reported during a lane window,
-/// applied by the coordinator at the barrier.
-pub(crate) enum HarvestOp {
-    /// The node's routing table version moved.
-    RouteChanged { version: u64 },
-    /// TCP retransmission timers fired (`delta` new firings; `total`
-    /// is the cumulative count for the recorder row).
-    RtoFired { total: u64, delta: u64 },
-    /// A per-node counter advanced by `delta`.
-    Count { name: &'static str, delta: u64 },
-    /// A per-(node, neighbor) guard counter advanced by `delta`.
-    NeighborCount {
-        name: &'static str,
-        addr: Ipv4Address,
-        delta: u64,
-    },
-    /// A guard incident for the flight recorder.
-    Incident { detail: String },
-}
 
 /// Registry names of the per-node counters, in report order: ARP, then
 /// [`EventRecord::reassembly`], then [`EventRecord::flows`].
@@ -53,17 +38,21 @@ const VERDICT_NAMES: [&str; 5] = [
     "guard_attest_rejected",
 ];
 
-/// Guard incidents a record keeps for a drain that has not come yet;
-/// beyond this the oldest is dropped.
+/// Guard incidents a record keeps until it is taken; beyond this the
+/// oldest is dropped.
 pub(crate) const INCIDENT_LIMIT: usize = 256;
 
-/// What a node did since the record was last drained.
+/// What a node did since its record was last taken.
 #[derive(Debug, Default)]
 pub(crate) struct EventRecord {
-    /// The routing-table version the last drain reported.
-    reported_version: u64,
+    /// A routing-table version the node has not reported before; filled
+    /// in when the record is taken.
+    pub route_version: Option<u64>,
     /// RTO firings over the node's sockets.
     pub rto_fired: u64,
+    /// All RTO firings its sockets have counted, for the recorder row;
+    /// filled in when the record is taken.
+    pub rto_total: u64,
     /// Datagrams dropped by ARP resolutions that gave up.
     pub arp_gave_up: u64,
     /// Reassemblies completed, timed out, evicted.
@@ -86,6 +75,12 @@ pub(crate) fn grew<const N: usize>(tally: &mut [u64; N], before: [u64; N], after
             *total += is - was;
         }
     }
+}
+
+/// Advance the counter `name` at `scope`, interning it on first use.
+pub(crate) fn count(telemetry: &mut Telemetry, name: &'static str, scope: Scope, delta: u64) {
+    let id = telemetry.registry.counter(name, scope);
+    telemetry.registry.add(id, delta);
 }
 
 fn counts(v: NeighborVerdicts) -> [u64; 5] {
@@ -118,46 +113,56 @@ impl EventRecord {
         self.incidents.drain(..over);
     }
 
-    /// Everything recorded since the last drain, as harvest ops in
-    /// report order: route change, RTO firings with the `sockets`'
-    /// total, per-node counters, per-neighbour verdicts, incidents. With
-    /// nothing to report (nearly always) it writes nothing.
-    pub fn drain(&mut self, version: Option<u64>, sockets: &[Socket]) -> Vec<HarvestOp> {
-        let mut ops = Vec::new();
-        if let Some(version) = version.filter(|&v| v != self.reported_version) {
-            self.reported_version = version;
-            ops.push(HarvestOp::RouteChanged { version });
+    /// Whether there is nothing to report (a verdict row is only ever
+    /// added with something in it).
+    pub fn is_empty(&self) -> bool {
+        self.route_version.is_none()
+            && self.rto_fired == 0
+            && self.arp_gave_up == 0
+            && self.reassembly == [0; 3]
+            && self.flows == [0; 4]
+            && self.verdicts.is_empty()
+            && self.incidents.is_empty()
+    }
+
+    /// Write what `node` reported at `at` into the flight recorder, the
+    /// registry and the convergence tracer, in report order: route
+    /// change, RTO firings, per-node counters, per-neighbour verdicts,
+    /// incidents.
+    pub fn apply(self, at: Instant, node: NodeId, telemetry: &mut Telemetry) {
+        let scope = Scope::Node(node);
+        if let Some(version) = self.route_version {
+            let changed = EventKind::RouteChanged { node, version };
+            telemetry.recorder.record(at, changed);
+            telemetry.convergence.route_changed(at);
+            count(telemetry, "route_changes", scope, 1);
         }
         if self.rto_fired > 0 {
-            ops.push(HarvestOp::RtoFired {
-                total: sockets.iter().map(|s| s.stats.timeouts).sum(),
-                delta: core::mem::take(&mut self.rto_fired),
-            });
+            let total_timeouts = self.rto_total;
+            let fired = EventKind::RtoFired { node, total_timeouts };
+            telemetry.recorder.record(at, fired);
+            count(telemetry, "tcp_rto_fired", scope, self.rto_fired);
         }
-        let counts = [&mut self.arp_gave_up].into_iter();
-        let counts = counts.chain(&mut self.reassembly).chain(&mut self.flows);
+        let counts = [self.arp_gave_up].into_iter();
+        let counts = counts.chain(self.reassembly).chain(self.flows);
         // Zeros are never reported: reporting interns a counter, and a run
         // that never did a thing keeps its name out of the dumps.
         for (name, n) in COUNT_NAMES.into_iter().zip(counts) {
-            if *n > 0 {
-                let delta = core::mem::take(n);
-                ops.push(HarvestOp::Count { name, delta });
+            if n > 0 {
+                count(telemetry, name, scope, n);
             }
         }
-        if self.verdicts.is_empty() && self.incidents.is_empty() {
-            return ops;
-        }
-        for (addr, grown) in self.verdicts.drain(..) {
-            for (name, delta) in VERDICT_NAMES.into_iter().zip(grown) {
-                if delta > 0 {
-                    ops.push(HarvestOp::NeighborCount { name, addr, delta });
+        for (addr, grown) in self.verdicts {
+            let scope = Scope::Neighbor { node, addr: addr.0 };
+            for (name, n) in VERDICT_NAMES.into_iter().zip(grown) {
+                if n > 0 {
+                    count(telemetry, name, scope, n);
                 }
             }
         }
-        let incidents = self.incidents.drain(..);
-        ops.extend(incidents.map(|incident| HarvestOp::Incident {
-            detail: incident.to_string(),
-        }));
-        ops
+        for incident in self.incidents {
+            let detail = incident.to_string();
+            telemetry.recorder.record(at, EventKind::GuardAction { node, detail });
+        }
     }
 }

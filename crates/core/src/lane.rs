@@ -24,14 +24,15 @@
 //!   strictly after the limit its destination lane ran to, so
 //!   absorbing it never rewinds a lane — `Network::absorb` asserts
 //!   exactly that, per frame, in debug builds.
-//! - **harvest entries** ([`HarvestEntry`]): what a node reported
-//!   after a full pass — *emitted* by the node where each thing
-//!   happened, *applied* coordinator-side, in `(instant, token)` order.
-//!   The token is the smallest delivery key that touched the node at
-//!   that instant, which is exactly the order a single lane services
-//!   nodes — so recorder rows, counters and convergence-tracer calls
-//!   land in the same order for every K, and the dumps cannot tell how
-//!   many lanes produced them. Because per-pair limits are
+//! - **harvest entries** ([`HarvestEntry`]): a node's event record,
+//!   taken after a full pass that left something in it — *bumped* by
+//!   the node where each thing happened, carried as is, and *applied*
+//!   coordinator-side (`EventRecord::apply`) in `(instant, token)`
+//!   order. The token is the smallest delivery key that touched the
+//!   node at that instant, which is exactly the order a single lane
+//!   services nodes — so recorder rows, counters and convergence-tracer
+//!   calls land in the same order for every K, and the dumps cannot
+//!   tell how many lanes produced them. Because per-pair limits are
 //!   heterogeneous, the coordinator banks these and applies only up to
 //!   the round's global safe horizon (`min` of all lane limits).
 //!
@@ -45,7 +46,7 @@
 
 use crate::app::Application;
 use crate::byzantine::ByzantineState;
-pub(crate) use crate::events::HarvestOp;
+use crate::events::EventRecord;
 use crate::node::Node;
 use crate::pool::{PacketBuf, PacketPool};
 use catenet_sim::{Duration, Instant, Link, LinkOutcome, Rng, Scheduler};
@@ -149,16 +150,20 @@ pub(crate) struct CrossFrame {
     pub keyed: Keyed,
 }
 
-/// All harvest ops for one node at one instant. `token` is the
-/// smallest delivery key that touched the node at `at` (0 for a
-/// coordinator kick, which is absorbed immediately and never merges
-/// with window entries); sorting entries by `(at, token)` reproduces
-/// the single-lane service order exactly.
+/// What one node reported at one instant: the record its pass took.
+/// `token` is the smallest delivery key that touched the node at `at`
+/// (0 for a coordinator kick, which is absorbed immediately and never
+/// merges with window entries); sorting entries by `(at, token)`
+/// reproduces the single-lane service order exactly.
 pub(crate) struct HarvestEntry {
     pub at: Instant,
     pub token: u64,
     pub node: NodeId,
-    pub ops: Vec<HarvestOp>,
+    /// Boxed: a bank can hold tens of thousands of entries (a
+    /// convergence storm reports a route change per gateway pass), and
+    /// merging banks and sorting them should move 32-byte entries, not
+    /// 144-byte records.
+    pub record: Box<EventRecord>,
 }
 
 /// One node and everything the loop keeps about it, side by side: a
@@ -180,7 +185,8 @@ pub(crate) struct NodeSlot {
     /// liar's outgoing RIP frames are rewritten in [`Lane::transmit`],
     /// after the node honestly computed them.
     pub byz: Option<ByzantineState>,
-    /// Cumulative acked bytes at the previous sample (goodput rows).
+    /// The node's `tcp_bytes_acked` at the previous sample (goodput
+    /// rows).
     pub sampled_acked: u64,
     /// Per interface: the link behind it. `None` (or a short row) =
     /// nothing connected.
@@ -377,13 +383,12 @@ impl Lane {
             }
             // Protocol machinery: timers, routing, socket dispatch.
             slot.node.service(now);
-            let ops = slot.node.drain_events();
-            if !ops.is_empty() {
+            if let Some(record) = slot.node.take_events() {
                 self.harvests.push(HarvestEntry {
                     at: now,
                     token,
                     node: id,
-                    ops,
+                    record: Box::new(record),
                 });
             }
         }

@@ -61,7 +61,6 @@ pub mod network;
 pub mod node;
 pub mod partition;
 pub mod pool;
-pub mod realization;
 pub mod socket;
 
 pub use app::{shared, Application, Shared};

@@ -2,7 +2,7 @@
 //! by one deterministic event loop.
 //!
 //! The network owns the lanes (shard partitions, each owning its nodes,
-//! its scheduler and its link directions — see [`crate::lane`]), and the
+//! its scheduler and its link directions — see `lane.rs`), and the
 //! failure switches (node crash/reboot, link up/down) that the
 //! survivability experiments script. It never looks inside a datagram:
 //! everything above the link is the nodes' business — the same layering
@@ -26,10 +26,11 @@
 
 use crate::app::Application;
 use crate::byzantine::ByzantineState;
+use crate::events::count;
 use crate::iface::{Framing, Iface};
 use crate::lane::{
-    CrossFrame, Endpoint, Event, HarvestEntry, HarvestOp, Lane, LaneLink, LaneWindow, Lanes,
-    LinkEnd, LinkMeta, NodeSlot, Workers,
+    CrossFrame, Endpoint, Event, HarvestEntry, Lane, LaneLink, LaneWindow, Lanes, LinkEnd,
+    LinkMeta, NodeSlot, Workers,
 };
 use crate::node::{Node, NodeRole};
 use crate::partition::{self, CutLink};
@@ -646,45 +647,6 @@ impl Network {
         self.kick(id);
     }
 
-    /// Silently degrade a link's quality (both directions): interfaces
-    /// stay up and routing notices nothing. `None` leaves a field at its
-    /// current value.
-    pub fn degrade_link(&mut self, link: LinkId, loss: Option<f64>, corruption: Option<f64>) {
-        self.link_dir_mut(link, true).degrade(loss, corruption);
-        self.link_dir_mut(link, false).degrade(loss, corruption);
-    }
-
-    /// Silently degrade *one direction* of a link (`a_to_b` selects
-    /// which). The reverse direction keeps its current quality — the
-    /// asymmetric failure where data drowns while ACKs sail through.
-    pub fn degrade_link_dir(
-        &mut self,
-        link: LinkId,
-        a_to_b: bool,
-        loss: Option<f64>,
-        corruption: Option<f64>,
-    ) {
-        self.link_dir_mut(link, a_to_b).degrade(loss, corruption);
-    }
-
-    /// Inflate a link's latency (both directions): propagation grows by
-    /// `extra` and jitter becomes `jitter`. Nothing is dropped; large
-    /// jitter reorders back-to-back frames.
-    pub fn delay_spike_link(&mut self, link: LinkId, extra: Duration, jitter: Duration) {
-        self.link_dir_mut(link, true).delay_spike(extra, jitter);
-        self.link_dir_mut(link, false).delay_spike(extra, jitter);
-    }
-
-    /// Restore a degraded or delay-spiked link to its configured quality
-    /// and timing (both directions, both kinds of damage).
-    pub fn restore_link(&mut self, link: LinkId) {
-        for ab in [true, false] {
-            let dir = self.link_dir_mut(link, ab);
-            dir.restore();
-            dir.restore_delay();
-        }
-    }
-
     /// Whether a link is up (both directions share fate).
     pub fn link_is_up(&self, link: LinkId) -> bool {
         self.link_dir(link, true).is_up()
@@ -769,20 +731,29 @@ impl Network {
                 self.partition_cut = crossing;
             }
             FaultAction::Heal => self.heal_partition(),
+            // Quality and timing faults are silent: interfaces stay up
+            // and routing notices nothing.
             FaultAction::Degrade {
                 link,
                 loss,
                 corruption,
             } => {
                 if *link < self.links_meta.len() {
-                    self.degrade_link(*link, *loss, *corruption);
+                    for ab in [true, false] {
+                        self.link_dir_mut(*link, ab).degrade(*loss, *corruption);
+                    }
                 }
             }
             FaultAction::Restore { link } => {
                 if *link < self.links_meta.len() {
-                    self.restore_link(*link);
+                    for ab in [true, false] {
+                        let dir = self.link_dir_mut(*link, ab);
+                        dir.restore();
+                        dir.restore_delay();
+                    }
                 }
             }
+            // One direction only: data drowns while ACKs sail through.
             FaultAction::DegradeOneWay {
                 link,
                 a_to_b,
@@ -790,18 +761,21 @@ impl Network {
                 corruption,
             } => {
                 if *link < self.links_meta.len() {
-                    self.degrade_link_dir(*link, *a_to_b, *loss, *corruption);
+                    self.link_dir_mut(*link, *a_to_b).degrade(*loss, *corruption);
                 }
             }
             FaultAction::DelaySpike { link, extra, jitter } => {
                 if *link < self.links_meta.len() {
-                    self.delay_spike_link(*link, *extra, *jitter);
+                    for ab in [true, false] {
+                        self.link_dir_mut(*link, ab).delay_spike(*extra, *jitter);
+                    }
                 }
             }
             FaultAction::RestoreDelay { link } => {
                 if *link < self.links_meta.len() {
-                    self.link_dir_mut(*link, true).restore_delay();
-                    self.link_dir_mut(*link, false).restore_delay();
+                    for ab in [true, false] {
+                        self.link_dir_mut(*link, ab).restore_delay();
+                    }
                 }
             }
             FaultAction::Compromise { node, attack } => {
@@ -1015,32 +989,29 @@ impl Network {
             }
             lane.sched.schedule_at(cross.at, cross.keyed);
         }
+        self.apply_harvests(horizon);
+    }
+
+    /// Apply the banked harvest entries at or below `horizon` to
+    /// telemetry, in `(instant, token)` order. A barrier passes its
+    /// horizon: only entries up to it are complete — every lane has
+    /// executed past them, so no later-harvested entry can sort before
+    /// them — and the rest stay banked. Before a coordinator op runs
+    /// (its own recorder writes and registry reads must see all earlier
+    /// traffic) and at run end, the horizon is `FAR_FUTURE`: every
+    /// banked entry is strictly earlier than an op, because traffic
+    /// windows are capped one microsecond short of the next op instant.
+    fn apply_harvests(&mut self, horizon: Instant) {
         if self.pending_harvests.is_empty() {
             return;
         }
         // Each lane's list is already (at, token)-sorted; the merge
         // recovers the global service order. Tokens are delivery keys,
-        // unique across lanes, so the order is total. Only entries at
-        // or below the horizon are complete — every lane has executed
-        // past them, so no later-harvested entry can sort before them.
-        // The rest stay banked for a later barrier (or an op flush).
+        // unique across lanes, so the order is total.
         self.pending_harvests.sort_unstable_by_key(|h| (h.at, h.token));
-        let done = self
-            .pending_harvests
-            .partition_point(|h| h.at <= horizon);
-        for entry in self.pending_harvests.drain(..done) {
-            apply_harvest(&mut self.telemetry, entry);
-        }
-    }
-
-    /// Apply every banked harvest entry, in order. Called before a
-    /// coordinator op runs (the op's own recorder writes and registry
-    /// reads must see all earlier traffic — every banked entry is
-    /// strictly earlier, because traffic windows are capped one
-    /// microsecond short of the next op instant) and at run end.
-    fn flush_harvests(&mut self) {
-        for entry in self.pending_harvests.drain(..) {
-            apply_harvest(&mut self.telemetry, entry);
+        let done = self.pending_harvests.partition_point(|h| h.at <= horizon);
+        for HarvestEntry { at, node, record, .. } in self.pending_harvests.drain(..done) {
+            record.apply(at, node, &mut self.telemetry);
         }
     }
 
@@ -1059,7 +1030,7 @@ impl Network {
     /// instant any peer's pending work (`T_j`, lane j's next event)
     /// could possibly reach lane i — the CMB-style per-pair bound, with
     /// `reach` the relay-closed lane-pair latency matrix (see
-    /// [`Network::lane_reach`]); the diagonal term bounds a lane
+    /// the `lane_reach` field); the diagonal term bounds a lane
     /// against its own round-tripped output. Lanes with nothing due
     /// inside their window are skipped (nothing handed to a worker);
     /// the rest run — on the coordinator, or under `Parallel` dealt
@@ -1120,7 +1091,7 @@ impl Network {
             // tail a flush at T would have reported — power cuts don't
             // wait for bookkeeping).
             if [fault_at, sample_at, flush_at].contains(&Some(at)) {
-                self.flush_harvests();
+                self.apply_harvests(Instant::FAR_FUTURE);
                 let mut applied = 1;
                 if fault_at == Some(at) {
                     // Batched dispatch: a dense plan often schedules many
@@ -1215,7 +1186,7 @@ impl Network {
             self.absorb(horizon);
             self.now = horizon;
         }
-        self.flush_harvests();
+        self.apply_harvests(Instant::FAR_FUTURE);
         self.now = t;
     }
 
@@ -1300,8 +1271,9 @@ impl Network {
                     .sampler
                     .record(at, "route_version", Scope::Node(id), version);
             }
-            // Goodput: acked-byte delta over the cadence window, bits/s.
-            let acked: u64 = node.tcp_sockets.iter().map(|s| s.stats.bytes_acked).sum();
+            // Goodput: acked-byte delta over the cadence window, bits/s,
+            // from the node's own count, which outlives a crash's sockets.
+            let acked = node.stats.tcp_bytes_acked;
             let delta = acked.saturating_sub(slot.sampled_acked);
             if delta > 0 && !cadence.is_zero() {
                 let bps = delta.saturating_mul(8_000_000) / cadence.total_micros();
@@ -1418,56 +1390,6 @@ impl Network {
             }
         }
         hasher.finish()
-    }
-}
-
-/// Advance the counter `name` at `scope`, interning it on first use.
-fn count(telemetry: &mut Telemetry, name: &'static str, scope: Scope, delta: u64) {
-    let id = telemetry.registry.counter(name, scope);
-    telemetry.registry.add(id, delta);
-}
-
-/// Replay one lane-harvested telemetry entry into the recorder,
-/// registry and convergence tracer. Op order within an entry (and
-/// entry order at the caller) mirrors the inline writes the
-/// pre-shard loop performed, keeping dumps byte-identical.
-fn apply_harvest(telemetry: &mut Telemetry, entry: HarvestEntry) {
-    let HarvestEntry {
-        at, node: id, ops, ..
-    } = entry;
-    for op in ops {
-        match op {
-            HarvestOp::RouteChanged { version } => {
-                telemetry
-                    .recorder
-                    .record(at, EventKind::RouteChanged { node: id, version });
-                telemetry.convergence.route_changed(at);
-                count(telemetry, "route_changes", Scope::Node(id), 1);
-            }
-            HarvestOp::RtoFired { total, delta } => {
-                telemetry.recorder.record(
-                    at,
-                    EventKind::RtoFired {
-                        node: id,
-                        total_timeouts: total,
-                    },
-                );
-                count(telemetry, "tcp_rto_fired", Scope::Node(id), delta);
-            }
-            HarvestOp::Count { name, delta } => count(telemetry, name, Scope::Node(id), delta),
-            HarvestOp::NeighborCount { name, addr, delta } => {
-                let scope = Scope::Neighbor {
-                    node: id,
-                    addr: addr.0,
-                };
-                count(telemetry, name, scope, delta);
-            }
-            HarvestOp::Incident { detail } => {
-                telemetry
-                    .recorder
-                    .record(at, EventKind::GuardAction { node: id, detail });
-            }
-        }
     }
 }
 
@@ -1954,14 +1876,18 @@ mod tests {
     fn degrade_window_is_invisible_to_routing_but_lossy() {
         let (mut net, h1, _g, h2) = small_net();
         let dst = net.node(h2).primary_addr();
-        net.degrade_link(0, Some(1.0), None);
+        net.apply_fault(&FaultAction::Degrade {
+            link: 0,
+            loss: Some(1.0),
+            corruption: None,
+        });
         assert!(net.link_is_up(0), "blackhole looks healthy");
         let now = net.now();
         net.node_mut(h1).send_ping(dst, 4, 1, 16, now);
         net.kick(h1);
         net.run_for(Duration::from_secs(2));
         assert!(net.node_mut(h1).take_icmp_events().is_empty(), "blackholed");
-        net.restore_link(0);
+        net.apply_fault(&FaultAction::Restore { link: 0 });
         let now = net.now();
         net.node_mut(h1).send_ping(dst, 4, 2, 16, now);
         net.kick(h1);
@@ -2093,7 +2019,12 @@ mod tests {
         let dst = net.node(h2).primary_addr();
         let src = net.node(h1).primary_addr();
         // Kill h1→g entirely; g→h1 stays clean.
-        net.degrade_link_dir(0, true, Some(1.0), None);
+        net.apply_fault(&FaultAction::DegradeOneWay {
+            link: 0,
+            a_to_b: true,
+            loss: Some(1.0),
+            corruption: None,
+        });
         let now = net.now();
         net.node_mut(h1).send_ping(dst, 5, 1, 16, now);
         net.kick(h1);
@@ -2119,7 +2050,7 @@ mod tests {
             1,
             "request crossed the clean b→a direction of link 0"
         );
-        net.restore_link(0);
+        net.apply_fault(&FaultAction::Restore { link: 0 });
         let now = net.now();
         net.node_mut(h1).send_ping(dst, 5, 3, 16, now);
         net.kick(h1);

@@ -15,7 +15,7 @@
 //!   lost only when the entity that cared about it is gone too.
 
 use crate::arp::{ArpCache, Resolution};
-use crate::events::{grew, EventRecord, HarvestOp};
+use crate::events::{grew, EventRecord};
 use crate::iface::{Framing, Iface};
 use crate::pool::{PacketBuf, PacketPool, HEADROOM};
 use crate::socket::UdpSocket;
@@ -101,6 +101,9 @@ pub struct NodeStats {
     /// ICMP events dropped, oldest first, because no application took
     /// them before [`ICMP_INBOX_LIMIT`] more arrived.
     pub icmp_inbox_dropped: u64,
+    /// Data bytes TCP peers acknowledged, over every socket the node
+    /// has had: unlike the sockets, this survives a crash.
+    pub tcp_bytes_acked: u64,
 }
 
 /// An ICMP message delivered to this node (for ping apps and error
@@ -179,8 +182,10 @@ pub struct Node {
     idle: Option<IdleGate>,
     /// Frames ready for the network to push onto links.
     outbox: Vec<(usize, PacketBuf)>,
-    /// What the node did since the lane last drained it.
+    /// What the node did since the lane last took its record.
     events: EventRecord,
+    /// The routing-table version the node last reported.
+    reported_version: u64,
     /// The buffer pool all tx/rx packet memory comes from. Standalone
     /// nodes own a private pool; a [`Network`](crate::network) replaces
     /// it with the shared one at attach time so buffers recycle across
@@ -230,6 +235,7 @@ impl Node {
             idle: None,
             outbox: Vec::new(),
             events: EventRecord::default(),
+            reported_version: 0,
             pool: PacketPool::new(),
             ip_ident: 1,
             next_ephemeral: 49_152,
@@ -658,8 +664,8 @@ impl Node {
     }
 
     /// Take the frames queued for transmission. Tests use this; the
-    /// network drains via [`swap_outbox`](Node::swap_outbox), which
-    /// reuses one scratch vector instead of allocating per pass.
+    /// network drains via `swap_outbox`, which reuses one scratch vector
+    /// instead of allocating per pass.
     pub fn take_outbox(&mut self) -> Vec<(usize, PacketBuf)> {
         core::mem::take(&mut self.outbox)
     }
@@ -1155,9 +1161,10 @@ impl Node {
         match target {
             Some(index) => {
                 let socket = &mut self.tcp_sockets[index];
-                let fired = socket.stats.timeouts;
+                let (fired, acked) = (socket.stats.timeouts, socket.stats.bytes_acked);
                 socket.process(now, dst, src, &repr, data);
                 self.events.rto_fired += socket.stats.timeouts - fired;
+                self.stats.tcp_bytes_acked += socket.stats.bytes_acked - acked;
             }
             None => {
                 // RFC 793: a segment to nowhere earns an RST (unless it
@@ -1444,11 +1451,25 @@ impl Node {
         self.idle = gate;
     }
 
-    /// Everything the node reported since the last drain, as harvest
-    /// ops in report order; the lane drains after every full pass.
-    pub(crate) fn drain_events(&mut self) -> Vec<HarvestOp> {
+    /// The routing-table version, if it moved since the last report.
+    fn unreported_version(&self) -> Option<u64> {
         let version = self.dv.as_ref().map(DvEngine::version);
-        self.events.drain(version, &self.tcp_sockets)
+        version.filter(|&v| v != self.reported_version)
+    }
+
+    /// What the node did since its record was last taken, if anything;
+    /// the lane takes it after every full pass. The two facts known
+    /// only now are filled in here: a routing version not reported
+    /// before, and the RTO total over the node's sockets.
+    pub(crate) fn take_events(&mut self) -> Option<EventRecord> {
+        if let Some(version) = self.unreported_version() {
+            self.reported_version = version;
+            self.events.route_version = Some(version);
+        }
+        if self.events.rto_fired > 0 {
+            self.events.rto_total = self.tcp_sockets.iter().map(|s| s.stats.timeouts).sum();
+        }
+        (!self.events.is_empty()).then(|| core::mem::take(&mut self.events))
     }
 
     /// Check, from scratch and without the cached bounds, that
@@ -1456,7 +1477,7 @@ impl Node {
     /// wants the wake its gate recorded and that it has nothing to
     /// report. Run on every pass the lane loop skips in a debug build.
     #[cfg(debug_assertions)]
-    pub(crate) fn assert_idle(&mut self, now: Instant) {
+    pub(crate) fn assert_idle(&self, now: Instant) {
         let gate = self.idle.expect("a skipped pass has an armed gate");
         let name = &self.name;
         assert!(self.alive, "{name}: skipped a pass on a dead node");
@@ -1480,8 +1501,8 @@ impl Node {
             );
         }
         assert_eq!(self.timers(now).wake, gate.wake, "{name}: wanted wake moved");
-        let reported = self.drain_events();
-        assert!(reported.is_empty(), "{}: had something to report", self.name);
+        assert_eq!(self.unreported_version(), None, "{name}: route change unreported");
+        assert!(self.events.is_empty(), "{name}: had something to report");
     }
 }
 
@@ -1990,15 +2011,11 @@ mod tests {
         assert_eq!(fired, u64::from(rounds));
         assert_eq!(node.events.rto_fired, fired);
         assert_eq!(node.events.reassembly, [u64::from(rounds), 0, 0]);
-        let ops = node.drain_events();
-        assert!(matches!(
-            ops[..],
-            [
-                HarvestOp::RtoFired { total, delta },
-                HarvestOp::Count { name: "reassembled_datagrams", delta: rebuilt },
-            ] if total == fired && delta == fired && rebuilt == u64::from(rounds)
-        ));
-        assert_eq!(node.events.rto_fired, 0);
+        let record = node.take_events().expect("something to report");
+        assert_eq!(record.route_version, None, "a host has no routing table");
+        assert_eq!((record.rto_fired, record.rto_total), (fired, fired));
+        assert_eq!(record.reassembly, [u64::from(rounds), 0, 0]);
+        assert!(node.take_events().is_none(), "taking the record empties it");
     }
 
     #[test]
@@ -2023,15 +2040,17 @@ mod tests {
         }
         let limit = crate::events::INCIDENT_LIMIT;
         assert_eq!(node.events.incidents.len(), limit);
-        let ops = node.drain_events();
-        assert_eq!(ops.len(), 1 + limit);
-        assert!(matches!(
-            ops[0],
-            HarvestOp::NeighborCount { name: "guard_sanitized", delta: 300, .. }
-        ));
+        let mut telemetry = catenet_telemetry::Telemetry::new();
+        let record = node.take_events().expect("verdicts and incidents");
+        record.apply(Instant::ZERO, 0, &mut telemetry);
+        let scope = catenet_telemetry::Scope::Neighbor { node: 0, addr: neighbor.0 };
+        assert_eq!(telemetry.registry.get("guard_sanitized", scope), 300);
+        assert_eq!(telemetry.registry.len(), 1, "no zero is interned");
+        let rows: Vec<String> = telemetry.recorder.events().map(|e| e.kind.to_string()).collect();
+        assert_eq!(rows.len(), limit);
         let oldest_kept = messages - limit;
         let expected = format!("sanitized {neighbor}: {} dropped, 0 clamped", 1 + oldest_kept % 7);
-        assert!(matches!(&ops[1], HarvestOp::Incident { detail } if *detail == expected));
+        assert_eq!(rows[0], format!("guard: node0 {expected}"));
     }
 
     #[test]

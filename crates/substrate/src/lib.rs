@@ -8,16 +8,16 @@
 //! the architecture/realization split was asserted but never
 //! demonstrated. This crate makes the split load-bearing:
 //!
-//! - [`Substrate`] is the seam. It exposes exactly what a driver needs
-//!   — a clock, a way to advance it, and access to the nodes (whose
-//!   [`Node`] state machines carry ARP, IP forwarding, DV routing and
-//!   TCP *unchanged* across realizations).
-//! - The **simulator** ([`catenet_core::Network`]) implements the
-//!   trait by pure delegation. It keeps virtual time, seeded RNGs, and
-//!   byte-for-byte determinism — it remains the CI arm, and nothing in
-//!   its execution path changed to sit behind the trait (the E11–E17
-//!   dump bytes are pinned by `tests/sim_golden_digests.rs`).
-//! - The **real-I/O** backend ([`real::RealSubstrate`]) realizes links
+//! - [`Node`] is what the realizations share. Its state machines carry
+//!   ARP, IP forwarding, DV routing and TCP *unchanged* across
+//!   realizations; each realization drives it with its own clock and
+//!   its own links.
+//! - The **simulator** ([`catenet_core::Network`]) keeps virtual time,
+//!   seeded RNGs, and byte-for-byte determinism — it remains the CI arm
+//!   (the E11–E17 dump bytes are pinned by
+//!   `tests/sim_golden_digests.rs`).
+//! - The **real-I/O** backend ([`real::RealSubstrate`], driven through
+//!   the [`Substrate`] trait) realizes links
 //!   as UDP tunnels between OS sockets — one socket pair per link,
 //!   frames carried verbatim in UDP payloads, as many to a datagram as
 //!   one pass of the event loop has for the link — and replaces virtual
@@ -55,17 +55,17 @@ pub mod repl;
 pub mod tunnel;
 
 use catenet_core::app::Application;
-use catenet_core::{Network, Node};
+use catenet_core::Node;
 use catenet_sim::{Duration, Instant};
 
-/// A realization of the catenet architecture: something that owns
+/// A real-I/O realization as a driver sees it: something that owns
 /// nodes, a clock, and a way of moving frames between nodes.
+/// [`real::RealSubstrate`] implements it.
 ///
 /// The architecture lives entirely inside [`Node`] (ARP, IP, DV
 /// routing, TCP, sockets, applications); a substrate decides what an
-/// instant means (virtual vs. wall time) and what a link is (a
-/// simulated queue vs. a UDP socket pair vs. — via the documented
-/// seam — a TUN device).
+/// instant means and what a link is (a UDP socket pair, or — via the
+/// documented seam — a TUN device).
 pub trait Substrate {
     /// The current instant on this substrate's clock.
     fn now(&self) -> Instant;
@@ -95,81 +95,4 @@ pub trait Substrate {
     /// Force a service pass on node `index` at the next opportunity
     /// (e.g. after feeding a socket by hand).
     fn kick(&mut self, index: usize);
-}
-
-/// The deterministic simulator is the reference realization: the trait
-/// is implemented by pure delegation, so putting the simulator behind
-/// it cannot perturb a single scheduled event. (`NodeId` is `usize`,
-/// so trait indices are node ids verbatim.)
-impl Substrate for Network {
-    fn now(&self) -> Instant {
-        Network::now(self)
-    }
-
-    fn run_until(&mut self, deadline: Instant) {
-        Network::run_until(self, deadline);
-    }
-
-    fn node_count(&self) -> usize {
-        Network::node_count(self)
-    }
-
-    fn node(&self, index: usize) -> &Node {
-        Network::node(self, index)
-    }
-
-    fn node_mut(&mut self, index: usize) -> &mut Node {
-        Network::node_mut(self, index)
-    }
-
-    fn attach_app(&mut self, index: usize, app: Box<dyn Application>) {
-        Network::attach_app(self, index, app);
-    }
-
-    fn kick(&mut self, index: usize) {
-        Network::kick(self, index);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use catenet_core::app::{BulkSender, SinkServer};
-    use catenet_core::{shared, Endpoint, StreamIntegrity, TcpConfig};
-    use catenet_sim::LinkClass;
-    use std::sync::Arc;
-
-    /// A transfer driven purely through the trait object completes —
-    /// i.e. the simulator is reachable as `dyn Substrate`, not just as
-    /// a concrete `Network`.
-    #[test]
-    fn sim_backend_runs_behind_the_trait() {
-        let mut net = Network::new(7);
-        let h1 = net.add_host("h1");
-        let g = net.add_gateway("g");
-        let h2 = net.add_host("h2");
-        net.connect(h1, g, LinkClass::T1Terrestrial);
-        net.connect(g, h2, LinkClass::T1Terrestrial);
-        let dst = Substrate::node(&net, h2).primary_addr();
-
-        let checker = shared(StreamIntegrity::new());
-        let sub: &mut dyn Substrate = &mut net;
-        let sink = SinkServer::new(80, TcpConfig::default()).with_integrity(Arc::clone(&checker));
-        sub.attach_app(h2, Box::new(sink));
-        let sender = BulkSender::new(
-            Endpoint::new(dst, 80),
-            30_000,
-            TcpConfig::default(),
-            Instant::from_millis(10),
-        )
-        .with_integrity(Arc::clone(&checker));
-        let result = sender.result_handle();
-        sub.attach_app(h1, Box::new(sender));
-
-        sub.run_for(Duration::from_secs(60));
-        assert!(result.lock().unwrap().completed_at.is_some());
-        let checker = checker.lock().unwrap();
-        assert!(checker.is_complete());
-        assert_eq!(checker.delivered_len(), 30_000);
-    }
 }

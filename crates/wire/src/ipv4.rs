@@ -276,8 +276,9 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// the single 16-bit word that changed (`TTL | protocol`) instead of
     /// re-summing the whole header — O(1) per hop. For a header whose
     /// stored checksum verifies, the result is bit-identical to
-    /// [`fill_checksum`] (`tests/ttl_incremental.rs` proves this over
-    /// random headers); an already-expired TTL is left untouched.
+    /// [`fill_checksum`](Self::fill_checksum) (`tests/ttl_incremental.rs`
+    /// proves this over random headers); an already-expired TTL is left
+    /// untouched.
     pub fn decrement_hop_limit(&mut self) -> u8 {
         let ttl = self.hop_limit();
         if ttl == 0 {

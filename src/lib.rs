@@ -13,7 +13,7 @@
 //! - [`tcp`] — the TCP state machine with 1988-era congestion control
 //! - [`routing`] — distance-vector routing with multi-AS policy
 //! - [`telemetry`] — metrics registry, time-series sampler, flight recorder
-//! - [`stack`] — hosts, stateless gateways, sockets, realizations, baselines
+//! - [`stack`] — hosts, stateless gateways, sockets, the simulated internetwork, baselines
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! per-claim experiment index.

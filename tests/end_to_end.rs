@@ -5,6 +5,7 @@ use catenet::sim::{Duration, LinkClass, LinkParams};
 use catenet::stack::app::{BulkSender, SinkServer, UdpEchoServer};
 use catenet::stack::iface::Framing;
 use catenet::stack::{Endpoint, Network, TcpConfig};
+use catenet::telemetry::Scope;
 use std::sync::Arc;
 
 /// h1 — g1 — g2 — h2 over the given trunk classes.
@@ -99,6 +100,51 @@ fn host_crash_kills_its_own_conversations_only() {
     );
     let mut buf = [0u8; 8];
     assert!(net.node_mut(h1).tcp_sockets[handle].recv_slice(&mut buf).is_err());
+}
+
+#[test]
+fn goodput_rows_keep_what_a_rebooted_host_had_acknowledged() {
+    // A goodput row is the bytes a host's peers acknowledged over one
+    // sample window: at the default 500 ms cadence, exactly 16 × those
+    // bytes in bits/s. So the rows add up to every acknowledged byte —
+    // also when the host crashes mid-window, and its sockets (and their
+    // counters) die with it, and a new connection starts from zero.
+    let mut net = Network::new(101);
+    let h1 = net.add_host("h1");
+    let g = net.add_gateway("g");
+    let h2 = net.add_host("h2");
+    net.connect(h1, g, LinkClass::EthernetLan);
+    net.connect(g, h2, LinkClass::EthernetLan);
+    net.converge_routing(Duration::from_secs(60));
+    let dst = Endpoint::new(net.node(h2).primary_addr(), 80);
+    let config = TcpConfig::default();
+    net.attach_app(h2, Box::new(SinkServer::new(80, config.clone())));
+    let start = net.now();
+    net.attach_app(h1, Box::new(BulkSender::new(dst, 4_000_000, config.clone(), start)));
+    // 250 ms into a sample window, mid-transfer.
+    net.run_for(Duration::from_millis(2_250));
+    let before_crash = net.node(h1).tcp_sockets[0].stats.bytes_acked;
+    assert!(before_crash > 0 && before_crash < 4_000_000, "{before_crash}");
+    net.crash_node(h1);
+    net.restart_node(h1);
+    // A fresh listener on the server and a fresh connection from the
+    // rebooted host.
+    net.attach_app(h2, Box::new(SinkServer::new(80, config.clone())));
+    let start = net.now() + Duration::from_millis(100);
+    let sender = BulkSender::new(dst, 20_000, config, start);
+    let result = sender.result_handle();
+    net.attach_app(h1, Box::new(sender));
+    net.run_for(Duration::from_secs(10));
+    assert!(result.lock().unwrap().completed_at.is_some(), "second transfer done");
+    let acknowledged = before_crash + net.node(h1).tcp_sockets[0].stats.bytes_acked;
+    let rows: u64 = net
+        .telemetry()
+        .sampler
+        .series("goodput_bps")
+        .filter(|row| row.scope == Scope::Node(h1))
+        .map(|row| row.value)
+        .sum();
+    assert_eq!(rows, 16 * acknowledged, "goodput rows / 16 = bytes acknowledged");
 }
 
 #[test]

@@ -117,17 +117,20 @@ fn ttl_exhaustion_in_a_long_chain_reports_time_exceeded() {
         )),
         "time exceeded reported: {events:?}"
     );
-    // With enough TTL the same probe succeeds.
+    // With enough TTL the same probe succeeds, and its round trip pays
+    // for every hop: two crossings of five 30 ms T1 trunks.
     net.node_mut(h1).default_ttl = 64;
-    let now = net.now();
-    net.node_mut(h1).send_ping(dst, 3, 2, 16, now);
+    let sent = net.now();
+    net.node_mut(h1).send_ping(dst, 3, 2, 16, sent);
     net.kick(h1);
     net.run_for(Duration::from_secs(3));
-    assert!(net
-        .node_mut(h1)
-        .take_icmp_events()
+    let events = net.node_mut(h1).take_icmp_events();
+    let reply = events
         .iter()
-        .any(|e| matches!(e.message, Icmpv4Message::EchoReply { .. })));
+        .find(|e| matches!(e.message, Icmpv4Message::EchoReply { .. }))
+        .expect("echo reply");
+    let rtt = reply.at.duration_since(sent);
+    assert!(rtt >= Duration::from_millis(300), "RTT {rtt}");
 }
 
 #[test]
