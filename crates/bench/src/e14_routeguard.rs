@@ -327,7 +327,7 @@ fn walk(net: &Network, src: NodeId, dst_host: NodeId) -> PairOutcome {
         if node.owns_addr(dst) {
             return PairOutcome::Delivered;
         }
-        if node.blackhole_prefixes.iter().any(|p| p.contains(dst)) {
+        if node.eats(dst) {
             return PairOutcome::Eaten;
         }
         let Some((_iface, via)) = node.route(dst) else {

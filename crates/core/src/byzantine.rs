@@ -1,174 +1,140 @@
-//! Byzantine corruption of a compromised gateway's outgoing routing
-//! announcements.
+//! A compromised gateway: both halves of a byzantine fault.
 //!
-//! A [`catenet_sim::FaultAction::Compromise`] marks a node as lying on the
-//! control plane. The network applies the lie at the last possible moment
-//! — in `Network::transmit`, after the node has honestly computed its
-//! advertisement — by rewriting the RIP payload of outgoing frames. The
-//! node itself is unmodified: its table, its split-horizon policy and its
-//! timers all still tell the truth internally, which is exactly what makes
-//! byzantine faults nastier than crashes (the liar keeps participating).
+//! A [`catenet_sim::FaultAction::Compromise`] hands a node a
+//! [`Compromise`]. The lie is told at the routing layer's own interface:
+//! `Node::service_dv` computes its advertisement honestly, pages it, and
+//! passes every page through [`Compromise::lie`] before encoding it. The
+//! node's table, its split-horizon policy and its timers all still tell
+//! the truth internally, which is exactly what makes byzantine faults
+//! nastier than crashes (the liar keeps participating). The forwarding
+//! half, [`Compromise::eats`], silently drops the transit the lie
+//! attracts.
 //!
-//! Only well-formed RIP-over-UDP frames are touched; data traffic, ARP and
-//! everything else passes through byte-identical. The rewrite preserves
-//! the original IP identification, TTL and ToS so the corruption is
-//! invisible below the routing layer, and refills both checksums so
-//! receivers cannot detect it by accident — detection has to come from the
+//! Nothing else the node sends or forwards is touched, and the page is
+//! encoded and checksummed once, like any honest one, so receivers
+//! cannot detect the lie by accident — detection has to come from the
 //! route guard (or not at all, which is the point E14 prices).
 
 use catenet_routing::message::MAX_ENTRIES;
-use catenet_routing::{Attestation, OriginId, RipEntry, RipMessage, INFINITY_METRIC, RIP_PORT};
+use catenet_routing::{Attestation, OriginId, RipEntry, RipMessage, INFINITY_METRIC};
 use catenet_sim::ByzantineAttack;
-use catenet_wire::{
-    EtherType, EthernetFrame, EthernetRepr, IpProtocol, Ipv4Address, Ipv4Cidr, Ipv4Packet,
-    Ipv4Repr, UdpPacket, UdpRepr,
-};
+use catenet_wire::{Ipv4Address, Ipv4Cidr};
 use std::collections::BTreeMap;
 
-use crate::iface::Framing;
-
-/// Per-compromised-node corruption state.
-#[derive(Debug, Clone)]
-pub(crate) struct ByzantineState {
+/// What a compromised node keeps: the lie it tells and the prefix it
+/// eats. A crash does not clear it; only a rehabilitation does.
+#[derive(Debug)]
+pub(crate) struct Compromise {
     /// The lie this node tells.
-    pub(crate) attack: ByzantineAttack,
-    /// Outgoing RIP messages seen per interface (drives flap alternation).
+    attack: ByzantineAttack,
+    /// The victim of a traffic-attraction attack, whose transit the
+    /// node eats.
+    victim: Option<Ipv4Cidr>,
+    /// Pages sent per interface (drives flap alternation).
     sends: BTreeMap<usize, u64>,
-    /// First RIP payload seen per interface, replayed verbatim thereafter.
-    snapshots: BTreeMap<usize, Vec<u8>>,
-    /// RIP messages actually rewritten (for the flight recorder).
-    pub(crate) corrupted: u64,
+    /// First page sent per interface, replayed verbatim thereafter.
+    snapshots: BTreeMap<usize, RipMessage>,
 }
 
-impl ByzantineState {
-    pub(crate) fn new(attack: ByzantineAttack) -> ByzantineState {
-        ByzantineState {
+impl Compromise {
+    pub(crate) fn new(attack: ByzantineAttack) -> Compromise {
+        use ByzantineAttack::*;
+        let victim = match attack {
+            BlackholeVictim { addr, prefix_len }
+            | HijackPrefix { addr, prefix_len }
+            | HijackAttested { addr, prefix_len }
+            | SpoofOrigin { addr, prefix_len } => {
+                Some(Ipv4Cidr::new(Ipv4Address::from_bytes(&addr), prefix_len).network())
+            }
+            BogusOrigins { .. } | ReplayStale | FlapAdverts => None,
+        };
+        Compromise {
             attack,
+            victim,
             sends: BTreeMap::new(),
             snapshots: BTreeMap::new(),
-            corrupted: 0,
         }
     }
 
-    /// Rewrite an outgoing frame if it carries a RIP advertisement.
-    ///
-    /// Returns the replacement frame, or `None` when the frame is left
-    /// alone (not RIP, or the attack chooses truth this round — flapping
-    /// alternates, replay lets the first advert through to snapshot it).
-    pub(crate) fn corrupt_frame(
-        &mut self,
-        iface: usize,
-        framing: Framing,
-        frame: &[u8],
-    ) -> Option<Vec<u8>> {
-        let (eth, ip_bytes): (Option<EthernetRepr>, &[u8]) = match framing {
-            Framing::Ethernet => {
-                let eth_frame = EthernetFrame::new_checked(frame).ok()?;
-                if eth_frame.ethertype() != EtherType::Ipv4 {
-                    return None;
-                }
-                let repr = EthernetRepr {
-                    src_addr: eth_frame.src_addr(),
-                    dst_addr: eth_frame.dst_addr(),
-                    ethertype: EtherType::Ipv4,
-                };
-                (Some(repr), &frame[catenet_wire::ethernet::HEADER_LEN..])
-            }
-            Framing::RawIp => (None, frame),
-        };
-        let ip = Ipv4Packet::new_checked(ip_bytes).ok()?;
-        if ip.protocol() != IpProtocol::Udp || ip.is_fragment() {
-            return None;
-        }
-        let (src, dst) = (ip.src_addr(), ip.dst_addr());
-        let (ident, hop_limit, tos) = (ip.ident(), ip.hop_limit(), ip.tos());
-        let udp = UdpPacket::new_checked(ip.payload()).ok()?;
-        if udp.dst_port() != RIP_PORT {
-            return None;
-        }
-        let (src_port, dst_port) = (udp.src_port(), udp.dst_port());
-        let mut message = RipMessage::decode(udp.payload()).ok()?;
+    /// Whether the node silently drops transit for `dst`: the lie needs
+    /// teeth, so every traffic-attraction attack eats what it captures.
+    pub(crate) fn eats(&self, dst: Ipv4Address) -> bool {
+        self.victim.is_some_and(|victim| victim.contains(dst))
+    }
 
-        let send_index = *self.sends.entry(iface).or_insert(0);
-        *self.sends.get_mut(&iface).unwrap() += 1;
-
-        match self.attack {
-            ByzantineAttack::BogusOrigins { count } => {
+    /// Turn one honest advertisement page for `iface` into the lie. Some
+    /// rounds stay true: flapping alternates, replay lets the first page
+    /// through to snapshot it, and an attested hijack with no proof to
+    /// relay has nothing to shorten.
+    pub(crate) fn lie(&mut self, iface: usize, page: &mut RipMessage) {
+        let sends = self.sends.entry(iface).or_insert(0);
+        let send_index = *sends;
+        *sends += 1;
+        match (self.attack, self.victim) {
+            (ByzantineAttack::BogusOrigins { count }, _) => {
                 // Claim direct attachment to prefixes nobody owns
                 // (198.18.0.0/15 is benchmarking space — guaranteed
                 // absent from any honest table here).
                 for j in 0..count {
                     push_capped(
-                        &mut message.entries,
+                        &mut page.entries,
                         RipEntry::new(Ipv4Cidr::new(Ipv4Address::new(198, 18, j, 0), 24), 1),
                     );
                 }
             }
-            ByzantineAttack::BlackholeVictim { addr, prefix_len } => {
+            (ByzantineAttack::ReplayStale, _) => match self.snapshots.get(&iface) {
+                Some(stale) => page.clone_from(stale),
+                // The first page goes out truthfully and becomes the
+                // stale state replayed forever after.
+                None => {
+                    self.snapshots.insert(iface, page.clone());
+                }
+            },
+            (ByzantineAttack::FlapAdverts, _) => {
+                // Even rounds tell the truth.
+                if !send_index.is_multiple_of(2) {
+                    for entry in &mut page.entries {
+                        entry.metric = INFINITY_METRIC;
+                    }
+                }
+            }
+            (ByzantineAttack::BlackholeVictim { .. }, Some(victim)) => {
                 // Advertise metric 0 for the victim: one better than any
                 // honest connected route, so every neighbor prefers the
-                // liar. The liar's forwarding path then eats the traffic.
-                let victim = Ipv4Cidr::new(Ipv4Address::from_bytes(&addr), prefix_len).network();
-                message.entries.retain(|entry| entry.prefix != victim);
-                push_capped(&mut message.entries, RipEntry::new(victim, 0));
+                // liar, whose forwarding path then eats the traffic.
+                page.entries.retain(|entry| entry.prefix != victim);
+                push_capped(&mut page.entries, RipEntry::new(victim, 0));
             }
-            ByzantineAttack::ReplayStale => {
-                match self.snapshots.get(&iface) {
-                    Some(stale) => {
-                        message = RipMessage::decode(stale)
-                            .expect("snapshot was decoded once already");
-                    }
-                    None => {
-                        // The first advertisement goes out truthfully and
-                        // becomes the stale state replayed forever after.
-                        self.snapshots.insert(iface, udp.payload().to_vec());
-                        return None;
-                    }
-                }
-            }
-            ByzantineAttack::FlapAdverts => {
-                if send_index.is_multiple_of(2) {
-                    return None; // even rounds tell the truth
-                }
-                for entry in &mut message.entries {
-                    entry.metric = INFINITY_METRIC;
-                }
-            }
-            ByzantineAttack::HijackPrefix { addr, prefix_len } => {
+            (ByzantineAttack::HijackPrefix { .. }, Some(victim)) => {
                 // Claim a one-hop path to the victim but strip the
                 // owner's proof — the liar cannot forge what it never
                 // had. Metric 1 is wire-legal, so guards without
                 // attestation believe it; attestation-armed guards see
                 // a registered prefix with no proof and drop the entry.
-                let victim = Ipv4Cidr::new(Ipv4Address::from_bytes(&addr), prefix_len).network();
-                message.entries.retain(|entry| entry.prefix != victim);
-                push_capped(&mut message.entries, RipEntry::new(victim, 1));
+                page.entries.retain(|entry| entry.prefix != victim);
+                push_capped(&mut page.entries, RipEntry::new(victim, 1));
             }
-            ByzantineAttack::HijackAttested { addr, prefix_len } => {
+            (ByzantineAttack::HijackAttested { .. }, Some(victim)) => {
                 // The designed residual: shorten the metric while
                 // relaying the genuine attestation already in hand.
                 // Proof of origin is not proof of path — the MAC still
                 // verifies, so even attestation-armed guards believe
-                // the shortened claim. Rounds where the liar has no
-                // genuine proof to relay go out honestly.
-                let victim = Ipv4Cidr::new(Ipv4Address::from_bytes(&addr), prefix_len).network();
-                let lie = message
+                // the shortened claim.
+                if let Some(entry) = page
                     .entries
                     .iter_mut()
-                    .find(|entry| entry.prefix == victim && entry.attestation.is_some());
-                match lie {
-                    Some(entry) => entry.metric = 1,
-                    None => return None,
+                    .find(|entry| entry.prefix == victim && entry.attestation.is_some())
+                {
+                    entry.metric = 1;
                 }
             }
-            ByzantineAttack::SpoofOrigin { addr, prefix_len } => {
+            (ByzantineAttack::SpoofOrigin { .. }, Some(victim)) => {
                 // Impersonate the owner outright: fabricate an
                 // attestation under the owner's identity (and a serial
                 // one ahead, to look fresh) without the owner's key.
                 // The MAC cannot verify; only guards that skip
                 // verification are fooled.
-                let victim = Ipv4Cidr::new(Ipv4Address::from_bytes(&addr), prefix_len).network();
-                let forged = match message
+                let forged = match page
                     .entries
                     .iter()
                     .find_map(|entry| (entry.prefix == victim).then_some(entry.attestation))
@@ -185,47 +151,10 @@ impl ByzantineState {
                         tag: 0xDEAD_BEEF_DEAD_BEEF,
                     },
                 };
-                message.entries.retain(|entry| entry.prefix != victim);
-                push_capped(&mut message.entries, RipEntry::attested(victim, 1, forged));
+                page.entries.retain(|entry| entry.prefix != victim);
+                push_capped(&mut page.entries, RipEntry::attested(victim, 1, forged));
             }
-        }
-        self.corrupted += 1;
-
-        let rip_payload = message.encode();
-        let udp_repr = UdpRepr {
-            src_port,
-            dst_port,
-            payload_len: rip_payload.len(),
-        };
-        let mut udp_buf = vec![0u8; udp_repr.buffer_len()];
-        {
-            let mut udp_out = UdpPacket::new_unchecked(&mut udp_buf[..]);
-            udp_repr.emit(&mut udp_out);
-            udp_out.payload_mut().copy_from_slice(&rip_payload);
-            udp_out.fill_checksum(src, dst);
-        }
-        let datagram = catenet_ip::build_ipv4(
-            &Ipv4Repr {
-                src_addr: src,
-                dst_addr: dst,
-                protocol: IpProtocol::Udp,
-                payload_len: udp_buf.len(),
-                hop_limit,
-                tos,
-            },
-            ident,
-            false,
-            &udp_buf,
-        );
-        match eth {
-            Some(repr) => {
-                let mut out = vec![0u8; repr.buffer_len() + datagram.len()];
-                let mut frame_out = EthernetFrame::new_unchecked(&mut out[..]);
-                repr.emit(&mut frame_out);
-                frame_out.payload_mut().copy_from_slice(&datagram);
-                Some(out)
-            }
-            None => Some(datagram),
+            (_, None) => unreachable!("every targeted attack names its victim"),
         }
     }
 }
@@ -243,50 +172,6 @@ fn push_capped(entries: &mut Vec<RipEntry>, entry: RipEntry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catenet_wire::Tos;
-
-    const SRC: Ipv4Address = Ipv4Address::new(10, 0, 0, 1);
-    const DST: Ipv4Address = Ipv4Address::new(10, 0, 0, 2);
-
-    fn rip_frame(entries: Vec<RipEntry>) -> Vec<u8> {
-        let payload = RipMessage { entries }.encode();
-        let udp_repr = UdpRepr {
-            src_port: RIP_PORT,
-            dst_port: RIP_PORT,
-            payload_len: payload.len(),
-        };
-        let mut udp_buf = vec![0u8; udp_repr.buffer_len()];
-        {
-            let mut udp = UdpPacket::new_unchecked(&mut udp_buf[..]);
-            udp_repr.emit(&mut udp);
-            udp.payload_mut().copy_from_slice(&payload);
-            udp.fill_checksum(SRC, DST);
-        }
-        catenet_ip::build_ipv4(
-            &Ipv4Repr {
-                src_addr: SRC,
-                dst_addr: DST,
-                protocol: IpProtocol::Udp,
-                payload_len: udp_buf.len(),
-                hop_limit: 64,
-                tos: Tos::default(),
-            },
-            7,
-            false,
-            &udp_buf,
-        )
-    }
-
-    fn decode_frame(frame: &[u8]) -> RipMessage {
-        let ip = Ipv4Packet::new_checked(frame).unwrap();
-        assert!(ip.verify_checksum(), "rewritten IP checksum must be valid");
-        let udp = UdpPacket::new_checked(ip.payload()).unwrap();
-        assert!(
-            udp.verify_checksum(ip.src_addr(), ip.dst_addr()),
-            "rewritten UDP checksum must be valid"
-        );
-        RipMessage::decode(udp.payload()).unwrap()
-    }
 
     fn honest_entries() -> Vec<RipEntry> {
         vec![
@@ -295,20 +180,24 @@ mod tests {
         ]
     }
 
+    fn page(entries: Vec<RipEntry>) -> RipMessage {
+        RipMessage { entries }
+    }
+
+    /// The page `state` sends on `iface` in place of `honest`.
+    fn told(state: &mut Compromise, iface: usize, honest: &RipMessage) -> RipMessage {
+        let mut out = honest.clone();
+        state.lie(iface, &mut out);
+        out
+    }
+
     #[test]
-    fn blackhole_injects_metric_zero_and_keeps_headers() {
-        let mut state = ByzantineState::new(ByzantineAttack::BlackholeVictim {
+    fn blackhole_injects_metric_zero_and_eats_the_victim() {
+        let mut state = Compromise::new(ByzantineAttack::BlackholeVictim {
             addr: [10, 9, 0, 0],
             prefix_len: 16,
         });
-        let frame = rip_frame(honest_entries());
-        let out = state
-            .corrupt_frame(0, Framing::RawIp, &frame)
-            .expect("RIP frame must be rewritten");
-        let ip = Ipv4Packet::new_checked(&out[..]).unwrap();
-        assert_eq!(ip.ident(), 7, "identification preserved");
-        assert_eq!(ip.hop_limit(), 64, "TTL preserved");
-        let message = decode_frame(&out);
+        let message = told(&mut state, 0, &page(honest_entries()));
         let victim: Ipv4Cidr = "10.9.0.0/16".parse().unwrap();
         let lie = message
             .entries
@@ -317,65 +206,98 @@ mod tests {
             .expect("victim prefix advertised");
         assert_eq!(lie.metric, 0, "metric 0 beats every honest route");
         assert_eq!(message.entries.len(), 3, "honest entries still present");
-        assert_eq!(state.corrupted, 1);
+        assert!(state.eats(Ipv4Address::new(10, 9, 3, 4)));
+        assert!(!state.eats(Ipv4Address::new(10, 1, 3, 4)));
     }
 
     #[test]
     fn flapping_alternates_truth_and_infinity() {
-        let mut state = ByzantineState::new(ByzantineAttack::FlapAdverts);
-        let frame = rip_frame(honest_entries());
-        assert!(
-            state.corrupt_frame(0, Framing::RawIp, &frame).is_none(),
+        let mut state = Compromise::new(ByzantineAttack::FlapAdverts);
+        let honest = page(honest_entries());
+        assert_eq!(
+            told(&mut state, 0, &honest),
+            honest,
             "first send is truthful"
         );
-        let poisoned = state.corrupt_frame(0, Framing::RawIp, &frame).unwrap();
         assert!(
-            decode_frame(&poisoned)
+            told(&mut state, 0, &honest)
                 .entries
                 .iter()
                 .all(|e| e.metric == INFINITY_METRIC),
             "second send withdraws everything"
         );
-        assert!(
-            state.corrupt_frame(0, Framing::RawIp, &frame).is_none(),
+        assert_eq!(
+            told(&mut state, 0, &honest),
+            honest,
             "third send is truthful again"
         );
         // A different interface flaps on its own schedule.
-        assert!(state.corrupt_frame(1, Framing::RawIp, &frame).is_none());
+        assert_eq!(told(&mut state, 1, &honest), honest);
+        assert!(
+            !state.eats(Ipv4Address::new(10, 1, 0, 1)),
+            "flapping eats nothing"
+        );
     }
 
     #[test]
-    fn replay_snapshots_the_first_advert_and_repeats_it() {
-        let mut state = ByzantineState::new(ByzantineAttack::ReplayStale);
-        let first = rip_frame(honest_entries());
-        assert!(
-            state.corrupt_frame(0, Framing::RawIp, &first).is_none(),
-            "first advert passes (and is snapshotted)"
+    fn replay_snapshots_the_first_page_and_repeats_it() {
+        let mut state = Compromise::new(ByzantineAttack::ReplayStale);
+        let first = page(honest_entries());
+        assert_eq!(
+            told(&mut state, 0, &first),
+            first,
+            "first page passes (and is snapshotted)"
         );
         // The node's table has since changed — but the liar replays t=0.
-        let newer = rip_frame(vec![RipEntry::new("10.3.0.0/16".parse().unwrap(), 5)]);
-        let out = state.corrupt_frame(0, Framing::RawIp, &newer).unwrap();
+        let newer = page(vec![RipEntry::new("10.3.0.0/16".parse().unwrap(), 5)]);
         assert_eq!(
-            decode_frame(&out).entries,
-            honest_entries(),
+            told(&mut state, 0, &newer),
+            first,
             "stale state substituted"
         );
+        // Another interface snapshots its own first page.
+        assert_eq!(told(&mut state, 1, &newer), newer);
     }
 
     #[test]
     fn bogus_origins_append_benchmark_space() {
-        let mut state = ByzantineState::new(ByzantineAttack::BogusOrigins { count: 3 });
-        let frame = rip_frame(honest_entries());
-        let out = state.corrupt_frame(0, Framing::RawIp, &frame).unwrap();
-        let message = decode_frame(&out);
+        let mut state = Compromise::new(ByzantineAttack::BogusOrigins { count: 3 });
+        let message = told(&mut state, 0, &page(honest_entries()));
         assert_eq!(message.entries.len(), 5);
         let bogus: Ipv4Cidr = "198.18.2.0/24".parse().unwrap();
-        assert!(message.entries.iter().any(|e| e.prefix == bogus && e.metric == 1));
+        assert!(message
+            .entries
+            .iter()
+            .any(|e| e.prefix == bogus && e.metric == 1));
+        assert!(
+            !state.eats(Ipv4Address::new(198, 18, 2, 1)),
+            "bogus space attracts, eats nothing"
+        );
+    }
+
+    #[test]
+    fn a_full_page_keeps_the_lie_within_the_wire_limit() {
+        let mut state = Compromise::new(ByzantineAttack::BlackholeVictim {
+            addr: [10, 9, 0, 0],
+            prefix_len: 16,
+        });
+        let full = page(
+            (0..MAX_ENTRIES as u8)
+                .map(|i| RipEntry::new(Ipv4Cidr::new(Ipv4Address::new(10, 100, i, 0), 24), 2))
+                .collect(),
+        );
+        let message = told(&mut state, 0, &full);
+        assert_eq!(message.entries.len(), MAX_ENTRIES);
+        assert_eq!(
+            message.entries.last().unwrap().metric,
+            0,
+            "the lie displaces the last entry"
+        );
     }
 
     #[test]
     fn hijack_strips_the_attestation_it_cannot_forge() {
-        let mut state = ByzantineState::new(ByzantineAttack::HijackPrefix {
+        let mut state = Compromise::new(ByzantineAttack::HijackPrefix {
             addr: [10, 2, 0, 0],
             prefix_len: 16,
         });
@@ -384,12 +306,14 @@ mod tests {
             seq: 40,
             tag: 0x1234,
         };
-        let frame = rip_frame(vec![
-            RipEntry::new("10.1.0.0/16".parse().unwrap(), 1),
-            RipEntry::attested("10.2.0.0/16".parse().unwrap(), 4, real),
-        ]);
-        let out = state.corrupt_frame(0, Framing::RawIp, &frame).unwrap();
-        let message = decode_frame(&out);
+        let message = told(
+            &mut state,
+            0,
+            &page(vec![
+                RipEntry::new("10.1.0.0/16".parse().unwrap(), 1),
+                RipEntry::attested("10.2.0.0/16".parse().unwrap(), 4, real),
+            ]),
+        );
         let victim: Ipv4Cidr = "10.2.0.0/16".parse().unwrap();
         let lie = message.entries.iter().find(|e| e.prefix == victim).unwrap();
         assert_eq!(lie.metric, 1, "liar claims a one-hop path");
@@ -399,37 +323,37 @@ mod tests {
             .entries
             .iter()
             .any(|e| e.prefix == "10.1.0.0/16".parse().unwrap() && e.metric == 1));
+        assert!(state.eats(Ipv4Address::new(10, 2, 0, 9)));
     }
 
     #[test]
     fn attested_hijack_keeps_the_genuine_proof() {
-        let mut state = ByzantineState::new(ByzantineAttack::HijackAttested {
+        let mut state = Compromise::new(ByzantineAttack::HijackAttested {
             addr: [10, 2, 0, 0],
             prefix_len: 16,
         });
         // No attestation in hand yet: the round goes out honestly.
-        let bare = rip_frame(vec![RipEntry::new("10.2.0.0/16".parse().unwrap(), 4)]);
-        assert!(state.corrupt_frame(0, Framing::RawIp, &bare).is_none());
+        let bare = page(vec![RipEntry::new("10.2.0.0/16".parse().unwrap(), 4)]);
+        assert_eq!(told(&mut state, 0, &bare), bare);
         // With a relayed proof, only the metric is rewritten.
         let real = Attestation {
             origin: OriginId(2),
             seq: 40,
             tag: 0x1234,
         };
-        let frame = rip_frame(vec![RipEntry::attested(
+        let attested = page(vec![RipEntry::attested(
             "10.2.0.0/16".parse().unwrap(),
             4,
             real,
         )]);
-        let out = state.corrupt_frame(0, Framing::RawIp, &frame).unwrap();
-        let lie = &decode_frame(&out).entries[0];
+        let lie = told(&mut state, 0, &attested).entries[0];
         assert_eq!(lie.metric, 1);
         assert_eq!(lie.attestation, Some(real), "proof relayed unmodified");
     }
 
     #[test]
     fn spoofed_origin_fabricates_a_bad_mac() {
-        let mut state = ByzantineState::new(ByzantineAttack::SpoofOrigin {
+        let mut state = Compromise::new(ByzantineAttack::SpoofOrigin {
             addr: [10, 2, 0, 0],
             prefix_len: 16,
         });
@@ -438,85 +362,20 @@ mod tests {
             seq: 40,
             tag: 0x1234,
         };
-        let frame = rip_frame(vec![RipEntry::attested(
+        let attested = page(vec![RipEntry::attested(
             "10.2.0.0/16".parse().unwrap(),
             4,
             real,
         )]);
-        let out = state.corrupt_frame(0, Framing::RawIp, &frame).unwrap();
-        let lie = &decode_frame(&out).entries[0];
+        let lie = told(&mut state, 0, &attested).entries[0];
         let forged = lie.attestation.expect("a forged proof is attached");
         assert_eq!(lie.metric, 1);
         assert_eq!(forged.origin, real.origin, "owner's identity is claimed");
         assert_eq!(forged.seq, 41, "serial bumped to look fresh");
         assert_ne!(forged.tag, real.tag, "but the tag cannot be right");
         // Without a real attestation to copy, an identity is invented.
-        let bare = rip_frame(vec![RipEntry::new("10.2.0.0/16".parse().unwrap(), 4)]);
-        let out = state.corrupt_frame(0, Framing::RawIp, &bare).unwrap();
-        let forged = decode_frame(&out).entries[0].attestation.unwrap();
+        let bare = page(vec![RipEntry::new("10.2.0.0/16".parse().unwrap(), 4)]);
+        let forged = told(&mut state, 0, &bare).entries[0].attestation.unwrap();
         assert_eq!(forged.origin, OriginId(0xFFFF));
-    }
-
-    #[test]
-    fn non_rip_traffic_passes_untouched() {
-        let mut state = ByzantineState::new(ByzantineAttack::FlapAdverts);
-        // UDP to a non-RIP port.
-        let udp_repr = UdpRepr {
-            src_port: 9999,
-            dst_port: 9999,
-            payload_len: 4,
-        };
-        let mut udp_buf = vec![0u8; udp_repr.buffer_len()];
-        {
-            let mut udp = UdpPacket::new_unchecked(&mut udp_buf[..]);
-            udp_repr.emit(&mut udp);
-            udp.payload_mut().copy_from_slice(b"data");
-            udp.fill_checksum(SRC, DST);
-        }
-        let frame = catenet_ip::build_ipv4(
-            &Ipv4Repr {
-                src_addr: SRC,
-                dst_addr: DST,
-                protocol: IpProtocol::Udp,
-                payload_len: udp_buf.len(),
-                hop_limit: 64,
-                tos: Tos::default(),
-            },
-            1,
-            false,
-            &udp_buf,
-        );
-        assert!(state.corrupt_frame(0, Framing::RawIp, &frame).is_none());
-        // Garbage is not a frame at all.
-        assert!(state.corrupt_frame(0, Framing::RawIp, &[0u8; 3]).is_none());
-        assert_eq!(state.corrupted, 0);
-    }
-
-    #[test]
-    fn ethernet_framing_is_round_tripped() {
-        let mut state = ByzantineState::new(ByzantineAttack::BlackholeVictim {
-            addr: [10, 9, 0, 0],
-            prefix_len: 16,
-        });
-        let datagram = rip_frame(honest_entries());
-        let repr = EthernetRepr {
-            src_addr: catenet_wire::EthernetAddress::new(2, 0, 0, 0, 0, 1),
-            dst_addr: catenet_wire::EthernetAddress::new(2, 0, 0, 0, 0, 2),
-            ethertype: EtherType::Ipv4,
-        };
-        let mut framed = vec![0u8; repr.buffer_len() + datagram.len()];
-        {
-            let mut frame = EthernetFrame::new_unchecked(&mut framed[..]);
-            repr.emit(&mut frame);
-            frame.payload_mut().copy_from_slice(&datagram);
-        }
-        let out = state
-            .corrupt_frame(0, Framing::Ethernet, &framed)
-            .expect("ethernet RIP frame rewritten");
-        let eth = EthernetFrame::new_checked(&out[..]).unwrap();
-        assert_eq!(eth.src_addr(), repr.src_addr, "MAC header preserved");
-        assert_eq!(eth.dst_addr(), repr.dst_addr);
-        let message = decode_frame(eth.payload());
-        assert!(message.entries.iter().any(|e| e.metric == 0));
     }
 }

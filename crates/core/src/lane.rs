@@ -45,7 +45,6 @@
 //! what makes it shard-count-independent.
 
 use crate::app::Application;
-use crate::byzantine::ByzantineState;
 use crate::events::EventRecord;
 use crate::node::Node;
 use crate::pool::{PacketBuf, PacketPool};
@@ -167,7 +166,9 @@ pub(crate) struct HarvestEntry {
 }
 
 /// One node and everything the loop keeps about it, side by side: a
-/// service pass walks one slot, a split moves a node whole.
+/// service pass walks one slot, a split moves a node whole. What the
+/// node is (honest or compromised included) lives in the [`Node`]; a
+/// slot holds only what driving it takes.
 pub(crate) struct NodeSlot {
     /// Private to this module: the coordinator reaches it through
     /// [`NodeSlot::node`] / [`NodeSlot::node_mut`], so it cannot change
@@ -181,10 +182,6 @@ pub(crate) struct NodeSlot {
     /// Service passes executed (each pass may handle a whole batch of
     /// same-instant events; see `Network::run_until`).
     pub service_count: u64,
-    /// Byzantine corruption state (see `FaultAction::Compromise`): the
-    /// liar's outgoing RIP frames are rewritten in [`Lane::transmit`],
-    /// after the node honestly computed them.
-    pub byz: Option<ByzantineState>,
     /// The node's `tcp_bytes_acked` at the previous sample (goodput
     /// rows).
     pub sampled_acked: u64,
@@ -201,7 +198,6 @@ impl NodeSlot {
             next_wake: None,
             event_seq: 0,
             service_count: 0,
-            byz: None,
             sampled_acked: 0,
             endpoints: Vec::new(),
         }
@@ -459,15 +455,6 @@ impl Lane {
             self.unconnected_drops += 1;
             return;
         };
-        // A compromised node lies on the wire, not in its own state:
-        // the rewrite happens here so the tap (and the receiver) see
-        // exactly what a byzantine gateway would have emitted.
-        if let Some(state) = slot.byz.as_mut() {
-            let framing = slot.node.ifaces[iface].framing;
-            if let Some(corrupted) = state.corrupt_frame(iface, framing, &frame) {
-                frame = self.pool.adopt(PacketBuf::from_vec(corrupted));
-            }
-        }
         if let Some(tap) = tap {
             tap(now, &frame);
         }

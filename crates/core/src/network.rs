@@ -25,7 +25,6 @@
 //! path (pooled, headers prepended in place).
 
 use crate::app::Application;
-use crate::byzantine::ByzantineState;
 use crate::events::count;
 use crate::iface::{Framing, Iface};
 use crate::lane::{
@@ -40,8 +39,8 @@ use catenet_accounting::report::{Reconciliation, ReportCollector};
 use catenet_accounting::table::FlowTable;
 use catenet_routing::{Attestor, GuardPolicy, MacKey, OriginId, OriginRegistry};
 use catenet_sim::{
-    ByzantineAttack, Duration, FaultAction, FaultPlan, Instant, Link, LinkClass, LinkParams,
-    SchedStats, Scheduler, ShardKind, ShardStats, TraceOp,
+    Duration, FaultAction, FaultPlan, Instant, Link, LinkClass, LinkParams, SchedStats, Scheduler,
+    ShardKind, ShardStats, TraceOp,
 };
 use catenet_telemetry::{EventKind, Scope, Telemetry};
 use catenet_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
@@ -779,26 +778,12 @@ impl Network {
                 }
             }
             FaultAction::Compromise { node, attack } => {
-                if *node < self.node_count() && self.lanes.slot(*node).byz.is_none() {
-                    self.lanes.slot_mut(*node).byz = Some(ByzantineState::new(*attack));
-                    // The lie needs teeth: for every traffic-attraction
-                    // attack the liar's forwarding path silently eats
-                    // what it captures.
-                    if let ByzantineAttack::BlackholeVictim { addr, prefix_len }
-                    | ByzantineAttack::HijackPrefix { addr, prefix_len }
-                    | ByzantineAttack::HijackAttested { addr, prefix_len }
-                    | ByzantineAttack::SpoofOrigin { addr, prefix_len } = attack
-                    {
-                        self.node_mut(*node).blackhole_prefixes.push(
-                            Ipv4Cidr::new(Ipv4Address::from_bytes(addr), *prefix_len).network(),
-                        );
-                    }
+                if *node < self.node_count() && self.node_mut(*node).compromise(*attack) {
                     self.telemetry.convergence.disruption(now);
                 }
             }
             FaultAction::Rehabilitate { node } => {
-                if *node < self.node_count() && self.lanes.slot_mut(*node).byz.take().is_some() {
-                    self.node_mut(*node).blackhole_prefixes.clear();
+                if *node < self.node_count() && self.node_mut(*node).rehabilitate() {
                     self.telemetry.convergence.heal(now);
                 }
             }
@@ -1458,6 +1443,7 @@ impl core::fmt::Debug for Network {
 mod tests {
     use super::*;
     use crate::lane::Keyed;
+    use catenet_sim::ByzantineAttack;
     use catenet_wire::Icmpv4Message;
     use std::rc::Rc;
 
@@ -2167,6 +2153,55 @@ mod tests {
             metrics.contains("guard_sanitized"),
             "verdict counters harvested into the registry:\n{metrics}"
         );
+    }
+
+    /// A liar lies in what it writes, not in what it carries: a
+    /// RIP-shaped datagram h1 sends to h2's port 520 crosses the
+    /// compromised gateway byte for byte.
+    #[test]
+    fn a_liar_forwards_what_it_did_not_write_unchanged() {
+        use catenet_routing::{RipEntry, RipMessage, RIP_PORT};
+        use catenet_wire::{IpProtocol, Ipv4Packet, UdpPacket};
+        let (mut net, h1, g, h2) = small_net();
+        net.apply_fault(&FaultAction::Compromise {
+            node: g,
+            attack: ByzantineAttack::BlackholeVictim {
+                addr: [10, 200, 0, 0],
+                prefix_len: 16,
+            },
+        });
+        let sent = RipMessage {
+            entries: vec![RipEntry::new("10.1.0.0/16".parse().unwrap(), 3)],
+        }
+        .encode();
+        let carried = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = Rc::clone(&carried);
+        net.set_tap(Box::new(move |_, frame| {
+            let Ok(ip) = Ipv4Packet::new_checked(frame) else {
+                return;
+            };
+            if ip.protocol() != IpProtocol::Udp {
+                return;
+            }
+            let Ok(udp) = UdpPacket::new_checked(ip.payload()) else {
+                return;
+            };
+            if udp.src_port() == 4000 && udp.dst_port() == RIP_PORT {
+                log.borrow_mut().push((ip.hop_limit(), udp.payload().to_vec()));
+            }
+        }));
+        let to = crate::Endpoint::new(net.node(h2).primary_addr(), RIP_PORT);
+        let socket = net.node_mut(h1).udp_bind(4000);
+        net.node_mut(h1).udp_sockets[socket].send_to(to, &sent);
+        net.kick(h1);
+        net.run_for(Duration::from_secs(1));
+
+        let carried = carried.borrow();
+        let hops: Vec<u8> = carried.iter().map(|(ttl, _)| *ttl).collect();
+        assert_eq!(hops, [64, 63], "h1's hop, then g's");
+        for (_, payload) in carried.iter() {
+            assert_eq!(payload, &sent, "the liar rewrote a datagram it forwarded");
+        }
     }
 
     /// Same five-gateway ring as [`blackhole_ring`], but the liar runs a

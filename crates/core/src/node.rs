@@ -15,6 +15,7 @@
 //!   lost only when the entity that cared about it is gone too.
 
 use crate::arp::{ArpCache, Resolution};
+use crate::byzantine::Compromise;
 use crate::events::{grew, EventRecord};
 use crate::iface::{Framing, Iface};
 use crate::pool::{PacketBuf, PacketPool, HEADROOM};
@@ -24,12 +25,12 @@ use catenet_accounting::ledger::Ledger;
 use catenet_accounting::table::FlowTable;
 use catenet_ip::{fragment_with, icmp, FragError, Reassembler, RoutingTable};
 use catenet_routing::{DvEngine, ExportPolicy, RipMessage, RIP_PORT};
-use catenet_sim::{Duration, Instant};
+use catenet_sim::{ByzantineAttack, Duration, Instant};
 use catenet_tcp::{Endpoint, Socket as TcpSocket, SocketConfig as TcpConfig, State as TcpState};
 use catenet_wire::{
     ethernet, icmpv4, ipv4, ArpOperation, ArpPacket, ArpRepr, DstUnreachable, EtherType,
     EthernetAddress, EthernetFrame, EthernetRepr, Icmpv4Message, Icmpv4Packet, Icmpv4Repr,
-    IpProtocol, Ipv4Address, Ipv4Cidr, Ipv4Packet, Ipv4Repr, TcpControl, TcpPacket, TcpRepr,
+    IpProtocol, Ipv4Address, Ipv4Packet, Ipv4Repr, TcpControl, TcpPacket, TcpRepr,
     TcpSeqNumber, TimeExceeded, Tos, UdpPacket, UdpRepr, UDP_HEADER_LEN,
 };
 use std::collections::{HashMap, VecDeque};
@@ -203,10 +204,9 @@ pub struct Node {
     pub source_quench_enabled: bool,
     /// Rate limiter: last quench emission time.
     last_quench: Instant,
-    /// Prefixes whose transit traffic this node silently eats — set by
-    /// the fault driver while the node is compromised with a black-hole
-    /// attack (the lie attracts the traffic; this makes the lie lethal).
-    pub blackhole_prefixes: Vec<Ipv4Cidr>,
+    /// The lie this node tells and the prefix it eats while compromised
+    /// (see [`Node::compromise`]). Boxed: nearly every node is honest.
+    compromise: Option<Box<Compromise>>,
 }
 
 impl Node {
@@ -244,7 +244,7 @@ impl Node {
             default_ttl: 64,
             source_quench_enabled: role == NodeRole::Gateway,
             last_quench: Instant::ZERO,
-            blackhole_prefixes: Vec::new(),
+            compromise: None,
         }
     }
 
@@ -346,6 +346,33 @@ impl Node {
             dv.clear();
         }
         self.declare_connected();
+    }
+
+    /// Compromise the node: from its next advertisement on, every page
+    /// it sends carries `attack`'s lie (its own table stays honest), and
+    /// a traffic-attraction attack eats the transit it captures. A node
+    /// already compromised keeps its first lie; returns whether this
+    /// call compromised it. A crash and reboot keep the compromise.
+    pub(crate) fn compromise(&mut self, attack: ByzantineAttack) -> bool {
+        if self.compromise.is_some() {
+            return false;
+        }
+        self.compromise = Some(Box::new(Compromise::new(attack)));
+        true
+    }
+
+    /// Heal a compromise: the node advertises and forwards honestly
+    /// again. Returns whether it was compromised.
+    pub(crate) fn rehabilitate(&mut self) -> bool {
+        self.compromise.take().is_some()
+    }
+
+    /// Whether the node silently eats transit for `dst` (a compromise
+    /// that attracts the victim's traffic).
+    pub fn eats(&self, dst: Ipv4Address) -> bool {
+        self.compromise
+            .as_ref()
+            .is_some_and(|compromise| compromise.eats(dst))
     }
 
     /// Declare every interface that is up as a connected network. A
@@ -836,11 +863,7 @@ impl Node {
         // no ICMP, no log: from the outside it looks like the path
         // simply lost the datagram, which is what makes a routing
         // black hole so hard to diagnose.
-        if self
-            .blackhole_prefixes
-            .iter()
-            .any(|prefix| prefix.contains(dst))
-        {
+        if self.eats(dst) {
             self.stats.dropped_byzantine += 1;
             return;
         }
@@ -1310,8 +1333,11 @@ impl Node {
             if entries.is_empty() && !periodic {
                 continue;
             }
-            for message in RipMessage::paginate(entries) {
-                to_send.push((index, message.encode()));
+            for mut page in RipMessage::paginate(entries) {
+                if let Some(compromise) = &mut self.compromise {
+                    compromise.lie(index, &mut page);
+                }
+                to_send.push((index, page.encode()));
             }
         }
         dv.advertisements_sent(now);
@@ -1533,6 +1559,7 @@ impl core::fmt::Debug for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catenet_routing::message::MAX_ENTRIES;
     use catenet_routing::{GuardPolicy, RipEntry, RouteGuard};
     use catenet_wire::Ipv4Cidr;
 
@@ -1783,6 +1810,108 @@ mod tests {
         assert_eq!(gw.dv.as_ref().unwrap().live_routes(), 0);
         gw.restart();
         assert_eq!(gw.dv.as_ref().unwrap().live_routes(), 1);
+    }
+
+    /// The RIP pages in `node`'s outbox, with the interface each leaves.
+    fn rip_pages(node: &mut Node) -> Vec<(usize, RipMessage)> {
+        node.take_outbox()
+            .into_iter()
+            .map(|(iface, frame)| {
+                let ip = Ipv4Packet::new_checked(&frame[..]).unwrap();
+                let udp = UdpPacket::new_checked(ip.payload()).unwrap();
+                assert_eq!(udp.dst_port(), RIP_PORT);
+                (iface, RipMessage::decode(udp.payload()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_compromise_lies_in_every_page_and_survives_a_reboot() {
+        let mut gw = Node::new("g", NodeRole::Gateway);
+        for (net, addr) in [(0, 2), (1, 1)] {
+            gw.attach_iface(Iface {
+                addr: Ipv4Address::new(10, 0, net, addr),
+                cidr: Ipv4Cidr::new(Ipv4Address::new(10, 0, net, 0), 30),
+                hardware: EthernetAddress::default(),
+                peer: Ipv4Address::new(10, 0, net, 3 - addr),
+                ip_mtu: 1500,
+                framing: Framing::RawIp,
+                up: true,
+            });
+        }
+        // 72 routes in all: more than one 64-entry page per interface.
+        for i in 0..70 {
+            let prefix = Ipv4Cidr::new(Ipv4Address::new(10, 100, i, 0), 24);
+            gw.dv.as_mut().unwrap().add_connected(prefix, 1);
+        }
+        let routes = |gw: &Node| -> Vec<_> {
+            gw.dv.as_ref().unwrap().routes().map(|(p, r)| (*p, *r)).collect()
+        };
+        let victim = Ipv4Cidr::new(Ipv4Address::new(10, 9, 0, 0), 16);
+        let lies = |page: &RipMessage| page.entries.contains(&RipEntry::new(victim, 0));
+        let transit = || {
+            catenet_ip::build_ipv4(
+                &Ipv4Repr {
+                    src_addr: Ipv4Address::new(10, 0, 0, 1),
+                    dst_addr: Ipv4Address::new(10, 9, 0, 1),
+                    protocol: IpProtocol::Udp,
+                    payload_len: 8,
+                    hop_limit: 64,
+                    tos: Tos::default(),
+                },
+                1,
+                false,
+                &[0u8; 8],
+            )
+        };
+        gw.service(Instant::ZERO);
+        let honest_routes = routes(&gw);
+        let honest = rip_pages(&mut gw);
+        assert_eq!(honest.len(), 4, "two pages per interface");
+
+        assert!(gw.compromise(ByzantineAttack::BlackholeVictim {
+            addr: [10, 9, 0, 0],
+            prefix_len: 16,
+        }));
+        assert!(!gw.compromise(ByzantineAttack::FlapAdverts), "the first lie stays");
+        gw.service(Instant::from_secs(3));
+        assert_eq!(routes(&gw), honest_routes, "the liar's own table tells the truth");
+        let told = rip_pages(&mut gw);
+        assert_eq!(told.len(), honest.len());
+        for ((iface, page), (honest_iface, honest_page)) in told.iter().zip(&honest) {
+            assert_eq!(iface, honest_iface);
+            assert!(lies(page), "a page on interface {iface} tells the truth");
+            let mut truth = page.clone();
+            truth.entries.retain(|entry| entry.prefix != victim);
+            let mut expected = honest_page.clone();
+            if expected.entries.len() == MAX_ENTRIES {
+                expected.entries.pop(); // the lie displaced the last entry
+            }
+            assert_eq!(truth, expected, "the lie is added to the truth, nothing else");
+        }
+        gw.handle_frame(Instant::from_secs(3), 0, transit());
+        assert_eq!(gw.stats.dropped_byzantine, 1, "the attracted transit is eaten");
+
+        // A reboot re-learns the table but not honesty.
+        gw.crash();
+        gw.restart();
+        assert!(gw.eats(victim.address()));
+        gw.service(Instant::from_secs(4));
+        let rebooted = rip_pages(&mut gw);
+        assert!(!rebooted.is_empty() && rebooted.iter().all(|(_, page)| lies(page)));
+        gw.handle_frame(Instant::from_secs(4), 0, transit());
+        assert_eq!(gw.stats.dropped_byzantine, 2, "the rebooted liar eats again");
+
+        // Rehabilitation clears both halves.
+        assert!(gw.rehabilitate());
+        assert!(!gw.rehabilitate(), "nothing left to heal");
+        assert!(!gw.eats(victim.address()));
+        gw.service(Instant::from_secs(7));
+        let healed = rip_pages(&mut gw);
+        assert!(!healed.is_empty() && !healed.iter().any(|(_, page)| lies(page)));
+        gw.handle_frame(Instant::from_secs(7), 0, transit());
+        assert_eq!(gw.stats.dropped_byzantine, 2);
+        assert_eq!(gw.stats.dropped_no_route, 1, "honest again: no route, not eaten");
     }
 
     #[test]

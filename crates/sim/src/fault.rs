@@ -30,8 +30,8 @@ use crate::time::{Duration, Instant};
 /// lies. These are the classic control-plane attacks a byzantine
 /// gateway can mount with nothing but forged announcements. The plan
 /// stays topology-ignorant: victim prefixes are raw address bytes, and
-/// the driver (in `catenet-core`) rewrites the compromised node's
-/// outgoing routing messages deterministically.
+/// the compromised node (in `catenet-core`) rewrites each routing page
+/// it writes, deterministically, before encoding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByzantineAttack {
     /// Originate `count` bogus prefixes the gateway does not own, at an

@@ -8,10 +8,10 @@
 //! the architecture/realization split was asserted but never
 //! demonstrated. This crate makes the split load-bearing:
 //!
-//! - [`Node`] is what the realizations share. Its state machines carry
-//!   ARP, IP forwarding, DV routing and TCP *unchanged* across
-//!   realizations; each realization drives it with its own clock and
-//!   its own links.
+//! - [`Node`](catenet_core::Node) is what the realizations share. Its
+//!   state machines carry ARP, IP forwarding, DV routing and TCP
+//!   *unchanged* across realizations; each realization drives it with
+//!   its own clock and its own links.
 //! - The **simulator** ([`catenet_core::Network`]) keeps virtual time,
 //!   seeded RNGs, and byte-for-byte determinism — it remains the CI arm
 //!   (the E11–E17 dump bytes are pinned by
@@ -55,17 +55,18 @@ pub mod repl;
 pub mod tunnel;
 
 use catenet_core::app::Application;
-use catenet_core::Node;
 use catenet_sim::{Duration, Instant};
 
 /// A real-I/O realization as a driver sees it: something that owns
 /// nodes, a clock, and a way of moving frames between nodes.
 /// [`real::RealSubstrate`] implements it.
 ///
-/// The architecture lives entirely inside [`Node`] (ARP, IP, DV
-/// routing, TCP, sockets, applications); a substrate decides what an
-/// instant means and what a link is (a UDP socket pair, or — via the
-/// documented seam — a TUN device).
+/// The architecture lives entirely inside [`Node`](catenet_core::Node)
+/// (ARP, IP, DV routing, TCP, sockets, applications); a substrate
+/// decides what an instant means and what a link is (a UDP socket pair,
+/// or — via the documented seam — a TUN device). Drivers reach the node
+/// itself through the realization's own type
+/// ([`real::RealSubstrate::node`]).
 pub trait Substrate {
     /// The current instant on this substrate's clock.
     fn now(&self) -> Instant;
@@ -80,19 +81,6 @@ pub trait Substrate {
         self.run_until(deadline);
     }
 
-    /// Number of nodes this realization hosts.
-    fn node_count(&self) -> usize;
-
-    /// Shared view of node `index`.
-    fn node(&self, index: usize) -> &Node;
-
-    /// Exclusive view of node `index`.
-    fn node_mut(&mut self, index: usize) -> &mut Node;
-
     /// Attach an application to node `index`.
     fn attach_app(&mut self, index: usize, app: Box<dyn Application>);
-
-    /// Force a service pass on node `index` at the next opportunity
-    /// (e.g. after feeding a socket by hand).
-    fn kick(&mut self, index: usize);
 }

@@ -726,6 +726,16 @@ impl RealSubstrate {
         }
     }
 
+    /// The node this substrate hosts.
+    pub fn node(&self) -> &Node {
+        &self.node
+    }
+
+    /// The node this substrate hosts, mutably.
+    pub fn node_mut(&mut self) -> &mut Node {
+        &mut self.node
+    }
+
     /// The node's display name.
     pub fn name(&self) -> &str {
         &self.node.name
@@ -787,27 +797,9 @@ impl Substrate for RealSubstrate {
         }
     }
 
-    fn node_count(&self) -> usize {
-        1
-    }
-
-    fn node(&self, index: usize) -> &Node {
-        assert_eq!(index, 0, "a real substrate hosts one node");
-        &self.node
-    }
-
-    fn node_mut(&mut self, index: usize) -> &mut Node {
-        assert_eq!(index, 0, "a real substrate hosts one node");
-        &mut self.node
-    }
-
     fn attach_app(&mut self, index: usize, app: Box<dyn Application>) {
         assert_eq!(index, 0, "a real substrate hosts one node");
         self.apps.push(app);
-    }
-
-    fn kick(&mut self, _index: usize) {
-        self.pump();
     }
 }
 

@@ -144,7 +144,7 @@ impl Repl {
             Some("up") | Some("down") => {
                 let up = words[0] == "up";
                 match words.get(1).and_then(|w| w.parse::<usize>().ok()) {
-                    Some(iface) if iface < sub.node(0).ifaces.len() => {
+                    Some(iface) if iface < sub.node().ifaces.len() => {
                         sub.set_iface_up(iface, up);
                         out.push(format!("iface {iface} {}", if up { "up" } else { "down" }));
                     }
@@ -154,7 +154,7 @@ impl Repl {
             Some("connect") => match parse_endpoint(&words[1..]) {
                 Some(remote) => {
                     let now = Substrate::now(sub);
-                    match sub.node_mut(0).tcp_connect(remote, TcpConfig::default(), now) {
+                    match sub.node_mut().tcp_connect(remote, TcpConfig::default(), now) {
                         Ok(handle) => out.push(format!("socket {handle} connecting to {remote}")),
                         Err(e) => out.push(format!("error: connect: {e:?}")),
                     }
@@ -163,7 +163,7 @@ impl Repl {
             },
             Some("listen") => match words.get(1).and_then(|w| w.parse::<u16>().ok()) {
                 Some(port) => {
-                    let handle = sub.node_mut(0).tcp_listen(port, TcpConfig::default());
+                    let handle = sub.node_mut().tcp_listen(port, TcpConfig::default());
                     out.push(format!("socket {handle} listening on {port}"));
                 }
                 None => out.push("error: usage: listen <port>".into()),
@@ -178,7 +178,7 @@ impl Repl {
                     .nth(2)
                     .unwrap_or("")
                     .as_bytes();
-                match sub.node_mut(0).tcp_sockets.get_mut(handle) {
+                match sub.node_mut().tcp_sockets.get_mut(handle) {
                     Some(socket) => match socket.send_slice(text) {
                         Ok(n) => out.push(format!("sent {n} bytes on socket {handle}")),
                         Err(e) => out.push(format!("error: send: {e:?}")),
@@ -191,7 +191,7 @@ impl Repl {
                 let want = words.get(2).and_then(|w| w.parse::<usize>().ok());
                 match (handle, want) {
                     (Some(handle), Some(want)) => {
-                        match sub.node_mut(0).tcp_sockets.get_mut(handle) {
+                        match sub.node_mut().tcp_sockets.get_mut(handle) {
                             Some(socket) => {
                                 let mut buf = vec![0u8; want.min(65_536)];
                                 match socket.recv_slice(&mut buf) {
@@ -215,7 +215,7 @@ impl Repl {
                 (Some(path), Some(remote)) => match fs::read(path) {
                     Ok(data) => {
                         let now = Substrate::now(sub);
-                        match sub.node_mut(0).tcp_connect(remote, TcpConfig::default(), now) {
+                        match sub.node_mut().tcp_connect(remote, TcpConfig::default(), now) {
                             Ok(handle) => {
                                 out.push(format!(
                                     "sendfile {path}: {} bytes to {remote} on socket {handle}",
@@ -244,7 +244,7 @@ impl Repl {
                 match (words.get(1), port) {
                     (Some(path), Some(port)) => match fs::File::create(path) {
                         Ok(file) => {
-                            let handle = sub.node_mut(0).tcp_listen(port, TcpConfig::default());
+                            let handle = sub.node_mut().tcp_listen(port, TcpConfig::default());
                             out.push(format!(
                                 "recvfile {path}: listening on {port}, socket {handle}"
                             ));
@@ -265,7 +265,7 @@ impl Repl {
                 }
             }
             Some("stats") => {
-                for iface in 0..sub.node(0).ifaces.len() {
+                for iface in 0..sub.node().ifaces.len() {
                     let s = sub.link_stats(iface);
                     out.push(format!(
                         "iface {iface}: accepted {} datagrams {} dropped {} (truncated {} \
@@ -413,7 +413,7 @@ impl Transfers {
 
 impl Repl {
     fn list_ifaces(&self, sub: &RealSubstrate, out: &mut Vec<String>) {
-        for (index, iface) in sub.node(0).ifaces.iter().enumerate() {
+        for (index, iface) in sub.node().ifaces.iter().enumerate() {
             out.push(format!(
                 "iface {index} {}/{} peer {} {}",
                 iface.addr,
@@ -425,7 +425,7 @@ impl Repl {
     }
 
     fn list_sockets(&self, sub: &RealSubstrate, out: &mut Vec<String>) {
-        let node = sub.node(0);
+        let node = sub.node();
         for (index, socket) in node.tcp_sockets.iter().enumerate() {
             out.push(format!(
                 "socket {index} tcp {:?} local {} remote {}",
@@ -443,7 +443,7 @@ impl Repl {
     }
 
     fn list_routes(&self, sub: &RealSubstrate, out: &mut Vec<String>) {
-        let node = sub.node(0);
+        let node = sub.node();
         for (prefix, (iface, via)) in node.static_routes.iter() {
             match via {
                 Some(via) => out.push(format!("route {prefix} via {via} iface {iface} static")),
@@ -587,7 +587,7 @@ mod tests {
         let (mut r1, mut r2) = router_pair();
         let converged = lockstep(&mut r1, &mut r2, Duration::from_secs(30), |r1, _| {
             let stub = "10.9.2.1".parse().expect("addr");
-            let dv = r1.node(0).dv.as_ref();
+            let dv = r1.node().dv.as_ref();
             dv.and_then(|dv| dv.lookup(stub)).is_some()
         });
         assert!(converged, "no convergence");

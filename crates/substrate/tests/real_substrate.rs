@@ -78,7 +78,7 @@ fn run_until_both(
 fn r1_knows_r2_stub(r1: &RealSubstrate) -> bool {
     // `DvEngine::lookup` already filters routes at INFINITY_METRIC.
     let dst = "10.9.2.1".parse().expect("addr");
-    r1.node(0).dv.as_ref().and_then(|dv| dv.lookup(dst)).is_some()
+    r1.node().dv.as_ref().and_then(|dv| dv.lookup(dst)).is_some()
 }
 
 #[test]
@@ -87,7 +87,7 @@ fn rip_converges_across_real_udp_tunnels() {
     let converged = run_until_both(&mut r1, &mut r2, Duration::from_secs(30), |r1, r2| {
         r1_knows_r2_stub(r1)
             && r2
-                .node(0)
+                .node()
                 .dv
                 .as_ref()
                 .and_then(|dv| dv.lookup("10.9.1.1".parse().expect("addr")))
@@ -97,7 +97,7 @@ fn rip_converges_across_real_udp_tunnels() {
     // The learned route points across the tunnel, one hop beyond the
     // peer's connected prefix.
     let route = r1
-        .node(0)
+        .node()
         .dv
         .as_ref()
         .and_then(|dv| dv.lookup("10.9.2.1".parse().expect("addr")))
@@ -169,7 +169,7 @@ fn iface_down_fails_routes_and_drops_ingress() {
     // the route timeout the peer notices the silence too (distributed
     // failure detection — nobody told it).
     let peer_timed_out = run_until_both(&mut r1, &mut r2, Duration::from_secs(40), |_, r2| {
-        r2.node(0)
+        r2.node()
             .dv
             .as_ref()
             .and_then(|dv| dv.lookup("10.9.1.1".parse().expect("addr")))
@@ -258,7 +258,7 @@ fn one_pass(a: &mut RealSubstrate, b: &mut RealSubstrate, pings: u16, frame: usi
     let (dst, now) = ("10.1.0.2".parse().expect("addr"), Substrate::now(a));
     for seq in 0..pings {
         // 20 bytes of IP header and 8 of ICMP ahead of the payload.
-        a.node_mut(0).send_ping(dst, 1, seq, frame - 28, now);
+        a.node_mut().send_ping(dst, 1, seq, frame - 28, now);
     }
     a.pump();
     let (all, sent_at) = (accepted + u64::from(pings), std::time::Instant::now());

@@ -42,8 +42,15 @@ fn compute() -> Vec<(String, u64)> {
     // cover the scheduler, TCP, RIP reconvergence, the fault engine,
     // and all three telemetry surfaces. The attested hijack is the one
     // run whose dumps carry route-guard verdict counters,
-    // `guard_attest_rejected` and `GuardAction` incidents.
-    for name in ["calm (control)", "crash-storm", "prefix-hijack (attested)"] {
+    // `guard_attest_rejected` and `GuardAction` incidents. The black
+    // hole is the one run whose liar advertises a metric-0 victim and
+    // eats the transit it attracts.
+    for name in [
+        "calm (control)",
+        "crash-storm",
+        "prefix-hijack (attested)",
+        "byzantine-blackhole",
+    ] {
         let scenario = *battery
             .iter()
             .find(|s| s.name == name)
@@ -76,8 +83,10 @@ fn compute() -> Vec<(String, u64)> {
 /// pre-substrate commit (`git worktree add … <that commit>`, same
 /// computation). Order matches [`compute`]. The four attested-hijack
 /// digests come from the last tree whose lane scraped a node's
-/// counters after every pass, before nodes reported their own events.
-const GOLDEN: [(&str, u64); 20] = [
+/// counters after every pass, before nodes reported their own events;
+/// the four black-hole digests from the last tree whose network
+/// rewrote a liar's frames on the wire, before the node lied itself.
+const GOLDEN: [(&str, u64); 24] = [
     ("e11/calm (control)/outcome", 0x06abe3f915f39ee3),
     ("e11/calm (control)/metrics", 0x1b374556a0117f40),
     ("e11/calm (control)/series", 0x61ac9c3352a7009f),
@@ -90,6 +99,10 @@ const GOLDEN: [(&str, u64); 20] = [
     ("e11/prefix-hijack (attested)/metrics", 0x1f416c7c097ffdc1),
     ("e11/prefix-hijack (attested)/series", 0x1bb572642576375a),
     ("e11/prefix-hijack (attested)/flight", 0x40fb560794de1971),
+    ("e11/byzantine-blackhole/outcome", 0xf14b35350f54d78b),
+    ("e11/byzantine-blackhole/metrics", 0xf3c98e6eaf9a2416),
+    ("e11/byzantine-blackhole/series", 0x3aa4dfd24bca51fe),
+    ("e11/byzantine-blackhole/flight", 0x15e642c4a2290cdb),
     ("e12/ring5-linkcut/heals", 0xdd9ebffd60038cf3),
     ("e12/ring5-linkcut/metrics", 0x6f412f46179b18b7),
     ("e12/ring5-linkcut/series", 0x3e0be6182a360443),
