@@ -371,11 +371,13 @@ impl Application for CbrSource {
             .socket
             .get_or_insert_with(|| node.udp_bind(30_000 + (self.remote.port % 1000)));
         while self.next_send <= now && self.next_send < self.stop_at {
+            // Built once and handed over: the socket queues this very
+            // vector, so a datagram costs one allocation, not two.
             let mut payload = vec![0u8; self.size];
             payload[..8].copy_from_slice(&self.seq.to_be_bytes());
             payload[8..16].copy_from_slice(&now.total_micros().to_be_bytes());
             if let Some(sock) = node.udp_sockets.get_mut(socket) {
-                sock.send_to(self.remote, &payload);
+                sock.send_vec(self.remote, payload);
                 *self.sent.lock().unwrap() += 1;
             }
             self.seq += 1;

@@ -63,6 +63,12 @@ pub struct ArpTick {
 #[derive(Debug, Default)]
 pub struct ArpCache {
     entries: HashMap<Ipv4Address, Entry>,
+    /// A lower bound on the earliest `expires_at` in `entries`: every
+    /// [`learn`](ArpCache::learn) lowers it, and
+    /// [`flush_expired`](ArpCache::flush_expired)'s scan leaves it
+    /// exact. Before this instant nothing can expire and the flush
+    /// skips its scan.
+    next_expiry: Instant,
     /// Datagrams waiting for resolution, per target. Held as pooled
     /// buffers so release on `learn` re-enters the fast path copy-free.
     pending: HashMap<Ipv4Address, Vec<PacketBuf>>,
@@ -190,25 +196,39 @@ impl ArpCache {
         hardware: EthernetAddress,
         now: Instant,
     ) -> Vec<PacketBuf> {
+        let expires_at = now + ENTRY_LIFETIME;
         self.entries.insert(
             protocol,
             Entry {
                 hardware,
-                expires_at: now + ENTRY_LIFETIME,
+                expires_at,
             },
         );
+        self.next_expiry = self.next_expiry.min(expires_at);
         self.requests.remove(&protocol);
         self.pending.remove(&protocol).unwrap_or_default()
     }
 
     /// Drop expired entries and orphaned pending queues.
     pub fn flush_expired(&mut self, now: Instant) {
-        self.entries.retain(|_, entry| entry.expires_at > now);
+        if now >= self.next_expiry {
+            let mut next_expiry = Instant::FAR_FUTURE;
+            self.entries.retain(|_, entry| {
+                let live = entry.expires_at > now;
+                if live {
+                    next_expiry = next_expiry.min(entry.expires_at);
+                }
+                live
+            });
+            self.next_expiry = next_expiry;
+        }
         // Pending datagrams with no resolution in progress are hopeless
         // (give-up in `tick` already removes them; this is a backstop).
-        let requests = &self.requests;
-        self.pending
-            .retain(|target, _| requests.contains_key(target));
+        if !self.pending.is_empty() {
+            let requests = &self.requests;
+            self.pending
+                .retain(|target, _| requests.contains_key(target));
+        }
     }
 
     /// Forget everything (node reboot).
@@ -374,6 +394,90 @@ mod tests {
         assert!(cache.next_event().is_none());
         let tick = cache.tick(Instant::from_secs(30));
         assert_eq!(tick, ArpTick::default());
+    }
+
+    /// The reference `flush_expired` must match: both scans, every time.
+    fn flush_brute(cache: &mut ArpCache, now: Instant) {
+        cache.entries.retain(|_, entry| entry.expires_at > now);
+        let requests = &cache.requests;
+        cache
+            .pending
+            .retain(|target, _| requests.contains_key(target));
+    }
+
+    type Contents = (
+        Vec<(Ipv4Address, EthernetAddress, Instant)>,
+        Vec<(Ipv4Address, Vec<Vec<u8>>)>,
+        Vec<(Ipv4Address, u32, Instant)>,
+    );
+
+    /// Everything a cache holds, in address order.
+    fn contents(cache: &ArpCache) -> Contents {
+        let mut entries: Vec<_> = cache
+            .entries
+            .iter()
+            .map(|(&ip, entry)| (ip, entry.hardware, entry.expires_at))
+            .collect();
+        let mut pending: Vec<_> = cache
+            .pending
+            .iter()
+            .map(|(&ip, queue)| (ip, queue.iter().map(|buf| buf.to_vec()).collect()))
+            .collect();
+        let mut requests: Vec<_> = cache
+            .requests
+            .iter()
+            .map(|(&ip, state)| (ip, state.attempts, state.next_retry))
+            .collect();
+        entries.sort_unstable_by_key(|entry| entry.0);
+        pending.sort_unstable_by_key(|queue| queue.0);
+        requests.sort_unstable_by_key(|request| request.0);
+        (entries, pending, requests)
+    }
+
+    #[test]
+    fn skipping_flush_scans_changes_nothing() {
+        for seed in 0..16 {
+            let mut rng = catenet_sim::Rng::from_seed(seed);
+            let (mut fast, mut brute) = (ArpCache::new(), ArpCache::new());
+            let mut now = Instant::ZERO;
+            for step in 0..2_000u32 {
+                now += Duration::from_millis(rng.below(8_000));
+                let target = Ipv4Address::new(10, 0, 0, rng.below(8) as u8);
+                let hw = EthernetAddress::new(2, 0, 0, 0, 0, rng.below(4) as u8);
+                match rng.below(100) {
+                    0..=29 => {
+                        let released = fast.learn(target, hw, now);
+                        let expected = brute.learn(target, hw, now);
+                        assert_eq!(released.len(), expected.len());
+                    }
+                    30..=59 => {
+                        let datagram = step.to_be_bytes().to_vec();
+                        let got = fast.resolve(target, datagram.clone(), now);
+                        assert_eq!(got, brute.resolve(target, datagram, now));
+                    }
+                    60..=89 => {
+                        fast.flush_expired(now);
+                        flush_brute(&mut brute, now);
+                    }
+                    90..=98 => assert_eq!(fast.tick(now), brute.tick(now)),
+                    _ => {
+                        fast.clear();
+                        brute.clear();
+                    }
+                }
+                assert_eq!(
+                    contents(&fast),
+                    contents(&brute),
+                    "seed {seed}, step {step}"
+                );
+                assert!(
+                    fast.entries
+                        .values()
+                        .all(|e| e.expires_at >= fast.next_expiry),
+                    "seed {seed}, step {step}: the bound is above an entry"
+                );
+            }
+        }
     }
 
     #[test]

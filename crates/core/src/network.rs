@@ -1479,6 +1479,75 @@ mod tests {
         assert!(rtt <= Instant::from_millis(200), "rtt {rtt}");
     }
 
+    /// Every in-tree emitter writes no more than it reserved, so every
+    /// pooled buffer goes back to its class: UDP (fragmented onto a
+    /// 296-byte hop), TCP segments and their ACKs, ICMP echo with its
+    /// pattern-`extend`ed request, ARP on the Ethernet hop. Debug builds
+    /// catch an under-reserving emitter at the write; any build sees
+    /// the buffer it reallocated discarded at release.
+    #[test]
+    fn pooled_emitters_stay_within_their_reservation() {
+        use crate::app::{BulkSender, SinkServer};
+        use crate::TcpConfig;
+        let mut net = Network::new(7);
+        let h1 = net.add_host("h1");
+        let g = net.add_gateway("g");
+        let h2 = net.add_host("h2");
+        net.connect(h1, g, LinkClass::EthernetLan);
+        let narrow = catenet_sim::LinkParams {
+            mtu: 296,
+            ..LinkClass::T1Terrestrial.params()
+        };
+        net.connect_with(g, h2, narrow, Framing::RawIp);
+        let dst = net.node(h2).primary_addr();
+        // A first ping resolves h1's gateway, so no datagram below
+        // overflows the ARP queue.
+        net.node_mut(h1).send_ping(dst, 1, 1, 32, Instant::ZERO);
+        net.run_for(Duration::from_secs(1));
+        let now = net.now();
+        net.node_mut(h1).send_ping(dst, 1, 2, 600, now);
+        let to = crate::Endpoint::new(dst, 7000);
+        let inbox = net.node_mut(h2).udp_bind(7000);
+        let socket = net.node_mut(h1).udp_bind(7001);
+        for len in [1000, 160] {
+            net.node_mut(h1).udp_sockets[socket].send_to(to, &vec![0x5a; len]);
+        }
+        let sink = SinkServer::new(80, TcpConfig::default());
+        let received = Arc::clone(&sink.received);
+        net.attach_app(h2, Box::new(sink));
+        let sender = BulkSender::new(
+            crate::Endpoint::new(dst, 80),
+            6_000,
+            TcpConfig::default(),
+            now,
+        );
+        net.attach_app(h1, Box::new(sender));
+        net.kick(h1);
+        net.run_for(Duration::from_secs(60));
+
+        assert_eq!(
+            net.node_mut(h1).take_icmp_events().len(),
+            2,
+            "both echoes answered"
+        );
+        assert_eq!(
+            net.node(h2).udp_sockets[inbox].rx_queue_len(),
+            2,
+            "both datagrams arrived"
+        );
+        assert_eq!(*received.lock().unwrap(), 6_000, "the transfer completed");
+        assert!(
+            net.node(g).stats.frags_created > 0,
+            "the narrow hop fragmented"
+        );
+        let stats = net.pool().stats();
+        assert!(stats.released > 0 && stats.recycled > 0, "{stats:?}");
+        assert_eq!(
+            stats.discarded, 0,
+            "a pooled buffer outgrew its class: {stats:?}"
+        );
+    }
+
     #[test]
     fn deterministic_replay() {
         let run = |seed: u64| {

@@ -10,6 +10,12 @@
 //! - buffers are recycled through a freelist instead of returned to the
 //!   allocator, so a converged network forwards packets with ~zero
 //!   steady-state allocations;
+//! - buffers come in two classes, as 4.3BSD's mbufs and clusters did: a
+//!   packet whose final size (headroom, headers and payload) fits 256
+//!   bytes takes a small buffer, anything up to 1,600 a large one, and
+//!   each class recycles through its own freelist. A voice datagram, an
+//!   ACK or an ARP frame then holds 256 bytes for its flight instead of
+//!   1,600 — the working set is most of what a small packet costs;
 //! - every buffer is handed out with [`HEADROOM`] spare bytes in front,
 //!   so Ethernet/IPv4/UDP headers are *prepended in place* (the buffer's
 //!   logical start moves backwards) instead of rebuilt into new `Vec`s;
@@ -32,6 +38,12 @@
 //! [`POISON`]) so a path that reads bytes it never wrote sees garbage
 //! loudly rather than a previous packet quietly. Release builds skip the
 //! fill.
+//!
+//! Nor does a live range outgrow the buffer: the class is chosen from
+//! the final size a caller declares, so a caller that appends more would
+//! silently reallocate the buffer, which then no freelist takes back.
+//! Debug builds assert at the write that a pooled buffer's capacity
+//! never changes.
 
 use std::fmt;
 use std::ops::{AddAssign, Deref, DerefMut};
@@ -43,13 +55,25 @@ use catenet_wire::{ethernet, ipv4};
 /// IPv4 header and then an Ethernet header without moving the payload.
 pub const HEADROOM: usize = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
 
-/// Capacity of a recycled buffer: max Ethernet payload (1500) plus
-/// framing plus headroom, rounded up. Requests larger than this get an
-/// exact-size allocation and are not recycled.
+/// Capacity of a recycled small buffer, the mbuf of 4.3BSD's
+/// mbuf/cluster split: a packet whose final size fits here — a 160-byte
+/// CBR voice datagram (202 B with its headroom), a TCP ACK, an ARP
+/// frame — takes one instead of a large buffer.
+const SMALL_CAPACITY: usize = 256;
+
+/// Capacity of a recycled large buffer, the cluster: max Ethernet
+/// payload (1500) plus framing plus headroom, rounded up. Requests
+/// larger than this get an exact-size allocation and are not recycled.
 const BUF_CAPACITY: usize = 1600;
 
-/// Freelist depth bound — caps pool memory at a few MB; beyond it,
-/// released buffers are dropped (counted in [`PoolStats::discarded`]).
+/// The buffer classes, smallest first: a request takes the first class
+/// its final size fits, and a buffer recycles into the class whose
+/// capacity it has.
+const CLASSES: [usize; 2] = [SMALL_CAPACITY, BUF_CAPACITY];
+
+/// Freelist depth bound per class — caps pool memory at a few MB;
+/// beyond it, released buffers are dropped (counted in
+/// [`PoolStats::discarded`]).
 const MAX_FREE: usize = 8192;
 
 /// The byte recycled buffers are filled with in debug builds.
@@ -88,7 +112,8 @@ impl AddAssign for PoolStats {
 }
 
 struct PoolInner {
-    free: Vec<Vec<u8>>,
+    /// One freelist per entry of [`CLASSES`].
+    free: [Vec<Vec<u8>>; CLASSES.len()],
     stats: PoolStats,
     /// Pools split off with [`PacketPool::lane_pool`].
     lanes: Vec<PacketPool>,
@@ -117,7 +142,7 @@ impl fmt::Debug for PacketPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.lock();
         f.debug_struct("PacketPool")
-            .field("free", &inner.free.len())
+            .field("free", &inner.free.each_ref().map(Vec::len))
             .field("stats", &inner.stats)
             .finish()
     }
@@ -128,7 +153,7 @@ impl PacketPool {
     pub fn new() -> PacketPool {
         PacketPool {
             inner: Arc::new(Mutex::new(PoolInner {
-                free: Vec::new(),
+                free: Default::default(),
                 stats: PoolStats::default(),
                 lanes: Vec::new(),
             })),
@@ -169,10 +194,10 @@ impl PacketPool {
         total
     }
 
-    /// Current freelist occupancy, in buffers.
+    /// Current freelist occupancy, in buffers of either class.
     pub fn free_buffers(&self) -> usize {
         let mut free = 0;
-        self.for_each(&mut |inner| free += inner.free.len());
+        self.for_each(&mut |inner| free += inner.free.iter().map(Vec::len).sum::<usize>());
         free
     }
 
@@ -186,27 +211,29 @@ impl PacketPool {
     /// emitted in place and whose `payload` bytes follow by
     /// [`append`](PacketBuf::append): only the headroom and the header
     /// are zeroed, and the live range starts as the header alone. Pooled
-    /// or exact, and counted, by the packet's final size, exactly as
+    /// or exact, in the smallest class that holds it, and counted, by
+    /// the packet's final size, exactly as
     /// `alloc(headroom, header + payload)` would be.
     pub fn alloc_header(&self, headroom: usize, header: usize, payload: usize) -> PacketBuf {
         let total = headroom + header + payload;
         let mut data = {
             let mut inner = self.lock();
-            if total <= BUF_CAPACITY {
-                match inner.free.pop() {
+            match CLASSES.iter().position(|&capacity| total <= capacity) {
+                Some(class) => match inner.free[class].pop() {
                     Some(buf) => {
                         inner.stats.recycled += 1;
                         buf
                     }
                     None => {
                         inner.stats.fresh_allocs += 1;
-                        Vec::with_capacity(BUF_CAPACITY)
+                        Vec::with_capacity(CLASSES[class])
                     }
+                },
+                None => {
+                    // Oversize: exact allocation, never recycled.
+                    inner.stats.fresh_allocs += 1;
+                    Vec::with_capacity(total)
                 }
-            } else {
-                // Oversize: exact allocation, never recycled.
-                inner.stats.fresh_allocs += 1;
-                Vec::with_capacity(total)
             }
         };
         // Released buffers come back cleared, so this writes every byte
@@ -231,15 +258,19 @@ impl PacketPool {
 
     fn release(&self, mut data: Vec<u8>) {
         let mut inner = self.lock();
-        if data.capacity() == BUF_CAPACITY && inner.free.len() < MAX_FREE {
-            inner.stats.released += 1;
-            if cfg!(debug_assertions) {
-                data.fill(POISON);
+        let class = CLASSES
+            .iter()
+            .position(|&capacity| capacity == data.capacity());
+        match class.map(|class| &mut inner.free[class]) {
+            Some(free) if free.len() < MAX_FREE => {
+                if cfg!(debug_assertions) {
+                    data.fill(POISON);
+                }
+                data.clear();
+                free.push(data);
+                inner.stats.released += 1;
             }
-            data.clear();
-            inner.free.push(data);
-        } else {
-            inner.stats.discarded += 1;
+            _ => inner.stats.discarded += 1,
         }
     }
 }
@@ -319,7 +350,22 @@ impl PacketBuf {
     /// ever grows by writing, so no byte of the buffer's last packet can
     /// show.
     pub fn append(&mut self, bytes: &[u8]) {
+        let reserved = self.data.capacity();
         self.data.extend_from_slice(bytes);
+        self.check_reservation(reserved);
+    }
+
+    /// A pooled buffer holds exactly what its class (or its exact
+    /// allocation) reserved: one that grew was silently reallocated and
+    /// would be discarded at release instead of recycled, a leak in the
+    /// fast path that fails nothing. Debug builds catch the emitter
+    /// that under-reserved at the write.
+    fn check_reservation(&self, reserved: usize) {
+        debug_assert!(
+            self.pool.is_none() || self.data.capacity() == reserved,
+            "a pooled buffer outgrew its reservation of {reserved} bytes ({} live)",
+            self.data.len()
+        );
     }
 
     /// Hand the buffer over to `pool`: on drop it recycles there.
@@ -335,7 +381,9 @@ impl PacketBuf {
 /// [`append`](PacketBuf::append) for bytes that are computed, not copied.
 impl Extend<u8> for PacketBuf {
     fn extend<I: IntoIterator<Item = u8>>(&mut self, bytes: I) {
+        let reserved = self.data.capacity();
         self.data.extend(bytes);
+        self.check_reservation(reserved);
     }
 }
 
@@ -444,28 +492,45 @@ mod tests {
         assert_eq!(pool.stats().fresh_allocs, 1, "steady state allocates nothing");
     }
 
+    /// Per class, smallest first: the class's capacity, and the
+    /// smallest payload an `alloc(HEADROOM, _)` lands in it with.
+    fn classes() -> impl Iterator<Item = (usize, usize)> {
+        CLASSES.iter().enumerate().map(|(class, &capacity)| {
+            let floor = class.checked_sub(1).map_or(0, |below| CLASSES[below]);
+            (capacity, (floor + 1).saturating_sub(HEADROOM).max(1))
+        })
+    }
+
     #[test]
     fn recycled_buffers_never_leak_stale_bytes() {
         // The regression the poison exists to catch: packet A's bytes
         // must be unobservable in packet B, including in the headroom a
-        // later prepend exposes and in the tail beyond B's length.
-        let pool = PacketPool::new();
-        let mut secret = pool.alloc(HEADROOM, 1200);
-        secret.iter_mut().for_each(|b| *b = 0x42);
-        drop(secret);
+        // later prepend exposes and in the tail beyond B's length. Per
+        // class: the secret fills a whole buffer, and the reuse is the
+        // smallest request that recycles it.
+        for (capacity, small) in classes() {
+            let pool = PacketPool::new();
+            let mut secret = pool.alloc(HEADROOM, capacity - HEADROOM);
+            secret.iter_mut().for_each(|b| *b = 0x42);
+            drop(secret);
 
-        let mut reused = pool.alloc(HEADROOM, 64);
-        assert_eq!(pool.stats().recycled, 1, "test must exercise reuse");
-        assert!(
-            reused.iter().all(|&b| b == 0),
-            "live range shows stale or poison bytes"
-        );
-        // Expose the entire headroom: hygiene requires it zeroed too.
-        reused.prepend(HEADROOM);
-        assert!(
-            reused.iter().all(|&b| b == 0),
-            "headroom leaked bytes from the previous packet"
-        );
+            let mut reused = pool.alloc(HEADROOM, small);
+            assert_eq!(
+                pool.stats().recycled,
+                1,
+                "test must exercise reuse ({capacity})"
+            );
+            assert!(
+                reused.iter().all(|&b| b == 0),
+                "live range shows stale or poison bytes ({capacity})"
+            );
+            // Expose the entire headroom: hygiene requires it zeroed too.
+            reused.prepend(HEADROOM);
+            assert!(
+                reused.iter().all(|&b| b == 0),
+                "headroom leaked bytes from the previous packet ({capacity})"
+            );
+        }
     }
 
     #[test]
@@ -473,46 +538,126 @@ mod tests {
         // The same regression on the path that zeroes only the header:
         // the bytes behind it were the last packet's, and must stay
         // unreachable until written.
-        let pool = PacketPool::new();
-        let mut secret = pool.alloc(HEADROOM, 1200);
-        secret.iter_mut().for_each(|b| *b = 0x42);
-        drop(secret);
+        for (capacity, small) in classes() {
+            let pool = PacketPool::new();
+            let mut secret = pool.alloc(HEADROOM, capacity - HEADROOM);
+            secret.iter_mut().for_each(|b| *b = 0x42);
+            drop(secret);
 
-        let payload: Vec<u8> = (1..=100).collect();
-        let mut reused = pool.alloc_header(HEADROOM, 8, payload.len());
-        assert_eq!(pool.stats().recycled, 1, "test must exercise reuse");
-        assert_eq!(reused.len(), 8, "the live range starts as the header");
-        assert!(reused.iter().all(|&b| b == 0), "header shows stale bytes");
-        reused.append(&payload);
-        assert_eq!(reused.len(), 8 + payload.len());
-        assert!(reused[..8].iter().all(|&b| b == 0));
-        assert_eq!(&reused[8..], &payload[..], "exactly the appended bytes");
-        reused.prepend(HEADROOM);
-        assert!(
-            reused[..HEADROOM + 8].iter().all(|&b| b == 0),
-            "headroom leaked bytes from the previous packet"
-        );
-        assert_eq!(&reused[HEADROOM + 8..], &payload[..]);
-        // Counted by its final size, as `alloc` would have been.
-        let stats = pool.stats();
-        assert_eq!((stats.fresh_allocs, stats.recycled), (1, 1));
+            let payload: Vec<u8> = (1..=small.max(100)).map(|i| i as u8).collect();
+            let mut reused = pool.alloc_header(HEADROOM, 8, payload.len());
+            assert_eq!(
+                pool.stats().recycled,
+                1,
+                "test must exercise reuse ({capacity})"
+            );
+            assert_eq!(reused.len(), 8, "the live range starts as the header");
+            assert!(reused.iter().all(|&b| b == 0), "header shows stale bytes");
+            reused.append(&payload);
+            assert_eq!(reused.len(), 8 + payload.len());
+            assert!(reused[..8].iter().all(|&b| b == 0));
+            assert_eq!(&reused[8..], &payload[..], "exactly the appended bytes");
+            reused.prepend(HEADROOM);
+            assert!(
+                reused[..HEADROOM + 8].iter().all(|&b| b == 0),
+                "headroom leaked bytes from the previous packet ({capacity})"
+            );
+            assert_eq!(&reused[HEADROOM + 8..], &payload[..]);
+            // Counted by its final size, as `alloc` would have been.
+            let stats = pool.stats();
+            assert_eq!((stats.fresh_allocs, stats.recycled), (1, 1));
+        }
     }
 
     #[test]
     fn poisoned_release_fills_buffer() {
+        for (class, (capacity, small)) in classes().enumerate() {
+            let pool = PacketPool::new();
+            let mut buf = pool.alloc(HEADROOM, small);
+            buf.iter_mut().for_each(|b| *b = 0x77);
+            drop(buf);
+            let inner = pool.lock();
+            let freed = inner.free[class].last().expect("released into its class");
+            // Released buffers are length-0 (content cleared); the poison
+            // lives in the spare capacity and is re-zeroed per alloc.
+            // Verify via a fresh alloc over the full capacity instead.
+            assert!(freed.is_empty());
+            drop(inner);
+            let whole = pool.alloc(0, capacity);
+            assert_eq!(
+                pool.stats().recycled,
+                1,
+                "test must exercise reuse ({capacity})"
+            );
+            assert!(whole.iter().all(|&b| b == 0));
+        }
+    }
+
+    /// The capacity a pooled buffer was handed out with.
+    fn capacity(buf: &PacketBuf) -> usize {
+        buf.data.capacity()
+    }
+
+    #[test]
+    fn a_request_never_takes_a_buffer_of_the_other_class() {
         let pool = PacketPool::new();
-        let mut buf = pool.alloc(0, 32);
-        buf.iter_mut().for_each(|b| *b = 0x77);
-        drop(buf);
-        let inner = pool.lock();
-        let freed = inner.free.last().unwrap();
-        // Released buffers are length-0 (content cleared); the poison
-        // lives in the spare capacity and is re-zeroed per alloc. Verify
-        // via a fresh alloc over the full capacity instead.
-        assert!(freed.is_empty());
-        drop(inner);
-        let big = pool.alloc(0, BUF_CAPACITY);
-        assert!(big.iter().all(|&b| b == 0));
+        let small = pool.alloc(0, SMALL_CAPACITY);
+        let large = pool.alloc(0, SMALL_CAPACITY + 1);
+        assert_eq!(
+            (capacity(&small), capacity(&large)),
+            (SMALL_CAPACITY, BUF_CAPACITY)
+        );
+        // Only a large buffer free: a small request allocates a small one.
+        drop(large);
+        let small_again = pool.alloc(HEADROOM, 1);
+        assert_eq!(capacity(&small_again), SMALL_CAPACITY);
+        assert_eq!(
+            pool.stats().fresh_allocs,
+            3,
+            "the large buffer was not lent"
+        );
+        // Only small buffers free: a large request allocates a large one.
+        drop((small, small_again));
+        let large_again = pool.alloc_header(HEADROOM, 20, SMALL_CAPACITY);
+        assert_eq!(capacity(&large_again), BUF_CAPACITY);
+        assert_eq!(pool.stats().recycled, 1, "the large buffer came back");
+        let stats = pool.stats();
+        assert_eq!((stats.fresh_allocs, stats.discarded), (3, 0));
+    }
+
+    #[test]
+    fn free_buffers_sums_both_classes() {
+        let pool = PacketPool::new();
+        let lane = pool.lane_pool();
+        drop([
+            pool.alloc(0, 1),
+            pool.alloc(0, BUF_CAPACITY),
+            lane.alloc(0, 1),
+        ]);
+        assert_eq!(pool.free_buffers(), 3);
+        assert_eq!(lane.free_buffers(), 1);
+        assert!(format!("{pool:?}").contains("free: [1, 1]"), "{pool:?}");
+    }
+
+    #[test]
+    fn a_relocating_prepend_recycles_in_the_class_of_its_new_size() {
+        let pool = PacketPool::new();
+        // Stays small: 10 bytes relocate into full headroom plus 14.
+        let mut stays = pool.alloc(0, 10);
+        stays.prepend(14);
+        assert_eq!(capacity(&stays), SMALL_CAPACITY);
+        // Grows out of the small class: 200 bytes behind 100 new ones.
+        let mut grows = pool.alloc(2, 200);
+        assert_eq!(capacity(&grows), SMALL_CAPACITY);
+        grows.prepend(100);
+        assert_eq!(capacity(&grows), BUF_CAPACITY);
+        assert_eq!(pool.stats().shift_copies, 2);
+        // Each relocation released the buffer it left; `grows` was born
+        // in the one `stays` left.
+        assert_eq!(pool.lock().free.each_ref().map(Vec::len), [1, 0]);
+        drop((stays, grows));
+        assert_eq!(pool.lock().free.each_ref().map(Vec::len), [2, 1]);
+        assert_eq!(pool.stats().discarded, 0);
     }
 
     #[test]

@@ -73,7 +73,13 @@ impl UdpSocket {
 
     /// Queue a datagram for transmission to `to`.
     pub fn send_to(&mut self, to: Endpoint, payload: &[u8]) {
-        self.tx.push_back((to, payload.to_vec()));
+        self.send_vec(to, payload.to_vec());
+    }
+
+    /// [`send_to`](Self::send_to) for a payload the caller built to
+    /// give away: the queue keeps the vector instead of a copy.
+    pub fn send_vec(&mut self, to: Endpoint, payload: Vec<u8>) {
+        self.tx.push_back((to, payload));
         self.tx_count += 1;
     }
 
