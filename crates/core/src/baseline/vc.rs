@@ -8,7 +8,7 @@
 //! information \[destroys the conversation\]."
 //!
 //! The mechanism lives in [`crate::node::Node::vc_table`] (it has to sit
-//! on the forwarding path); this module provides the switches and the
+//! on the forwarding path); this module provides the switch and the
 //! scenario-level tests. Experiment E1 runs the same gateway-crash
 //! scenario with and without circuits and reports connection survival.
 
@@ -18,11 +18,6 @@ use std::collections::HashMap;
 /// Put a gateway into virtual-circuit mode.
 pub fn enable(net: &mut Network, gateway: NodeId) {
     net.node_mut(gateway).vc_table = Some(HashMap::new());
-}
-
-/// Return a gateway to stateless datagram forwarding.
-pub fn disable(net: &mut Network, gateway: NodeId) {
-    net.node_mut(gateway).vc_table = None;
 }
 
 /// Number of circuits currently installed at a gateway.

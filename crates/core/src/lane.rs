@@ -78,11 +78,23 @@ pub(crate) struct Endpoint {
 
 /// Coordinator-side description of a duplex link: who is on each end.
 /// The two directed [`Link`]s themselves live in the lanes that own
-/// their senders (see [`LaneLink`] and `Network::link_home`).
+/// their senders (see [`LaneLink`]), each where its sender's
+/// [`Endpoint`] says.
 #[derive(Clone, Copy)]
 pub(crate) struct LinkMeta {
     pub a: LinkEnd,
     pub b: LinkEnd,
+}
+
+impl LinkMeta {
+    /// The sender and the receiver of one direction (`ab` selects a→b).
+    pub fn dir(&self, ab: bool) -> (LinkEnd, LinkEnd) {
+        if ab {
+            (self.a, self.b)
+        } else {
+            (self.b, self.a)
+        }
+    }
 }
 
 /// A scheduled occurrence.

@@ -53,6 +53,10 @@ pub type FrameTap = Box<dyn FnMut(Instant, &[u8])>;
 /// Index of a (duplex) link within the network.
 pub type LinkId = usize;
 
+/// How many links one network can address: link `k` gets the /30
+/// `10.(128 + k/256).(k%256).0`, and the plan ends at `10.255.255.0/30`.
+pub const MAX_LINKS: usize = 128 * 256;
+
 /// The goal-7 usage-report pipeline (see [`Network::enable_accounting`]):
 /// flush cadence plus the administration's collector, which outlives any
 /// gateway crash because it belongs to the network, not a node.
@@ -67,9 +71,6 @@ pub struct Network {
     /// Who is on each end of each duplex link. The directed `Link`s
     /// themselves live in the lanes that own their senders.
     links_meta: Vec<LinkMeta>,
-    /// Where each directed link lives: `link_home[id][0]` is the
-    /// `(lane, index)` of the a→b direction, `[1]` of b→a.
-    link_home: Vec<[(u32, u32); 2]>,
     /// The execution lanes, which own the nodes. Exactly one (covering
     /// every node) until a `Sharded`/`Parallel` network splits at its
     /// first `run_until`.
@@ -85,7 +86,6 @@ pub struct Network {
     /// would both be invalidated by growth).
     frozen: bool,
     now: Instant,
-    subnet_counter: u16,
     /// Optional frame tap (e.g. a pcap writer) observing every frame
     /// offered to any link.
     tap: Option<FrameTap>,
@@ -163,14 +163,12 @@ impl Network {
         lanes.push(Box::new(boot));
         Network {
             links_meta: Vec::new(),
-            link_home: Vec::new(),
             lanes,
             workers: None,
             seed,
             shard,
             frozen: false,
             now: Instant::ZERO,
-            subnet_counter: 0,
             tap: None,
             frames_offered: 0,
             fault_plan: None,
@@ -397,7 +395,8 @@ impl Network {
         self.connect_with(a, b, class.params(), framing)
     }
 
-    /// Connect with explicit link parameters and framing.
+    /// Connect with explicit link parameters and framing. Panics, before
+    /// anything changes, on a frozen topology or past [`MAX_LINKS`].
     pub fn connect_with(
         &mut self,
         a: NodeId,
@@ -406,15 +405,12 @@ impl Network {
         framing: Framing,
     ) -> LinkId {
         assert_ne!(a, b, "no self-links");
-        let k = self.subnet_counter;
-        self.subnet_counter += 1;
-        // Each link gets 10.(128 + k/256).(k%256).0/30; hosts .1 and .2.
-        let third = (k % 256) as u8;
-        let second = 128 + (k / 256) as u8;
-        let net = Ipv4Address::new(10, second, third, 0);
-        let addr_a = Ipv4Address::new(10, second, third, 1);
-        let addr_b = Ipv4Address::new(10, second, third, 2);
-        let cidr = Ipv4Cidr::new(net, 30);
+        assert!(
+            !self.frozen,
+            "topology is frozen once a sharded network has run"
+        );
+        let link_id = self.links_meta.len();
+        let (cidr, addr_a, addr_b) = link_subnet_plan(link_id);
         let ip_mtu = params.mtu - framing.overhead();
 
         let node_a = self.node_mut(a);
@@ -451,15 +447,11 @@ impl Network {
             }
         }
 
-        assert!(
-            !self.frozen,
-            "topology is frozen once a sharded network has run"
-        );
-        let link_id = self.links_meta.len();
-        self.links_meta.push(LinkMeta {
+        let meta = LinkMeta {
             a: LinkEnd { node: a, iface: iface_a },
             b: LinkEnd { node: b, iface: iface_b },
-        });
+        };
+        self.links_meta.push(meta);
         // Both directions boot in lane 0; the split moves each to the
         // lane owning its sender. Each direction rolls its own RNG
         // stream keyed to (seed, link, direction), so frame fates are
@@ -474,8 +466,8 @@ impl Network {
             link: Link::new(params),
             rng: LaneLink::seeded(self.seed, link_id, false),
         });
-        self.link_home.push([(0, idx), (0, idx + 1)]);
-        self.resolve_endpoints(link_id);
+        self.set_endpoint(meta.a, meta.b, idx);
+        self.set_endpoint(meta.b, meta.a, idx + 1);
         // Register the new subnet before the kicks below make routing
         // announce it — the triggered update must go out signed.
         self.redistribute_attestation();
@@ -485,22 +477,20 @@ impl Network {
         link_id
     }
 
-    /// (Re)build both [`Endpoint`]s of a link from where its directions
-    /// and its nodes live now.
-    fn resolve_endpoints(&mut self, link: LinkId) {
-        let LinkMeta { a, b } = self.links_meta[link];
-        for (dir, from, dest) in [(0, a, b), (1, b, a)] {
-            let dest_lane = self.lanes.of(dest.node) as u32;
-            let row = &mut self.lanes.slot_mut(from.node).endpoints;
-            if row.len() <= from.iface {
-                row.resize(from.iface + 1, None);
-            }
-            row[from.iface] = Some(Endpoint {
-                link_idx: self.link_home[link][dir].1,
-                dest_lane,
-                dest,
-            });
+    /// Point `from`'s interface at the directed link `link_idx` of its
+    /// lane, toward `dest` wherever that node lives now: the one record
+    /// of where a directed link lives.
+    fn set_endpoint(&mut self, from: LinkEnd, dest: LinkEnd, link_idx: u32) {
+        let dest_lane = self.lanes.of(dest.node) as u32;
+        let row = &mut self.lanes.slot_mut(from.node).endpoints;
+        if row.len() <= from.iface {
+            row.resize(from.iface + 1, None);
         }
+        row[from.iface] = Some(Endpoint {
+            link_idx,
+            dest_lane,
+            dest,
+        });
     }
 
     /// The subnet of a link.
@@ -509,17 +499,24 @@ impl Network {
         self.node(end.node).ifaces[end.iface].cidr
     }
 
-    /// Borrow one direction of a link (`ab` selects a→b) wherever its
-    /// owning lane keeps it.
+    /// Where one direction of a link (`ab` selects a→b) lives: its
+    /// sender's lane and the index its sender's endpoint records.
+    fn link_home(&self, link: LinkId, ab: bool) -> (usize, usize) {
+        let (from, _) = self.links_meta[link].dir(ab);
+        let end = self.lanes.slot(from.node).endpoints[from.iface].expect("a connected interface");
+        (self.lanes.of(from.node), end.link_idx as usize)
+    }
+
+    /// Borrow one direction of a link wherever its owning lane keeps it.
     fn link_dir(&self, link: LinkId, ab: bool) -> &Link {
-        let (lane, idx) = self.link_home[link][usize::from(!ab)];
-        &self.lanes[lane as usize].links[idx as usize].link
+        let (lane, idx) = self.link_home(link, ab);
+        &self.lanes[lane].links[idx].link
     }
 
     /// Mutably borrow one direction of a link.
     fn link_dir_mut(&mut self, link: LinkId, ab: bool) -> &mut Link {
-        let (lane, idx) = self.link_home[link][usize::from(!ab)];
-        &mut self.lanes[lane as usize].links[idx as usize].link
+        let (lane, idx) = self.link_home(link, ab);
+        &mut self.lanes[lane].links[idx].link
     }
 
     // -------------------------------------------------------- failures
@@ -862,17 +859,12 @@ impl Network {
         // Each directed link moves to the lane owning its sender, RNG
         // state intact (connect-time kicks already drew from it).
         for (dir, lane_link) in boot.links.into_iter().enumerate() {
-            let link_id = dir / 2;
-            let ab = dir % 2 == 0;
-            let meta = &self.links_meta[link_id];
-            let sender = if ab { meta.a.node } else { meta.b.node };
-            let home = self.lanes.of(sender);
+            let (from, dest) = self.links_meta[dir / 2].dir(dir % 2 == 0);
+            let home = self.lanes.of(from.node);
             let links = &mut self.lanes[home].links;
-            self.link_home[link_id][usize::from(!ab)] = (home as u32, links.len() as u32);
+            let idx = links.len() as u32;
             links.push(lane_link);
-        }
-        for link_id in 0..self.links_meta.len() {
-            self.resolve_endpoints(link_id);
+            self.set_endpoint(from, dest, idx);
         }
         // Pending boot events follow their destination node.
         for (at, keyed) in boot.sched.into_drain() {
@@ -898,12 +890,8 @@ impl Network {
         let mut reach = vec![u64::MAX; k * k];
         for (id, meta) in self.links_meta.iter().enumerate() {
             for ab in [true, false] {
-                let (s, d) = if ab {
-                    (meta.a.node, meta.b.node)
-                } else {
-                    (meta.b.node, meta.a.node)
-                };
-                let (lj, li) = (self.lanes.of(s), self.lanes.of(d));
+                let (s, d) = meta.dir(ab);
+                let (lj, li) = (self.lanes.of(s.node), self.lanes.of(d.node));
                 if lj != li {
                     let hop = self
                         .link_dir(id, ab)
@@ -1411,6 +1399,21 @@ fn describe_fault(action: &FaultAction) -> String {
         }
         FaultAction::Rehabilitate { node } => format!("rehabilitate node {node}"),
     }
+}
+
+/// Link `k`'s subnet and the addresses of its a and b ends (`.1` and
+/// `.2`); past [`MAX_LINKS`] the plan is exhausted.
+fn link_subnet_plan(k: LinkId) -> (Ipv4Cidr, Ipv4Address, Ipv4Address) {
+    assert!(
+        k < MAX_LINKS,
+        "address plan exhausted: a network holds at most {MAX_LINKS} links"
+    );
+    let (second, third) = (128 + (k / 256) as u8, (k % 256) as u8);
+    (
+        Ipv4Cidr::new(Ipv4Address::new(10, second, third, 0), 30),
+        Ipv4Address::new(10, second, third, 1),
+        Ipv4Address::new(10, second, third, 2),
+    )
 }
 
 fn hw_addr(node: NodeId, iface: usize) -> EthernetAddress {
@@ -2660,5 +2663,46 @@ mod tests {
             "the schedule held under transit load: {} passes",
             net.service_passes(g1)
         );
+    }
+
+    #[test]
+    fn a_refused_connect_leaves_nothing_behind() {
+        let mut net = Network::with_shards(3, ShardKind::Sharded { shards: 2 });
+        let h0 = net.add_host("h0");
+        let h1 = net.add_host("h1");
+        let h2 = net.add_host("h2");
+        net.connect(h0, h1, LinkClass::T1Terrestrial);
+        net.run_until(Instant::from_secs(1));
+        let ifaces = |net: &Network| [h0, h2].map(|id| net.node(id).ifaces.len());
+        let before = ifaces(&net);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            net.connect(h0, h2, LinkClass::T1Terrestrial)
+        }));
+        assert!(refused.is_err(), "a frozen topology takes no new link");
+        assert_eq!(ifaces(&net), before);
+        assert_eq!(net.links_meta.len(), 1);
+        let default = Ipv4Cidr::new(Ipv4Address::UNSPECIFIED, 0);
+        assert!(net.node(h2).static_routes.get(&default).is_none());
+    }
+
+    #[test]
+    fn the_address_plan_runs_to_its_last_link() {
+        let addr = |k| {
+            let (cidr, a, b) = link_subnet_plan(k);
+            (cidr.to_string(), a.to_string(), b.to_string())
+        };
+        let plan = |net: &str, a: &str, b: &str| (net.to_string(), a.to_string(), b.to_string());
+        assert_eq!(addr(0), plan("10.128.0.0/30", "10.128.0.1", "10.128.0.2"));
+        assert_eq!(addr(257), plan("10.129.1.0/30", "10.129.1.1", "10.129.1.2"));
+        assert_eq!(
+            addr(MAX_LINKS - 1),
+            plan("10.255.255.0/30", "10.255.255.1", "10.255.255.2")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "address plan exhausted: a network holds at most 32768 links")]
+    fn the_address_plan_refuses_one_link_past_it() {
+        link_subnet_plan(MAX_LINKS);
     }
 }

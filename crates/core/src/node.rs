@@ -472,6 +472,9 @@ impl Node {
         payload_len: usize,
         now: Instant,
     ) {
+        let Some((iface, next_hop)) = self.route_origination(dst) else {
+            return;
+        };
         let repr = Icmpv4Repr {
             message: Icmpv4Message::EchoRequest { ident, seq_no },
             payload_len,
@@ -481,12 +484,9 @@ impl Node {
         let mut packet = Icmpv4Packet::new_unchecked(&mut buf[..]);
         repr.emit(&mut packet);
         packet.fill_checksum();
-        let src = self
-            .route(dst)
-            .map(|(iface, _)| self.ifaces[iface].addr)
-            .unwrap_or_else(|| self.primary_addr());
+        let src = self.ifaces[iface].addr;
         self.prepend_ip(&mut buf, src, dst, IpProtocol::Icmp, Tos::default());
-        self.route_and_send(now, buf);
+        self.output_datagram(now, iface, next_hop, buf);
     }
 
     /// Drain the ICMP inbox.
@@ -530,6 +530,22 @@ impl Node {
         None
     }
 
+    /// The route a datagram this node originates takes toward `dst`:
+    /// the first step of the one path every origination follows (route,
+    /// build the transport message in a pooled buffer, [`prepend_ip`],
+    /// [`output_datagram`]). `None`, counted, when there is no route —
+    /// before anything is built or an ident is spent.
+    ///
+    /// [`prepend_ip`]: Node::prepend_ip
+    /// [`output_datagram`]: Node::output_datagram
+    fn route_origination(&mut self, dst: Ipv4Address) -> Option<(usize, Ipv4Address)> {
+        let hop = self.route(dst);
+        if hop.is_none() {
+            self.stats.dropped_no_route += 1;
+        }
+        hop
+    }
+
     /// A pooled buffer holding a zeroed `header` for a transport to emit
     /// into, with room for the `payload` bytes appended behind it and
     /// headroom for the IP and link headers prepended in front.
@@ -537,9 +553,11 @@ impl Node {
         self.pool.alloc_header(HEADROOM, header, payload)
     }
 
-    /// Emit an IPv4 header *in front of* the transport payload already
-    /// sitting in `buf` — the fast path's replacement for building the
-    /// datagram into a fresh allocation and copying the payload across.
+    /// Emit an IPv4 header *in front of* the transport message already
+    /// sitting in `buf`, with the node's next ident and its
+    /// [`default_ttl`](Node::default_ttl): the one IPv4 header writer for
+    /// every datagram the node originates, ICMP errors included. The
+    /// payload never moves.
     fn prepend_ip(
         &mut self,
         buf: &mut PacketBuf,
@@ -566,31 +584,14 @@ impl Node {
         packet.fill_checksum();
     }
 
-    /// Route a locally originated datagram and transmit it.
-    pub fn route_and_send(&mut self, now: Instant, datagram: impl Into<PacketBuf>) {
-        let datagram = datagram.into();
-        let dst = match Ipv4Packet::new_checked(&datagram[..]) {
-            Ok(packet) => packet.dst_addr(),
-            Err(_) => {
-                self.stats.dropped_malformed += 1;
-                return;
-            }
-        };
-        match self.route(dst) {
-            Some((iface, next_hop)) => self.output_datagram(now, iface, next_hop, datagram),
-            None => self.stats.dropped_no_route += 1,
-        }
-    }
-
     /// Fragment (if needed), frame, and queue a datagram on `iface`.
     fn output_datagram(
         &mut self,
         now: Instant,
         iface: usize,
         next_hop: Ipv4Address,
-        datagram: impl Into<PacketBuf>,
+        datagram: PacketBuf,
     ) {
-        let datagram = datagram.into();
         if !self.alive || !self.ifaces[iface].up {
             self.stats.dropped_dead += 1;
             return;
@@ -738,8 +739,7 @@ impl Node {
                         // put and become headroom for the next hop's
                         // framing.
                         frame.advance(ethernet::HEADER_LEN);
-                        let datagram = self.pool.adopt(frame);
-                        self.handle_datagram(now, datagram);
+                        self.handle_datagram(now, frame);
                     }
                     EtherType::Unknown(_) => {}
                 }
@@ -823,12 +823,12 @@ impl Node {
                 let pushed = self.reassembler.push(&datagram, now);
                 grew(&mut self.events.reassembly, before, reassembly_counts(&self.reassembler));
                 match pushed {
-                    Ok(Some(whole)) => self.deliver_local(now, whole),
+                    Ok(Some(whole)) => self.deliver_local(now, &whole),
                     Ok(None) => {}
                     Err(_) => self.stats.dropped_malformed += 1,
                 }
             } else {
-                self.deliver_local(now, datagram);
+                self.deliver_local(now, &datagram);
             }
             return;
         }
@@ -977,25 +977,33 @@ impl Node {
         Some((src, dst, protocol, src_port, dst_port))
     }
 
+    /// Answer `original` with an ICMP error, if RFC 1122 allows one: it
+    /// goes back to the sender, from the interface facing it, quoting
+    /// the header and 8 bytes — built in a pooled buffer like every
+    /// datagram the node originates.
     fn send_icmp_error(&mut self, now: Instant, original: &[u8], message: Icmpv4Message) {
-        // Source the error from the interface facing the sender.
-        let replier = match Ipv4Packet::new_checked(original) {
-            Ok(packet) => self
-                .route(packet.src_addr())
-                .map(|(iface, _)| self.ifaces[iface].addr)
-                .unwrap_or_else(|| self.primary_addr()),
-            Err(_) => return,
+        let Some(repr) = icmp::icmp_error_for(original, message) else {
+            return;
         };
-        if let Some(error) = icmp::icmp_error_for(original, message, replier) {
-            self.stats.icmp_sent += 1;
-            self.route_and_send(now, error);
-        }
+        self.stats.icmp_sent += 1;
+        // The decision parsed the header.
+        let to = Ipv4Packet::new_unchecked(original).src_addr();
+        let Some((iface, next_hop)) = self.route_origination(to) else {
+            return;
+        };
+        let mut buf = self.payload_buf(icmpv4::HEADER_LEN, repr.payload_len);
+        buf.append(&original[..repr.payload_len]);
+        let mut packet = Icmpv4Packet::new_unchecked(&mut buf[..]);
+        repr.emit(&mut packet);
+        packet.fill_checksum();
+        let src = self.ifaces[iface].addr;
+        self.prepend_ip(&mut buf, src, to, IpProtocol::Icmp, Tos::default());
+        self.output_datagram(now, iface, next_hop, buf);
     }
 
-    fn deliver_local(&mut self, now: Instant, datagram: impl Into<PacketBuf>) {
-        let datagram = datagram.into();
+    fn deliver_local(&mut self, now: Instant, datagram: &[u8]) {
         self.stats.ip_delivered += 1;
-        let Ok(packet) = Ipv4Packet::new_checked(&datagram[..]) else {
+        let Ok(packet) = Ipv4Packet::new_checked(datagram) else {
             self.stats.dropped_malformed += 1;
             return;
         };
@@ -1007,27 +1015,20 @@ impl Node {
         let payload = packet.payload();
 
         match protocol {
-            IpProtocol::Icmp => self.deliver_icmp(now, src, dst, &datagram, payload),
-            IpProtocol::Udp => self.deliver_udp(now, src, dst, &datagram, payload),
+            IpProtocol::Icmp => self.deliver_icmp(now, src, dst, payload),
+            IpProtocol::Udp => self.deliver_udp(now, src, dst, datagram, payload),
             IpProtocol::Tcp => self.deliver_tcp(now, src, dst, payload),
             IpProtocol::Unknown(_) => {
                 self.send_icmp_error(
                     now,
-                    &datagram,
+                    datagram,
                     Icmpv4Message::DstUnreachable(DstUnreachable::ProtoUnreachable),
                 );
             }
         }
     }
 
-    fn deliver_icmp(
-        &mut self,
-        now: Instant,
-        src: Ipv4Address,
-        dst: Ipv4Address,
-        _datagram: &[u8],
-        payload: &[u8],
-    ) {
+    fn deliver_icmp(&mut self, now: Instant, src: Ipv4Address, dst: Ipv4Address, payload: &[u8]) {
         let Ok(packet) = Icmpv4Packet::new_checked(payload) else {
             self.stats.dropped_malformed += 1;
             return;
@@ -1039,7 +1040,12 @@ impl Node {
         self.stats.icmp_received += 1;
         match repr.message {
             Icmpv4Message::EchoRequest { ident, seq_no } => {
-                // Answer with an echo reply carrying the same payload.
+                // Answer with an echo reply carrying the same payload,
+                // from the address the request was sent to.
+                self.stats.icmp_sent += 1;
+                let Some((iface, next_hop)) = self.route_origination(src) else {
+                    return;
+                };
                 let reply = Icmpv4Repr {
                     message: Icmpv4Message::EchoReply { ident, seq_no },
                     payload_len: repr.payload_len,
@@ -1049,9 +1055,8 @@ impl Node {
                 let mut out = Icmpv4Packet::new_unchecked(&mut buf[..]);
                 reply.emit(&mut out);
                 out.fill_checksum();
-                self.stats.icmp_sent += 1;
                 self.prepend_ip(&mut buf, dst, src, IpProtocol::Icmp, Tos::default());
-                self.route_and_send(now, buf);
+                self.output_datagram(now, iface, next_hop, buf);
             }
             Icmpv4Message::SourceQuench => {
                 // Steer the quench to the TCP connection it quotes: the
@@ -1208,6 +1213,9 @@ impl Node {
         payload_len: usize,
     ) {
         self.stats.rst_sent += 1;
+        let Some((iface, next_hop)) = self.route_origination(src) else {
+            return;
+        };
         let rst = match offending.ack_number {
             Some(ack) => TcpRepr {
                 src_port: offending.dst_port,
@@ -1236,7 +1244,7 @@ impl Node {
         };
         let mut buf = Self::build_tcp_segment(&self.pool, &rst, (&[], &[]), dst, src);
         self.prepend_ip(&mut buf, dst, src, IpProtocol::Tcp, Tos::default());
-        self.route_and_send(now, buf);
+        self.output_datagram(now, iface, next_hop, buf);
     }
 
     /// A pooled buffer holding the emitted TCP segment, headroom in
@@ -1386,8 +1394,13 @@ impl Node {
             while let Some(mut buf) = self.tcp_sockets[index].dispatch_with(now, |repr, head, tail| {
                 Self::build_tcp_segment(&self.pool, repr, (head, tail), src, dst)
             }) {
+                // The segment left the socket either way; without a
+                // route it is lost like any other.
+                let Some((iface, next_hop)) = self.route_origination(dst) else {
+                    continue;
+                };
                 self.prepend_ip(&mut buf, src, dst, IpProtocol::Tcp, Tos::default());
-                self.route_and_send(now, buf);
+                self.output_datagram(now, iface, next_hop, buf);
             }
             self.events.rto_fired += self.tcp_sockets[index].stats.timeouts - fired;
         }
@@ -1396,8 +1409,7 @@ impl Node {
     fn service_udp(&mut self, now: Instant) {
         for index in 0..self.udp_sockets.len() {
             while let Some((to, payload)) = self.udp_sockets[index].take_tx() {
-                let Some((iface, _)) = self.route(to.addr) else {
-                    self.stats.dropped_no_route += 1;
+                let Some((iface, next_hop)) = self.route_origination(to.addr) else {
                     continue;
                 };
                 let src = self.ifaces[iface].addr;
@@ -1406,7 +1418,7 @@ impl Node {
                     (socket.local_port, socket.tos)
                 };
                 let datagram = self.build_udp_datagram(src, src_port, to, tos, &payload);
-                self.route_and_send(now, datagram);
+                self.output_datagram(now, iface, next_hop, datagram);
             }
         }
     }
@@ -1679,31 +1691,301 @@ mod tests {
         assert!(node.take_icmp_events().is_empty());
     }
 
+    /// The ICMP error RFC 792 prescribes for `original`, built whole with
+    /// [`catenet_ip::build_ipv4`]: the header and 8 bytes quoted, sent
+    /// from `replier` back to `original`'s source with ident 0 and TTL
+    /// 64.
+    fn reference_error(original: &[u8], message: Icmpv4Message, replier: Ipv4Address) -> Vec<u8> {
+        let packet = Ipv4Packet::new_checked(original).unwrap();
+        let quote = (usize::from(packet.header_len()) + 8).min(original.len());
+        let repr = Icmpv4Repr {
+            message,
+            payload_len: quote,
+        };
+        let mut icmp_buf = vec![0u8; repr.buffer_len()];
+        let mut icmp = Icmpv4Packet::new_unchecked(&mut icmp_buf[..]);
+        repr.emit(&mut icmp);
+        icmp.payload_mut().copy_from_slice(&original[..quote]);
+        icmp.fill_checksum();
+        catenet_ip::build_ipv4(
+            &Ipv4Repr {
+                src_addr: replier,
+                dst_addr: packet.src_addr(),
+                protocol: IpProtocol::Icmp,
+                payload_len: icmp_buf.len(),
+                hop_limit: 64,
+                tos: Tos::default(),
+            },
+            0,
+            false,
+            &icmp_buf,
+        )
+    }
+
+    /// Assert that `error` is [`reference_error`] in every byte but the
+    /// ident (and the header checksum covering it); returns the ident.
+    fn assert_reference_error(
+        error: &[u8],
+        original: &[u8],
+        message: Icmpv4Message,
+        replier: Ipv4Address,
+    ) -> u16 {
+        let mut unnumbered = error.to_vec();
+        let mut packet = Ipv4Packet::new_unchecked(&mut unnumbered[..]);
+        let ident = packet.ident();
+        packet.set_ident(0);
+        packet.fill_checksum();
+        assert_eq!(unnumbered, reference_error(original, message, replier));
+        ident
+    }
+
+    /// `original` as a gateway forwarding it holds it: one hop older.
+    fn one_hop_older(original: &[u8]) -> Vec<u8> {
+        let mut older = original.to_vec();
+        Ipv4Packet::new_unchecked(&mut older[..]).decrement_hop_limit();
+        older
+    }
+
+    fn gateway_with_ifaces(framings: &[Framing]) -> Node {
+        let mut gw = Node::new("g", NodeRole::Gateway);
+        for (net, &framing) in framings.iter().enumerate() {
+            gw.attach_iface(Iface {
+                addr: Ipv4Address::new(10, 0, net as u8, 2),
+                cidr: Ipv4Cidr::new(Ipv4Address::new(10, 0, net as u8, 0), 24),
+                hardware: EthernetAddress::new(2, 0, 0, 0, net as u8, 2),
+                peer: Ipv4Address::new(10, 0, net as u8, 1),
+                ip_mtu: 1500,
+                framing,
+                up: true,
+            });
+        }
+        gw
+    }
+
+    /// A UDP datagram from `src` to port 4444 at `dst`, `hop_limit`
+    /// hops to live.
+    fn udp_datagram(src: Ipv4Address, dst: Ipv4Address, hop_limit: u8) -> Vec<u8> {
+        let mut tmp = Node::new("x", NodeRole::Host);
+        tmp.default_ttl = hop_limit;
+        let to = Endpoint::new(dst, 4444);
+        tmp.build_udp_datagram(src, 5000, to, Tos::default(), b"anyone home?").to_vec()
+    }
+
     #[test]
     fn udp_to_closed_port_earns_port_unreachable() {
         let mut node = host_with_iface();
-        let datagram = {
-            let mut tmp = Node::new("x", NodeRole::Host);
-            tmp.build_udp_datagram(
-                Ipv4Address::new(10, 0, 0, 2),
-                5000,
-                Endpoint::new(Ipv4Address::new(10, 0, 0, 1), 4444),
-                Tos::default(),
-                b"anyone home?",
-            )
-        };
-        node.handle_frame(Instant::ZERO, 0, datagram);
+        let original = udp_datagram(Ipv4Address::new(10, 0, 0, 2), node.addr(0), 64);
+        node.handle_frame(Instant::ZERO, 0, original.clone());
         let outbox = node.take_outbox();
         assert_eq!(outbox.len(), 1);
-        let error = Ipv4Packet::new_checked(&outbox[0].1[..]).unwrap();
-        assert_eq!(error.protocol(), IpProtocol::Icmp);
-        let icmp = Icmpv4Packet::new_checked(error.payload()).unwrap();
-        let parsed = Icmpv4Repr::parse(&icmp).unwrap();
-        assert_eq!(
-            parsed.message,
-            Icmpv4Message::DstUnreachable(DstUnreachable::PortUnreachable)
-        );
+        let message = Icmpv4Message::DstUnreachable(DstUnreachable::PortUnreachable);
+        let ident = assert_reference_error(&outbox[0].1, &original, message, node.addr(0));
+        assert_eq!(ident, 1, "the host's first ident");
         assert_eq!(node.stats.icmp_sent, 1);
+    }
+
+    #[test]
+    fn a_gateway_error_is_the_reference_error_about_what_it_forwarded() {
+        // TTL expiry and no route: either way the error quotes the
+        // datagram one hop older, and goes back the way it came.
+        let src = Ipv4Address::new(10, 0, 0, 1);
+        // (destination, TTL, the error, dropped for TTL and no route)
+        let cases = [
+            (
+                Ipv4Address::new(10, 0, 1, 1),
+                1,
+                Icmpv4Message::TimeExceeded(TimeExceeded::TtlExpired),
+                (1, 0),
+            ),
+            (
+                Ipv4Address::new(192, 0, 2, 1),
+                64,
+                Icmpv4Message::DstUnreachable(DstUnreachable::NetUnreachable),
+                (0, 1),
+            ),
+        ];
+        for (dst, hop_limit, message, dropped) in cases {
+            let mut gw = gateway_with_ifaces(&[Framing::RawIp, Framing::RawIp]);
+            let original = udp_datagram(src, dst, hop_limit);
+            gw.handle_frame(Instant::ZERO, 0, original.clone());
+            let outbox = gw.take_outbox();
+            assert_eq!(outbox.len(), 1, "{message:?}");
+            assert_eq!(outbox[0].0, 0, "back toward the source");
+            let older = one_hop_older(&original);
+            assert_reference_error(&outbox[0].1, &older, message, gw.addr(0));
+            let stats = gw.stats;
+            assert_eq!((stats.dropped_ttl, stats.dropped_no_route), dropped);
+            assert_eq!(stats.icmp_sent, 1);
+        }
+    }
+
+    #[test]
+    fn an_icmp_error_rides_the_pool() {
+        // The fast-path gate counts what the pool lends. An error built
+        // outside it, with no headroom, would show as neither an
+        // allocation nor a relocation, however often it was sent.
+        let mut gw = gateway_with_ifaces(&[Framing::Ethernet, Framing::RawIp]);
+        let host = Ipv4Address::new(10, 0, 0, 1);
+        let host_hw = EthernetAddress::new(2, 0, 0, 0, 0, 1);
+        let (pool, gw_hw) = (gw.pool.clone(), gw.ifaces[0].hardware);
+        let ethernet_frame = |ethertype: EtherType, payload: &[u8]| {
+            let mut frame = pool.alloc(HEADROOM, ethernet::HEADER_LEN + payload.len());
+            EthernetRepr {
+                src_addr: host_hw,
+                dst_addr: gw_hw,
+                ethertype,
+            }
+            .emit(&mut EthernetFrame::new_unchecked(&mut frame[..]));
+            frame[ethernet::HEADER_LEN..].copy_from_slice(payload);
+            frame
+        };
+        // The gateway learns the host's hardware address from its ARP
+        // request, so the error goes out framed at once.
+        let request = ArpRepr {
+            operation: ArpOperation::Request,
+            source_hardware_addr: host_hw,
+            source_protocol_addr: host,
+            target_hardware_addr: EthernetAddress::default(),
+            target_protocol_addr: gw.addr(0),
+        };
+        let mut arp = vec![0u8; request.buffer_len()];
+        request.emit(&mut ArpPacket::new_unchecked(&mut arp[..]));
+        let frame = ethernet_frame(EtherType::Arp, &arp);
+        gw.handle_frame(Instant::ZERO, 0, frame);
+        gw.take_outbox();
+
+        let original = udp_datagram(host, Ipv4Address::new(10, 0, 1, 1), 1);
+        let frame = ethernet_frame(EtherType::Ipv4, &original);
+        let before = gw.pool.stats();
+        gw.handle_frame(Instant::ZERO, 0, frame);
+        let after = gw.pool.stats();
+        let outbox = gw.take_outbox();
+        assert_eq!(outbox.len(), 1);
+        let eth = EthernetFrame::new_checked(&outbox[0].1[..]).unwrap();
+        assert_eq!((eth.dst_addr(), eth.ethertype()), (host_hw, EtherType::Ipv4));
+        let message = Icmpv4Message::TimeExceeded(TimeExceeded::TtlExpired);
+        let older = one_hop_older(&original);
+        assert_reference_error(eth.payload(), &older, message, gw.addr(0));
+        let lent = |stats: crate::PoolStats| stats.fresh_allocs + stats.recycled;
+        assert_eq!(lent(after), lent(before) + 1, "the error's buffer is counted");
+        assert_eq!(after.shift_copies, before.shift_copies, "framed in its headroom");
+    }
+
+    #[test]
+    fn a_source_quench_is_the_reference_error_about_the_dropped_frame() {
+        // h1 —fast— g —slow, two-frame queue— h2: the trunk's queue
+        // overflows, and `Lane::transmit` has g quench what it dropped.
+        use crate::network::Network;
+        use catenet_sim::{LinkClass, LinkParams};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut net = Network::new(5);
+        let h1 = net.add_host("h1");
+        let g = net.add_gateway("g");
+        let h2 = net.add_host("h2");
+        net.connect_with(h1, g, LinkClass::ModernLan.params(), Framing::RawIp);
+        let trunk = LinkParams {
+            queue_limit: 2,
+            loss: 0.0,
+            corruption: 0.0,
+            ..LinkClass::ArpanetTrunk.params()
+        };
+        net.connect_with(g, h2, trunk, Framing::RawIp);
+        net.converge_routing(Duration::from_secs(30));
+        let offered = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&offered);
+        net.set_tap(Box::new(move |_, frame| log.borrow_mut().push(frame.to_vec())));
+        let to = Endpoint::new(net.node(h2).primary_addr(), 9);
+        let socket = net.node_mut(h1).udp_bind(4000);
+        for _ in 0..8 {
+            net.node_mut(h1).udp_sockets[socket].send_to(to, &[0x5a; 400]);
+        }
+        net.kick(h1);
+        net.run_for(Duration::from_secs(2));
+        assert!(net.node(g).stats.quench_sent > 0, "the trunk overflowed");
+
+        let offered = offered.borrow();
+        let quenches: Vec<&Vec<u8>> = offered
+            .iter()
+            .filter(|frame| {
+                let ip = Ipv4Packet::new_checked(&frame[..]).unwrap();
+                ip.protocol() == IpProtocol::Icmp && ip.payload()[0] == 4
+            })
+            .collect();
+        assert_eq!(quenches.len() as u64, net.node(g).stats.quench_sent);
+        for quench in quenches {
+            let ip = Ipv4Packet::new_checked(&quench[..]).unwrap();
+            let quote = &ip.payload()[icmpv4::HEADER_LEN..];
+            // What g offered its trunk, one hop older than what h1 sent.
+            let dropped = offered
+                .iter()
+                .find(|frame| {
+                    let hop_limit = Ipv4Packet::new_unchecked(&frame[..]).hop_limit();
+                    frame.starts_with(quote) && hop_limit == 63
+                })
+                .expect("the quoted frame was offered");
+            let replier = net.node(g).addr(0);
+            assert_reference_error(quench, dropped, Icmpv4Message::SourceQuench, replier);
+        }
+    }
+
+    #[test]
+    fn idents_run_on_across_every_kind_of_origination() {
+        let mut node = host_with_iface();
+        let peer = Ipv4Address::new(10, 0, 0, 2);
+        let mut idents = Vec::new();
+        let mut collect = |node: &mut Node| {
+            let outbox = node.take_outbox();
+            assert_eq!(outbox.len(), 1);
+            let ip = Ipv4Packet::new_checked(&outbox[0].1[..]).unwrap();
+            idents.push((ip.protocol(), ip.ident()));
+        };
+        node.send_ping(peer, 1, 1, 8, Instant::ZERO);
+        collect(&mut node);
+        let socket = node.udp_bind(5000);
+        node.udp_sockets[socket].send_to(Endpoint::new(peer, 53), b"query");
+        node.service(Instant::ZERO);
+        collect(&mut node);
+        node.tcp_connect(Endpoint::new(peer, 80), TcpConfig::default(), Instant::ZERO)
+            .unwrap();
+        node.service(Instant::ZERO);
+        collect(&mut node);
+        let original = udp_datagram(peer, node.addr(0), 64);
+        node.handle_frame(Instant::ZERO, 0, original);
+        collect(&mut node);
+        assert_eq!(
+            idents,
+            [
+                (IpProtocol::Icmp, 1),
+                (IpProtocol::Udp, 2),
+                (IpProtocol::Tcp, 3),
+                (IpProtocol::Icmp, 4),
+            ]
+        );
+        assert_eq!(node.stats.ip_originated, 4);
+    }
+
+    #[test]
+    fn an_origination_with_no_route_is_counted_and_takes_no_ident() {
+        let mut node = host_with_iface();
+        node.static_routes = RoutingTable::new();
+        let nowhere = Ipv4Address::new(192, 0, 2, 1);
+        node.send_ping(nowhere, 1, 1, 8, Instant::ZERO);
+        let socket = node.udp_bind(5000);
+        node.udp_sockets[socket].send_to(Endpoint::new(nowhere, 53), b"query");
+        node.service(Instant::ZERO);
+        // A datagram from off-link earns an error there is no route for.
+        node.handle_frame(Instant::ZERO, 0, udp_datagram(nowhere, node.addr(0), 64));
+        assert!(node.take_outbox().is_empty());
+        assert_eq!(node.stats.dropped_no_route, 3);
+        assert_eq!(node.stats.icmp_sent, 1, "the error was generated");
+        assert_eq!(node.stats.ip_originated, 0);
+
+        let peer = Ipv4Address::new(10, 0, 0, 2);
+        node.send_ping(peer, 1, 2, 8, Instant::ZERO);
+        let outbox = node.take_outbox();
+        let ip = Ipv4Packet::new_checked(&outbox[0].1[..]).unwrap();
+        assert_eq!(ip.ident(), 1, "no ident was spent on what was dropped");
     }
 
     #[test]
@@ -1926,50 +2208,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry_generates_time_exceeded() {
-        let mut gw = Node::new("g", NodeRole::Gateway);
-        gw.attach_iface(Iface {
-            addr: Ipv4Address::new(10, 0, 0, 2),
-            cidr: Ipv4Cidr::new(Ipv4Address::new(10, 0, 0, 0), 30),
-            hardware: EthernetAddress::default(),
-            peer: Ipv4Address::new(10, 0, 0, 1),
-            ip_mtu: 1500,
-            framing: Framing::RawIp,
-            up: true,
-        });
-        gw.attach_iface(Iface {
-            addr: Ipv4Address::new(10, 0, 1, 1),
-            cidr: Ipv4Cidr::new(Ipv4Address::new(10, 0, 1, 0), 30),
-            hardware: EthernetAddress::default(),
-            peer: Ipv4Address::new(10, 0, 1, 2),
-            ip_mtu: 1500,
-            framing: Framing::RawIp,
-            up: true,
-        });
-        // A datagram with TTL 1 destined beyond the gateway.
-        let datagram = catenet_ip::build_ipv4(
-            &Ipv4Repr {
-                src_addr: Ipv4Address::new(10, 0, 0, 1),
-                dst_addr: Ipv4Address::new(10, 0, 1, 2),
-                protocol: IpProtocol::Udp,
-                payload_len: 8,
-                hop_limit: 1,
-                tos: Tos::default(),
-            },
-            1,
-            false,
-            &[0u8; 8],
-        );
-        gw.handle_frame(Instant::ZERO, 0, datagram);
-        assert_eq!(gw.stats.dropped_ttl, 1);
-        let outbox = gw.take_outbox();
-        assert_eq!(outbox.len(), 1, "ICMP time exceeded emitted");
-        assert_eq!(outbox[0].0, 0, "sent back toward the source");
-        let ip = Ipv4Packet::new_checked(&outbox[0].1[..]).unwrap();
-        assert_eq!(ip.protocol(), IpProtocol::Icmp);
-    }
-
-    #[test]
     fn forwarding_fragments_to_smaller_mtu() {
         let mut gw = Node::new("g", NodeRole::Gateway);
         gw.attach_iface(Iface {
@@ -2039,7 +2277,7 @@ mod tests {
     fn unanswered_arp_retries_with_backoff_then_gives_up() {
         let mut node = ethernet_host();
         let peer = Ipv4Address::new(10, 0, 0, 2);
-        node.output_datagram(Instant::ZERO, 0, peer, b"a datagram".to_vec());
+        node.output_datagram(Instant::ZERO, 0, peer, b"a datagram".to_vec().into());
         let first = node.take_outbox();
         assert_eq!(count_arp_requests(&first), 1, "initial request emitted");
 
@@ -2070,7 +2308,7 @@ mod tests {
         let mut node = ethernet_host();
         let peer = Ipv4Address::new(10, 0, 0, 2);
         let peer_hw = EthernetAddress::new(2, 0, 0, 0, 0, 2);
-        node.output_datagram(Instant::ZERO, 0, peer, b"a datagram".to_vec());
+        node.output_datagram(Instant::ZERO, 0, peer, b"a datagram".to_vec().into());
         node.take_outbox();
         // Peer answers before the first retry.
         let reply = ArpRepr {

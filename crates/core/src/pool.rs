@@ -27,7 +27,11 @@
 //! allocations vs. freelist hits, and every byte that still gets copied
 //! (a prepend that missed its headroom). E13 reads these as a standing
 //! gate: on a converged network, allocations and relocations per
-//! forwarded packet are exactly zero.
+//! forwarded packet are exactly zero. The gate sees everything because
+//! every datagram a node sends is born here — a transport's segment, a
+//! fragment, an ARP frame and an ICMP error alike — and a frame off the
+//! wire arrives in a buffer some pool lent. A plain `Vec` becomes a
+//! [`PacketBuf`] only where a test builds a frame by hand.
 //!
 //! A buffer's live range only grows by writing: [`PacketPool::alloc`]
 //! zeroes it, and [`PacketPool::alloc_header`] zeroes only the headroom
@@ -246,16 +250,6 @@ impl PacketPool {
         }
     }
 
-    /// Attach this pool to a buffer born outside it (a frame off the
-    /// wire, a fragment, an ICMP error build) without copying, so its
-    /// relocations are counted and its memory recycled if compatible.
-    pub fn adopt(&self, mut buf: PacketBuf) -> PacketBuf {
-        if buf.pool.is_none() {
-            buf.pool = Some(self.clone());
-        }
-        buf
-    }
-
     fn release(&self, mut data: Vec<u8>) {
         let mut inner = self.lock();
         let class = CLASSES
@@ -286,9 +280,9 @@ pub struct PacketBuf {
 }
 
 impl PacketBuf {
-    /// Wrap a plain vector (no pool, no headroom). Prepends onto such a
-    /// buffer relocate it; it is freed, not recycled, unless a pool
-    /// [`adopt`](PacketPool::adopt)s it first.
+    /// Wrap a plain vector (no pool, no headroom), as a test builds a
+    /// frame by hand. Prepends onto such a buffer relocate it uncounted,
+    /// and it is freed, not recycled.
     pub fn from_vec(data: Vec<u8>) -> PacketBuf {
         PacketBuf {
             data,
@@ -658,17 +652,6 @@ mod tests {
         drop((stays, grows));
         assert_eq!(pool.lock().free.each_ref().map(Vec::len), [2, 1]);
         assert_eq!(pool.stats().discarded, 0);
-    }
-
-    #[test]
-    fn adopt_attaches_without_copying() {
-        let pool = PacketPool::new();
-        let buf = pool.adopt(PacketBuf::from_vec(b"abc".to_vec()));
-        assert_eq!(&buf[..], b"abc");
-        drop(buf);
-        let stats = pool.stats();
-        assert_eq!((stats.bytes_copied, stats.fresh_allocs), (0, 0));
-        assert_eq!(stats.discarded, 1, "nonstandard capacity is not recycled");
     }
 
     #[test]

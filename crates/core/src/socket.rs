@@ -12,7 +12,7 @@ use catenet_tcp::Endpoint;
 use catenet_wire::Tos;
 use std::collections::VecDeque;
 
-/// Default capacity of the receive queue, in datagrams.
+/// Capacity of the receive queue, in datagrams.
 pub const DEFAULT_RX_QUEUE: usize = 64;
 
 /// A received datagram with its metadata.
@@ -34,10 +34,7 @@ pub struct UdpSocket {
     /// ToS marking applied to transmitted datagrams (the "type of
     /// service" knob the architecture exposes per-datagram).
     pub tos: Tos,
-    /// TTL for transmitted datagrams.
-    pub ttl: u8,
     rx: VecDeque<UdpDatagram>,
-    rx_capacity: usize,
     tx: VecDeque<(Endpoint, Vec<u8>)>,
     /// Datagrams dropped because the receive queue was full.
     pub rx_dropped: u64,
@@ -53,21 +50,11 @@ impl UdpSocket {
         UdpSocket {
             local_port,
             tos: Tos::default(),
-            ttl: 64,
             rx: VecDeque::new(),
-            rx_capacity: DEFAULT_RX_QUEUE,
             tx: VecDeque::new(),
             rx_dropped: 0,
             tx_count: 0,
             rx_count: 0,
-        }
-    }
-
-    /// Bind with a specific receive-queue capacity.
-    pub fn bind_with_capacity(local_port: u16, rx_capacity: usize) -> UdpSocket {
-        UdpSocket {
-            rx_capacity,
-            ..UdpSocket::bind(local_port)
         }
     }
 
@@ -109,7 +96,7 @@ impl UdpSocket {
 
     /// (Stack side.) Deliver a received datagram; drop-tail on overflow.
     pub fn deliver(&mut self, from: Endpoint, at: Instant, payload: Vec<u8>) {
-        if self.rx.len() >= self.rx_capacity {
+        if self.rx.len() >= DEFAULT_RX_QUEUE {
             self.rx_dropped += 1;
             return;
         }
@@ -156,14 +143,16 @@ mod tests {
 
     #[test]
     fn overflow_drops_tail() {
-        let mut sock = UdpSocket::bind_with_capacity(4000, 2);
-        for i in 0..4u8 {
-            sock.deliver(ep(1), Instant::ZERO, vec![i]);
+        let mut sock = UdpSocket::bind(4000);
+        for i in 0..DEFAULT_RX_QUEUE + 2 {
+            sock.deliver(ep(1), Instant::ZERO, vec![i as u8]);
         }
-        assert_eq!(sock.rx_queue_len(), 2);
+        assert_eq!(sock.rx_queue_len(), DEFAULT_RX_QUEUE);
         assert_eq!(sock.rx_dropped, 2);
         // The oldest survive (drop-tail, not drop-head).
-        assert_eq!(sock.recv().unwrap().payload, vec![0]);
-        assert_eq!(sock.recv().unwrap().payload, vec![1]);
+        for i in 0..DEFAULT_RX_QUEUE {
+            assert_eq!(sock.recv().unwrap().payload, vec![i as u8]);
+        }
+        assert!(sock.recv().is_none());
     }
 }

@@ -1,4 +1,6 @@
-//! Convenience constructors for whole IPv4 datagrams.
+//! A constructor for whole IPv4 datagrams, for tests and benchmarks:
+//! a node builds each datagram it sends in a pooled buffer and
+//! prepends its header in place.
 
 use catenet_wire::{Ipv4Flags, Ipv4Packet, Ipv4Repr};
 

@@ -1,29 +1,23 @@
-//! Construction of ICMP error datagrams, with the RFC 1122 suppression
-//! rules that keep the error channel from amplifying failures:
-//! never answer an ICMP error with another error, never answer a
-//! non-initial fragment, never answer broadcast/multicast traffic.
+//! Whether to answer a datagram with an ICMP error, and how much of it
+//! to quote: the RFC 1122 suppression rules that keep the error channel
+//! from amplifying failures — never answer an ICMP error with another
+//! error, never answer a non-initial fragment, never answer
+//! broadcast/multicast traffic. The sender builds the datagram itself,
+//! the way it builds every other one.
 
-use crate::builder::build_ipv4;
-use catenet_wire::{
-    Icmpv4Message, Icmpv4Packet, Icmpv4Repr, IpProtocol, Ipv4Address, Ipv4Packet, Ipv4Repr, Tos,
-};
+use catenet_wire::{Icmpv4Message, Icmpv4Packet, Icmpv4Repr, IpProtocol, Ipv4Packet};
 
 /// How many bytes of the offending datagram an error message quotes:
 /// the IP header plus 8 bytes of upper-layer header (RFC 792).
 pub const QUOTE_EXTRA: usize = 8;
 
-/// Default TTL for generated ICMP messages.
-pub const ICMP_TTL: u8 = 64;
-
-/// Decide whether an ICMP error may be sent about `original`, and if so
-/// build the complete IPv4 datagram carrying it, sourced from `replier`.
+/// Decide whether an ICMP error may be sent about `original`. If so,
+/// the returned header carries `message`, and its `payload_len` says how
+/// much to quote: the error's payload is `original[..payload_len]`, and
+/// it goes back to `original`'s source.
 ///
 /// Returns `None` when the suppression rules forbid a reply.
-pub fn icmp_error_for(
-    original: &[u8],
-    message: Icmpv4Message,
-    replier: Ipv4Address,
-) -> Option<Vec<u8>> {
+pub fn icmp_error_for(original: &[u8], message: Icmpv4Message) -> Option<Icmpv4Repr> {
     debug_assert!(message.is_error(), "not an error message");
     let packet = Ipv4Packet::new_checked(original).ok()?;
 
@@ -50,144 +44,81 @@ pub fn icmp_error_for(
     }
 
     let header_len = usize::from(packet.header_len());
-    let quote_len = (header_len + QUOTE_EXTRA).min(original.len());
-    let icmp_repr = Icmpv4Repr {
+    Some(Icmpv4Repr {
         message,
-        payload_len: quote_len,
-    };
-    let mut icmp_buf = vec![0u8; icmp_repr.buffer_len()];
-    let mut icmp = Icmpv4Packet::new_unchecked(&mut icmp_buf[..]);
-    icmp_repr.emit(&mut icmp);
-    icmp.payload_mut().copy_from_slice(&original[..quote_len]);
-    icmp.fill_checksum();
-
-    Some(build_ipv4(
-        &Ipv4Repr {
-            src_addr: replier,
-            dst_addr: src,
-            protocol: IpProtocol::Icmp,
-            payload_len: icmp_buf.len(),
-            hop_limit: ICMP_TTL,
-            tos: Tos::default(),
-        },
-        0,
-        false,
-        &icmp_buf,
-    ))
-}
-
-/// Build an echo reply datagram answering `request_payload` (the ICMP
-/// payload of an echo request), swapping the addresses.
-pub fn echo_reply(
-    request: &Ipv4Packet<&[u8]>,
-    replier: Ipv4Address,
-) -> Option<Vec<u8>> {
-    let icmp = Icmpv4Packet::new_checked(request.payload()).ok()?;
-    let repr = Icmpv4Repr::parse(&icmp).ok()?;
-    let (ident, seq_no) = match repr.message {
-        Icmpv4Message::EchoRequest { ident, seq_no } => (ident, seq_no),
-        _ => return None,
-    };
-    let reply_repr = Icmpv4Repr {
-        message: Icmpv4Message::EchoReply { ident, seq_no },
-        payload_len: repr.payload_len,
-    };
-    let mut icmp_buf = vec![0u8; reply_repr.buffer_len()];
-    let mut reply = Icmpv4Packet::new_unchecked(&mut icmp_buf[..]);
-    reply_repr.emit(&mut reply);
-    reply.payload_mut().copy_from_slice(icmp.payload());
-    reply.fill_checksum();
-
-    Some(build_ipv4(
-        &Ipv4Repr {
-            src_addr: replier,
-            dst_addr: request.src_addr(),
-            protocol: IpProtocol::Icmp,
-            payload_len: icmp_buf.len(),
-            hop_limit: ICMP_TTL,
-            tos: Tos::default(),
-        },
-        0,
-        false,
-        &icmp_buf,
-    ))
+        payload_len: (header_len + QUOTE_EXTRA).min(original.len()),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use catenet_wire::{DstUnreachable, Ipv4Flags, TimeExceeded};
-
-    fn udp_datagram(src: Ipv4Address, dst: Ipv4Address) -> Vec<u8> {
-        build_ipv4(
-            &Ipv4Repr {
-                src_addr: src,
-                dst_addr: dst,
-                protocol: IpProtocol::Udp,
-                payload_len: 16,
-                hop_limit: 1,
-                tos: Tos::default(),
-            },
-            77,
-            false,
-            &[0xAB; 16],
-        )
-    }
+    use crate::builder::build_ipv4;
+    use catenet_wire::{DstUnreachable, Ipv4Address, Ipv4Flags, Ipv4Repr, TimeExceeded, Tos};
 
     const SRC: Ipv4Address = Ipv4Address::new(10, 0, 0, 1);
     const DST: Ipv4Address = Ipv4Address::new(10, 9, 0, 1);
     const GW: Ipv4Address = Ipv4Address::new(10, 0, 0, 254);
 
+    fn datagram(
+        src: Ipv4Address,
+        dst: Ipv4Address,
+        protocol: IpProtocol,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        build_ipv4(
+            &Ipv4Repr {
+                src_addr: src,
+                dst_addr: dst,
+                protocol,
+                payload_len: payload.len(),
+                hop_limit: 1,
+                tos: Tos::default(),
+            },
+            77,
+            false,
+            payload,
+        )
+    }
+
+    fn udp_datagram(src: Ipv4Address, dst: Ipv4Address) -> Vec<u8> {
+        datagram(src, dst, IpProtocol::Udp, &[0xAB; 16])
+    }
+
+    /// The ICMP message `repr` describes, quoting `quote`.
+    fn icmp_message(repr: &Icmpv4Repr, quote: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0u8; repr.buffer_len()];
+        let mut icmp = Icmpv4Packet::new_unchecked(&mut buf[..]);
+        repr.emit(&mut icmp);
+        icmp.payload_mut().copy_from_slice(quote);
+        icmp.fill_checksum();
+        buf
+    }
+
+    fn allowed(original: &[u8], message: Icmpv4Message) -> bool {
+        icmp_error_for(original, message).is_some()
+    }
+
+    const TTL_EXPIRED: Icmpv4Message = Icmpv4Message::TimeExceeded(TimeExceeded::TtlExpired);
+    const PORT_UNREACHABLE: Icmpv4Message =
+        Icmpv4Message::DstUnreachable(DstUnreachable::PortUnreachable);
+    const HOST_UNREACHABLE: Icmpv4Message =
+        Icmpv4Message::DstUnreachable(DstUnreachable::HostUnreachable);
+
     #[test]
     fn error_quotes_header_plus_eight() {
         let original = udp_datagram(SRC, DST);
-        let error = icmp_error_for(
-            &original,
-            Icmpv4Message::TimeExceeded(TimeExceeded::TtlExpired),
-            GW,
-        )
-        .unwrap();
-        let packet = Ipv4Packet::new_checked(&error[..]).unwrap();
-        assert!(packet.verify_checksum());
-        assert_eq!(packet.src_addr(), GW);
-        assert_eq!(packet.dst_addr(), SRC);
-        assert_eq!(packet.protocol(), IpProtocol::Icmp);
-        let icmp = Icmpv4Packet::new_checked(packet.payload()).unwrap();
-        assert!(icmp.verify_checksum());
-        let repr = Icmpv4Repr::parse(&icmp).unwrap();
-        assert_eq!(
-            repr.message,
-            Icmpv4Message::TimeExceeded(TimeExceeded::TtlExpired)
-        );
+        let repr = icmp_error_for(&original, TTL_EXPIRED).unwrap();
+        assert_eq!(repr.message, TTL_EXPIRED);
         assert_eq!(repr.payload_len, 28); // 20-byte header + 8
-        assert_eq!(&icmp.payload()[..20], &original[..20]);
     }
 
     #[test]
     fn quote_truncated_to_original_length() {
         // A 4-byte-payload datagram quotes only what exists.
-        let original = build_ipv4(
-            &Ipv4Repr {
-                src_addr: SRC,
-                dst_addr: DST,
-                protocol: IpProtocol::Udp,
-                payload_len: 4,
-                hop_limit: 1,
-                tos: Tos::default(),
-            },
-            1,
-            false,
-            &[1, 2, 3, 4],
-        );
-        let error = icmp_error_for(
-            &original,
-            Icmpv4Message::DstUnreachable(DstUnreachable::HostUnreachable),
-            GW,
-        )
-        .unwrap();
-        let packet = Ipv4Packet::new_checked(&error[..]).unwrap();
-        let icmp = Icmpv4Packet::new_checked(packet.payload()).unwrap();
-        assert_eq!(icmp.payload().len(), 24);
+        let original = datagram(SRC, DST, IpProtocol::Udp, &[1, 2, 3, 4]);
+        let repr = icmp_error_for(&original, HOST_UNREACHABLE).unwrap();
+        assert_eq!(repr.payload_len, 24);
     }
 
     #[test]
@@ -204,56 +135,28 @@ mod tests {
             );
             packet.fill_checksum();
         }
-        assert!(icmp_error_for(
-            &original,
-            Icmpv4Message::TimeExceeded(TimeExceeded::TtlExpired),
-            GW
-        )
-        .is_none());
+        assert!(!allowed(&original, TTL_EXPIRED));
     }
 
     #[test]
     fn no_error_about_broadcast_or_bad_source() {
         let broadcast = udp_datagram(SRC, Ipv4Address::BROADCAST);
-        assert!(icmp_error_for(
-            &broadcast,
-            Icmpv4Message::DstUnreachable(DstUnreachable::PortUnreachable),
-            GW
-        )
-        .is_none());
+        assert!(!allowed(&broadcast, PORT_UNREACHABLE));
         let multicast = udp_datagram(SRC, Ipv4Address::new(224, 0, 0, 9));
-        assert!(icmp_error_for(
-            &multicast,
-            Icmpv4Message::DstUnreachable(DstUnreachable::PortUnreachable),
-            GW
-        )
-        .is_none());
+        assert!(!allowed(&multicast, PORT_UNREACHABLE));
         let from_nowhere = udp_datagram(Ipv4Address::UNSPECIFIED, DST);
-        assert!(icmp_error_for(
-            &from_nowhere,
-            Icmpv4Message::DstUnreachable(DstUnreachable::PortUnreachable),
-            GW
-        )
-        .is_none());
+        assert!(!allowed(&from_nowhere, PORT_UNREACHABLE));
     }
 
     #[test]
     fn no_error_about_icmp_error() {
         let original = udp_datagram(SRC, DST);
-        let first_error = icmp_error_for(
-            &original,
-            Icmpv4Message::TimeExceeded(TimeExceeded::TtlExpired),
-            GW,
-        )
-        .unwrap();
+        let repr = icmp_error_for(&original, TTL_EXPIRED).unwrap();
+        let quote = &original[..repr.payload_len];
+        let first_error = datagram(GW, SRC, IpProtocol::Icmp, &icmp_message(&repr, quote));
         // A gateway trying to report a problem with the error itself must
         // stay silent.
-        assert!(icmp_error_for(
-            &first_error,
-            Icmpv4Message::DstUnreachable(DstUnreachable::HostUnreachable),
-            GW
-        )
-        .is_none());
+        assert!(!allowed(&first_error, HOST_UNREACHABLE));
     }
 
     #[test]
@@ -264,80 +167,8 @@ mod tests {
             message: Icmpv4Message::EchoRequest { ident: 1, seq_no: 1 },
             payload_len: 8,
         };
-        let mut icmp_buf = vec![0u8; echo_repr.buffer_len()];
-        let mut icmp = Icmpv4Packet::new_unchecked(&mut icmp_buf[..]);
-        echo_repr.emit(&mut icmp);
-        icmp.payload_mut().copy_from_slice(b"pingdata");
-        icmp.fill_checksum();
-        let original = build_ipv4(
-            &Ipv4Repr {
-                src_addr: SRC,
-                dst_addr: DST,
-                protocol: IpProtocol::Icmp,
-                payload_len: icmp_buf.len(),
-                hop_limit: 1,
-                tos: Tos::default(),
-            },
-            3,
-            false,
-            &icmp_buf,
-        );
-        assert!(icmp_error_for(
-            &original,
-            Icmpv4Message::DstUnreachable(DstUnreachable::HostUnreachable),
-            GW
-        )
-        .is_some());
-    }
-
-    #[test]
-    fn echo_reply_swaps_addresses_and_preserves_payload() {
-        let echo_repr = Icmpv4Repr {
-            message: Icmpv4Message::EchoRequest {
-                ident: 42,
-                seq_no: 3,
-            },
-            payload_len: 12,
-        };
-        let mut icmp_buf = vec![0u8; echo_repr.buffer_len()];
-        let mut icmp = Icmpv4Packet::new_unchecked(&mut icmp_buf[..]);
-        echo_repr.emit(&mut icmp);
-        icmp.payload_mut().copy_from_slice(b"echo-payload");
-        icmp.fill_checksum();
-        let request = build_ipv4(
-            &Ipv4Repr {
-                src_addr: SRC,
-                dst_addr: DST,
-                protocol: IpProtocol::Icmp,
-                payload_len: icmp_buf.len(),
-                hop_limit: 64,
-                tos: Tos::default(),
-            },
-            5,
-            false,
-            &icmp_buf,
-        );
-        let request_packet = Ipv4Packet::new_checked(&request[..]).unwrap();
-        let reply = echo_reply(&request_packet, DST).unwrap();
-        let reply_packet = Ipv4Packet::new_checked(&reply[..]).unwrap();
-        assert_eq!(reply_packet.src_addr(), DST);
-        assert_eq!(reply_packet.dst_addr(), SRC);
-        let reply_icmp = Icmpv4Packet::new_checked(reply_packet.payload()).unwrap();
-        let repr = Icmpv4Repr::parse(&reply_icmp).unwrap();
-        assert_eq!(
-            repr.message,
-            Icmpv4Message::EchoReply {
-                ident: 42,
-                seq_no: 3
-            }
-        );
-        assert_eq!(reply_icmp.payload(), b"echo-payload");
-    }
-
-    #[test]
-    fn echo_reply_ignores_non_requests() {
-        let original = udp_datagram(SRC, DST);
-        let packet = Ipv4Packet::new_checked(&original[..]).unwrap();
-        assert!(echo_reply(&packet, DST).is_none());
+        let echo = icmp_message(&echo_repr, b"pingdata");
+        let original = datagram(SRC, DST, IpProtocol::Icmp, &echo);
+        assert!(allowed(&original, HOST_UNREACHABLE));
     }
 }

@@ -9,10 +9,12 @@
 //! - [`frag`] — IPv4 fragmentation and reassembly, the mechanism that
 //!   lets a datagram sized for one network cross another with a smaller
 //!   MTU;
-//! - [`icmp`] — construction of ICMP error datagrams (destination
-//!   unreachable, time exceeded, source quench) with the RFC 1122 rules
-//!   about when *not* to send them;
-//! - [`builder`] — convenience constructors for whole IPv4 datagrams.
+//! - [`icmp`] — whether to answer a datagram with an ICMP error
+//!   (destination unreachable, time exceeded, source quench) and how
+//!   much of it to quote, by the RFC 1122 rules about when *not* to;
+//!   the sender builds the error like any datagram it originates;
+//! - [`builder`] — a whole-datagram constructor for tests and
+//!   benchmarks (a node prepends its IPv4 header in place instead).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
