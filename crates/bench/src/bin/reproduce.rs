@@ -11,37 +11,90 @@
 
 use catenet_bench::*;
 
+/// The experiments `reproduce` runs, in the order it runs them.
+const EXPERIMENTS: [&str; 17] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
+    "e16", "e17", "ablations",
+];
+
+/// The flags it takes.
+const FLAGS: [&str; 5] = ["--fast", "--check", "--full", "--soak N", "--shards N"];
+
+/// A command line, checked.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// The experiments named (lower-cased); none named runs them all.
+    selected: Vec<String>,
+    /// Fewer seeds.
+    fast: bool,
+    /// Strip wall-clock fields from the BENCH JSON so CI can run twice
+    /// and diff (it also implies the fast topology set).
+    check: bool,
+    /// The e17 scale tier (5,120 gateways, ~10⁵ flows); CI uploads its
+    /// timing JSON as an artifact.
+    full: bool,
+    /// `--soak N` swaps the e11 battery table for N randomized runs.
+    soak: Option<usize>,
+    /// `--shards N` pins e17 to a single shard count (CI runs K=1 and
+    /// K=4 separately and diffs the check-mode JSON across them).
+    shards: Option<usize>,
+}
+
+/// Parse the arguments after the program name. An experiment or flag
+/// not listed in [`EXPERIMENTS`] or [`FLAGS`] is an error: a misspelt
+/// or retired name would otherwise run nothing and succeed.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--fast" => parsed.fast = true,
+            "--check" => parsed.check = true,
+            "--full" => parsed.full = true,
+            flag @ ("--soak" | "--shards") => {
+                let n = args
+                    .next()
+                    .and_then(|n| n.parse().ok())
+                    .ok_or_else(|| format!("{flag} takes a number"))?;
+                if flag == "--soak" {
+                    parsed.soak = Some(n);
+                } else {
+                    parsed.shards = Some(n);
+                }
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            name => {
+                let id = name.to_lowercase();
+                if !EXPERIMENTS.contains(&id.as_str()) {
+                    return Err(format!("unknown experiment {name}"));
+                }
+                parsed.selected.push(id);
+            }
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    // `--check` strips wall-clock fields from BENCH_e13.json so CI can
-    // run twice and diff (it also implies the fast topology set).
-    let check = args.iter().any(|a| a == "--check");
+    let Args {
+        selected,
+        fast,
+        check,
+        full,
+        soak,
+        shards,
+    } = parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("reproduce: {error}");
+        eprintln!("experiments: {}", EXPERIMENTS.join(" "));
+        eprintln!("flags: {}", FLAGS.join(" "));
+        std::process::exit(2);
+    });
     let seeds: Vec<u64> = if fast {
         SEEDS[..2].to_vec()
     } else {
         SEEDS.to_vec()
     };
-    // `--soak N` swaps the e11 battery table for N randomized runs.
-    let soak: Option<usize> = args
-        .windows(2)
-        .find(|w| w[0] == "--soak")
-        .and_then(|w| w[1].parse().ok());
-    // `--shards N` pins e17 to a single shard count (CI runs K=1 and
-    // K=4 separately and diffs the check-mode JSON across them).
-    let shards: Option<usize> = args
-        .windows(2)
-        .find(|w| w[0] == "--shards")
-        .and_then(|w| w[1].parse().ok());
-    // `--full` selects the e17 scale tier (5,120 gateways, ~10⁵
-    // flows); CI uploads its timing JSON as an artifact.
-    let full = args.iter().any(|a| a == "--full");
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| a.parse::<usize>().is_err())
-        .map(|a| a.to_lowercase())
-        .collect();
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
     println!("# catenet experiment reproduction");
@@ -177,5 +230,45 @@ fn main() {
         println!("{}", ablations::count_to_infinity_table());
         println!("{}", ablations::nagle_table(&seeds));
         println!("{}", ablations::quench_table(&seeds));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn known_names_and_flags_parse() {
+        let args = parse("E11 e17 --check --shards 4 --soak 20 --fast --full").unwrap();
+        assert_eq!(
+            args,
+            Args {
+                selected: vec!["e11".into(), "e17".into()],
+                fast: true,
+                check: true,
+                full: true,
+                soak: Some(20),
+                shards: Some(4),
+            }
+        );
+        assert_eq!(parse("").unwrap(), Args::default(), "nothing named runs everything");
+        for id in EXPERIMENTS {
+            assert_eq!(parse(id).unwrap().selected, [id]);
+        }
+    }
+
+    #[test]
+    fn an_unknown_name_or_flag_is_refused() {
+        assert_eq!(parse("e15"), Err("unknown experiment e15".into()));
+        assert_eq!(parse("e11 e99"), Err("unknown experiment e99".into()));
+        assert_eq!(parse("20"), Err("unknown experiment 20".into()), "a number needs its flag");
+        assert_eq!(parse("e13 --chek"), Err("unknown flag --chek".into()));
+        assert_eq!(parse("e11 --soak"), Err("--soak takes a number".into()));
+        assert_eq!(parse("e17 --shards four"), Err("--shards takes a number".into()));
     }
 }

@@ -182,10 +182,7 @@ pub(crate) struct HarvestEntry {
 /// node is (honest or compromised included) lives in the [`Node`]; a
 /// slot holds only what driving it takes.
 pub(crate) struct NodeSlot {
-    /// Private to this module: the coordinator reaches it through
-    /// [`NodeSlot::node`] / [`NodeSlot::node_mut`], so it cannot change
-    /// a node and leave its idle gate armed.
-    node: Node,
+    pub node: Node,
     pub apps: Vec<Box<dyn Application>>,
     /// The earliest wake pending in the lane's scheduler, if any.
     pub next_wake: Option<Instant>,
@@ -213,17 +210,6 @@ impl NodeSlot {
             sampled_acked: 0,
             endpoints: Vec::new(),
         }
-    }
-
-    pub fn node(&self) -> &Node {
-        &self.node
-    }
-
-    /// Whatever the caller does with the node, its next service pass is
-    /// a full one.
-    pub fn node_mut(&mut self) -> &mut Node {
-        self.node.set_idle_gate(None);
-        &mut self.node
     }
 }
 
@@ -332,11 +318,6 @@ impl Lane {
                         if slot.next_wake == Some(at) {
                             slot.next_wake = None;
                         }
-                        // A wake is the clock touching the node: whatever
-                        // it was armed for is due, and a wake earlier than
-                        // the node's current want has to re-arm the later
-                        // one, which only a full pass does.
-                        slot.node.set_idle_gate(None);
                         (node, keyed.key)
                     }
                 };
@@ -356,12 +337,11 @@ impl Lane {
     /// event record, outbox drain, timer re-arm. `token` orders the
     /// resulting harvest entry among same-instant entries.
     ///
-    /// A pass costs what is due. When the last full pass left the node
-    /// with nothing but timers, none of them is due yet, the wake they
-    /// asked for is still pending and only forwards have touched the
-    /// node since (its idle gate is still armed), everything but the
-    /// outbox drain is a no-op and is skipped — exactly, not
-    /// approximately: see DESIGN.md, "What a service pass costs".
+    /// A pass costs what is due. A node without applications that is
+    /// quiet ([`Node::is_quiet`]) has nothing for `service` to do and
+    /// nothing to report, so only the outbox drain and the wake are
+    /// left — exactly, not approximately: see DESIGN.md, "What a
+    /// service pass costs".
     pub fn service_node(
         &mut self,
         id: NodeId,
@@ -371,17 +351,8 @@ impl Lane {
     ) {
         let slot = self.slot(id);
         slot.service_count += 1;
-        let pending = slot.next_wake;
-        let skip = slot.node.idle_gate().is_some_and(|gate| {
-            now < gate.until
-                && gate
-                    .wake
-                    .is_none_or(|want| pending.is_some_and(|at| at <= want))
-        });
-        if skip {
-            // Debug builds check every skipped pass: the node is idle
-            // when recomputed from scratch and has nothing to report.
-            debug_assert!(slot.apps.is_empty(), "skipped a pass with apps");
+        if slot.apps.is_empty() && slot.node.is_quiet(now) {
+            // Debug builds check every skipped pass from scratch.
             #[cfg(debug_assertions)]
             slot.node.assert_idle(now);
         } else {
@@ -408,18 +379,9 @@ impl Lane {
             self.transmit(id, iface, frame, now, tap);
         }
         self.outbox = outbox;
+        // Timer wake scheduling.
         let slot = &mut self.slots[id - self.lo];
-        // Still armed after the drain (a queue-overflow quench can miss
-        // in ARP and start a retry timer): the wake the node wants is the
-        // one already pending.
-        if skip && slot.node.idle_gate().is_some() {
-            return;
-        }
-        // Timer wake scheduling, and the gate for the passes to come.
-        let timers = slot.node.timers(now);
-        let gate = timers.gate.filter(|_| slot.apps.is_empty());
-        slot.node.set_idle_gate(gate);
-        let mut want = timers.wake;
+        let mut want = slot.node.poll_at(now);
         for app in &slot.apps {
             if let Some(at) = app.next_wake() {
                 let at = at.max(now);

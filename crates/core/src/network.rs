@@ -282,7 +282,7 @@ impl Network {
     /// built — nodes added later keep the default (guard off).
     pub fn set_guard_policy(&mut self, policy: GuardPolicy) {
         for slot in self.lanes.slots_mut() {
-            if let Some(dv) = &mut slot.node_mut().dv {
+            if let Some(dv) = &mut slot.node.dv {
                 dv.set_guard_policy(policy);
             }
         }
@@ -325,7 +325,7 @@ impl Network {
             return;
         };
         let mut registry = OriginRegistry::new(master);
-        for (id, node) in self.lanes.slots().map(NodeSlot::node).enumerate() {
+        for (id, node) in self.lanes.slots().map(|slot| &slot.node).enumerate() {
             if node.dv.is_some() {
                 for iface in &node.ifaces {
                     registry.register(iface.cidr.network(), OriginId(id as u16));
@@ -334,7 +334,7 @@ impl Network {
         }
         let registry = Arc::new(registry);
         for (id, slot) in self.lanes.slots_mut().enumerate() {
-            if let Some(dv) = &mut slot.node_mut().dv {
+            if let Some(dv) = &mut slot.node.dv {
                 // Derive directly rather than looking up in the
                 // registry: a node enabled before its first link has no
                 // registered prefix yet, but its identity is fixed.
@@ -356,13 +356,12 @@ impl Network {
 
     /// Borrow a node.
     pub fn node(&self, id: NodeId) -> &Node {
-        self.lanes.slot(id).node()
+        &self.lanes.slot(id).node
     }
 
-    /// Borrow a node mutably. Whatever the caller does with it, the
-    /// node's next service pass is a full one.
+    /// Borrow a node mutably.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.lanes.slot_mut(id).node_mut()
+        &mut self.lanes.slot_mut(id).node
     }
 
     /// Number of nodes.
@@ -545,8 +544,8 @@ impl Network {
     /// no accounting telemetry and their dumps stay byte-identical.
     pub fn enable_accounting(&mut self, period: Duration) {
         for slot in self.lanes.slots_mut() {
-            if slot.node().role == NodeRole::Gateway {
-                let node = slot.node_mut();
+            let node = &mut slot.node;
+            if node.role == NodeRole::Gateway {
                 if node.flows.is_none() {
                     node.flows = Some(FlowTable::new());
                 }
@@ -572,7 +571,7 @@ impl Network {
     /// merged into one view. `None` until [`Network::enable_accounting`].
     pub fn reconcile(&self) -> Option<Reconciliation> {
         let ctl = self.accounting.as_ref()?;
-        let tails = self.lanes.slots().map(NodeSlot::node).filter_map(|node| {
+        let tails = self.lanes.slots().map(|slot| &slot.node).filter_map(|node| {
             node.ledger
                 .as_ref()
                 .and_then(|ledger| ledger.peek_tail(&node.name))
@@ -588,7 +587,7 @@ impl Network {
         };
         ctl.next_flush += ctl.period;
         for (id, slot) in self.lanes.slots_mut().enumerate() {
-            let node = slot.node_mut();
+            let node = &mut slot.node;
             if !node.alive {
                 continue;
             }
@@ -617,7 +616,7 @@ impl Network {
         // conservation identity (flushed + forfeited + live tails =
         // everything recorded) survives arbitrary crash storms.
         if let Some(ctl) = &mut self.accounting {
-            let node = self.lanes.slot(id).node();
+            let node = &self.lanes.slot(id).node;
             if node.alive {
                 if let Some(tail) = node
                     .ledger
@@ -852,7 +851,7 @@ impl Network {
             let mut lane = Lane::new(i, lo, Scheduler::new(), self.pool.lane_pool());
             lane.slots.extend(slots.by_ref().take(hi - lo));
             for slot in &mut lane.slots {
-                slot.node_mut().set_pool(lane.pool.clone());
+                slot.node.set_pool(lane.pool.clone());
             }
             self.lanes.push(Box::new(lane));
         }
@@ -1174,14 +1173,10 @@ impl Network {
     /// so frames it emits toward other lanes are scheduled before the
     /// caller regains control.
     pub fn kick(&mut self, id: NodeId) {
-        // Don't advance time: just service at the current instant. The
-        // caller may have changed anything (sockets, applications,
-        // interfaces), so the pass is a full one — which is what taking
-        // the node mutably means.
+        // Don't advance time: just service at the current instant.
         let now = self.now;
         let lane = self.lanes.of(id);
         let lane = &mut self.lanes[lane];
-        lane.slots[id - lane.lo].node_mut();
         // Token 0: a kick is absorbed by itself, never merge-sorted
         // against window entries.
         lane.service_node(id, now, 0, &mut self.tap);
@@ -1237,7 +1232,7 @@ impl Network {
         self.telemetry.sampler.begin_sample(at);
         let cadence = self.telemetry.sampler.cadence();
         for (id, slot) in self.lanes.slots_mut().enumerate() {
-            let node = slot.node();
+            let node = &slot.node;
             if let Some(dv) = &node.dv {
                 let version = dv.version();
                 self.telemetry
@@ -1353,7 +1348,7 @@ impl Network {
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         for slot in self.lanes.slots() {
-            if let Some(dv) = &slot.node().dv {
+            if let Some(dv) = &slot.node.dv {
                 for (prefix, route) in dv.routes() {
                     prefix.address().to_u32().hash(&mut hasher);
                     prefix.prefix_len().hash(&mut hasher);
@@ -2643,8 +2638,8 @@ mod tests {
             )),
         );
         net.run_until(Instant::from_secs(1));
-        assert!(net.node(g1).idle_gate().is_some(), "a transit gateway idles between timers");
-        assert!(net.node(h1).idle_gate().is_none(), "a host with an application never does");
+        assert!(net.node(g1).is_quiet(net.now()), "a transit gateway idles between timers");
+        assert!(!net.node(h1).is_quiet(net.now()), "a host with an application never does");
         let before = seen.borrow().len();
         net.connect(g2, h3, LinkClass::T1Terrestrial);
         net.run_until(Instant::from_secs(20));

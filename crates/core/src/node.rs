@@ -121,29 +121,6 @@ pub struct IcmpEvent {
     pub payload: Vec<u8>,
 }
 
-/// What a node's timers say at the end of a service pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Timers {
-    /// When the node next needs a wake ([`Node::poll_at`]).
-    pub wake: Option<Instant>,
-    /// The idle gate this pass may arm. `None`: the node has work the
-    /// clock does not announce (a socket, a flow table, a reassembly, a
-    /// pending triggered update) or is dead.
-    pub gate: Option<IdleGate>,
-}
-
-/// The idle gate a full service pass leaves behind on a node with
-/// nothing but timers, kept until anything disturbs them. See
-/// DESIGN.md, "What a service pass costs".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct IdleGate {
-    /// Before this instant [`Node::service`] has nothing to do unless
-    /// something other than the clock touches the node first.
-    pub until: Instant,
-    /// The wake the arming pass asked for.
-    pub wake: Option<Instant>,
-}
-
 /// A host or gateway with its interfaces, sockets and protocol state.
 pub struct Node {
     /// Display name.
@@ -156,6 +133,11 @@ pub struct Node {
     pub ifaces: Vec<Iface>,
     /// Per-interface ARP caches (used by Ethernet framing).
     arp: Vec<ArpCache>,
+    /// The earliest retry or give-up over `arp`, re-read by every call
+    /// that starts, retries or ends a resolution, so that the questions
+    /// asked of the node on every pass read one field, not every
+    /// interface.
+    arp_event: Option<Instant>,
     /// Static routes (hosts; also gateway fallback).
     pub static_routes: RoutingTable<(usize, Option<Ipv4Address>)>,
     /// The distance-vector engine (gateways).
@@ -176,11 +158,6 @@ pub struct Node {
     /// ICMP messages awaiting the application, newest last; bounded by
     /// [`ICMP_INBOX_LIMIT`].
     icmp_inbox: VecDeque<IcmpEvent>,
-    /// Armed by the lane loop after a full service pass, cleared by
-    /// everything that could give the next pass work: here, any receive
-    /// path but the pure forward; in the network, every `&mut Node` it
-    /// hands out.
-    idle: Option<IdleGate>,
     /// Frames ready for the network to push onto links.
     outbox: Vec<(usize, PacketBuf)>,
     /// What the node did since the lane last took its record.
@@ -222,6 +199,7 @@ impl Node {
             alive: true,
             ifaces: Vec::new(),
             arp: Vec::new(),
+            arp_event: None,
             static_routes: RoutingTable::new(),
             dv,
             dv_policies: Vec::new(),
@@ -232,7 +210,6 @@ impl Node {
             ledger: None,
             vc_table: None,
             icmp_inbox: VecDeque::new(),
-            idle: None,
             outbox: Vec::new(),
             events: EventRecord::default(),
             reported_version: 0,
@@ -323,6 +300,7 @@ impl Node {
         for cache in &mut self.arp {
             cache.clear();
         }
+        self.arp_event = None;
         // Soft state: gone, rebuilds from traffic.
         if let Some(flows) = &mut self.flows {
             flows.lose();
@@ -642,7 +620,6 @@ impl Node {
                     return;
                 }
                 // A miss starts (or feeds) a resolution with a retry timer.
-                self.idle = None;
                 match self.arp[iface].resolve(next_hop, datagram, now) {
                     // `get()` above missed at the same instant, so
                     // `resolve` cannot hit; if it somehow does, the
@@ -655,6 +632,7 @@ impl Node {
                     Resolution::Wait => {}
                     Resolution::QueueFull => self.stats.dropped_arp_unresolved += 1,
                 }
+                self.arp_event = self.earliest_arp_event();
             }
         }
     }
@@ -748,7 +726,6 @@ impl Node {
     }
 
     fn handle_arp(&mut self, now: Instant, iface: usize, payload: &[u8]) {
-        self.idle = None;
         let Ok(packet) = ArpPacket::new_checked(payload) else {
             self.stats.dropped_malformed += 1;
             return;
@@ -760,6 +737,7 @@ impl Node {
         // Learn the sender either way (gratuitous or directed).
         let released =
             self.arp[iface].learn(repr.source_protocol_addr, repr.source_hardware_addr, now);
+        self.arp_event = self.earliest_arp_event();
         for mut datagram in released {
             self.prepend_ethernet(iface, repr.source_hardware_addr, EtherType::Ipv4, &mut datagram);
             self.outbox.push((iface, datagram));
@@ -815,9 +793,6 @@ impl Node {
                 .any(|iface| iface.up && iface.is_broadcast(dst));
 
         if local {
-            // Anything delivered here can reach routing, reassembly or a
-            // socket; only the forward below leaves `service` no work.
-            self.idle = None;
             if is_fragment {
                 let before = reassembly_counts(&self.reassembler);
                 let pushed = self.reassembler.push(&datagram, now);
@@ -1312,6 +1287,7 @@ impl Node {
                 self.events.arp_gave_up += dropped as u64;
             }
         }
+        self.arp_event = self.earliest_arp_event();
         for (iface, target) in retries {
             if !self.ifaces[iface].up {
                 continue;
@@ -1425,18 +1401,8 @@ impl Node {
 
     /// When this node next needs a timer wake.
     pub fn poll_at(&self, now: Instant) -> Option<Instant> {
-        self.timers(now).wake
-    }
-
-    /// One walk over everything with a clock: the wake [`Node::poll_at`]
-    /// reports and, beside it, how long [`Node::service`] stays a no-op
-    /// if only time passes.
-    pub(crate) fn timers(&self, now: Instant) -> Timers {
         if !self.alive {
-            return Timers {
-                wake: None,
-                gate: None,
-            };
+            return None;
         }
         let mut wake: Option<Instant> = None;
         let mut consider = |at: Instant| {
@@ -1445,11 +1411,6 @@ impl Node {
                 None => at,
             });
         };
-        let mut idle = self.tcp_sockets.is_empty()
-            && self.udp_sockets.is_empty()
-            && self.flows.is_none()
-            && self.reassembler.in_progress() == 0;
-        let mut until = Instant::FAR_FUTURE;
         for socket in &self.tcp_sockets {
             if let Some(at) = socket.poll_at() {
                 // `Instant::ZERO` means "immediately".
@@ -1458,35 +1419,40 @@ impl Node {
         }
         if let Some(dv) = &self.dv {
             consider(dv.poll_at().max(now));
-            idle &= !dv.triggered_due();
-            until = until.min(dv.poll_at()).min(dv.next_expiry());
         }
         if self.reassembler.in_progress() > 0 {
             consider(now + Duration::from_secs(1));
         }
-        for cache in &self.arp {
-            if let Some(at) = cache.next_event() {
-                consider(at.max(now));
-                until = until.min(at);
-            }
+        debug_assert_eq!(self.arp_event, self.earliest_arp_event(), "{}: ARP event", self.name);
+        if let Some(at) = self.arp_event {
+            consider(at.max(now));
         }
-        Timers {
-            wake,
-            gate: idle.then_some(IdleGate { until, wake }),
-        }
+        wake
     }
 
-    /// The idle gate, if the last full service pass armed one and
-    /// nothing has disturbed the node since.
-    pub(crate) fn idle_gate(&self) -> Option<IdleGate> {
-        self.idle
+    /// The earliest retry or give-up over every interface's ARP cache.
+    fn earliest_arp_event(&self) -> Option<Instant> {
+        self.arp.iter().filter_map(ArpCache::next_event).min()
     }
 
-    /// Arm (or, with `None`, clear) the idle gate. The lane loop arms it
-    /// at the end of a full pass; everything that could give the next
-    /// pass work clears it.
-    pub(crate) fn set_idle_gate(&mut self, gate: Option<IdleGate>) {
-        self.idle = gate;
+    /// Whether [`Node::service`] at `now` would do nothing and the node
+    /// has nothing to report: it is alive with nothing but timers (no
+    /// socket, flow table or reassembly), its record is empty, its
+    /// routing version reported, and none of its timers is due. Read
+    /// from the state itself, so it holds whatever touched the node
+    /// before; see DESIGN.md, "What a service pass costs".
+    pub(crate) fn is_quiet(&self, now: Instant) -> bool {
+        self.alive
+            && self.tcp_sockets.is_empty()
+            && self.udp_sockets.is_empty()
+            && self.flows.is_none()
+            && self.reassembler.in_progress() == 0
+            && self.events.is_empty()
+            && self.unreported_version().is_none()
+            && self.dv.as_ref().is_none_or(|dv| {
+                !dv.triggered_due() && now < dv.poll_at() && now < dv.next_expiry()
+            })
+            && self.arp_event.is_none_or(|at| at > now)
     }
 
     /// The routing-table version, if it moved since the last report.
@@ -1511,12 +1477,11 @@ impl Node {
     }
 
     /// Check, from scratch and without the cached bounds, that
-    /// [`Node::service`] at `now` would do nothing, that the node still
-    /// wants the wake its gate recorded and that it has nothing to
-    /// report. Run on every pass the lane loop skips in a debug build.
+    /// [`Node::service`] at `now` would do nothing and that the node has
+    /// nothing to report. Run on every pass the lane loop skips in a
+    /// debug build.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_idle(&self, now: Instant) {
-        let gate = self.idle.expect("a skipped pass has an armed gate");
         let name = &self.name;
         assert!(self.alive, "{name}: skipped a pass on a dead node");
         assert!(
@@ -1538,7 +1503,6 @@ impl Node {
                 "{name}: ARP retry due at {now}"
             );
         }
-        assert_eq!(self.timers(now).wake, gate.wake, "{name}: wanted wake moved");
         assert_eq!(self.unreported_version(), None, "{name}: route change unreported");
         assert!(self.events.is_empty(), "{name}: had something to report");
     }
@@ -2458,6 +2422,267 @@ mod tests {
             node.handle_frame(Instant::from_millis(case), iface, frame);
             node.service(Instant::from_millis(case + 1));
             node.take_outbox();
+        }
+    }
+
+    /// What the lane loop does with a node it does not skip, less the
+    /// applications: service, take the record, drain the outbox.
+    fn full_pass(node: &mut Node, now: Instant) -> Vec<(usize, PacketBuf)> {
+        node.service(now);
+        node.take_events();
+        node.take_outbox()
+    }
+
+    /// Host `h`'s frame to the gateway on interface 1 of
+    /// [`quiet_gateway`] (host `h` is `10.0.1.h`).
+    fn from_ethernet_host(h: u8, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![0u8; ethernet::HEADER_LEN + payload.len()];
+        EthernetRepr {
+            src_addr: EthernetAddress::new(2, 0, 0, 0, 1, h),
+            dst_addr: EthernetAddress::new(2, 0, 0, 0, 1, 2),
+            ethertype,
+        }
+        .emit(&mut EthernetFrame::new_unchecked(&mut frame[..]));
+        frame[ethernet::HEADER_LEN..].copy_from_slice(payload);
+        frame
+    }
+
+    /// Host `h`'s ARP packet to the gateway about `target`.
+    fn arp_from_host(h: u8, operation: ArpOperation, target: Ipv4Address) -> Vec<u8> {
+        let repr = ArpRepr {
+            operation,
+            source_hardware_addr: EthernetAddress::new(2, 0, 0, 0, 1, h),
+            source_protocol_addr: Ipv4Address::new(10, 0, 1, h),
+            target_hardware_addr: EthernetAddress::new(2, 0, 0, 0, 1, 2),
+            target_protocol_addr: target,
+        };
+        let mut arp = vec![0u8; repr.buffer_len()];
+        repr.emit(&mut ArpPacket::new_unchecked(&mut arp[..]));
+        from_ethernet_host(h, EtherType::Arp, &arp)
+    }
+
+    /// A RIP page from `src` to the gateway at `dst`.
+    fn rip_datagram(src: Ipv4Address, dst: Ipv4Address, entries: Vec<RipEntry>) -> Vec<u8> {
+        let mut tmp = Node::new("x", NodeRole::Host);
+        let to = Endpoint::new(dst, RIP_PORT);
+        let page = RipMessage { entries }.encode();
+        tmp.build_udp_datagram(src, RIP_PORT, to, Tos::default(), &page).to_vec()
+    }
+
+    /// A gateway with a raw-IP interface (0, `10.0.0.2`) and an Ethernet
+    /// one (1, `10.0.1.2`), past its first advertisement and the ARP
+    /// exchange it started: quiet until its next periodic.
+    fn quiet_gateway() -> (Node, Instant) {
+        let mut gw = gateway_with_ifaces(&[Framing::RawIp, Framing::Ethernet]);
+        assert!(!gw.is_quiet(Instant::ZERO), "the first advertisement is due");
+        full_pass(&mut gw, Instant::ZERO);
+        let peer = gw.ifaces[1].peer;
+        gw.handle_frame(Instant::from_millis(5), 1, arp_from_host(1, ArpOperation::Reply, peer));
+        full_pass(&mut gw, Instant::from_millis(5));
+        let now = Instant::from_millis(10);
+        assert!(gw.is_quiet(now), "nothing but a periodic 3 s away");
+        (gw, now)
+    }
+
+    #[test]
+    fn a_gateway_is_quiet_until_its_state_gives_it_work() {
+        // A RIP update that changes a route: a version to report and a
+        // triggered update to send.
+        let (mut gw, now) = quiet_gateway();
+        let learned = RipEntry::new(Ipv4Cidr::new(Ipv4Address::new(10, 9, 0, 0), 16), 1);
+        let page = rip_datagram(Ipv4Address::new(10, 0, 0, 1), gw.addr(0), vec![learned]);
+        gw.handle_frame(now, 0, page);
+        assert!(!gw.is_quiet(now));
+        assert!(gw.unreported_version().is_some(), "the new route is unreported");
+        assert!(gw.dv.as_ref().unwrap().triggered_due(), "the triggered update is pending");
+        assert!(!full_pass(&mut gw, now).is_empty(), "the triggered update leaves");
+        assert!(gw.is_quiet(now));
+
+        // A fragment addressed to it: a reassembly in progress, until the
+        // last piece completes it and leaves a count to report.
+        let (mut gw, now) = quiet_gateway();
+        let whole = catenet_ip::build_ipv4(
+            &Ipv4Repr {
+                src_addr: Ipv4Address::new(10, 0, 0, 1),
+                dst_addr: gw.addr(0),
+                protocol: IpProtocol::Udp,
+                payload_len: 600,
+                hop_limit: 64,
+                tos: Tos::default(),
+            },
+            7,
+            false,
+            &[0u8; 600],
+        );
+        let mut pieces = catenet_ip::fragment(&whole, 296).unwrap().into_iter();
+        gw.handle_frame(now, 0, pieces.next().unwrap());
+        assert!(!gw.is_quiet(now), "a reassembly is in progress");
+        full_pass(&mut gw, now);
+        assert!(!gw.is_quiet(now), "and stays in progress after a pass");
+        for piece in pieces {
+            gw.handle_frame(now, 0, piece);
+        }
+        assert!(!gw.is_quiet(now), "a completed reassembly to report");
+        full_pass(&mut gw, now);
+        assert!(gw.is_quiet(now));
+
+        // A socket or a flow table is work no clock announces.
+        let (mut gw, now) = quiet_gateway();
+        gw.udp_bind(5000);
+        assert!(!gw.is_quiet(now));
+        full_pass(&mut gw, now);
+        assert!(!gw.is_quiet(now), "a bound socket stays work");
+        let (mut gw, now) = quiet_gateway();
+        gw.flows = Some(FlowTable::new());
+        assert!(!gw.is_quiet(now));
+        full_pass(&mut gw, now);
+        assert!(!gw.is_quiet(now), "a flow table stays work");
+
+        // An ARP miss while forwarding starts a retry timer: quiet until
+        // it is due, and the wake names it.
+        let (mut gw, now) = quiet_gateway();
+        let stranger = Ipv4Address::new(10, 0, 1, 7);
+        gw.handle_frame(now, 0, udp_datagram(Ipv4Address::new(10, 0, 0, 1), stranger, 64));
+        assert_eq!(count_arp_requests(&gw.take_outbox()), 1, "the miss asks");
+        let retry = now + crate::arp::REQUEST_INTERVAL;
+        assert!(gw.is_quiet(now));
+        assert!(gw.is_quiet(retry - Duration::from_micros(1)));
+        assert_eq!(gw.poll_at(now), Some(retry));
+        assert!(!gw.is_quiet(retry), "the retry is due");
+        assert_eq!(count_arp_requests(&full_pass(&mut gw, retry)), 1, "and asks again");
+        assert!(gw.is_quiet(retry));
+    }
+
+    #[test]
+    fn a_quiet_pass_is_a_no_op_under_random_traffic() {
+        // Seeded random input to a standalone gateway: transit datagrams
+        // both ways (some expiring, some unroutable, some for hosts ARP
+        // has not resolved), RIP pages from neighbours on both sides,
+        // ARP packets, fragments for the gateway, garbage, reboots and
+        // time.
+        // After each input the outbox is drained, as the lane does;
+        // whenever the gateway is quiet, the from-scratch audit must
+        // agree (debug builds) and a service pass must do nothing at
+        // all; a node that is not quiet gets a full pass.
+        // Two seeds run without triggered updates, where only the
+        // unreported version says a route moved, and one with a guard.
+        let raw_side = |n: u64| Ipv4Address::new(10, 0, 0, 1 + n as u8 % 3);
+        for (k, seed) in [1, 2, 3, 1988].into_iter().enumerate() {
+            let mut rng = catenet_sim::Rng::from_seed(seed);
+            let mut gw = gateway_with_ifaces(&[Framing::RawIp, Framing::Ethernet]);
+            if k % 2 == 1 {
+                let config = catenet_routing::DvConfig::fast();
+                gw.set_dv_config(catenet_routing::DvConfig { triggered_updates: false, ..config });
+            }
+            if k == 3 {
+                gw.dv.as_mut().unwrap().set_guard_policy(GuardPolicy::standard());
+            }
+            gw.ifaces[0].ip_mtu = 296;
+            let mut now = Instant::ZERO;
+            let mut quiet = 0;
+            for step in 0..3_000 {
+                let host = [1, 3, 4, 5, 6][rng.below(5) as usize];
+                let ttl = [1, 2, 64][rng.below(3) as usize];
+                match rng.below(11) {
+                    0 => {
+                        let to = Ipv4Address::new(10, 0, 1, host);
+                        gw.handle_frame(now, 0, udp_datagram(raw_side(rng.below(3)), to, ttl));
+                    }
+                    1 => {
+                        let to = match rng.below(3) {
+                            0 => raw_side(rng.below(3)),
+                            1 => Ipv4Address::new(10, 20 + rng.below(8) as u8, 0, 1),
+                            _ => Ipv4Address::new(192, 0, 2, 1),
+                        };
+                        let datagram = udp_datagram(Ipv4Address::new(10, 0, 1, host), to, ttl);
+                        gw.handle_frame(now, 1, from_ethernet_host(host, EtherType::Ipv4, &datagram));
+                    }
+                    2 | 3 => {
+                        let entries = (0..1 + rng.below(4))
+                            .map(|_| {
+                                let net = Ipv4Address::new(10, 20 + rng.below(8) as u8, 0, 0);
+                                RipEntry::new(Ipv4Cidr::new(net, 16), 1 + rng.below(16) as u8)
+                            })
+                            .collect();
+                        if rng.chance(0.5) {
+                            let page = rip_datagram(raw_side(0), gw.addr(0), entries);
+                            gw.handle_frame(now, 0, page);
+                        } else {
+                            let from = Ipv4Address::new(10, 0, 1, host);
+                            let page = rip_datagram(from, gw.addr(1), entries);
+                            gw.handle_frame(now, 1, from_ethernet_host(host, EtherType::Ipv4, &page));
+                        }
+                    }
+                    4 => {
+                        let operation = if rng.chance(0.5) {
+                            ArpOperation::Request
+                        } else {
+                            ArpOperation::Reply
+                        };
+                        let target = if rng.chance(0.5) {
+                            gw.addr(1)
+                        } else {
+                            Ipv4Address::new(10, 0, 1, 9)
+                        };
+                        gw.handle_frame(now, 1, arp_from_host(host, operation, target));
+                    }
+                    5 => {
+                        let whole = catenet_ip::build_ipv4(
+                            &Ipv4Repr {
+                                src_addr: raw_side(0),
+                                dst_addr: gw.addr(0),
+                                protocol: IpProtocol::Udp,
+                                payload_len: 600,
+                                hop_limit: 64,
+                                tos: Tos::default(),
+                            },
+                            rng.below(4) as u16,
+                            false,
+                            &[0u8; 600],
+                        );
+                        for piece in catenet_ip::fragment(&whole, 296).unwrap() {
+                            if rng.chance(0.6) {
+                                gw.handle_frame(now, 0, piece);
+                            }
+                        }
+                    }
+                    6 => {
+                        let mut junk = vec![0u8; rng.below(80) as usize];
+                        junk.iter_mut().for_each(|byte| *byte = rng.next_u32() as u8);
+                        gw.handle_frame(now, rng.below(3) as usize, junk);
+                    }
+                    7 => {
+                        // Exactly at a deadline: the next wake, or the
+                        // routing table's expiry bound.
+                        let expiry = gw.dv.as_ref().unwrap().next_expiry();
+                        let wake = gw.poll_at(now).unwrap_or(now);
+                        let at = if rng.chance(0.5) { wake } else { expiry };
+                        if at != Instant::FAR_FUTURE {
+                            now = now.max(at);
+                        }
+                    }
+                    8 if rng.chance(0.1) => {
+                        gw.crash();
+                        gw.restart();
+                    }
+                    _ => now += Duration::from_millis(rng.below(1_500)),
+                }
+                gw.take_outbox();
+                if gw.is_quiet(now) {
+                    quiet += 1;
+                    #[cfg(debug_assertions)]
+                    gw.assert_idle(now);
+                    let wake = gw.poll_at(now);
+                    gw.service(now);
+                    let at = format!("seed {seed}, step {step}, {now}");
+                    assert!(gw.take_outbox().is_empty(), "{at}: a quiet pass sent something");
+                    assert!(gw.take_events().is_none(), "{at}: a quiet pass had something to report");
+                    assert_eq!(gw.poll_at(now), wake, "{at}: a quiet pass moved the wake");
+                } else {
+                    full_pass(&mut gw, now);
+                }
+            }
+            assert!(quiet > 150, "seed {seed}: quiet on only {quiet} passes");
         }
     }
 }

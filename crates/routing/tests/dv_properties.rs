@@ -17,8 +17,8 @@
 //!    without scanning while `now < next_expiry()`, so after *every*
 //!    mutation `next_expiry()` must be at or below the brute-force
 //!    minimum `expires_at`, and after every `tick(now)` no deadline at
-//!    or before `now` may remain. The idle gate in `catenet-core`'s lane
-//!    loop rests on the same bound.
+//!    or before `now` may remain. `catenet-core`'s `Node::is_quiet`,
+//!    which lets the lane loop skip a pass, rests on the same bound.
 //!
 //! Each property runs twice per seed: guard off (the trusting 1988
 //! behavior) and guard on (the hardened path) — the invariants are the
