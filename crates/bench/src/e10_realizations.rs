@@ -146,7 +146,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for criterion.
+/// Small configuration for the quick-run benchmark.
 pub fn quick(seed: u64) -> RealizationReport {
     run(seed, LinkClass::T1Terrestrial, 16_384, 100_000)
 }

@@ -181,7 +181,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// A small, fast configuration for criterion.
+/// A small, fast configuration for the quick-run benchmark.
 pub fn quick(seed: u64) -> Outcome {
     run(
         Scenario {

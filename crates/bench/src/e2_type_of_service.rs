@@ -178,7 +178,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for criterion.
+/// Small configuration for the quick-run benchmark.
 pub fn quick(seed: u64) -> (VoiceReport, VoiceReport) {
     (run_udp(seed, 0.02, 5), run_tcp(seed, 0.02, 5))
 }

@@ -149,7 +149,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for criterion.
+/// Small configuration for the quick-run benchmark.
 pub fn quick(seed: u64) -> FragReport {
     run(seed, 1024, 10, 0.01)
 }

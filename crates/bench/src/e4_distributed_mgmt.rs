@@ -188,7 +188,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for criterion.
+/// Small configuration for the quick-run benchmark.
 pub fn quick(seed: u64) -> ConvergenceReport {
     run(seed, 2, 2, true)
 }

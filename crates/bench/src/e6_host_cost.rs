@@ -9,10 +9,10 @@
 //!
 //! **Experiment.** Microbenchmarks of the stack's per-packet operations
 //! (parse/validate, emit, checksum, fragment/reassemble) and the
-//! per-connection handshake, run over a loopback socket pair. Criterion
-//! drives the statistically careful version (`cargo bench`); the
-//! `reproduce` binary prints quick wall-clock estimates of the same
-//! operations.
+//! per-connection handshake, run over a loopback socket pair.
+//! `cargo bench -p catenet-bench --bench stack_micro` times each for a
+//! fixed budget; the `reproduce` binary prints quick wall-clock
+//! estimates of the same operations.
 
 use crate::table::Table;
 use catenet_ip::{build_ipv4, fragment, Reassembler};
@@ -128,7 +128,8 @@ fn time_per_op<F: FnMut() -> R, R>(mut f: F, iters: u32) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// Quick wall-clock table (criterion gives the careful numbers).
+/// Quick wall-clock table (`benches/stack_micro.rs` times the same
+/// operations for longer).
 pub fn default_table(_seeds: &[u64]) -> Table {
     let small = sample_datagram(64);
     let large = sample_datagram(1460);
@@ -157,8 +158,8 @@ pub fn default_table(_seeds: &[u64]) -> Table {
     table.note(
         "Paper's claim: the endpoint bears the cost of the missing in-network services \
          ('the host [must] implement ...'). These are the per-packet/per-connection \
-         costs a 1988 implementor paid; `cargo bench` (criterion) reproduces them with \
-         confidence intervals.",
+         costs a 1988 implementor paid; `cargo bench -p catenet-bench --bench \
+         stack_micro` times each over a fixed wall-clock budget.",
     );
     table
 }

@@ -142,7 +142,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for criterion.
+/// Small configuration for the quick-run benchmark.
 pub fn quick(seed: u64) -> AccountingReport {
     run(seed, 0.02, 40_000)
 }

@@ -175,7 +175,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for criterion.
+/// Small configuration for the quick-run benchmark.
 pub fn quick(seed: u64) -> SoftStateReport {
     run(seed, 2, Duration::from_secs(2))
 }

@@ -133,7 +133,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for criterion.
+/// Small configuration for the quick-run benchmark.
 pub fn quick(seed: u64) -> Comparison {
     run_tinygrams(seed, 100, 8, 0.02)
 }

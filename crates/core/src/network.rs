@@ -42,7 +42,7 @@ use catenet_sim::{
     Duration, FaultAction, FaultPlan, Instant, Link, LinkClass, LinkParams, SchedStats, Scheduler,
     ShardKind, ShardStats, TraceOp,
 };
-use catenet_telemetry::{EventKind, Scope, Telemetry};
+use catenet_telemetry::{EventKind, Sampler, Scope, Telemetry};
 use catenet_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 use std::sync::Arc;
 
@@ -1040,7 +1040,7 @@ impl Network {
             }
             let lane_at = self.round.iter().filter_map(|w| w.next).min();
             let fault_at = self.fault_plan.as_ref().and_then(|p| p.next_at());
-            let sample_at = self.telemetry.sampler.next_sample_at().filter(|&s| s <= t);
+            let sample_at = Some(self.telemetry.sampler.next_sample_at()).filter(|&s| s <= t);
             let flush_at = self
                 .accounting
                 .as_ref()
@@ -1230,7 +1230,6 @@ impl Network {
     /// measures.
     fn take_sample(&mut self, at: Instant) {
         self.telemetry.sampler.begin_sample(at);
-        let cadence = self.telemetry.sampler.cadence();
         for (id, slot) in self.lanes.slots_mut().enumerate() {
             let node = &slot.node;
             if let Some(dv) = &node.dv {
@@ -1243,8 +1242,8 @@ impl Network {
             // from the node's own count, which outlives a crash's sockets.
             let acked = node.stats.tcp_bytes_acked;
             let delta = acked.saturating_sub(slot.sampled_acked);
-            if delta > 0 && !cadence.is_zero() {
-                let bps = delta.saturating_mul(8_000_000) / cadence.total_micros();
+            if delta > 0 {
+                let bps = delta.saturating_mul(8_000_000) / Sampler::CADENCE.total_micros();
                 self.telemetry
                     .sampler
                     .record(at, "goodput_bps", Scope::Node(id), bps);

@@ -179,8 +179,8 @@ pub struct Node {
     /// Whether this node emits ICMP source quench on queue overflow
     /// (RFC 792's congestion signal — gateways only, on by default).
     pub source_quench_enabled: bool,
-    /// Rate limiter: last quench emission time.
-    last_quench: Instant,
+    /// Rate limiter: when the last quench was sent, if ever.
+    last_quench: Option<Instant>,
     /// The lie this node tells and the prefix it eats while compromised
     /// (see [`Node::compromise`]). Boxed: nearly every node is honest.
     compromise: Option<Box<Compromise>>,
@@ -220,7 +220,7 @@ impl Node {
             stats: NodeStats::default(),
             default_ttl: 64,
             source_quench_enabled: role == NodeRole::Gateway,
-            last_quench: Instant::ZERO,
+            last_quench: None,
             compromise: None,
         }
     }
@@ -279,6 +279,31 @@ impl Node {
     /// else volatile; what the node reported of them does not.
     pub fn reassembler(&self) -> &Reassembler {
         &self.reassembler
+    }
+
+    /// The node's counters.
+    pub fn stats(&self) -> &NodeStats {
+        &self.stats
+    }
+
+    /// The node's TCP sockets; a socket's handle is its index.
+    pub fn tcp_sockets(&self) -> &[TcpSocket] {
+        &self.tcp_sockets
+    }
+
+    /// One TCP socket by handle, if the node has it.
+    pub fn tcp_socket_mut(&mut self, handle: usize) -> Option<&mut TcpSocket> {
+        self.tcp_sockets.get_mut(handle)
+    }
+
+    /// The distance-vector engine, on a gateway.
+    pub fn dv(&self) -> Option<&DvEngine> {
+        self.dv.as_ref()
+    }
+
+    /// The static routes, for a builder to install one.
+    pub fn static_routes_mut(&mut self) -> &mut RoutingTable<(usize, Option<Ipv4Address>)> {
+        &mut self.static_routes
     }
 
     // ------------------------------------------------------------ fate
@@ -899,8 +924,9 @@ impl Node {
             return;
         }
         // Rate limit: at most one quench per 2 ms.
-        if now.duration_since(self.last_quench) < Duration::from_millis(2)
-            && self.last_quench != Instant::ZERO
+        if self
+            .last_quench
+            .is_some_and(|last| now.duration_since(last) < Duration::from_millis(2))
         {
             return;
         }
@@ -927,7 +953,7 @@ impl Node {
                 return;
             }
         }
-        self.last_quench = now;
+        self.last_quench = Some(now);
         self.stats.quench_sent += 1;
         self.send_icmp_error(now, datagram, Icmpv4Message::SourceQuench);
     }
@@ -1540,7 +1566,11 @@ mod tests {
     use catenet_wire::Ipv4Cidr;
 
     fn host_with_iface() -> Node {
-        let mut node = Node::new("h", NodeRole::Host);
+        node_with_iface(NodeRole::Host)
+    }
+
+    fn node_with_iface(role: NodeRole) -> Node {
+        let mut node = Node::new("n", role);
         node.attach_iface(Iface {
             addr: Ipv4Address::new(10, 0, 0, 1),
             cidr: Ipv4Cidr::new(Ipv4Address::new(10, 0, 0, 0), 30),
@@ -1891,6 +1921,54 @@ mod tests {
             let replier = net.node(g).addr(0);
             assert_reference_error(quench, dropped, Icmpv4Message::SourceQuench, replier);
         }
+    }
+
+    #[test]
+    fn the_accessors_read_the_fields_they_name() {
+        let mut gw = node_with_iface(NodeRole::Gateway);
+        gw.stats.ip_forwarded = 7;
+        assert_eq!(gw.stats().ip_forwarded, 7);
+        let peer = Endpoint::new(Ipv4Address::new(10, 0, 0, 2), 80);
+        let handle = gw
+            .tcp_connect(peer, TcpConfig::default(), Instant::ZERO)
+            .expect("the peer is on link");
+        assert_eq!(gw.tcp_sockets().len(), 1);
+        let socket = gw.tcp_socket_mut(handle).expect("the handle names a socket");
+        assert_eq!(socket.state(), TcpState::SynSent);
+        assert!(gw.tcp_socket_mut(handle + 1).is_none());
+        assert!(std::ptr::eq(gw.dv().unwrap(), gw.dv.as_ref().unwrap()));
+        assert!(host_with_iface().dv().is_none(), "a host runs no DV");
+        let prefix = Ipv4Cidr::new(Ipv4Address::new(192, 0, 2, 0), 24);
+        let via = (0, Some(Ipv4Address::new(10, 0, 0, 2)));
+        gw.static_routes_mut().insert(prefix, via);
+        assert_eq!(gw.static_routes.get(&prefix), Some(&via));
+    }
+
+    #[test]
+    fn the_quench_limiter_counts_a_quench_sent_at_time_zero() {
+        // Two transit drops 1 ms apart, the first at t = 0: the 2 ms
+        // limiter lets one quench through, not two.
+        let mut gw = node_with_iface(NodeRole::Gateway);
+        let transit = catenet_ip::build_ipv4(
+            &Ipv4Repr {
+                src_addr: Ipv4Address::new(10, 0, 0, 2),
+                dst_addr: Ipv4Address::new(192, 0, 2, 1),
+                protocol: IpProtocol::Udp,
+                payload_len: 8,
+                hop_limit: 63,
+                tos: Tos::default(),
+            },
+            9,
+            false,
+            &[0; 8],
+        );
+        gw.on_queue_drop(Instant::ZERO, 0, &transit);
+        gw.on_queue_drop(Instant::from_millis(1), 0, &transit);
+        assert_eq!(gw.stats.quench_sent, 1);
+        assert_eq!(gw.take_outbox().len(), 1, "one quench on the wire");
+        // Once the window has passed, the limiter opens again.
+        gw.on_queue_drop(Instant::from_millis(2), 0, &transit);
+        assert_eq!(gw.stats.quench_sent, 2);
     }
 
     #[test]

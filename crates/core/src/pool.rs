@@ -655,6 +655,16 @@ mod tests {
     }
 
     #[test]
+    fn a_full_freelist_discards_what_it_cannot_hold() {
+        let pool = PacketPool::new();
+        let held: Vec<PacketBuf> = (0..=MAX_FREE).map(|_| pool.alloc(0, 1)).collect();
+        drop(held);
+        assert_eq!(pool.lock().free.each_ref().map(Vec::len), [MAX_FREE, 0]);
+        let stats = pool.stats();
+        assert_eq!((stats.released, stats.discarded), (MAX_FREE as u64, 1));
+    }
+
+    #[test]
     fn oversize_requests_fall_back_to_exact_allocation() {
         let pool = PacketPool::new();
         let big = pool.alloc(HEADROOM, 64 * 1024);

@@ -27,11 +27,6 @@ pub enum FragError {
     Malformed,
     /// Fragments describe a datagram larger than the reassembler accepts.
     TooLarge,
-    /// Too many concurrent reassemblies in progress; fragment discarded.
-    /// (No longer returned by [`Reassembler::push`], which now evicts
-    /// the oldest reassembly instead of shedding the newest — kept for
-    /// callers that implement a shedding policy themselves.)
-    Overloaded,
     /// Two fragments disagree about overlapping bytes (suspicious; the
     /// whole reassembly is abandoned, the conservative 1988 response).
     InconsistentOverlap,
@@ -44,7 +39,6 @@ impl core::fmt::Display for FragError {
             FragError::MtuTooSmall => write!(f, "MTU too small to fragment into"),
             FragError::Malformed => write!(f, "malformed fragment"),
             FragError::TooLarge => write!(f, "reassembled datagram too large"),
-            FragError::Overloaded => write!(f, "too many concurrent reassemblies"),
             FragError::InconsistentOverlap => write!(f, "inconsistent fragment overlap"),
         }
     }

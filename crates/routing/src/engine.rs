@@ -89,15 +89,10 @@ impl ExportPolicy {
     }
 }
 
-/// Protocol timing and behavior parameters.
+/// The protocol behaviors experiments switch. The timers are constants
+/// on this type: every gateway runs one timer profile.
 #[derive(Debug, Clone)]
 pub struct DvConfig {
-    /// Interval between periodic full-table advertisements.
-    pub update_interval: Duration,
-    /// Silence after which a learned route is declared dead.
-    pub route_timeout: Duration,
-    /// How long a dead route is advertised at infinity before removal.
-    pub gc_timeout: Duration,
     /// Whether changes produce immediate (triggered) updates.
     pub triggered_updates: bool,
     /// Split horizon: never advertise a route back where it came from...
@@ -107,28 +102,23 @@ pub struct DvConfig {
     pub poisoned_reverse: bool,
 }
 
-impl Default for DvConfig {
-    fn default() -> DvConfig {
+impl DvConfig {
+    /// Interval between periodic full-table advertisements: RFC 1058's
+    /// 30 s scaled down 10× for laptop-scale simulations, as are the
+    /// two timeouts below (ratios preserved).
+    pub const UPDATE_INTERVAL: Duration = Duration::from_secs(3);
+    /// Silence after which a learned route is declared dead.
+    pub const ROUTE_TIMEOUT: Duration = Duration::from_secs(18);
+    /// How long a dead route is advertised at infinity before removal.
+    pub const GC_TIMEOUT: Duration = Duration::from_secs(12);
+
+    /// The fast-converging profile every gateway starts with: triggered
+    /// updates, split horizon and poisoned reverse all on.
+    pub fn fast() -> DvConfig {
         DvConfig {
-            update_interval: Duration::from_secs(30),
-            route_timeout: Duration::from_secs(180),
-            gc_timeout: Duration::from_secs(120),
             triggered_updates: true,
             split_horizon: true,
             poisoned_reverse: true,
-        }
-    }
-}
-
-impl DvConfig {
-    /// A fast-converging profile for laptop-scale simulations (timers
-    /// scaled down ~10×; ratios preserved).
-    pub fn fast() -> DvConfig {
-        DvConfig {
-            update_interval: Duration::from_secs(3),
-            route_timeout: Duration::from_secs(18),
-            gc_timeout: Duration::from_secs(12),
-            ..DvConfig::default()
         }
     }
 }
@@ -179,11 +169,6 @@ impl DvEngine {
             guard: RouteGuard::new(GuardPolicy::off()),
             attestor: None,
         }
-    }
-
-    /// The protocol configuration.
-    pub fn config(&self) -> &DvConfig {
-        &self.config
     }
 
     /// The route guard (verdict totals, quarantine state).
@@ -262,18 +247,17 @@ impl DvEngine {
     /// waiting for the timeout would advertise a black hole for most of
     /// a route-timeout period).
     pub fn fail_iface(&mut self, iface: usize, now: Instant) {
-        let gc = self.config.gc_timeout;
         let mut changed = false;
         for (_, route) in self.table.iter_mut() {
             if route.next_hop.iface() == iface && route.metric < INFINITY_METRIC {
                 route.metric = INFINITY_METRIC;
                 route.changed = true;
-                route.expires_at = now + gc;
+                route.expires_at = now + DvConfig::GC_TIMEOUT;
                 changed = true;
             }
         }
         if changed {
-            self.next_expiry = self.next_expiry.min(now + gc);
+            self.next_expiry = self.next_expiry.min(now + DvConfig::GC_TIMEOUT);
             self.trigger_pending = true;
             self.version += 1;
         }
@@ -347,7 +331,7 @@ impl DvEngine {
                     }
                     if from_same_gateway {
                         // Our current next hop speaks: always believe it.
-                        route.expires_at = now + self.config.route_timeout;
+                        route.expires_at = now + DvConfig::ROUTE_TIMEOUT;
                         // Take the refreshed attestation even when the
                         // metric is unchanged: the origin's serial keeps
                         // advancing and downstream verifiers track it.
@@ -357,7 +341,7 @@ impl DvEngine {
                             route.changed = true;
                             changed_any = true;
                             if advertised >= INFINITY_METRIC {
-                                route.expires_at = now + self.config.gc_timeout;
+                                route.expires_at = now + DvConfig::GC_TIMEOUT;
                             }
                         }
                         self.next_expiry = self.next_expiry.min(route.expires_at);
@@ -365,7 +349,7 @@ impl DvEngine {
                         *route = DvRoute {
                             next_hop: NextHop::Via { gateway, iface },
                             metric: advertised,
-                            expires_at: now + self.config.route_timeout,
+                            expires_at: now + DvConfig::ROUTE_TIMEOUT,
                             changed: true,
                             attestation: entry.attestation,
                         };
@@ -375,7 +359,7 @@ impl DvEngine {
                 }
                 None => {
                     if advertised < INFINITY_METRIC {
-                        let expires_at = now + self.config.route_timeout;
+                        let expires_at = now + DvConfig::ROUTE_TIMEOUT;
                         self.table.insert(
                             prefix,
                             DvRoute {
@@ -406,7 +390,6 @@ impl DvEngine {
         if now < self.next_expiry {
             return;
         }
-        let gc = self.config.gc_timeout;
         let mut newly_dead = false;
         let mut dropped = false;
         let mut next_expiry = Instant::FAR_FUTURE;
@@ -420,7 +403,7 @@ impl DvEngine {
                 // Newly dead: hold at infinity through a GC period.
                 route.metric = INFINITY_METRIC;
                 route.changed = true;
-                route.expires_at = now + gc;
+                route.expires_at = now + DvConfig::GC_TIMEOUT;
                 newly_dead = true;
             }
             next_expiry = next_expiry.min(route.expires_at);
@@ -514,7 +497,7 @@ impl DvEngine {
             route.changed = false;
         }
         self.trigger_pending = false;
-        self.next_periodic = now + self.config.update_interval;
+        self.next_periodic = now + DvConfig::UPDATE_INTERVAL;
         if let Some(attestor) = &mut self.attestor {
             // Serials advance with virtual time (seconds), which makes
             // them monotone across a crash/reboot with no stable

@@ -75,9 +75,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// The guard's knobs. `Default` is the policy-off trusting behavior;
-/// [`GuardPolicy::standard`] enables the full defense with values tuned
-/// to the fast DV profile ([`crate::DvConfig::fast`], 3 s updates).
+/// The guard's knobs: the five values experiments choose. Every other
+/// number the guard judges by is a constant on this type, tuned to the
+/// fast DV profile ([`crate::DvConfig::fast`], 3 s updates). `Default`
+/// is the policy-off trusting behavior; [`GuardPolicy::standard`]
+/// enables the full defense.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardPolicy {
     /// Master switch. Off = announcements flow straight into the
@@ -87,21 +89,9 @@ pub struct GuardPolicy {
     /// topology radius plus slack); larger finite metrics are clamped
     /// to infinity.
     pub topology_radius: Option<u8>,
-    /// Fixed window over which announcements per neighbor are counted.
-    pub rate_window: Duration,
-    /// Maximum announcements one neighbor may send per window.
+    /// Maximum announcements one neighbor may send per
+    /// [`GuardPolicy::RATE_WINDOW`].
     pub rate_limit: u32,
-    /// Window over which reachable↔unreachable flips are counted.
-    pub flap_window: Duration,
-    /// Flips within the window that trip the hold-down.
-    pub flap_threshold: u32,
-    /// How long a damped prefix stays suppressed.
-    pub holddown: Duration,
-    /// Offenses (rate-limit hits + damping trips) that quarantine the
-    /// neighbor.
-    pub quarantine_threshold: u32,
-    /// How long a quarantined neighbor is ignored before parole.
-    pub quarantine_parole: Duration,
     /// Boot learning window, measured from the first admitted message:
     /// rate limiting and flap damping observe without enforcing until it
     /// elapses. Zero (the default) keeps the original always-armed
@@ -111,15 +101,6 @@ pub struct GuardPolicy {
     /// registered prefixes (needs an [`OriginRegistry`] installed via
     /// [`RouteGuard::set_registry`]).
     pub attestation: bool,
-    /// Replay tolerance, in attestation serial units (serials advance
-    /// with virtual-time seconds, so this is roughly seconds of
-    /// propagation lag a stored attestation may accumulate).
-    pub attest_window: u32,
-    /// Attestation failures for one (neighbor, prefix) that trip the
-    /// prefix-level hold-down.
-    pub attest_strikes: u32,
-    /// How long an attestation-quarantined prefix stays suppressed.
-    pub attest_holddown: Duration,
 }
 
 impl Default for GuardPolicy {
@@ -129,30 +110,47 @@ impl Default for GuardPolicy {
 }
 
 impl GuardPolicy {
-    /// The full defense, tuned to the fast DV profile: honest neighbors
-    /// send ~4 announcements per 10 s (3 s periodic plus triggered
-    /// bursts), so 40 per window is generous; four flips in 12 s is two
-    /// full die/revive cycles inside four update periods — churn no
-    /// honest route survives twice.
+    /// Fixed window over which announcements per neighbor are counted.
+    /// Honest neighbors send ~4 announcements per 10 s (3 s periodic
+    /// plus triggered bursts), so the standard 40 per window is
+    /// generous.
+    pub const RATE_WINDOW: Duration = Duration::from_secs(10);
+    /// Window over which reachable↔unreachable flips are counted.
+    pub const FLAP_WINDOW: Duration = Duration::from_secs(12);
+    /// Flips within [`GuardPolicy::FLAP_WINDOW`] that trip the
+    /// hold-down: four flips in 12 s is two full die/revive cycles
+    /// inside four update periods — churn no honest route survives
+    /// twice.
+    pub const FLAP_THRESHOLD: u32 = 4;
+    /// How long a damped prefix stays suppressed.
+    pub const HOLDDOWN: Duration = Duration::from_secs(20);
+    /// Offenses (rate-limit hits + damping trips) that quarantine the
+    /// neighbor.
+    pub const QUARANTINE_THRESHOLD: u32 = 6;
+    /// How long a quarantined neighbor is ignored before parole.
+    pub const QUARANTINE_PAROLE: Duration = Duration::from_secs(45);
+    /// Replay tolerance, in attestation serial units (serials advance
+    /// with virtual-time seconds, so this is roughly seconds of
+    /// propagation lag a stored attestation may accumulate). A stored
+    /// attestation crosses one hop per 3 s update round, so 64 serial
+    /// units (~64 s) tolerates any diameter this catenet reaches while
+    /// expiring recorded adverts quickly.
+    pub const ATTEST_WINDOW: u32 = 64;
+    /// Attestation failures for one (neighbor, prefix) that trip the
+    /// prefix-level hold-down.
+    pub const ATTEST_STRIKES: u32 = 3;
+    /// How long an attestation-quarantined prefix stays suppressed.
+    pub const ATTEST_HOLDDOWN: Duration = Duration::from_secs(30);
+
+    /// The full defense: 40 announcements per rate window, no radius,
+    /// always armed, no attestation.
     pub fn standard() -> GuardPolicy {
         GuardPolicy {
             enabled: true,
             topology_radius: None,
-            rate_window: Duration::from_secs(10),
             rate_limit: 40,
-            flap_window: Duration::from_secs(12),
-            flap_threshold: 4,
-            holddown: Duration::from_secs(20),
-            quarantine_threshold: 6,
-            quarantine_parole: Duration::from_secs(45),
             boot_window: Duration::ZERO,
             attestation: false,
-            // A stored attestation crosses one hop per 3 s update round,
-            // so 64 serial units (~64 s) tolerates any diameter this
-            // catenet reaches while expiring recorded adverts quickly.
-            attest_window: 64,
-            attest_strikes: 3,
-            attest_holddown: Duration::from_secs(30),
         }
     }
 
@@ -551,7 +549,7 @@ impl RouteGuard {
         // 2. Per-neighbor rate limit (fixed window). During boot the
         // window is tracked but never enforced: a cold-boot full-table
         // storm is indistinguishable from a flood by volume alone.
-        if now.duration_since(state.msg_window_start) >= p.rate_window {
+        if now.duration_since(state.msg_window_start) >= GuardPolicy::RATE_WINDOW {
             state.msg_window_start = now;
             state.msgs_in_window = 0;
         }
@@ -559,8 +557,8 @@ impl RouteGuard {
         if !booting && state.msgs_in_window > p.rate_limit {
             state.offenses += 1;
             self.incidents.push(GuardIncident::RateLimited { neighbor });
-            if state.offenses >= p.quarantine_threshold {
-                let until = now + p.quarantine_parole;
+            if state.offenses >= GuardPolicy::QUARANTINE_THRESHOLD {
+                let until = now + GuardPolicy::QUARANTINE_PAROLE;
                 state.quarantined_until = Some(until);
                 self.incidents
                     .push(GuardIncident::Quarantined { neighbor, until });
@@ -654,7 +652,9 @@ impl RouteGuard {
                                     let window = self
                                         .origin_seq
                                         .entry((att.origin, prefix))
-                                        .or_insert_with(|| ReplayWindow::new(p.attest_window));
+                                        .or_insert_with(|| {
+                                            ReplayWindow::new(GuardPolicy::ATTEST_WINDOW)
+                                        });
                                     match window.check(att.seq) {
                                         Freshness::Stale => Some(AttestFailure::Stale),
                                         Freshness::Fresh | Freshness::InWindow => None,
@@ -672,8 +672,8 @@ impl RouteGuard {
                         });
                         let strikes = state.attest_strikes.entry(prefix).or_insert(0);
                         *strikes += 1;
-                        if *strikes >= p.attest_strikes {
-                            let until = now + p.attest_holddown;
+                        if *strikes >= GuardPolicy::ATTEST_STRIKES {
+                            let until = now + GuardPolicy::ATTEST_HOLDDOWN;
                             state.attest_holddown.insert(prefix, until);
                             self.incidents.push(GuardIncident::PrefixQuarantined {
                                 neighbor,
@@ -705,14 +705,14 @@ impl RouteGuard {
                     // Hold-down served: the prefix starts over.
                     *ps = PrefixState::new(now, reachable);
                 } else if ps.last_reachable != reachable {
-                    if now.duration_since(ps.window_start) >= p.flap_window {
+                    if now.duration_since(ps.window_start) >= GuardPolicy::FLAP_WINDOW {
                         ps.window_start = now;
                         ps.flips = 0;
                     }
                     ps.flips += 1;
                     ps.last_reachable = reachable;
-                    if ps.flips >= p.flap_threshold {
-                        let until = now + p.holddown;
+                    if ps.flips >= GuardPolicy::FLAP_THRESHOLD {
+                        let until = now + GuardPolicy::HOLDDOWN;
                         ps.holddown_until = Some(until);
                         state.offenses += 1;
                         self.incidents
@@ -736,8 +736,10 @@ impl RouteGuard {
                 clamped,
             });
         }
-        if state.quarantined_until.is_none() && state.offenses >= p.quarantine_threshold {
-            let until = now + p.quarantine_parole;
+        if state.quarantined_until.is_none()
+            && state.offenses >= GuardPolicy::QUARANTINE_THRESHOLD
+        {
+            let until = now + GuardPolicy::QUARANTINE_PAROLE;
             state.quarantined_until = Some(until);
             self.incidents
                 .push(GuardIncident::Quarantined { neighbor, until });
@@ -945,38 +947,55 @@ mod tests {
 
     #[test]
     fn offenses_quarantine_then_parole_resets() {
-        let mut policy = GuardPolicy::standard();
-        policy.flap_threshold = 1; // every flip is an instant offense
-        policy.quarantine_threshold = 2;
-        policy.quarantine_parole = Duration::from_secs(30);
-        policy.holddown = Duration::from_secs(1);
-        let mut g = RouteGuard::new(policy);
+        let mut g = guard(); // 4 flips / 12 s, 6 offenses, parole 45 s
         let n = addr("10.0.0.2");
-        // Two prefixes flip once each: two offenses → quarantine.
-        g.admit(n, &[entry("10.9.0.0/16", 2), entry("10.8.0.0/16", 2)], secs(0), &[]);
-        let a = g.admit(
-            n,
-            &[
-                entry("10.9.0.0/16", INFINITY_METRIC),
-                entry("10.8.0.0/16", INFINITY_METRIC),
-            ],
-            secs(1),
-            &[],
-        );
+        // One prefix per offense the quarantine needs; all start
+        // reachable, then flip together once a second.
+        let prefixes: Vec<String> = (0..GuardPolicy::QUARANTINE_THRESHOLD)
+            .map(|i| format!("10.{}.0.0/16", 10 + i))
+            .collect();
+        let all = |metric: u8| -> Vec<RipEntry> {
+            prefixes.iter().map(|p| entry(p, metric)).collect()
+        };
+        let flipped = |t: u64| [2, INFINITY_METRIC][t as usize % 2];
+        for t in 0..u64::from(GuardPolicy::FLAP_THRESHOLD) {
+            let a = g.admit(n, &all(flipped(t)), secs(t), &[]);
+            assert_eq!(a.verdict, GuardVerdict::Accepted, "flip {t}");
+        }
+        // The first prefix's last flip trips its hold-down: damped, one
+        // offense, not yet quarantined.
+        let last = u64::from(GuardPolicy::FLAP_THRESHOLD);
+        let mut entries = all(flipped(last - 1));
+        entries[0].metric = flipped(last);
+        let a = g.admit(n, &entries, secs(last), &[]);
         assert_eq!(a.verdict, GuardVerdict::Damped);
-        assert_eq!(g.quarantined_count(secs(2)), 1);
+        assert_eq!(a.entries.len(), prefixes.len() - 1, "only the flapper is held");
+        assert_eq!(g.quarantined_count(secs(last)), 0);
+        assert!(g
+            .drain_incidents()
+            .iter()
+            .any(|i| matches!(i, GuardIncident::Damped { .. })));
+        // The rest trip together: the sixth offense quarantines.
+        let quarantined_at = secs(last + 1);
+        let a = g.admit(n, &all(flipped(last)), quarantined_at, &[]);
+        assert_eq!(a.verdict, GuardVerdict::Damped);
+        assert!(a.entries.is_empty());
+        assert_eq!(g.quarantined_count(quarantined_at), 1);
         assert!(g
             .drain_incidents()
             .iter()
             .any(|i| matches!(i, GuardIncident::Quarantined { .. })));
-        // While quarantined: everything discarded.
-        let a = g.admit(n, &[entry("10.7.0.0/16", 2)], secs(10), &[]);
-        assert_eq!(a.verdict, GuardVerdict::Quarantined);
-        assert!(a.entries.is_empty());
-        // After parole (t=31): heard again, history wiped.
-        let a = g.admit(n, &[entry("10.7.0.0/16", 2)], secs(32), &[]);
+        // While quarantined: everything discarded, to the last instant.
+        let paroled_at = quarantined_at + GuardPolicy::QUARANTINE_PAROLE;
+        for at in [secs(10), paroled_at - Duration::from_micros(1)] {
+            let a = g.admit(n, &[entry("10.7.0.0/16", 2)], at, &[]);
+            assert_eq!(a.verdict, GuardVerdict::Quarantined);
+            assert!(a.entries.is_empty());
+        }
+        // On parole: heard again, history wiped.
+        let a = g.admit(n, &[entry("10.7.0.0/16", 2)], paroled_at, &[]);
         assert_eq!(a.verdict, GuardVerdict::Accepted);
-        assert_eq!(g.quarantined_count(secs(32)), 0);
+        assert_eq!(g.quarantined_count(paroled_at), 0);
         assert!(g
             .drain_incidents()
             .iter()
@@ -1152,21 +1171,21 @@ mod tests {
 
     #[test]
     fn replayed_stale_advert_rejected() {
-        let mut policy = GuardPolicy::attested();
-        policy.boot_window = Duration::ZERO;
-        policy.attest_window = 4;
-        let mut g = RouteGuard::new(policy);
-        g.set_registry(Some(registry()));
+        let mut g = attested_guard(); // replay window 64 serials
         let n = addr("10.0.0.2");
         // Fresh serial 100 establishes the high-water mark.
         let a = g.admit(n, &[signed("10.9.0.0/16", 2, 1, 100)], secs(0), &[]);
         assert_eq!(a.verdict, GuardVerdict::Accepted);
-        // Reordered-but-fresh (within the window) still passes.
-        let a = g.admit(n, &[signed("10.9.0.0/16", 2, 1, 97)], secs(1), &[]);
-        assert_eq!(a.verdict, GuardVerdict::Accepted);
-        // A recorded advert from long ago is stale, even though the
-        // signature itself is genuine.
-        let a = g.admit(n, &[signed("10.9.0.0/16", 2, 1, 90)], secs(2), &[]);
+        // Reordered-but-fresh (within the window) still passes, up to a
+        // gap of exactly the window.
+        let edge = 100 - GuardPolicy::ATTEST_WINDOW;
+        for seq in [97, edge] {
+            let a = g.admit(n, &[signed("10.9.0.0/16", 2, 1, seq)], secs(1), &[]);
+            assert_eq!(a.verdict, GuardVerdict::Accepted, "serial {seq}");
+        }
+        // One serial further back is a recorded advert, stale even
+        // though the signature itself is genuine.
+        let a = g.admit(n, &[signed("10.9.0.0/16", 2, 1, edge - 1)], secs(2), &[]);
         assert!(a.entries.is_empty());
         assert!(g.drain_incidents().iter().any(|i| matches!(
             i,

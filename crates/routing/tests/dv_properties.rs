@@ -11,7 +11,7 @@
 //!    points out that interface until it is revived.
 //! 3. **Silence drains** — from any reachable random state, stopping
 //!    all advertisements garbage-collects every learned route within
-//!    `route_timeout + gc_timeout` (plus one tick of slack); only
+//!    `ROUTE_TIMEOUT + GC_TIMEOUT` (plus one tick of slack); only
 //!    connected routes survive.
 //! 4. **The expiry bound never hides an expiry** — `tick` returns
 //!    without scanning while `now < next_expiry()`, so after *every*
@@ -169,11 +169,10 @@ fn silence_gcs_every_learned_route_within_deadline() {
                 now = step(&mut dv, &mut rng, now, &mut iface_up);
             }
             // The neighbors fall silent. Every learned route must expire
-            // (route_timeout), hold at infinity (gc_timeout), then vanish;
+            // (ROUTE_TIMEOUT), hold at infinity (GC_TIMEOUT), then vanish;
             // ticks land at the same cadence the stream used.
-            let config = dv.config();
             let deadline =
-                now + config.route_timeout + config.gc_timeout + MAX_STEP + MAX_STEP;
+                now + DvConfig::ROUTE_TIMEOUT + DvConfig::GC_TIMEOUT + MAX_STEP + MAX_STEP;
             while now < deadline {
                 now += MAX_STEP;
                 dv.tick(now);

@@ -2,7 +2,7 @@
 //! loop forever.
 //!
 //! One thread reads stdin lines into a channel; the main thread owns
-//! the substrate and alternates short [`Substrate::run_for`] slices
+//! the substrate and alternates short [`RealSubstrate::run_for`] slices
 //! (which sleep until a timer is due or a tunnel delivers a frame)
 //! with draining the command channel and printing what the file
 //! transfers have to report — the 5 ms slice is the operator's echo
@@ -13,7 +13,6 @@
 use crate::config;
 use crate::real::RealSubstrate;
 use crate::repl::{role_name, Repl};
-use crate::Substrate;
 use catenet_core::NodeRole;
 use catenet_sim::Duration;
 use std::io::BufRead;

@@ -746,23 +746,15 @@ impl RealSubstrate {
     pub fn role(&self) -> NodeRole {
         self.node.role
     }
-}
 
-impl Drop for RealSubstrate {
-    fn drop(&mut self) {
-        // Every reader sees its cue before any is waited for.
-        for link in &mut self.links {
-            link.hang_up();
-        }
-    }
-}
-
-impl Substrate for RealSubstrate {
-    fn now(&self) -> Instant {
+    /// The current instant on this substrate's clock.
+    pub fn now(&self) -> Instant {
         self.clock.now()
     }
 
-    fn run_until(&mut self, deadline: Instant) {
+    /// Drive the node until `deadline` on its clock: deliver frames,
+    /// fire timers, poll applications.
+    pub fn run_until(&mut self, deadline: Instant) {
         if let Some(bell) = &self.doorbell {
             bell.listen();
         }
@@ -797,9 +789,40 @@ impl Substrate for RealSubstrate {
         }
     }
 
-    fn attach_app(&mut self, index: usize, app: Box<dyn Application>) {
+    /// Advance by `d` from [`RealSubstrate::now`].
+    pub fn run_for(&mut self, d: Duration) {
+        let deadline = self.now() + d;
+        self.run_until(deadline);
+    }
+
+    /// Attach an application to the node; `index` must be 0, the one
+    /// node a real substrate hosts.
+    pub fn attach_app(&mut self, index: usize, app: Box<dyn Application>) {
         assert_eq!(index, 0, "a real substrate hosts one node");
         self.apps.push(app);
+    }
+}
+
+impl Drop for RealSubstrate {
+    fn drop(&mut self) {
+        // Every reader sees its cue before any is waited for.
+        for link in &mut self.links {
+            link.hang_up();
+        }
+    }
+}
+
+impl Substrate for RealSubstrate {
+    fn now(&self) -> Instant {
+        RealSubstrate::now(self)
+    }
+
+    fn run_until(&mut self, deadline: Instant) {
+        RealSubstrate::run_until(self, deadline);
+    }
+
+    fn attach_app(&mut self, index: usize, app: Box<dyn Application>) {
+        RealSubstrate::attach_app(self, index, app);
     }
 }
 

@@ -9,7 +9,6 @@
 
 use catenet_substrate::config;
 use catenet_substrate::real::RealSubstrate;
-use catenet_substrate::Substrate;
 
 fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");

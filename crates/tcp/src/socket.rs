@@ -125,8 +125,6 @@ pub struct SocketConfig {
     pub congestion: CongestionAlgo,
     /// Delayed-ACK interval; `None` acks every segment immediately.
     pub delayed_ack: Option<Duration>,
-    /// Maximum segment lifetime (TIME-WAIT lasts 2·MSL).
-    pub msl: Duration,
     /// Give up the connection after this many *consecutive* RTO
     /// expirations with no forward progress (RFC 1122 §4.2.3.5's "R2"
     /// threshold). `None` retries forever — the 1980s default, and the
@@ -153,13 +151,16 @@ impl Default for SocketConfig {
             nagle: true,
             congestion: CongestionAlgo::Tahoe,
             delayed_ack: Some(Duration::from_millis(200)),
-            msl: Duration::from_secs(30),
             max_retries: None,
             initial_seq: 0x1000,
             payload_crc: false,
         }
     }
 }
+
+/// Maximum segment lifetime (TIME-WAIT lasts 2·MSL). RFC 793 suggests
+/// two minutes; 30 s keeps TIME-WAIT to one minute of virtual time.
+pub const MSL: Duration = Duration::from_secs(30);
 
 /// Counters for the experiment harness.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1108,7 +1109,7 @@ impl Socket {
 
     fn enter_time_wait(&mut self, now: Instant) {
         self.state = State::TimeWait;
-        self.time_wait_until = Some(now + self.config.msl * 2);
+        self.time_wait_until = Some(now + MSL * 2);
         self.retransmit_at = None;
         self.probe_at = None;
         self.ack_pending = true;

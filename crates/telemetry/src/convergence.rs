@@ -35,34 +35,21 @@ pub struct Reconvergence {
 }
 
 /// The tracer: raw timestamps in, per-heal measurements out.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ConvergenceTracer {
-    quiescence_gap: Duration,
     disruptions: Vec<Instant>,
     heals: Vec<Instant>,
     route_changes: Vec<Instant>,
 }
 
 impl ConvergenceTracer {
-    /// Default quiescence gap: twice the fast DV update interval (3 s),
-    /// so two full periodic rounds without a table change count as
-    /// settled.
-    pub const DEFAULT_QUIESCENCE_GAP: Duration = Duration::from_secs(6);
+    /// Quiescence gap: twice the fast DV update interval (3 s), so two
+    /// full periodic rounds without a table change count as settled.
+    pub const QUIESCENCE_GAP: Duration = Duration::from_secs(6);
 
-    /// A tracer that declares quiescence after `quiescence_gap` without
-    /// a route change.
-    pub fn new(quiescence_gap: Duration) -> ConvergenceTracer {
-        ConvergenceTracer {
-            quiescence_gap,
-            disruptions: Vec::new(),
-            heals: Vec::new(),
-            route_changes: Vec::new(),
-        }
-    }
-
-    /// The configured quiescence gap.
-    pub fn quiescence_gap(&self) -> Duration {
-        self.quiescence_gap
+    /// A tracer with nothing recorded yet.
+    pub fn new() -> ConvergenceTracer {
+        ConvergenceTracer::default()
     }
 
     /// Record a topology-affecting disruption (link down, crash,
@@ -116,8 +103,7 @@ impl ConvergenceTracer {
                     .copied()
                     .rfind(|&c| c > healed_at && c <= window_end)
                     .unwrap_or(healed_at);
-                let settled =
-                    window_end.duration_since(settled_at) >= self.quiescence_gap;
+                let settled = window_end.duration_since(settled_at) >= Self::QUIESCENCE_GAP;
                 Reconvergence {
                     healed_at,
                     settled_at,
@@ -139,7 +125,7 @@ mod tests {
 
     #[test]
     fn each_heal_pairs_with_its_own_settle_point() {
-        let mut tr = ConvergenceTracer::new(Duration::from_secs(6));
+        let mut tr = ConvergenceTracer::new();
         // Disruption at 10, heal at 20; churn until 26. Second cycle:
         // disruption at 60, heal at 70, churn until 73.
         tr.disruption(s(10));
@@ -160,7 +146,7 @@ mod tests {
 
     #[test]
     fn already_converged_heal_measures_zero() {
-        let mut tr = ConvergenceTracer::new(Duration::from_secs(6));
+        let mut tr = ConvergenceTracer::new();
         tr.heal(s(5));
         let recs = tr.reconvergences(s(60));
         assert_eq!(recs.len(), 1);
@@ -170,7 +156,7 @@ mod tests {
 
     #[test]
     fn next_disruption_censors_an_unsettled_measurement() {
-        let mut tr = ConvergenceTracer::new(Duration::from_secs(6));
+        let mut tr = ConvergenceTracer::new();
         tr.heal(s(10));
         tr.route_changed(s(12));
         // Disruption lands 3 s after the last change: no full gap.
@@ -183,7 +169,7 @@ mod tests {
 
     #[test]
     fn end_of_run_censors_too() {
-        let mut tr = ConvergenceTracer::new(Duration::from_secs(6));
+        let mut tr = ConvergenceTracer::new();
         tr.heal(s(10));
         tr.route_changed(s(12));
         let recs = tr.reconvergences(s(14));
@@ -192,7 +178,7 @@ mod tests {
 
     #[test]
     fn changes_outside_the_window_do_not_leak_in() {
-        let mut tr = ConvergenceTracer::new(Duration::from_secs(6));
+        let mut tr = ConvergenceTracer::new();
         tr.disruption(s(5));
         tr.route_changed(s(6)); // pre-heal churn
         tr.heal(s(10));

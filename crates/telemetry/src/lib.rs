@@ -44,11 +44,9 @@ pub use recorder::{EventKind, FlightEvent, FlightRecorder};
 pub use registry::{InstrumentId, MetricKind, Registry, Scope};
 pub use series::{Sample, Sampler};
 
-use catenet_sim::Duration;
-
 /// The observability bundle a network carries: one of each piece, on a
 /// shared virtual clock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Telemetry {
     /// Named counters and gauges.
     pub registry: Registry,
@@ -61,24 +59,8 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Default sampling cadence: two samples per virtual second.
-    pub const DEFAULT_CADENCE: Duration = Duration::from_millis(500);
-    /// Default flight-recorder depth.
-    pub const DEFAULT_RECORDER_DEPTH: usize = 256;
-
-    /// A bundle with default cadence, recorder depth, and quiescence gap.
+    /// An empty bundle.
     pub fn new() -> Telemetry {
-        Telemetry {
-            registry: Registry::new(),
-            sampler: Sampler::new(Self::DEFAULT_CADENCE),
-            recorder: FlightRecorder::new(Self::DEFAULT_RECORDER_DEPTH),
-            convergence: ConvergenceTracer::new(ConvergenceTracer::DEFAULT_QUIESCENCE_GAP),
-        }
-    }
-}
-
-impl Default for Telemetry {
-    fn default() -> Telemetry {
-        Telemetry::new()
+        Telemetry::default()
     }
 }

@@ -99,28 +99,26 @@ pub struct FlightEvent {
 }
 
 /// The bounded ring buffer.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    capacity: usize,
     buf: VecDeque<FlightEvent>,
     next_seq: u64,
     evicted: u64,
 }
 
 impl FlightRecorder {
-    /// A recorder keeping the last `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-            next_seq: 0,
-            evicted: 0,
-        }
+    /// Events the ring holds before it evicts the oldest.
+    pub const CAPACITY: usize = 256;
+
+    /// An empty recorder keeping the last [`FlightRecorder::CAPACITY`]
+    /// events.
+    pub fn new() -> FlightRecorder {
+        FlightRecorder::default()
     }
 
     /// Record an event, evicting the oldest if the ring is full.
     pub fn record(&mut self, at: Instant, kind: EventKind) {
-        if self.buf.len() == self.capacity {
+        if self.buf.len() == Self::CAPACITY {
             self.buf.pop_front();
             self.evicted += 1;
         }
@@ -146,11 +144,6 @@ impl FlightRecorder {
     /// Whether nothing is held.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Events recorded over the recorder's lifetime (held + evicted).
@@ -197,7 +190,7 @@ mod tests {
 
     #[test]
     fn records_in_order_until_capacity() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = FlightRecorder::new();
         for i in 0..5u64 {
             rec.record(Instant::from_secs(i), note("x"));
         }
@@ -209,32 +202,24 @@ mod tests {
 
     #[test]
     fn wraparound_keeps_only_the_newest_and_counts_evictions() {
-        let mut rec = FlightRecorder::new(3);
-        for i in 0..10u64 {
+        let mut rec = FlightRecorder::new();
+        let total = FlightRecorder::CAPACITY as u64 + 7;
+        for i in 0..total {
             rec.record(Instant::from_secs(i), note("e"));
         }
-        assert_eq!(rec.len(), 3, "bounded");
+        assert_eq!(rec.len(), FlightRecorder::CAPACITY, "bounded");
         assert_eq!(rec.evicted(), 7);
-        assert_eq!(rec.total_recorded(), 10);
+        assert_eq!(rec.total_recorded(), total);
         let seqs: Vec<u64> = rec.events().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9], "oldest evicted first");
+        assert_eq!(seqs, (7..total).collect::<Vec<_>>(), "oldest evicted first");
         let times: Vec<Instant> = rec.events().map(|e| e.at).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "time order");
         assert!(rec.dump().starts_with("... 7 earlier event(s) evicted"));
     }
 
     #[test]
-    fn capacity_of_zero_is_clamped_to_one() {
-        let mut rec = FlightRecorder::new(0);
-        rec.record(Instant::ZERO, note("a"));
-        rec.record(Instant::from_secs(1), note("b"));
-        assert_eq!(rec.len(), 1);
-        assert_eq!(rec.events().next().unwrap().seq, 1, "newest survives");
-    }
-
-    #[test]
     fn dump_renders_kinds_readably() {
-        let mut rec = FlightRecorder::new(8);
+        let mut rec = FlightRecorder::new();
         rec.record(
             Instant::from_millis(1_500),
             EventKind::FaultInjected {

@@ -26,58 +26,41 @@ pub struct Sample {
 /// The sampler: cadence state plus the recorded rows.
 #[derive(Debug)]
 pub struct Sampler {
-    cadence: Duration,
     next: Instant,
     rows: Vec<Sample>,
 }
 
+impl Default for Sampler {
+    fn default() -> Sampler {
+        Sampler::new()
+    }
+}
+
 impl Sampler {
-    /// A sampler with the given cadence, first due one cadence after the
-    /// epoch. A zero cadence disables sampling entirely.
-    pub fn new(cadence: Duration) -> Sampler {
+    /// Sampling cadence: two samples per virtual second.
+    pub const CADENCE: Duration = Duration::from_millis(500);
+
+    /// A sampler first due one cadence after the epoch.
+    pub fn new() -> Sampler {
         Sampler {
-            cadence,
-            next: if cadence.is_zero() {
-                Instant::FAR_FUTURE
-            } else {
-                Instant::ZERO + cadence
-            },
+            next: Instant::ZERO + Self::CADENCE,
             rows: Vec::new(),
         }
     }
 
-    /// Change the cadence; the next sample is re-anchored to one cadence
-    /// after `now`. Zero disables sampling.
-    pub fn set_cadence(&mut self, cadence: Duration, now: Instant) {
-        self.cadence = cadence;
-        self.next = if cadence.is_zero() {
-            Instant::FAR_FUTURE
-        } else {
-            now + cadence
-        };
-    }
-
-    /// The configured cadence.
-    pub fn cadence(&self) -> Duration {
-        self.cadence
-    }
-
-    /// When the next sample is due, if sampling is enabled.
-    pub fn next_sample_at(&self) -> Option<Instant> {
-        (self.next != Instant::FAR_FUTURE).then_some(self.next)
+    /// When the next sample is due.
+    pub fn next_sample_at(&self) -> Instant {
+        self.next
     }
 
     /// Tell the sampler a sample is being taken at `now`; advances the
     /// cadence clock past `now`. The caller records rows with
     /// [`Sampler::record`] after this.
     pub fn begin_sample(&mut self, now: Instant) {
-        if self.cadence.is_zero() {
-            return;
-        }
         // Skip whole missed periods (the loop may have been idle), but
         // always move strictly past `now`.
         while self.next <= now {
-            self.next += self.cadence;
+            self.next += Self::CADENCE;
         }
     }
 
@@ -125,30 +108,19 @@ mod tests {
 
     #[test]
     fn cadence_advances_and_skips_missed_periods() {
-        let mut s = Sampler::new(Duration::from_millis(500));
-        assert_eq!(s.next_sample_at(), Some(Instant::from_millis(500)));
+        let mut s = Sampler::new(); // 500 ms
+        assert_eq!(s.next_sample_at(), Instant::from_millis(500));
         s.begin_sample(Instant::from_millis(500));
-        assert_eq!(s.next_sample_at(), Some(Instant::from_millis(1_000)));
+        assert_eq!(s.next_sample_at(), Instant::from_millis(1_000));
         // The loop idled for 2.3 s; the sampler does not replay missed
         // periods, it re-arms strictly past now.
         s.begin_sample(Instant::from_millis(3_300));
-        assert_eq!(s.next_sample_at(), Some(Instant::from_millis(3_500)));
-    }
-
-    #[test]
-    fn zero_cadence_disables() {
-        let mut s = Sampler::new(Duration::ZERO);
-        assert_eq!(s.next_sample_at(), None);
-        s.begin_sample(Instant::from_secs(1)); // harmless
-        assert_eq!(s.next_sample_at(), None);
-        let mut on = Sampler::new(Duration::from_secs(1));
-        on.set_cadence(Duration::ZERO, Instant::from_secs(5));
-        assert_eq!(on.next_sample_at(), None);
+        assert_eq!(s.next_sample_at(), Instant::from_millis(3_500));
     }
 
     #[test]
     fn rows_and_dump_are_faithful() {
-        let mut s = Sampler::new(Duration::from_secs(1));
+        let mut s = Sampler::new();
         s.record(Instant::from_secs(1), "queue_depth", Scope::Link(0), 3);
         s.record(Instant::from_secs(2), "queue_depth", Scope::Link(0), 0);
         s.record(Instant::from_secs(2), "route_version", Scope::Node(1), 7);

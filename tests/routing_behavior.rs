@@ -236,7 +236,7 @@ fn a_reboot_does_not_readvertise_a_downed_interface() {
     );
 
     let (mut net, b, live_metric) = build();
-    net.node_mut(b).set_dv_config(DvConfig::default());
+    net.node_mut(b).set_dv_config(DvConfig::fast());
     net.kick(b);
     net.run_for(Duration::from_secs(10));
     assert_eq!(
