@@ -5,7 +5,7 @@
 //! the proof that the simulator itself was **not touched** by any of
 //! it. It pins FNV-1a-64 digests of representative E11, E12 and E16
 //! artifacts — scored outcome, metrics dump, time-series dump, flight
-//! ring — to the exact values the pre-substrate tree produced
+//! ring — and of the E2, E3 and E8 reports, the runs that carry UDP, to the exact values the pre-substrate tree produced
 //! (regenerated from a clean checkout of that commit). Any change that
 //! perturbs a single simulated event, sample row or ledger flush shows
 //! up here as a digest mismatch naming the artifact.
@@ -22,7 +22,9 @@
 
 use catenet::stack::ShardKind;
 use catenet_bench::e11_gauntlet::{run_with_shards, scenarios};
-use catenet_bench::{e12_reconvergence, e16_accountability, SEEDS};
+use catenet_bench::{
+    e12_reconvergence, e16_accountability, e2_type_of_service, e3_variety, e8_soft_state, SEEDS,
+};
 
 /// FNV-1a 64-bit, the repo's standard content digest.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -76,6 +78,15 @@ fn compute() -> Vec<(String, u64)> {
     for (dump, name) in dumps.iter().zip(["metrics", "series", "flight"]) {
         out.push((format!("e16/storm/{name}"), fnv64(dump.as_bytes())));
     }
+    // The UDP applications: packet voice against TCP voice (E2), a
+    // datagram that fragments and reassembles (E3), and CBR flows
+    // through a soft-state gateway that crashes (E8).
+    let voice = e2_type_of_service::quick(SEEDS[0]);
+    out.push(("e2/quick".into(), fnv64(format!("{voice:?}").as_bytes())));
+    let frag = e3_variety::quick(SEEDS[0]);
+    out.push(("e3/quick".into(), fnv64(format!("{frag:?}").as_bytes())));
+    let soft = e8_soft_state::quick(SEEDS[0]);
+    out.push(("e8/quick".into(), fnv64(format!("{soft:?}").as_bytes())));
     out
 }
 
@@ -85,8 +96,10 @@ fn compute() -> Vec<(String, u64)> {
 /// digests come from the last tree whose lane scraped a node's
 /// counters after every pass, before nodes reported their own events;
 /// the four black-hole digests from the last tree whose network
-/// rewrote a liar's frames on the wire, before the node lied itself.
-const GOLDEN: [(&str, u64); 24] = [
+/// rewrote a liar's frames on the wire, before the node lied itself;
+/// the three UDP digests from the last tree whose sockets queued a
+/// datagram until the node's service pass sent it.
+const GOLDEN: [(&str, u64); 27] = [
     ("e11/calm (control)/outcome", 0x06abe3f915f39ee3),
     ("e11/calm (control)/metrics", 0x1b374556a0117f40),
     ("e11/calm (control)/series", 0x61ac9c3352a7009f),
@@ -111,6 +124,9 @@ const GOLDEN: [(&str, u64); 24] = [
     ("e16/storm/metrics", 0x185056ea0ee73d2c),
     ("e16/storm/series", 0x605451076f3f981c),
     ("e16/storm/flight", 0xcfa98da4978694f2),
+    ("e2/quick", 0x4a97d3a34efbfa0f),
+    ("e3/quick", 0x0730a51e86a1b7f2),
+    ("e8/quick", 0x5c75d27e243786c9),
 ];
 
 #[test]
