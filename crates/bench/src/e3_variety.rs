@@ -75,7 +75,8 @@ pub fn run(seed: u64, payload: usize, count: u64, loss: f64) -> FragReport {
     let drain_time =
         Duration::from_secs_f64(wire_per_dgram as f64 * 8.0 / 9_600.0) + Duration::from_millis(80);
     for _ in 0..count {
-        net.node_mut(h1).udp_sockets[sock].send_to(Endpoint::new(dst, 9000), &pattern);
+        let (to, now) = (Endpoint::new(dst, 9000), net.now());
+        net.node_mut(h1).udp_send(sock, to, payload, now, |p| p.copy_from_slice(&pattern));
         net.kick(h1);
         net.run_for(drain_time);
     }
@@ -83,7 +84,7 @@ pub fn run(seed: u64, payload: usize, count: u64, loss: f64) -> FragReport {
 
     let mut delivered = 0u64;
     while let Some(dgram) = net.node_mut(h2).udp_sockets[0].recv() {
-        assert_eq!(dgram.payload, pattern, "reassembly must be byte-exact");
+        assert_eq!(dgram.payload[..], pattern[..], "reassembly must be byte-exact");
         delivered += 1;
     }
     // Fragments per datagram on the narrowest link (SLIP, IP MTU 296):

@@ -371,13 +371,12 @@ impl Application for CbrSource {
             .socket
             .get_or_insert_with(|| node.udp_bind(30_000 + (self.remote.port % 1000)));
         while self.next_send <= now && self.next_send < self.stop_at {
-            // Built once and handed over: the socket queues this very
-            // vector, so a datagram costs one allocation, not two.
-            let mut payload = vec![0u8; self.size];
-            payload[..8].copy_from_slice(&self.seq.to_be_bytes());
-            payload[8..16].copy_from_slice(&now.total_micros().to_be_bytes());
-            if let Some(sock) = node.udp_sockets.get_mut(socket) {
-                sock.send_vec(self.remote, payload);
+            // Written into the pooled buffer, whose padding comes zeroed.
+            let sent = node.udp_send(socket, self.remote, self.size, now, |payload| {
+                payload[..8].copy_from_slice(&self.seq.to_be_bytes());
+                payload[8..CBR_HEADER].copy_from_slice(&now.total_micros().to_be_bytes());
+            });
+            if sent {
                 *self.sent.lock().unwrap() += 1;
             }
             self.seq += 1;
@@ -610,20 +609,14 @@ impl UdpEchoServer {
 }
 
 impl Application for UdpEchoServer {
-    fn poll(&mut self, node: &mut Node, _now: Instant) {
+    fn poll(&mut self, node: &mut Node, now: Instant) {
         let socket = *self.socket.get_or_insert_with(|| node.udp_bind(self.port));
-        let Some(sock) = node.udp_sockets.get_mut(socket) else {
-            return;
-        };
-        let mut replies = Vec::new();
-        while let Some(dgram) = sock.recv() {
-            replies.push((dgram.from, dgram.payload));
-        }
-        for (to, payload) in replies {
-            if let Some(sock) = node.udp_sockets.get_mut(socket) {
-                sock.send_to(to, &payload);
-                *self.echoed.lock().unwrap() += 1;
-            }
+        while let Some(dgram) = node.udp_sockets.get_mut(socket).and_then(|s| s.recv()) {
+            let payload = &dgram.payload[..];
+            node.udp_send(socket, dgram.from, payload.len(), now, |out| {
+                out.copy_from_slice(payload);
+            });
+            *self.echoed.lock().unwrap() += 1;
         }
     }
 }
@@ -830,13 +823,15 @@ mod tests {
         net.attach_app(h2, Box::new(server));
 
         let sock = net.node_mut(h1).udp_bind(7777);
-        net.node_mut(h1).udp_sockets[sock].send_to(Endpoint::new(dst, 7), b"echo me");
+        net.node_mut(h1).udp_send(sock, Endpoint::new(dst, 7), 7, Instant::ZERO, |p| {
+            p.copy_from_slice(b"echo me");
+        });
         net.kick(h1);
         net.run_for(Duration::from_secs(1));
 
         assert_eq!(*echoed.lock().unwrap(), 1);
         let back = net.node_mut(h1).udp_sockets[sock].recv().unwrap();
-        assert_eq!(back.payload, b"echo me");
+        assert_eq!(&back.payload[..], b"echo me");
     }
 
     #[test]

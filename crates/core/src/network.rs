@@ -1507,7 +1507,7 @@ mod tests {
         let inbox = net.node_mut(h2).udp_bind(7000);
         let socket = net.node_mut(h1).udp_bind(7001);
         for len in [1000, 160] {
-            net.node_mut(h1).udp_sockets[socket].send_to(to, &vec![0x5a; len]);
+            net.node_mut(h1).udp_send(socket, to, len, now, |p| p.fill(0x5a));
         }
         let sink = SinkServer::new(80, TcpConfig::default());
         let received = Arc::clone(&sink.received);
@@ -1610,8 +1610,9 @@ mod tests {
         let dst = crate::Endpoint::new(net.node(c).primary_addr(), 9000);
         let sa = net.node_mut(a).udp_bind(9001);
         let sb = net.node_mut(b).udp_bind(9002);
-        net.node_mut(a).udp_sockets[sa].send_to(dst, b"first");
-        net.node_mut(b).udp_sockets[sb].send_to(dst, b"other");
+        let now = net.now();
+        net.node_mut(a).udp_send(sa, dst, 5, now, |p| p.copy_from_slice(b"first"));
+        net.node_mut(b).udp_send(sb, dst, 5, now, |p| p.copy_from_slice(b"other"));
         net.kick(a);
         net.kick(b);
         let passes_before = net.service_passes(c);
@@ -1624,8 +1625,8 @@ mod tests {
         );
         let first = net.node_mut(c).udp_sockets[0].recv().expect("first frame");
         let other = net.node_mut(c).udp_sockets[0].recv().expect("second frame");
-        assert_eq!(first.payload, b"first", "FIFO by schedule order");
-        assert_eq!(other.payload, b"other");
+        assert_eq!(&first.payload[..], b"first", "FIFO by schedule order");
+        assert_eq!(&other.payload[..], b"other");
     }
 
     #[test]
@@ -1634,12 +1635,15 @@ mod tests {
         let dst_addr = net.node(h2).primary_addr();
         net.node_mut(h2).udp_bind(7000);
         let sock = net.node_mut(h1).udp_bind(7001);
-        net.node_mut(h1).udp_sockets[sock]
-            .send_to(crate::Endpoint::new(dst_addr, 7000), b"datagram service");
+        let payload = b"datagram service";
+        let to = crate::Endpoint::new(dst_addr, 7000);
+        net.node_mut(h1).udp_send(sock, to, payload.len(), Instant::ZERO, |p| {
+            p.copy_from_slice(payload);
+        });
         net.kick(h1);
         net.run_for(Duration::from_secs(1));
         let received = net.node_mut(h2).udp_sockets[0].recv().unwrap();
-        assert_eq!(received.payload, b"datagram service");
+        assert_eq!(&received.payload[..], payload);
     }
 
     #[test]
@@ -1828,11 +1832,14 @@ mod tests {
         net.node_mut(h2).udp_bind(9000);
         let sock = net.node_mut(h1).udp_bind(9001);
         let payload = vec![0x5Au8; 1200];
-        net.node_mut(h1).udp_sockets[sock].send_to(crate::Endpoint::new(dst, 9000), &payload);
+        let to = crate::Endpoint::new(dst, 9000);
+        net.node_mut(h1).udp_send(sock, to, payload.len(), Instant::ZERO, |p| {
+            p.copy_from_slice(&payload);
+        });
         net.kick(h1);
         net.run_for(Duration::from_secs(5));
         let received = net.node_mut(h2).udp_sockets[0].recv().expect("reassembled");
-        assert_eq!(received.payload, payload);
+        assert_eq!(received.payload[..], payload[..]);
         assert!(net.node(g).stats.frags_created >= 4);
         assert_eq!(net.node(h2).reassembler().completed, 1);
         // The registry mirrors the reassembler's counter.
@@ -2258,7 +2265,8 @@ mod tests {
         }));
         let to = crate::Endpoint::new(net.node(h2).primary_addr(), RIP_PORT);
         let socket = net.node_mut(h1).udp_bind(4000);
-        net.node_mut(h1).udp_sockets[socket].send_to(to, &sent);
+        let now = net.now();
+        net.node_mut(h1).udp_send(socket, to, sent.len(), now, |p| p.copy_from_slice(&sent));
         net.kick(h1);
         net.run_for(Duration::from_secs(1));
 
@@ -2638,7 +2646,9 @@ mod tests {
         );
         net.run_until(Instant::from_secs(1));
         assert!(net.node(g1).is_quiet(net.now()), "a transit gateway idles between timers");
-        assert!(!net.node(h1).is_quiet(net.now()), "a host with an application never does");
+        // h1's socket holds no work either (its datagrams leave at the
+        // send); its application is what keeps it polled.
+        assert!(net.node(h1).is_quiet(net.now()), "a UDP socket is no work");
         let before = seen.borrow().len();
         net.connect(g2, h3, LinkClass::T1Terrestrial);
         net.run_until(Instant::from_secs(20));

@@ -34,6 +34,7 @@ use catenet_wire::{
     TcpSeqNumber, TimeExceeded, Tos, UdpPacket, UdpRepr, UDP_HEADER_LEN,
 };
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 /// ICMP events a node keeps for an application that has not collected
 /// them yet; beyond this the oldest is dropped (and counted).
@@ -492,6 +493,31 @@ impl Node {
         self.output_datagram(now, iface, next_hop, buf);
     }
 
+    /// Send `len` bytes, which `write` fills in place from zero, from
+    /// socket `socket` to `to` now, as [`send_ping`](Node::send_ping)
+    /// sends. False when a crash destroyed the socket; without a route
+    /// the datagram is lost, counted, like any other.
+    pub fn udp_send(
+        &mut self,
+        socket: usize,
+        to: Endpoint,
+        len: usize,
+        now: Instant,
+        write: impl FnOnce(&mut [u8]),
+    ) -> bool {
+        let Some(sock) = self.udp_sockets.get_mut(socket) else {
+            return false;
+        };
+        sock.tx_count += 1;
+        let (src_port, tos) = (sock.local_port, sock.tos);
+        if let Some((iface, next_hop)) = self.route_origination(to.addr) {
+            let src = self.ifaces[iface].addr;
+            let datagram = self.build_udp_datagram(src, src_port, to, tos, len, write);
+            self.output_datagram(now, iface, next_hop, datagram);
+        }
+        true
+    }
+
     /// Drain the ICMP inbox.
     pub fn take_icmp_events(&mut self) -> Vec<IcmpEvent> {
         core::mem::take(&mut self.icmp_inbox).into()
@@ -823,12 +849,12 @@ impl Node {
                 let pushed = self.reassembler.push(&datagram, now);
                 grew(&mut self.events.reassembly, before, reassembly_counts(&self.reassembler));
                 match pushed {
-                    Ok(Some(whole)) => self.deliver_local(now, &whole),
+                    Ok(Some(whole)) => self.deliver_local(now, PacketBuf::from_vec(whole)),
                     Ok(None) => {}
                     Err(_) => self.stats.dropped_malformed += 1,
                 }
             } else {
-                self.deliver_local(now, &datagram);
+                self.deliver_local(now, datagram);
             }
             return;
         }
@@ -1002,34 +1028,52 @@ impl Node {
         self.output_datagram(now, iface, next_hop, buf);
     }
 
-    fn deliver_local(&mut self, now: Instant, datagram: &[u8]) {
+    /// A datagram addressed to this node, or to a broadcast address one
+    /// of its networks hears. Only the first earns a reply: nothing
+    /// answers a broadcast, neither an ICMP error (RFC 1122 §3.2.2) nor
+    /// an echo reply, which must come from a specific address
+    /// (§3.2.2.6), nor TCP, which is unicast only (§4.2.3.10).
+    fn deliver_local(&mut self, now: Instant, datagram: PacketBuf) {
         self.stats.ip_delivered += 1;
-        let Ok(packet) = Ipv4Packet::new_checked(datagram) else {
+        let Ok(packet) = Ipv4Packet::new_checked(&datagram[..]) else {
             self.stats.dropped_malformed += 1;
             return;
         };
         let src = packet.src_addr();
         let dst = packet.dst_addr();
         let protocol = packet.protocol();
-        // Borrow, don't copy: the transport layers read the payload in
-        // place and copy only what genuinely changes owner (socket rx).
+        let unicast = self.owns_addr(dst);
+        // Borrow, don't copy: ICMP and TCP read the payload in place,
+        // and UDP hands the reader the buffer itself.
         let payload = packet.payload();
 
         match protocol {
-            IpProtocol::Icmp => self.deliver_icmp(now, src, dst, payload),
-            IpProtocol::Udp => self.deliver_udp(now, src, dst, datagram, payload),
-            IpProtocol::Tcp => self.deliver_tcp(now, src, dst, payload),
-            IpProtocol::Unknown(_) => {
+            IpProtocol::Icmp => self.deliver_icmp(now, src, dst, unicast, payload),
+            IpProtocol::Udp => {
+                let start = usize::from(packet.header_len());
+                let payload = start..start + payload.len();
+                self.deliver_udp(now, src, dst, unicast, datagram, payload);
+            }
+            IpProtocol::Tcp if unicast => self.deliver_tcp(now, src, dst, payload),
+            IpProtocol::Unknown(_) if unicast => {
                 self.send_icmp_error(
                     now,
-                    datagram,
+                    &datagram,
                     Icmpv4Message::DstUnreachable(DstUnreachable::ProtoUnreachable),
                 );
             }
+            IpProtocol::Tcp | IpProtocol::Unknown(_) => {}
         }
     }
 
-    fn deliver_icmp(&mut self, now: Instant, src: Ipv4Address, dst: Ipv4Address, payload: &[u8]) {
+    fn deliver_icmp(
+        &mut self,
+        now: Instant,
+        src: Ipv4Address,
+        dst: Ipv4Address,
+        unicast: bool,
+        payload: &[u8],
+    ) {
         let Ok(packet) = Icmpv4Packet::new_checked(payload) else {
             self.stats.dropped_malformed += 1;
             return;
@@ -1040,6 +1084,7 @@ impl Node {
         };
         self.stats.icmp_received += 1;
         match repr.message {
+            Icmpv4Message::EchoRequest { .. } if !unicast => {}
             Icmpv4Message::EchoRequest { ident, seq_no } => {
                 // Answer with an echo reply carrying the same payload,
                 // from the address the request was sent to.
@@ -1095,15 +1140,17 @@ impl Node {
         }
     }
 
+    /// `payload` locates the IP payload; a socket gets `datagram` cut to its own.
     fn deliver_udp(
         &mut self,
         now: Instant,
         src: Ipv4Address,
         dst: Ipv4Address,
-        datagram: &[u8],
-        payload: &[u8],
+        unicast: bool,
+        mut datagram: PacketBuf,
+        payload: Range<usize>,
     ) {
-        let Ok(packet) = UdpPacket::new_checked(payload) else {
+        let Ok(packet) = UdpPacket::new_checked(&datagram[payload.clone()]) else {
             self.stats.dropped_malformed += 1;
             return;
         };
@@ -1120,21 +1167,23 @@ impl Node {
             }
             return;
         }
-        let from = Endpoint::new(src, repr.src_port);
-        match self
+        let Some(socket) = self
             .udp_sockets
             .iter_mut()
             .find(|socket| socket.local_port == repr.dst_port)
-        {
-            Some(socket) => socket.deliver(from, now, packet.payload().to_vec()),
-            None => {
+        else {
+            if unicast {
                 self.send_icmp_error(
                     now,
-                    datagram,
+                    &datagram,
                     Icmpv4Message::DstUnreachable(DstUnreachable::PortUnreachable),
                 );
             }
-        }
+            return;
+        };
+        datagram.advance(payload.start + UDP_HEADER_LEN);
+        datagram.truncate(repr.payload_len);
+        socket.deliver(Endpoint::new(src, repr.src_port), now, datagram);
     }
 
     fn handle_rip(&mut self, now: Instant, from: Ipv4Address, payload: &[u8]) {
@@ -1273,8 +1322,10 @@ impl Node {
 
     // --------------------------------------------------------- service
 
-    /// Run the node's periodic machinery and drain socket output.
-    /// Called by the network after event delivery and on timer wakes.
+    /// Run the node's timers: reassembly, ARP, flow expiry, routing and
+    /// TCP, the one transport with timers. A UDP datagram never waits
+    /// for this pass: it left at [`Node::udp_send`]. Called by the
+    /// network after event delivery and on timer wakes.
     pub fn service(&mut self, now: Instant) {
         if !self.alive {
             return;
@@ -1290,9 +1341,8 @@ impl Node {
         }
         // Routing protocol.
         self.service_dv(now);
-        // Transports.
+        // The transport with timers.
         self.service_tcp(now);
-        self.service_udp(now);
     }
 
     /// Expire stale ARP entries and drive the request retry machinery:
@@ -1357,7 +1407,8 @@ impl Node {
                 RIP_PORT,
                 Endpoint::new(self.ifaces[iface].peer, RIP_PORT),
                 Tos::default(),
-                &payload,
+                payload.len(),
+                |out| out.copy_from_slice(&payload),
             );
             let next_hop = self.ifaces[iface].peer;
             self.output_datagram(now, iface, next_hop, datagram);
@@ -1370,15 +1421,16 @@ impl Node {
         src_port: u16,
         to: Endpoint,
         tos: Tos,
-        payload: &[u8],
+        len: usize,
+        write: impl FnOnce(&mut [u8]),
     ) -> PacketBuf {
         let udp_repr = UdpRepr {
             src_port,
             dst_port: to.port,
-            payload_len: payload.len(),
+            payload_len: len,
         };
-        let mut buf = self.payload_buf(UDP_HEADER_LEN, payload.len());
-        buf.append(payload);
+        let mut buf = self.payload_buf(UDP_HEADER_LEN + len, 0);
+        write(&mut buf[UDP_HEADER_LEN..]);
         {
             let mut udp = UdpPacket::new_unchecked(&mut buf[..]);
             udp_repr.emit(&mut udp);
@@ -1405,23 +1457,6 @@ impl Node {
                 self.output_datagram(now, iface, next_hop, buf);
             }
             self.events.rto_fired += self.tcp_sockets[index].stats.timeouts - fired;
-        }
-    }
-
-    fn service_udp(&mut self, now: Instant) {
-        for index in 0..self.udp_sockets.len() {
-            while let Some((to, payload)) = self.udp_sockets[index].take_tx() {
-                let Some((iface, next_hop)) = self.route_origination(to.addr) else {
-                    continue;
-                };
-                let src = self.ifaces[iface].addr;
-                let (src_port, tos) = {
-                    let socket = &self.udp_sockets[index];
-                    (socket.local_port, socket.tos)
-                };
-                let datagram = self.build_udp_datagram(src, src_port, to, tos, &payload);
-                self.output_datagram(now, iface, next_hop, datagram);
-            }
         }
     }
 
@@ -1463,14 +1498,14 @@ impl Node {
 
     /// Whether [`Node::service`] at `now` would do nothing and the node
     /// has nothing to report: it is alive with nothing but timers (no
-    /// socket, flow table or reassembly), its record is empty, its
+    /// TCP socket, flow table or reassembly: a UDP socket holds no work,
+    /// since its datagrams leave at the send), its record is empty, its
     /// routing version reported, and none of its timers is due. Read
     /// from the state itself, so it holds whatever touched the node
     /// before; see DESIGN.md, "What a service pass costs".
     pub(crate) fn is_quiet(&self, now: Instant) -> bool {
         self.alive
             && self.tcp_sockets.is_empty()
-            && self.udp_sockets.is_empty()
             && self.flows.is_none()
             && self.reassembler.in_progress() == 0
             && self.events.is_empty()
@@ -1510,10 +1545,7 @@ impl Node {
     pub(crate) fn assert_idle(&self, now: Instant) {
         let name = &self.name;
         assert!(self.alive, "{name}: skipped a pass on a dead node");
-        assert!(
-            self.tcp_sockets.is_empty() && self.udp_sockets.is_empty(),
-            "{name}: skipped a pass on a node with sockets"
-        );
+        assert!(self.tcp_sockets.is_empty(), "{name}: skipped a pass on a node with TCP sockets");
         assert!(self.flows.is_none(), "{name}: skipped a pass over a flow table");
         assert_eq!(self.reassembler.in_progress(), 0, "{name}: reassembly in progress");
         if let Some(dv) = &self.dv {
@@ -1598,10 +1630,27 @@ mod tests {
         assert_eq!(next_hop, Ipv4Address::new(10, 0, 0, 2));
     }
 
-    #[test]
-    fn echo_request_generates_reply_in_outbox() {
-        let mut node = host_with_iface();
-        // Hand-build an echo request addressed to the node.
+    /// A datagram from [`host_with_iface`]'s peer to `dst`, carrying
+    /// `payload` as `protocol`.
+    fn from_peer(dst: Ipv4Address, protocol: IpProtocol, payload: &[u8]) -> Vec<u8> {
+        catenet_ip::build_ipv4(
+            &Ipv4Repr {
+                src_addr: Ipv4Address::new(10, 0, 0, 2),
+                dst_addr: dst,
+                protocol,
+                payload_len: payload.len(),
+                hop_limit: 64,
+                tos: Tos::default(),
+            },
+            9,
+            false,
+            payload,
+        )
+    }
+
+    /// An echo request (ident 7, seq 1, payload "ping") from
+    /// [`host_with_iface`]'s peer to `dst`.
+    fn echo_request(dst: Ipv4Address) -> Vec<u8> {
         let icmp_repr = Icmpv4Repr {
             message: Icmpv4Message::EchoRequest { ident: 7, seq_no: 1 },
             payload_len: 4,
@@ -1611,20 +1660,13 @@ mod tests {
         icmp_repr.emit(&mut icmp);
         icmp.payload_mut().copy_from_slice(b"ping");
         icmp.fill_checksum();
-        let datagram = catenet_ip::build_ipv4(
-            &Ipv4Repr {
-                src_addr: Ipv4Address::new(10, 0, 0, 2),
-                dst_addr: Ipv4Address::new(10, 0, 0, 1),
-                protocol: IpProtocol::Icmp,
-                payload_len: icmp_buf.len(),
-                hop_limit: 64,
-                tos: Tos::default(),
-            },
-            9,
-            false,
-            &icmp_buf,
-        );
-        node.handle_frame(Instant::ZERO, 0, datagram);
+        from_peer(dst, IpProtocol::Icmp, &icmp_buf)
+    }
+
+    #[test]
+    fn echo_request_generates_reply_in_outbox() {
+        let mut node = host_with_iface();
+        node.handle_frame(Instant::ZERO, 0, echo_request(Ipv4Address::new(10, 0, 0, 1)));
         let outbox = node.take_outbox();
         assert_eq!(outbox.len(), 1);
         let reply = Ipv4Packet::new_checked(&outbox[0].1[..]).unwrap();
@@ -1762,7 +1804,11 @@ mod tests {
         let mut tmp = Node::new("x", NodeRole::Host);
         tmp.default_ttl = hop_limit;
         let to = Endpoint::new(dst, 4444);
-        tmp.build_udp_datagram(src, 5000, to, Tos::default(), b"anyone home?").to_vec()
+        let payload = b"anyone home?";
+        tmp.build_udp_datagram(src, 5000, to, Tos::default(), payload.len(), |p| {
+            p.copy_from_slice(payload);
+        })
+        .to_vec()
     }
 
     #[test]
@@ -1891,8 +1937,9 @@ mod tests {
         net.set_tap(Box::new(move |_, frame| log.borrow_mut().push(frame.to_vec())));
         let to = Endpoint::new(net.node(h2).primary_addr(), 9);
         let socket = net.node_mut(h1).udp_bind(4000);
+        let now = net.now();
         for _ in 0..8 {
-            net.node_mut(h1).udp_sockets[socket].send_to(to, &[0x5a; 400]);
+            net.node_mut(h1).udp_send(socket, to, 400, now, |p| p.fill(0x5a));
         }
         net.kick(h1);
         net.run_for(Duration::from_secs(2));
@@ -1985,8 +2032,9 @@ mod tests {
         node.send_ping(peer, 1, 1, 8, Instant::ZERO);
         collect(&mut node);
         let socket = node.udp_bind(5000);
-        node.udp_sockets[socket].send_to(Endpoint::new(peer, 53), b"query");
-        node.service(Instant::ZERO);
+        node.udp_send(socket, Endpoint::new(peer, 53), 5, Instant::ZERO, |p| {
+            p.copy_from_slice(b"query");
+        });
         collect(&mut node);
         node.tcp_connect(Endpoint::new(peer, 80), TcpConfig::default(), Instant::ZERO)
             .unwrap();
@@ -2014,8 +2062,9 @@ mod tests {
         let nowhere = Ipv4Address::new(192, 0, 2, 1);
         node.send_ping(nowhere, 1, 1, 8, Instant::ZERO);
         let socket = node.udp_bind(5000);
-        node.udp_sockets[socket].send_to(Endpoint::new(nowhere, 53), b"query");
-        node.service(Instant::ZERO);
+        node.udp_send(socket, Endpoint::new(nowhere, 53), 5, Instant::ZERO, |p| {
+            p.copy_from_slice(b"query");
+        });
         // A datagram from off-link earns an error there is no route for.
         node.handle_frame(Instant::ZERO, 0, udp_datagram(nowhere, node.addr(0), 64));
         assert!(node.take_outbox().is_empty());
@@ -2041,14 +2090,81 @@ mod tests {
                 5000,
                 Endpoint::new(Ipv4Address::new(10, 0, 0, 1), 4444),
                 Tos::default(),
-                b"hello",
+                5,
+                |p| p.copy_from_slice(b"hello"),
             )
         };
         node.handle_frame(Instant::from_millis(3), 0, datagram);
         let received = node.udp_sockets[handle].recv().unwrap();
-        assert_eq!(received.payload, b"hello");
+        assert_eq!(&received.payload[..], b"hello");
         assert_eq!(received.from, Endpoint::new(Ipv4Address::new(10, 0, 0, 2), 5000));
         assert_eq!(received.at, Instant::from_millis(3));
+    }
+
+    /// The directed broadcast of [`host_with_iface`]'s /30: delivered
+    /// locally, owned by nobody, answered by nothing.
+    const BROADCAST: Ipv4Address = Ipv4Address::new(10, 0, 0, 3);
+
+    /// `node` heard a broadcast and said nothing: no datagram left, and
+    /// none was even attempted.
+    fn assert_silent(node: &mut Node) {
+        assert_eq!(node.stats.ip_delivered, 1, "the broadcast was delivered");
+        assert!(node.take_outbox().is_empty(), "and answered");
+        assert_eq!((node.stats.icmp_sent, node.stats.rst_sent), (0, 0));
+    }
+
+    #[test]
+    fn a_udp_datagram_to_a_broadcast_earns_no_port_unreachable() {
+        let mut node = host_with_iface();
+        node.handle_frame(Instant::ZERO, 0, udp_datagram(node.ifaces[0].peer, BROADCAST, 64));
+        assert_silent(&mut node);
+        // A socket bound to the port still hears it.
+        let socket = node.udp_bind(4444);
+        node.handle_frame(Instant::ZERO, 0, udp_datagram(node.ifaces[0].peer, BROADCAST, 64));
+        assert_eq!(&node.udp_sockets[socket].recv().unwrap().payload[..], b"anyone home?");
+    }
+
+    #[test]
+    fn an_unknown_protocol_to_a_broadcast_earns_no_protocol_unreachable() {
+        let mut node = host_with_iface();
+        node.handle_frame(Instant::ZERO, 0, from_peer(BROADCAST, IpProtocol::Unknown(99), b"?"));
+        assert_silent(&mut node);
+    }
+
+    #[test]
+    fn a_tcp_segment_to_a_broadcast_earns_no_rst_and_opens_no_connection() {
+        let syn = TcpRepr {
+            src_port: 1234,
+            dst_port: 80,
+            control: TcpControl::Syn,
+            seq_number: TcpSeqNumber(1000),
+            ack_number: None,
+            window_len: 100,
+            max_seg_size: None,
+            payload_crc: None,
+            payload_len: 0,
+        };
+        let mut node = host_with_iface();
+        let segment =
+            Node::build_tcp_segment(&node.pool, &syn, (&[], &[]), node.ifaces[0].peer, BROADCAST);
+        let datagram = from_peer(BROADCAST, IpProtocol::Tcp, &segment);
+        node.handle_frame(Instant::ZERO, 0, datagram.clone());
+        assert_silent(&mut node);
+        // A listener on 0.0.0.0 does not take the SYN (RFC 1122
+        // §4.2.3.10).
+        let listener = node.tcp_listen(80, TcpConfig::default());
+        node.handle_frame(Instant::ZERO, 0, datagram);
+        node.service(Instant::ZERO);
+        assert_eq!(node.tcp_sockets[listener].state(), TcpState::Listen);
+        assert!(node.take_outbox().is_empty(), "no SYN-ACK");
+    }
+
+    #[test]
+    fn an_echo_request_to_a_broadcast_earns_no_reply() {
+        let mut node = host_with_iface();
+        node.handle_frame(Instant::ZERO, 0, echo_request(BROADCAST));
+        assert_eq!(node.stats.icmp_received, 1, "the request was read");
+        assert_silent(&mut node);
     }
 
     #[test]
@@ -2544,7 +2660,10 @@ mod tests {
         let mut tmp = Node::new("x", NodeRole::Host);
         let to = Endpoint::new(dst, RIP_PORT);
         let page = RipMessage { entries }.encode();
-        tmp.build_udp_datagram(src, RIP_PORT, to, Tos::default(), &page).to_vec()
+        tmp.build_udp_datagram(src, RIP_PORT, to, Tos::default(), page.len(), |p| {
+            p.copy_from_slice(&page);
+        })
+        .to_vec()
     }
 
     /// A gateway with a raw-IP interface (0, `10.0.0.2`) and an Ethernet
@@ -2604,12 +2723,13 @@ mod tests {
         full_pass(&mut gw, now);
         assert!(gw.is_quiet(now));
 
-        // A socket or a flow table is work no clock announces.
+        // A bound UDP socket is no work: its datagrams leave at the
+        // send. A flow table is work no clock announces.
         let (mut gw, now) = quiet_gateway();
         gw.udp_bind(5000);
-        assert!(!gw.is_quiet(now));
-        full_pass(&mut gw, now);
-        assert!(!gw.is_quiet(now), "a bound socket stays work");
+        assert!(gw.is_quiet(now), "a bound UDP socket holds no work");
+        #[cfg(debug_assertions)]
+        gw.assert_idle(now);
         let (mut gw, now) = quiet_gateway();
         gw.flows = Some(FlowTable::new());
         assert!(!gw.is_quiet(now));

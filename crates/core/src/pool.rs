@@ -29,9 +29,13 @@
 //! gate: on a converged network, allocations and relocations per
 //! forwarded packet are exactly zero. The gate sees everything because
 //! every datagram a node sends is born here — a transport's segment, a
-//! fragment, an ARP frame and an ICMP error alike — and a frame off the
-//! wire arrives in a buffer some pool lent. A plain `Vec` becomes a
-//! [`PacketBuf`] only where a test builds a frame by hand.
+//! UDP datagram, a fragment, an ARP frame and an ICMP error alike — and
+//! a frame off the wire arrives in a buffer some pool lent, which a UDP
+//! reader then reads in place: the payload it is handed is that buffer,
+//! [`advance`](PacketBuf::advance)d past the headers and
+//! [`truncate`](PacketBuf::truncate)d to the UDP length. A plain `Vec`
+//! becomes a [`PacketBuf`] only where a test builds a frame by hand and
+//! where the reassembler hands over the datagram it grew.
 //!
 //! A buffer's live range only grows by writing: [`PacketPool::alloc`]
 //! zeroes it, and [`PacketPool::alloc_header`] zeroes only the headroom
@@ -281,8 +285,9 @@ pub struct PacketBuf {
 
 impl PacketBuf {
     /// Wrap a plain vector (no pool, no headroom), as a test builds a
-    /// frame by hand. Prepends onto such a buffer relocate it uncounted,
-    /// and it is freed, not recycled.
+    /// frame by hand and as a node takes over the datagram its
+    /// reassembler grew. Prepends onto such a buffer relocate it
+    /// uncounted, and it is freed, not recycled.
     pub fn from_vec(data: Vec<u8>) -> PacketBuf {
         PacketBuf {
             data,
@@ -307,6 +312,13 @@ impl PacketBuf {
     pub fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end of packet");
         self.start += n;
+    }
+
+    /// Cut the live range to its first `len` bytes in place (e.g. a
+    /// transport payload out of a frame with link padding behind it).
+    pub fn truncate(&mut self, len: usize) {
+        assert!(len <= self.len(), "truncate past end of packet");
+        self.data.truncate(self.start + len);
     }
 
     /// Grow the live range `n` bytes backwards into headroom (e.g. to
@@ -470,6 +482,19 @@ mod tests {
         buf.prepend(3);
         assert_eq!(&buf[..], b"hdrABCDE");
         assert_eq!(pool.stats().shift_copies, 0);
+    }
+
+    #[test]
+    fn advance_and_truncate_cut_a_payload_in_place() {
+        let pool = PacketPool::new();
+        let mut buf = pool.alloc(HEADROOM, 12);
+        buf.copy_from_slice(b"hdrPAYLOADpd");
+        buf.advance(3);
+        buf.truncate(7);
+        assert_eq!(&buf[..], b"PAYLOAD");
+        drop(buf);
+        let stats = pool.stats();
+        assert_eq!((stats.shift_copies, stats.released), (0, 1), "cut, not copied");
     }
 
     #[test]

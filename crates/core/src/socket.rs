@@ -1,12 +1,18 @@
 //! The UDP socket: the raw-datagram type of service.
 //!
-//! This is deliberately thin — a port number, a receive queue, a transmit
-//! queue. Everything TCP manufactures (ordering, reliability, flow
-//! control) is *absent on purpose*: packet voice would rather lose a
-//! sample than wait for a retransmission (§4 of the paper, and the whole
-//! reason the TCP/IP split happened). Experiment E2 measures the latency
-//! this thinness buys.
+//! This is deliberately thin — a port number, a ToS marking and a
+//! bounded receive queue. There is no transmit queue: a datagram leaves
+//! the node at the call that sends it ([`Node::udp_send`]), built in a
+//! pooled buffer like every other origination, and is read in the
+//! pooled buffer it arrived in. Everything TCP manufactures (ordering,
+//! reliability, flow control) is *absent on purpose*: packet voice
+//! would rather lose a sample than wait for a retransmission (§4 of the
+//! paper, and the whole reason the TCP/IP split happened). Experiment
+//! E2 measures the latency this thinness buys.
+//!
+//! [`Node::udp_send`]: crate::node::Node::udp_send
 
+use crate::pool::PacketBuf;
 use catenet_sim::Instant;
 use catenet_tcp::Endpoint;
 use catenet_wire::Tos;
@@ -16,14 +22,15 @@ use std::collections::VecDeque;
 pub const DEFAULT_RX_QUEUE: usize = 64;
 
 /// A received datagram with its metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct UdpDatagram {
     /// Who sent it.
     pub from: Endpoint,
     /// When it arrived at this host.
     pub at: Instant,
-    /// The payload.
-    pub payload: Vec<u8>,
+    /// The payload: the buffer the datagram arrived in, its live range
+    /// cut to the UDP payload. Dropping it recycles the buffer.
+    pub payload: PacketBuf,
 }
 
 /// A UDP socket.
@@ -35,10 +42,9 @@ pub struct UdpSocket {
     /// service" knob the architecture exposes per-datagram).
     pub tos: Tos,
     rx: VecDeque<UdpDatagram>,
-    tx: VecDeque<(Endpoint, Vec<u8>)>,
     /// Datagrams dropped because the receive queue was full.
     pub rx_dropped: u64,
-    /// Datagrams enqueued for transmission.
+    /// Datagrams sent from this socket.
     pub tx_count: u64,
     /// Datagrams delivered to the application.
     pub rx_count: u64,
@@ -51,23 +57,10 @@ impl UdpSocket {
             local_port,
             tos: Tos::default(),
             rx: VecDeque::new(),
-            tx: VecDeque::new(),
             rx_dropped: 0,
             tx_count: 0,
             rx_count: 0,
         }
-    }
-
-    /// Queue a datagram for transmission to `to`.
-    pub fn send_to(&mut self, to: Endpoint, payload: &[u8]) {
-        self.send_vec(to, payload.to_vec());
-    }
-
-    /// [`send_to`](Self::send_to) for a payload the caller built to
-    /// give away: the queue keeps the vector instead of a copy.
-    pub fn send_vec(&mut self, to: Endpoint, payload: Vec<u8>) {
-        self.tx.push_back((to, payload));
-        self.tx_count += 1;
     }
 
     /// Receive the oldest queued datagram, if any.
@@ -84,18 +77,8 @@ impl UdpSocket {
         self.rx.len()
     }
 
-    /// Whether any datagrams await transmission.
-    pub fn has_pending_tx(&self) -> bool {
-        !self.tx.is_empty()
-    }
-
-    /// (Stack side.) Take the next datagram to transmit.
-    pub fn take_tx(&mut self) -> Option<(Endpoint, Vec<u8>)> {
-        self.tx.pop_front()
-    }
-
     /// (Stack side.) Deliver a received datagram; drop-tail on overflow.
-    pub fn deliver(&mut self, from: Endpoint, at: Instant, payload: Vec<u8>) {
+    pub fn deliver(&mut self, from: Endpoint, at: Instant, payload: PacketBuf) {
         if self.rx.len() >= DEFAULT_RX_QUEUE {
             self.rx_dropped += 1;
             return;
@@ -113,30 +96,22 @@ mod tests {
         Endpoint::new(Ipv4Address::new(10, 0, 0, 1), port)
     }
 
-    #[test]
-    fn send_queues_for_stack() {
-        let mut sock = UdpSocket::bind(4000);
-        sock.send_to(ep(53), b"query");
-        assert!(sock.has_pending_tx());
-        let (to, payload) = sock.take_tx().unwrap();
-        assert_eq!(to, ep(53));
-        assert_eq!(payload, b"query");
-        assert!(!sock.has_pending_tx());
-        assert_eq!(sock.tx_count, 1);
+    fn buf(bytes: &[u8]) -> PacketBuf {
+        PacketBuf::from_vec(bytes.to_vec())
     }
 
     #[test]
     fn deliver_then_recv_fifo() {
         let mut sock = UdpSocket::bind(4000);
-        sock.deliver(ep(1), Instant::from_millis(1), b"first".to_vec());
-        sock.deliver(ep(2), Instant::from_millis(2), b"second".to_vec());
+        sock.deliver(ep(1), Instant::from_millis(1), buf(b"first"));
+        sock.deliver(ep(2), Instant::from_millis(2), buf(b"second"));
         assert_eq!(sock.rx_queue_len(), 2);
         let a = sock.recv().unwrap();
-        assert_eq!(a.payload, b"first");
+        assert_eq!(&a.payload[..], b"first");
         assert_eq!(a.from, ep(1));
         assert_eq!(a.at, Instant::from_millis(1));
         let b = sock.recv().unwrap();
-        assert_eq!(b.payload, b"second");
+        assert_eq!(&b.payload[..], b"second");
         assert!(sock.recv().is_none());
         assert_eq!(sock.rx_count, 2);
     }
@@ -145,13 +120,13 @@ mod tests {
     fn overflow_drops_tail() {
         let mut sock = UdpSocket::bind(4000);
         for i in 0..DEFAULT_RX_QUEUE + 2 {
-            sock.deliver(ep(1), Instant::ZERO, vec![i as u8]);
+            sock.deliver(ep(1), Instant::ZERO, buf(&[i as u8]));
         }
         assert_eq!(sock.rx_queue_len(), DEFAULT_RX_QUEUE);
         assert_eq!(sock.rx_dropped, 2);
         // The oldest survive (drop-tail, not drop-head).
         for i in 0..DEFAULT_RX_QUEUE {
-            assert_eq!(sock.recv().unwrap().payload, vec![i as u8]);
+            assert_eq!(&sock.recv().unwrap().payload[..], &[i as u8]);
         }
         assert!(sock.recv().is_none());
     }

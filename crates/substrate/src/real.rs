@@ -612,7 +612,8 @@ impl RealSubstrate {
     /// One non-blocking pass of the event loop: ingest pending tunnel
     /// frames (at most [`RING`] per link; `run_until` goes round again
     /// at once if a link had more), service the node (timers, RIP,
-    /// TCP), poll applications, flush the outbox to the tunnels, one
+    /// TCP), poll applications (a ping or UDP datagram one sends joins
+    /// the outbox at once), flush the outbox to the tunnels, one
     /// datagram per link — in that order. Returns the number of frames
     /// ingested.
     pub fn pump(&mut self) -> usize {

@@ -6,8 +6,8 @@
 //! process-level half (separate `vrouter` processes, REPL-driven) is
 //! `loopback_interop.rs`.
 
-use catenet_core::app::{BulkSender, SinkServer};
-use catenet_core::{shared, Endpoint, StreamIntegrity, TcpConfig};
+use catenet_core::app::{Application, BulkSender, SinkServer};
+use catenet_core::{shared, Endpoint, Node, StreamIntegrity, TcpConfig};
 use catenet_sim::{Duration, Instant, Rng};
 use catenet_substrate::clock::TestClock;
 use catenet_substrate::config;
@@ -292,6 +292,38 @@ fn a_pass_ships_its_frames_in_as_few_datagrams_as_fit() {
         [datagrams, datagrams, u64::from(FRAMES)]
     );
     assert_eq!(b.link_stats(0).dropped(), 0);
+}
+
+/// Sends one UDP datagram, on its first poll.
+struct SendOnce(Option<Endpoint>);
+
+impl Application for SendOnce {
+    fn poll(&mut self, node: &mut Node, now: Instant) {
+        if let Some(to) = self.0.take() {
+            let socket = node.udp_bind(4000);
+            node.udp_send(socket, to, 5, now, |p| p.copy_from_slice(b"voice"));
+        }
+    }
+}
+
+/// A datagram an application sends leaves in the pass that polled the
+/// application, not at the node's next timer wake — which a host with
+/// no timer, like these, never has.
+#[test]
+fn a_udp_send_leaves_in_the_pass_that_made_it() {
+    let (mut a, mut b) = host_pair();
+    let inbox = b.node_mut().udp_bind(5004);
+    let to = Endpoint::new("10.1.0.2".parse().expect("addr"), 5004);
+    a.attach_app(0, Box::new(SendOnce(Some(to))));
+    a.pump();
+    assert_eq!(a.pump_stats().datagrams_sent, 1, "the send's own pass shipped it");
+    let sent_at = std::time::Instant::now();
+    while b.node().udp_sockets[inbox].rx_queue_len() == 0 && sent_at.elapsed().as_secs() < 5 {
+        b.pump();
+    }
+    let dgram = b.node_mut().udp_sockets[inbox].recv().expect("the peer read it");
+    assert_eq!(&dgram.payload[..], b"voice");
+    assert_eq!(dgram.from, Endpoint::new("10.1.0.1".parse().expect("addr"), 4000));
 }
 
 #[test]

@@ -59,7 +59,10 @@ fn main() -> std::io::Result<()> {
     // UDP echo.
     net.attach_app(h2, Box::new(UdpEchoServer::new(7)));
     let sock = net.node_mut(h1).udp_bind(40_000);
-    net.node_mut(h1).udp_sockets[sock].send_to(Endpoint::new(dst, 7), b"echo across the catenet");
+    let echo = b"echo across the catenet";
+    net.node_mut(h1).udp_send(sock, Endpoint::new(dst, 7), echo.len(), now, |p| {
+        p.copy_from_slice(echo);
+    });
     net.kick(h1);
 
     // A lossy TCP transfer (watch SYN, slow start, retransmits, FIN).

@@ -160,12 +160,15 @@ fn udp_echo_across_heterogeneous_path_with_fragmentation() {
     let sock = net.node_mut(h1).udp_bind(50_000);
     // 900 bytes: fragments on the 296-MTU serial line, both directions.
     let payload: Vec<u8> = (0..900).map(|i| (i % 251) as u8).collect();
-    net.node_mut(h1).udp_sockets[sock].send_to(Endpoint::new(dst, 7), &payload);
+    let now = net.now();
+    net.node_mut(h1).udp_send(sock, Endpoint::new(dst, 7), payload.len(), now, |p| {
+        p.copy_from_slice(&payload);
+    });
     net.kick(h1);
     net.run_for(Duration::from_secs(30));
     assert_eq!(*echoed.lock().unwrap(), 1);
     let back = net.node_mut(h1).udp_sockets[sock].recv().expect("echo returned");
-    assert_eq!(back.payload, payload, "fragmented, reassembled, twice, intact");
+    assert_eq!(back.payload[..], payload[..], "fragmented, reassembled, twice, intact");
 }
 
 #[test]
@@ -204,7 +207,10 @@ fn tos_marking_survives_end_to_end() {
     net.node_mut(h2).udp_bind(5060);
     let sock = net.node_mut(h1).udp_bind(5061);
     net.node_mut(h1).udp_sockets[sock].tos = Tos::new(5, true, false, false);
-    net.node_mut(h1).udp_sockets[sock].send_to(Endpoint::new(dst, 5060), b"urgent voice");
+    let (now, voice) = (net.now(), b"urgent voice");
+    net.node_mut(h1).udp_send(sock, Endpoint::new(dst, 5060), voice.len(), now, |p| {
+        p.copy_from_slice(voice);
+    });
     net.kick(h1);
     net.run_for(Duration::from_secs(2));
     // Delivery implies the marked datagram crossed both gateways; the
