@@ -26,7 +26,7 @@
 use crate::table::Table;
 use catenet_core::app::{BulkSender, SinkServer};
 use catenet_core::{shared, Endpoint, Network, ProgressWatchdog, StreamIntegrity, TcpConfig};
-use catenet_routing::{DvConfig, GuardPolicy};
+use catenet_routing::GuardPolicy;
 use catenet_sim::{
     ByzantineAttack, Duration, FaultAction, FaultPlan, Instant, LinkClass, Rng, ShardKind,
     TraceOp,
@@ -456,15 +456,9 @@ fn run_full(
     let gc2 = net.add_gateway("gC2");
     let h2 = net.add_host("h2");
     if scenario.attested {
-        // Attested runs converge on the fast timer profile so the
-        // liar's periodic announcements land often enough inside the
-        // 10 s compromise window to accumulate quarantine strikes.
         // Identity and guards are armed *before the first connect*:
         // even the build-time triggered announcements go out signed,
         // and the guards screen from the very first frame (cold boot).
-        for g in [ga, gd, gb, gc1, gc2] {
-            net.node_mut(g).set_dv_config(DvConfig::fast());
-        }
         net.enable_attestation();
         net.set_guard_policy(GuardPolicy::attested());
     }

@@ -50,7 +50,7 @@
 //! where a full table paginates into many more messages per round.
 
 use catenet_core::{Network, NodeId};
-use catenet_routing::{DvConfig, GuardPolicy};
+use catenet_routing::GuardPolicy;
 use catenet_sim::{ByzantineAttack, Duration, FaultPlan, LinkClass};
 use catenet_telemetry::Reconvergence;
 
@@ -243,9 +243,6 @@ fn build(topology: Topology, seed: u64, attested: bool) -> Built {
         Topology::Ring(n) => {
             let mut net = Network::new(seed);
             let gs: Vec<NodeId> = (0..n).map(|i| net.add_gateway(format!("g{i}"))).collect();
-            for &g in &gs {
-                net.node_mut(g).set_dv_config(DvConfig::fast());
-            }
             if attested {
                 net.enable_attestation();
             }
@@ -276,9 +273,6 @@ fn build(topology: Topology, seed: u64, attested: bool) -> Built {
             let gs: Vec<NodeId> = (0..side * side)
                 .map(|i| net.add_gateway(format!("g{}-{}", i / side, i % side)))
                 .collect();
-            for &g in &gs {
-                net.node_mut(g).set_dv_config(DvConfig::fast());
-            }
             if attested {
                 net.enable_attestation();
             }

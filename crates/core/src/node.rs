@@ -14,7 +14,7 @@
 //!   die *with* it — which is precisely fate-sharing's promise: state is
 //!   lost only when the entity that cared about it is gone too.
 
-use crate::arp::{ArpCache, Resolution};
+use crate::arp::{ArpTable, Resolution};
 use crate::byzantine::Compromise;
 use crate::events::{grew, EventRecord};
 use crate::iface::{Framing, Iface};
@@ -91,12 +91,14 @@ pub struct NodeStats {
     pub quench_applied: u64,
     /// ARP requests retransmitted after no reply (backoff timer).
     pub arp_retries: u64,
-    /// Drops: ARP pending queue overflowed (or entry raced to Known).
+    /// Drops: ARP pending queue overflowed.
     pub dropped_arp_unresolved: u64,
     /// Drops: ARP resolution gave up after exhausting its retries.
     pub dropped_arp_gave_up: u64,
     /// Drops: frame arrived for an interface index we don't have.
     pub dropped_bad_iface: u64,
+    /// Drops: a UDP socket's receive queue was full (drop-tail).
+    pub dropped_udp_queue_full: u64,
     /// Drops: this (compromised) gateway silently ate a datagram for a
     /// victim prefix it had attracted with a black-hole advertisement.
     pub dropped_byzantine: u64,
@@ -132,13 +134,8 @@ pub struct Node {
     pub alive: bool,
     /// Attachment points. Index = interface number everywhere.
     pub ifaces: Vec<Iface>,
-    /// Per-interface ARP caches (used by Ethernet framing).
-    arp: Vec<ArpCache>,
-    /// The earliest retry or give-up over `arp`, re-read by every call
-    /// that starts, retries or ends a resolution, so that the questions
-    /// asked of the node on every pass read one field, not every
-    /// interface.
-    arp_event: Option<Instant>,
+    /// Every interface's ARP resolutions (used by Ethernet framing).
+    arp: ArpTable,
     /// Static routes (hosts; also gateway fallback).
     pub static_routes: RoutingTable<(usize, Option<Ipv4Address>)>,
     /// The distance-vector engine (gateways).
@@ -199,8 +196,7 @@ impl Node {
             role,
             alive: true,
             ifaces: Vec::new(),
-            arp: Vec::new(),
-            arp_event: None,
+            arp: ArpTable::new(),
             static_routes: RoutingTable::new(),
             dv,
             dv_policies: Vec::new(),
@@ -240,7 +236,6 @@ impl Node {
             dv.add_connected(iface.cidr.network(), index);
         }
         self.ifaces.push(iface);
-        self.arp.push(ArpCache::new());
         self.dv_policies.push(ExportPolicy::All);
         index
     }
@@ -323,10 +318,7 @@ impl Node {
         if let Some(dv) = &mut self.dv {
             dv.clear();
         }
-        for cache in &mut self.arp {
-            cache.clear();
-        }
-        self.arp_event = None;
+        self.arp.clear();
         // Soft state: gone, rebuilds from traffic.
         if let Some(flows) = &mut self.flows {
             flows.lose();
@@ -508,7 +500,6 @@ impl Node {
         let Some(sock) = self.udp_sockets.get_mut(socket) else {
             return false;
         };
-        sock.tx_count += 1;
         let (src_port, tos) = (sock.local_port, sock.tos);
         if let Some((iface, next_hop)) = self.route_origination(to.addr) {
             let src = self.ifaces[iface].addr;
@@ -665,17 +656,13 @@ impl Node {
         match self.ifaces[iface].framing {
             Framing::RawIp => self.outbox.push((iface, datagram)),
             Framing::Ethernet => {
-                if let Some(hw) = self.arp[iface].get(next_hop, now) {
+                if let Some(hw) = self.arp.get(iface, next_hop, now) {
                     self.prepend_ethernet(iface, hw, EtherType::Ipv4, &mut datagram);
                     self.outbox.push((iface, datagram));
                     return;
                 }
                 // A miss starts (or feeds) a resolution with a retry timer.
-                match self.arp[iface].resolve(next_hop, datagram, now) {
-                    // `get()` above missed at the same instant, so
-                    // `resolve` cannot hit; if it somehow does, the
-                    // datagram was consumed — count it, don't panic.
-                    Resolution::Known(_) => self.stats.dropped_arp_unresolved += 1,
+                match self.arp.enqueue(iface, next_hop, datagram, now) {
                     Resolution::RequestAndWait => {
                         let request = self.build_arp_request(iface, next_hop);
                         self.outbox.push((iface, request));
@@ -683,7 +670,6 @@ impl Node {
                     Resolution::Wait => {}
                     Resolution::QueueFull => self.stats.dropped_arp_unresolved += 1,
                 }
-                self.arp_event = self.earliest_arp_event();
             }
         }
     }
@@ -787,8 +773,7 @@ impl Node {
         };
         // Learn the sender either way (gratuitous or directed).
         let released =
-            self.arp[iface].learn(repr.source_protocol_addr, repr.source_hardware_addr, now);
-        self.arp_event = self.earliest_arp_event();
+            self.arp.learn(iface, repr.source_protocol_addr, repr.source_hardware_addr, now);
         for mut datagram in released {
             self.prepend_ethernet(iface, repr.source_hardware_addr, EtherType::Ipv4, &mut datagram);
             self.outbox.push((iface, datagram));
@@ -1183,7 +1168,9 @@ impl Node {
         };
         datagram.advance(payload.start + UDP_HEADER_LEN);
         datagram.truncate(repr.payload_len);
-        socket.deliver(Endpoint::new(src, repr.src_port), now, datagram);
+        if !socket.deliver(Endpoint::new(src, repr.src_port), now, datagram) {
+            self.stats.dropped_udp_queue_full += 1;
+        }
     }
 
     fn handle_rip(&mut self, now: Instant, from: Ipv4Address, payload: &[u8]) {
@@ -1350,21 +1337,14 @@ impl Node {
     /// exhausted their attempts drop their pending datagrams (counted,
     /// not silent).
     fn service_arp(&mut self, now: Instant) {
-        let mut retries: Vec<(usize, Ipv4Address)> = Vec::new();
-        for (index, cache) in self.arp.iter_mut().enumerate() {
-            cache.flush_expired(now);
-            let tick = cache.tick(now);
-            for target in tick.retries {
-                self.stats.arp_retries += 1;
-                retries.push((index, target));
-            }
-            for (_, dropped) in tick.gave_up {
-                self.stats.dropped_arp_gave_up += dropped as u64;
-                self.events.arp_gave_up += dropped as u64;
-            }
+        self.arp.flush_expired(now);
+        let tick = self.arp.tick(now);
+        for (_, _, dropped) in tick.gave_up {
+            self.stats.dropped_arp_gave_up += dropped as u64;
+            self.events.arp_gave_up += dropped as u64;
         }
-        self.arp_event = self.earliest_arp_event();
-        for (iface, target) in retries {
+        for (iface, target) in tick.retries {
+            self.stats.arp_retries += 1;
             if !self.ifaces[iface].up {
                 continue;
             }
@@ -1484,16 +1464,10 @@ impl Node {
         if self.reassembler.in_progress() > 0 {
             consider(now + Duration::from_secs(1));
         }
-        debug_assert_eq!(self.arp_event, self.earliest_arp_event(), "{}: ARP event", self.name);
-        if let Some(at) = self.arp_event {
+        if let Some(at) = self.arp.next_event() {
             consider(at.max(now));
         }
         wake
-    }
-
-    /// The earliest retry or give-up over every interface's ARP cache.
-    fn earliest_arp_event(&self) -> Option<Instant> {
-        self.arp.iter().filter_map(ArpCache::next_event).min()
     }
 
     /// Whether [`Node::service`] at `now` would do nothing and the node
@@ -1513,7 +1487,7 @@ impl Node {
             && self.dv.as_ref().is_none_or(|dv| {
                 !dv.triggered_due() && now < dv.poll_at() && now < dv.next_expiry()
             })
-            && self.arp_event.is_none_or(|at| at > now)
+            && self.arp.next_event().is_none_or(|at| at > now)
     }
 
     /// The routing-table version, if it moved since the last report.
@@ -1537,9 +1511,10 @@ impl Node {
         (!self.events.is_empty()).then(|| core::mem::take(&mut self.events))
     }
 
-    /// Check, from scratch and without the cached bounds, that
+    /// Check, from scratch and without DV's expiry bound, that
     /// [`Node::service`] at `now` would do nothing and that the node has
-    /// nothing to report. Run on every pass the lane loop skips in a
+    /// nothing to report. ARP answers for itself: its table keeps its
+    /// next event exact. Run on every pass the lane loop skips in a
     /// debug build.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_idle(&self, now: Instant) {
@@ -1555,12 +1530,10 @@ impl Node {
                 assert!(route.expires_at > now, "{name}: route {prefix} due at {now}");
             }
         }
-        for cache in &self.arp {
-            assert!(
-                cache.next_event().is_none_or(|at| at > now),
-                "{name}: ARP retry due at {now}"
-            );
-        }
+        assert!(
+            self.arp.next_event().is_none_or(|at| at > now),
+            "{name}: ARP retry due at {now}"
+        );
         assert_eq!(self.unreported_version(), None, "{name}: route change unreported");
         assert!(self.events.is_empty(), "{name}: had something to report");
     }
@@ -2099,6 +2072,17 @@ mod tests {
         assert_eq!(&received.payload[..], b"hello");
         assert_eq!(received.from, Endpoint::new(Ipv4Address::new(10, 0, 0, 2), 5000));
         assert_eq!(received.at, Instant::from_millis(3));
+    }
+
+    #[test]
+    fn a_full_udp_receive_queue_is_a_counted_drop() {
+        let mut node = host_with_iface();
+        let handle = node.udp_bind(4444);
+        for _ in 0..=crate::socket::DEFAULT_RX_QUEUE {
+            node.handle_frame(Instant::ZERO, 0, udp_datagram(node.ifaces[0].peer, node.addr(0), 64));
+        }
+        assert_eq!(node.stats.dropped_udp_queue_full, 1);
+        assert_eq!(node.udp_sockets[handle].rx_queue_len(), crate::socket::DEFAULT_RX_QUEUE);
     }
 
     /// The directed broadcast of [`host_with_iface`]'s /30: delivered
@@ -2749,6 +2733,28 @@ mod tests {
         assert!(!gw.is_quiet(retry), "the retry is due");
         assert_eq!(count_arp_requests(&full_pass(&mut gw, retry)), 1, "and asks again");
         assert!(gw.is_quiet(retry));
+    }
+
+    #[test]
+    fn a_crash_forgets_an_arp_resolution_and_its_retry() {
+        let mut node = ethernet_host();
+        let peer = node.ifaces[0].peer;
+        node.output_datagram(Instant::ZERO, 0, peer, b"a datagram".to_vec().into());
+        assert_eq!(count_arp_requests(&node.take_outbox()), 1, "the miss asks");
+        let retry = Instant::ZERO + crate::arp::REQUEST_INTERVAL;
+        assert_eq!(node.poll_at(Instant::ZERO), Some(retry));
+        assert!(!node.is_quiet(retry), "the retry is due");
+
+        node.crash();
+        node.restart();
+        // A host with no sockets wants nothing else, so every term of
+        // the predicate allows quiet at once.
+        assert_eq!(node.poll_at(Instant::ZERO), None, "a wake for a retry the crash forgot");
+        assert!(node.is_quiet(retry), "the dead resolution's retry is no work");
+        #[cfg(debug_assertions)]
+        node.assert_idle(retry);
+        assert!(full_pass(&mut node, retry).is_empty());
+        assert_eq!(node.stats.arp_retries, 0);
     }
 
     #[test]

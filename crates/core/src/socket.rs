@@ -42,12 +42,6 @@ pub struct UdpSocket {
     /// service" knob the architecture exposes per-datagram).
     pub tos: Tos,
     rx: VecDeque<UdpDatagram>,
-    /// Datagrams dropped because the receive queue was full.
-    pub rx_dropped: u64,
-    /// Datagrams sent from this socket.
-    pub tx_count: u64,
-    /// Datagrams delivered to the application.
-    pub rx_count: u64,
 }
 
 impl UdpSocket {
@@ -57,19 +51,12 @@ impl UdpSocket {
             local_port,
             tos: Tos::default(),
             rx: VecDeque::new(),
-            rx_dropped: 0,
-            tx_count: 0,
-            rx_count: 0,
         }
     }
 
     /// Receive the oldest queued datagram, if any.
     pub fn recv(&mut self) -> Option<UdpDatagram> {
-        let dgram = self.rx.pop_front();
-        if dgram.is_some() {
-            self.rx_count += 1;
-        }
-        dgram
+        self.rx.pop_front()
     }
 
     /// Number of datagrams waiting to be received.
@@ -77,13 +64,14 @@ impl UdpSocket {
         self.rx.len()
     }
 
-    /// (Stack side.) Deliver a received datagram; drop-tail on overflow.
-    pub fn deliver(&mut self, from: Endpoint, at: Instant, payload: PacketBuf) {
+    /// (Stack side.) Deliver a received datagram; drop-tail on
+    /// overflow. Returns whether it was queued: the node counts a drop.
+    pub fn deliver(&mut self, from: Endpoint, at: Instant, payload: PacketBuf) -> bool {
         if self.rx.len() >= DEFAULT_RX_QUEUE {
-            self.rx_dropped += 1;
-            return;
+            return false;
         }
         self.rx.push_back(UdpDatagram { from, at, payload });
+        true
     }
 }
 
@@ -113,17 +101,16 @@ mod tests {
         let b = sock.recv().unwrap();
         assert_eq!(&b.payload[..], b"second");
         assert!(sock.recv().is_none());
-        assert_eq!(sock.rx_count, 2);
     }
 
     #[test]
     fn overflow_drops_tail() {
         let mut sock = UdpSocket::bind(4000);
         for i in 0..DEFAULT_RX_QUEUE + 2 {
-            sock.deliver(ep(1), Instant::ZERO, buf(&[i as u8]));
+            let queued = sock.deliver(ep(1), Instant::ZERO, buf(&[i as u8]));
+            assert_eq!(queued, i < DEFAULT_RX_QUEUE);
         }
         assert_eq!(sock.rx_queue_len(), DEFAULT_RX_QUEUE);
-        assert_eq!(sock.rx_dropped, 2);
         // The oldest survive (drop-tail, not drop-head).
         for i in 0..DEFAULT_RX_QUEUE {
             assert_eq!(&sock.recv().unwrap().payload[..], &[i as u8]);

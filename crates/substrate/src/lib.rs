@@ -32,17 +32,16 @@
 //! exchange RIP over UDP links, converge routes, and carry a TCP file
 //! transfer end to end — the loopback interop test does exactly that.
 //!
-//! ## The TUN seam
+//! ## A TUN device
 //!
-//! A third realization — a TUN device carrying our IP datagrams into
-//! the kernel stack — plugs in at the same place the UDP tunnel does:
-//! a [`real::LinkEndpoint`] turns frames (pooled buffers) into bytes on
-//! a descriptor and back. A TUN endpoint would open `/dev/net/tun`,
-//! set `IFF_TUN | IFF_NO_PI`, and exchange raw IPv4 packets (framing
-//! [`catenet_core::iface::Framing::RawIp`]) instead of UDP payloads;
-//! everything above the endpoint — node, routing, TCP, REPL — is
-//! unchanged. It requires `CAP_NET_ADMIN`, so it is left as a
-//! documented seam rather than a CI arm.
+//! A TUN device carrying our IP datagrams into the kernel stack would
+//! be a second link type beside [`real::UdpTunnel`], added when it
+//! exists: like the tunnel it would turn frames (pooled buffers) into
+//! bytes on a descriptor and back, opening `/dev/net/tun` with
+//! `IFF_TUN | IFF_NO_PI` and exchanging raw IPv4 packets (framing
+//! [`catenet_core::iface::Framing::RawIp`]) instead of UDP payloads.
+//! Everything above the link — node, routing, TCP, REPL — would be
+//! unchanged. It requires `CAP_NET_ADMIN`, so it is not built here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -63,8 +62,8 @@ use catenet_sim::{Duration, Instant};
 ///
 /// The architecture lives entirely inside [`Node`](catenet_core::Node)
 /// (ARP, IP, DV routing, TCP, sockets, applications); a substrate
-/// decides what an instant means and what a link is (a UDP socket pair,
-/// or — via the documented seam — a TUN device). Drivers reach the node
+/// decides what an instant means and what a link is (a UDP socket
+/// pair). Drivers reach the node
 /// itself through the realization's own type
 /// ([`real::RealSubstrate::node`]).
 pub trait Substrate {

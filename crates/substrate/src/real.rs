@@ -30,9 +30,10 @@
 //! arm — the OS schedules delivery — which is exactly why the simulator
 //! remains the CI arm for every byte-pinned experiment.
 //!
-//! The [`LinkEndpoint`] trait is the seam a future TUN backend plugs
-//! into (see the crate docs): `RealSubstrate` only ever asks an
-//! endpoint to queue, flush or poll frames.
+//! [`UdpTunnel`] is the one kind of link; an interface without one is
+//! a stub. `RealSubstrate` only ever asks a tunnel to queue, flush or
+//! poll frames, so a TUN device (see the crate docs) would be a second
+//! link type beside it, added when it exists.
 
 use crate::clock::{Clock, WallClock};
 use crate::config::NodeConfig;
@@ -68,34 +69,6 @@ const LINGER: std::time::Duration = std::time::Duration::from_micros(100);
 /// How long a reader waits in `recv` before it looks at its stop flag:
 /// the bound on how long dropping a tunnel takes.
 const READER_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(25);
-
-/// One end of a realized link: ships frames out, polls frames in.
-///
-/// No call may block: the pump is the substrate's only thread that
-/// touches the node. Sending is best-effort — real networks drop — and
-/// `recv_frame` returns `None` when nothing is pending.
-pub trait LinkEndpoint: Send {
-    /// Queue a frame for the peer. Returns the datagrams this had to
-    /// ship first to make room for it (0 or 1).
-    fn send_frame(&mut self, frame: PacketBuf) -> usize;
-
-    /// Ship what is queued, without waiting for more. Returns the
-    /// datagrams shipped (0 or 1).
-    fn flush(&mut self) -> usize {
-        0
-    }
-
-    /// Poll one pending frame, without blocking.
-    fn recv_frame(&mut self) -> Option<PacketBuf>;
-
-    /// Ingress accounting (accepted / dropped-by-reason).
-    fn stats(&self) -> TunnelStats;
-
-    /// Start shutting down, without waiting for it: dropping the
-    /// endpoint finishes the job. A substrate hangs up all its links
-    /// before it drops any, so they wind down side by side.
-    fn hang_up(&mut self) {}
-}
 
 /// How reader threads wake the pump: they count what they queued and
 /// unpark whichever thread last entered [`RealSubstrate::run_until`].
@@ -222,6 +195,11 @@ impl Inbox {
 
 /// A UDP-tunnel link endpoint: frames ride [`crate::tunnel`] records
 /// between two bound sockets, as many to a datagram as one pass has.
+///
+/// No call may block: the pump is the substrate's only thread that
+/// touches the node. Sending is best-effort — real networks drop — and
+/// [`recv_frame`](UdpTunnel::recv_frame) returns `None` when nothing is
+/// pending.
 pub struct UdpTunnel {
     /// With a reader thread, this handle only sends.
     socket: UdpSocket,
@@ -240,7 +218,7 @@ impl UdpTunnel {
     /// Received frames land in buffers from `pool`. With a `doorbell`
     /// the tunnel starts a reader thread that blocks on the socket and
     /// rings it per frame; without one the socket is nonblocking and
-    /// [`LinkEndpoint::recv_frame`] polls it.
+    /// [`UdpTunnel::recv_frame`] polls it.
     pub fn new(
         local: &str,
         remote: &str,
@@ -389,8 +367,10 @@ impl ReaderLoop {
     }
 }
 
-impl LinkEndpoint for UdpTunnel {
-    fn send_frame(&mut self, frame: PacketBuf) -> usize {
+impl UdpTunnel {
+    /// Queue a frame for the peer. Returns the datagrams this had to
+    /// ship first to make room for it (0 or 1).
+    pub fn send_frame(&mut self, frame: PacketBuf) -> usize {
         let shipped = if self.outgoing.len() + TUNNEL_HEADER + frame.len() > MAX_DATAGRAM {
             self.flush()
         } else {
@@ -403,7 +383,9 @@ impl LinkEndpoint for UdpTunnel {
         shipped
     }
 
-    fn flush(&mut self) -> usize {
+    /// Ship what is queued, without waiting for more. Returns the
+    /// datagrams shipped (0 or 1).
+    pub fn flush(&mut self) -> usize {
         if self.outgoing.is_empty() {
             return 0;
         }
@@ -415,7 +397,8 @@ impl LinkEndpoint for UdpTunnel {
         1
     }
 
-    fn recv_frame(&mut self) -> Option<PacketBuf> {
+    /// Poll one pending frame, without blocking.
+    pub fn recv_frame(&mut self) -> Option<PacketBuf> {
         let inbox = match &mut self.ingress {
             Ingress::Reader(reader) => {
                 let frame = reader.filled.try_recv().ok()?;
@@ -441,11 +424,15 @@ impl LinkEndpoint for UdpTunnel {
         }
     }
 
-    fn stats(&self) -> TunnelStats {
+    /// Ingress accounting (accepted / dropped-by-reason).
+    pub fn stats(&self) -> TunnelStats {
         *lock_stats(&self.stats)
     }
 
-    fn hang_up(&mut self) {
+    /// Start shutting down, without waiting for it: dropping the
+    /// tunnel finishes the job. A substrate hangs up all its links
+    /// before it drops any, so they wind down side by side.
+    pub fn hang_up(&mut self) {
         if let Ingress::Reader(reader) = &mut self.ingress {
             reader.stop.store(true, Ordering::SeqCst);
             // A reader blocked on an empty ring leaves now, one blocked
@@ -465,25 +452,6 @@ impl Drop for UdpTunnel {
                 let _ = thread.join();
             }
         }
-    }
-}
-
-/// The endpoint behind a stub (`local`) interface: a connected prefix
-/// with no wire. Egress frames vanish (exactly what a LAN with no
-/// other hosts does); nothing ever arrives.
-pub struct StubLink;
-
-impl LinkEndpoint for StubLink {
-    fn send_frame(&mut self, _frame: PacketBuf) -> usize {
-        0
-    }
-
-    fn recv_frame(&mut self) -> Option<PacketBuf> {
-        None
-    }
-
-    fn stats(&self) -> TunnelStats {
-        TunnelStats::default()
     }
 }
 
@@ -510,11 +478,15 @@ pub struct PumpStats {
     pub datagrams_sent: u64,
 }
 
-/// A node realized over real I/O: one [`Node`], one [`LinkEndpoint`]
+/// A node realized over real I/O: one [`Node`], one [`UdpTunnel`]
 /// per interface, a [`Clock`] driving timers.
 pub struct RealSubstrate {
     node: Node,
-    links: Vec<Box<dyn LinkEndpoint>>,
+    /// Each interface's tunnel; `None` behind a stub (`local`)
+    /// interface, a connected prefix with no wire: its egress frames
+    /// vanish (exactly what a LAN with no other hosts does) and
+    /// nothing ever arrives.
+    links: Vec<Option<UdpTunnel>>,
     /// The configured tunnel link id of each interface.
     link_ids: Vec<u16>,
     apps: Vec<Box<dyn Application>>,
@@ -550,17 +522,17 @@ impl RealSubstrate {
         // The one place the kind of clock matters: a thread can only
         // wake a pump that is really asleep.
         let doorbell = clock.waits().then(Arc::<Doorbell>::default);
-        let mut links: Vec<Box<dyn LinkEndpoint>> = Vec::new();
+        let mut links = Vec::new();
         for (index, iface) in config.ifaces.iter().enumerate() {
-            let endpoint: Box<dyn LinkEndpoint> = match (&iface.bind, &iface.remote) {
-                (Some(bind), Some(remote)) => Box::new(UdpTunnel::new(
+            let link = match (&iface.bind, &iface.remote) {
+                (Some(bind), Some(remote)) => Some(UdpTunnel::new(
                     bind,
                     remote,
                     iface.link_id,
                     pool.clone(),
                     doorbell.clone(),
                 )?),
-                _ => Box::new(StubLink),
+                _ => None,
             };
             // Tunnels are point-to-point: raw IP framing, no ARP. The
             // hardware address is still required by the interface
@@ -574,7 +546,7 @@ impl RealSubstrate {
                 framing: Framing::RawIp,
                 up: true,
             });
-            links.push(endpoint);
+            links.push(link);
         }
         for route in &config.routes {
             let iface = config
@@ -622,7 +594,7 @@ impl RealSubstrate {
         self.backlog = false;
         for iface in 0..self.links.len() {
             let mut taken = 0;
-            while let Some(frame) = self.links[iface].recv_frame() {
+            while let Some(frame) = self.links[iface].as_mut().and_then(UdpTunnel::recv_frame) {
                 if self.deliver(now, iface, frame) {
                     ingested += 1;
                 } else {
@@ -641,13 +613,13 @@ impl RealSubstrate {
         }
         let mut shipped = 0;
         for (iface, frame) in self.node.take_outbox() {
-            if let Some(link) = self.links.get_mut(iface) {
+            if let Some(Some(link)) = self.links.get_mut(iface) {
                 shipped += link.send_frame(frame);
             }
         }
         // One datagram per link per pass, and it leaves now: nothing
         // waits for more traffic, so a lone frame is not delayed.
-        for link in &mut self.links {
+        for link in self.links.iter_mut().flatten() {
             shipped += link.flush();
         }
         self.stats.datagrams_sent += shipped as u64;
@@ -685,7 +657,8 @@ impl RealSubstrate {
     pub fn link_stats(&self, iface: usize) -> TunnelStats {
         self.links
             .get(iface)
-            .map(|l| l.stats())
+            .and_then(Option::as_ref)
+            .map(UdpTunnel::stats)
             .unwrap_or_default()
     }
 
@@ -807,7 +780,7 @@ impl RealSubstrate {
 impl Drop for RealSubstrate {
     fn drop(&mut self) {
         // Every reader sees its cue before any is waited for.
-        for link in &mut self.links {
+        for link in self.links.iter_mut().flatten() {
             link.hang_up();
         }
     }

@@ -14,7 +14,7 @@ use catenet_core::{PacketBuf, PacketPool};
 use catenet_sim::{Duration, Instant};
 use catenet_substrate::clock::{Clock, WallClock};
 use catenet_substrate::config::{self, NodeConfig};
-use catenet_substrate::real::{Doorbell, LinkEndpoint, RealSubstrate, UdpTunnel, RING};
+use catenet_substrate::real::{Doorbell, RealSubstrate, UdpTunnel, RING};
 use catenet_substrate::tunnel::{self, MAX_DATAGRAM, MAX_FRAME};
 use catenet_substrate::Substrate;
 use std::sync::atomic::{AtomicU64, Ordering};
