@@ -6,8 +6,7 @@
 //! needed", §9) built along the lines its closing section proposes:
 //!
 //! - **[`FlowTable`]** — the paper's §10 "flow" building block: soft
-//!   per-flow gateway state keyed by the 5-tuple, *sharded* (power-of-two
-//!   shards under a deterministic hash) with bounded per-shard capacity,
+//!   per-flow gateway state keyed by the 5-tuple, with bounded capacity,
 //!   exact-LRU eviction and idle evaporation, sized for ~10⁵ concurrent
 //!   flows. Everything in it is reconstructible from the datagrams
 //!   themselves, so a crash costs a re-learning transient and nothing
@@ -39,4 +38,4 @@ pub mod table;
 pub use flow::{Classified, FlowId, FlowState, FragKey};
 pub use ledger::{Account, AccountKey, Ledger};
 pub use report::{GatewayReport, Reconciliation, ReportCollector};
-pub use table::{FlowTable, ShardStats};
+pub use table::FlowTable;

@@ -1,42 +1,46 @@
-//! The sharded soft-state flow table.
+//! The soft-state flow table.
 //!
-//! The seed's single `HashMap` table is honest but unbounded and
-//! unsharded; this is the same soft-state idea engineered for the
-//! ROADMAP's ~10⁵-concurrent-flow target:
+//! The seed's single `HashMap` table is honest but unbounded; this is
+//! the same soft-state idea engineered for the ROADMAP's
+//! ~10⁵-concurrent-flow target:
 //!
-//! - **Sharding.** A deterministic FNV-1a hash of the 13-byte 5-tuple
-//!   selects one of a power-of-two number of shards (`hash & mask`, no
-//!   division). Shards bound worst-case probe cost and give a future
-//!   parallel executor an obvious partition, but nothing about the
-//!   observable behavior depends on the shard count — eviction and
-//!   expiry are per-shard-deterministic and iteration re-sorts.
-//! - **Bounded capacity + exact LRU.** Each shard holds at most
-//!   `per_shard_capacity` flows in a slab with an intrusive
-//!   doubly-linked recency list: observe = O(1) touch, overflow evicts
-//!   the shard's least-recently-seen flow in O(1) and counts it. Soft
-//!   state means eviction is *safe* — the flow re-learns on its next
-//!   datagram, exactly like a crash, only smaller.
+//! - **Bounded capacity + exact LRU.** The table holds at most
+//!   `capacity` flows ([`DEFAULT_CAPACITY`] unless built
+//!   [`with_capacity`](FlowTable::with_capacity)) in one slab with an
+//!   intrusive doubly-linked recency list and one index: observe = O(1)
+//!   touch, overflow evicts the least-recently-seen flow in O(1) and
+//!   counts it. Soft state means eviction is *safe* — the flow
+//!   re-learns on its next datagram, exactly like a crash, only
+//!   smaller.
 //! - **Idle evaporation.** Recency order doubles as idle order, so
-//!   expiry walks each shard from the cold end and stops at the first
-//!   live entry instead of scanning everything.
+//!   expiry walks from the cold end and stops at the first live entry
+//!   instead of scanning everything.
 //! - **Reassembly-aware fragment attribution.** First fragments carry
 //!   ports and register their [`FragKey`]; follow-on fragments look the
 //!   ports up and join the right flow (`frag_attributed`), or fall into
 //!   the portless bucket *counted* (`frag_unattributed`) — E7's stated
 //!   approximation, measured instead of silent.
+//!
+//! A table lives in one gateway, and a gateway in one lane of the
+//! executor, so nothing partitions it further.
 
 use crate::flow::{Classified, FlowId, FlowState, FragKey};
-use catenet_sim::{fnv1a, Duration, Instant, FNV_OFFSET};
+use catenet_sim::{Duration, Instant};
 use std::collections::HashMap;
 
-/// Sentinel for "no slot" in the intrusive lists.
+/// Sentinel for "no slot" in the intrusive list.
 const NIL: usize = usize::MAX;
 
-/// Default shard count (power of two).
-pub const DEFAULT_SHARDS: usize = 64;
-/// Default per-shard flow capacity: 64 × 2048 = 131 072 flows, headroom
-/// over the 10⁵ target.
-pub const DEFAULT_PER_SHARD: usize = 2048;
+/// Flow capacity of [`FlowTable::new`]: 131 072 flows, headroom over
+/// the 10⁵ target.
+pub const DEFAULT_CAPACITY: usize = 131_072;
+/// Idle time after which a flow evaporates (soft state!): a flow not
+/// seen for this long is gone at the next
+/// [`expire_idle`](FlowTable::expire_idle).
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Time constant of the per-flow EWMA rate estimate: a gap of this
+/// long moves the estimate ~63 % of the way to the new sample.
+pub const RATE_TAU: Duration = Duration::from_secs(1);
 /// Follow-on fragments can arrive before their first fragment or long
 /// after; the port cache holds at most this many reassembly groups.
 const FRAG_CACHE_CAP: usize = 256;
@@ -54,31 +58,220 @@ struct Slot {
     older: usize,
 }
 
-/// One shard: slab + index + recency list.
+/// First-fragment port memory: what reassembly would know, scoped to
+/// attribution. Bounded FIFO with a TTL; deterministic.
 #[derive(Debug, Default)]
-struct Shard {
+struct FragPortCache {
+    map: HashMap<FragKey, (u16, u16, Instant)>,
+    order: std::collections::VecDeque<FragKey>,
+}
+
+impl FragPortCache {
+    fn insert(&mut self, key: FragKey, ports: (u16, u16), now: Instant) {
+        if self.map.len() >= FRAG_CACHE_CAP && !self.map.contains_key(&key) {
+            while let Some(oldest) = self.order.pop_front() {
+                if self.map.remove(&oldest).is_some() {
+                    break;
+                }
+            }
+        }
+        if self.map.insert(key, (ports.0, ports.1, now)).is_none() {
+            self.order.push_back(key);
+        }
+    }
+
+    fn lookup(&self, key: &FragKey, now: Instant) -> Option<(u16, u16)> {
+        let &(src, dst, at) = self.map.get(key)?;
+        (now.duration_since(at) < FRAG_CACHE_TTL).then_some((src, dst))
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+    }
+}
+
+/// The gateway's soft-state flow table (bounded, exact LRU).
+#[derive(Debug)]
+pub struct FlowTable {
+    /// Where each live flow sits in `slots`.
     index: HashMap<FlowId, usize>,
     slots: Vec<Slot>,
+    /// Slots freed by eviction or expiry, reused before `slots` grows.
     free: Vec<usize>,
     /// Most recently seen slot.
     head: usize,
     /// Least recently seen slot.
     tail: usize,
+    capacity: usize,
+    frag_cache: FragPortCache,
+    /// Total entries expired (idle evaporation) so far.
+    pub expired: u64,
+    /// Total entries evicted by LRU capacity pressure.
+    pub evicted: u64,
+    /// Total table losses (crashes).
+    pub losses: u64,
+    /// Follow-on fragments attributed to their flow via the port cache.
+    pub frag_attributed: u64,
+    /// Follow-on fragments that fell into the portless bucket because
+    /// no first fragment was remembered — E7's measured approximation.
+    pub frag_unattributed: u64,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        Shard {
+impl FlowTable {
+    /// A table of [`DEFAULT_CAPACITY`] flows.
+    pub fn new() -> FlowTable {
+        FlowTable::with_capacity(DEFAULT_CAPACITY)
+    }
+
+    /// A table that holds at most `capacity` flows, evicting the least
+    /// recently seen one to admit another.
+    pub fn with_capacity(capacity: usize) -> FlowTable {
+        assert!(
+            capacity > 0,
+            "a flow table needs room for at least one flow"
+        );
+        FlowTable {
             index: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
+            capacity,
+            frag_cache: FragPortCache::default(),
+            expired: 0,
+            evicted: 0,
+            losses: 0,
+            frag_attributed: 0,
+            frag_unattributed: 0,
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of live flows.
+    pub fn len(&self) -> usize {
         self.index.len()
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The most flows the table holds at once.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Observe one forwarded datagram.
+    pub fn observe(&mut self, datagram: &[u8], now: Instant) {
+        let id = match FlowId::classify(datagram) {
+            Classified::Direct(id) => id,
+            Classified::FirstFragment(id, key) => {
+                self.frag_cache.insert(key, (id.src_port, id.dst_port), now);
+                id
+            }
+            Classified::FollowOn(portless, key) => {
+                match self.frag_cache.lookup(&key, now) {
+                    Some((src_port, dst_port)) => {
+                        self.frag_attributed += 1;
+                        FlowId {
+                            src_port,
+                            dst_port,
+                            ..portless
+                        }
+                    }
+                    None => {
+                        self.frag_unattributed += 1;
+                        portless
+                    }
+                }
+            }
+            Classified::Unparseable => return,
+        };
+        self.observe_flow(id, datagram.len() as u64, now);
+    }
+
+    /// Observe one datagram already resolved to a flow id (the churn
+    /// benchmark path: no parsing, just table mechanics).
+    pub fn observe_flow(&mut self, id: FlowId, bytes: u64, now: Instant) {
+        match self.index.get(&id) {
+            Some(&slot) => {
+                let state = &mut self.slots[slot].state;
+                let dt = now.duration_since(state.last_seen).secs_f64();
+                let inst_rate = if dt > 0.0 { bytes as f64 / dt } else { 0.0 };
+                // Exponentially weighted moving average with gap decay.
+                let alpha = if dt > 0.0 {
+                    1.0 - (-dt / RATE_TAU.secs_f64()).exp()
+                } else {
+                    0.0
+                };
+                state.rate_bps += alpha * (inst_rate - state.rate_bps);
+                state.packets += 1;
+                state.bytes += bytes;
+                state.last_seen = now;
+                self.touch(slot);
+            }
+            None => {
+                if self.len() >= self.capacity {
+                    // Bounded soft state: the coldest flow pays. It will
+                    // re-learn from its next datagram, like a tiny crash.
+                    self.evict_tail();
+                    self.evicted += 1;
+                }
+                self.insert_front(
+                    id,
+                    FlowState {
+                        packets: 1,
+                        bytes,
+                        first_seen: now,
+                        last_seen: now,
+                        rate_bps: 0.0,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Look up a flow.
+    pub fn get(&self, id: &FlowId) -> Option<&FlowState> {
+        self.index.get(id).map(|&slot| &self.slots[slot].state)
+    }
+
+    /// Iterate flows in deterministic (sorted) order.
+    pub fn iter_sorted(&self) -> Vec<(&FlowId, &FlowState)> {
+        let mut entries: Vec<(&FlowId, &FlowState)> = self
+            .index
+            .values()
+            .map(|&slot| (&self.slots[slot].id, &self.slots[slot].state))
+            .collect();
+        entries.sort_by_key(|(id, _)| **id);
+        entries
+    }
+
+    /// Evaporate idle entries. The essence of soft state: nothing
+    /// refreshes, nothing stays. Recency order doubles as idle order,
+    /// so the walk starts at the cold end and stops early.
+    pub fn expire_idle(&mut self, now: Instant) {
+        while self.tail != NIL {
+            let state = &self.slots[self.tail].state;
+            if now.duration_since(state.last_seen) < IDLE_TIMEOUT {
+                break;
+            }
+            self.evict_tail();
+            self.expired += 1;
+        }
+    }
+
+    /// Lose everything (gateway crash). The paper's point: this is
+    /// *survivable* — the table rebuilds from the traffic itself.
+    pub fn lose(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.frag_cache.clear();
+        self.losses += 1;
     }
 
     /// Unlink `slot` from the recency list.
@@ -117,327 +310,35 @@ impl Shard {
         }
     }
 
-    /// Remove the least-recently-seen flow and return its slot.
-    fn evict_tail(&mut self) -> Option<FlowId> {
+    /// Remove the least-recently-seen flow. The caller checked that
+    /// the table is not empty.
+    fn evict_tail(&mut self) {
         let tail = self.tail;
-        if tail == NIL {
-            return None;
-        }
-        let id = self.slots[tail].id;
         self.unlink(tail);
-        self.index.remove(&id);
+        self.index.remove(&self.slots[tail].id);
         self.free.push(tail);
-        Some(id)
     }
 
     /// Insert a new flow at the front, reusing a free slot if any.
     fn insert_front(&mut self, id: FlowId, state: FlowState) {
+        let entry = Slot {
+            id,
+            state,
+            newer: NIL,
+            older: NIL,
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot] = Slot {
-                    id,
-                    state,
-                    newer: NIL,
-                    older: NIL,
-                };
+                self.slots[slot] = entry;
                 slot
             }
             None => {
-                self.slots.push(Slot {
-                    id,
-                    state,
-                    newer: NIL,
-                    older: NIL,
-                });
+                self.slots.push(entry);
                 self.slots.len() - 1
             }
         };
         self.index.insert(id, slot);
         self.link_front(slot);
-    }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-}
-
-/// Occupancy summary across shards, for capacity experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Number of shards.
-    pub shards: usize,
-    /// Flows in the emptiest shard.
-    pub min_occupancy: usize,
-    /// Flows in the fullest shard.
-    pub max_occupancy: usize,
-    /// Total live flows.
-    pub total: usize,
-    /// Per-shard capacity bound.
-    pub per_shard_capacity: usize,
-}
-
-/// First-fragment port memory: what reassembly would know, scoped to
-/// attribution. Bounded FIFO with a TTL; deterministic.
-#[derive(Debug, Default)]
-struct FragPortCache {
-    map: HashMap<FragKey, (u16, u16, Instant)>,
-    order: std::collections::VecDeque<FragKey>,
-}
-
-impl FragPortCache {
-    fn insert(&mut self, key: FragKey, ports: (u16, u16), now: Instant) {
-        if self.map.len() >= FRAG_CACHE_CAP && !self.map.contains_key(&key) {
-            while let Some(oldest) = self.order.pop_front() {
-                if self.map.remove(&oldest).is_some() {
-                    break;
-                }
-            }
-        }
-        if self.map.insert(key, (ports.0, ports.1, now)).is_none() {
-            self.order.push_back(key);
-        }
-    }
-
-    fn lookup(&self, key: &FragKey, now: Instant) -> Option<(u16, u16)> {
-        let &(src, dst, at) = self.map.get(key)?;
-        (now.duration_since(at) < FRAG_CACHE_TTL).then_some((src, dst))
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-}
-
-/// FNV-1a over the 13 canonical bytes of the 5-tuple. Deterministic
-/// across runs, platforms and process restarts — shard selection is part
-/// of the reproducible experiment surface.
-fn shard_hash(id: &FlowId) -> u64 {
-    let hash = fnv1a(FNV_OFFSET, &id.src_addr.0);
-    let hash = fnv1a(hash, &id.dst_addr.0);
-    let hash = fnv1a(hash, &[id.protocol]);
-    let hash = fnv1a(hash, &id.src_port.to_be_bytes());
-    fnv1a(hash, &id.dst_port.to_be_bytes())
-}
-
-/// The gateway's soft-state flow table (sharded, bounded, LRU).
-#[derive(Debug)]
-pub struct FlowTable {
-    shards: Vec<Shard>,
-    shard_mask: u64,
-    per_shard_capacity: usize,
-    /// Idle time after which an entry evaporates (soft state!).
-    idle_timeout: Duration,
-    /// EWMA time constant for the rate estimate.
-    rate_tau: Duration,
-    frag_cache: FragPortCache,
-    /// Total entries expired (idle evaporation) so far.
-    pub expired: u64,
-    /// Total entries evicted by LRU capacity pressure.
-    pub evicted: u64,
-    /// Total table losses (crashes).
-    pub losses: u64,
-    /// Follow-on fragments attributed to their flow via the port cache.
-    pub frag_attributed: u64,
-    /// Follow-on fragments that fell into the portless bucket because
-    /// no first fragment was remembered — E7's measured approximation.
-    pub frag_unattributed: u64,
-}
-
-impl FlowTable {
-    /// Default idle timeout.
-    pub const DEFAULT_IDLE: Duration = Duration::from_secs(30);
-
-    /// A table with default parameters.
-    pub fn new() -> FlowTable {
-        FlowTable::with_params(Self::DEFAULT_IDLE, Duration::from_secs(1))
-    }
-
-    /// A table with explicit idle timeout and rate time-constant, at
-    /// the default geometry ([`DEFAULT_SHARDS`] × [`DEFAULT_PER_SHARD`]).
-    pub fn with_params(idle_timeout: Duration, rate_tau: Duration) -> FlowTable {
-        FlowTable::with_geometry(DEFAULT_SHARDS, DEFAULT_PER_SHARD, idle_timeout, rate_tau)
-    }
-
-    /// A table with explicit shard geometry. `shards` must be a power
-    /// of two; `per_shard_capacity` bounds each shard's live flows.
-    pub fn with_geometry(
-        shards: usize,
-        per_shard_capacity: usize,
-        idle_timeout: Duration,
-        rate_tau: Duration,
-    ) -> FlowTable {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two, got {shards}"
-        );
-        assert!(per_shard_capacity > 0, "shards need room for at least one flow");
-        FlowTable {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            shard_mask: (shards - 1) as u64,
-            per_shard_capacity,
-            idle_timeout,
-            rate_tau,
-            frag_cache: FragPortCache::default(),
-            expired: 0,
-            evicted: 0,
-            losses: 0,
-            frag_attributed: 0,
-            frag_unattributed: 0,
-        }
-    }
-
-    /// Number of live flows.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.index.is_empty())
-    }
-
-    /// Total flow capacity (shards × per-shard bound).
-    pub fn capacity(&self) -> usize {
-        self.shards.len() * self.per_shard_capacity
-    }
-
-    /// Occupancy distribution across shards.
-    pub fn shard_stats(&self) -> ShardStats {
-        let occupancies = self.shards.iter().map(Shard::len);
-        ShardStats {
-            shards: self.shards.len(),
-            min_occupancy: occupancies.clone().min().unwrap_or(0),
-            max_occupancy: occupancies.clone().max().unwrap_or(0),
-            total: occupancies.sum(),
-            per_shard_capacity: self.per_shard_capacity,
-        }
-    }
-
-    /// Observe one forwarded datagram.
-    pub fn observe(&mut self, datagram: &[u8], now: Instant) {
-        let id = match FlowId::classify(datagram) {
-            Classified::Direct(id) => id,
-            Classified::FirstFragment(id, key) => {
-                self.frag_cache.insert(key, (id.src_port, id.dst_port), now);
-                id
-            }
-            Classified::FollowOn(portless, key) => {
-                match self.frag_cache.lookup(&key, now) {
-                    Some((src_port, dst_port)) => {
-                        self.frag_attributed += 1;
-                        FlowId {
-                            src_port,
-                            dst_port,
-                            ..portless
-                        }
-                    }
-                    None => {
-                        self.frag_unattributed += 1;
-                        portless
-                    }
-                }
-            }
-            Classified::Unparseable => return,
-        };
-        self.observe_flow(id, datagram.len() as u64, now);
-    }
-
-    /// Observe one datagram already resolved to a flow id (the churn
-    /// benchmark path: no parsing, just table mechanics).
-    pub fn observe_flow(&mut self, id: FlowId, bytes: u64, now: Instant) {
-        let tau = self.rate_tau.secs_f64();
-        let capacity = self.per_shard_capacity;
-        let shard = &mut self.shards[(shard_hash(&id) & self.shard_mask) as usize];
-        match shard.index.get(&id) {
-            Some(&slot) => {
-                let state = &mut shard.slots[slot].state;
-                let dt = now.duration_since(state.last_seen).secs_f64();
-                let inst_rate = if dt > 0.0 { bytes as f64 / dt } else { 0.0 };
-                // Exponentially weighted moving average with gap decay.
-                let alpha = if dt > 0.0 {
-                    1.0 - (-dt / tau).exp()
-                } else {
-                    0.0
-                };
-                state.rate_bps += alpha * (inst_rate - state.rate_bps);
-                state.packets += 1;
-                state.bytes += bytes;
-                state.last_seen = now;
-                shard.touch(slot);
-            }
-            None => {
-                if shard.len() >= capacity {
-                    // Bounded soft state: the coldest flow pays. It will
-                    // re-learn from its next datagram, like a tiny crash.
-                    shard.evict_tail();
-                    self.evicted += 1;
-                }
-                shard.insert_front(
-                    id,
-                    FlowState {
-                        packets: 1,
-                        bytes,
-                        first_seen: now,
-                        last_seen: now,
-                        rate_bps: 0.0,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Look up a flow.
-    pub fn get(&self, id: &FlowId) -> Option<&FlowState> {
-        let shard = &self.shards[(shard_hash(id) & self.shard_mask) as usize];
-        shard.index.get(id).map(|&slot| &shard.slots[slot].state)
-    }
-
-    /// Iterate flows in deterministic (sorted) order.
-    pub fn iter_sorted(&self) -> Vec<(&FlowId, &FlowState)> {
-        let mut entries: Vec<(&FlowId, &FlowState)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .index
-                    .values()
-                    .map(|&slot| (&shard.slots[slot].id, &shard.slots[slot].state))
-            })
-            .collect();
-        entries.sort_by_key(|(id, _)| **id);
-        entries
-    }
-
-    /// Evaporate idle entries. The essence of soft state: nothing
-    /// refreshes, nothing stays. Recency order doubles as idle order,
-    /// so each shard walks from its cold end and stops early.
-    pub fn expire_idle(&mut self, now: Instant) {
-        let timeout = self.idle_timeout;
-        for shard in &mut self.shards {
-            while shard.tail != NIL {
-                let state = &shard.slots[shard.tail].state;
-                if now.duration_since(state.last_seen) < timeout {
-                    break;
-                }
-                shard.evict_tail();
-                self.expired += 1;
-            }
-        }
-    }
-
-    /// Lose everything (gateway crash). The paper's point: this is
-    /// *survivable* — the table rebuilds from the traffic itself.
-    pub fn lose(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-        self.frag_cache.clear();
-        self.losses += 1;
     }
 }
 
@@ -511,7 +412,7 @@ mod tests {
 
     #[test]
     fn rate_estimate_converges() {
-        let mut table = FlowTable::with_params(Duration::from_secs(30), Duration::from_secs(1));
+        let mut table = FlowTable::new();
         let dgram = udp_datagram(5000, 6000, 972); // 1000-byte datagram
         // 1000 bytes every 10 ms = 100 kB/s.
         for i in 0..500 {
@@ -538,10 +439,10 @@ mod tests {
 
     #[test]
     fn idle_entries_evaporate() {
-        let mut table = FlowTable::with_params(Duration::from_secs(5), Duration::from_secs(1));
+        let mut table = FlowTable::new();
         table.observe(&udp_datagram(1, 2, 10), Instant::ZERO);
-        table.observe(&udp_datagram(3, 4, 10), Instant::from_secs(4));
-        table.expire_idle(Instant::from_secs(6));
+        table.observe(&udp_datagram(3, 4, 10), Instant::from_secs(29));
+        table.expire_idle(Instant::from_secs(31));
         assert_eq!(table.len(), 1, "only the idle flow evaporated");
         assert_eq!(table.expired, 1);
     }
@@ -570,13 +471,8 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_exact_lru() {
-        // One shard, capacity 3: the least-recently-observed flow pays.
-        let mut table = FlowTable::with_geometry(
-            1,
-            3,
-            Duration::from_secs(30),
-            Duration::from_secs(1),
-        );
+        // Capacity 3: the least-recently-observed flow pays.
+        let mut table = FlowTable::with_capacity(3);
         let now = |ms| Instant::from_millis(ms);
         table.observe_flow(flow(1), 100, now(0));
         table.observe_flow(flow(2), 100, now(1));
@@ -594,12 +490,7 @@ mod tests {
 
     #[test]
     fn eviction_then_return_relearns() {
-        let mut table = FlowTable::with_geometry(
-            1,
-            2,
-            Duration::from_secs(30),
-            Duration::from_secs(1),
-        );
+        let mut table = FlowTable::with_capacity(2);
         table.observe_flow(flow(1), 100, Instant::from_millis(0));
         table.observe_flow(flow(2), 100, Instant::from_millis(1));
         table.observe_flow(flow(3), 100, Instant::from_millis(2)); // evicts 1
@@ -611,50 +502,13 @@ mod tests {
     }
 
     #[test]
-    fn sharding_is_deterministic_and_spread() {
-        let mut table = FlowTable::with_geometry(
-            16,
-            8,
-            Duration::from_secs(30),
-            Duration::from_secs(1),
-        );
-        for i in 0..100 {
-            table.observe_flow(flow(i), 64, Instant::from_millis(u64::from(i)));
-        }
-        assert_eq!(table.len(), 100);
-        let stats = table.shard_stats();
-        assert_eq!(stats.shards, 16);
-        assert_eq!(stats.total, 100);
-        // FNV over distinct addresses spreads: no shard hits its bound
-        // at 100 flows over 128 slots of capacity.
-        assert!(stats.max_occupancy <= 8);
-        assert!(table.evicted <= 4, "pathological clustering: {stats:?}");
-        // Same inputs, same placement: a second table agrees exactly.
-        let mut again = FlowTable::with_geometry(
-            16,
-            8,
-            Duration::from_secs(30),
-            Duration::from_secs(1),
-        );
-        for i in 0..100 {
-            again.observe_flow(flow(i), 64, Instant::from_millis(u64::from(i)));
-        }
-        assert_eq!(again.shard_stats(), stats);
-    }
-
-    #[test]
     fn expire_idle_stops_at_first_live_entry() {
-        let mut table = FlowTable::with_geometry(
-            1,
-            16,
-            Duration::from_secs(5),
-            Duration::from_secs(1),
-        );
+        let mut table = FlowTable::with_capacity(16);
         for i in 0..8 {
             table.observe_flow(flow(i), 64, Instant::from_secs(u64::from(i)));
         }
-        table.expire_idle(Instant::from_secs(9));
-        // Flows observed at t=0..4 are ≥ 5 s idle; 5..7 live on.
+        table.expire_idle(Instant::from_secs(34));
+        // Flows observed at t=0..4 are ≥ 30 s idle; 5..7 live on.
         assert_eq!(table.len(), 3);
         assert_eq!(table.expired, 5);
         assert!(table.get(&flow(4)).is_none());
@@ -734,5 +588,76 @@ mod tests {
             table.frag_unattributed, 1,
             "port memory is volatile state and died with the table"
         );
+    }
+
+    /// What an exact LRU of `capacity` flows holds, most recently seen
+    /// first, and what it has evicted and expired: the brute-force
+    /// reference the table must equal after every step.
+    struct Model {
+        capacity: usize,
+        recency: Vec<(u32, Instant)>,
+        evicted: u64,
+        expired: u64,
+    }
+
+    impl Model {
+        fn observe(&mut self, id: u32, now: Instant) {
+            if let Some(at) = self.recency.iter().position(|&(seen, _)| seen == id) {
+                self.recency.remove(at);
+            } else if self.recency.len() == self.capacity {
+                self.recency.pop();
+                self.evicted += 1;
+            }
+            self.recency.insert(0, (id, now));
+        }
+
+        fn expire_idle(&mut self, now: Instant) {
+            let live = |&(_, seen): &(u32, Instant)| now.duration_since(seen) < IDLE_TIMEOUT;
+            let before = self.recency.len();
+            self.recency.retain(live);
+            self.expired += (before - self.recency.len()) as u64;
+        }
+    }
+
+    #[test]
+    fn the_table_is_an_exact_lru() {
+        for case in 0..16 {
+            let mut rng = catenet_sim::Rng::for_case("the_table_is_an_exact_lru", case);
+            let capacity = 1 + (case % 8) as usize;
+            let mut table = FlowTable::with_capacity(capacity);
+            let mut model = Model {
+                capacity,
+                recency: Vec::new(),
+                evicted: 0,
+                expired: 0,
+            };
+            let mut now = Instant::ZERO;
+            for step in 0..2_000 {
+                now += Duration::from_millis(rng.below(20_000));
+                match rng.below(100) {
+                    0..=79 => {
+                        let id = rng.below(12) as u32;
+                        table.observe_flow(flow(id), 64, now);
+                        model.observe(id, now);
+                    }
+                    80..=97 => {
+                        table.expire_idle(now);
+                        model.expire_idle(now);
+                    }
+                    _ => {
+                        table.lose();
+                        model.recency.clear();
+                    }
+                }
+                let mut live: Vec<FlowId> = model.recency.iter().map(|&(id, _)| flow(id)).collect();
+                live.sort_unstable();
+                let got: Vec<FlowId> = table.iter_sorted().into_iter().map(|(id, _)| *id).collect();
+                let at = format!("case {case}, step {step}");
+                assert_eq!(got, live, "{at}");
+                assert_eq!(table.len(), live.len(), "{at}");
+                assert_eq!(table.evicted, model.evicted, "{at}");
+                assert_eq!(table.expired, model.expired, "{at}");
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! E7 established the *error* of datagram accounting; E8 established
 //! that soft flow state *survives* a crash. This experiment prices the
-//! full subsystem built on those two results — sharded flow tables,
+//! full subsystem built on those two results — bounded LRU flow tables,
 //! epoch-stamped ledgers, cross-boundary usage reports, and the opt-in
 //! CRC32C integrity option — along three axes:
 //!
@@ -18,10 +18,10 @@
 //!    each other to the byte* and sit within one segment of goodput —
 //!    the only inflation a lossless network permits is the ARP warm-up
 //!    drop on an edge LAN, retransmitted end to end.
-//! 2. **Flow churn at 10⁵.** The sharded table absorbs 100 000 distinct
-//!    flows plus follow-on traffic, reporting shard occupancy spread,
-//!    LRU evictions under a deliberately undersized geometry (bounded
-//!    memory is enforced, not hoped for), and per-packet observe cost.
+//! 2. **Flow churn at 10⁵.** The table absorbs 100 000 distinct flows
+//!    plus follow-on traffic, reporting exact-LRU evictions under a
+//!    deliberately undersized capacity (bounded memory is enforced, not
+//!    hoped for) and per-packet observe cost.
 //!    An accounting-on vs accounting-off arm of an E13-style ring then
 //!    prices the fast-path overhead end to end.
 //! 3. **Corruption sweep.** The three corruption classes the Internet
@@ -35,7 +35,7 @@
 
 use crate::table::Table;
 use catenet_accounting::flow::FlowId;
-use catenet_accounting::table::FlowTable;
+use catenet_accounting::table::{FlowTable, DEFAULT_CAPACITY};
 use catenet_core::app::{BulkSender, SinkServer};
 use catenet_core::iface::Framing;
 use catenet_core::{Endpoint, Network, NodeId, TcpConfig};
@@ -51,6 +51,9 @@ const TRANSFER: usize = 200_000;
 const STORM_CRASHES: usize = 3;
 /// Concurrent flows the churn benchmark drives through one table.
 pub const CHURN_FLOWS: usize = 100_000;
+/// The churn benchmark's undersized table: too small for
+/// [`CHURN_FLOWS`], so LRU eviction must engage.
+pub const BOUNDED_CAPACITY: usize = 65_536;
 
 // ---------------------------------------------------------- part 1
 
@@ -222,21 +225,17 @@ fn run_reconcile_config(
 
 // ---------------------------------------------------------- part 2
 
-/// Flow-churn measurements over one sharded table.
+/// Flow-churn measurements over one table.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnResult {
     /// Distinct flows offered.
     pub flows: usize,
     /// Observations performed (first sightings + revisits).
     pub observations: u64,
-    /// Live flows at the end (bounded geometry evicts the rest).
+    /// Live flows at the end (a bounded table evicts the rest).
     pub live: usize,
-    /// Capacity-pressure evictions (0 at default geometry).
+    /// Capacity-pressure evictions (0 at the default capacity).
     pub evicted: u64,
-    /// Emptiest shard occupancy at the end.
-    pub min_occupancy: usize,
-    /// Fullest shard occupancy at the end.
-    pub max_occupancy: usize,
     /// Idle expiries from the final sweep.
     pub expired: u64,
     /// Wall-clock nanoseconds per observation.
@@ -254,12 +253,12 @@ fn churn_flow(i: usize) -> FlowId {
 }
 
 /// Drive [`CHURN_FLOWS`] distinct flows (plus revisit traffic) through
-/// a table. `bounded` selects a deliberately undersized geometry
-/// (64 × 1024 = 65 536 slots) so LRU eviction must engage; the default
-/// geometry (64 × 2048) holds the full set with headroom.
+/// a table. `bounded` selects a deliberately undersized capacity
+/// ([`BOUNDED_CAPACITY`]) so LRU eviction must engage; the default
+/// capacity ([`DEFAULT_CAPACITY`]) holds the full set with headroom.
 pub fn run_churn(flows: usize, bounded: bool) -> ChurnResult {
     let mut table = if bounded {
-        FlowTable::with_geometry(64, 1024, FlowTable::DEFAULT_IDLE, Duration::from_secs(1))
+        FlowTable::with_capacity(BOUNDED_CAPACITY)
     } else {
         FlowTable::new()
     };
@@ -277,7 +276,6 @@ pub fn run_churn(flows: usize, bounded: bool) -> ChurnResult {
         observations += 1;
     }
     let ns_per_observe = t0.elapsed().as_nanos() as f64 / observations as f64;
-    let stats = table.shard_stats();
     let live = table.len();
     let evicted = table.evicted;
     // Final idle sweep far in the future: everything evaporates — the
@@ -288,8 +286,6 @@ pub fn run_churn(flows: usize, bounded: bool) -> ChurnResult {
         observations,
         live,
         evicted,
-        min_occupancy: stats.min_occupancy,
-        max_occupancy: stats.max_occupancy,
         expired: table.expired,
         ns_per_observe,
     }
@@ -487,9 +483,9 @@ pub struct Battery {
     pub storms: Vec<ReconcileRun>,
     /// Clean control arms, one per seed.
     pub cleans: Vec<ReconcileRun>,
-    /// Churn at default geometry (no evictions expected).
+    /// Churn at the default capacity (no evictions expected).
     pub churn_roomy: ChurnResult,
-    /// Churn at undersized geometry (evictions enforced).
+    /// Churn at an undersized capacity (evictions enforced).
     pub churn_bounded: ChurnResult,
     /// Fast-path overhead arms.
     pub overhead: OverheadResult,
@@ -515,7 +511,7 @@ pub fn table(battery: &Battery) -> Table {
         format!(
             "E16 — Accountability subsystem: crash-storm reconciliation \
              (ledgers flushed every {FLUSH_PERIOD}, tails forfeited at crash \
-             instants), {CHURN_FLOWS}-flow churn through the sharded table, \
+             instants), {CHURN_FLOWS}-flow churn through the flow table, \
              and the CRC32C option vs the Internet checksum's blind spots"
         ),
         &["measure", "value", "detail"],
@@ -549,16 +545,16 @@ pub fn table(battery: &Battery) -> Table {
         format!("{exact}/{}", battery.cleans.len()),
         "all gateways identical, within one MSS of goodput, zero loss".into(),
     ]);
-    for (name, churn) in [
-        ("churn (64×2048)", &battery.churn_roomy),
-        ("churn (64×1024)", &battery.churn_bounded),
+    for (capacity, churn) in [
+        (DEFAULT_CAPACITY, &battery.churn_roomy),
+        (BOUNDED_CAPACITY, &battery.churn_bounded),
     ] {
         table.row(vec![
-            name.into(),
+            format!("churn ({capacity} slots)"),
             format!("{} live, {} evicted", churn.live, churn.evicted),
             format!(
-                "occupancy {}..{} per shard, {:.0} ns/observe, {} expired by final sweep",
-                churn.min_occupancy, churn.max_occupancy, churn.ns_per_observe, churn.expired
+                "{:.0} ns/observe, {} expired by final sweep",
+                churn.ns_per_observe, churn.expired
             ),
         ]);
     }
@@ -597,12 +593,11 @@ pub fn table(battery: &Battery) -> Table {
          ledger is wiped by every crash — flushed reports plus forfeited \
          tails conserve every recorded byte. The clean arm's gateways \
          agree to the byte, pinning the bound's slack entirely on \
-         retransmissions. The \
-         sharded table holds 10^5 flows with single-digit occupancy skew; \
-         undersizing it trades flows for memory via exact LRU, never via \
-         failure. The CRC32C arm catches 100% of the corruption classes \
-         the Internet checksum provably accepts, for 8 bytes per data \
-         segment. Wall-clock columns vary run to run; all counters are \
+         retransmissions. The table holds 10^5 flows; undersizing it \
+         trades flows for memory via exact LRU, never via failure. The \
+         CRC32C arm catches 100% of the corruption classes the Internet \
+         checksum provably accepts, for 8 bytes per data segment. \
+         Wall-clock columns vary run to run; all counters are \
          seed-deterministic.",
     );
     table
@@ -648,15 +643,8 @@ pub fn to_json(battery: &Battery, timings: bool) -> String {
     ] {
         out.push_str(&format!(
             "  \"{key}\": {{\"flows\": {}, \"observations\": {}, \"live\": {}, \
-             \"evicted\": {}, \"min_occupancy\": {}, \"max_occupancy\": {}, \
-             \"expired\": {}",
-            churn.flows,
-            churn.observations,
-            churn.live,
-            churn.evicted,
-            churn.min_occupancy,
-            churn.max_occupancy,
-            churn.expired,
+             \"evicted\": {}, \"expired\": {}",
+            churn.flows, churn.observations, churn.live, churn.evicted, churn.expired,
         ));
         if timings {
             out.push_str(&format!(", \"ns_per_observe\": {:.1}", churn.ns_per_observe));
@@ -739,21 +727,18 @@ mod tests {
         let roomy = run_churn(CHURN_FLOWS, false);
         assert_eq!(roomy.live, CHURN_FLOWS);
         assert_eq!(roomy.evicted, 0);
-        // FNV spread: occupancy skew stays tight at ~1562/shard mean.
-        assert!(roomy.min_occupancy >= 1_300, "{roomy:?}");
-        assert!(roomy.max_occupancy <= 1_900, "{roomy:?}");
-        assert_eq!(roomy.expired + roomy.evicted, CHURN_FLOWS as u64);
+        assert_eq!(roomy.expired, CHURN_FLOWS as u64);
 
         let bounded = run_churn(CHURN_FLOWS, true);
-        assert_eq!(bounded.live, 64 * 1024, "bounded at capacity exactly");
-        // At least one eviction per overflowing insert; revisits of
-        // already-evicted flows re-insert and evict again (soft state
-        // re-learns, memory stays bounded — that is the contract).
-        assert!(
-            bounded.evicted >= (CHURN_FLOWS - 64 * 1024) as u64,
-            "evicted {} below the overflow floor",
-            bounded.evicted
+        assert_eq!(
+            bounded.live, BOUNDED_CAPACITY,
+            "bounded at capacity exactly"
         );
+        assert_eq!(bounded.expired, BOUNDED_CAPACITY as u64);
+        // One eviction per overflowing insert (34 464), plus one per
+        // revisit of an already-evicted flow, which re-learns and
+        // evicts again: soft state re-learns, memory stays bounded.
+        assert_eq!(bounded.evicted, 51_696);
     }
 
     #[test]

@@ -68,10 +68,7 @@ pub fn run(seed: u64, flows: usize, outage: Duration) -> SoftStateReport {
         );
         net.attach_app(h_src, Box::new(source));
     }
-    net.node_mut(g).flows = Some(FlowTable::with_params(
-        Duration::from_secs(30),
-        Duration::from_secs(1),
-    ));
+    net.node_mut(g).flows = Some(FlowTable::new());
     net.converge_routing(Duration::from_secs(90));
 
     // Warm up.
@@ -81,12 +78,8 @@ pub fn run(seed: u64, flows: usize, outage: Duration) -> SoftStateReport {
     // Crash and reboot.
     net.crash_node(g);
     net.run_for(outage);
+    // The crash emptied the flow table; it restarts from nothing.
     net.restart_node(g);
-    // Flow software restarts with an empty table.
-    net.node_mut(g).flows = Some(FlowTable::with_params(
-        Duration::from_secs(30),
-        Duration::from_secs(1),
-    ));
     // Routing must also re-converge before traffic resumes through g.
     let reboot_at = net.now();
 

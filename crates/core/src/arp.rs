@@ -144,7 +144,9 @@ impl ArpTable {
             return Resolution::QueueFull;
         }
         resolving.waiting.push(datagram.into());
-        if now < resolving.next_retry {
+        // A resolution out of attempts sends nothing more: the tick
+        // due now gives up on it, this datagram included.
+        if now < resolving.next_retry || resolving.attempts >= MAX_REQUEST_ATTEMPTS {
             return Resolution::Wait;
         }
         resolving.attempts += 1;
@@ -409,6 +411,27 @@ mod tests {
             Resolution::RequestAndWait
         );
         assert_eq!(table.next_event(), Some(now + REQUEST_INTERVAL));
+    }
+
+    #[test]
+    fn a_miss_at_the_give_up_instant_sends_no_sixth_request() {
+        let mut table = ArpTable::new();
+        assert_eq!(
+            resolve(&mut table, IP, b"pkt1", Instant::ZERO),
+            Resolution::RequestAndWait
+        );
+        let mut requests = 1;
+        for secs in [1, 3, 7, 15] {
+            requests += table.tick(Instant::from_secs(secs)).retries.len();
+        }
+        let at = Instant::from_secs(23);
+        assert_eq!(table.next_event(), Some(at), "the give-up is due");
+        assert_eq!(resolve(&mut table, IP, b"pkt2", at), Resolution::Wait);
+        let tick = table.tick(at);
+        assert!(tick.retries.is_empty());
+        assert_eq!(tick.gave_up, vec![(0, IP, 2)]);
+        assert_eq!(requests, MAX_REQUEST_ATTEMPTS as usize);
+        assert!(table.next_event().is_none());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! timers.
 //!
 //! Virtual time is integer microseconds, so the wheel can afford exact
-//! slots: the current *window* is an array of 2^14 one-microsecond
-//! slots (≈ 16.4 ms), and every entry inside the window sits in the
+//! slots: the current *window* is an array of 2^12 one-microsecond
+//! slots (≈ 4.1 ms), and every entry inside the window sits in the
 //! slot matching its exact timestamp. The second level is a ring of
-//! 2^11 per-window buckets covering ≈ 33.6 s of horizon — protocol
+//! 2^13 per-window buckets covering ≈ 33.6 s of horizon — protocol
 //! timers (DV periodics at 3 s, route timeouts at 18 s, TCP
 //! retransmits) land here with a single O(1) array push. Only timers
 //! beyond the horizon fall through to a `BTreeMap` bucketed by window
