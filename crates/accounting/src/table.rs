@@ -262,6 +262,13 @@ impl FlowTable {
         }
     }
 
+    /// When [`expire_idle`](FlowTable::expire_idle) next has work: the
+    /// coldest flow's last sighting plus [`IDLE_TIMEOUT`], or `None`
+    /// for an empty table. O(1), since recency order is idle order.
+    pub fn next_expiry(&self) -> Option<Instant> {
+        (self.tail != NIL).then(|| self.slots[self.tail].state.last_seen + IDLE_TIMEOUT)
+    }
+
     /// Lose everything (gateway crash). The paper's point: this is
     /// *survivable* — the table rebuilds from the traffic itself.
     pub fn lose(&mut self) {
@@ -657,6 +664,8 @@ mod tests {
                 assert_eq!(table.len(), live.len(), "{at}");
                 assert_eq!(table.evicted, model.evicted, "{at}");
                 assert_eq!(table.expired, model.expired, "{at}");
+                let coldest = model.recency.iter().map(|&(_, seen)| seen).min();
+                assert_eq!(table.next_expiry(), coldest.map(|seen| seen + IDLE_TIMEOUT), "{at}");
             }
         }
     }

@@ -153,9 +153,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
                 let report = runner(seed, loss, 20);
                 sent += report.sent;
                 received += report.received;
-                for &v in report.latency_ms.values() {
-                    pooled.record(v);
-                }
+                pooled.merge(&report.latency_ms);
             }
             let loss_pct = 100.0 * (1.0 - received as f64 / sent.max(1) as f64);
             table.row(vec![

@@ -431,7 +431,7 @@ impl Application for CbrSink {
             let latency_us = dgram.at.total_micros().saturating_sub(sent_us);
             self.latencies_ms
                 .lock().unwrap()
-                .record(latency_us as f64 / 1000.0);
+                .record(Duration::from_micros(latency_us));
             *self.received.lock().unwrap() += 1;
             match self.highest_seq {
                 Some(highest) if seq < highest => *self.reordered.lock().unwrap() += 1,
@@ -579,7 +579,7 @@ impl Application for TcpVoiceSink {
             let latency_us = now.total_micros().saturating_sub(sent_us);
             self.latencies_ms
                 .lock().unwrap()
-                .record(latency_us as f64 / 1000.0);
+                .record(Duration::from_micros(latency_us));
             *self.received.lock().unwrap() += 1;
         }
     }
@@ -677,9 +677,7 @@ impl Application for Pinger {
                 catenet_wire::Icmpv4Message::EchoReply { ident, seq_no } if ident == self.ident => {
                     if let Some(sent) = self.sent_at.remove(&seq_no) {
                         let rtt = event.at.duration_since(sent);
-                        self.rtts_ms
-                            .lock().unwrap()
-                            .record(rtt.total_micros() as f64 / 1000.0);
+                        self.rtts_ms.lock().unwrap().record(rtt);
                         *self.replies.lock().unwrap() += 1;
                     }
                 }

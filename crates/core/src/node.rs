@@ -1472,15 +1472,15 @@ impl Node {
 
     /// Whether [`Node::service`] at `now` would do nothing and the node
     /// has nothing to report: it is alive with nothing but timers (no
-    /// TCP socket, flow table or reassembly: a UDP socket holds no work,
-    /// since its datagrams leave at the send), its record is empty, its
-    /// routing version reported, and none of its timers is due. Read
-    /// from the state itself, so it holds whatever touched the node
-    /// before; see DESIGN.md, "What a service pass costs".
+    /// TCP socket or reassembly: a UDP socket holds no work, since its
+    /// datagrams leave at the send), its record is empty, its routing
+    /// version reported, and none of its timers is due — a flow table's
+    /// next idle expiry included. Read from the state itself, so it
+    /// holds whatever touched the node before; see DESIGN.md, "What a
+    /// service pass costs".
     pub(crate) fn is_quiet(&self, now: Instant) -> bool {
         self.alive
             && self.tcp_sockets.is_empty()
-            && self.flows.is_none()
             && self.reassembler.in_progress() == 0
             && self.events.is_empty()
             && self.unreported_version().is_none()
@@ -1488,6 +1488,7 @@ impl Node {
                 !dv.triggered_due() && now < dv.poll_at() && now < dv.next_expiry()
             })
             && self.arp.next_event().is_none_or(|at| at > now)
+            && self.flows.as_ref().is_none_or(|f| f.next_expiry().is_none_or(|at| at > now))
     }
 
     /// The routing-table version, if it moved since the last report.
@@ -1513,15 +1514,14 @@ impl Node {
 
     /// Check, from scratch and without DV's expiry bound, that
     /// [`Node::service`] at `now` would do nothing and that the node has
-    /// nothing to report. ARP answers for itself: its table keeps its
-    /// next event exact. Run on every pass the lane loop skips in a
-    /// debug build.
+    /// nothing to report. ARP and the flow table answer for themselves:
+    /// each keeps its next deadline exact. Run on every pass the lane
+    /// loop skips in a debug build.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_idle(&self, now: Instant) {
         let name = &self.name;
         assert!(self.alive, "{name}: skipped a pass on a dead node");
         assert!(self.tcp_sockets.is_empty(), "{name}: skipped a pass on a node with TCP sockets");
-        assert!(self.flows.is_none(), "{name}: skipped a pass over a flow table");
         assert_eq!(self.reassembler.in_progress(), 0, "{name}: reassembly in progress");
         if let Some(dv) = &self.dv {
             assert!(!dv.triggered_due(), "{name}: triggered update pending");
@@ -1533,6 +1533,10 @@ impl Node {
         assert!(
             self.arp.next_event().is_none_or(|at| at > now),
             "{name}: ARP retry due at {now}"
+        );
+        assert!(
+            self.flows.as_ref().is_none_or(|f| f.next_expiry().is_none_or(|at| at > now)),
+            "{name}: flow expiry due at {now}"
         );
         assert_eq!(self.unreported_version(), None, "{name}: route change unreported");
         assert!(self.events.is_empty(), "{name}: had something to report");
@@ -2708,17 +2712,40 @@ mod tests {
         assert!(gw.is_quiet(now));
 
         // A bound UDP socket is no work: its datagrams leave at the
-        // send. A flow table is work no clock announces.
+        // send.
         let (mut gw, now) = quiet_gateway();
         gw.udp_bind(5000);
         assert!(gw.is_quiet(now), "a bound UDP socket holds no work");
         #[cfg(debug_assertions)]
         gw.assert_idle(now);
+
+        // A flow table is work once its coldest flow has idled for
+        // `IDLE_TIMEOUT`, and not before.
         let (mut gw, now) = quiet_gateway();
         gw.flows = Some(FlowTable::new());
-        assert!(!gw.is_quiet(now));
+        assert!(gw.is_quiet(now), "an empty flow table holds no work");
+        let peer = gw.ifaces[1].peer;
+        gw.handle_frame(now, 0, udp_datagram(Ipv4Address::new(10, 0, 0, 1), peer, 64));
+        assert_eq!(gw.flows.as_ref().unwrap().len(), 1, "the transit flow is seen");
         full_pass(&mut gw, now);
-        assert!(!gw.is_quiet(now), "a flow table stays work");
+        let expiry = now + catenet_accounting::table::IDLE_TIMEOUT;
+        assert_eq!(gw.flows.as_ref().unwrap().next_expiry(), Some(expiry));
+        // Thirty seconds of periodic updates go by, quiet between them.
+        let mut at = now;
+        while let Some(wake) = gw.poll_at(at).filter(|&wake| wake < expiry) {
+            assert!(gw.is_quiet(wake - Duration::from_micros(1)), "quiet before {wake}");
+            full_pass(&mut gw, wake);
+            at = wake;
+        }
+        assert!(gw.poll_at(at) > Some(expiry), "no other timer is due at the expiry");
+        let just_before = expiry - Duration::from_micros(1);
+        assert!(gw.is_quiet(just_before));
+        #[cfg(debug_assertions)]
+        gw.assert_idle(just_before);
+        assert!(!gw.is_quiet(expiry), "the flow's idle expiry is due");
+        full_pass(&mut gw, expiry);
+        assert_eq!(gw.flows.as_ref().unwrap().expired, 1);
+        assert!(gw.is_quiet(expiry));
 
         // An ARP miss while forwarding starts a retry timer: quiet until
         // it is due, and the wake names it.

@@ -23,6 +23,13 @@
 //! operation once topologies grow to hundreds of gateways (experiment
 //! E13).
 //!
+//! Memory: a ring or far bucket holds a buffer only while its window
+//! holds entries (the window's first insert allocates it, paging the
+//! window in frees it), so beyond its fixed slots and ring headers the
+//! wheel holds room for its live entries, not for the busiest window it
+//! has seen. The price is a buffer's growth per occupied window, and at
+//! most 244 windows (one per 4.1 ms) are paged in per virtual second.
+//!
 //! Ordering contract — identical to the heap backend, bit for bit:
 //! entries pop in `(at, seq)` order, so ties at one instant resolve in
 //! insertion order. Within a slot that holds exactly one timestamp,
@@ -64,12 +71,23 @@ pub(crate) struct WheelEntry<E> {
     pub event: E,
 }
 
-/// A far-overflow bucket: every entry of one future window, in
-/// insertion order, with the bucket's minimum timestamp tracked so
-/// peeking never has to scan.
+/// A ring or far bucket: every entry of one future window, in
+/// insertion order, with the bucket's minimum timestamp beside the
+/// entries' `Vec` header so peeking never has to scan and an insert
+/// touches one location. The buffer lives only while the window holds
+/// entries (see the module docs).
 struct Bucket<E> {
     min_at: u64,
     entries: Vec<WheelEntry<E>>,
+}
+
+impl<E> Bucket<E> {
+    fn empty() -> Bucket<E> {
+        Bucket {
+            min_at: u64::MAX,
+            entries: Vec::new(),
+        }
+    }
 }
 
 /// One exact-microsecond slot. The first entry at the instant lives
@@ -80,14 +98,6 @@ struct Bucket<E> {
 struct Slot<E> {
     rest: Vec<WheelEntry<E>>,
     head: Option<WheelEntry<E>>,
-}
-
-/// A second-level ring bucket: one future window's entries in insertion
-/// order, with the minimum timestamp cached inline (same cache line as
-/// the entries' `Vec` header, so an insert touches one bucket location).
-struct L2Bucket<E> {
-    min_at: u64,
-    entries: Vec<WheelEntry<E>>,
 }
 
 /// Counters describing what the wheel has done (for E13 reporting).
@@ -121,18 +131,11 @@ pub(crate) struct TimerWheel<E> {
     /// by `window & L2_MASK`. A bucket holds at most one window's worth
     /// of entries at a time (the wheel never advances past an occupied
     /// bucket without draining it, so ring laps cannot mix).
-    l2: Vec<L2Bucket<E>>,
+    l2: Vec<Bucket<E>>,
     /// Occupancy bit per ring bucket.
     l2_bits: [u64; L2_WORDS],
     /// Beyond the horizon: window index → bucket.
     far: BTreeMap<u64, Bucket<E>>,
-    /// Drained ring and far buffers, empty but with their capacity, for
-    /// the next bucket's first push to take. Handing a buffer back to
-    /// the bucket it came from instead would park one high-water buffer
-    /// in each of the ring's buckets per lap — memory proportional to
-    /// virtual time. Through this list the wheel holds at most as many
-    /// buffers as windows were ever occupied at once.
-    spare: Vec<Vec<WheelEntry<E>>>,
     len: usize,
     stats: WheelStats,
 }
@@ -152,15 +155,9 @@ impl<E> TimerWheel<E> {
             current: VecDeque::new(),
             current_at: 0,
             current_slot: 0,
-            l2: (0..L2_WINDOWS)
-                .map(|_| L2Bucket {
-                    min_at: u64::MAX,
-                    entries: Vec::new(),
-                })
-                .collect(),
+            l2: (0..L2_WINDOWS).map(|_| Bucket::empty()).collect(),
             l2_bits: [0; L2_WORDS],
             far: BTreeMap::new(),
-            spare: Vec::new(),
             len: 0,
             stats: WheelStats::default(),
         }
@@ -204,18 +201,11 @@ impl<E> TimerWheel<E> {
         if window - self.cur_window < L2_WINDOWS as u64 {
             let idx = (window & L2_MASK) as usize;
             let bucket = &mut self.l2[idx];
-            if bucket.entries.capacity() == 0 {
-                bucket.entries = self.spare.pop().unwrap_or_default();
-            }
             bucket.min_at = bucket.min_at.min(at);
             bucket.entries.push(WheelEntry { at, seq, event });
             self.l2_bits[idx / 64] |= 1u64 << (idx % 64);
         } else {
-            let spare = &mut self.spare;
-            let bucket = self.far.entry(window).or_insert_with(|| Bucket {
-                min_at: u64::MAX,
-                entries: spare.pop().unwrap_or_default(),
-            });
+            let bucket = self.far.entry(window).or_insert_with(Bucket::empty);
             bucket.min_at = bucket.min_at.min(at);
             bucket.entries.push(WheelEntry { at, seq, event });
         }
@@ -316,19 +306,18 @@ impl<E> TimerWheel<E> {
             }
             if l2_next == Some(window) {
                 let idx = (window & L2_MASK) as usize;
-                let entries = core::mem::take(&mut self.l2[idx].entries);
-                self.l2[idx].min_at = u64::MAX;
+                let bucket = core::mem::replace(&mut self.l2[idx], Bucket::empty());
                 self.l2_bits[idx / 64] &= !(1u64 << (idx % 64));
-                self.distribute(window, entries);
+                self.distribute(window, bucket.entries);
             }
         }
     }
 
-    /// Scatter one window's bucket into the exact slots and keep the
-    /// emptied buffer as a spare (no realloc churn, see `spare`).
-    fn distribute(&mut self, window: u64, mut entries: Vec<WheelEntry<E>>) {
+    /// Scatter one window's bucket into the exact slots; its buffer is
+    /// freed (see [`Bucket`]).
+    fn distribute(&mut self, window: u64, entries: Vec<WheelEntry<E>>) {
         self.stats.distributed += entries.len() as u64;
-        for entry in entries.drain(..) {
+        for entry in entries {
             debug_assert_eq!(entry.at >> WINDOW_BITS, window);
             let slot = (entry.at & SLOT_MASK) as usize;
             let s = &mut self.slots[slot];
@@ -340,7 +329,6 @@ impl<E> TimerWheel<E> {
             }
             self.set_bit(slot);
         }
-        self.spare.push(entries);
     }
 
     /// Drop every pending entry. Window position is retained, so the
@@ -363,10 +351,7 @@ impl<E> TimerWheel<E> {
             let mut bits = self.l2_bits[word];
             while bits != 0 {
                 let idx = word * 64 + bits.trailing_zeros() as usize;
-                let mut entries = core::mem::take(&mut self.l2[idx].entries);
-                entries.clear();
-                self.spare.push(entries);
-                self.l2[idx].min_at = u64::MAX;
+                self.l2[idx] = Bucket::empty();
                 bits &= bits - 1;
             }
             self.l2_bits[word] = 0;
@@ -552,10 +537,37 @@ mod tests {
     }
 
     /// Buffers the wheel holds on to: one per ring or far bucket with
-    /// capacity, plus the spares.
+    /// capacity.
     fn retained_buffers<E>(wheel: &TimerWheel<E>) -> usize {
         let ring = wheel.l2.iter().filter(|b| b.entries.capacity() > 0).count();
-        ring + wheel.far.len() + wheel.spare.len()
+        ring + wheel.far.len()
+    }
+
+    /// Entries the ring and far buffers have room for.
+    fn retained_capacity<E>(wheel: &TimerWheel<E>) -> usize {
+        let ring: usize = wheel.l2.iter().map(|b| b.entries.capacity()).sum();
+        ring + wheel.far.values().map(|b| b.entries.capacity()).sum::<usize>()
+    }
+
+    #[test]
+    fn a_drained_window_leaves_no_room_behind() {
+        // A busy window: 4,096 timers in the ring, one per slot.
+        let mut wheel = TimerWheel::new();
+        let busy = 2u64 << WINDOW_BITS;
+        for seq in 0..SLOTS as u64 {
+            wheel.insert(busy + seq, seq, ());
+        }
+        assert!(retained_capacity(&wheel) >= SLOTS);
+        assert_eq!(wheel.pop().unwrap().at, busy, "the busy window is paged in");
+        while wheel.pop().is_some() {}
+        // One timer 3 s out, as a DV periodic: room for it, not for the
+        // window drained before it. Far beyond the horizon, the same.
+        let now = busy + SLOT_MASK;
+        wheel.insert(now + 3_000_000, SLOTS as u64, ());
+        assert_eq!(wheel.len(), 1);
+        assert!(retained_capacity(&wheel) <= 4, "{} entries of room", retained_capacity(&wheel));
+        wheel.insert(now + ((L2_WINDOWS as u64 + 1) << WINDOW_BITS), SLOTS as u64 + 1, ());
+        assert!(retained_capacity(&wheel) <= 8, "{} entries of room", retained_capacity(&wheel));
     }
 
     #[test]

@@ -70,9 +70,12 @@ const LINGER: std::time::Duration = std::time::Duration::from_micros(100);
 /// the bound on how long dropping a tunnel takes.
 const READER_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(25);
 
-/// How reader threads wake the pump: they count what they queued and
+/// How reader threads wake the pump: they count what they queue and
 /// unpark whichever thread last entered [`RealSubstrate::run_until`].
 ///
+/// A frame is counted before it can be taken and the pump uncounts
+/// only what it took, so the count is never below zero, whatever the
+/// interleaving. The unpark comes after the frame is queued, and
 /// `unpark` leaves a token when the pump is not parked yet, so a frame
 /// queued between the pump's last look at its rings and its
 /// `park_timeout` makes that park return at once: drain-then-park
@@ -91,15 +94,21 @@ impl Doorbell {
         *self.pump.lock().unwrap_or_else(PoisonError::into_inner) = Some(thread::current());
     }
 
-    /// A reader queued one frame.
-    fn ring(&self) {
-        // SeqCst pairs with `waiting()`: the channel push before this
-        // add is visible to a pump that reads the new count.
+    /// A reader queues one frame with `queue`, which says whether it
+    /// went, and wakes the pump if it did. The count goes up first: the
+    /// pump may take the frame the moment `queue` pushes it, and
+    /// uncounts it when it does.
+    fn publish(&self, queue: impl FnOnce() -> bool) -> bool {
         let waiting = self.waiting.fetch_add(1, Ordering::SeqCst) + 1;
+        if !queue() {
+            self.waiting.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
         self.high_water.fetch_max(waiting, Ordering::Relaxed);
         if let Some(pump) = &*self.pump.lock().unwrap_or_else(PoisonError::into_inner) {
             pump.unpark();
         }
+        true
     }
 
     /// The pump took one frame.
@@ -359,10 +368,9 @@ impl ReaderLoop {
                     Err(unused) => spare = unused,
                 }
             };
-            if self.filled.try_send(frame).is_err() {
+            if !self.doorbell.publish(|| self.filled.try_send(frame).is_ok()) {
                 return; // the tunnel is gone
             }
-            self.doorbell.ring();
         }
     }
 }
@@ -825,5 +833,31 @@ mod tests {
         let (verdict, _) = accept(7, &mut stats, &tunnel::encode(8, b"x"), spare(&pool));
         assert_eq!(verdict.expect_err("wrong link").len(), 0);
         assert_eq!((stats.accepted, stats.wrong_link), (2, 1));
+    }
+
+    /// The losing order: the pump takes a frame and counts it taken
+    /// between the reader's push and the rest of its publish. The
+    /// count must read zero there, not wrap below it (which panics a
+    /// debug build's reader on its next add).
+    #[test]
+    fn a_frame_taken_before_its_reader_returns_leaves_the_count_at_zero() {
+        let bell = Doorbell::default();
+        let (filled, taken) = sync_channel(1);
+        let published = bell.publish(|| {
+            filled.try_send(()).is_ok() && {
+                taken.try_recv().expect("the frame is queued");
+                bell.took();
+                assert_eq!(bell.waiting(), 0, "taken before its reader returned");
+                true
+            }
+        });
+        assert!(published);
+        assert_eq!(bell.waiting(), 0);
+        assert_eq!(bell.high_water.load(Ordering::Relaxed), 1);
+
+        // A push that fails takes its count back.
+        drop(taken);
+        assert!(!bell.publish(|| filled.try_send(()).is_ok()));
+        assert_eq!(bell.waiting(), 0);
     }
 }
