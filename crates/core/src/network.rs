@@ -2013,25 +2013,19 @@ mod tests {
         );
         net.attach_fault_plan(plan);
         net.run_until(Instant::from_secs(3));
-        let rows = net.telemetry().sampler.rows();
-        let at_fault: Vec<_> = rows
-            .iter()
-            .filter(|s| {
-                s.at == Instant::from_millis(1_500) && s.metric == "faults_applied"
-            })
-            .collect();
+        let heartbeats: Vec<_> = net.telemetry().sampler.series("faults_applied").collect();
+        let at = |ms| -> Vec<_> {
+            heartbeats
+                .iter()
+                .filter(|s| s.at == Instant::from_millis(ms))
+                .collect()
+        };
+        let at_fault = at(1_500);
         assert_eq!(at_fault.len(), 1, "exactly one heartbeat at the boundary");
         assert_eq!(at_fault[0].value, 1, "fault applied before the sample");
-        let before: Vec<_> = rows
-            .iter()
-            .filter(|s| {
-                s.at == Instant::from_millis(1_000) && s.metric == "faults_applied"
-            })
-            .collect();
-        assert_eq!(before[0].value, 0, "previous sample predates the fault");
+        assert_eq!(at(1_000)[0].value, 0, "previous sample predates the fault");
         // Cadence kept ticking: samples at 0.5, 1.0, 1.5, 2.0, 2.5, 3.0 s.
-        let heartbeat = rows.iter().filter(|s| s.metric == "faults_applied").count();
-        assert_eq!(heartbeat, 6);
+        assert_eq!(heartbeats.len(), 6);
     }
 
     #[test]
