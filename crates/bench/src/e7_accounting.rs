@@ -66,7 +66,7 @@ pub fn run(seed: u64, loss: f64, transfer: usize) -> AccountingReport {
     );
     net.connect(g2, h2, LinkClass::EthernetLan);
     // g1 is the billing gateway.
-    net.node_mut(g1).ledger = Some(Ledger::new());
+    net.node_mut(g1).ledger = Some(Box::new(Ledger::new()));
     net.converge_routing(Duration::from_secs(60));
     let start = net.now();
 

@@ -68,7 +68,7 @@ pub fn run(seed: u64, flows: usize, outage: Duration) -> SoftStateReport {
         );
         net.attach_app(h_src, Box::new(source));
     }
-    net.node_mut(g).flows = Some(FlowTable::new());
+    net.node_mut(g).flows = Some(Box::new(FlowTable::new()));
     net.converge_routing(Duration::from_secs(90));
 
     // Warm up.

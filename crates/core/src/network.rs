@@ -547,10 +547,10 @@ impl Network {
             let node = &mut slot.node;
             if node.role == NodeRole::Gateway {
                 if node.flows.is_none() {
-                    node.flows = Some(FlowTable::new());
+                    node.flows = Some(Box::new(FlowTable::new()));
                 }
                 if node.ledger.is_none() {
-                    node.ledger = Some(Ledger::new());
+                    node.ledger = Some(Box::new(Ledger::new()));
                 }
             }
         }

@@ -147,10 +147,12 @@ pub struct Node {
     pub udp_sockets: Vec<UdpSocket>,
     /// TCP sockets.
     pub tcp_sockets: Vec<TcpSocket>,
-    /// Soft-state flow table (gateways, when enabled).
-    pub flows: Option<FlowTable>,
+    /// Soft-state flow table (gateways, when enabled). Boxed, as is the
+    /// ledger: most runs enable neither, and inline the two would cost
+    /// every node their size.
+    pub flows: Option<Box<FlowTable>>,
     /// Accounting ledger (gateways, when enabled).
-    pub ledger: Option<Ledger>,
+    pub ledger: Option<Box<Ledger>>,
     /// Virtual-circuit mode (baseline): per-connection forwarding state.
     pub vc_table: Option<HashMap<FlowId, usize>>,
     /// ICMP messages awaiting the application, newest last; bounded by
@@ -2273,7 +2275,7 @@ mod tests {
             gw.dv.as_mut().unwrap().add_connected(prefix, 1);
         }
         let routes = |gw: &Node| -> Vec<_> {
-            gw.dv.as_ref().unwrap().routes().map(|(p, r)| (*p, *r)).collect()
+            gw.dv.as_ref().unwrap().routes().map(|(p, r)| (*p, r.clone())).collect()
         };
         let victim = Ipv4Cidr::new(Ipv4Address::new(10, 9, 0, 0), 16);
         let lies = |page: &RipMessage| page.entries.contains(&RipEntry::new(victim, 0));
@@ -2722,7 +2724,7 @@ mod tests {
         // A flow table is work once its coldest flow has idled for
         // `IDLE_TIMEOUT`, and not before.
         let (mut gw, now) = quiet_gateway();
-        gw.flows = Some(FlowTable::new());
+        gw.flows = Some(Box::new(FlowTable::new()));
         assert!(gw.is_quiet(now), "an empty flow table holds no work");
         let peer = gw.ifaces[1].peer;
         gw.handle_frame(now, 0, udp_datagram(Ipv4Address::new(10, 0, 0, 1), peer, 64));

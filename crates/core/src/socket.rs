@@ -66,9 +66,17 @@ impl UdpSocket {
 
     /// (Stack side.) Deliver a received datagram; drop-tail on
     /// overflow. Returns whether it was queued: the node counts a drop.
+    ///
+    /// The first datagram reserves exactly one slot, not the four a
+    /// `VecDeque` starts with: a sink that reads every datagram as it
+    /// arrives never holds more than one, and a busy one grows by
+    /// doubling as before.
     pub fn deliver(&mut self, from: Endpoint, at: Instant, payload: PacketBuf) -> bool {
         if self.rx.len() >= DEFAULT_RX_QUEUE {
             return false;
+        }
+        if self.rx.capacity() == 0 {
+            self.rx.reserve_exact(1);
         }
         self.rx.push_back(UdpDatagram { from, at, payload });
         true
@@ -101,6 +109,22 @@ mod tests {
         let b = sock.recv().unwrap();
         assert_eq!(&b.payload[..], b"second");
         assert!(sock.recv().is_none());
+    }
+
+    #[test]
+    fn one_queued_datagram_takes_one_slot_and_a_burst_still_queues() {
+        let mut sock = UdpSocket::bind(4000);
+        assert_eq!(sock.rx.capacity(), 0, "an unused socket holds no queue");
+        assert!(sock.deliver(ep(1), Instant::ZERO, buf(b"one")));
+        assert_eq!(sock.rx.capacity(), 1);
+        assert_eq!(&sock.recv().unwrap().payload[..], b"one");
+        for i in 0..64u8 {
+            assert!(sock.deliver(ep(1), Instant::ZERO, buf(&[i])), "datagram {i}");
+        }
+        assert_eq!(sock.rx_queue_len(), 64);
+        for i in 0..64u8 {
+            assert_eq!(&sock.recv().unwrap().payload[..], &[i]);
+        }
     }
 
     #[test]

@@ -14,20 +14,22 @@ use catenet_ip::RoutingTable;
 use catenet_sim::{Duration, Instant};
 use catenet_wire::{Ipv4Address, Ipv4Cidr};
 
-/// Where a route points.
+/// Where a route points. The interface index is a `u16`, so a next hop
+/// is eight bytes; [`DvEngine`] refuses a larger index loudly where it
+/// stores one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NextHop {
     /// The prefix is directly attached via the given interface index.
     Connected {
         /// Local interface index.
-        iface: usize,
+        iface: u16,
     },
     /// Reachable via a neighbor gateway.
     Via {
         /// The neighbor's address.
         gateway: Ipv4Address,
         /// Local interface index toward that neighbor.
-        iface: usize,
+        iface: u16,
     },
 }
 
@@ -35,8 +37,8 @@ impl NextHop {
     /// The local interface this route uses.
     pub fn iface(&self) -> usize {
         match *self {
-            NextHop::Connected { iface } => iface,
-            NextHop::Via { iface, .. } => iface,
+            NextHop::Connected { iface } => usize::from(iface),
+            NextHop::Via { iface, .. } => usize::from(iface),
         }
     }
 
@@ -49,8 +51,9 @@ impl NextHop {
     }
 }
 
-/// One learned (or connected) route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One learned (or connected) route: 32 bytes, 40 with its prefix in
+/// the table.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DvRoute {
     /// Forwarding target.
     pub next_hop: NextHop,
@@ -63,8 +66,15 @@ pub struct DvRoute {
     /// The origin attestation the route arrived with, stored so
     /// re-advertisements propagate the origin's proof hop by hop
     /// (refreshed on every update from the current next hop, so serials
-    /// keep advancing through the fabric).
-    pub attestation: Option<Attestation>,
+    /// keep advancing through the fabric). Boxed: only attested runs
+    /// carry one, and inline it would be a third of every route.
+    pub attestation: Option<Box<Attestation>>,
+}
+
+/// `iface` as a [`NextHop`] stores it; an index past `u16::MAX` is a
+/// topology no experiment builds, so it panics rather than truncate.
+fn iface_index(iface: usize) -> u16 {
+    u16::try_from(iface).unwrap_or_else(|_| panic!("interface index {iface} exceeds u16::MAX"))
 }
 
 /// Export policy toward one class of neighbor — the paper's
@@ -206,6 +216,7 @@ impl DvEngine {
 
     /// Declare a directly connected network on `iface`.
     pub fn add_connected(&mut self, prefix: Ipv4Cidr, iface: usize) {
+        let iface = iface_index(iface);
         self.table.insert(
             prefix,
             DvRoute {
@@ -233,7 +244,8 @@ impl DvEngine {
                 // triggered update never carries this withdrawal and
                 // neighbours wait out their route timeout. A known
                 // defect, kept because fixing it moves E11/E12 results
-                // (ROADMAP.md item 6, "withdrawn connected prefix").
+                // (ROADMAP.md's recorded protocol defects: "withdrawn
+                // connected prefix").
                 route.expires_at = Instant::ZERO;
                 self.next_expiry = Instant::ZERO;
                 self.trigger_pending = true;
@@ -319,6 +331,10 @@ impl DvEngine {
             entries
         };
         let mut changed_any = false;
+        let via = NextHop::Via {
+            gateway,
+            iface: iface_index(iface),
+        };
         for entry in entries {
             let advertised = entry.metric.saturating_add(1).min(INFINITY_METRIC);
             let prefix = entry.prefix.network();
@@ -335,7 +351,7 @@ impl DvEngine {
                         // Take the refreshed attestation even when the
                         // metric is unchanged: the origin's serial keeps
                         // advancing and downstream verifiers track it.
-                        route.attestation = entry.attestation;
+                        route.attestation = entry.attestation.map(Box::new);
                         if route.metric != advertised {
                             route.metric = advertised;
                             route.changed = true;
@@ -347,11 +363,11 @@ impl DvEngine {
                         self.next_expiry = self.next_expiry.min(route.expires_at);
                     } else if advertised < route.metric {
                         *route = DvRoute {
-                            next_hop: NextHop::Via { gateway, iface },
+                            next_hop: via,
                             metric: advertised,
                             expires_at: now + DvConfig::ROUTE_TIMEOUT,
                             changed: true,
-                            attestation: entry.attestation,
+                            attestation: entry.attestation.map(Box::new),
                         };
                         self.next_expiry = self.next_expiry.min(route.expires_at);
                         changed_any = true;
@@ -363,11 +379,11 @@ impl DvEngine {
                         self.table.insert(
                             prefix,
                             DvRoute {
-                                next_hop: NextHop::Via { gateway, iface },
+                                next_hop: via,
                                 metric: advertised,
                                 expires_at,
                                 changed: true,
-                                attestation: entry.attestation,
+                                attestation: entry.attestation.map(Box::new),
                             },
                         );
                         self.next_expiry = self.next_expiry.min(expires_at);
@@ -479,7 +495,7 @@ impl DvEngine {
             } else if matches!(route.next_hop, NextHop::Connected { .. }) {
                 self.attestor.as_ref().map(|a| a.sign(*prefix))
             } else {
-                route.attestation
+                route.attestation.as_deref().copied()
             };
             entries.push(RipEntry {
                 prefix: *prefix,
@@ -962,8 +978,8 @@ mod tests {
             Instant::ZERO,
         );
         assert_eq!(
-            dv.lookup(addr("10.3.1.1")).unwrap().attestation,
-            Some(proof)
+            dv.lookup(addr("10.3.1.1")).unwrap().attestation.as_deref(),
+            Some(&proof)
         );
         // The proof rides the re-advertisement unchanged.
         let ads = dv.advertisement_for(1, &ExportPolicy::All, true);
@@ -980,7 +996,7 @@ mod tests {
             &[RipEntry::attested(cidr("10.3.0.0/16"), 1, newer)],
             Instant::ZERO,
         );
-        assert_eq!(dv.lookup(addr("10.3.1.1")).unwrap().attestation, Some(newer));
+        assert_eq!(dv.lookup(addr("10.3.1.1")).unwrap().attestation.as_deref(), Some(&newer));
     }
 
     #[test]
@@ -996,6 +1012,20 @@ mod tests {
         // Time never runs backwards, and neither does the serial.
         dv.advertisements_sent(Instant::ZERO + Duration::from_secs(15));
         assert_eq!(dv.attestor().unwrap().seq(), 21);
+    }
+
+    #[test]
+    fn a_route_entry_is_at_most_40_bytes() {
+        assert!(std::mem::size_of::<(Ipv4Cidr, DvRoute)>() <= 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "interface index 65536 exceeds u16::MAX")]
+    fn an_interface_index_past_u16_is_refused_where_its_route_is_added() {
+        let mut dv = engine();
+        dv.add_connected(cidr("10.1.0.0/16"), usize::from(u16::MAX));
+        assert_eq!(dv.lookup(addr("10.1.0.1")).unwrap().next_hop.iface(), 65_535);
+        dv.add_connected(cidr("10.2.0.0/16"), 65_536);
     }
 
     #[test]

@@ -10,18 +10,40 @@ use crate::time::Duration;
 /// An accumulating set of durations with summary accessors in
 /// milliseconds.
 ///
-/// A sample is kept as whole microseconds in a `u32`, half of what an
-/// `f64` or a [`Duration`] costs: a sink keeps one per datagram it
-/// receives, and a topology with ten thousand sinks holds more of them
-/// than of anything else. Every accessor reads a sample back as
-/// `micros as f64 / 1000.0`, in recording order, so each figure is
-/// computed from exactly the `f64` milliseconds a caller converting at
-/// the sample would have recorded. The conversion preserves order, so
-/// percentiles sort the integers.
-#[derive(Clone, Default)]
+/// A sample is kept as whole microseconds: a sink keeps one per datagram
+/// it receives, and a topology with ten thousand sinks holds more of
+/// them than of anything else. A path's latencies spread over a few
+/// milliseconds, so a set stores each as a `u16` offset from a base its
+/// first sample sets (half the offset range below that sample), and
+/// widens itself to whole `u32` microseconds the first time a sample
+/// falls outside `base ..= base + 65,535 µs`. Every accessor reads a
+/// sample back as `micros as f64 / 1000.0`, in recording order, so each
+/// figure is computed from exactly the `f64` milliseconds a caller
+/// converting at the sample would have recorded. The conversion
+/// preserves order, so percentiles sort the integers.
+#[derive(Clone)]
 pub struct Summary {
-    micros: Vec<u32>,
+    samples: Samples,
 }
+
+/// A [`Summary`]'s samples, in recording order.
+#[derive(Clone)]
+enum Samples {
+    /// Every sample is `base + offset` µs.
+    Narrow { base: u32, offsets: Vec<u16> },
+    /// Whole microseconds.
+    Wide(Vec<u32>),
+}
+
+impl Default for Summary {
+    fn default() -> Summary {
+        Summary::new()
+    }
+}
+
+/// How far below its first sample a set's base lies: half the `u16`
+/// range, so samples on either side of the first one stay narrow.
+const BASE_BELOW_FIRST: u32 = 1 << 15;
 
 /// A sample as the milliseconds every accessor reports.
 fn millis(micros: u32) -> f64 {
@@ -31,7 +53,12 @@ fn millis(micros: u32) -> f64 {
 impl Summary {
     /// An empty summary.
     pub fn new() -> Summary {
-        Summary { micros: Vec::new() }
+        Summary {
+            samples: Samples::Narrow {
+                base: 0,
+                offsets: Vec::new(),
+            },
+        }
     }
 
     /// Record one sample. A sample of 2^32 µs (about 71.6 minutes) or
@@ -41,64 +68,97 @@ impl Summary {
         let micros = sample.total_micros();
         let micros = u32::try_from(micros)
             .unwrap_or_else(|_| panic!("sample of {micros} µs does not fit in 2^32 µs"));
-        self.micros.push(micros);
+        self.push(micros);
+    }
+
+    fn push(&mut self, micros: u32) {
+        match &mut self.samples {
+            Samples::Narrow { base, offsets } => {
+                if offsets.is_empty() {
+                    *base = micros.saturating_sub(BASE_BELOW_FIRST);
+                }
+                match micros.checked_sub(*base).and_then(|d| u16::try_from(d).ok()) {
+                    Some(offset) => offsets.push(offset),
+                    None => {
+                        let narrow = offsets.iter().map(|&offset| *base + u32::from(offset));
+                        self.samples = Samples::Wide(narrow.chain([micros]).collect());
+                    }
+                }
+            }
+            Samples::Wide(wide) => wide.push(micros),
+        }
     }
 
     /// Record every sample of `other`, after this set's own.
     pub fn merge(&mut self, other: &Summary) {
-        self.micros.extend_from_slice(&other.micros);
+        for micros in other.micros() {
+            self.push(micros);
+        }
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.micros.len()
+        match &self.samples {
+            Samples::Narrow { offsets, .. } => offsets.len(),
+            Samples::Wide(wide) => wide.len(),
+        }
     }
 
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.micros.is_empty()
+        self.count() == 0
+    }
+
+    /// The samples in whole microseconds, in recording order.
+    fn micros(&self) -> impl Iterator<Item = u32> + '_ {
+        let (base, offsets, wide): (u32, &[u16], &[u32]) = match &self.samples {
+            Samples::Narrow { base, offsets } => (*base, offsets, &[]),
+            Samples::Wide(wide) => (0, &[], wide),
+        };
+        let narrow = offsets.iter().map(move |&offset| base + u32::from(offset));
+        narrow.chain(wide.iter().copied())
     }
 
     /// The samples in milliseconds, in recording order.
     fn samples(&self) -> impl Iterator<Item = f64> + '_ {
-        self.micros.iter().map(|&us| millis(us))
+        self.micros().map(millis)
     }
 
     /// Arithmetic mean, or 0 for an empty set.
     pub fn mean(&self) -> f64 {
-        if self.micros.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.total() / self.micros.len() as f64
+        self.total() / self.count() as f64
     }
 
     /// Sample standard deviation (n−1 denominator), or 0 with <2 samples.
     pub fn stddev(&self) -> f64 {
-        if self.micros.len() < 2 {
+        if self.count() < 2 {
             return 0.0;
         }
         let mean = self.mean();
         let var = self.samples().map(|v| (v - mean) * (v - mean)).sum::<f64>()
-            / (self.micros.len() - 1) as f64;
+            / (self.count() - 1) as f64;
         var.sqrt()
     }
 
     /// Smallest sample, or 0 for an empty set.
     pub fn min(&self) -> f64 {
-        self.micros.iter().min().map_or(0.0, |&us| millis(us))
+        self.micros().min().map_or(0.0, millis)
     }
 
     /// Largest sample, or 0 for an empty set.
     pub fn max(&self) -> f64 {
-        self.micros.iter().max().map_or(0.0, |&us| millis(us))
+        self.micros().max().map_or(0.0, millis)
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank on the sorted samples.
     pub fn percentile(&self, q: f64) -> f64 {
-        if self.micros.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        let mut sorted = self.micros.clone();
+        let mut sorted: Vec<u32> = self.micros().collect();
         sorted.sort_unstable();
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
@@ -320,6 +380,40 @@ mod tests {
         }
     }
 
+    /// Every figure of `summary` equals the reference's for `micros`.
+    fn assert_same_figures(case: &str, summary: &Summary, micros: &[u64]) {
+        let reference = reference::Summary {
+            values: micros.iter().map(|&us| us as f64 / 1000.0).collect(),
+        };
+        let same = |name: &str, got: f64, want: f64| {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{case}: {name} {got} != {want}"
+            );
+        };
+        same("mean", summary.mean(), reference.mean());
+        same("stddev", summary.stddev(), reference.stddev());
+        same("min", summary.min(), reference.min());
+        same("max", summary.max(), reference.max());
+        same("total", summary.total(), reference.total());
+        for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
+            same("percentile", summary.percentile(q), reference.percentile(q));
+        }
+        assert_eq!(summary.count(), reference.values.len());
+        assert_eq!(summary.to_string(), reference.display(), "{case}");
+        assert_eq!(format!("{summary:?}"), format!("{reference:?}"), "{case}");
+        assert_eq!(format!("{summary:#?}"), format!("{reference:#?}"), "{case}");
+    }
+
+    fn summary_of(micros: &[u64]) -> Summary {
+        micros.iter().map(|&us| Duration::from_micros(us)).collect()
+    }
+
+    fn is_wide(summary: &Summary) -> bool {
+        matches!(summary.samples, Samples::Wide(_))
+    }
+
     #[test]
     fn every_figure_equals_the_f64_reference_bit_for_bit() {
         for case in 0..256 {
@@ -329,37 +423,51 @@ mod tests {
             let bound = [10, 1_000, 300_000, 1 << 32][case as usize % 4];
             let count = rng.below(300) as usize;
             let micros: Vec<u64> = (0..count).map(|_| rng.below(bound)).collect();
-            let summary: Summary = micros.iter().map(|&us| Duration::from_micros(us)).collect();
-            let reference = reference::Summary {
-                values: micros.iter().map(|&us| us as f64 / 1000.0).collect(),
+            assert_same_figures(&format!("case {case}"), &summary_of(&micros), &micros);
+
+            // A set that widens mid-set: samples within a few ms of the
+            // first, then one just outside `base ..= base + 65,535`
+            // (above on even cases, below on odd ones), then more.
+            let first = (1 << 16) + rng.below(1 << 31);
+            let base = first - u64::from(BASE_BELOW_FIRST);
+            let near = |rng: &mut Rng| first - 3_000 + rng.below(6_000);
+            let before = 1 + rng.below(150) as usize;
+            let mut micros = vec![first];
+            micros.extend((1..before).map(|_| near(&mut rng)));
+            // The range's two ends still fit.
+            micros.extend([base, base + 65_535]);
+            let mut summary = summary_of(&micros);
+            assert!(!is_wide(&summary), "case {case}: widened inside the range");
+            let outlier = if case % 2 == 0 {
+                base + 65_536 + rng.below(1 << 20)
+            } else {
+                base - 1 - rng.below(base)
             };
-            let same = |name: &str, got: f64, want: f64| {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "case {case}: {name} {got} != {want}"
-                );
-            };
-            same("mean", summary.mean(), reference.mean());
-            same("stddev", summary.stddev(), reference.stddev());
-            same("min", summary.min(), reference.min());
-            same("max", summary.max(), reference.max());
-            same("total", summary.total(), reference.total());
-            for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
-                same("percentile", summary.percentile(q), reference.percentile(q));
+            micros.push(outlier);
+            summary.record(Duration::from_micros(outlier));
+            assert!(is_wide(&summary), "case {case}: {outlier} µs stayed narrow");
+            for _ in 0..rng.below(150) {
+                let us = near(&mut rng);
+                micros.push(us);
+                summary.record(Duration::from_micros(us));
             }
-            assert_eq!(summary.count(), reference.values.len());
-            assert_eq!(summary.to_string(), reference.display(), "case {case}");
-            assert_eq!(
-                format!("{summary:?}"),
-                format!("{reference:?}"),
-                "case {case}"
-            );
-            assert_eq!(
-                format!("{summary:#?}"),
-                format!("{reference:#?}"),
-                "case {case}"
-            );
+            assert_same_figures(&format!("widened case {case}"), &summary, &micros);
+
+            // A wide set merged into a narrow one, and the other way.
+            let narrow: Vec<u64> = (0..rng.below(100)).map(|_| near(&mut rng)).collect();
+            let mut merged = summary_of(&narrow);
+            merged.merge(&summary);
+            let both: Vec<u64> = narrow.iter().chain(&micros).copied().collect();
+            assert_same_figures(&format!("narrow ← wide, case {case}"), &merged, &both);
+            let mut merged = summary.clone();
+            merged.merge(&summary_of(&narrow));
+            let both: Vec<u64> = micros.iter().chain(&narrow).copied().collect();
+            assert_same_figures(&format!("wide ← narrow, case {case}"), &merged, &both);
         }
+    }
+
+    #[test]
+    fn a_summary_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Summary>() <= 32);
     }
 }

@@ -29,6 +29,11 @@
 //! wheel holds room for its live entries, not for the busiest window it
 //! has seen. The price is a buffer's growth per occupied window, and at
 //! most 244 windows (one per 4.1 ms) are paged in per virtual second.
+//! Slots keep no room either: every same-instant entry past a slot's
+//! first goes to one wheel-wide spill buffer, threaded per slot, which
+//! is emptied (not freed) when the next window is paged in. The wheel
+//! thus holds room for the busiest window's spill once, and
+//! steady-state pops allocate nothing.
 //!
 //! Ordering contract — identical to the heap backend, bit for bit:
 //! entries pop in `(at, seq)` order, so ties at one instant resolve in
@@ -43,7 +48,7 @@
 //! [`crate::diffsched`] checks this contract against the heap on random
 //! interleavings.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Log2 of the window width: 2^12 µs ≈ 4.1 ms per window.
 const WINDOW_BITS: u32 = 12;
@@ -90,14 +95,42 @@ impl<E> Bucket<E> {
     }
 }
 
+/// The end of a spill list.
+const NIL: u32 = u32::MAX;
+
 /// One exact-microsecond slot. The first entry at the instant lives
 /// inline (`head`), so the dominant single-entry case touches one
-/// location instead of chasing a separate heap buffer; further
-/// same-instant entries spill to `rest` in insertion order. Invariant:
-/// `rest` is non-empty only while `head` is occupied.
+/// location; further same-instant entries spill to a list in the
+/// wheel's spill buffer, in insertion order. Invariant: `spill` is
+/// non-empty only while `head` is occupied.
 struct Slot<E> {
-    rest: Vec<WheelEntry<E>>,
     head: Option<WheelEntry<E>>,
+    spill: List,
+}
+
+/// A spilled entry and the index of the next one in its list. The entry
+/// is taken when it pops; its place is reused once the window is over.
+struct Spilled<E> {
+    entry: Option<WheelEntry<E>>,
+    next: u32,
+}
+
+/// A list in the spill buffer, from `first` to `last`.
+#[derive(Clone, Copy)]
+struct List {
+    first: u32,
+    last: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        first: NIL,
+        last: NIL,
+    };
+
+    fn is_empty(self) -> bool {
+        self.first == NIL
+    }
 }
 
 /// Counters describing what the wheel has done (for E13 reporting).
@@ -120,13 +153,14 @@ pub(crate) struct TimerWheel<E> {
     leaf: [u64; LEAF_WORDS],
     /// Occupancy bit per leaf word.
     summary: [u64; SUMMARY_WORDS],
-    /// The slot currently being drained (all entries share `current_at`).
-    current: VecDeque<WheelEntry<E>>,
+    /// Every spilled entry of the current window, threaded into one
+    /// list per slot (and the drain run's). Cleared when the next window
+    /// is paged in: by then every list in it has drained.
+    spill: Vec<Spilled<E>>,
+    /// The drain run: the spill of the slot whose head popped last, all
+    /// of it at `current_at`.
+    run: List,
     current_at: u64,
-    /// Which slot `current`'s buffer came from; the (empty) buffer is
-    /// handed back before the next slot drains, so steady-state pops
-    /// allocate nothing.
-    current_slot: usize,
     /// Second level: one bucket per window within the horizon, indexed
     /// by `window & L2_MASK`. A bucket holds at most one window's worth
     /// of entries at a time (the wheel never advances past an occupied
@@ -147,14 +181,14 @@ impl<E> TimerWheel<E> {
             slots: (0..SLOTS)
                 .map(|_| Slot {
                     head: None,
-                    rest: Vec::new(),
+                    spill: List::EMPTY,
                 })
                 .collect(),
             leaf: [0; LEAF_WORDS],
             summary: [0; SUMMARY_WORDS],
-            current: VecDeque::new(),
+            spill: Vec::new(),
+            run: List::EMPTY,
             current_at: 0,
-            current_slot: 0,
             l2: (0..L2_WINDOWS).map(|_| Bucket::empty()).collect(),
             l2_bits: [0; L2_WORDS],
             far: BTreeMap::new(),
@@ -178,22 +212,15 @@ impl<E> TimerWheel<E> {
         self.len += 1;
         // An insert at the instant being drained joins the tail of the
         // drain run — `seq` is monotonic, so appending keeps FIFO.
-        if !self.current.is_empty() && at == self.current_at {
-            self.current.push_back(WheelEntry { at, seq, event });
+        if !self.run.is_empty() && at == self.current_at {
+            let mut run = self.run;
+            self.append(&mut run, WheelEntry { at, seq, event });
+            self.run = run;
             return;
         }
         let window = at >> WINDOW_BITS;
         if window == self.cur_window {
-            let slot = (at & SLOT_MASK) as usize;
-            let s = &mut self.slots[slot];
-            let entry = WheelEntry { at, seq, event };
-            if s.head.is_none() {
-                debug_assert!(s.rest.is_empty(), "rest without a head");
-                s.head = Some(entry);
-            } else {
-                s.rest.push(entry);
-            }
-            self.set_bit(slot);
+            self.place((at & SLOT_MASK) as usize, WheelEntry { at, seq, event });
             return;
         }
         debug_assert!(window > self.cur_window, "insert into a past window");
@@ -213,7 +240,7 @@ impl<E> TimerWheel<E> {
 
     /// The earliest pending timestamp, without disturbing anything.
     pub fn peek_min(&self) -> Option<u64> {
-        if !self.current.is_empty() {
+        if !self.run.is_empty() {
             return Some(self.current_at);
         }
         if let Some(slot) = self.lowest_slot() {
@@ -235,51 +262,27 @@ impl<E> TimerWheel<E> {
     /// Remove and return the earliest entry.
     pub fn pop(&mut self) -> Option<WheelEntry<E>> {
         loop {
-            if let Some(entry) = self.current.pop_front() {
+            if !self.run.is_empty() {
+                let spilled = &mut self.spill[self.run.first as usize];
+                let entry = spilled.entry.take().expect("a run entry pops once");
+                self.run.first = spilled.next;
                 self.len -= 1;
                 debug_assert_eq!(entry.at, self.current_at);
                 return Some(entry);
             }
             if let Some(slot) = self.lowest_slot() {
-                // The head entry pops directly — for the dominant
-                // single-entry instant that's the whole slot, one
-                // location touched, no buffer transfer. FIFO is
-                // unaffected: a later insert at this same instant lands
-                // back in this slot, which stays the lowest occupied
-                // one (nothing earlier can be scheduled: the wrapper
-                // clamps to now).
-                if self.slots[slot].rest.is_empty() {
-                    let entry = self.slots[slot].head.take().expect("occupied slot has a head");
-                    self.clear_bit(slot);
-                    self.len -= 1;
-                    self.current_at = entry.at;
-                    return Some(entry);
-                }
-                // Multi-entry instant: return the head now and queue
-                // the spill as the drain run. First hand the exhausted
-                // run buffer back to the slot it came from — both
-                // Vec⇄VecDeque conversions reuse the allocation, so
-                // steady state allocates nothing. The emptiness guard
-                // matters: the slot can have been repopulated after the
-                // run drained (an insert at `current_at` once `current`
-                // is empty lands back in the slot, as can a page-in),
-                // and overwriting it would drop live entries.
-                if self.current.capacity() > 0 && self.slots[self.current_slot].head.is_none() {
-                    debug_assert!(self.slots[self.current_slot].rest.is_empty());
-                    self.slots[self.current_slot].rest =
-                        Vec::from(core::mem::take(&mut self.current));
-                    self.slots[self.current_slot].rest.clear();
-                }
+                // The head pops directly, and the slot's spill, if any,
+                // becomes the drain run. FIFO holds: a later insert at
+                // this same instant joins the run's tail, or once the run
+                // is empty lands back in this slot, which stays the
+                // lowest occupied one (nothing earlier can be scheduled:
+                // the wrapper clamps to now).
                 let s = &mut self.slots[slot];
                 let head = s.head.take().expect("occupied slot has a head");
-                let rest = core::mem::take(&mut s.rest);
+                self.run = core::mem::replace(&mut s.spill, List::EMPTY);
                 self.clear_bit(slot);
-                debug_assert!(rest.windows(2).all(|w| w[0].seq < w[1].seq));
-                debug_assert!(rest.first().is_none_or(|e| head.seq < e.seq));
-                self.current_at = head.at;
-                self.current = VecDeque::from(rest);
-                self.current_slot = slot;
                 self.len -= 1;
+                self.current_at = head.at;
                 return Some(head);
             }
             // Current window exhausted: page in the next occupied one —
@@ -297,6 +300,8 @@ impl<E> TimerWheel<E> {
             };
             self.stats.windows_paged += 1;
             self.cur_window = window;
+            debug_assert!(self.spill.iter().all(|s| s.entry.is_none()), "a spill outlived its window");
+            self.spill.clear();
             // Far entries first: every far entry of this window was
             // inserted before every ring entry of it (see module docs),
             // so distributing far-then-ring keeps per-slot seq order.
@@ -319,29 +324,56 @@ impl<E> TimerWheel<E> {
         self.stats.distributed += entries.len() as u64;
         for entry in entries {
             debug_assert_eq!(entry.at >> WINDOW_BITS, window);
-            let slot = (entry.at & SLOT_MASK) as usize;
-            let s = &mut self.slots[slot];
-            if s.head.is_none() {
-                debug_assert!(s.rest.is_empty(), "rest without a head");
-                s.head = Some(entry);
-            } else {
-                s.rest.push(entry);
-            }
-            self.set_bit(slot);
+            self.place((entry.at & SLOT_MASK) as usize, entry);
         }
+    }
+
+    /// Put an entry of the current window into its slot: the head if
+    /// the slot is empty, else the tail of the slot's spill.
+    fn place(&mut self, slot: usize, entry: WheelEntry<E>) {
+        if self.slots[slot].head.is_none() {
+            debug_assert!(self.slots[slot].spill.is_empty(), "a spill without a head");
+            self.slots[slot].head = Some(entry);
+        } else {
+            let mut spill = self.slots[slot].spill;
+            self.append(&mut spill, entry);
+            self.slots[slot].spill = spill;
+        }
+        self.set_bit(slot);
+    }
+
+    /// Append an entry to a list in the spill buffer.
+    fn append(&mut self, list: &mut List, entry: WheelEntry<E>) {
+        let index = u32::try_from(self.spill.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("fewer than 2^32 - 1 spilled entries in one window");
+        if list.is_empty() {
+            list.first = index;
+        } else {
+            let last = &mut self.spill[list.last as usize];
+            debug_assert!(last.entry.as_ref().is_some_and(|e| e.seq < entry.seq), "FIFO");
+            last.next = index;
+        }
+        list.last = index;
+        self.spill.push(Spilled {
+            entry: Some(entry),
+            next: NIL,
+        });
     }
 
     /// Drop every pending entry. Window position is retained, so the
     /// wheel stays consistent with the owning scheduler's clock.
     pub fn clear(&mut self) {
-        self.current.clear();
+        self.run = List::EMPTY;
+        self.spill.clear();
         self.far.clear();
         for word in 0..LEAF_WORDS {
             let mut bits = self.leaf[word];
             while bits != 0 {
                 let slot = word * 64 + bits.trailing_zeros() as usize;
                 self.slots[slot].head = None;
-                self.slots[slot].rest.clear();
+                self.slots[slot].spill = List::EMPTY;
                 bits &= bits - 1;
             }
             self.leaf[word] = 0;
@@ -617,6 +649,43 @@ mod tests {
         assert!(wheel.stats().windows_paged >= laps, "three laps were walked");
         assert!(peak_occupied <= 20, "the workload occupies few windows: {peak_occupied}");
         assert!(retained_buffers(&wheel) <= peak_occupied);
+    }
+
+    #[test]
+    fn a_drained_run_leaves_no_spill_room_behind() {
+        // Multi-entry instants in distinct slots, some inserted straight
+        // into the current window and some paged in from the ring, with
+        // runs of different lengths.
+        let mut wheel = TimerWheel::new();
+        let mut seq = 0u64;
+        for window in 0..3u64 {
+            for slot in 0..200u64 {
+                for _ in 0..2 + slot % 5 {
+                    wheel.insert((window << WINDOW_BITS) + slot * 7, seq, ());
+                    seq += 1;
+                }
+            }
+        }
+        let mut popped = 0;
+        while wheel.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, seq);
+        assert!(wheel.stats().windows_paged >= 2, "ring windows were paged in");
+        let kept: Vec<usize> = (0..SLOTS).filter(|&i| !wheel.slots[i].spill.is_empty()).collect();
+        assert!(kept.is_empty(), "slots {kept:?} keep a spill");
+        assert!(wheel.run.is_empty(), "the drain run is exhausted");
+        // One buffer holds room for the spill, and no entry.
+        assert!(wheel.spill.capacity() > 0);
+        assert!(wheel.spill.iter().all(|s| s.entry.is_none()));
+        // The next window starts from an empty spill, in the same room.
+        let room = wheel.spill.capacity();
+        let next = 10u64 << WINDOW_BITS;
+        for k in 0..3 {
+            wheel.insert(next, seq + k, ());
+        }
+        assert_eq!(wheel.pop().unwrap().seq, seq);
+        assert_eq!((wheel.spill.len(), wheel.spill.capacity()), (2, room));
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn rip_converges_across_real_udp_tunnels() {
         .dv
         .as_ref()
         .and_then(|dv| dv.lookup("10.9.2.1".parse().expect("addr")))
-        .copied()
+        .cloned()
         .expect("route exists");
     assert_eq!(route.next_hop.iface(), 0);
     assert_eq!(

@@ -227,10 +227,11 @@ impl RingHarness {
                 // timer (`make_probe` arms none): refused, or accepted and
                 // its ACK lost, it stays in flight for good, and Nagle or
                 // a window no wider than the stranded bytes then stalls
-                // the sender forever. That defect is parked (ROADMAP item
-                // 6) because fixing it changes behaviour; until then the
-                // probe and its answer cross a clean wire at once, after
-                // the application has made room for the byte.
+                // the sender forever. That defect is parked (ROADMAP's
+                // recorded protocol defects: "zero-window probe outside
+                // the RTO") because fixing it changes behaviour; until
+                // then the probe and its answer cross a clean wire at
+                // once, after the application has made room for the byte.
                 self.read(1);
                 self.deliver_to_server(self.to_server.len() - 1);
                 self.server_dispatch();

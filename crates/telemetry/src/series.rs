@@ -33,13 +33,17 @@ struct Row {
     value: u64,
 }
 
+/// Rows per storage chunk: 64 KiB of rows, allocated whole.
+const CHUNK: usize = 4096;
+
 /// The sampler: cadence state plus the recorded rows.
 ///
 /// A pass's rows share one instant and the (metric, scope) pairs recur
 /// from pass to pass, so neither is stored per row: each pair is
 /// interned once as a series id, each pass keeps its instant and where
 /// its rows start, and a row is a series id and a value (16 bytes, where
-/// a whole [`Sample`] is 56).
+/// a whole [`Sample`] is 56). Rows live in fixed chunks of 4,096, so
+/// a long run adds one chunk at a time instead of doubling one block.
 #[derive(Debug)]
 pub struct Sampler {
     next: Instant,
@@ -50,7 +54,10 @@ pub struct Sampler {
     /// One entry per pass that recorded a row: its instant and the
     /// index of its first row. Instants strictly increase.
     passes: Vec<(Instant, usize)>,
-    rows: Vec<Row>,
+    /// Full chunks, then the one being filled.
+    chunks: Vec<Vec<Row>>,
+    /// Rows recorded, across every chunk.
+    len: usize,
 }
 
 impl Default for Sampler {
@@ -70,7 +77,8 @@ impl Sampler {
             series: Vec::new(),
             ids: HashMap::new(),
             passes: Vec::new(),
-            rows: Vec::new(),
+            chunks: Vec::new(),
+            len: 0,
         }
     }
 
@@ -100,7 +108,7 @@ impl Sampler {
                     last.is_none_or(|&(last, _)| last < at),
                     "sampler row at {at:?} precedes the last pass at {last:?}"
                 );
-                self.passes.push((at, self.rows.len()));
+                self.passes.push((at, self.len));
             }
         }
         let known = &mut self.series;
@@ -108,17 +116,21 @@ impl Sampler {
             known.push((metric, scope));
             u32::try_from(known.len() - 1).expect("fewer than 2^32 sampled series")
         });
-        self.rows.push(Row { series, value });
+        if self.len.is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks.last_mut().expect("a chunk with room").push(Row { series, value });
+        self.len += 1;
     }
 
     /// How many rows have been recorded.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Whether no row has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// All recorded rows, in recording order (which is time order).
@@ -167,7 +179,10 @@ impl Iterator for Rows<'_> {
 
     fn next(&mut self) -> Option<Sample> {
         let s = self.sampler;
-        let Row { series, value } = *s.rows.get(self.row)?;
+        if self.row == s.len {
+            return None;
+        }
+        let Row { series, value } = s.chunks[self.row / CHUNK][self.row % CHUNK];
         while s.passes.get(self.pass + 1).is_some_and(|&(_, first)| first <= self.row) {
             self.pass += 1;
         }
@@ -182,7 +197,7 @@ impl Iterator for Rows<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.sampler.rows.len() - self.row;
+        let left = self.sampler.len - self.row;
         (left, Some(left))
     }
 }
@@ -222,6 +237,32 @@ mod tests {
     #[test]
     fn a_stored_row_is_at_most_16_bytes() {
         assert!(std::mem::size_of::<Row>() <= 16);
+    }
+
+    #[test]
+    fn rows_past_one_chunk_read_back_in_order_and_fill_every_chunk() {
+        let mut s = Sampler::new();
+        let mut reference = Vec::new();
+        // Passes of 1,000 rows, so passes straddle chunk boundaries.
+        for pass in 1..=9u64 {
+            let at = Instant::from_millis(500 * pass);
+            for i in 0..1_000u64 {
+                let scope = Scope::Node(i as usize % 7);
+                s.record(at, "queue_depth", scope, pass * 1_000 + i);
+                reference.push(Sample {
+                    at,
+                    metric: "queue_depth",
+                    scope,
+                    value: pass * 1_000 + i,
+                });
+            }
+        }
+        assert_eq!(s.len(), 9_000);
+        assert_eq!(s.chunks.len(), 9_000usize.div_ceil(CHUNK));
+        assert!(s.chunks.iter().all(|c| c.capacity() == CHUNK), "chunks never grow");
+        assert!(s.chunks[..s.chunks.len() - 1].iter().all(|c| c.len() == CHUNK));
+        assert_eq!(s.rows().len(), reference.len());
+        assert_eq!(s.rows().collect::<Vec<_>>(), reference);
     }
 
     #[test]
