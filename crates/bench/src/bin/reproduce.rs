@@ -5,9 +5,11 @@
 //! cargo run --release --bin reproduce -- e1 e5      # a subset
 //! cargo run --release --bin reproduce -- --fast     # fewer seeds
 //! cargo run --release --bin reproduce -- e11 --soak 20   # randomized soak
-//! cargo run --release --bin reproduce -- e13 --check     # timing-free JSON
-//! cargo run --release --bin reproduce -- e17 --check --shards 4   # one K
 //! ```
+//!
+//! Everything written to stdout and to the `BENCH_*.json` files is a
+//! pure function of the seeds, so two runs diff clean; only the
+//! progress lines on stderr read the clock.
 
 use catenet_bench::*;
 
@@ -18,26 +20,17 @@ const EXPERIMENTS: [&str; 17] = [
 ];
 
 /// The flags it takes.
-const FLAGS: [&str; 5] = ["--fast", "--check", "--full", "--soak N", "--shards N"];
+const FLAGS: [&str; 2] = ["--fast", "--soak N"];
 
 /// A command line, checked.
 #[derive(Debug, Default, PartialEq)]
 struct Args {
     /// The experiments named (lower-cased); none named runs them all.
     selected: Vec<String>,
-    /// Fewer seeds.
+    /// Fewer seeds, and the smaller e13, e16 and e17 topologies.
     fast: bool,
-    /// Strip wall-clock fields from the BENCH JSON so CI can run twice
-    /// and diff (it also implies the fast topology set).
-    check: bool,
-    /// The e17 scale tier (5,120 gateways, ~10⁵ flows); CI uploads its
-    /// timing JSON as an artifact.
-    full: bool,
     /// `--soak N` swaps the e11 battery table for N randomized runs.
     soak: Option<usize>,
-    /// `--shards N` pins e17 to a single shard count (CI runs K=1 and
-    /// K=4 separately and diffs the check-mode JSON across them).
-    shards: Option<usize>,
 }
 
 /// Parse the arguments after the program name. An experiment or flag
@@ -49,18 +42,12 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--fast" => parsed.fast = true,
-            "--check" => parsed.check = true,
-            "--full" => parsed.full = true,
-            flag @ ("--soak" | "--shards") => {
+            "--soak" => {
                 let n = args
                     .next()
                     .and_then(|n| n.parse().ok())
-                    .ok_or_else(|| format!("{flag} takes a number"))?;
-                if flag == "--soak" {
-                    parsed.soak = Some(n);
-                } else {
-                    parsed.shards = Some(n);
-                }
+                    .ok_or("--soak takes a number")?;
+                parsed.soak = Some(n);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             name => {
@@ -80,10 +67,7 @@ fn main() {
     let Args {
         selected,
         fast,
-        check,
-        full,
         soak,
-        shards,
     } = parse_args(&args).unwrap_or_else(|error| {
         eprintln!("reproduce: {error}");
         eprintln!("experiments: {}", EXPERIMENTS.join(" "));
@@ -160,10 +144,10 @@ fn main() {
     if want("e13") {
         eprintln!("running e13 (scale: scheduler and forwarding fast path)...");
         let start = std::time::Instant::now();
-        let results = e13_scale::run_battery(fast || check, SEEDS[0]);
+        let results = e13_scale::run_battery(fast, SEEDS[0]);
         eprintln!("  e13 done in {:.1}s", start.elapsed().as_secs_f64());
         println!("{}", e13_scale::table(&results));
-        let json = e13_scale::to_json(&results, !check);
+        let json = e13_scale::to_json(&results);
         std::fs::write("BENCH_e13.json", &json).expect("write BENCH_e13.json");
         eprintln!("  wrote BENCH_e13.json");
         assert!(
@@ -177,42 +161,32 @@ fn main() {
     if want("e16") {
         eprintln!("running e16 (accountability: reconciliation, churn, integrity)...");
         let start = std::time::Instant::now();
-        let results = e16_accountability::run_battery(fast || check, &seeds);
+        let results = e16_accountability::run_battery(fast, &seeds);
         eprintln!("  e16 done in {:.1}s", start.elapsed().as_secs_f64());
         println!("{}", e16_accountability::table(&results));
-        let json = e16_accountability::to_json(&results, !check);
+        let json = e16_accountability::to_json(&results);
         std::fs::write("BENCH_e16.json", &json).expect("write BENCH_e16.json");
         eprintln!("  wrote BENCH_e16.json");
     }
     if want("e17") {
-        let tier = if full {
-            e17_parallel::Tier::Huge
-        } else if fast || check {
+        let tier = if fast {
             e17_parallel::Tier::Check
         } else {
             e17_parallel::Tier::Full
         };
-        let counts: Vec<usize> = match shards {
-            Some(k) => vec![k],
-            // The scale tier defaults to the reference and the CI-core
-            // count — K=8 on a 4-core runner doubles the wall clock for
-            // no extra signal at 5,120 gateways.
-            None if full => vec![1, 4],
-            None => e17_parallel::SHARD_COUNTS.to_vec(),
-        };
         eprintln!(
-            "running e17 (sharded parallel execution) at K={counts:?} tier={tier:?}..."
+            "running e17 (sharded parallel execution) at K={:?} tier={tier:?}...",
+            e17_parallel::SHARD_COUNTS
         );
         let start = std::time::Instant::now();
-        let results = e17_parallel::run_battery(tier, SEEDS[0], &counts);
+        let results = e17_parallel::run_battery(tier, SEEDS[0]);
         eprintln!("  e17 done in {:.1}s", start.elapsed().as_secs_f64());
         println!("{}", e17_parallel::table(&results));
         assert!(
             results.all_equal,
             "e17: dumps diverged across shard counts — a real ordering bug"
         );
-        // The misaligned ring rides the standard full battery only (the
-        // scale and check tiers have their own jobs).
+        // The misaligned ring rides the full battery only.
         let misaligned = (tier == e17_parallel::Tier::Full).then(|| {
             eprintln!("running e17b (misaligned ring)...");
             let demo = e17_parallel::run_misaligned(SEEDS[0]);
@@ -220,7 +194,7 @@ fn main() {
             assert!(demo.all_equal, "e17b: partition choice changed bytes");
             demo
         });
-        let json = e17_parallel::to_json(&results, !check, misaligned.as_ref());
+        let json = e17_parallel::to_json(&results, misaligned.as_ref());
         std::fs::write("BENCH_e17.json", &json).expect("write BENCH_e17.json");
         eprintln!("  wrote BENCH_e17.json");
     }
@@ -244,16 +218,13 @@ mod tests {
 
     #[test]
     fn known_names_and_flags_parse() {
-        let args = parse("E11 e17 --check --shards 4 --soak 20 --fast --full").unwrap();
+        let args = parse("E11 e17 --soak 20 --fast").unwrap();
         assert_eq!(
             args,
             Args {
                 selected: vec!["e11".into(), "e17".into()],
                 fast: true,
-                check: true,
-                full: true,
                 soak: Some(20),
-                shards: Some(4),
             }
         );
         assert_eq!(parse("").unwrap(), Args::default(), "nothing named runs everything");
@@ -269,6 +240,11 @@ mod tests {
         assert_eq!(parse("20"), Err("unknown experiment 20".into()), "a number needs its flag");
         assert_eq!(parse("e13 --chek"), Err("unknown flag --chek".into()));
         assert_eq!(parse("e11 --soak"), Err("--soak takes a number".into()));
-        assert_eq!(parse("e17 --shards four"), Err("--shards takes a number".into()));
+        // The retired timing flags: --check stripped wall clock that is
+        // no longer written, --full ran a timing-only tier, --shards
+        // pinned one K for a cross-K diff `run_battery` now asserts.
+        assert_eq!(parse("e13 --check"), Err("unknown flag --check".into()));
+        assert_eq!(parse("e17 --full"), Err("unknown flag --full".into()));
+        assert_eq!(parse("e17 --shards 4"), Err("unknown flag --shards".into()));
     }
 }

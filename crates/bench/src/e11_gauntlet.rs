@@ -711,7 +711,7 @@ fn derive_seed(base: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A small, fast configuration for the benchmark harness.
+/// A small, fast configuration, run by the unit tests.
 pub fn quick(seed: u64) -> Outcome {
     run(
         Scenario {

@@ -23,25 +23,22 @@
 //!    `BinaryHeap` reference and the timer wheel side by side
 //!    ([`diffsched::replay_lockstep`]); every popped `(time, event)`
 //!    pair must be equal, FIFO ties included — here at 400 gateways.
-//! 2. **End-to-end wall clock** of the full simulation.
-//! 3. **Substrate throughput**: the trace is replayed against each
-//!    backend in isolation. Replay isolates the event-queue cost from
-//!    protocol work, so the heap/wheel speedup is measured on the
-//!    *real* event mix, not a synthetic one.
-//! 4. **The fast-path gate**: pool counters over a steady-state window
+//! 2. **The fast-path gate**: pool counters over a steady-state window
 //!    ([`WARMUP`]..[`VIRTUAL`]) divided by datagrams forwarded in it.
 //!    [`TopoResult::gate`] holds iff that window saw zero fresh
 //!    allocations and zero relocations; `reproduce -- e13` exits
 //!    non-zero unless it holds on every topology.
 //!
-//! Results are rendered as a table and emitted as `BENCH_e13.json`. In
-//! `--check` mode the JSON omits wall-clock fields, leaving only
-//! seed-deterministic numbers — CI runs it twice and diffs.
+//! Nothing here reads a clock: what the wheel costs against the heap
+//! is `perf/`'s to measure (`sim.sched.ns_per_op`, on each workload's
+//! own trace). Results are rendered as a table and emitted as
+//! `BENCH_e13.json`, both pure functions of the seed — CI runs it twice
+//! and diffs.
 
 use crate::table::Table;
 use crate::topo;
 use catenet_core::{Network, NodeId};
-use catenet_sim::{diffsched, Duration, SchedulerKind};
+use catenet_sim::{diffsched, Duration};
 
 /// Ring sizes (gateway counts) in the full battery.
 pub const RING_SIZES: [usize; 4] = [50, 100, 200, 400];
@@ -58,9 +55,6 @@ pub const VIRTUAL: Duration = Duration::from_secs(30);
 /// counters between `WARMUP` and [`VIRTUAL`] price the *converged*
 /// forwarding path, not topology construction.
 pub const WARMUP: Duration = Duration::from_secs(12);
-/// Replay repetitions per backend; the minimum wall time is reported
-/// (the run least perturbed by the host machine).
-const REPLAY_REPS: usize = 7;
 
 /// One topology's measurements.
 #[derive(Debug, Clone)]
@@ -93,15 +87,6 @@ pub struct TopoResult {
     pub steady_recycled: u64,
     /// Freelist occupancy at the end of the run.
     pub pool_free: u64,
-    /// Full-simulation wall clock, milliseconds.
-    pub sim_ms: f64,
-    /// Trace-replay wall clock, `[heap, wheel]`, milliseconds (min of
-    /// `REPLAY_REPS` reps).
-    pub replay_ms: [f64; 2],
-    /// Trace-replay throughput, `[heap, wheel]`, events per second.
-    pub replay_eps: [f64; 2],
-    /// Substrate speedup: heap replay time / wheel replay time.
-    pub speedup: f64,
 }
 
 impl TopoResult {
@@ -129,12 +114,10 @@ fn measure(name: &str, seed: u64, build: impl FnOnce(&mut Network) -> Vec<NodeId
     let forwarded_by = |net: &Network| -> u64 {
         gateways.iter().map(|&g| net.node(g).stats.ip_forwarded).sum()
     };
-    let t0 = std::time::Instant::now();
     net.run_for(WARMUP);
     let at_warmup = net.pool().stats();
     let fwd_warmup = forwarded_by(&net);
     net.run_for(VIRTUAL - WARMUP);
-    let sim_ms = t0.elapsed().as_secs_f64() * 1e3;
     let trace = net.take_sched_trace();
     let stats = net.sched_stats();
     let pool = net.pool().stats();
@@ -142,20 +125,6 @@ fn measure(name: &str, seed: u64, build: impl FnOnce(&mut Network) -> Vec<NodeId
 
     let (pops, lockstep_ties) = diffsched::replay_lockstep(&trace);
     assert_eq!(pops, stats.processed, "{name}: the trace misses pops");
-
-    let replay_ms = |kind: SchedulerKind| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPLAY_REPS {
-            let t0 = std::time::Instant::now();
-            let processed = diffsched::replay_trace(kind, &trace);
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(processed, stats.processed, "{name}: replay drift");
-        }
-        best
-    };
-    let heap_replay = replay_ms(SchedulerKind::Heap);
-    let wheel_replay = replay_ms(SchedulerKind::Wheel);
-    let eps = |ms: f64| stats.processed as f64 / (ms / 1e3);
 
     TopoResult {
         name: name.to_string(),
@@ -171,10 +140,6 @@ fn measure(name: &str, seed: u64, build: impl FnOnce(&mut Network) -> Vec<NodeId
         steady_bytes_copied: pool.bytes_copied - at_warmup.bytes_copied,
         steady_recycled: pool.recycled - at_warmup.recycled,
         pool_free: net.pool().free_buffers() as u64,
-        sim_ms,
-        replay_ms: [heap_replay, wheel_replay],
-        replay_eps: [eps(heap_replay), eps(wheel_replay)],
-        speedup: heap_replay / wheel_replay,
     }
 }
 
@@ -199,8 +164,8 @@ pub fn table(results: &[TopoResult]) -> Table {
             "E13 — Scale: cold-start DV convergence storm plus concurrent \
              bulk TCP flows, {VIRTUAL} of virtual time per topology on the \
              timer wheel; its scheduler op trace replayed through the heap \
-             reference and the wheel (lockstep = side by side, every pop \
-             compared; replay = one backend alone, timed); pool counters \
+             reference and the wheel side by side, every pop compared; \
+             pool counters \
              over the steady-state window ({WARMUP}..{VIRTUAL}) per \
              forwarded datagram, gate = no allocation and no relocation in \
              that window"
@@ -211,10 +176,7 @@ pub fn table(results: &[TopoResult]) -> Table {
             "events",
             "lockstep equal",
             "same-instant ties",
-            "sim (ms)",
-            "replay heap (ms)",
-            "replay wheel (ms)",
-            "substrate speedup",
+            "overflow inserts",
             "forwarded",
             "steady forwarded",
             "allocs/fwd",
@@ -232,10 +194,7 @@ pub fn table(results: &[TopoResult]) -> Table {
             // `measure` panics on the first unequal pop.
             "yes".into(),
             format!("{}", r.lockstep_ties),
-            format!("{:.1}", r.sim_ms),
-            format!("{:.2}", r.replay_ms[0]),
-            format!("{:.2}", r.replay_ms[1]),
-            format!("{:.2}x", r.speedup),
+            format!("{}", r.overflow_inserts),
             format!("{}", r.forwarded),
             format!("{}", r.steady_forwarded),
             format!("{:.4}", r.per_forward(r.steady_allocs)),
@@ -247,24 +206,23 @@ pub fn table(results: &[TopoResult]) -> Table {
     }
     table.note(
         "Expected shape: lockstep equal everywhere (the wheel pops exactly \
-         what the heap reference pops, FIFO ties included); substrate speedup \
-         grows with topology size and clears 2x at the 400-gateway ring; \
-         every row passes the gate — the freelist serves the whole converged \
-         network (recycled > 0, allocs/fwd exactly 0) and every header lands \
-         in reserved headroom (0 relocations, 0 bytes copied). Wall-clock \
-         columns vary run to run; counts are seed-deterministic.",
+         what the heap reference pops, FIFO ties included), with far timers \
+         crossing the wheel's overflow path on every topology; every row \
+         passes the gate — the freelist serves the whole converged network \
+         (recycled > 0, allocs/fwd exactly 0) and every header lands in \
+         reserved headroom (0 relocations, 0 bytes copied). Every cell is \
+         seed-deterministic; what the wheel costs per operation is \
+         perf/'s sim.sched.ns_per_op.",
     );
     table
 }
 
-/// Serialize results as `BENCH_e13.json`. With `timings: false` (CI
-/// `--check` mode) all wall-clock fields are omitted, leaving only
-/// seed-deterministic numbers — run twice and diff.
-pub fn to_json(results: &[TopoResult], timings: bool) -> String {
+/// Serialize results as `BENCH_e13.json`: seed-deterministic numbers
+/// only, so two runs diff clean.
+pub fn to_json(results: &[TopoResult]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e13\",\n");
     out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"virtual_secs\": {},\n  \"warmup_secs\": {},\n  \"topologies\": [\n",
-        if timings { "full" } else { "check" },
+        "  \"virtual_secs\": {},\n  \"warmup_secs\": {},\n  \"topologies\": [\n",
         VIRTUAL.total_micros() / 1_000_000,
         WARMUP.total_micros() / 1_000_000,
     ));
@@ -301,20 +259,7 @@ pub fn to_json(results: &[TopoResult], timings: bool) -> String {
             r.per_forward(r.steady_allocs),
             r.per_forward(r.steady_bytes_copied),
         ));
-        out.push_str(&format!("      \"gate\": {}", r.gate()));
-        if timings {
-            out.push_str(&format!(
-                ",\n      \"heap\": {{\"replay_ms\": {:.3}, \"replay_events_per_sec\": {:.0}}},\n",
-                r.replay_ms[0], r.replay_eps[0]
-            ));
-            out.push_str(&format!(
-                "      \"wheel\": {{\"sim_ms\": {:.3}, \"replay_ms\": {:.3}, \"replay_events_per_sec\": {:.0}}},\n",
-                r.sim_ms, r.replay_ms[1], r.replay_eps[1]
-            ));
-            out.push_str(&format!("      \"replay_speedup\": {:.3}\n", r.speedup));
-        } else {
-            out.push('\n');
-        }
+        out.push_str(&format!("      \"gate\": {}\n", r.gate()));
         out.push_str(if i + 1 < results.len() {
             "    },\n"
         } else {
@@ -342,21 +287,18 @@ mod tests {
         assert!(r.events > 1_000, "convergence storm happened: {}", r.events);
         assert!(r.lockstep_ties > 0, "some pops share an instant");
         assert!(r.overflow_inserts > 0, "3 s DV timers cross windows");
-        assert!(r.speedup.is_finite() && r.speedup > 0.0);
         assert!(r.steady_forwarded > 1_000, "flows forwarded: {r:?}");
         assert!(r.steady_recycled > 0, "freelist never hit");
         assert!(r.gate(), "steady state allocated or relocated: {r:?}");
     }
 
     #[test]
-    fn json_check_mode_is_deterministic_and_timing_free() {
-        let a = measure("ring-3", 11, |net| topo::build_ring(net, 3));
-        let b = measure("ring-3", 11, |net| topo::build_ring(net, 3));
-        let ja = to_json(&[a], false);
-        let jb = to_json(&[b], false);
-        assert_eq!(ja, jb, "check-mode JSON replays bit-for-bit");
-        assert!(!ja.contains("_ms"), "no wall-clock fields in check mode");
-        assert!(ja.contains("\"mode\": \"check\""));
+    fn json_is_a_pure_function_of_the_seed() {
+        let battery = || {
+            [3, 4].map(|n| measure(&format!("ring-{n}"), 11, |net| topo::build_ring(net, n)))
+        };
+        let ja = to_json(&battery());
+        crate::assert_pure_json(&ja, &to_json(&battery()));
         assert!(ja.contains("\"lockstep_equal\": true"));
         assert!(ja.contains("\"gate\": true"));
     }

@@ -21,20 +21,18 @@
 //! 2. **Flow churn at 10⁵.** The table absorbs 100 000 distinct flows
 //!    plus follow-on traffic, reporting exact-LRU evictions under a
 //!    deliberately undersized capacity (bounded memory is enforced, not
-//!    hoped for) and per-packet observe cost.
+//!    hoped for).
 //!    An accounting-on vs accounting-off arm of an E13-style ring then
 //!    checks that observation does not perturb forwarding: both arms
-//!    process the same events and forward the same datagrams. The table
-//!    prints those counts; the arms' wall clock, one short run each, is
-//!    noise at this size and appears only in the full-mode JSON.
+//!    process the same events and forward the same datagrams.
 //! 3. **Corruption sweep.** The three corruption classes the Internet
 //!    checksum provably accepts (`wire/tests/checksum_escape.rs`) are
 //!    replayed against the CRC32C payload option: the checksum-only arm
 //!    misses all of them, the +crc32c arm catches all of them, and the
 //!    cost is 8 header bytes per data segment.
 //!
-//! Results render as a table and `BENCH_e16.json`; in `--check` mode
-//! wall-clock fields are omitted and CI diffs two runs.
+//! Results render as a table and `BENCH_e16.json`, both pure functions
+//! of the seeds; CI diffs two runs.
 
 use crate::table::Table;
 use catenet_accounting::flow::FlowId;
@@ -241,8 +239,6 @@ pub struct ChurnResult {
     pub evicted: u64,
     /// Idle expiries from the final sweep.
     pub expired: u64,
-    /// Wall-clock nanoseconds per observation.
-    pub ns_per_observe: f64,
 }
 
 fn churn_flow(i: usize) -> FlowId {
@@ -266,7 +262,6 @@ pub fn run_churn(flows: usize, bounded: bool) -> ChurnResult {
         FlowTable::new()
     };
     let mut observations: u64 = 0;
-    let t0 = std::time::Instant::now();
     // Round 1: every flow appears once, in index order.
     for i in 0..flows {
         table.observe_flow(churn_flow(i), 600, Instant::from_micros(i as u64));
@@ -278,7 +273,6 @@ pub fn run_churn(flows: usize, bounded: bool) -> ChurnResult {
         table.observe_flow(churn_flow(i), 600, Instant::from_micros(base + i as u64));
         observations += 1;
     }
-    let ns_per_observe = t0.elapsed().as_nanos() as f64 / observations as f64;
     let live = table.len();
     let evicted = table.evicted;
     // Final idle sweep far in the future: everything evaporates — the
@@ -290,7 +284,6 @@ pub fn run_churn(flows: usize, bounded: bool) -> ChurnResult {
         live,
         evicted,
         expired: table.expired,
-        ns_per_observe,
     }
 }
 
@@ -309,10 +302,6 @@ pub struct OverheadResult {
     pub arms_agree: bool,
     /// Flows the busiest gateway's table learned.
     pub flows_seen: usize,
-    /// Accounting-off wall clock, ms.
-    pub off_ms: f64,
-    /// Accounting-on wall clock, ms.
-    pub on_ms: f64,
 }
 
 fn build_ring(gateways: usize, seed: u64, accounting: bool) -> (Network, Vec<NodeId>) {
@@ -334,27 +323,23 @@ fn build_ring(gateways: usize, seed: u64, accounting: bool) -> (Network, Vec<Nod
 pub fn run_overhead(gateways: usize, seed: u64) -> OverheadResult {
     let arm = |accounting: bool| {
         let (mut net, gs) = build_ring(gateways, seed, accounting);
-        let t0 = std::time::Instant::now();
         net.run_for(Duration::from_secs(30));
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
         let forwarded: u64 = gs.iter().map(|&g| net.node(g).stats.ip_forwarded).sum();
         let flows_seen = gs
             .iter()
             .filter_map(|&g| net.node(g).flows.as_ref().map(|f| f.len()))
             .max()
             .unwrap_or(0);
-        (net.sched_stats().processed, forwarded, flows_seen, ms)
+        (net.sched_stats().processed, forwarded, flows_seen)
     };
-    let (off_events, off_forwarded, _, off_ms) = arm(false);
-    let (on_events, on_forwarded, flows_seen, on_ms) = arm(true);
+    let (off_events, off_forwarded, _) = arm(false);
+    let (on_events, on_forwarded, flows_seen) = arm(true);
     OverheadResult {
         gateways,
         events: on_events,
         forwarded: on_forwarded,
         arms_agree: off_events == on_events && off_forwarded == on_forwarded,
         flows_seen,
-        off_ms,
-        on_ms,
     }
 }
 
@@ -556,8 +541,8 @@ pub fn table(battery: &Battery) -> Table {
             format!("churn ({capacity} slots)"),
             format!("{} live, {} evicted", churn.live, churn.evicted),
             format!(
-                "{:.0} ns/observe, {} expired by final sweep",
-                churn.ns_per_observe, churn.expired
+                "{} observations, {} expired by final sweep",
+                churn.observations, churn.expired
             ),
         ]);
     }
@@ -595,19 +580,17 @@ pub fn table(battery: &Battery) -> Table {
          trades flows for memory via exact LRU, never via failure. The \
          CRC32C arm catches 100% of the corruption classes the Internet \
          checksum provably accepts, for 8 bytes per data segment. \
-         Wall-clock columns vary run to run; all counters are \
-         seed-deterministic.",
+         Every cell is seed-deterministic.",
     );
     table
 }
 
-/// Serialize as `BENCH_e16.json`. With `timings: false` (CI `--check`)
-/// wall-clock fields are omitted — run twice and diff.
-pub fn to_json(battery: &Battery, timings: bool) -> String {
+/// Serialize as `BENCH_e16.json`: seed-deterministic numbers only, so
+/// two runs diff clean.
+pub fn to_json(battery: &Battery) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e16\",\n");
     out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"flush_period_secs\": {},\n  \"churn_flows\": {},\n",
-        if timings { "full" } else { "check" },
+        "  \"flush_period_secs\": {},\n  \"churn_flows\": {},\n",
         FLUSH_PERIOD.total_micros() / 1_000_000,
         CHURN_FLOWS,
     ));
@@ -641,27 +624,16 @@ pub fn to_json(battery: &Battery, timings: bool) -> String {
     ] {
         out.push_str(&format!(
             "  \"{key}\": {{\"flows\": {}, \"observations\": {}, \"live\": {}, \
-             \"evicted\": {}, \"expired\": {}",
+             \"evicted\": {}, \"expired\": {}}},\n",
             churn.flows, churn.observations, churn.live, churn.evicted, churn.expired,
         ));
-        if timings {
-            out.push_str(&format!(", \"ns_per_observe\": {:.1}", churn.ns_per_observe));
-        }
-        out.push_str("},\n");
     }
     let o = &battery.overhead;
     out.push_str(&format!(
         "  \"overhead\": {{\"gateways\": {}, \"events\": {}, \"forwarded\": {}, \
-         \"arms_agree\": {}, \"flows_seen\": {}",
+         \"arms_agree\": {}, \"flows_seen\": {}}},\n  \"sweep\": [\n",
         o.gateways, o.events, o.forwarded, o.arms_agree, o.flows_seen,
     ));
-    if timings {
-        out.push_str(&format!(
-            ", \"off_ms\": {:.3}, \"on_ms\": {:.3}",
-            o.off_ms, o.on_ms
-        ));
-    }
-    out.push_str("},\n  \"sweep\": [\n");
     for (i, class) in battery.sweep.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"class\": \"{}\", \"trials\": {}, \"caught_checksum_only\": {}, \
@@ -763,22 +735,10 @@ mod tests {
     }
 
     #[test]
-    fn json_check_mode_is_deterministic_and_timing_free() {
+    fn json_and_table_are_pure_functions_of_the_seeds() {
         let a = run_battery(true, &[11]);
         let b = run_battery(true, &[11]);
-        let ja = to_json(&a, false);
-        let jb = to_json(&b, false);
-        assert_eq!(ja, jb, "check-mode JSON replays bit-for-bit");
-        assert!(!ja.contains("_ms"), "no wall-clock fields in check mode");
-        assert!(!ja.contains("ns_per_observe"));
-        assert!(ja.contains("\"mode\": \"check\""));
-        let overhead = |battery: &Battery| {
-            table(battery)
-                .rows
-                .into_iter()
-                .find(|row| row[0].starts_with("overhead"))
-                .expect("overhead row")
-        };
-        assert_eq!(overhead(&a), overhead(&b), "the overhead row prints counts, not wall clock");
+        crate::assert_pure_json(&to_json(&a), &to_json(&b));
+        assert_eq!(table(&a).to_string(), table(&b).to_string());
     }
 }

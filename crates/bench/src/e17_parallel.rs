@@ -7,7 +7,7 @@
 //! sharding (`ShardKind::Parallel`) partitions the node set into K
 //! contiguous lanes that run windows of virtual time on their own
 //! threads, exchanging cross-lane frames at barrier instants — and the
-//! whole point of the design is that the speedup costs *nothing* in
+//! whole point of the design is that parallelism costs *nothing* in
 //! observability: every dump is byte-identical to the single-lane
 //! reference, at every K.
 //!
@@ -15,10 +15,12 @@
 //! every second gateway runs ~10⁴ concurrent local CBR/UDP flows
 //! (packet voice, the datagram archetype) through the cold-start
 //! routing storm and 30 s of steady state. The same construction runs
-//! at K ∈ {1, 2, 4, 8}; per K we record wall clock, events processed,
-//! datagrams forwarded, and an FNV-1a digest of each telemetry dump.
-//! The digests must agree across every K — cross-K equivalence — and
-//! the wall-clock ratio against K=1 is the headline speedup.
+//! at K ∈ {1, 2, 4, 8}; per K we record events processed, datagrams
+//! forwarded, an FNV-1a digest of each telemetry dump and the window
+//! counters. The digests must agree across every K — cross-K
+//! equivalence — and `reproduce` fails the process when they do not.
+//! What the threads buy in wall clock is `perf/`'s to measure
+//! (`core.lane.thread_speedup`, same run, serial and threaded arms).
 //!
 //! **The window protocol** is the CMB-style per-lane-pair lookahead
 //! matrix: lane i advances to `min over j of (T_j + reach(j→i)) − 1 µs`
@@ -39,13 +41,10 @@
 //! `catenet_core::partition` sliding them onto trunks on its own: the
 //! window counters stay at trunk width, dumps byte-identical.
 //!
-//! Results render as tables and `BENCH_e17.json`. In `--check` mode
-//! the JSON carries only K-invariant, seed-deterministic fields
-//! (counts and dump digests — no shard count, no wall clock, no host
-//! cores, no window counters), so CI can run it at K=1 and K=4, twice
-//! each, and diff all the files: run-twice determinism and cross-K
-//! equivalence in one byte comparison. The `--full` tier scales the
-//! ring to 5,120 gateways / ~10⁵ flows for the CI timing artifact.
+//! Results render as tables and `BENCH_e17.json`, both pure functions
+//! of the seed: the JSON carries the K-invariant counts and digests
+//! once, then each K's window counters, which are deterministic for a
+//! given K.
 
 use crate::table::Table;
 use catenet_core::app::{CbrSink, CbrSource};
@@ -57,13 +56,8 @@ pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Ring size (gateways) in the full battery. A multiple of 16 so lane
 /// boundaries stay cell-aligned for every K ≤ 8 (see module docs).
 pub const RING_FULL: usize = 1024;
-/// Ring size in the CI `--check` battery.
+/// Ring size in the `--fast` battery.
 pub const RING_CHECK: usize = 192;
-/// Ring size in the `--full` scale tier: 5,120 gateways → 2,560 cells
-/// → 102,400 concurrent flows at [`FLOWS_PER_CELL_HUGE`].
-pub const RING_HUGE: usize = 5120;
-/// Flows per cell in the `--full` scale tier.
-pub const FLOWS_PER_CELL_HUGE: usize = 40;
 /// Ring size of the misaligned demo: 66 gateways → 132 nodes, so the
 /// K=8 balanced boundaries are 16, 33, 49, 66, 82, 99, 115 — four of
 /// them odd, i.e. inside a cell, on a host LAN.
@@ -71,7 +65,7 @@ pub const RING_MISALIGNED: usize = 66;
 /// CBR flows per host-pair cell in the full battery (one cell per two
 /// gateways: 1024 gateways → 512 cells → 10 240 concurrent flows).
 pub const FLOWS_PER_CELL_FULL: usize = 20;
-/// Flows per cell in the `--check` battery.
+/// Flows per cell in the `--fast` battery.
 pub const FLOWS_PER_CELL_CHECK: usize = 4;
 /// Virtual time per run: cold-start storm plus steady-state CBR.
 pub const VIRTUAL: Duration = Duration::from_secs(30);
@@ -90,12 +84,10 @@ const CELL_SKIP: usize = 2;
 /// Workload tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// CI `--check` size ([`RING_CHECK`]).
+    /// `--fast` size ([`RING_CHECK`]).
     Check,
     /// Standard full battery ([`RING_FULL`]).
     Full,
-    /// `--full` scale tier ([`RING_HUGE`], ~10⁵ flows).
-    Huge,
 }
 
 impl Tier {
@@ -103,7 +95,6 @@ impl Tier {
         match self {
             Tier::Check => (RING_CHECK, FLOWS_PER_CELL_CHECK),
             Tier::Full => (RING_FULL, FLOWS_PER_CELL_FULL),
-            Tier::Huge => (RING_HUGE, FLOWS_PER_CELL_HUGE),
         }
     }
 }
@@ -121,8 +112,6 @@ pub struct ShardRun {
     pub forwarded: u64,
     /// FNV-1a digests of the metrics, series, and flight dumps.
     pub digests: [u64; 3],
-    /// Wall clock for the simulation run, milliseconds.
-    pub wall_ms: f64,
     /// Window-protocol counters (at K=1: one lane dispatched per
     /// window, each an op-free span).
     pub stats: ShardStats,
@@ -151,10 +140,6 @@ pub struct Battery {
     /// Every run produced identical dump digests, event counts, and
     /// forward counts — the cross-K equivalence bit.
     pub all_equal: bool,
-    /// Cores the host reported (`std::thread::available_parallelism`);
-    /// speedup is bounded by this, so CI numbers from a 4-core runner
-    /// and laptop numbers are comparable only through it.
-    pub host_cores: usize,
 }
 
 /// Build the interleaved ring and attach every flow, returning the
@@ -212,7 +197,7 @@ pub fn build(gateways: usize, flows_per_cell: usize, seed: u64, shard: ShardKind
 /// Run one shard count over the given workload. K=1 is always the
 /// `Single` reference; `threaded` selects `Parallel` vs `Sharded` lanes
 /// for K>1 (the misaligned ring runs serial lanes — its windows are
-/// protocol-priced by counters, not thread wall-clock).
+/// what it shows, not thread scaling).
 pub fn run_one(
     gateways: usize,
     flows_per_cell: usize,
@@ -228,9 +213,7 @@ pub fn run_one(
         ShardKind::Sharded { shards }
     };
     let (mut net, gs) = build(gateways, flows_per_cell, seed, shard);
-    let t0 = std::time::Instant::now();
     net.run_for(VIRTUAL);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let forwarded = gs.iter().map(|&g| net.node(g).stats.ip_forwarded).sum();
     ShardRun {
         shards,
@@ -238,7 +221,6 @@ pub fn run_one(
         events: net.sched_stats().processed,
         forwarded,
         digests: crate::topo::dumps(&net),
-        wall_ms,
         stats: net.shard_stats(),
     }
 }
@@ -251,11 +233,11 @@ fn check_equal(runs: &[ShardRun]) -> bool {
     })
 }
 
-/// Run the sweep on worker threads. `tier` sizes the workload;
-/// `shard_counts` lets CI pin a single K (the `--shards N` flag).
-pub fn run_battery(tier: Tier, seed: u64, shard_counts: &[usize]) -> Battery {
+/// Run the sweep over [`SHARD_COUNTS`] on worker threads. `tier` sizes
+/// the workload.
+pub fn run_battery(tier: Tier, seed: u64) -> Battery {
     let (gateways, flows_per_cell) = tier.shape();
-    let runs = shard_counts
+    let runs = SHARD_COUNTS
         .iter()
         .map(|&k| run_one(gateways, flows_per_cell, seed, k, true))
         .collect();
@@ -281,7 +263,6 @@ fn battery(gateways: usize, flows_per_cell: usize, runs: Vec<ShardRun>) -> Batte
         flows: (gateways / 2) * flows_per_cell,
         all_equal: check_equal(&runs),
         runs,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
@@ -290,12 +271,8 @@ pub fn table(battery: &Battery) -> Table {
     let title = format!(
         "E17 — Sharded parallel execution: ring-{} ({} concurrent CBR/UDP \
          flows), {VIRTUAL} of virtual time per run; per-pair-lookahead \
-         lanes on persistent worker threads vs the single-lane reference \
-         (host reported {} core{})",
-        battery.gateways,
-        battery.flows,
-        battery.host_cores,
-        if battery.host_cores == 1 { "" } else { "s" },
+         lanes on persistent worker threads vs the single-lane reference",
+        battery.gateways, battery.flows,
     );
     let mut table = rows(title, battery);
     table.note(
@@ -304,12 +281,8 @@ pub fn table(battery: &Battery) -> Table {
          contract. At K>1 windows run at trunk width (~30 ms), none collapsed, \
          with idle lanes skipped instead of dispatched (K=1 is the same round \
          with no peer to bound it: one window per span between telemetry \
-         samples); speedup at K=4 clears 1.5x \
-         on a 4-core host and is bounded by the host core count (a 1-core \
-         container spawns no worker, runs every lane on the calling thread \
-         and reports ~1.0x). Wall-clock columns vary run to run; event \
-         counts, forward counts, digests and window counters are \
-         seed-deterministic.",
+         samples). Every cell is seed-deterministic; what the threads buy in \
+         wall clock is perf/'s core.lane.thread_speedup.",
     );
     table
 }
@@ -327,14 +300,12 @@ pub fn misaligned_table(battery: &Battery) -> Table {
         "Expected shape: both rows byte-identical (partition choice is \
          performance-only) and the K=8 run at trunk-width windows — \
          hundreds of rounds, none collapsed — where a boundary left on a \
-         LAN would mean ~100 µs windows and tens of thousands of rounds. \
-         (Serial lanes: the counters, not the milliseconds, are the point.)",
+         LAN would mean ~100 µs windows and tens of thousands of rounds.",
     );
     table
 }
 
-/// One row per run, the first being the reference for "dumps equal"
-/// and "speedup".
+/// One row per run, the first being the reference for "dumps equal".
 fn rows(title: String, battery: &Battery) -> Table {
     let mut table = Table::new(
         title,
@@ -348,8 +319,6 @@ fn rows(title: String, battery: &Battery) -> Table {
             "avg win (µs)",
             "collapsed",
             "skipped",
-            "wall (ms)",
-            "speedup",
         ],
     );
     let reference = &battery.runs[0];
@@ -364,25 +333,19 @@ fn rows(title: String, battery: &Battery) -> Table {
             format!("{:.0}", r.avg_span_us()),
             format!("{}", r.stats.collapsed),
             format!("{}", r.stats.lanes_skipped),
-            format!("{:.1}", r.wall_ms),
-            format!("{:.2}x", reference.wall_ms / r.wall_ms),
         ]);
     }
     table
 }
 
-/// Serialize as `BENCH_e17.json`. With `timings: false` (CI `--check`)
-/// only K-invariant fields survive: no shard counts, no lane counts,
-/// no wall clock, no host cores, no window counters — check files
-/// produced at *different* K must be byte-identical, which is exactly
-/// what CI diffs. With timings on, `misaligned` (when given) rides
-/// along as the partitioner demo.
-pub fn to_json(battery: &Battery, timings: bool, misaligned: Option<&Battery>) -> String {
+/// Serialize as `BENCH_e17.json`: the K-invariant counts and digests
+/// once, then every run's window counters; `misaligned` (when given)
+/// rides along as the partitioner demo.
+pub fn to_json(battery: &Battery, misaligned: Option<&Battery>) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e17\",\n");
     out.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"gateways\": {},\n  \"cells\": {},\n  \
+        "  \"gateways\": {},\n  \"cells\": {},\n  \
          \"flows\": {},\n  \"virtual_secs\": {},\n",
-        if timings { "full" } else { "check" },
         battery.gateways,
         battery.cells,
         battery.flows,
@@ -391,48 +354,35 @@ pub fn to_json(battery: &Battery, timings: bool, misaligned: Option<&Battery>) -
     let r0 = battery.runs.first().expect("at least one shard count");
     out.push_str(&format!(
         "  \"events\": {},\n  \"forwarded\": {},\n  \"digest_metrics\": {},\n  \
-         \"digest_series\": {},\n  \"digest_flight\": {},\n  \"all_equal\": {}",
+         \"digest_series\": {},\n  \"digest_flight\": {},\n  \"all_equal\": {},\n  \
+         \"runs\": [\n",
         r0.events, r0.forwarded, r0.digests[0], r0.digests[1], r0.digests[2], battery.all_equal,
     ));
-    if timings {
+    out.push_str(&runs_json(&battery.runs, "    "));
+    out.push_str("  ]");
+    if let Some(demo) = misaligned {
         out.push_str(&format!(
-            ",\n  \"host_cores\": {},\n  \"runs\": [\n",
-            battery.host_cores
+            ",\n  \"misaligned\": {{\n    \"gateways\": {},\n    \
+             \"flows\": {},\n    \"all_equal\": {},\n    \"runs\": [\n",
+            demo.gateways, demo.flows, demo.all_equal,
         ));
-        let reference = r0.wall_ms;
-        out.push_str(&runs_json(&battery.runs, reference, "    "));
-        out.push_str("  ]");
-        if let Some(demo) = misaligned {
-            out.push_str(&format!(
-                ",\n  \"misaligned\": {{\n    \"gateways\": {},\n    \
-                 \"flows\": {},\n    \"all_equal\": {},\n    \"runs\": [\n",
-                demo.gateways, demo.flows, demo.all_equal,
-            ));
-            let demo_ref = demo.runs.first().map_or(0.0, |r| r.wall_ms);
-            out.push_str(&runs_json(&demo.runs, demo_ref, "      "));
-            out.push_str("    ]\n  }");
-        }
-        out.push_str("\n}\n");
-    } else {
-        out.push_str("\n}\n");
+        out.push_str(&runs_json(&demo.runs, "      "));
+        out.push_str("    ]\n  }");
     }
+    out.push_str("\n}\n");
     out
 }
 
-fn runs_json(runs: &[ShardRun], reference_wall_ms: f64, indent: &str) -> String {
+fn runs_json(runs: &[ShardRun], indent: &str) -> String {
     let mut out = String::new();
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
             "{indent}{{\"shards\": {}, \"lanes\": {}, \
-             \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"speedup\": {:.3}, \
              \"windows\": {}, \"avg_span_us\": {:.0}, \"collapsed\": {}, \
              \"barrier_stalls\": {}, \"lanes_dispatched\": {}, \
              \"lanes_skipped\": {}}}{}\n",
             r.shards,
             r.lanes,
-            r.wall_ms,
-            r.events as f64 / (r.wall_ms / 1e3),
-            reference_wall_ms / r.wall_ms,
             r.stats.windows,
             r.avg_span_us(),
             r.stats.collapsed,
@@ -468,26 +418,14 @@ mod tests {
     }
 
     #[test]
-    fn json_check_mode_is_shard_invariant() {
-        // Small-scale stand-in for the CI diff: one battery per K at a
-        // 16-gateway ring, host-dependent fields deliberately skewed so
-        // a leak into check mode would show as a diff.
-        let battery = |k: usize, cores: usize| Battery {
-            gateways: 16,
-            cells: 8,
-            flows: 16,
-            runs: vec![run_one(16, 2, 11, k, true)],
-            all_equal: true,
-            host_cores: cores,
-        };
-        let ja = to_json(&battery(1, 1), false, None);
-        let jb = to_json(&battery(4, 64), false, None);
-        assert_eq!(ja, jb, "check JSON at K=1 and K=4 must diff clean");
-        assert!(!ja.contains("wall_ms"), "no wall clock in check mode");
-        assert!(!ja.contains("host_cores"), "no host facts in check mode");
-        assert!(!ja.contains("shards"), "no shard count in check mode");
-        assert!(!ja.contains("windows"), "no window counters in check mode");
-        assert!(ja.contains("\"mode\": \"check\""));
+    fn json_is_a_pure_function_of_the_seed() {
+        // Two sweeps of a 16-gateway ring at K = 1 and 4 on worker
+        // threads: which thread ran which window differs between them,
+        // the JSON may not.
+        let sweep = || battery(16, 2, [1, 4].map(|k| run_one(16, 2, 11, k, true)).to_vec());
+        let ja = to_json(&sweep(), None);
+        crate::assert_pure_json(&ja, &to_json(&sweep(), None));
         assert!(ja.contains("\"all_equal\": true"));
+        assert!(ja.contains("\"shards\": 4, \"lanes\": 4"));
     }
 }

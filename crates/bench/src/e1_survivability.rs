@@ -181,7 +181,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// A small, fast configuration for the quick-run benchmark.
+/// A small, fast configuration, run by the unit tests.
 pub fn quick(seed: u64) -> Outcome {
     run(
         Scenario {

@@ -176,7 +176,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for the quick-run benchmark.
+/// Small configuration; `tests/sim_golden_digests.rs` pins its digest.
 pub fn quick(seed: u64) -> (VoiceReport, VoiceReport) {
     (run_udp(seed, 0.02, 5), run_tcp(seed, 0.02, 5))
 }

@@ -150,7 +150,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for the quick-run benchmark.
+/// Small configuration; `tests/sim_golden_digests.rs` pins its digest.
 pub fn quick(seed: u64) -> FragReport {
     run(seed, 1024, 10, 0.01)
 }

@@ -188,11 +188,6 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for the quick-run benchmark.
-pub fn quick(seed: u64) -> ConvergenceReport {
-    run(seed, 2, 2, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

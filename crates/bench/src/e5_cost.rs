@@ -131,11 +131,6 @@ pub fn arq_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for the quick-run benchmark.
-pub fn quick(seed: u64) -> ArqComparison {
-    compare(4, 0.05, 50, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

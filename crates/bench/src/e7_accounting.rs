@@ -142,11 +142,6 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for the quick-run benchmark.
-pub fn quick(seed: u64) -> AccountingReport {
-    run(seed, 0.02, 40_000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

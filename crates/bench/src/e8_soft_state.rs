@@ -168,7 +168,7 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for the quick-run benchmark.
+/// Small configuration; `tests/sim_golden_digests.rs` pins its digest.
 pub fn quick(seed: u64) -> SoftStateReport {
     run(seed, 2, Duration::from_secs(2))
 }

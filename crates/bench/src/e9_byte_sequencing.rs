@@ -133,11 +133,6 @@ pub fn default_table(seeds: &[u64]) -> Table {
     table
 }
 
-/// Small configuration for the quick-run benchmark.
-pub fn quick(seed: u64) -> Comparison {
-    run_tinygrams(seed, 100, 8, 0.02)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

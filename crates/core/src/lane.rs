@@ -120,9 +120,10 @@ pub(crate) struct Keyed {
 }
 
 // The diffsched replay harness schedules dummy payloads of exactly
-// this size so E13's backend comparison moves the same bytes per queue
-// op as the real loop. A silent size change would quietly skew that
-// workload — fail the build instead.
+// this size so a timed replay of a trace (the benchmark's
+// `sim.sched.ns_per_op`) moves the same bytes per queue op as the real
+// loop. A silent size change would quietly skew that price — fail the
+// build instead.
 const _: () = assert!(
     std::mem::size_of::<Keyed>() == catenet_sim::diffsched::REPLAY_PAYLOAD_BYTES,
     "Keyed scheduler entry size drifted from diffsched::REPLAY_PAYLOAD_BYTES"

@@ -1573,10 +1573,10 @@ mod tests {
 
     #[test]
     fn replay_payload_matches_the_real_event_size() {
-        // E13's trace replay measures the scheduler backends with a
-        // dummy payload sized like the real scheduler entry — the event
-        // enum plus its 8-byte delivery key; if Keyed grows or shrinks,
-        // the replay constant must follow.
+        // A timed trace replay prices the scheduler with a dummy
+        // payload sized like the real scheduler entry — the event enum
+        // plus its 8-byte delivery key; if Keyed grows or shrinks, the
+        // replay constant must follow.
         assert_eq!(
             std::mem::size_of::<Keyed>(),
             catenet_sim::diffsched::REPLAY_PAYLOAD_BYTES,

@@ -1,26 +1,27 @@
 //! Differential testing of the timer wheel against its reference.
 //!
-//! Every simulation runs on the timer wheel; the `BinaryHeap` backend
-//! it replaced is kept for one job, as the reference the wheel is
-//! tested against here. The wheel only earns its place if it is
-//! *observably identical* to that heap — same pop order, same
-//! timestamps, same FIFO tie-breaking, same clamp behavior, on any
-//! interleaving of schedules and pops. This module is the machinery
-//! for proving that:
+//! Every simulation runs on the timer wheel ([`Scheduler`]); the
+//! `BinaryHeap` scheduler it replaced lives here, and only here, as the
+//! reference the wheel is tested against. The wheel only earns its
+//! place if it is *observably identical* to that heap — same pop order,
+//! same timestamps, same FIFO tie-breaking, same clamp behavior, on any
+//! interleaving of schedules and pops. This module is the machinery for
+//! proving that:
 //!
 //! - [`Op`] / [`random_ops`] — a randomized schedule/pop workload,
 //!   biased toward the pathological cases (bursts at one instant,
 //!   far-future timers, scheduling while draining).
-//! - [`run_lockstep`] — drive one heap and one wheel scheduler through
-//!   the same op sequence, asserting every observable matches at every
-//!   step. Returns a fingerprint of the merged pop sequence so callers
-//!   can also pin cross-run determinism.
+//! - [`run_lockstep`] — drive the heap reference and a wheel scheduler
+//!   through the same op sequence, asserting every observable matches
+//!   at every step. Returns a fingerprint of the merged pop sequence so
+//!   callers can also pin cross-run determinism.
 //! - [`replay_lockstep`] — the same side-by-side comparison driven by
 //!   a [`TraceOp`] log captured from a live simulation: the system-level
 //!   half of the proof, on the exact event mix a real run produced,
-//!   without simulating anything twice.
-//! - [`replay_trace`] — replay such a log against one chosen backend;
-//!   E13 wall-clocks this to compare substrate throughput.
+//!   without simulating anything twice. E13 runs it at 400 gateways.
+//! - [`replay_trace`] — replay such a log through one queue alone, the
+//!   wheel or the reference ([`SchedulerKind`]); the benchmark in
+//!   `perf/` times it to price the scheduler on a workload's own mix.
 //!
 //! `tests/scheduler_equivalence.rs` runs [`run_lockstep`] on thousands
 //! of seeded random workloads and [`replay_lockstep`] on the traces of
@@ -32,10 +33,95 @@
 //! `tests/shard_equivalence.rs` compares randomized topologies at
 //! several lane counts against one lane, dump for dump.
 
-use crate::event::{Scheduler, SchedulerKind, TraceOp};
+use crate::event::{Scheduler, TraceOp};
 use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::rng::Rng;
 use crate::time::{Duration, Instant};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+/// Which event queue [`replay_trace`] runs: the timer wheel every
+/// simulation runs on, or the heap reference it is held to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SchedulerKind {
+    /// The `BinaryHeap` of `(at, seq, event)` entries the wheel replaced.
+    Heap,
+    /// The windowed timer wheel with an overflow map for far timers.
+    Wheel,
+}
+
+impl SchedulerKind {
+    /// Both kinds, reference first.
+    pub fn all() -> [SchedulerKind; 2] {
+        [SchedulerKind::Heap, SchedulerKind::Wheel]
+    }
+}
+
+struct Entry<E> {
+    at: Instant,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we need earliest-first.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The reference scheduler: the ordering contract of
+/// [`crate::event`] stated as directly as it can be — a `BinaryHeap`
+/// ordered by `(at, seq)`, past times clamped to `now`.
+struct Reference<E> {
+    heap: BinaryHeap<Entry<E>>,
+    now: Instant,
+    seq: u64,
+}
+
+impl<E> Reference<E> {
+    fn new() -> Reference<E> {
+        Reference {
+            heap: BinaryHeap::new(),
+            now: Instant::ZERO,
+            seq: 0,
+        }
+    }
+
+    fn schedule_at(&mut self, at: Instant, event: E) {
+        let at = at.max(self.now);
+        self.heap.push(Entry {
+            at,
+            seq: self.seq,
+            event,
+        });
+        self.seq += 1;
+    }
+
+    fn peek_time(&self) -> Option<Instant> {
+        self.heap.peek().map(|entry| entry.at)
+    }
+
+    fn pop(&mut self) -> Option<(Instant, E)> {
+        let entry = self.heap.pop()?;
+        self.now = entry.at;
+        Some((entry.at, entry.event))
+    }
+}
 
 /// One step of a differential workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +186,7 @@ pub fn random_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
     ops
 }
 
-/// Drive a heap scheduler and a wheel scheduler through `ops` in
+/// Drive the heap reference and a wheel scheduler through `ops` in
 /// lockstep, panicking on the first observable divergence.
 ///
 /// Observables compared at every step: `peek_time`, `len`, `now`, and
@@ -110,10 +196,8 @@ pub fn random_ops(rng: &mut Rng, len: usize) -> Vec<Op> {
 /// `(pops, fingerprint)` — a count and an order-sensitive FNV-1a
 /// hash of the pop sequence, for cross-run determinism checks.
 pub fn run_lockstep(ops: &[Op]) -> (u64, u64) {
-    let mut heap: Scheduler<u64> = Scheduler::with_kind(SchedulerKind::Heap);
-    let mut wheel: Scheduler<u64> = Scheduler::with_kind(SchedulerKind::Wheel);
-    assert_eq!(heap.kind(), SchedulerKind::Heap);
-    assert_eq!(wheel.kind(), SchedulerKind::Wheel);
+    let mut heap: Reference<u64> = Reference::new();
+    let mut wheel: Scheduler<u64> = Scheduler::new();
 
     let mut pops = 0u64;
     let mut fingerprint = FNV_OFFSET;
@@ -124,7 +208,7 @@ pub fn run_lockstep(ops: &[Op]) -> (u64, u64) {
         match *op {
             Op::Schedule { delay } => {
                 let delay = Duration::from_micros(delay);
-                heap.schedule_after(delay, payload);
+                heap.schedule_at(heap.now + delay, payload);
                 wheel.schedule_after(delay, payload);
             }
             Op::ScheduleAt { at } => {
@@ -148,26 +232,26 @@ pub fn run_lockstep(ops: &[Op]) -> (u64, u64) {
             wheel.peek_time(),
             "peek diverged after op {i} ({op:?})"
         );
-        assert_eq!(heap.len(), wheel.len(), "len diverged after op {i}");
-        assert_eq!(heap.now(), wheel.now(), "now diverged after op {i}");
+        assert_eq!(heap.heap.len(), wheel.len(), "len diverged after op {i}");
+        assert_eq!(heap.now, wheel.now(), "now diverged after op {i}");
     }
-    assert!(heap.is_empty() && wheel.is_empty(), "workload did not drain");
-    assert_eq!(heap.processed(), wheel.processed());
+    assert!(heap.heap.is_empty() && wheel.is_empty(), "workload did not drain");
+    assert_eq!(wheel.processed(), pops);
     (pops, fingerprint)
 }
 
-/// Replay a captured [`TraceOp`] log through a heap and a wheel side by
-/// side, panicking on the first pop that differs.
+/// Replay a captured [`TraceOp`] log through the heap reference and a
+/// wheel side by side, panicking on the first pop that differs.
 ///
 /// Payloads are the index of the op that scheduled them, so the two
-/// backends must agree on *which* event pops, not only on when — a
+/// queues must agree on *which* event pops, not only on when — a
 /// broken FIFO tie order flips the payload. Returns `(pops, ties)`:
 /// how many pops were compared, and how many of them popped at the
 /// same instant as the pop before (the ones tie order decided), so a
 /// caller can show its traces were not trivially easy.
 pub fn replay_lockstep(trace: &[TraceOp]) -> (u64, u64) {
-    let mut heap: Scheduler<u64> = Scheduler::with_kind(SchedulerKind::Heap);
-    let mut wheel: Scheduler<u64> = Scheduler::with_kind(SchedulerKind::Wheel);
+    let mut heap: Reference<u64> = Reference::new();
+    let mut wheel: Scheduler<u64> = Scheduler::new();
     let (mut pops, mut ties) = (0u64, 0u64);
     let mut last = None;
     for (i, op) in trace.iter().enumerate() {
@@ -196,34 +280,60 @@ pub fn replay_lockstep(trace: &[TraceOp]) -> (u64, u64) {
 /// headroom offset and pool handle, and a node id) wrapped with the
 /// 8-byte delivery key that gives every event a shard-independent
 /// total order — so replay moves the same number of bytes per queue
-/// operation as the real simulation. That matters for an honest
-/// backend comparison: the heap copies whole entries on every sift,
-/// while the wheel moves each entry O(1) times, so a too-small payload
-/// flatters the heap. A compile-time assertion and a test in
-/// `catenet-core` pin the real entry to this size.
+/// operation as the real simulation. A compile-time assertion and a
+/// test in `catenet-core` pin the real entry to this size.
 pub const REPLAY_PAYLOAD_BYTES: usize = 64;
 
 /// The replay payload: dead weight of [`REPLAY_PAYLOAD_BYTES`] bytes.
 type ReplayPayload = [u64; REPLAY_PAYLOAD_BYTES / 8];
 
-/// Replay a captured [`TraceOp`] log against a fresh scheduler of the
-/// given kind, returning the number of events processed. E13 wall-clocks
-/// this call per backend to measure substrate throughput on the exact
-/// event mix a real simulation produced.
+/// The two operations a trace replays, on the wheel and on its
+/// reference alike.
+trait Queue {
+    fn push(&mut self, at: Instant);
+    fn take(&mut self) -> bool;
+}
+
+impl Queue for Scheduler<ReplayPayload> {
+    fn push(&mut self, at: Instant) {
+        self.schedule_at(at, ReplayPayload::default());
+    }
+    fn take(&mut self) -> bool {
+        self.pop().is_some()
+    }
+}
+
+impl Queue for Reference<ReplayPayload> {
+    fn push(&mut self, at: Instant) {
+        self.schedule_at(at, ReplayPayload::default());
+    }
+    fn take(&mut self) -> bool {
+        self.pop().is_some()
+    }
+}
+
+/// Replay a captured [`TraceOp`] log against a fresh queue of the given
+/// kind, returning the number of events popped.
 pub fn replay_trace(kind: SchedulerKind, trace: &[TraceOp]) -> u64 {
-    let mut sched: Scheduler<ReplayPayload> = Scheduler::with_kind(kind);
+    match kind {
+        SchedulerKind::Heap => replay(&mut Reference::new(), trace),
+        SchedulerKind::Wheel => replay(&mut Scheduler::new(), trace),
+    }
+}
+
+fn replay(queue: &mut impl Queue, trace: &[TraceOp]) -> u64 {
+    let mut popped = 0;
     for op in trace {
         match *op {
-            TraceOp::Schedule(at) => {
-                sched.schedule_at(Instant::from_micros(at), ReplayPayload::default())
-            }
+            TraceOp::Schedule(at) => queue.push(Instant::from_micros(at)),
             TraceOp::Pop => {
-                let popped = sched.pop();
-                debug_assert!(popped.is_some(), "trace pops an empty scheduler");
+                let took = queue.take();
+                debug_assert!(took, "trace pops an empty scheduler");
+                popped += u64::from(took);
             }
         }
     }
-    sched.processed()
+    popped
 }
 
 #[cfg(test)]

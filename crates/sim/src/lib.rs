@@ -48,7 +48,8 @@ pub mod stats;
 pub mod time;
 pub mod wheel;
 
-pub use event::{SchedStats, Scheduler, SchedulerKind, TraceOp};
+pub use diffsched::SchedulerKind;
+pub use event::{SchedStats, Scheduler, TraceOp};
 pub use fault::{ByzantineAttack, FaultAction, FaultEvent, FaultPlan};
 pub use hash::{fnv1a, FNV_OFFSET};
 pub use link::{DropReason, Link, LinkClass, LinkOutcome, LinkParams};

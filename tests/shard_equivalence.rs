@@ -44,12 +44,11 @@
 //! demotes any more — a lane owns everything it touches, the
 //! attestation registry included, so the gauntlet's attested scenario
 //! is a genuinely threaded run at every K like the other fifteen; and
-//! the threaded E11 sweep stays on the representative slice (the
-//! first two standard seeds, now at every K), as a test of its own
-//! beside the serial sweep, to keep the debug-mode tier-1 suite inside
-//! its time budget — E12 and E16 run both arms on everything they
-//! run, and E17 carries the cross-K threaded proof on a workload built
-//! for it.
+//! the threaded E11 sweep runs every standard seed at every K, as a
+//! test of its own beside the serial sweep so the two share the
+//! suite's cores — E12 and E16 run both arms on everything they run,
+//! and E17 carries the cross-K threaded proof on a workload built for
+//! it.
 //!
 //! If lanes ever diverge, the failure message names the scenario, seed,
 //! shard count and lane mode that exposed it — the reproduction recipe.
@@ -133,13 +132,13 @@ fn e11_battery_is_bit_identical_across_shard_counts() {
     assert_e11_equal(&SEEDS, |k| ShardKind::Sharded { shards: k });
 }
 
-/// E11, threaded lanes: every gauntlet scenario and every shard count
-/// on the representative slice (see the module docs). A test of its
-/// own so it shares the suite's second core with E12 and E16 instead
-/// of lengthening the serial sweep.
+/// E11, threaded lanes: every gauntlet scenario, every standard seed
+/// and every shard count. A test of its own so it shares the suite's
+/// second core with E12 and E16 instead of lengthening the serial
+/// sweep.
 #[test]
 fn e11_battery_is_bit_identical_on_worker_threads() {
-    assert_e11_equal(&SEEDS[..2], |k| ShardKind::Parallel { shards: k });
+    assert_e11_equal(&SEEDS, |k| ShardKind::Parallel { shards: k });
 }
 
 /// E12: one disruption-then-heal cycle per (ring size, fault kind),
