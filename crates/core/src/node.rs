@@ -110,6 +110,35 @@ pub struct NodeStats {
     pub tcp_bytes_acked: u64,
 }
 
+impl NodeStats {
+    /// Every reason this node dropped a datagram or an ICMP event, each
+    /// with its count, named as its field.
+    pub fn drops(&self) -> [(&'static str, u64); 14] {
+        [
+            ("dropped_malformed", self.dropped_malformed),
+            ("dropped_no_route", self.dropped_no_route),
+            ("dropped_ttl", self.dropped_ttl),
+            ("dropped_dead", self.dropped_dead),
+            ("dropped_df", self.dropped_df),
+            ("dropped_no_circuit", self.dropped_no_circuit),
+            ("dropped_transport_checksum", self.dropped_transport_checksum),
+            ("dropped_payload_crc", self.dropped_payload_crc),
+            ("dropped_arp_unresolved", self.dropped_arp_unresolved),
+            ("dropped_arp_gave_up", self.dropped_arp_gave_up),
+            ("dropped_bad_iface", self.dropped_bad_iface),
+            ("dropped_udp_queue_full", self.dropped_udp_queue_full),
+            ("dropped_byzantine", self.dropped_byzantine),
+            ("icmp_inbox_dropped", self.icmp_inbox_dropped),
+        ]
+    }
+
+    /// Everything this node dropped, over every reason in
+    /// [`drops`](NodeStats::drops).
+    pub fn dropped_total(&self) -> u64 {
+        self.drops().iter().map(|&(_, count)| count).sum()
+    }
+}
+
 /// An ICMP message delivered to this node (for ping apps and error
 /// reporting).
 #[derive(Debug, Clone)]
@@ -428,6 +457,7 @@ impl Node {
         let local = Endpoint::new(self.ifaces[iface].addr, self.alloc_port());
         config.initial_seq = self.next_isn();
         let mut socket = TcpSocket::new(config);
+        socket.set_first_hop_mtu(self.ifaces[iface].ip_mtu);
         socket.connect(local, remote, now)?;
         self.tcp_sockets.push(socket);
         Ok(self.tcp_sockets.len() - 1)
@@ -1227,6 +1257,13 @@ impl Node {
             });
         match target {
             Some(index) => {
+                // A listener sends by the route back to the SYN's source.
+                if self.tcp_sockets[index].state() == TcpState::Listen {
+                    if let Some((iface, _)) = self.route(src) {
+                        let ip_mtu = self.ifaces[iface].ip_mtu;
+                        self.tcp_sockets[index].set_first_hop_mtu(ip_mtu);
+                    }
+                }
                 let socket = &mut self.tcp_sockets[index];
                 let (fired, acked) = (socket.stats.timeouts, socket.stats.bytes_acked);
                 socket.process(now, dst, src, &repr, data);
@@ -1596,6 +1633,44 @@ mod tests {
             (0, Some(Ipv4Address::new(10, 0, 0, 2))),
         );
         node
+    }
+
+    #[test]
+    fn drops_names_every_drop_field_with_its_count() {
+        // Distinct counts, so a reason read from the wrong field shows.
+        let stats = NodeStats {
+            dropped_malformed: 1,
+            dropped_no_route: 2,
+            dropped_ttl: 3,
+            dropped_dead: 4,
+            dropped_df: 5,
+            dropped_no_circuit: 6,
+            dropped_transport_checksum: 7,
+            dropped_payload_crc: 8,
+            dropped_arp_unresolved: 9,
+            dropped_arp_gave_up: 10,
+            dropped_bad_iface: 11,
+            dropped_udp_queue_full: 12,
+            dropped_byzantine: 13,
+            icmp_inbox_dropped: 14,
+            ..NodeStats::default()
+        };
+        let drops = stats.drops();
+        // Walk the fields as `Debug` prints them: a drop counter added to
+        // `NodeStats` but not to `drops()` fails here.
+        let debug = format!("{stats:?}");
+        let body = debug.trim_start_matches("NodeStats {").trim_end_matches('}');
+        let mut seen = 0;
+        for field in body.split(',') {
+            let (name, value) = field.split_once(':').unwrap();
+            let (name, value) = (name.trim(), value.trim().parse::<u64>().unwrap());
+            if name.contains("dropped") {
+                assert!(drops.contains(&(name, value)), "{name}: {value} missing from drops()");
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, drops.len());
+        assert_eq!(stats.dropped_total(), (1..=14).sum::<u64>());
     }
 
     #[test]

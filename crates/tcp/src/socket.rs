@@ -12,7 +12,7 @@ use crate::assembler::OutOfOrderBuffer;
 use crate::congestion::{CongestionAlgo, CongestionControl, DupAckAction};
 use crate::rtt::RttEstimator;
 use catenet_sim::{Duration, Instant};
-use catenet_wire::{Ipv4Address, TcpControl, TcpRepr, TcpSeqNumber};
+use catenet_wire::{ipv4, tcp, Ipv4Address, TcpControl, TcpRepr, TcpSeqNumber};
 use std::collections::VecDeque;
 
 /// A transport endpoint: address and port.
@@ -227,8 +227,11 @@ pub struct Socket {
     // Adaptive machinery.
     rtt: RttEstimator,
     cc: CongestionControl,
-    /// Effective MSS (min of ours and the peer's advertisement).
+    /// Effective send MSS (RFC 1122 §4.2.2.6; see `negotiate_mss`).
     effective_mss: usize,
+    /// IP MTU of the interface the route to the peer leaves by, once
+    /// the node has told us (`set_first_hop_mtu`).
+    first_hop_mtu: Option<usize>,
     dup_ack_count: u32,
 
     // Timers and pending actions.
@@ -281,6 +284,7 @@ impl Socket {
             rtt: RttEstimator::new(),
             cc,
             effective_mss: 536,
+            first_hop_mtu: None,
             dup_ack_count: 0,
             retransmit_at: None,
             delayed_ack_at: None,
@@ -316,6 +320,16 @@ impl Socket {
     /// The effective (negotiated) maximum segment size.
     pub fn effective_mss(&self) -> usize {
         self.effective_mss
+    }
+
+    /// Bound the segments this socket sends by its first hop: `ip_mtu`
+    /// is the IP MTU of the interface the route to the peer leaves by.
+    /// Call it before [`connect`](Socket::connect), or on a listener
+    /// before it [`process`](Socket::process)es a SYN, so the
+    /// negotiation sees it. The MSS the SYN advertises stays
+    /// `config.mss`: that speaks of reassembly, not of the link.
+    pub fn set_first_hop_mtu(&mut self, ip_mtu: usize) {
+        self.first_hop_mtu = Some(ip_mtu);
     }
 
     /// The congestion controller (for experiment introspection).
@@ -936,12 +950,7 @@ impl Socket {
         self.snd_wnd = usize::from(repr.window_len);
         self.snd_wl1 = repr.seq_number;
         self.snd_wl2 = self.iss;
-        if let Some(mss) = repr.max_seg_size {
-            self.effective_mss = self.config.mss.min(usize::from(mss));
-        } else {
-            self.effective_mss = self.config.mss.min(536);
-        }
-        self.cc = CongestionControl::new(self.config.congestion, self.effective_mss);
+        self.negotiate_mss(repr.max_seg_size);
         self.state = State::SynReceived;
     }
 
@@ -984,11 +993,20 @@ impl Socket {
         self.snd_wnd = usize::from(repr.window_len);
         self.snd_wl1 = repr.seq_number;
         self.snd_wl2 = self.snd_una;
-        if let Some(mss) = repr.max_seg_size {
-            self.effective_mss = self.config.mss.min(usize::from(mss));
-        } else {
-            self.effective_mss = self.config.mss.min(536);
-        }
+        self.negotiate_mss(repr.max_seg_size);
+    }
+
+    /// RFC 1122 §4.2.2.6's effective send MSS, fixed by the peer's SYN:
+    /// the least of the peer's MSS option (536 without one), our
+    /// `config.mss` and the first hop's IP MTU less the IP and TCP
+    /// headers, so no full segment leaves this host in fragments. The
+    /// congestion window restarts at one such segment.
+    fn negotiate_mss(&mut self, peer_option: Option<u16>) {
+        let peer = peer_option.map_or(536, usize::from);
+        let first_hop = self.first_hop_mtu.map_or(usize::MAX, |mtu| {
+            mtu.saturating_sub(ipv4::HEADER_LEN + tcp::HEADER_LEN)
+        });
+        self.effective_mss = self.config.mss.min(peer).min(first_hop);
         self.cc = CongestionControl::new(self.config.congestion, self.effective_mss);
     }
 
@@ -1365,6 +1383,57 @@ mod tests {
         assert_eq!(&buf[..4], b"ping");
         assert_eq!(client.recv_slice(&mut buf).unwrap(), 4);
         assert_eq!(&buf[..4], b"pong");
+    }
+
+    #[test]
+    fn send_mss_is_the_least_of_peer_option_config_and_first_hop() {
+        // A listener at MSS 1460 answering one SYN: `first_hop` is the
+        // IP MTU the node would set, `peer` the SYN's MSS option.
+        let negotiate = |first_hop: Option<usize>, peer: Option<u16>| {
+            let mut server = Socket::new(SocketConfig {
+                mss: 1460,
+                ..SocketConfig::default()
+            });
+            server.listen(Endpoint::new(B_ADDR, 80)).unwrap();
+            if let Some(ip_mtu) = first_hop {
+                server.set_first_hop_mtu(ip_mtu);
+            }
+            let syn = TcpRepr {
+                src_port: 49152,
+                dst_port: 80,
+                control: TcpControl::Syn,
+                seq_number: TcpSeqNumber(7),
+                ack_number: None,
+                window_len: 65_535,
+                max_seg_size: peer,
+                payload_crc: None,
+                payload_len: 0,
+            };
+            server.process(Instant::ZERO, B_ADDR, A_ADDR, &syn, &[]);
+            assert_eq!(server.state(), State::SynReceived);
+            let iw = server.congestion().window();
+            assert_eq!(iw, server.effective_mss(), "the initial window is one clamped MSS");
+            server.effective_mss()
+        };
+        assert_eq!(negotiate(None, Some(1460)), 1460);
+        assert_eq!(negotiate(Some(1486), Some(1460)), 1446, "Ethernet first hop");
+        assert_eq!(negotiate(Some(1486), Some(1000)), 1000, "the peer's option is less");
+        assert_eq!(negotiate(Some(1486), None), 536, "no option means 536");
+        assert_eq!(negotiate(Some(296), None), 256, "SLIP first hop under 536");
+        assert_eq!(negotiate(Some(1500), Some(9000)), 1460, "config.mss is less");
+    }
+
+    #[test]
+    fn the_first_hop_bounds_what_a_socket_sends_not_what_it_advertises() {
+        let (mut client, mut server) = pair();
+        client.set_first_hop_mtu(296);
+        let (syn, _) = client.dispatch(Instant::ZERO).unwrap();
+        assert_eq!(syn.max_seg_size, Some(1000), "the SYN advertises config.mss");
+        server.process(Instant::ZERO, B_ADDR, A_ADDR, &syn, &[]);
+        no_drop(&mut client, &mut server, Instant::ZERO);
+        assert_eq!(client.effective_mss(), 256);
+        assert_eq!(client.congestion().window(), 256);
+        assert_eq!(server.effective_mss(), 1000);
     }
 
     #[test]

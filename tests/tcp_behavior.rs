@@ -39,6 +39,41 @@ fn tcp_crosses_a_smaller_mtu_than_its_mss_via_ip_fragmentation() {
 }
 
 #[test]
+fn a_segment_fits_its_first_hop_so_neither_host_fragments() {
+    // MSS 1460 on both ends, but each host's first hop is an Ethernet
+    // LAN whose IP MTU is 1486 (1500 less 14 bytes of framing): RFC
+    // 1122 §4.2.2.6 clamps the MSS each side sends to 1486 − 40 = 1446,
+    // so no full segment leaves a host as two fragments.
+    let mut net = Network::new(75);
+    let h1 = net.add_host("h1");
+    let g = net.add_gateway("g");
+    let h2 = net.add_host("h2");
+    net.connect(h1, g, LinkClass::EthernetLan);
+    net.connect(g, h2, LinkClass::EthernetLan);
+    net.converge_routing(Duration::from_secs(30));
+
+    let config = TcpConfig {
+        mss: 1460,
+        ..TcpConfig::default()
+    };
+    let dst = net.node(h2).primary_addr();
+    let sink = SinkServer::new(80, config.clone());
+    let received = Arc::clone(&sink.received);
+    net.attach_app(h2, Box::new(sink));
+    let start = net.now();
+    let sender = BulkSender::new(Endpoint::new(dst, 80), 200_000, config, start);
+    let result = sender.result_handle();
+    net.attach_app(h1, Box::new(sender));
+    net.run_for(Duration::from_secs(60));
+
+    assert!(result.lock().unwrap().completed_at.is_some(), "{:?}", result.lock().unwrap());
+    assert_eq!(*received.lock().unwrap(), 200_000);
+    assert_eq!(net.node(h1).tcp_sockets[0].effective_mss(), 1446, "sender");
+    assert_eq!(net.node(h2).tcp_sockets[0].effective_mss(), 1446, "listener");
+    assert_eq!(net.node(h1).stats.frags_created, 0, "the sender fragmented");
+}
+
+#[test]
 fn competing_connections_share_a_bottleneck_fairly_enough() {
     // Two Tahoe connections share one T1: neither starves. "Fair enough"
     // for 1988 means both finish and the slower one takes less than 3×
