@@ -76,8 +76,8 @@ struct Transfers {
 /// from the REPL's 5 ms command poll: a receiver that reads only
 /// between polls lets a whole window pile up unread, advertises a
 /// closed window, and — this TCP sends no window update when a read
-/// reopens it — sits out the sender's 200 ms probe timer once per
-/// 64 KB.
+/// reopens it — sits out the sender's retransmission timeout, which
+/// probes a closed window (200 ms at least), once per 64 KB.
 struct Mover(Shared<Transfers>);
 
 impl Application for Mover {

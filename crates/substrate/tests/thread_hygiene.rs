@@ -10,6 +10,9 @@
 use catenet_substrate::config;
 use catenet_substrate::real::RealSubstrate;
 
+/// How long a joined thread may stay on the `Threads:` count.
+const SETTLE: std::time::Duration = std::time::Duration::from_millis(500);
+
 fn process_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
     let line = status
@@ -57,6 +60,19 @@ fn fifty_create_drop_cycles_leak_no_thread_and_never_hang() {
             took < std::time::Duration::from_millis(100),
             "cycle {cycle}: drop took {took:?}"
         );
+        // Joined, not just told to stop: a reader that `drop` did not
+        // wait for would still hold its clone of the tunnel's socket
+        // (until its next 25 ms `recv` timeout), and the port with it.
+        for port in [pa, pb] {
+            std::net::UdpSocket::bind(("127.0.0.1", port))
+                .unwrap_or_else(|e| panic!("cycle {cycle}: port {port} still held: {e}"));
+        }
+        // `pthread_join` returns at the thread's exit wake-up, a moment
+        // before the kernel takes it off the `Threads:` count, so a
+        // joined reader may still be counted for ~0.1 ms. A leaked one
+        // stays counted.
+        let settling = std::time::Instant::now();
+        while process_threads() != before && settling.elapsed() < SETTLE {}
         assert_eq!(
             process_threads(),
             before,

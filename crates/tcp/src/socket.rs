@@ -127,7 +127,8 @@ pub struct SocketConfig {
     pub delayed_ack: Option<Duration>,
     /// Give up the connection after this many *consecutive* RTO
     /// expirations with no forward progress (RFC 1122 §4.2.3.5's "R2"
-    /// threshold). `None` retries forever — the 1980s default, and the
+    /// threshold). A zero-window answer to a probe is progress: a peer
+    /// that keeps its window closed is alive (§4.2.2.17). `None` retries forever — the 1980s default, and the
     /// default here so survivability experiments show the architecture's
     /// patience rather than the host's.
     pub max_retries: Option<u32>,
@@ -179,9 +180,10 @@ pub struct SocketStats {
     pub retransmits: u64,
     /// Duplicate ACKs observed.
     pub dup_acks: u64,
-    /// Zero-window probes sent.
+    /// Zero-window probes sent: the one byte an RTO expiry over a closed
+    /// window lets past it, each resend included (also a retransmit).
     pub probes_sent: u64,
-    /// RTO expirations.
+    /// RTO expirations, those that probe a closed window included.
     pub timeouts: u64,
     /// ICMP source quenches applied.
     pub quenches: u64,
@@ -235,9 +237,10 @@ pub struct Socket {
     dup_ack_count: u32,
 
     // Timers and pending actions.
+    /// The one timer over unacknowledged bytes, and over queued data
+    /// behind a closed window (see `window_closed`).
     retransmit_at: Option<Instant>,
     delayed_ack_at: Option<Instant>,
-    probe_at: Option<Instant>,
     time_wait_until: Option<Instant>,
     ack_pending: bool,
     segs_since_ack: u8,
@@ -249,6 +252,9 @@ pub struct Socket {
     consecutive_timeouts: u32,
     /// Set to emit an RST (on abort).
     rst_pending: bool,
+    /// The retransmission timer expired over a closed window: the next
+    /// segment may carry one byte past it (RFC 9293 §3.8.6.1).
+    probe_due: bool,
 
     /// Counters.
     pub stats: SocketStats,
@@ -288,7 +294,6 @@ impl Socket {
             dup_ack_count: 0,
             retransmit_at: None,
             delayed_ack_at: None,
-            probe_at: None,
             time_wait_until: None,
             ack_pending: false,
             segs_since_ack: 0,
@@ -296,6 +301,7 @@ impl Socket {
             timed_out_conn: false,
             consecutive_timeouts: 0,
             rst_pending: false,
+            probe_due: false,
             stats: SocketStats::default(),
         }
     }
@@ -450,7 +456,7 @@ impl Socket {
         self.fin_seq = None;
         self.retransmit_at = None;
         self.delayed_ack_at = None;
-        self.probe_at = None;
+        self.probe_due = false;
         self.time_wait_until = None;
         self.ack_pending = false;
     }
@@ -526,7 +532,6 @@ impl Socket {
         [
             self.retransmit_at,
             self.delayed_ack_at,
-            self.probe_at,
             self.time_wait_until,
         ]
         .into_iter()
@@ -571,9 +576,16 @@ impl Socket {
     }
 
     fn usable_window(&self) -> usize {
-        let flow = self.snd_wnd.min(self.cc.window());
+        let flow = self.snd_wnd.max(usize::from(self.probe_due)).min(self.cc.window());
         let in_flight = (self.snd_nxt - self.snd_una).max(0) as usize;
         flow.saturating_sub(in_flight)
+    }
+
+    /// Whether queued data waits behind a send window the peer closed.
+    /// The retransmission timer then runs even with nothing in flight,
+    /// and its expiry sends one byte as a window probe.
+    fn window_closed(&self) -> bool {
+        self.state.is_synchronized() && self.snd_wnd == 0 && !self.tx_buffer.is_empty()
     }
 
     fn segment_would_pass_nagle(&self, unsent: usize) -> bool {
@@ -605,8 +617,13 @@ impl Socket {
             }
         }
         if let Some(at) = self.retransmit_at {
-            if now >= at && self.snd_max > self.snd_una {
-                // RTO: rewind the cursor; congestion collapse; Karn.
+            let window_closed = self.window_closed();
+            if self.snd_max == self.snd_una && !window_closed {
+                self.retransmit_at = None;
+            } else if now >= at {
+                // RTO: rewind the cursor; Karn. Over a closed window it
+                // is flow control, not loss: the congestion state stands
+                // and the next segment probes with one byte.
                 self.stats.timeouts += 1;
                 self.consecutive_timeouts += 1;
                 if let Some(limit) = self.config.max_retries {
@@ -617,14 +634,14 @@ impl Socket {
                         return;
                     }
                 }
-                let flight = (self.snd_max - self.snd_una).max(0) as usize;
-                self.cc.on_timeout(flight);
+                self.probe_due = window_closed;
+                if !window_closed {
+                    self.cc.on_timeout((self.snd_max - self.snd_una).max(0) as usize);
+                }
                 self.rtt.on_retransmit();
                 self.snd_nxt = self.snd_una;
                 self.dup_ack_count = 0;
                 self.retransmit_at = Some(now + self.rtt.rto());
-            } else if self.snd_max == self.snd_una {
-                self.retransmit_at = None;
             }
         }
     }
@@ -641,7 +658,9 @@ impl Socket {
         now: Instant,
         emit: impl FnOnce(&TcpRepr, &[u8], &[u8]) -> R,
     ) -> Option<R> {
-        let (repr, offset) = self.next_segment(now)?;
+        let segment = self.next_segment(now);
+        self.debug_assert_flight_is_timed();
+        let (repr, offset) = segment?;
         let (head, tail) = ring_slices(&self.tx_buffer, offset, repr.payload_len);
         Some(emit(&repr, head, tail))
     }
@@ -747,20 +766,16 @@ impl Socket {
     }
 
     fn dispatch_synchronized(&mut self, now: Instant) -> Option<(TcpRepr, usize)> {
-        // 1. Data (or FIN) within the window.
+        // 1. Data (or FIN) within the window, or the probe byte past a
+        // closed one.
         if let Some(seg) = self.make_data_segment(now) {
             return Some(seg);
         }
-        // 2. Zero-window probe.
-        if let Some(at) = self.probe_at {
-            if now >= at && self.snd_wnd == 0 && !self.tx_buffer.is_empty() {
-                return Some(self.make_probe(now));
-            }
+        if self.window_closed() && self.retransmit_at.is_none() {
+            // Nothing in flight: the RTO's expiry sends the probe.
+            self.retransmit_at = Some(now + self.rtt.rto());
         }
-        if self.snd_wnd == 0 && !self.tx_buffer.is_empty() && self.probe_at.is_none() {
-            self.probe_at = Some(now + self.rtt.rto());
-        }
-        // 3. Pure ACK.
+        // 2. Pure ACK.
         if self.ack_pending {
             return Some(self.make_ack());
         }
@@ -827,6 +842,7 @@ impl Socket {
         if is_retransmit {
             self.stats.retransmits += 1;
         }
+        self.stats.probes_sent += u64::from(core::mem::take(&mut self.probe_due));
         self.retransmit_at = Some(now + self.rtt.rto());
 
         let repr = TcpRepr {
@@ -855,36 +871,6 @@ impl Socket {
             let (head, tail) = ring_slices(&self.tx_buffer, offset, len);
             catenet_wire::crc32c_parts(&[head, tail])
         })
-    }
-
-    fn make_probe(&mut self, now: Instant) -> (TcpRepr, usize) {
-        // Send one byte beyond the window to force a window update.
-        let offset = (self.snd_nxt - self.tx_base_seq).max(0) as usize;
-        let len = usize::from(offset < self.tx_buffer.len());
-        let repr = TcpRepr {
-            src_port: self.local.port,
-            dst_port: self.remote.port,
-            control: TcpControl::None,
-            seq_number: self.snd_nxt,
-            ack_number: Some(self.rcv_nxt),
-            window_len: self.rcv_wnd() as u16,
-            max_seg_size: None,
-            payload_crc: self.payload_crc(offset, len),
-            payload_len: len,
-        };
-        // The probe byte occupies sequence space: if the receiver has
-        // room after all, its ACK covers it and must be creditable.
-        self.snd_nxt = self.snd_nxt + len;
-        if self.snd_max < self.snd_nxt {
-            self.snd_max = self.snd_nxt;
-        }
-        self.stats.bytes_sent += len as u64;
-        // Back the probe timer off.
-        self.rtt.on_retransmit();
-        self.probe_at = Some(now + self.rtt.rto());
-        self.stats.probes_sent += 1;
-        self.stats.segs_sent += 1;
-        (repr, offset.min(self.tx_buffer.len()))
     }
 
     // --------------------------------------------------------- process
@@ -926,6 +912,13 @@ impl Socket {
             State::SynSent => self.process_syn_sent(now, repr),
             _ => self.process_general(now, repr, payload),
         }
+        self.debug_assert_flight_is_timed();
+    }
+
+    /// No byte in flight is ever left without the retransmission timer.
+    fn debug_assert_flight_is_timed(&self) {
+        let untimed = self.snd_max != self.snd_una && self.retransmit_at.is_none();
+        debug_assert!(!(self.state.is_synchronized() && untimed), "bytes in flight, no timer");
     }
 
     fn process_listen(
@@ -1129,7 +1122,6 @@ impl Socket {
         self.state = State::TimeWait;
         self.time_wait_until = Some(now + MSL * 2);
         self.retransmit_at = None;
-        self.probe_at = None;
         self.ack_pending = true;
     }
 
@@ -1183,6 +1175,11 @@ impl Socket {
                     _ => {}
                 }
             }
+        } else if repr.window_len == 0 {
+            // Flow control, not loss: a refused probe is no duplicate ACK,
+            // and a peer that answers it keeps the connection open
+            // (RFC 1122 §4.2.2.17).
+            self.consecutive_timeouts = 0;
         } else if payload_len == 0
             && ack == self.snd_una
             && self.snd_max > self.snd_una
@@ -1203,11 +1200,7 @@ impl Socket {
         if (seq - self.snd_wl1) > 0
             || (seq == self.snd_wl1 && (ack - self.snd_wl2) >= 0)
         {
-            let new_wnd = usize::from(repr.window_len);
-            if self.snd_wnd == 0 && new_wnd > 0 {
-                self.probe_at = None;
-            }
-            self.snd_wnd = new_wnd;
+            self.snd_wnd = usize::from(repr.window_len);
             self.snd_wl1 = seq;
             self.snd_wl2 = ack;
         }
@@ -1655,16 +1648,18 @@ mod tests {
         assert!(client.congestion().fast_retransmits >= 1);
     }
 
-    #[test]
-    fn zero_window_blocks_then_probe_resumes() {
-        // A server with a tiny receive buffer whose application reads
-        // nothing: the window slams shut, and only probing reopens it.
+    /// A client with 10,000 patterned bytes to send, an RTT of 100 ms
+    /// behind its RTO, and a peer whose 2,000-byte receive buffer its
+    /// application has filled and not read: the window has slammed
+    /// shut with nothing in flight, and only probing reopens it (a
+    /// reading receiver sends no window update of its own).
+    fn closed_window_pair(max_retries: Option<u32>) -> (Socket, Socket, Vec<u8>, Instant) {
         let mut client = Socket::new(SocketConfig {
             initial_seq: 100,
             mss: 1000,
             nagle: false,
-            congestion: CongestionAlgo::None,
             delayed_ack: None,
+            max_retries,
             ..SocketConfig::default()
         });
         let mut server = Socket::new(SocketConfig {
@@ -1678,40 +1673,119 @@ mod tests {
         client
             .connect(Endpoint::new(A_ADDR, 49152), Endpoint::new(B_ADDR, 80), Instant::ZERO)
             .unwrap();
-        no_drop(&mut client, &mut server, Instant::ZERO);
+        let (syn, _) = client.dispatch(Instant::ZERO).unwrap();
+        server.process(Instant::ZERO, B_ADDR, A_ADDR, &syn, &[]);
+        let (syn_ack, _) = server.dispatch(Instant::ZERO).unwrap();
+        let mut now = Instant::from_millis(100);
+        client.process(now, A_ADDR, B_ADDR, &syn_ack, &[]);
+        no_drop(&mut client, &mut server, now);
 
-        let data = vec![0x55u8; 10_000];
+        let data: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
         assert_eq!(client.send_slice(&data).unwrap(), 10_000);
-        let mut now = Instant::from_millis(1);
-        for _ in 0..10 {
-            no_drop(&mut client, &mut server, now);
-            now += Duration::from_millis(50);
-        }
-        // Server's 2 kB buffer is full; client saw window 0 and stopped.
+        now += Duration::from_millis(1);
+        no_drop(&mut client, &mut server, now);
         assert_eq!(server.recv_queue_len(), 2_000);
-        assert!(client.send_queue_len() > 0, "client holds unsendable data");
+        assert_eq!(client.snd_wnd, 0);
+        assert_eq!(client.snd_una, client.snd_max, "nothing in flight");
+        assert_eq!(client.send_queue_len(), 8_000, "client holds unsendable data");
+        (client, server, data, now)
+    }
 
-        // Drain the server repeatedly; probe-elicited ACKs reopen the
-        // window and the rest flows.
-        let mut sink = vec![0u8; 4_096];
-        let mut drained = 0;
-        for _ in 0..200 {
-            loop {
-                let n = server.recv_slice(&mut sink).unwrap();
-                if n == 0 {
-                    break;
-                }
-                drained += n;
-            }
-            no_drop(&mut client, &mut server, now);
-            now += Duration::from_millis(300);
-            if drained == 10_000 {
+    /// Read everything `server` holds onto the end of `received`.
+    fn read_all(server: &mut Socket, received: &mut Vec<u8>) {
+        let mut sink = [0u8; 4_096];
+        loop {
+            let n = server.recv_slice(&mut sink).unwrap();
+            if n == 0 {
                 break;
             }
+            received.extend_from_slice(&sink[..n]);
         }
-        assert_eq!(drained, 10_000, "all data eventually delivered");
+    }
+
+    /// Run until every byte of `data` is read onto `received`: each
+    /// round reads, then lets time pass to the client's next timer.
+    fn drain(
+        client: &mut Socket,
+        server: &mut Socket,
+        data: &[u8],
+        mut received: Vec<u8>,
+        mut now: Instant,
+    ) {
+        for _ in 0..200 {
+            read_all(server, &mut received);
+            if received.len() == data.len() {
+                break;
+            }
+            now = client.poll_at().expect("queued data is under a timer").max(now);
+            no_drop(client, server, now);
+        }
+        assert!(received == data, "all data delivered, byte-exact");
         assert_eq!(client.send_queue_len(), 0);
-        assert!(client.stats.probes_sent >= 1, "probes: {}", client.stats.probes_sent);
+    }
+
+    #[test]
+    fn zero_window_blocks_then_probe_resumes() {
+        let (mut client, mut server, data, _) = closed_window_pair(Some(3));
+        let congestion = (client.congestion().window(), client.congestion().ssthresh());
+
+        // The peer keeps refusing: each expiry of the one timer resends
+        // the byte at `snd_una`, and the gap between resends doubles up
+        // to the RTO's ceiling.
+        let mut sent_at: Vec<Instant> = Vec::new();
+        for _ in 0..10 {
+            let now = client.poll_at().expect("the RTO runs over a closed window");
+            let (probe, byte) = client.dispatch(now).expect("a probe at the expiry");
+            assert_eq!((probe.seq_number, byte.len()), (client.snd_una, 1));
+            assert!(client.dispatch(now).is_none(), "one byte past a closed window");
+            server.process(now, B_ADDR, A_ADDR, &probe, &byte);
+            let (refusal, _) = server.dispatch(now).expect("the peer answers");
+            assert_eq!((refusal.ack_number, refusal.window_len), (Some(probe.seq_number), 0));
+            client.process(now, A_ADDR, B_ADDR, &refusal, &[]);
+            sent_at.push(now);
+        }
+        let gaps: Vec<Duration> = sent_at.windows(2).map(|w| w[1] - w[0]).collect();
+        for pair in gaps.windows(2) {
+            assert_eq!(pair[1], (pair[0] * 2).min(RttEstimator::MAX_RTO), "gaps {gaps:?}");
+        }
+        assert_eq!(client.stats.probes_sent, 10);
+        assert_eq!(client.stats.retransmits, 9, "every probe after the first is a resend");
+        assert_eq!(client.stats.dup_acks, 0, "a refusal is no duplicate ACK");
+
+        // Flow control is not loss: a peer that answers keeps the
+        // connection open past `max_retries`, and the congestion window
+        // is where the window closed it.
+        assert_eq!(client.state(), State::Established);
+        assert!(!client.has_timed_out());
+        assert_eq!((client.congestion().window(), client.congestion().ssthresh()), congestion);
+
+        // The application reads; the next probe's ACK reopens the window.
+        let now = *sent_at.last().unwrap();
+        drain(&mut client, &mut server, &data, Vec::new(), now);
+    }
+
+    #[test]
+    fn a_probe_whose_ack_is_lost_is_resent_at_the_same_sequence_number() {
+        let (mut client, mut server, data, _) = closed_window_pair(None);
+        // The application makes room, but the receiver says nothing
+        // until a probe arrives.
+        let mut received = Vec::new();
+        read_all(&mut server, &mut received);
+        let now = client.poll_at().unwrap();
+        let (probe, byte) = client.dispatch(now).expect("a probe");
+        server.process(now, B_ADDR, A_ADDR, &probe, &byte);
+        let (lost, _) = server.dispatch(now).expect("the probe's ACK");
+        assert_eq!(lost.ack_number, Some(probe.seq_number + 1), "the byte was accepted");
+
+        // Its ACK is lost: the same timer expires and resends the same
+        // byte, which the receiver acknowledges again.
+        let now = client.poll_at().expect("the probe byte is under the RTO");
+        let (again, byte_again) = client.dispatch(now).expect("the probe, resent");
+        assert_eq!((again.seq_number, &byte_again), (probe.seq_number, &byte));
+        assert_eq!(client.stats.probes_sent, 2);
+        server.process(now, B_ADDR, A_ADDR, &again, &byte_again);
+        read_all(&mut server, &mut received);
+        drain(&mut client, &mut server, &data, received, now);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use catenet_sim::{Duration, Instant, Rng};
 use catenet_tcp::{Endpoint, OutOfOrderBuffer, RttEstimator, Socket, SocketConfig};
-use catenet_wire::{crc32c, Ipv4Address, TcpControl, TcpRepr, TcpSeqNumber};
+use catenet_wire::{crc32c, Ipv4Address, TcpRepr, TcpSeqNumber};
 use std::collections::VecDeque;
 
 #[test]
@@ -119,13 +119,16 @@ struct RingHarness {
     tx_capacity: usize,
     check_crc: bool,
     stream: Vec<u8>,
-    /// Segments in flight, each direction.
-    to_server: Vec<(TcpRepr, Vec<u8>)>,
+    /// Segments in flight, each direction; a client segment is marked
+    /// when it is a zero-window probe.
+    to_server: Vec<(TcpRepr, Vec<u8>, bool)>,
     to_client: Vec<(TcpRepr, Vec<u8>)>,
     /// Model of the client's transmit ring: one element per byte the
     /// socket accepted and the peer has not acknowledged.
     tx_model: VecDeque<u8>,
     written: usize,
+    /// Stream bytes the client has put on the wire at least once.
+    sent: usize,
     acked: usize,
     /// Model of the server's receive ring, and what the application has
     /// read out of it.
@@ -179,6 +182,7 @@ impl RingHarness {
             to_client: Vec::new(),
             tx_model: VecDeque::new(),
             written: 0,
+            sent: 0,
             acked: 0,
             rx_model: VecDeque::new(),
             accepted: 0,
@@ -203,6 +207,7 @@ impl RingHarness {
     /// stream at the position its sequence number names.
     fn client_dispatch(&mut self, lend: bool) {
         loop {
+            let probes = self.client.stats.probes_sent;
             let segment = if lend {
                 self.client.dispatch_with(self.now, |repr, head, tail| {
                     assert_eq!(head.len() + tail.len(), repr.payload_len);
@@ -220,25 +225,12 @@ impl RingHarness {
                 assert!(at >= self.acked && at + payload.len() <= self.written);
                 assert_eq!(repr.payload_crc, self.check_crc.then(|| crc32c(&payload)));
             }
-            let is_probe = repr.control == TcpControl::None && payload.len() == 1;
-            self.to_server.push((repr, payload));
-            if is_probe {
-                // A zero-window probe byte is outside the retransmission
-                // timer (`make_probe` arms none): refused, or accepted and
-                // its ACK lost, it stays in flight for good, and Nagle or
-                // a window no wider than the stranded bytes then stalls
-                // the sender forever. That defect is parked (ROADMAP's
-                // recorded protocol defects: "zero-window probe outside
-                // the RTO") because fixing it changes behaviour; until
-                // then the probe and its answer cross a clean wire at
-                // once, after the application has made room for the byte.
-                self.read(1);
-                self.deliver_to_server(self.to_server.len() - 1);
-                self.server_dispatch();
-                while !self.to_client.is_empty() {
-                    self.deliver_to_client(0);
-                }
+            if !payload.is_empty() {
+                let end = (repr.seq_number + payload.len() - (self.iss + 1)) as usize;
+                self.sent = self.sent.max(end);
             }
+            let is_probe = self.client.stats.probes_sent > probes;
+            self.to_server.push((repr, payload, is_probe));
         }
     }
 
@@ -251,7 +243,7 @@ impl RingHarness {
 
     /// Deliver in-flight segment `index` of the client→server wire.
     fn deliver_to_server(&mut self, index: usize) {
-        let (repr, payload) = self.to_server.remove(index);
+        let (repr, payload, _) = self.to_server.remove(index);
         let before = self.server.stats.bytes_received;
         self.server.process(self.now, SERVER, CLIENT, &repr, &payload);
         let gained = (self.server.stats.bytes_received - before) as usize;
@@ -291,11 +283,18 @@ impl RingHarness {
         assert_eq!(self.client.send_queue_len(), self.tx_model.len(), "{at}");
         assert_eq!(self.server.recv_queue_len(), self.rx_model.len(), "{at}");
         assert_eq!(self.read, self.stream[..self.read.len()], "{at}");
+        // Bytes on the wire and unacknowledged are always under a timer.
+        if self.sent > self.acked {
+            assert!(self.client.poll_at().is_some(), "{at}: unacknowledged bytes with no timer");
+        }
     }
 }
 
 #[test]
 fn socket_rings_match_a_per_byte_model() {
+    // Zero-window probes sent, and those lost on the way: both must be
+    // exercised, or the model no longer covers the path.
+    let (mut probes_sent, mut probes_dropped) = (0, 0);
     for case in 0..192 {
         let mut rng = Rng::for_case("socket_rings", case);
         let mut h = RingHarness::new(&mut rng);
@@ -320,7 +319,8 @@ fn socket_rings_match_a_per_byte_model() {
                     // Loss, or duplication.
                     let index = rng.below(h.to_server.len() as u64) as usize;
                     if rng.chance(0.7) {
-                        h.to_server.remove(index);
+                        let (.., probe) = h.to_server.remove(index);
+                        probes_dropped += u64::from(probe);
                     } else {
                         let copy = h.to_server[index].clone();
                         h.to_server.push(copy);
@@ -359,5 +359,8 @@ fn socket_rings_match_a_per_byte_model() {
             h.now += Duration::from_millis(250);
         }
         assert_eq!(h.read, h.stream, "case {case}");
+        probes_sent += h.client.stats.probes_sent;
     }
+    println!("zero-window probes: {probes_sent} sent, {probes_dropped} dropped on the wire");
+    assert!(probes_sent > 0 && probes_dropped > 0, "the model no longer probes, or loses none");
 }
