@@ -211,7 +211,7 @@ pub fn run_count_to_infinity(split_horizon: bool) -> ConvergencePathology {
     // The stub dies. Crucially, b's periodic advertisement goes out
     // FIRST each round (before it has heard the bad news) — the timing
     // race that makes counting-to-infinity possible at all.
-    a.remove_connected(&stub);
+    a.fail_iface(0, now);
     let mut rounds_to_purge = None;
     for round in 1..=64u32 {
         let ads = b.advertisement_for(0, &ExportPolicy::All, true);

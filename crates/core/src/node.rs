@@ -272,16 +272,15 @@ impl Node {
     }
 
     /// Raise or drop interface `iface`: the flag flips and routing
-    /// re-learns the connected prefix, or loses it together with every
-    /// route learned over the interface. Only this end is told.
+    /// re-learns the connected prefix, or poisons it together with every
+    /// route learned over the interface, and the next update on each
+    /// other interface announces the withdrawal. Only this end is told.
     pub fn set_iface_up(&mut self, iface: usize, up: bool, now: Instant) {
         self.ifaces[iface].up = up;
-        let cidr = self.ifaces[iface].cidr.network();
         if let Some(dv) = &mut self.dv {
             if up {
-                dv.add_connected(cidr, iface);
+                dv.add_connected(self.ifaces[iface].cidr.network(), iface);
             } else {
-                dv.remove_connected(&cidr);
                 dv.fail_iface(iface, now);
             }
         }

@@ -233,31 +233,12 @@ impl DvEngine {
         self.version += 1;
     }
 
-    /// Withdraw a connected network (interface went down).
-    pub fn remove_connected(&mut self, prefix: &Ipv4Cidr) {
-        if let Some(route) = self.table.get_mut(prefix) {
-            if matches!(route.next_hop, NextHop::Connected { .. }) {
-                route.metric = INFINITY_METRIC;
-                route.changed = true;
-                // Already expired: the next `tick` drops the route, and
-                // `Node::service_dv` ticks before it advertises, so the
-                // triggered update never carries this withdrawal and
-                // neighbours wait out their route timeout. A known
-                // defect, kept because fixing it moves E11/E12 results
-                // (ROADMAP.md's recorded protocol defects: "withdrawn
-                // connected prefix").
-                route.expires_at = Instant::ZERO;
-                self.next_expiry = Instant::ZERO;
-                self.trigger_pending = true;
-                self.version += 1;
-            }
-        }
-    }
-
-    /// An interface went down: every route using it — connected or
-    /// learned — is immediately dead (this is what real routers do;
-    /// waiting for the timeout would advertise a black hole for most of
-    /// a route-timeout period).
+    /// An interface went down: every route using it — its connected
+    /// prefix and what was learned over it — is immediately dead (this
+    /// is what real routers do; waiting for the timeout would advertise
+    /// a black hole for most of a route-timeout period). Each is held at
+    /// infinity for [`DvConfig::GC_TIMEOUT`], so the triggered update
+    /// and the periodic ones in that hold carry the withdrawal.
     pub fn fail_iface(&mut self, iface: usize, now: Instant) {
         let mut changed = false;
         for (_, route) in self.table.iter_mut() {
@@ -791,18 +772,9 @@ mod tests {
     }
 
     #[test]
-    fn remove_connected_poisons() {
-        let mut dv = engine();
-        dv.add_connected(cidr("10.1.0.0/16"), 0);
-        dv.remove_connected(&cidr("10.1.0.0/16"));
-        assert!(dv.lookup(addr("10.1.0.1")).is_none());
-        let ads = dv.advertisement_for(1, &ExportPolicy::All, true);
-        assert_eq!(ads[0].metric, INFINITY_METRIC);
-    }
-
-    #[test]
     fn fail_iface_kills_learned_routes_immediately() {
         let mut dv = engine();
+        dv.add_connected(cidr("10.1.0.0/16"), 0);
         dv.handle_update(
             addr("10.0.0.2"),
             0,
@@ -815,10 +787,24 @@ mod tests {
             &[RipEntry::new(cidr("10.8.0.0/16"), 1)],
             Instant::ZERO,
         );
+        dv.advertisements_sent(Instant::ZERO);
         dv.fail_iface(0, Instant::from_secs(1));
+        assert!(dv.lookup(addr("10.1.0.1")).is_none(), "iface-0 prefix dead");
         assert!(dv.lookup(addr("10.9.0.1")).is_none(), "iface-0 route dead");
         assert!(dv.lookup(addr("10.8.0.1")).is_some(), "iface-1 route alive");
         assert!(dv.triggered_due(), "poison goes out as a triggered update");
+        // `Node::service_dv` ticks before it advertises: the poison
+        // survives that tick and the triggered update carries both.
+        dv.tick(Instant::from_secs(1));
+        let ads = dv.advertisement_for(1, &ExportPolicy::All, false);
+        let withdrawn: Vec<_> = ads.iter().map(|e| (e.prefix, e.metric)).collect();
+        assert_eq!(
+            withdrawn,
+            [
+                (cidr("10.1.0.0/16"), INFINITY_METRIC),
+                (cidr("10.9.0.0/16"), INFINITY_METRIC)
+            ]
+        );
         // The dead route can be replaced by a worse alternative now.
         dv.handle_update(
             addr("10.0.1.2"),
@@ -921,7 +907,7 @@ mod tests {
         c.handle_update(b_addr_bc, 0, &ads, now);
         assert_eq!(c.lookup(addr("10.1.5.5")).unwrap().metric, 3);
         // A's network dies.
-        a.remove_connected(&cidr("10.1.0.0/16"));
+        a.fail_iface(0, now);
         let ads = a.advertisement_for(1, &ExportPolicy::All, true);
         b.handle_update(a_addr, 0, &ads, now);
         assert!(b.lookup(addr("10.1.5.5")).is_none(), "poison reached B");

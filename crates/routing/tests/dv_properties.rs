@@ -2,7 +2,7 @@
 //! advertisement streams checking the invariants the protocol promises
 //! regardless of what neighbors say.
 //!
-//! Four properties, each over many seeds:
+//! Five properties, each over many seeds:
 //!
 //! 1. **Metric bounds** — every stored metric stays in
 //!    `1..=INFINITY_METRIC` and the table version never goes backwards,
@@ -19,13 +19,19 @@
 //!    minimum `expires_at`, and after every `tick(now)` no deadline at
 //!    or before `now` may remain. `catenet-core`'s `Node::is_quiet`,
 //!    which lets the lane loop skip a pass, rests on the same bound.
+//! 5. **Down is announced** — after `fail_iface(i, now)` and the
+//!    `tick(now)` that `Node::service_dv` runs before it advertises,
+//!    the triggered update toward every other interface carries each
+//!    prefix that had a live route over `i` — the connected prefix
+//!    included — at `INFINITY_METRIC`, so neighbours need not wait out
+//!    their route timeout.
 //!
 //! Each property runs twice per seed: guard off (the trusting 1988
 //! behavior) and guard on (the hardened path) — the invariants are the
 //! engine's, and no admission policy may break them.
 
 use catenet_routing::{
-    DvConfig, DvEngine, GuardPolicy, NextHop, RipEntry, INFINITY_METRIC,
+    DvConfig, DvEngine, ExportPolicy, GuardPolicy, NextHop, RipEntry, INFINITY_METRIC,
 };
 use catenet_sim::{Duration, Instant, Rng};
 use catenet_wire::{Ipv4Address, Ipv4Cidr};
@@ -228,12 +234,9 @@ fn next_expiry_never_exceeds_the_earliest_deadline() {
                 let op = if roll < 0.50 {
                     dv.handle_update(neighbor_on(iface), iface, &random_entries(&mut rng), now);
                     "handle_update"
-                } else if roll < 0.60 {
+                } else if roll < 0.68 {
                     dv.fail_iface(iface, now);
                     "fail_iface"
-                } else if roll < 0.68 {
-                    dv.remove_connected(&connected_prefix(iface));
-                    "remove_connected"
                 } else if roll < 0.78 {
                     dv.add_connected(connected_prefix(iface), iface);
                     "add_connected"
@@ -254,6 +257,54 @@ fn next_expiry_never_exceeds_the_earliest_deadline() {
                 };
                 check(&dv, seed, guard, op, now);
             }
+        }
+    }
+}
+
+#[test]
+fn a_downed_iface_is_withdrawn_on_every_other_iface() {
+    for guard in [false, true] {
+        for seed in SEEDS {
+            let mut rng = Rng::from_seed(seed ^ 0xD0_A11);
+            let mut dv = fresh_engine(guard);
+            let mut iface_up = [true; IFACES];
+            let mut now = Instant::ZERO;
+            let mut downs = 0;
+            for n in 0..STEPS {
+                now = step(&mut dv, &mut rng, now, &mut iface_up);
+                let iface = rng.below(IFACES as u64) as usize;
+                if !iface_up[iface] || !rng.chance(0.2) {
+                    continue;
+                }
+                let over: Vec<Ipv4Cidr> = dv
+                    .routes()
+                    .filter(|(_, r)| r.metric < INFINITY_METRIC && r.next_hop.iface() == iface)
+                    .map(|(prefix, _)| *prefix)
+                    .collect();
+                assert!(over.contains(&connected_prefix(iface)));
+                // The last round went out; what follows is the failure's.
+                dv.advertisements_sent(now);
+                dv.fail_iface(iface, now);
+                iface_up[iface] = false;
+                dv.tick(now);
+                for other in (0..IFACES).filter(|&j| j != iface) {
+                    let ads = dv.advertisement_for(other, &ExportPolicy::All, false);
+                    for prefix in &over {
+                        assert!(
+                            ads.iter()
+                                .any(|e| e.prefix == *prefix && e.metric == INFINITY_METRIC),
+                            "seed {seed} guard {guard} step {n}: iface {iface} went down \
+                             at {now}, but the update on iface {other} does not withdraw \
+                             {prefix}: {ads:?}"
+                        );
+                    }
+                }
+                downs += 1;
+            }
+            assert!(
+                downs > 0,
+                "seed {seed}: the stream never downed an interface"
+            );
         }
     }
 }

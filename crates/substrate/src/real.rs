@@ -651,10 +651,11 @@ impl RealSubstrate {
 
     /// Administratively raise or drop interface `iface` — the REPL's
     /// `up`/`down`: the `Node::set_iface_up` the simulator's
-    /// `set_link_up` applies to both ends, applied to *one*. The peer is
-    /// *not* told — on a real substrate it only finds out when RIP
-    /// times the routes out, which is the paper's point about
-    /// distributed failure detection.
+    /// `set_link_up` applies to both ends, applied to *one*. Neighbours
+    /// on this node's other interfaces hear the withdrawal in its next
+    /// update; the peer across the downed link is *not* told — on a real
+    /// substrate it only finds out when RIP times the routes out, which
+    /// is the paper's point about distributed failure detection.
     pub fn set_iface_up(&mut self, iface: usize, up: bool) {
         if iface < self.node.ifaces.len() {
             self.node.set_iface_up(iface, up, self.clock.now());

@@ -222,6 +222,11 @@ fn a_reboot_does_not_readvertise_a_downed_interface() {
         net.set_link_up(bc, false);
         net.run_for(Duration::from_secs(5));
         assert_eq!(live_metric(&net, b), None, "the withdrawal took");
+        assert_eq!(
+            live_metric(&net, a),
+            None,
+            "b's update carried the withdrawal to a, which need not time it out"
+        );
         (net, b, live_metric)
     };
 

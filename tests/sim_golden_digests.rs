@@ -5,10 +5,11 @@
 //! the proof that the simulator itself was **not touched** by any of
 //! it. It pins FNV-1a-64 digests of representative E11, E12 and E16
 //! artifacts — scored outcome, metrics dump, time-series dump, flight
-//! ring — and of the E2, E3 and E8 reports, the runs that carry UDP, to the exact values the pre-substrate tree produced
-//! (regenerated from a clean checkout of that commit). Any change that
-//! perturbs a single simulated event, sample row or ledger flush shows
-//! up here as a digest mismatch naming the artifact.
+//! ring — and of the E2, E3 and E8 reports, the runs that carry UDP, to
+//! the values of the pinned dump. A digest is re-pinned only by a
+//! change that CHANGES.md names, with the cause of the move. Any other
+//! change that perturbs a single simulated event, sample row or ledger
+//! flush shows up here as a digest mismatch naming the artifact.
 //!
 //! This complements, rather than repeats, the other determinism
 //! harnesses: `shard_equivalence` proves K-lane runs equal the
@@ -46,12 +47,15 @@ fn compute() -> Vec<(String, u64)> {
     // run whose dumps carry route-guard verdict counters,
     // `guard_attest_rejected` and `GuardAction` incidents. The black
     // hole is the one run whose liar advertises a metric-0 victim and
-    // eats the transit it attracts.
+    // eats the transit it attracts. The primary flap downs and raises
+    // one trunk's interfaces over and over, so it is the run a change to
+    // route withdrawal or to the update timers moves.
     for name in [
         "calm (control)",
         "crash-storm",
         "prefix-hijack (attested)",
         "byzantine-blackhole",
+        "primary-flap",
     ] {
         let scenario = *battery
             .iter()
@@ -90,16 +94,19 @@ fn compute() -> Vec<(String, u64)> {
     out
 }
 
-/// The pinned values, generated from a clean checkout of the last
-/// pre-substrate commit (`git worktree add … <that commit>`, same
-/// computation). Order matches [`compute`]. The four attested-hijack
+/// The pinned values, first generated from a clean checkout of the
+/// last pre-substrate commit and re-pinned since only by changes that
+/// CHANGES.md names. Order matches [`compute`]. The four attested-hijack
 /// digests come from the last tree whose lane scraped a node's
 /// counters after every pass, before nodes reported their own events;
 /// the four black-hole digests from the last tree whose network
 /// rewrote a liar's frames on the wire, before the node lied itself;
 /// the three UDP digests from the last tree whose sockets queued a
-/// datagram until the node's service pass sent it.
-const GOLDEN: [(&str, u64); 27] = [
+/// datagram until the node's service pass sent it; the four
+/// ring5-linkcut digests from the first tree whose downed interface
+/// announced its own prefix's withdrawal, which also pinned the four
+/// primary-flap digests.
+const GOLDEN: [(&str, u64); 31] = [
     ("e11/calm (control)/outcome", 0x06abe3f915f39ee3),
     ("e11/calm (control)/metrics", 0x1b374556a0117f40),
     ("e11/calm (control)/series", 0x61ac9c3352a7009f),
@@ -116,10 +123,14 @@ const GOLDEN: [(&str, u64); 27] = [
     ("e11/byzantine-blackhole/metrics", 0xf3c98e6eaf9a2416),
     ("e11/byzantine-blackhole/series", 0x3aa4dfd24bca51fe),
     ("e11/byzantine-blackhole/flight", 0x15e642c4a2290cdb),
-    ("e12/ring5-linkcut/heals", 0xdd9ebffd60038cf3),
-    ("e12/ring5-linkcut/metrics", 0x6f412f46179b18b7),
-    ("e12/ring5-linkcut/series", 0x3e0be6182a360443),
-    ("e12/ring5-linkcut/flight", 0x5b585a3d78decf86),
+    ("e11/primary-flap/outcome", 0x39ca3f4312d63b93),
+    ("e11/primary-flap/metrics", 0x8c2fd4820cdec835),
+    ("e11/primary-flap/series", 0xc8f05440244ed779),
+    ("e11/primary-flap/flight", 0xaa3929716839cda6),
+    ("e12/ring5-linkcut/heals", 0xcb461baf55fa6b87),
+    ("e12/ring5-linkcut/metrics", 0xb4975dde779fca19),
+    ("e12/ring5-linkcut/series", 0x7578f589aa03fd19),
+    ("e12/ring5-linkcut/flight", 0x3292b7c34a56ff0f),
     ("e16/storm/run", 0xfac5fff4fd0ade82),
     ("e16/storm/metrics", 0x185056ea0ee73d2c),
     ("e16/storm/series", 0x605451076f3f981c),
@@ -142,7 +153,7 @@ fn sim_arm_dumps_match_the_pre_substrate_tree() {
         assert_eq!(name, gold_name, "artifact order drifted");
         assert_eq!(
             *digest, *gold,
-            "{name}: simulator bytes diverged from the pinned pre-substrate dump"
+            "{name}: simulator bytes diverged from the pinned dump"
         );
     }
 }
