@@ -187,7 +187,6 @@ pub struct ConvergencePathology {
 pub fn run_count_to_infinity(split_horizon: bool) -> ConvergencePathology {
     let mut config = DvConfig::fast();
     config.split_horizon = split_horizon;
-    config.poisoned_reverse = split_horizon;
     let mut a = DvEngine::new(config.clone());
     let mut b = DvEngine::new(config);
     let stub: Ipv4Cidr = "10.9.0.0/16".parse().expect("valid");

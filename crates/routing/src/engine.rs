@@ -105,11 +105,10 @@ impl ExportPolicy {
 pub struct DvConfig {
     /// Whether changes produce immediate (triggered) updates.
     pub triggered_updates: bool,
-    /// Split horizon: never advertise a route back where it came from...
+    /// Split horizon with poisoned reverse: a route goes back out the
+    /// interface it was learned on at infinity, so the neighbour it came
+    /// from never counts on the way back to it.
     pub split_horizon: bool,
-    /// ...and if poisoned reverse is on, advertise it back at infinity
-    /// instead of omitting it (faster loop breaking, bigger updates).
-    pub poisoned_reverse: bool,
 }
 
 impl DvConfig {
@@ -123,12 +122,11 @@ impl DvConfig {
     pub const GC_TIMEOUT: Duration = Duration::from_secs(12);
 
     /// The fast-converging profile every gateway starts with: triggered
-    /// updates, split horizon and poisoned reverse all on.
+    /// updates and split horizon with poisoned reverse both on.
     pub fn fast() -> DvConfig {
         DvConfig {
             triggered_updates: true,
             split_horizon: true,
-            poisoned_reverse: true,
         }
     }
 }
@@ -438,7 +436,7 @@ impl DvEngine {
     }
 
     /// Build the advertisement for the neighbor reached via `iface`,
-    /// applying split horizon / poisoned reverse and the export policy.
+    /// applying split horizon (with poisoned reverse) and the export policy.
     /// `full` selects between a complete table (periodic) and only
     /// changed routes (triggered).
     pub fn advertisement_for(
@@ -458,11 +456,7 @@ impl DvEngine {
             let learned_here = route.next_hop.iface() == iface
                 && !matches!(route.next_hop, NextHop::Connected { .. });
             let metric = if learned_here && self.config.split_horizon {
-                if self.config.poisoned_reverse {
-                    INFINITY_METRIC
-                } else {
-                    continue;
-                }
+                INFINITY_METRIC
             } else {
                 route.metric
             };
@@ -675,21 +669,6 @@ mod tests {
         // Toward another iface: real metric.
         let fwd = dv.advertisement_for(1, &ExportPolicy::All, true);
         assert_eq!(fwd[0].metric, 2);
-    }
-
-    #[test]
-    fn split_horizon_without_poison_omits() {
-        let mut config = DvConfig::fast();
-        config.poisoned_reverse = false;
-        let mut dv = DvEngine::new(config);
-        dv.handle_update(
-            addr("10.0.0.2"),
-            0,
-            &[RipEntry::new(cidr("10.9.0.0/16"), 1)],
-            Instant::ZERO,
-        );
-        assert!(dv.advertisement_for(0, &ExportPolicy::All, true).is_empty());
-        assert_eq!(dv.advertisement_for(1, &ExportPolicy::All, true).len(), 1);
     }
 
     #[test]
