@@ -119,6 +119,9 @@ fn run_config(
     let h2 = net.add_host("h2");
     net.connect(gs[gateways / 2], h2, LinkClass::EthernetLan);
     net.converge_routing(Duration::from_secs(120));
+    let context = format!("E12 {gateways}-ring {} seed {seed}", fault.name());
+    net.routing_fixed_point()
+        .assert_holds(&format!("{context}, cold start"));
 
     let start = net.now();
     let at = start + Duration::from_secs(5);
@@ -141,6 +144,8 @@ fn run_config(
     // Post-heal window: bound + quiescence gap + slack, so a
     // bound-respecting heal always has room to *prove* it settled.
     net.run_for(Duration::from_secs(5) + heal_after + BOUND + Duration::from_secs(15));
+    net.routing_fixed_point()
+        .assert_holds(&format!("{context}, after the heal"));
     let recs = net.telemetry().convergence.reconvergences(net.now());
     let dumps = [net.metrics_dump(), net.series_dump(), net.flight_dump()];
     (recs, dumps, net.take_sched_trace())

@@ -56,6 +56,7 @@ fn multi_as(seed: u64, regions: usize, size: usize, trunk: LinkClass) -> MultiAs
         })
         .collect();
     net.converge_routing(Duration::from_secs(60 + 30 * (regions * size) as u64));
+    net.routing_fixed_point().assert_holds("E4 build");
     MultiAs {
         net,
         hosts,
@@ -110,6 +111,7 @@ pub fn run(seed: u64, regions: usize, size: usize, triggered: bool) -> Convergen
         }
     }
     let cold_start = m.net.converge_routing(Duration::from_secs(600));
+    m.net.routing_fixed_point().assert_holds("E4 cold start");
 
     // Steady-state chatter over one minute.
     let before: u64 = gateways
@@ -130,9 +132,11 @@ pub fn run(seed: u64, regions: usize, size: usize, triggered: bool) -> Convergen
     let border = m.borders[m.borders.len() / 2];
     m.net.set_link_up(border, false);
     let after_failure = m.net.converge_routing(Duration::from_secs(600));
+    m.net.routing_fixed_point().assert_holds("E4 border cut");
     // Heal it and verify end-to-end reachability returns.
     m.net.set_link_up(border, true);
     m.net.converge_routing(Duration::from_secs(600));
+    m.net.routing_fixed_point().assert_holds("E4 border heal");
     let src = m.hosts[0];
     let dst_addr = m.net.node(*m.hosts.last().expect("hosts")).primary_addr();
     let now = m.net.now();

@@ -62,6 +62,13 @@ impl Compromise {
         self.victim.is_some_and(|victim| victim.contains(dst))
     }
 
+    /// Whether the lie may be about `prefix`: a traffic-attraction
+    /// attack lies about its victim alone, the others about any entry.
+    pub(crate) fn touches(&self, prefix: &Ipv4Cidr) -> bool {
+        self.victim
+            .is_none_or(|victim| victim.contains_subnet(prefix) || prefix.contains_subnet(&victim))
+    }
+
     /// Turn one honest advertisement page for `iface` into the lie. Some
     /// rounds stay true: flapping alternates, replay lets the first page
     /// through to snapshot it, and an attested hijack with no proof to

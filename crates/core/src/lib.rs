@@ -54,6 +54,7 @@ pub mod arp;
 pub mod baseline;
 mod byzantine;
 mod events;
+pub mod fixed_point;
 pub mod iface;
 pub mod invariant;
 mod lane;
@@ -66,6 +67,7 @@ pub mod socket;
 pub use app::{shared, Application, Shared};
 pub use catenet_sim::{ShardKind, ShardStats};
 pub use catenet_tcp::{Endpoint, Socket as TcpSocket, SocketConfig as TcpConfig};
+pub use fixed_point::FixedPoint;
 pub use invariant::{ProgressWatchdog, ReconvergenceBound, StreamIntegrity, Violation};
 pub use network::{LinkId, Network, NodeId};
 pub use node::{Node, NodeRole, NodeStats};

@@ -70,7 +70,7 @@ struct AccountingCtl {
 pub struct Network {
     /// Who is on each end of each duplex link. The directed `Link`s
     /// themselves live in the lanes that own their senders.
-    links_meta: Vec<LinkMeta>,
+    pub(crate) links_meta: Vec<LinkMeta>,
     /// The execution lanes, which own the nodes. Exactly one (covering
     /// every node) until a `Sharded`/`Parallel` network splits at its
     /// first `run_until`.

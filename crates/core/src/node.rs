@@ -30,7 +30,7 @@ use catenet_tcp::{Endpoint, Socket as TcpSocket, SocketConfig as TcpConfig, Stat
 use catenet_wire::{
     ethernet, icmpv4, ipv4, ArpOperation, ArpPacket, ArpRepr, DstUnreachable, EtherType,
     EthernetAddress, EthernetFrame, EthernetRepr, Icmpv4Message, Icmpv4Packet, Icmpv4Repr,
-    IpProtocol, Ipv4Address, Ipv4Packet, Ipv4Repr, TcpControl, TcpPacket, TcpRepr,
+    IpProtocol, Ipv4Address, Ipv4Cidr, Ipv4Packet, Ipv4Repr, TcpControl, TcpPacket, TcpRepr,
     TcpSeqNumber, TimeExceeded, Tos, UdpPacket, UdpRepr, UDP_HEADER_LEN,
 };
 use std::collections::{HashMap, VecDeque};
@@ -399,6 +399,14 @@ impl Node {
         self.compromise
             .as_ref()
             .is_some_and(|compromise| compromise.eats(dst))
+    }
+
+    /// Whether a compromise may lie about `prefix` in this node's
+    /// advertisements.
+    pub(crate) fn lies_about(&self, prefix: &Ipv4Cidr) -> bool {
+        self.compromise
+            .as_ref()
+            .is_some_and(|compromise| compromise.touches(prefix))
     }
 
     /// Declare every interface that is up as a connected network. A

@@ -91,7 +91,8 @@ pub enum ExportPolicy {
 }
 
 impl ExportPolicy {
-    fn permits(&self, prefix: &Ipv4Cidr) -> bool {
+    /// Whether this policy lets `prefix` out.
+    pub fn permits(&self, prefix: &Ipv4Cidr) -> bool {
         match self {
             ExportPolicy::All => true,
             ExportPolicy::Only(allowed) => allowed.iter().any(|a| a.contains_subnet(prefix)),
