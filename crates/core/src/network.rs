@@ -1322,8 +1322,11 @@ impl Network {
         (offered, delivered, lost, overflowed)
     }
 
-    /// Run until every gateway's routing table is stable for one full
-    /// update interval (or until `limit`). Returns the convergence time.
+    /// Run, in 500 ms steps, until no gateway's routing table (prefix,
+    /// metric, interface) has changed for 7 s — more than two update
+    /// intervals — or until `limit`. Returns the time of the last change
+    /// (`limit` if the tables never went still). Stillness is not
+    /// correctness: [`Network::routing_fixed_point`] checks the tables.
     pub fn converge_routing(&mut self, limit: Duration) -> Duration {
         let start = self.now;
         let deadline = start + limit;
@@ -2610,12 +2613,16 @@ mod tests {
         // every 7 ms, so nearly all of g1's service passes are forwards
         // its idle gate may skip. At t = 0 g1 advertises and arms a wake
         // for its next periodic at 3 s. At 1 s a new network appears
-        // behind g2; its triggered update reaches g1, g1 relays it at
-        // T and moves its periodic to T + 3 s — *later* than the wake
-        // still pending at 3 s. That wake must cost a full pass (it has
-        // nothing to send, but it alone re-arms T + 3 s); were it
-        // skipped, the periodic would ride on whichever transit frame
-        // came next and drift off the schedule.
+        // behind g2; its triggered update reaches g1, and g1 relays it
+        // at T ≈ 1.03 s. A triggered round leaves the periodic deadline
+        // alone, so the wake pending at 3 s is still the one g1 wants,
+        // and its full tables leave at 3, 6, … 18 s. Were the triggered
+        // round to re-arm the periodic, they would leave at T + 3k s,
+        // each one postponed by the relay. A DV deadline never moves
+        // later than a pending wake now: only a timer that moves later
+        // or vanishes under one (a TCP retransmission timer an ACK
+        // re-arms, an ARP retry a reply answers, a crash) still leaves a
+        // wake the node no longer wants.
         let mut net = Network::new(1988);
         let h1 = net.add_host("h1");
         let g1 = net.add_gateway("g1");
@@ -2654,8 +2661,8 @@ mod tests {
             "g1 relays the triggered update one trunk delay after 1 s: {relayed}"
         );
         let interval = Duration::from_secs(3);
-        let expected: Vec<Instant> = (1..=6u32).map(|k| relayed + interval * k).collect();
-        assert_eq!(&seen[before + 1..], &expected[..], "periodics at T + 3k s exactly");
+        let expected: Vec<Instant> = (1..=6u32).map(|k| Instant::ZERO + interval * k).collect();
+        assert_eq!(&seen[before + 1..], &expected[..], "periodics at 3k s, unmoved by the relay");
         assert!(
             net.service_passes(g1) > 2_000,
             "the schedule held under transit load: {} passes",

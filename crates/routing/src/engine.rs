@@ -482,14 +482,18 @@ impl DvEngine {
         entries
     }
 
-    /// Mark the advertisement round complete: clears change flags and
-    /// schedules the next periodic update.
+    /// Mark the advertisement round complete: clears the change flags,
+    /// and only a round that was periodic-due schedules the next
+    /// periodic update, so a triggered update never postpones the full
+    /// table (RFC 2453 §3.8 against §3.10.1).
     pub fn advertisements_sent(&mut self, now: Instant) {
         for (_, route) in self.table.iter_mut() {
             route.changed = false;
         }
         self.trigger_pending = false;
-        self.next_periodic = now + DvConfig::UPDATE_INTERVAL;
+        if now >= self.next_periodic {
+            self.next_periodic = now + DvConfig::UPDATE_INTERVAL;
+        }
         if let Some(attestor) = &mut self.attestor {
             // Serials advance with virtual time (seconds), which makes
             // them monotone across a crash/reboot with no stable
@@ -748,6 +752,8 @@ mod tests {
         dv.advertisements_sent(Instant::ZERO);
         assert!(!dv.periodic_due(Instant::from_secs(2)));
         assert!(dv.periodic_due(Instant::from_secs(3)));
+        // A triggered round in between leaves the deadline alone.
+        dv.advertisements_sent(Instant::from_secs(1));
         assert_eq!(dv.poll_at(), Instant::from_secs(3));
     }
 

@@ -2,7 +2,7 @@
 //! advertisement streams checking the invariants the protocol promises
 //! regardless of what neighbors say.
 //!
-//! Five properties, each over many seeds:
+//! Six properties, each over many seeds:
 //!
 //! 1. **Metric bounds** — every stored metric stays in
 //!    `1..=INFINITY_METRIC` and the table version never goes backwards,
@@ -25,6 +25,13 @@
 //!    prefix that had a live route over `i` — the connected prefix
 //!    included — at `INFINITY_METRIC`, so neighbours need not wait out
 //!    their route timeout.
+//! 6. **The periodic deadline has one writer** — taking rounds the way
+//!    `Node::service_dv` does (`tick`, then, if a periodic or triggered
+//!    update is due, one advertisement per live interface and
+//!    `advertisements_sent`), a round that was not periodic-due leaves
+//!    `poll_at()` where it was, and a periodic round sets it to
+//!    `now + UPDATE_INTERVAL`: a triggered update never postpones the
+//!    full table (RFC 2453 §3.8 against §3.10.1).
 //!
 //! Each property runs twice per seed: guard off (the trusting 1988
 //! behavior) and guard on (the hardened path) — the invariants are the
@@ -304,6 +311,49 @@ fn a_downed_iface_is_withdrawn_on_every_other_iface() {
             assert!(
                 downs > 0,
                 "seed {seed}: the stream never downed an interface"
+            );
+        }
+    }
+}
+
+#[test]
+fn only_a_periodic_round_moves_the_periodic_deadline() {
+    for guard in [false, true] {
+        for seed in SEEDS {
+            let mut rng = Rng::from_seed(seed ^ 0x9E_410D);
+            let mut dv = fresh_engine(guard);
+            let mut iface_up = [true; IFACES];
+            let mut now = Instant::ZERO;
+            let mut rounds = [0u32; 2];
+            for n in 0..STEPS {
+                now = step(&mut dv, &mut rng, now, &mut iface_up);
+                // One round, as `Node::service_dv` takes it.
+                dv.tick(now);
+                let periodic = dv.periodic_due(now);
+                if !periodic && !dv.triggered_due() {
+                    continue;
+                }
+                let before = dv.poll_at();
+                for iface in (0..IFACES).filter(|&i| iface_up[i]) {
+                    dv.advertisement_for(iface, &ExportPolicy::All, periodic);
+                }
+                dv.advertisements_sent(now);
+                let (kind, want) = if periodic {
+                    ("periodic", now + DvConfig::UPDATE_INTERVAL)
+                } else {
+                    ("triggered", before)
+                };
+                assert_eq!(
+                    dv.poll_at(),
+                    want,
+                    "seed {seed} guard {guard} step {n}: a {kind} round at {now} moved the \
+                     periodic deadline from {before}"
+                );
+                rounds[usize::from(periodic)] += 1;
+            }
+            assert!(
+                rounds.iter().all(|&r| r > 0),
+                "seed {seed} guard {guard}: the stream took {rounds:?} triggered and periodic rounds"
             );
         }
     }
