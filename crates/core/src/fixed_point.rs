@@ -30,7 +30,7 @@ use catenet_wire::{Ipv4Address, Ipv4Cidr};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// What [`Network::routing_fixed_point`] found.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct FixedPoint {
     /// (gateway, prefix) pairs held to the fixed point.
     pub checked: usize,
