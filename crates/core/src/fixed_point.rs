@@ -84,8 +84,7 @@ impl Network {
         // gateway's edges to the gateways it hears.
         let mut attached: BTreeMap<Ipv4Cidr, Vec<(usize, usize)>> = BTreeMap::new();
         let mut edges: BTreeMap<usize, Vec<Edge>> = BTreeMap::new();
-        for link in 0..self.links_meta.len() {
-            let (a, b) = (self.links_meta[link].a, self.links_meta[link].b);
+        for (link, a, b) in self.link_ends() {
             let prefix = self.link_subnet(link).network();
             let entry = attached.entry(prefix).or_default();
             let up = |end: crate::lane::LinkEnd| {

@@ -54,7 +54,7 @@ pub mod arp;
 pub mod baseline;
 mod byzantine;
 mod events;
-pub mod fixed_point;
+mod fixed_point;
 pub mod iface;
 pub mod invariant;
 mod lane;

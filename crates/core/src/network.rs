@@ -70,7 +70,7 @@ struct AccountingCtl {
 pub struct Network {
     /// Who is on each end of each duplex link. The directed `Link`s
     /// themselves live in the lanes that own their senders.
-    pub(crate) links_meta: Vec<LinkMeta>,
+    links_meta: Vec<LinkMeta>,
     /// The execution lanes, which own the nodes. Exactly one (covering
     /// every node) until a `Sharded`/`Parallel` network splits at its
     /// first `run_until`.
@@ -496,6 +496,11 @@ impl Network {
     pub fn link_subnet(&self, link: LinkId) -> Ipv4Cidr {
         let end = self.links_meta[link].a;
         self.node(end.node).ifaces[end.iface].cidr
+    }
+
+    /// Every link's id with its a and b ends.
+    pub(crate) fn link_ends(&self) -> impl Iterator<Item = (LinkId, LinkEnd, LinkEnd)> + '_ {
+        self.links_meta.iter().enumerate().map(|(id, meta)| (id, meta.a, meta.b))
     }
 
     /// Where one direction of a link (`ab` selects a→b) lives: its
