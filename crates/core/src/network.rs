@@ -2614,20 +2614,25 @@ mod tests {
 
     #[test]
     fn pending_wake_earlier_than_the_want_rearms_the_periodic() {
-        // h1 — g1 — g2 — h2 on raw-IP trunks, a datagram crossing g1
-        // every 7 ms, so nearly all of g1's service passes are forwards
-        // its idle gate may skip. At t = 0 g1 advertises and arms a wake
-        // for its next periodic at 3 s. At 1 s a new network appears
-        // behind g2; its triggered update reaches g1, and g1 relays it
-        // at T ≈ 1.03 s. A triggered round leaves the periodic deadline
-        // alone, so the wake pending at 3 s is still the one g1 wants,
-        // and its full tables leave at 3, 6, … 18 s. Were the triggered
-        // round to re-arm the periodic, they would leave at T + 3k s,
-        // each one postponed by the relay. A DV deadline never moves
-        // later than a pending wake now: only a timer that moves later
-        // or vanishes under one (a TCP retransmission timer an ACK
-        // re-arms, an ARP retry a reply answers, a crash) still leaves a
-        // wake the node no longer wants.
+        // h1 — g1 — g2 on raw-IP trunks and h2 on an Ethernet LAN behind
+        // g1; a datagram from h1 to h2 crosses g1 every 7 ms, so nearly
+        // all of g1's service passes are forwards its idle gate may skip.
+        // g1's next periodic, P, falls at its phase, after 1.5 s here.
+        //
+        // A stray wake: at t = 0 g1's first advertisement to h2 misses
+        // ARP, so g1 asks and arms a wake for the retry at 1 s. h2's
+        // reply answers within the LAN's delay, and g1 wants only P
+        // again — later than the wake still pending. That wake, under
+        // transit load from 0.5 s, must be skipped and must re-arm P
+        // exactly; were the re-arm lost, the periodic would ride on
+        // whichever transit frame came next and drift off its schedule.
+        //
+        // A triggered round leaves the deadline alone: at 1 s a new
+        // network appears behind g2, its triggered update reaches g1,
+        // and g1 relays it at T ≈ 1.03 s. Its full tables then leave at
+        // P, P + 3 s, … 17 s on; were the triggered round to re-arm the
+        // periodic, they would leave at T + 3k s, each one postponed by
+        // the relay.
         let mut net = Network::new(1988);
         let h1 = net.add_host("h1");
         let g1 = net.add_gateway("g1");
@@ -2636,7 +2641,7 @@ mod tests {
         let h3 = net.add_host("h3");
         net.connect(h1, g1, LinkClass::T1Terrestrial);
         net.connect(g1, g2, LinkClass::T1Terrestrial);
-        net.connect(g2, h2, LinkClass::T1Terrestrial);
+        net.connect(g1, h2, LinkClass::EthernetLan);
         let seen = rip_instants(&mut net, g1);
         let sink = crate::Endpoint::new(net.node(h2).primary_addr(), 9000);
         net.attach_app(h2, Box::new(crate::app::CbrSink::new(9000)));
@@ -2650,11 +2655,22 @@ mod tests {
                 Instant::from_secs(20),
             )),
         );
+        net.run_until(Instant::from_millis(900));
+        let periodic = net.node(g1).dv.as_ref().unwrap().poll_at();
+        assert!(periodic > Instant::from_secs(1), "g1's phase puts P after the stray: {periodic}");
+        assert_eq!(net.node(g1).poll_at(net.now()), Some(periodic), "g1 wants only P");
+        assert_eq!(net.node(g1).stats.arp_retries, 0, "h2's reply answered the request");
+        assert_eq!(
+            net.lanes.slot(g1).next_wake,
+            Some(Instant::ZERO + crate::arp::REQUEST_INTERVAL),
+            "the answered retry's wake is still pending"
+        );
         net.run_until(Instant::from_secs(1));
         assert!(net.node(g1).is_quiet(net.now()), "a transit gateway idles between timers");
         // h1's socket holds no work either (its datagrams leave at the
         // send); its application is what keeps it polled.
         assert!(net.node(h1).is_quiet(net.now()), "a UDP socket is no work");
+        assert_eq!(net.lanes.slot(g1).next_wake, Some(periodic), "the stray re-armed P");
         let before = seen.borrow().len();
         net.connect(g2, h3, LinkClass::T1Terrestrial);
         net.run_until(Instant::from_secs(20));
@@ -2666,8 +2682,8 @@ mod tests {
             "g1 relays the triggered update one trunk delay after 1 s: {relayed}"
         );
         let interval = Duration::from_secs(3);
-        let expected: Vec<Instant> = (1..=6u32).map(|k| Instant::ZERO + interval * k).collect();
-        assert_eq!(&seen[before + 1..], &expected[..], "periodics at 3k s, unmoved by the relay");
+        let expected: Vec<Instant> = (0..6u32).map(|k| periodic + interval * k).collect();
+        assert_eq!(&seen[before + 1..], &expected[..], "periodics at P + 3k s exactly");
         assert!(
             net.service_passes(g1) > 2_000,
             "the schedule held under transit load: {} passes",

@@ -25,7 +25,7 @@ use catenet_accounting::ledger::Ledger;
 use catenet_accounting::table::FlowTable;
 use catenet_ip::{fragment_with, icmp, FragError, Reassembler, RoutingTable};
 use catenet_routing::{DvEngine, ExportPolicy, RipMessage, RIP_PORT};
-use catenet_sim::{ByzantineAttack, Duration, Instant};
+use catenet_sim::{fnv1a, ByzantineAttack, Duration, Instant, FNV_OFFSET};
 use catenet_tcp::{Endpoint, Socket as TcpSocket, SocketConfig as TcpConfig, State as TcpState};
 use catenet_wire::{
     ethernet, icmpv4, ipv4, ArpOperation, ArpPacket, ArpRepr, DstUnreachable, EtherType,
@@ -218,12 +218,17 @@ pub struct Node {
 impl Node {
     /// A node with no interfaces yet (the network builder attaches them).
     pub fn new(name: impl Into<String>, role: NodeRole) -> Node {
+        let name = name.into();
         let dv = match role {
-            NodeRole::Gateway => Some(DvEngine::new(catenet_routing::DvConfig::fast())),
+            NodeRole::Gateway => {
+                let mut dv = DvEngine::new(catenet_routing::DvConfig::fast());
+                dv.set_phase(dv_phase(&name));
+                Some(dv)
+            }
             NodeRole::Host => None,
         };
         Node {
-            name: name.into(),
+            name,
             role,
             alive: true,
             ifaces: Vec::new(),
@@ -438,6 +443,7 @@ impl Node {
         let registry = old.guard().registry().cloned();
         let attestor = old.attestor().copied();
         let mut dv = DvEngine::new(config);
+        dv.set_phase(dv_phase(&self.name));
         dv.set_guard_policy(guard_policy);
         dv.guard_mut().set_registry(registry);
         dv.set_attestor(attestor);
@@ -1587,6 +1593,16 @@ impl Node {
         assert_eq!(self.unreported_version(), None, "{name}: route change unreported");
         assert!(self.events.is_empty(), "{name}: had something to report");
     }
+}
+
+/// Where in the update interval a gateway's periodic clock starts: the
+/// FNV-1a of its name, in microseconds, modulo the interval. Gateways
+/// that boot together thus spread their full tables over the interval
+/// (RFC 2453 §3.8) — nothing else moves a deadline once a triggered
+/// update stops doing so — and a run stays a function of its seed.
+fn dv_phase(name: &str) -> Duration {
+    let interval = catenet_routing::DvConfig::UPDATE_INTERVAL.total_micros();
+    Duration::from_micros(fnv1a(FNV_OFFSET, name.as_bytes()) % interval)
 }
 
 /// A reassembler's counters: completed, timed out, evicted.
@@ -2745,10 +2761,15 @@ mod tests {
         let mut gw = gateway_with_ifaces(&[Framing::RawIp, Framing::Ethernet]);
         assert!(!gw.is_quiet(Instant::ZERO), "the first advertisement is due");
         full_pass(&mut gw, Instant::ZERO);
+        // The first periodic falls at the gateway's phase; the fixture's
+        // clock starts there, a whole interval before the next one.
+        let start = gw.dv.as_ref().unwrap().poll_at();
+        full_pass(&mut gw, start);
         let peer = gw.ifaces[1].peer;
-        gw.handle_frame(Instant::from_millis(5), 1, arp_from_host(1, ArpOperation::Reply, peer));
-        full_pass(&mut gw, Instant::from_millis(5));
-        let now = Instant::from_millis(10);
+        let replied = start + Duration::from_millis(5);
+        gw.handle_frame(replied, 1, arp_from_host(1, ArpOperation::Reply, peer));
+        full_pass(&mut gw, replied);
+        let now = start + Duration::from_millis(10);
         assert!(gw.is_quiet(now), "nothing but a periodic 3 s away");
         (gw, now)
     }

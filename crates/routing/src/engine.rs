@@ -424,6 +424,14 @@ impl DvEngine {
         self.config.triggered_updates && self.trigger_pending
     }
 
+    /// Start the periodic clock `phase` into its first interval, so
+    /// gateways that boot together do not all send their full tables in
+    /// the same instant (RFC 2453 §3.8). Boot only: after it, only a
+    /// periodic round moves the deadline.
+    pub fn set_phase(&mut self, phase: Duration) {
+        self.next_periodic = Instant::ZERO + phase;
+    }
+
     /// When the engine next needs service.
     pub fn poll_at(&self) -> Instant {
         self.next_periodic
@@ -755,6 +763,16 @@ mod tests {
         // A triggered round in between leaves the deadline alone.
         dv.advertisements_sent(Instant::from_secs(1));
         assert_eq!(dv.poll_at(), Instant::from_secs(3));
+        // A phase delays the first periodic only; the periodic round
+        // re-arms a whole interval from itself.
+        let mut dv = engine();
+        dv.set_phase(Duration::from_millis(1_250));
+        assert!(!dv.periodic_due(Instant::ZERO));
+        dv.advertisements_sent(Instant::from_millis(1_250));
+        assert_eq!(dv.poll_at(), Instant::from_millis(4_250));
+        // A crash forgets the phase with the rest: a reboot advertises at once.
+        dv.clear();
+        assert!(dv.periodic_due(Instant::ZERO));
     }
 
     #[test]

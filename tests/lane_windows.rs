@@ -253,9 +253,11 @@ fn misaligned_ring_runs_on_trunk_width_windows() {
         "a lane boundary sits inside a cell, on a LAN: {bounds:?}"
     );
     assert_eq!(stats.collapsed, 0, "{stats:?}");
-    // 640 when this was written; equal chunks ran 21,408.
+    // 640 when this was written, 821 once each gateway's periodic
+    // clock got a phase of its own and the 66 gateways' full tables
+    // stopped leaving in one instant; equal chunks ran 21,408.
     assert!(
-        stats.windows <= 700,
+        stats.windows <= 900,
         "windows are no longer trunk width: {stats:?}"
     );
 }

@@ -54,11 +54,13 @@ fn e11_battery_is_bit_identical_across_backends() {
         }
     }
     // Sanity: the traces were long (1,800,729 pops when written), and
-    // FIFO order alone decided some of them (1,235 — link timing is in
+    // FIFO order alone decided some of them (1,235 when written, 677
+    // once each gateway's periodic clock got a phase of its own and
+    // full tables stopped leaving in step — link timing is in
     // microseconds with per-link jitter, so live ties are rare; the
     // property test below is where they are dense).
     assert!(pops > 1_500_000, "only {pops} pops across the battery");
-    assert!(ties > 1_000, "only {ties} same-instant ties");
+    assert!(ties > 500, "only {ties} same-instant ties");
 }
 
 /// E12: one disruption-then-heal cycle per (ring size, fault kind),
@@ -82,9 +84,10 @@ fn e12_reconvergence_is_bit_identical_across_backends() {
             }
         }
     }
-    // 10,432 pops and 154 ties when written.
+    // 10,432 pops and 154 ties when written; 20 ties once gateways'
+    // periodic clocks got phases of their own (see the E11 test).
     assert!(pops > 10_000, "only {pops} pops across the matrix");
-    assert!(ties > 100, "only {ties} same-instant ties");
+    assert!(ties > 10, "only {ties} same-instant ties");
 }
 
 /// Property test: 2400 seeded random interleavings of schedule-after /

@@ -96,44 +96,41 @@ fn compute() -> Vec<(String, u64)> {
 
 /// The pinned values, first generated from a clean checkout of the
 /// last pre-substrate commit and re-pinned since only by changes that
-/// CHANGES.md names. Order matches [`compute`]. All but five come from
+/// CHANGES.md names. Order matches [`compute`]. All but two come from
 /// the first tree whose triggered updates left the periodic deadline
-/// alone. Of those five, `e12/ring5-linkcut/metrics` comes from the
-/// first tree whose downed interface announced its own prefix's
-/// withdrawal; `e3/quick` and `e8/quick` from the last tree whose
-/// sockets queued a datagram until the node's service pass sent it;
-/// and `e16/storm/run` and `e16/storm/metrics` from the pinned dump
-/// itself.
+/// alone and whose gateways started their periodic clocks at phases of
+/// their own. `e3/quick` and `e8/quick` come from the last tree whose
+/// sockets queued a datagram until the node's service pass sent it.
 const GOLDEN: [(&str, u64); 31] = [
-    ("e11/calm (control)/outcome", 0xf87ac736789f7131),
-    ("e11/calm (control)/metrics", 0xb2e4f7f675d6be85),
-    ("e11/calm (control)/series", 0x6956cedc249bc72a),
-    ("e11/calm (control)/flight", 0x661a56196969651a),
-    ("e11/crash-storm/outcome", 0x555ade5ccaacf6e2),
-    ("e11/crash-storm/metrics", 0xbd5be75294ef8ce3),
-    ("e11/crash-storm/series", 0x3545220b69cbf131),
-    ("e11/crash-storm/flight", 0x64a26e151cb4a043),
-    ("e11/prefix-hijack (attested)/outcome", 0x8b8b929d55815757),
-    ("e11/prefix-hijack (attested)/metrics", 0xf9533ec89840bdb3),
-    ("e11/prefix-hijack (attested)/series", 0x73736ac449df62d7),
-    ("e11/prefix-hijack (attested)/flight", 0xcc7fa3e01e51ee28),
-    ("e11/byzantine-blackhole/outcome", 0xcc979606c5ff68ae),
-    ("e11/byzantine-blackhole/metrics", 0xfdb636580bad1e30),
-    ("e11/byzantine-blackhole/series", 0x1e53b4417e098f94),
-    ("e11/byzantine-blackhole/flight", 0x09ef91d625ffba00),
-    ("e11/primary-flap/outcome", 0x7f3dc88bb565fdfc),
-    ("e11/primary-flap/metrics", 0x557e5eca2fef6bc2),
-    ("e11/primary-flap/series", 0x859baef7d0069cb2),
-    ("e11/primary-flap/flight", 0x6732d73945776389),
-    ("e12/ring5-linkcut/heals", 0x6b53bf25aa1c8701),
-    ("e12/ring5-linkcut/metrics", 0xb4975dde779fca19),
-    ("e12/ring5-linkcut/series", 0x854ff41bf29b3e45),
-    ("e12/ring5-linkcut/flight", 0x19775aa4a5dc20b8),
-    ("e16/storm/run", 0xfac5fff4fd0ade82),
-    ("e16/storm/metrics", 0x185056ea0ee73d2c),
-    ("e16/storm/series", 0xf3bab2b4b0199898),
-    ("e16/storm/flight", 0x8f0d932e41244ca2),
-    ("e2/quick", 0x6111f76a54e1b526),
+    ("e11/calm (control)/outcome", 0xccaddeb072d29e30),
+    ("e11/calm (control)/metrics", 0x413d405fdb3ffdba),
+    ("e11/calm (control)/series", 0xbaa2716792a62695),
+    ("e11/calm (control)/flight", 0x1e7a9b7eb7548619),
+    ("e11/crash-storm/outcome", 0xeaa673568b9c61c1),
+    ("e11/crash-storm/metrics", 0x99b423497c487451),
+    ("e11/crash-storm/series", 0x0f4ee873e11efc05),
+    ("e11/crash-storm/flight", 0x0ee9463d3134584c),
+    ("e11/prefix-hijack (attested)/outcome", 0x8472732a47e3e927),
+    ("e11/prefix-hijack (attested)/metrics", 0x476a2aac02cf399c),
+    ("e11/prefix-hijack (attested)/series", 0xa169646394190fbf),
+    ("e11/prefix-hijack (attested)/flight", 0xaf7f97c05246ddbd),
+    ("e11/byzantine-blackhole/outcome", 0x9afc0c11a2ad6e9c),
+    ("e11/byzantine-blackhole/metrics", 0x19dd0977ead4066c),
+    ("e11/byzantine-blackhole/series", 0x2f0b1c92d3ec1657),
+    ("e11/byzantine-blackhole/flight", 0xa8e7601b260f6081),
+    ("e11/primary-flap/outcome", 0x21ad2aa611104464),
+    ("e11/primary-flap/metrics", 0xa90ea72af507c9f5),
+    ("e11/primary-flap/series", 0xdcaab1c3df8c8fc0),
+    ("e11/primary-flap/flight", 0x536f83e5ab43b480),
+    ("e12/ring5-linkcut/heals", 0x75390561404ab1c2),
+    ("e12/ring5-linkcut/metrics", 0xb49403de779cfb54),
+    ("e12/ring5-linkcut/series", 0x1cd0e23f81cf1641),
+    ("e12/ring5-linkcut/flight", 0xc56ac272b0f3a11f),
+    ("e16/storm/run", 0x99964cc29a4ecf9f),
+    ("e16/storm/metrics", 0xfd2295b5c22361b5),
+    ("e16/storm/series", 0x2dddfaf6c32c719f),
+    ("e16/storm/flight", 0xcf196069d750ad38),
+    ("e2/quick", 0xa516526290bf83b9),
     ("e3/quick", 0x0730a51e86a1b7f2),
     ("e8/quick", 0x5c75d27e243786c9),
 ];
