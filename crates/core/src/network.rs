@@ -2617,7 +2617,8 @@ mod tests {
         // h1 — g1 — g2 on raw-IP trunks and h2 on an Ethernet LAN behind
         // g1; a datagram from h1 to h2 crosses g1 every 7 ms, so nearly
         // all of g1's service passes are forwards its idle gate may skip.
-        // g1's next periodic, P, falls at its phase, after 1.5 s here.
+        // g1's first periodic, P, falls at its phase: 2.29 s, after the
+        // stray wake below.
         //
         // A stray wake: at t = 0 g1's first advertisement to h2 misses
         // ARP, so g1 asks and arms a wake for the retry at 1 s. h2's
@@ -2630,7 +2631,7 @@ mod tests {
         // A triggered round leaves the deadline alone: at 1 s a new
         // network appears behind g2, its triggered update reaches g1,
         // and g1 relays it at T ≈ 1.03 s. Its full tables then leave at
-        // P, P + 3 s, … 17 s on; were the triggered round to re-arm the
+        // P, P + 3 s, … up to 20 s; were the triggered round to re-arm the
         // periodic, they would leave at T + 3k s, each one postponed by
         // the relay.
         let mut net = Network::new(1988);
